@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from functools import lru_cache
 
 from . import alambda, jets, schubert, symfun
 from .errors import (
@@ -109,7 +110,10 @@ def _global_flags() -> argparse.ArgumentParser:
     return common
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it
+    unchanged, so every `run` shares it."""
     common = _global_flags()
     parser = argparse.ArgumentParser(
         prog="jetform",
@@ -421,8 +425,9 @@ def run(argv) -> tuple[CommandResult, list[str]]:
         result = _error("cap-exceeded", str(exc), start, EXIT_ERROR, json_mode)
         result.payload["lower_bound"] = exc.lower_bound
         return result, []
-    except (ValueError, KeyError) as exc:
-        return _error("parse-error", str(exc), start, EXIT_PARSE, json_mode), []
+    except ValueError as exc:
+        # ParseError, a ValueError too, was caught above
+        return _error("domain-error", str(exc), start, EXIT_ERROR, json_mode), []
     timing = (time.perf_counter() - start) * 1000.0
     if seed is not None:
         payload["seed"] = seed

@@ -20,10 +20,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from heapq import heapify, heappop, heappush
+from math import lcm
 
 from .errors import RingMismatchError
-from .polyring import LEX, Monomial, Poly, Ring, divide
+from .polyring import Monomial, Poly, Ring
 
 __all__ = [
     "Composition",
@@ -42,11 +43,6 @@ __all__ = [
     "expand_block_elementary",
     "block_elementary_ring",
 ]
-
-# Full-group averaging is used up to this group size; beyond it the projector
-# falls back to per-block orbit sums.
-FULL_GROUP_LIMIT = 10_000
-
 
 class Composition:
     """Non-negative integer parts (lambda_1..lambda_n) with partial sums.
@@ -164,13 +160,88 @@ def groebner_basis_IS(ell: int) -> SymBasis:
 
 
 def normal_form_IS(p: Poly, ell: int | None = None) -> Poly:
-    """Fully reduced remainder of p modulo I_S under lex z_1 > ... > z_ell."""
+    """Fully reduced remainder of p modulo I_S under lex z_1 > ... > z_ell.
+
+    Heap division on packed exponents (Monagan & Pearce, CASC 2007), with
+    the rules z_i^i -> -(g_i - z_i^i) read off the Groebner basis.  Each
+    monomial is packed into one int, z_1 in the most significant field, so
+    lex order is integer order and applying a rule is adding a fixed offset.
+    Pending monomials sit in a max-heap; every monomial a rule produces is
+    lex-smaller than the one it replaces, so a popped monomial never comes
+    back and the reduced ones leave the heap as finished remainder terms.
+    The normal form is unique, so a monomial divisible by several z_i^i may
+    be rewritten by any of their rules; the highest i is taken, which on
+    the ell=6 Schubert polynomials pops fewer monomials than the lowest.
+
+    The field width is the bit length of p's top degree.  Every g_i is
+    homogeneous, so a rewrite keeps total degree and no exponent can exceed
+    that degree; no field overflows into its neighbour.  Coefficients are
+    scaled to integers by the lcm of p's denominators and divided back at
+    the end, which is exact because NF(c*p) = c*NF(p).
+    """
     if ell is None:
         ell = p.ring.nvars
     if p.ring != zring(ell):
         raise RingMismatchError("polynomial not in the %d-variable z ring" % ell)
-    _, rem = divide(p, groebner_basis_IS(ell).elements, LEX)
-    return rem
+    width = max((p.total_degree() or 0).bit_length(), 1)
+    shifts, rules = _packed_rules(ell, width)
+    mask = (1 << width) - 1
+    scale = lcm(*(c.denominator for c in p.terms.values()))
+    pending: dict[int, int] = {}
+    for mono, c in p.terms.items():
+        key = 0
+        for e in mono.exps:
+            key = (key << width) | e
+        pending[key] = c.numerator * (scale // c.denominator)
+    heap = [-key for key in pending]
+    heapify(heap)
+    reduced: dict[int, int] = {}
+    while heap:
+        key = -heappop(heap)
+        c = pending.pop(key)
+        if not c:
+            continue
+        for shift, i, rule in rules:
+            if (key >> shift) & mask >= i:
+                for offset, rc in rule:
+                    child = key + offset
+                    old = pending.get(child)
+                    if old is None:
+                        pending[child] = c * rc
+                        heappush(heap, -child)
+                    else:
+                        pending[child] = old + c * rc
+                break
+        else:
+            reduced[key] = c
+    return Poly(
+        p.ring,
+        {
+            Monomial(tuple((key >> s) & mask for s in shifts)): Fraction(c, scale)
+            for key, c in reduced.items()
+        },
+    )
+
+
+@lru_cache(maxsize=128)
+def _packed_rules(ell: int, width: int):
+    """Field shifts of z_1..z_ell for `width`-bit fields, and the rewrite
+    rules as (shift of z_i, i, ((packed offset, coefficient), ...)) for
+    i = ell down to 1."""
+    shifts = tuple(width * (ell - 1 - v) for v in range(ell))
+
+    def pack(mono):
+        return sum(e << s for e, s in zip(mono.exps, shifts))
+
+    rules = []
+    for i, g in enumerate(groebner_basis_IS(ell), start=1):
+        lead, _ = g.leading()
+        # g_i is monic with every coefficient 1, so the rule stays integral
+        tail = tuple(
+            (pack(m) - pack(lead), -int(c)) for m, c in g.terms.items() if m != lead
+        )
+        rules.append((shifts[i - 1], i, tail))
+    return shifts, tuple(reversed(rules))
 
 
 def in_IS(p: Poly) -> bool:
@@ -207,24 +278,11 @@ def is_lambda_symmetric(p: Poly, lam: Composition) -> bool:
 def sym_lambda_average(p: Poly, lam: Composition) -> Poly:
     """Average of p over the product of per-block symmetric groups.
 
-    An idempotent linear projector onto the lambda-symmetric subspace; for
-    small groups it enumerates the group literally, otherwise it averages
-    one block at a time through monomial orbit sums.
+    An idempotent linear projector onto the lambda-symmetric subspace.  The
+    block averages commute, so it averages one block at a time through
+    monomial orbit sums.
     """
     _check_arity(p, lam)
-    group_size = 1
-    for part in lam.parts:
-        group_size *= factorial(part)
-    if group_size <= FULL_GROUP_LIMIT:
-        result = p.ring.zero()
-        blocks = [list(b) for b in lam.blocks() if len(b) > 0]
-        for perms in itertools.product(*(itertools.permutations(b) for b in blocks)):
-            images = list(range(p.ring.nvars))
-            for block, perm in zip(blocks, perms):
-                for src, dst in zip(block, perm):
-                    images[src] = dst
-            result = result + p.permute_vars(images)
-        return result.scale(Fraction(1, group_size))
     for i in range(1, lam.n + 1):
         p = _average_block(p, list(lam.block(i)))
     return p

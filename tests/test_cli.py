@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import jetform
 from jetform import normal_form_IS, parse_poly, zring
 from jetform.cli import main, run
 
@@ -140,6 +144,15 @@ def test_parse_error_exit_code(capsys):
     capsys.readouterr()
 
 
+def test_domain_error_exit_code(capsys):
+    code, doc = run_json(capsys, ["nilpotency", "z1", "--lambda", "2", "--block", "1"])
+    assert code == 1
+    assert doc["payload"]["code"] == "domain-error"
+    code, doc = run_json(capsys, ["expand", "z1", "--ell", "7"])
+    assert code == 1
+    assert doc["payload"]["code"] == "domain-error"
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit):
         # argparse exits directly inside run(); main converts to return code
@@ -176,6 +189,29 @@ def test_seed_recorded_and_deterministic(capsys):
     assert doc1["payload"]["seed"] == 7
     _, doc2 = run_json(capsys, ["--seed", "7", "dim", "--lambda", "3,1"])
     assert doc1["payload"] == doc2["payload"]
+
+
+def test_parser_reuse_keeps_no_flags():
+    first, _ = run(["--seed", "7", "--json", "dim", "--lambda", "2,1"])
+    assert first.payload["seed"] == 7 and first.json_mode
+    second, _ = run(["dim", "--lambda", "2,1"])
+    assert "seed" not in second.payload
+    assert second.json_mode is False
+
+
+def test_expand_at_ell_6_entry_point():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(jetform.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "jetform.cli", "expand", "z1*z2", "--ell", "6", "--json"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["payload"]["coefficients"] == [{"perm": [2, 3, 1, 4, 5, 6], "coeff": "1"}]
 
 
 def test_text_output(capsys):

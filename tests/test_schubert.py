@@ -132,6 +132,20 @@ def test_monk_matches_normal_form_product():
                 assert product == normal_form_IS(total, ell)
 
 
+def test_monk_matches_expansion_at_ell_6():
+    ell = 6
+    table = schubert_table(ell)
+    perms = sorted(table)
+    rng = make_rng(6)
+    # the longest permutation gives a degree-16 product, beyond the top degree
+    pairs = [(r, perms[-1]) for r in (1, 5)]
+    pairs += [(rng.randint(1, ell - 1), w) for w in rng.sample(perms, 24)]
+    for r, w in pairs:
+        product = table[Permutation.simple(r, ell)] * table[w]
+        expected = {v: Fraction(1) for v in monk_expand(r, w)}
+        assert schubert_expansion(product, ell) == expected
+
+
 def test_schubert_normal_forms_have_full_rank():
     from jetform import ExactSpan
     from jetform.linalg import int_row

@@ -1,10 +1,12 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
 
 from jetform import (
     Composition,
+    Ring,
+    RingMismatchError,
     block_sigma,
     complete_homogeneous,
     decompose_block_elementary,
@@ -17,11 +19,11 @@ from jetform import (
     is_lambda_symmetric,
     normal_form_IS,
     nu,
+    schubert_table,
     spoly,
     sym_lambda_average,
     zring,
 )
-import jetform.symfun as symfun
 
 from conftest import make_rng, random_lambda_symmetric, random_nonzero_poly, random_poly
 
@@ -122,6 +124,83 @@ def test_normal_form_is_linear_and_idempotent():
         nf_q = normal_form_IS(q)
         assert normal_form_IS(p + q.scale(c)) == nf_p + nf_q.scale(c)
         assert normal_form_IS(nf_p) == nf_p
+
+
+# -- the packed heap kernel against generic division -----------------------------
+
+
+def _division_nf(p, ell):
+    return divide(p, groebner_basis_IS(ell).elements)[1]
+
+
+def _random_terms(ring, rng, top, terms, denominators=(1, 2, 3)):
+    # one term of total degree exactly `top`, the rest of degree 0..top
+    out = {}
+    for k in range(terms):
+        exps = [0] * ring.nvars
+        for _ in range(top if k == 0 else rng.randint(0, top)):
+            exps[rng.randrange(ring.nvars)] += 1
+        num = rng.choice((-1, 1)) * rng.randint(1, 9)
+        out[tuple(exps)] = Fraction(num, rng.choice(denominators))
+    return ring.from_terms(out)
+
+
+def test_normal_form_matches_division_random():
+    rng = make_rng(2024)
+    for ell in range(1, 7):
+        ring = zring(ell)
+        for _ in range(25):
+            p = random_poly(ring, rng, max_deg=5, terms=5)
+            assert normal_form_IS(p) == _division_nf(p, ell)
+
+
+def test_normal_form_fractional_coefficients():
+    rng = make_rng(8)
+    for ell in range(1, 7):
+        ring = zring(ell)
+        for _ in range(8):
+            p = _random_terms(ring, rng, 4, 5, denominators=(5, 7, 12, 49, 360))
+            assert normal_form_IS(p) == _division_nf(p, ell)
+
+
+def test_normal_form_zero_and_constants():
+    for ell in range(1, 7):
+        ring = zring(ell)
+        assert normal_form_IS(ring.zero()).is_zero()
+        for c in (1, -3, Fraction(5, 7)):
+            assert normal_form_IS(ring.const(c)) == ring.const(c)
+
+
+@pytest.mark.parametrize("top", [1, 7, 8, 15, 16])
+def test_normal_form_at_field_width_boundaries(top):
+    # exponents are packed into fields of top.bit_length() bits: 1, 3, 4, 4
+    # and 5 for these degrees; a pure power fills its field to the top.
+    # Generic division at degree 15 and up in six variables takes seconds
+    # per input, so those degrees stop at five.
+    rng = make_rng(top)
+    for ell in range(1, 7 if top <= 8 else 6):
+        ring = zring(ell)
+        polys = [ring.var(v) ** top for v in range(ell)]
+        polys += [_random_terms(ring, rng, top, 4) for _ in range(3)]
+        for p in polys:
+            assert normal_form_IS(p) == _division_nf(p, ell)
+
+
+def test_normal_form_of_every_schubert_polynomial_small():
+    for ell in range(1, 6):
+        for p in schubert_table(ell).values():
+            assert normal_form_IS(p, ell) == _division_nf(p, ell)
+
+
+def test_normal_form_rejects_bad_rings():
+    with pytest.raises(ValueError):
+        normal_form_IS(zring(0).one(), 0)
+    with pytest.raises(ValueError):
+        normal_form_IS(zring(0).zero())
+    with pytest.raises(RingMismatchError):
+        normal_form_IS(zring(3).var(0), 4)
+    with pytest.raises(RingMismatchError):
+        normal_form_IS(Ring(("x1", "x2")).var(0), 2)
 
 
 def test_in_IS_examples():
@@ -262,17 +341,17 @@ def test_sym_average_projector_properties():
         assert sym_lambda_average(a * q, lam) == a * sym_lambda_average(q, lam)
 
 
-def test_sym_average_block_orbit_path_matches_full_group(monkeypatch):
+def test_sym_average_block_orbit_path_matches_full_group():
+    # the literal average over all 12 elements of S_3 x S_2
     rng = make_rng(17)
     lam = Composition((3, 2))
     ring = zring(5)
     for _ in range(10):
         p = random_poly(ring, rng, max_deg=3)
-        full = sym_lambda_average(p, lam)
-        monkeypatch.setattr(symfun, "FULL_GROUP_LIMIT", 0)
-        blockwise = sym_lambda_average(p, lam)
-        monkeypatch.undo()
-        assert full == blockwise
+        full = ring.zero()
+        for first, second in product(permutations(range(3)), permutations(range(3, 5))):
+            full = full + p.permute_vars(first + second)
+        assert sym_lambda_average(p, lam) == full.scale(Fraction(1, 12))
 
 
 # -- block elementary decomposition ---------------------------------------------
