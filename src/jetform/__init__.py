@@ -31,6 +31,7 @@ from .jets import (
     MinDegreeResult,
     MinimalPrime,
     PsiSpecialization,
+    PsiWitness,
     compositions,
     derivative_monomial,
     diff_to_jet_scale,

@@ -339,12 +339,14 @@ def _cmd_min_degree(args, modulus, budget):
     formula = jets.min_degree_formula(h)
     result = jets.min_degree_search(h, cap=args.cap, modulus=modulus, budget=budget)
     desc = jets.JetRingDesc(len(h), sum(h))
+    psi = sum(1 for r in result.refusals.values() if r.witness is not None)
     payload = {
         "h": list(h),
         "formula": formula,
         "search": result.degree,
         "agree": formula == result.degree,
         "certificate": result.certificate.to_json(desc.ring),
+        "refusals": {"psi": psi, "elimination": len(result.refusals) - psi},
     }
     refusal = result.refusal_below
     if refusal is not None:
@@ -418,7 +420,9 @@ def run(argv) -> tuple[CommandResult, list[str]]:
     except ParseError as exc:
         return _error("parse-error", str(exc), start, EXIT_PARSE, json_mode), []
     except BudgetExceededError as exc:
-        return _error("budget-exceeded", str(exc), start, EXIT_BUDGET, json_mode), []
+        result = _error("budget-exceeded", str(exc), start, EXIT_BUDGET, json_mode)
+        result.payload["partial"] = exc.partial
+        return result, []
     except InvariantViolationError as exc:
         return _error("invariant-violation", str(exc), start, EXIT_INVARIANT, json_mode), []
     except CapExceededError as exc:

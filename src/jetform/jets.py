@@ -10,6 +10,14 @@ homogeneous ideal-membership oracle based on exact linear algebra that
 returns re-checkable certificates.  No Groebner engine is involved: every
 ideal handled here is homogeneous, so degree-by-degree span testing is
 complete.
+
+The minimal-degree search certifies both ways.  A refused power is proved
+by the psi specialisation: psi sends every jet generator into I_S (checked
+once per search), so a nonzero normal form of psi(mono)^d modulo I_S shows
+that mono^d is not in the jet ideal.  Only a degree psi cannot refuse goes
+to exact elimination.  The elimination keys each monomial by one packed int
+(variable 0 in the most significant field), so lex order is integer order
+and multiplying by a monomial is adding its packed exponents.
 """
 
 from __future__ import annotations
@@ -18,10 +26,15 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd
 
-from .errors import CapExceededError, InvariantViolationError, RingMismatchError
+from .errors import (
+    BudgetExceededError,
+    CapExceededError,
+    InvariantViolationError,
+    RingMismatchError,
+)
 from .linalg import Budget, ExactSpan, int_row, rational_nullspace
-from .polyring import Monomial, Poly, Ring, TruncatedSeries, format_monomial
-from .symfun import Composition, block_sigma, zring
+from .polyring import Monomial, Poly, Ring, TruncatedSeries, format_monomial, format_poly
+from .symfun import Composition, block_sigma, normal_form_IS, zring
 
 __all__ = [
     "JetRingDesc",
@@ -29,6 +42,7 @@ __all__ = [
     "MembershipResult",
     "MinDegreeResult",
     "PsiSpecialization",
+    "PsiWitness",
     "jet_generators",
     "minimal_primes",
     "compositions",
@@ -225,22 +239,46 @@ def multiplicity_table(n: int, m: int) -> dict[Composition, int]:
 # -- membership oracle --------------------------------------------------------
 
 
+class PsiWitness:
+    """Non-membership certificate from the psi specialisation.
+
+    `normal_form` is NF_IS(psi(mono^d)) in the z ring of the block
+    composition `lam`.  psi sends every jet generator into I_S, so a nonzero
+    normal form proves that mono^d is not in the jet ideal.
+    """
+
+    __slots__ = ("lam", "normal_form")
+
+    def __init__(self, lam: Composition, normal_form: Poly):
+        self.lam = lam
+        self.normal_form = normal_form
+
+    def to_json(self) -> dict:
+        return {
+            "kind": "psi",
+            "lambda": list(self.lam.parts),
+            "normal_form": format_poly(self.normal_form),
+        }
+
+
 class MembershipResult:
     """Outcome of a homogeneous span-membership query.
 
     `combination` lists (generator index, multiplier monomial, coefficient)
     triples whose expansion reproduces the query exactly; it is None for
     non-members.  `screened` marks verdicts produced by the mod-p screen
-    alone, which are fast but not certified.
+    alone, which are fast but not certified.  `witness` is the PsiWitness
+    of a refusal proved by psi rather than by elimination, else None.
     """
 
-    __slots__ = ("member", "degree", "combination", "screened")
+    __slots__ = ("member", "degree", "combination", "screened", "witness")
 
-    def __init__(self, member, degree, combination, screened=False):
+    def __init__(self, member, degree, combination, screened=False, witness=None):
         self.member = member
         self.degree = degree
         self.combination = combination
         self.screened = screened
+        self.witness = witness
 
     def verify(self, p: Poly, gens) -> bool:
         if not self.member:
@@ -265,6 +303,8 @@ class MembershipResult:
             payload["combination"] = None
         if self.screened:
             payload["screened"] = True
+        if self.witness is not None:
+            payload["witness"] = self.witness.to_json()
         return payload
 
 
@@ -303,11 +343,12 @@ def _common_gradings(polys: list[Poly], nvars: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _graded_monomials(nvars: int, degree: int, constraints) -> list[Monomial]:
+def _packed_multipliers(degree: int, constraints, shifts) -> list[int]:
     """All exponent vectors of the given total degree matching every
-    (weights, target) constraint, found by a pruned depth-first search."""
-    if not constraints:
-        constraints = []
+    (weights, target) constraint, packed with variable i shifted left by
+    shifts[i], in descending lex order.  Found by a depth-first search
+    pruned by suffix weight bounds."""
+    nvars = len(shifts)
     weightrows = [w for w, _ in constraints]
     targets = [t for _, t in constraints]
     ncons = len(constraints)
@@ -322,33 +363,29 @@ def _graded_monomials(nvars: int, degree: int, constraints) -> list[Monomial]:
             hi = w if hi is None else max(hi, w)
             sufmin[c][i] = lo
             sufmax[c][i] = hi
-    out: list[Monomial] = []
-    exps = [0] * nvars
+    out: list[int] = []
 
-    def rec(i: int, remaining: int, partial: tuple[int, ...]):
+    def rec(i: int, remaining: int, partial: tuple[int, ...], key: int):
         if i == nvars - 1:
-            exps[i] = remaining
             for c in range(ncons):
                 if partial[c] + weightrows[c][i] * remaining != targets[c]:
-                    exps[i] = 0
                     return
-            out.append(Monomial(tuple(exps)))
-            exps[i] = 0
+            out.append(key + (remaining << shifts[i]))
             return
         for c in range(ncons):
             need = targets[c] - partial[c]
             if remaining * sufmin[c][i] > need or remaining * sufmax[c][i] < need:
                 return
+        shift = shifts[i]
         for e in range(remaining, -1, -1):
-            exps[i] = e
             rec(
                 i + 1,
                 remaining - e,
                 tuple(partial[c] + weightrows[c][i] * e for c in range(ncons)),
+                key + (e << shift),
             )
-        exps[i] = 0
 
-    rec(0, degree, (0,) * ncons)
+    rec(0, degree, (0,) * ncons, 0)
     return out
 
 
@@ -358,20 +395,37 @@ def _weight_of(poly: Poly, weights) -> int:
 
 
 def _solve_membership(p, gens, usable, gradings, span) -> tuple[dict, dict]:
-    """Insert all multiplier*generator rows into `span`, then reduce p."""
+    """Insert all multiplier*generator rows into `span`, then reduce p.
+
+    Rows are keyed by packed monomials and labelled (generator index,
+    packed multiplier).  The field width is the bit length of deg p: every
+    monomial of the component has total degree deg p, so no exponent
+    exceeds it and adding a multiplier never carries across fields.
+    """
     nvars = p.ring.nvars
     degree = p.total_degree()
+    width = degree.bit_length()
+    shifts = [width * (nvars - 1 - i) for i in range(nvars)]
+
+    def pack(mono: Monomial) -> int:
+        return sum(e << s for e, s in zip(mono.exps, shifts))
+
     p_weights = [_weight_of(p, w) for w in gradings]
     for gi in usable:
         g = gens[gi]
-        grow = int_row(g.terms)
+        grow = {pack(m): v for m, v in int_row(g.terms).items()}
         mult_degree = degree - g.total_degree()
         constraints = [
             (w, pw - _weight_of(g, w)) for w, pw in zip(gradings, p_weights)
         ]
-        for mult in _graded_monomials(nvars, mult_degree, constraints):
-            span.insert({m * mult: v for m, v in grow.items()}, (gi, mult))
-    return span.reduce(p.terms)
+        for mult in _packed_multipliers(mult_degree, constraints, shifts):
+            span.insert({k + mult: v for k, v in grow.items()}, (gi, mult))
+    rem, comb = span.reduce({pack(m): c for m, c in p.terms.items()})
+    mask = (1 << width) - 1
+    return rem, {
+        (gi, Monomial(tuple((mult >> s) & mask for s in shifts))): c
+        for (gi, mult), c in comb.items()
+    }
 
 
 def homogeneous_membership(
@@ -569,13 +623,24 @@ def min_degree_search(
     budget: Budget | None = None,
 ) -> MinDegreeResult:
     """Smallest d with the d-th power of the derivative monomial inside the
-    order-H jet ideal of x_1...x_n, decided degree by degree by the
-    membership oracle.
+    order-H jet ideal of x_1...x_n, decided degree by degree.
+
+    Each degree is first tried against the psi specialisation: a nonzero
+    NF_IS(psi(mono)^d) refuses it, recorded with a PsiWitness and without
+    elimination.  The normal form is carried from one degree to the next,
+    and psi's kernel is checked to contain every jet generator once per
+    search, so the refusals never rest on the degree theorem.  A degree psi
+    cannot refuse (in practice only the formula's) goes to the membership
+    oracle, whose elimination runs on packed-int keys; `modulus` and
+    `budget` apply there only.
 
     The default cap is the closed-form value plus two, so a wrong formula
     would surface as a cap error instead of an unbounded search.  Raises
     CapExceededError with the certified lower bound when no degree within
-    the cap is a member.
+    the cap is a member.  A BudgetExceededError from the elimination is
+    re-raised with `partial` = {"refused": [...], "psi_certified": [...],
+    "lower_bound": d}: the degrees already refused and the degree at which
+    the budget ran out.
     """
     h = tuple(h)
     formula = min_degree_formula(h)
@@ -586,15 +651,52 @@ def min_degree_search(
     desc = JetRingDesc(len(h), sum(h))
     gens = jet_generators(None, desc)
     mono = derivative_monomial(h, desc)
+    spec = PsiSpecialization(h, desc)
     refusals: dict[int, MembershipResult] = {}
-    for d in range(1, cap + 1):
-        result = homogeneous_membership(mono**d, gens, modulus=modulus, budget=budget)
+    for d, nf in zip(range(1, cap + 1), _psi_normal_forms(spec, gens, mono)):
+        if not nf.is_zero():
+            # `degree` is the query's total degree, as for elimination refusals
+            refusals[d] = MembershipResult(
+                False, d * len(h), None, witness=PsiWitness(spec.lam, nf)
+            )
+            continue
+        try:
+            result = homogeneous_membership(mono**d, gens, modulus=modulus, budget=budget)
+        except BudgetExceededError as exc:
+            partial = {
+                "refused": sorted(refusals),
+                "psi_certified": sorted(
+                    k for k, r in refusals.items() if r.witness is not None
+                ),
+                "lower_bound": d,
+            }
+            raise BudgetExceededError(str(exc), partial=partial) from exc
         if result.member:
             return MinDegreeResult(h, d, result, refusals)
         refusals[d] = result
     raise CapExceededError(
         "no member power of %r found up to degree %d" % (h, cap), lower_bound=cap + 1
     )
+
+
+def _psi_normal_forms(spec: PsiSpecialization, gens, mono: Poly):
+    """Yield NF_IS(psi(mono)^d) for d = 1, 2, ..., each the normal form of
+    the previous one times psi(mono); zero once it has reached zero.
+
+    Before the first, check that psi sends every generator into I_S, which
+    is what makes a nonzero normal form a proof of non-membership.
+    """
+    for i, g in enumerate(gens):
+        if not normal_form_IS(spec.apply(g)).is_zero():
+            raise InvariantViolationError(
+                "psi image of jet generator %d is not in I_S for h=%r" % (i, spec.h)
+            )
+    image = normal_form_IS(spec.apply(mono))
+    nf = image
+    while True:
+        yield nf
+        if not nf.is_zero():
+            nf = normal_form_IS(nf * image)
 
 
 # -- derivative scaling -------------------------------------------------------

@@ -44,3 +44,14 @@ def positive_compositions(total: int) -> list[tuple[int, ...]]:
         for rest in positive_compositions(total - first):
             out.append((first,) + rest)
     return out
+
+
+def exponent_vectors(nvars: int, degree: int) -> list[tuple[int, ...]]:
+    """All exponent vectors of the given total degree, descending lex."""
+    if nvars == 1:
+        return [(degree,)]
+    return [
+        (e,) + rest
+        for e in range(degree, -1, -1)
+        for rest in exponent_vectors(nvars - 1, degree - e)
+    ]

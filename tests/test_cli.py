@@ -112,6 +112,24 @@ def test_min_degree(capsys):
     assert payload["agree"] is True
     assert payload["certificate"]["member"] is True
     assert payload["refusal_below"]["member"] is False
+    assert payload["refusals"] == {"psi": 2, "elimination": 0}
+
+
+def test_min_degree_refusal_witness_reparses(capsys):
+    h = (2, 1)
+    code, doc = run_json(capsys, ["min-degree", "--h", "2,1"])
+    assert code == 0
+    refusal = doc["payload"]["refusal_below"]
+    witness = refusal["witness"]
+    desc = jetform.JetRingDesc(len(h), sum(h))
+    spec = jetform.PsiSpecialization(h, desc)
+    assert witness["kind"] == "psi"
+    assert witness["lambda"] == list(spec.lam.parts)
+    d = doc["payload"]["search"] - 1
+    mono = jetform.derivative_monomial(h, desc)
+    expected = normal_form_IS(jetform.psi_specialize(mono**d, h, desc))
+    assert not expected.is_zero()
+    assert parse_poly(zring(sum(h) + 1), witness["normal_form"]) == expected
 
 
 def test_min_degree_cap_exceeded(capsys):
@@ -165,6 +183,17 @@ def test_budget_exit_code(capsys):
     assert main(["--budget-mb", "0.0001", "min-degree", "--h", "2,1"]) == 3
     err = capsys.readouterr().err
     assert "budget" in err
+
+
+def test_budget_error_reports_partial_result(capsys):
+    code, doc = run_json(capsys, ["--budget-mb", "0.0001", "min-degree", "--h", "1,1"])
+    assert code == 3
+    assert doc["payload"]["code"] == "budget-exceeded"
+    assert doc["payload"]["partial"] == {
+        "refused": [1, 2],
+        "psi_certified": [1, 2],
+        "lower_bound": 3,
+    }
 
 
 def test_budget_env_var(capsys, monkeypatch):

@@ -1,13 +1,17 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from jetform import jets
 from jetform import (
     BudgetExceededError,
     Budget,
     CapExceededError,
     ExactSpan,
+    InvariantViolationError,
     JetRingDesc,
+    Monomial,
     PsiSpecialization,
     RingMismatchError,
     compositions,
@@ -28,10 +32,10 @@ from jetform import (
     radical_witness,
     zring,
 )
-from jetform.jets import _graded_monomials
 from jetform.linalg import int_row
 
-from conftest import make_rng, random_poly
+from conftest import exponent_vectors, make_rng, random_poly
+from test_acceptance import SEARCH_CASES
 
 
 def test_jet_ring_indexing_bijection():
@@ -178,7 +182,8 @@ def test_membership_pruning_matches_unpruned_search():
         span = ExactSpan()
         for gi, g in enumerate(gens):
             grow = int_row(g.terms)
-            for mult in _graded_monomials(ring.nvars, degree - g.total_degree(), []):
+            for exps in exponent_vectors(ring.nvars, degree - g.total_degree()):
+                mult = Monomial(exps)
                 span.insert({m * mult: v for m, v in grow.items()}, (gi, mult))
         rem, _ = span.reduce(query.terms)
         assert fast.member == (not rem)
@@ -221,6 +226,60 @@ def test_budget_abort():
     mono = derivative_monomial((1, 1), desc)
     with pytest.raises(BudgetExceededError):
         homogeneous_membership(mono**3, gens, budget=Budget(0.0001))
+
+
+def _sympy_expr(sympy, p, symbols):
+    return sympy.Add(
+        *(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(s**e for s, e in zip(symbols, mono.exps)))
+            for mono, c in p.terms.items()
+        )
+    )
+
+
+def test_membership_matches_sympy_groebner_at_width_boundaries():
+    # the packed keys use deg(p).bit_length()-bit fields; 1, 7, 8, 15 and 16
+    # sit on both sides of the 1-, 3-, 4- and 5-bit boundaries
+    import sympy
+
+    rng = make_rng(4242)
+    desc = JetRingDesc(2, 1)
+    ring = desc.ring
+    gens = jet_generators(None, desc)
+    symbols = sympy.symbols(ring.names)
+    basis = sympy.groebner(
+        [_sympy_expr(sympy, g, symbols) for g in gens], *symbols, order="lex", domain="QQ"
+    )
+
+    def random_monomial(degree):
+        exps = [0] * ring.nvars
+        for _ in range(degree):
+            exps[rng.randrange(ring.nvars)] += 1
+        coeff = Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3))
+        return ring.from_terms({tuple(exps): coeff})
+
+    verdicts = set()
+    for degree in (1, 7, 8, 15, 16):
+        for trial in range(6):
+            query = ring.zero()
+            if degree >= 2 and trial % 2 == 0:
+                for _ in range(3):
+                    g = gens[rng.randrange(len(gens))]
+                    mult = random_monomial(degree - g.total_degree())
+                    query = query + g * mult
+            if trial % 3 != 2:
+                query = query + random_monomial(degree)
+            if query.is_zero():
+                continue
+            result = homogeneous_membership(query, gens)
+            _, rem = basis.reduce(_sympy_expr(sympy, query, symbols))
+            assert result.member == (rem == 0), (degree, query)
+            if result.member:
+                assert result.verify(query, gens)
+            verdicts.add((degree, result.member))
+    assert {member for _, member in verdicts} == {True, False}
+    assert {degree for degree, _ in verdicts} == {1, 7, 8, 15, 16}
 
 
 # -- witnesses -----------------------------------------------------------------
@@ -336,6 +395,111 @@ def test_min_degree_search_cap():
     with pytest.raises(CapExceededError) as info:
         min_degree_search((1, 1), cap=2)
     assert info.value.lower_bound == 3
+
+
+def test_min_degree_refusals_carry_psi_witnesses():
+    for h in SEARCH_CASES:
+        result = min_degree_search(h)
+        desc = JetRingDesc(len(h), sum(h))
+        spec = PsiSpecialization(h, desc)
+        mono = derivative_monomial(h, desc)
+        assert sorted(result.refusals) == list(range(1, result.degree))
+        for d, refusal in result.refusals.items():
+            assert refusal.member is False and refusal.combination is None
+            assert refusal.degree == (mono**d).total_degree()
+            assert refusal.witness.lam == spec.lam
+            assert refusal.witness.normal_form == normal_form_IS(psi_specialize(mono**d, h, desc))
+            assert not refusal.witness.normal_form.is_zero()
+
+
+def test_min_degree_search_without_psi_falls_back_to_elimination(monkeypatch):
+    expected = {h: min_degree_search(h) for h in SEARCH_CASES}
+    monkeypatch.setattr(
+        jets,
+        "_psi_normal_forms",
+        lambda spec, gens, mono: itertools.repeat(spec.target.zero()),
+    )
+    for h in SEARCH_CASES:
+        result = min_degree_search(h)
+        assert result.degree == expected[h].degree
+        assert sorted(result.refusals) == sorted(expected[h].refusals)
+        assert all(r.witness is None and not r.member for r in result.refusals.values())
+        assert result.certificate.combination == expected[h].certificate.combination
+
+
+def test_min_degree_search_rejects_psi_that_misses_a_generator(monkeypatch):
+    real_apply = PsiSpecialization.apply
+
+    def apply(self, p):
+        image = real_apply(self, p)
+        return image + self.target.var(self.target.nvars - 1) ** p.total_degree()
+
+    monkeypatch.setattr(PsiSpecialization, "apply", apply)
+    with pytest.raises(InvariantViolationError):
+        min_degree_search((1, 1))
+
+
+def _monomial_key_certificate(h):
+    """The certificate of the formula degree from an ExactSpan keyed by
+    Monomial, with multipliers enumerated block by block: each base
+    variable's block carries degree d-1, and the weight sum of j * e over
+    x_i^(j)^e must make up d*H - k for the t^k generator."""
+    H = sum(h)
+    desc = JetRingDesc(len(h), H)
+    gens = jet_generators(None, desc)
+    d = min_degree_formula(h)
+    query = derivative_monomial(h, desc) ** d
+    blocks = exponent_vectors(H + 1, d - 1)
+    span = ExactSpan()
+    for k, g in enumerate(gens):
+        assert all(c.denominator == 1 for c in g.terms.values())
+        row = int_row(g.terms)
+        for parts in itertools.product(blocks, repeat=len(h)):
+            if sum(j * e for part in parts for j, e in enumerate(part)) != d * H - k:
+                continue
+            mult = Monomial(tuple(e for part in parts for e in part))
+            span.insert({m * mult: v for m, v in row.items()}, (k, mult))
+    rem, comb = span.reduce(query.terms)
+    assert not rem
+    return [(k, mult, c) for (k, mult), c in sorted(comb.items()) if c]
+
+
+def test_packed_keys_give_the_monomial_key_certificates():
+    for h in [(1, 1), (2, 1), (1, 1, 1)]:
+        assert min_degree_search(h).certificate.combination == _monomial_key_certificate(h)
+
+
+def _oracle_tuples():
+    out = []
+    for n, H in [(n, H) for n in (1, 2, 3) for H in (1, 2, 3)] + [(1, 4), (2, 4)]:
+        out.extend(h for h in itertools.product(range(H + 1), repeat=n) if sum(h) == H)
+    return out
+
+
+def test_oracle_table_runs_one_elimination_per_search(monkeypatch):
+    built = []
+
+    class CountingSpan(ExactSpan):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(jets, "ExactSpan", CountingSpan)
+    tuples = _oracle_tuples()
+    assert len(tuples) == 37
+    for h in tuples:
+        del built[:]
+        result = min_degree_search(h)
+        assert len(built) == 1, h
+        assert result.degree == min_degree_formula(h)
+        assert sorted(result.refusals) == list(range(1, result.degree))
+        assert all(r.witness is not None for r in result.refusals.values())
+
+
+def test_min_degree_budget_reports_partial_result():
+    with pytest.raises(BudgetExceededError) as info:
+        min_degree_search((1, 1), budget=Budget(0.0001))
+    assert info.value.partial == {"refused": [1, 2], "psi_certified": [1, 2], "lower_bound": 3}
 
 
 # -- derivative scaling ----------------------------------------------------------
