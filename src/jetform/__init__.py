@@ -8,7 +8,6 @@ derivative monomials, all over exact rational arithmetic.
 """
 
 from .alambda import (
-    CLambdaPresentation,
     alpha_map,
     basis_exponents,
     basis_polys,
@@ -48,8 +47,6 @@ from .jets import (
 )
 from .linalg import Budget, ExactSpan
 from .polyring import (
-    LEX,
-    LexOrder,
     Monomial,
     Poly,
     Ring,
@@ -57,7 +54,6 @@ from .polyring import (
     divide,
     parse_poly,
     spoly,
-    truncated_product,
 )
 from .schubert import (
     Permutation,
@@ -65,7 +61,6 @@ from .schubert import (
     catalan_congruence_check,
     catalan_number,
     divided_difference,
-    inversions,
     monk_expand,
     schubert_expansion,
     schubert_poly,
@@ -73,7 +68,6 @@ from .schubert import (
 )
 from .symfun import (
     Composition,
-    SymBasis,
     block_elementary_ring,
     block_sigma,
     complete_homogeneous,

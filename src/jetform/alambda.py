@@ -20,7 +20,6 @@ from .polyring import Monomial, Poly, Ring
 from .symfun import Composition, block_sigma, normal_form_IS, zring
 
 __all__ = [
-    "CLambdaPresentation",
     "dim_A_lambda",
     "basis_exponents",
     "basis_polys",
@@ -143,29 +142,14 @@ def c_lambda_ring(lam: Composition) -> Ring:
     return Ring(tuple(names))
 
 
-class CLambdaPresentation:
-    """Relations of the coefficient presentation of the block algebra.
+def c_lambda_generators(lam: Composition) -> tuple[Poly, ...]:
+    """Relations of the coefficient presentation of the block algebra, in
+    the ring `c_lambda_ring(lam)`.
 
-    generators[k] is the t^k coefficient of the product of the monic block
+    Entry k is the t^k coefficient of the product of the monic block
     polynomials y{i}_0 + y{i}_1 t + ... + t^(lambda_i); there are exactly
     ell of them (k = 0..ell-1), the non-leading coefficients.
     """
-
-    __slots__ = ("lam", "ring", "generators")
-
-    def __init__(self, lam: Composition, ring: Ring, generators: tuple[Poly, ...]):
-        self.lam = lam
-        self.ring = ring
-        self.generators = generators
-
-    def __iter__(self):
-        return iter(self.generators)
-
-    def __len__(self):
-        return len(self.generators)
-
-
-def c_lambda_generators(lam: Composition) -> CLambdaPresentation:
     if lam.ell < 1:
         raise ValueError("composition must have positive total")
     ring = c_lambda_ring(lam)
@@ -188,7 +172,7 @@ def c_lambda_generators(lam: Composition) -> CLambdaPresentation:
         product = new
     if len(product) != m + 2 or product[m + 1] != ring.one():
         raise InvariantViolationError("monic block product has wrong shape")
-    return CLambdaPresentation(lam, ring, tuple(product[: m + 1]))
+    return tuple(product[: m + 1])
 
 
 def alpha_map(q: Poly, lam: Composition) -> Poly:

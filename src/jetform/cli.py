@@ -89,19 +89,6 @@ def _global_flags() -> argparse.ArgumentParser:
         help="machine-readable output",
     )
     common.add_argument(
-        "--mod-p",
-        type=int,
-        default=argparse.SUPPRESS,
-        metavar="PRIME",
-        help="prime-field screening for membership queries (never certified)",
-    )
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=argparse.SUPPRESS,
-        help="seed for randomized subcommands",
-    )
-    common.add_argument(
         "--budget-mb",
         type=float,
         default=argparse.SUPPRESS,
@@ -322,22 +309,20 @@ def _cmd_primes(args):
     return payload, lines
 
 
-def _cmd_member(args, modulus, budget):
+def _cmd_member(args):
     desc = jets.JetRingDesc(args.n, args.m)
     p = parse_poly(desc.ring, args.poly)
     gens = jets.jet_generators(None, desc)
-    result = jets.homogeneous_membership(p, gens, modulus=modulus, budget=budget)
+    result = jets.homogeneous_membership(p, gens, budget=args.budget)
     payload = result.to_json(desc.ring)
     line = "member" if result.member else "not a member"
-    if result.screened:
-        line += " (mod-p screen only)"
     return payload, [line]
 
 
-def _cmd_min_degree(args, modulus, budget):
+def _cmd_min_degree(args):
     h = _parse_h(args.h)
     formula = jets.min_degree_formula(h)
-    result = jets.min_degree_search(h, cap=args.cap, modulus=modulus, budget=budget)
+    result = jets.min_degree_search(h, cap=args.cap, budget=args.budget)
     desc = jets.JetRingDesc(len(h), sum(h))
     psi = sum(1 for r in result.refusals.values() if r.witness is not None)
     payload = {
@@ -391,13 +376,10 @@ _HANDLERS = {
     "catalan": _cmd_catalan,
     "jet-gens": _cmd_jet_gens,
     "primes": _cmd_primes,
-    "radical-witness": _cmd_radical_witness,
-    "multiplicity": _cmd_multiplicity,
-}
-
-_ORACLE_HANDLERS = {
     "member": _cmd_member,
     "min-degree": _cmd_min_degree,
+    "radical-witness": _cmd_radical_witness,
+    "multiplicity": _cmd_multiplicity,
 }
 
 
@@ -407,16 +389,12 @@ def run(argv) -> tuple[CommandResult, list[str]]:
     args = parser.parse_args(argv)
     # global flags default to SUPPRESS so either parser may supply them
     json_mode = getattr(args, "json", False)
-    mod_p = getattr(args, "mod_p", None)
-    seed = getattr(args, "seed", None)
     budget_mb = getattr(args, "budget_mb", None)
     start = time.perf_counter()
     try:
-        budget = _budget_from(budget_mb)
-        if args.command in _ORACLE_HANDLERS:
-            payload, lines = _ORACLE_HANDLERS[args.command](args, mod_p, budget)
-        else:
-            payload, lines = _HANDLERS[args.command](args)
+        # read by the member and min-degree handlers
+        args.budget = _budget_from(budget_mb)
+        payload, lines = _HANDLERS[args.command](args)
     except ParseError as exc:
         return _error("parse-error", str(exc), start, EXIT_PARSE, json_mode), []
     except BudgetExceededError as exc:
@@ -433,8 +411,6 @@ def run(argv) -> tuple[CommandResult, list[str]]:
         # ParseError, a ValueError too, was caught above
         return _error("domain-error", str(exc), start, EXIT_ERROR, json_mode), []
     timing = (time.perf_counter() - start) * 1000.0
-    if seed is not None:
-        payload["seed"] = seed
     return CommandResult("ok", payload, timing, json_mode=json_mode), lines
 
 

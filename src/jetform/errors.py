@@ -16,8 +16,8 @@ class ParseError(JetformError, ValueError):
 class BudgetExceededError(JetformError, RuntimeError):
     """A memory budget was exhausted before the computation finished.
 
-    Carries a human-readable description of the partial verdict that was
-    established before aborting.
+    `partial` is a dict of what was proved before aborting (the minimal
+    degree search sets the degrees it refused), or None when nothing was.
     """
 
     def __init__(self, message, partial=None):

@@ -266,18 +266,17 @@ class MembershipResult:
 
     `combination` lists (generator index, multiplier monomial, coefficient)
     triples whose expansion reproduces the query exactly; it is None for
-    non-members.  `screened` marks verdicts produced by the mod-p screen
-    alone, which are fast but not certified.  `witness` is the PsiWitness
-    of a refusal proved by psi rather than by elimination, else None.
+    non-members.  Every verdict is exact: a refusal comes either from the
+    psi specialisation, with its PsiWitness in `witness`, or from exact
+    elimination leaving a nonzero remainder, with `witness` None.
     """
 
-    __slots__ = ("member", "degree", "combination", "screened", "witness")
+    __slots__ = ("member", "degree", "combination", "witness")
 
-    def __init__(self, member, degree, combination, screened=False, witness=None):
+    def __init__(self, member, degree, combination, witness=None):
         self.member = member
         self.degree = degree
         self.combination = combination
-        self.screened = screened
         self.witness = witness
 
     def verify(self, p: Poly, gens) -> bool:
@@ -301,8 +300,6 @@ class MembershipResult:
             ]
         else:
             payload["combination"] = None
-        if self.screened:
-            payload["screened"] = True
         if self.witness is not None:
             payload["witness"] = self.witness.to_json()
         return payload
@@ -431,22 +428,18 @@ def _solve_membership(p, gens, usable, gradings, span) -> tuple[dict, dict]:
 def homogeneous_membership(
     p: Poly,
     gens,
-    modulus: int | None = None,
     budget: Budget | None = None,
 ) -> MembershipResult:
     """Decide p in span{ M*g : g in gens, M monomial, deg(M*g) = deg(p) }.
 
     Requires p and every generator homogeneous.  For homogeneous ideals this
     span equals the degree-deg(p) component of the ideal, so the verdict is
-    ideal membership.  Membership answers carry an exact certificate that is
-    re-expanded and compared against p before being returned.  With
-    `modulus` set, a prime-field elimination runs first: a mod-p non-member
-    is returned immediately (flagged `screened`, not certified), while a
-    mod-p member always triggers the exact rational computation.
+    ideal membership.  The verdict comes from one exact elimination over the
+    rationals, charged to `budget` if given.  Membership answers carry an
+    exact certificate that is re-expanded and compared against p before
+    being returned.
     """
     gens = list(gens)
-    if modulus is not None and modulus <= (1 << 30):
-        raise ValueError("screening prime must exceed 2^30")
     if not p.is_homogeneous():
         raise ValueError("membership query must be homogeneous")
     for i, g in enumerate(gens):
@@ -461,13 +454,6 @@ def homogeneous_membership(
     degree = p.total_degree()
     usable = [i for i, g in enumerate(gens) if g.total_degree() <= degree]
     gradings = _common_gradings([gens[i] for i in usable] + [p], p.ring.nvars)
-
-    if modulus is not None:
-        screen = ExactSpan(modulus=modulus, budget=budget)
-        rem, _ = _solve_membership(p, gens, usable, gradings, screen)
-        if rem:
-            return MembershipResult(False, degree, None, screened=True)
-
     span = ExactSpan(budget=budget)
     rem, comb = _solve_membership(p, gens, usable, gradings, span)
     if rem:
@@ -619,7 +605,6 @@ class MinDegreeResult:
 def min_degree_search(
     h,
     cap: int | None = None,
-    modulus: int | None = None,
     budget: Budget | None = None,
 ) -> MinDegreeResult:
     """Smallest d with the d-th power of the derivative monomial inside the
@@ -631,8 +616,9 @@ def min_degree_search(
     and psi's kernel is checked to contain every jet generator once per
     search, so the refusals never rest on the degree theorem.  A degree psi
     cannot refuse (in practice only the formula's) goes to the membership
-    oracle, whose elimination runs on packed-int keys; `modulus` and
-    `budget` apply there only.
+    oracle, whose exact elimination runs on packed-int keys; `budget`
+    applies there only.  Every refusal is thus certified, by a PsiWitness
+    or by a nonzero remainder of exact elimination.
 
     The default cap is the closed-form value plus two, so a wrong formula
     would surface as a cap error instead of an unbounded search.  Raises
@@ -661,7 +647,7 @@ def min_degree_search(
             )
             continue
         try:
-            result = homogeneous_membership(mono**d, gens, modulus=modulus, budget=budget)
+            result = homogeneous_membership(mono**d, gens, budget=budget)
         except BudgetExceededError as exc:
             partial = {
                 "refused": sorted(refusals),

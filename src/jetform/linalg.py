@@ -1,10 +1,11 @@
 """Exact sparse linear algebra used by the membership oracle and basis tests.
 
-Rows are sparse integer vectors keyed by comparable hashable keys (monomials
-in practice).  `ExactSpan` keeps an incremental triangular basis of the row
-span: every stored pivot row has a distinct leading key, so reducing a query
-vector against the pivots decides span membership exactly.  Elimination is
-fraction-free: rows are cross-multiplied with integer coefficients and
+Rows are sparse integer vectors keyed by comparable hashable keys: packed
+ints in the membership oracle, `Monomial`s in the Schubert expansion.
+`ExactSpan` keeps an incremental triangular basis of the row span: every
+stored pivot row has a distinct leading key, so reducing a query vector
+against the pivots decides span membership exactly.  Elimination is exact
+and fraction-free: rows are cross-multiplied with integer coefficients and
 renormalised by their gcd, never divided into fractions.
 
 Each pivot carries a history vector expressing it as an integer combination
@@ -51,16 +52,14 @@ class Budget:
         self.entries = 0
 
     def charge(self, n: int, context: str = ""):
+        """Count n more entries; `context` only names the step in the error
+        message, which carries no partial result."""
         self.entries += n
         if self.limit_entries is not None and self.entries > self.limit_entries:
             raise BudgetExceededError(
                 "memory budget exhausted (%d entries > %d)%s"
-                % (self.entries, self.limit_entries, " in " + context if context else ""),
-                partial=context,
+                % (self.entries, self.limit_entries, " in " + context if context else "")
             )
-
-    def release(self, n: int):
-        self.entries -= n
 
 
 def _normalize(row: dict, hist: dict) -> None:
@@ -94,14 +93,12 @@ class _Row:
 class ExactSpan:
     """Incremental triangular basis of an integer row span with certificates.
 
-    With `modulus` set, arithmetic is carried out in the prime field Z/p and
-    no certificates are produced; this mode exists purely as a fast screen.
+    Every pivot row keeps its history over the inserted rows' labels, so a
+    query that reduces to zero comes back with the combination proving it.
+    `budget`, if given, is charged for every stored entry.
     """
 
-    def __init__(self, modulus: int | None = None, budget: Budget | None = None):
-        if modulus is not None and modulus < 2:
-            raise ValueError("modulus must be a prime >= 2")
-        self.modulus = modulus
+    def __init__(self, budget: Budget | None = None):
         self.budget = budget
         self.pivots: dict[Hashable, _Row] = {}
         self.rank = 0
@@ -110,8 +107,6 @@ class ExactSpan:
 
     def insert(self, terms: Mapping[Hashable, int], label: Hashable) -> bool:
         """Add one row; return True if it enlarged the span."""
-        if self.modulus is not None:
-            return self._insert_mod(terms, label)
         row = {k: int(v) for k, v in terms.items() if v}
         hist = {label: 1}
         while row:
@@ -153,35 +148,6 @@ class ExactSpan:
             _normalize(row, hist)
         return False
 
-    def _insert_mod(self, terms: Mapping[Hashable, int], label: Hashable) -> bool:
-        p = self.modulus
-        row = {}
-        for k, v in terms.items():
-            v %= p
-            if v:
-                row[k] = v
-        while row:
-            lead = max(row)
-            piv = self.pivots.get(lead)
-            if piv is None:
-                inv = pow(row[lead], -1, p)
-                row = {k: (v * inv) % p for k, v in row.items()}
-                self.pivots[lead] = _Row(lead, row, {})
-                self.rank += 1
-                if self.budget is not None:
-                    self.budget.charge(len(row), "span insertion")
-                return True
-            b = row.pop(lead)
-            for k, v in piv.terms.items():
-                if k == lead:
-                    continue
-                s = (row.get(k, 0) - b * v) % p
-                if s:
-                    row[k] = s
-                else:
-                    row.pop(k, None)
-        return False
-
     # -- reduction ----------------------------------------------------------
 
     def reduce(
@@ -193,8 +159,6 @@ class ExactSpan:
         when the query lies in the span; the combination then expresses the
         query over the labels of the originally inserted rows.
         """
-        if self.modulus is not None:
-            return self._reduce_mod(terms)
         rem = {k: Fraction(v) for k, v in terms.items() if v}
         comb: dict[Hashable, Fraction] = {}
         while rem:
@@ -218,38 +182,6 @@ class ExactSpan:
                 else:
                     comb.pop(k, None)
         return rem, comb
-
-    def _reduce_mod(self, terms):
-        p = self.modulus
-        rem = {}
-        for k, v in terms.items():
-            v = Fraction(v)
-            num = v.numerator % p
-            den = v.denominator % p
-            if den == 0:
-                raise ValueError("denominator divisible by the screening prime")
-            val = (num * pow(den, -1, p)) % p
-            if val:
-                rem[k] = val
-        while rem:
-            lead = max(rem)
-            piv = self.pivots.get(lead)
-            if piv is None:
-                break
-            c = rem.pop(lead)
-            for k, v in piv.terms.items():
-                if k == lead:
-                    continue
-                s = (rem.get(k, 0) - c * v) % p
-                if s:
-                    rem[k] = s
-                else:
-                    rem.pop(k, None)
-        return rem, {}
-
-    def contains(self, terms: Mapping[Hashable, Fraction]) -> bool:
-        rem, _ = self.reduce(terms)
-        return not rem
 
 
 def rational_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:

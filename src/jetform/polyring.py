@@ -3,7 +3,7 @@
 A `Ring` is just an ordered tuple of variable names.  Polynomials are
 immutable sparse maps Monomial -> Fraction with no zero coefficients stored;
 two polynomials are equal iff their term maps (and rings) are equal.  The
-default monomial order is lexicographic with the first ring variable most
+monomial order is lexicographic with the first ring variable most
 significant, which is the order every quotient computation in this package
 relies on.
 
@@ -32,12 +32,9 @@ __all__ = [
     "Ring",
     "Monomial",
     "Poly",
-    "LexOrder",
-    "LEX",
     "TruncatedSeries",
     "divide",
     "spoly",
-    "truncated_product",
     "parse_poly",
 ]
 
@@ -172,37 +169,6 @@ class Monomial:
         return "Monomial%r" % (self.exps,)
 
 
-class LexOrder:
-    """Lexicographic monomial order with a declared variable priority.
-
-    `priority` lists 0-based variable indices from most to least significant;
-    None means the ring's own order (first variable largest).  The order is
-    total on monomials of one ring and multiplicative.
-    """
-
-    __slots__ = ("priority",)
-
-    def __init__(self, priority: Sequence[int] | None = None):
-        self.priority = tuple(priority) if priority is not None else None
-
-    def key(self, m: Monomial):
-        if self.priority is None:
-            return m.exps
-        return tuple(m.exps[i] for i in self.priority)
-
-    def max_monomial(self, monomials) -> Monomial:
-        return max(monomials, key=self.key)
-
-    def sorted_desc(self, monomials) -> list[Monomial]:
-        return sorted(monomials, key=self.key, reverse=True)
-
-    def __repr__(self):
-        return "LexOrder(%r)" % (self.priority,)
-
-
-LEX = LexOrder()
-
-
 class Poly:
     """Immutable sparse polynomial: Monomial -> Fraction, no zeros stored.
 
@@ -240,10 +206,11 @@ class Poly:
         one = self.ring.one_monomial()
         return self.terms.get(one, Fraction(0))
 
-    def leading(self, order: LexOrder = LEX) -> tuple[Monomial, Fraction]:
+    def leading(self) -> tuple[Monomial, Fraction]:
+        """The lex-largest term, first ring variable most significant."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        m = order.max_monomial(self.terms)
+        m = max(self.terms)
         return m, self.terms[m]
 
     def coeff(self, mono: Monomial) -> Fraction:
@@ -409,7 +376,7 @@ class Poly:
 
 
 def divide(
-    p: Poly, basis: Sequence[Poly], order: LexOrder = LEX
+    p: Poly, basis: Sequence[Poly]
 ) -> tuple[list[Poly], Poly]:
     """Multivariate division: p = sum(q_i * basis_i) + r.
 
@@ -426,12 +393,12 @@ def divide(
             raise RingMismatchError("basis element in a different ring")
         if g.is_zero():
             raise ValueError("zero polynomial in division basis")
-    leads = [g.leading(order) for g in basis]
+    leads = [g.leading() for g in basis]
     quot: list[dict[Monomial, Fraction]] = [{} for _ in basis]
     rem: dict[Monomial, Fraction] = {}
     work = dict(p.terms)
     while work:
-        lm = order.max_monomial(work)
+        lm = max(work)
         lc = work.pop(lm)
         for i, (gm, gc) in enumerate(leads):
             if gm.divides(lm):
@@ -454,10 +421,10 @@ def divide(
     return [Poly(ring, q) for q in quot], Poly(ring, rem)
 
 
-def spoly(f: Poly, g: Poly, order: LexOrder = LEX) -> Poly:
-    """S-polynomial of f and g with respect to `order`."""
-    fm, fc = f.leading(order)
-    gm, gc = g.leading(order)
+def spoly(f: Poly, g: Poly) -> Poly:
+    """S-polynomial of f and g under lex."""
+    fm, fc = f.leading()
+    gm, gc = g.leading()
     l = fm.lcm(gm)
     return f.mul_monomial(l / fm, Fraction(1, 1) / fc) - g.mul_monomial(
         l / gm, Fraction(1, 1) / gc
@@ -544,21 +511,6 @@ class TruncatedSeries:
         return "TruncatedSeries(%s)" % " + ".join(
             "(%s)*t^%d" % (c, k) for k, c in enumerate(self.coeffs)
         )
-
-
-def truncated_product(series: Sequence[TruncatedSeries], m: int) -> TruncatedSeries:
-    """Product of several series, all truncated at order m."""
-    if not series:
-        raise ValueError("empty series product is ambiguous without a ring")
-    for s in series:
-        if s.order != m:
-            raise RingMismatchError(
-                "series truncated at order %d in a product at order %d" % (s.order, m)
-            )
-    result = series[0]
-    for s in series[1:]:
-        result = result * s
-    return result
 
 
 # -- text format -------------------------------------------------------------

@@ -20,7 +20,6 @@ from .symfun import normal_form_IS, zring
 
 __all__ = [
     "Permutation",
-    "inversions",
     "divided_difference",
     "schubert_poly",
     "schubert_table",
@@ -130,10 +129,6 @@ class Permutation:
 
     def __str__(self):
         return "[%s]" % ",".join(map(str, self.oneline))
-
-
-def inversions(w: Permutation) -> int:
-    return w.length
 
 
 def divided_difference(p: Poly, i: int) -> Poly:

@@ -28,7 +28,6 @@ from .polyring import Monomial, Poly, Ring
 
 __all__ = [
     "Composition",
-    "SymBasis",
     "zring",
     "complete_homogeneous",
     "elementary_symmetric",
@@ -96,22 +95,6 @@ class Composition:
         return "Composition%r" % (self.parts,)
 
 
-class SymBasis:
-    """The ordered Groebner basis (g_1, ..., g_ell) of I_S."""
-
-    __slots__ = ("ell", "elements")
-
-    def __init__(self, ell: int, elements: tuple[Poly, ...]):
-        self.ell = ell
-        self.elements = elements
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self):
-        return self.ell
-
-
 @lru_cache(maxsize=None)
 def zring(ell: int) -> Ring:
     if ell < 0:
@@ -152,11 +135,11 @@ def elementary_symmetric(ring: Ring, d: int, indices) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def groebner_basis_IS(ell: int) -> SymBasis:
+def groebner_basis_IS(ell: int) -> tuple[Poly, ...]:
     """The basis (h_1(z_1..z_ell), h_2(z_2..z_ell), ..., h_ell(z_ell))."""
     if ell < 1:
         raise ValueError("need at least one variable")
-    return SymBasis(ell, tuple(complete_homogeneous(i, i, ell) for i in range(1, ell + 1)))
+    return tuple(complete_homogeneous(i, i, ell) for i in range(1, ell + 1))
 
 
 def normal_form_IS(p: Poly, ell: int | None = None) -> Poly:

@@ -257,9 +257,9 @@ def test_criterion_11_alpha_identity():
     for ell in range(1, 7):
         ring = zring(ell)
         for lam in _all_compositions(ell):
-            pres = c_lambda_generators(lam)
-            assert len(pres) == ell
-            for k, f in enumerate(pres.generators):
+            relations = c_lambda_generators(lam)
+            assert len(relations) == ell
+            for k, f in enumerate(relations):
                 assert alpha_map(f, lam) == elementary_symmetric(ring, ell - k, range(ell))
 
 

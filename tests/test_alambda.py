@@ -10,6 +10,7 @@ from jetform import (
     basis_polys,
     block_sigma,
     c_lambda_generators,
+    c_lambda_ring,
     dim_A_lambda,
     elementary_symmetric,
     in_IS,
@@ -167,19 +168,20 @@ def test_nilpotency_bound_random():
 
 
 def test_c_lambda_generator_examples():
-    pres = c_lambda_generators(Composition((1, 1)))
-    y = pres.ring
+    lam = Composition((1, 1))
+    y = c_lambda_ring(lam)
     y10, y20 = y.var(0), y.var(1)
-    assert list(pres) == [y10 * y20, y10 + y20]
+    assert c_lambda_generators(lam) == (y10 * y20, y10 + y20)
 
-    pres = c_lambda_generators(Composition((2,)))
-    y = pres.ring
-    assert list(pres) == [y.var(0), y.var(1)]
+    lam = Composition((2,))
+    y = c_lambda_ring(lam)
+    assert c_lambda_generators(lam) == (y.var(0), y.var(1))
 
-    pres = c_lambda_generators(Composition((2, 1)))
-    y = pres.ring
+    lam = Composition((2, 1))
+    y = c_lambda_ring(lam)
     y10, y11, y20 = y.gens()
-    assert list(pres) == [y10 * y20, y11 * y20 + y10, y20 + y11]
+    assert c_lambda_generators(lam) == (y10 * y20, y11 * y20 + y10, y20 + y11)
+    assert all(f.ring == y for f in c_lambda_generators(lam))
 
 
 def test_c_lambda_generator_count():
@@ -190,7 +192,7 @@ def test_c_lambda_generator_count():
 
 def test_alpha_defining_images():
     lam = Composition((2, 1))
-    ring = c_lambda_generators(lam).ring
+    ring = c_lambda_ring(lam)
     z = zring(3)
     z1, z2, _ = z.gens()
     assert alpha_map(ring.var(0), lam) == z1 * z2
@@ -200,10 +202,9 @@ def test_alpha_defining_images():
 def test_alpha_sends_relations_to_full_elementaries():
     for parts in [(1, 1), (2, 1), (2, 2), (1, 1, 1)]:
         lam = Composition(parts)
-        pres = c_lambda_generators(lam)
         ell = lam.ell
         ring = zring(ell)
-        for k, f in enumerate(pres.generators):
+        for k, f in enumerate(c_lambda_generators(lam)):
             assert alpha_map(f, lam) == elementary_symmetric(ring, ell - k, range(ell))
 
 
@@ -212,13 +213,12 @@ def test_alpha_image_is_block_symmetric_and_ideal_maps_in():
 
     rng = make_rng(777)
     lam = Composition((2, 2))
-    pres = c_lambda_generators(lam)
-    y = pres.ring
+    y = c_lambda_ring(lam)
     for _ in range(10):
         q = random_poly(y, rng, max_deg=3)
         assert is_lambda_symmetric(alpha_map(q, lam), lam)
         combo = y.zero()
-        for f in pres.generators:
+        for f in c_lambda_generators(lam):
             combo = combo + f * random_poly(y, rng, max_deg=2, terms=2)
         assert in_IS(alpha_map(combo, lam))
 
@@ -230,12 +230,12 @@ def test_nu_of_alpha_images():
         for parts in positive_compositions(ell):
             if len(parts) == 1:
                 lam = Composition(parts)
-                ring = c_lambda_generators(lam).ring
+                ring = c_lambda_ring(lam)
                 for slot in range(ring.nvars):
                     assert nu(alpha_map(ring.var(slot), lam), ell) is None
                 continue
             lam = Composition(parts)
-            ring = c_lambda_generators(lam).ring
+            ring = c_lambda_ring(lam)
             slot = 0
             for i, part in enumerate(lam.parts, start=1):
                 for j in range(part):

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jetform
 from jetform import normal_form_IS, parse_poly, zring
@@ -205,26 +209,26 @@ def test_budget_env_var(capsys, monkeypatch):
     capsys.readouterr()
 
 
-def test_mod_p_flag(capsys):
-    code, doc = run_json(capsys, ["--mod-p", "2147483647", "member", "x1_1*x2_1", "--n", "2", "--m", "1"])
-    assert code == 0
-    assert doc["payload"]["member"] is False
-    assert doc["payload"]["screened"] is True
+def test_member_budget_error_has_no_partial_result(capsys):
+    argv = ["--budget-mb", "0.0001", "member", "x1_0*x2_1", "--n", "2", "--m", "1"]
+    code, doc = run_json(capsys, argv)
+    assert code == 3
+    assert doc["payload"]["code"] == "budget-exceeded"
+    assert "span insertion" in doc["payload"]["message"]
+    assert doc["payload"]["partial"] is None
 
 
-def test_seed_recorded_and_deterministic(capsys):
-    code, doc1 = run_json(capsys, ["--seed", "7", "dim", "--lambda", "3,1"])
-    assert code == 0
-    assert doc1["payload"]["seed"] == 7
-    _, doc2 = run_json(capsys, ["--seed", "7", "dim", "--lambda", "3,1"])
-    assert doc1["payload"] == doc2["payload"]
+def test_unknown_global_flags_are_usage_errors(capsys):
+    assert main(["--mod-p", "2147483647", "member", "x1_1*x2_1", "--n", "2", "--m", "1"]) == 2
+    assert main(["--seed", "7", "dim", "--lambda", "2,1"]) == 2
+    capsys.readouterr()
 
 
 def test_parser_reuse_keeps_no_flags():
-    first, _ = run(["--seed", "7", "--json", "dim", "--lambda", "2,1"])
-    assert first.payload["seed"] == 7 and first.json_mode
-    second, _ = run(["dim", "--lambda", "2,1"])
-    assert "seed" not in second.payload
+    first, _ = run(["--budget-mb", "0.0001", "--json", "min-degree", "--h", "1,1"])
+    assert first.exit_code == 3 and first.json_mode
+    second, _ = run(["min-degree", "--h", "1,1"])
+    assert second.status == "ok"
     assert second.json_mode is False
 
 
@@ -248,3 +252,71 @@ def test_text_output(capsys):
     assert capsys.readouterr().out.strip() == "3"
     assert main(["catalan", "--ell", "5"]) == 0
     assert "5" in capsys.readouterr().out
+
+
+# -- fuzzing ------------------------------------------------------------------
+
+# small fixed alphabets of valid and malformed values; every valid size is
+# small enough that a call finishes in milliseconds
+POLYS = ["z1^2 + z2", "z1*z2 - 1/2*z3", "x1_0*x2_1", "x1_1^2*x2_1^2", "0", "-3",
+         "", "z1^", "z9", "1/0", "z1 +", "**", "z1 z2", "(z1)", "x1_5"]
+SIZES = ["-1", "0", "1", "2", "3", "x", ""]
+LAMBDAS = ["2,1", "1,1", "3", "1,0,2", "", ",", "a,b", "-1,2", "0,0"]
+PERMS = ["[2,3,1]", "3,1,2", "[1]", "[4,3,2,1]", "[1,1,2]", "[]", "[0,1]", "x", "[2,,1]"]
+HS = ["1,1", "2", "1,0", "0", "0,0", "2,1", "", "-1,1", "a", ","]
+GENS = ["x1*x2", "x1^2 - x2", "x1;x2", ";", "", "z1"]
+BUDGETS = ["0.0001", "512", "-1", "x"]
+
+# per subcommand: positional alphabets, then (option, alphabet) pairs
+SUBCOMMANDS = {
+    "nf": [POLYS, ("--ell", SIZES)],
+    "nu": [POLYS, ("--ell", SIZES)],
+    "dim": [("--lambda", LAMBDAS)],
+    "basis": [("--lambda", LAMBDAS)],
+    "nilpotency": [POLYS, ("--lambda", LAMBDAS), ("--block", SIZES)],
+    "schubert": [PERMS],
+    "monk": [PERMS, ("--r", SIZES)],
+    "expand": [POLYS, ("--ell", SIZES), ("--max-ell", SIZES)],
+    "catalan": [("--ell", SIZES)],
+    "jet-gens": [("--n", SIZES), ("--m", SIZES), ("--gens", GENS)],
+    "primes": [("--n", SIZES), ("--m", SIZES)],
+    "member": [POLYS, ("--n", SIZES), ("--m", SIZES)],
+    "min-degree": [("--h", HS), ("--cap", SIZES)],
+    "radical-witness": [("--h", HS)],
+    "multiplicity": [("--n", SIZES), ("--m", SIZES)],
+    "not-a-command": [],
+}
+
+
+def _argument(spec):
+    """An argument drawn from its alphabet; left out as often as any one
+    value is drawn."""
+    option, values = spec if isinstance(spec, tuple) else (None, spec)
+    return st.sampled_from([None] + values).map(
+        lambda v: [] if v is None else [v] if option is None else [option, v]
+    )
+
+
+def _flatten(parts):
+    return [item for part in parts for item in part]
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    body = [command] + _flatten(draw(st.tuples(*map(_argument, SUBCOMMANDS[command]))))
+    flags = _flatten(
+        draw(st.tuples(_argument(["--json"]), _argument(("--budget-mb", BUDGETS))))
+    )
+    extra = draw(st.sampled_from([[]] * 8 + [["--bogus"], ["extra"]]))
+    if draw(st.booleans()):
+        return flags + body + extra
+    return body + flags + extra
+
+
+@settings(max_examples=300)
+@given(argvs())
+def test_cli_fuzz_always_returns_an_exit_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in range(5), (argv, code)

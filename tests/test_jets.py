@@ -204,22 +204,6 @@ def test_membership_certificates_reexpand():
             assert res.verify(comp, basis)
 
 
-def test_membership_mod_p_screen_agrees():
-    desc = JetRingDesc(2, 2)
-    gens = jet_generators(None, desc)
-    mono = derivative_monomial((1, 1), desc)
-    prime = (1 << 31) - 1
-    for d in (1, 2, 3):
-        plain = homogeneous_membership(mono**d, gens)
-        screened = homogeneous_membership(mono**d, gens, modulus=prime)
-        assert plain.member == screened.member
-        if not screened.member:
-            assert screened.screened
-        else:
-            assert not screened.screened  # members are recomputed rationally
-            assert screened.verify(mono**d, gens)
-
-
 def test_budget_abort():
     desc = JetRingDesc(2, 2)
     gens = jet_generators(None, desc)

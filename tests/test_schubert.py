@@ -11,7 +11,6 @@ from jetform import (
     catalan_number,
     divided_difference,
     in_IS,
-    inversions,
     monk_expand,
     normal_form_IS,
     schubert_expansion,
@@ -24,11 +23,11 @@ from conftest import make_rng, random_poly
 
 
 def test_inversions_examples():
-    assert inversions(Permutation.identity(4)) == 0
-    assert inversions(Permutation([2, 3, 1])) == 2
+    assert Permutation.identity(4).length == 0
+    assert Permutation([2, 3, 1]).length == 2
     w = block_rotation(3, 2)
     assert w.oneline == (2, 3, 1)
-    assert inversions(w) == 2 * (3 - 2) * 2 // 2  # lam1 * (ell - lam1) = 2
+    assert w.length == 2 * (3 - 2) * 2 // 2  # lam1 * (ell - lam1) = 2
 
 
 def test_permutation_validation_and_parse():

@@ -130,7 +130,7 @@ def test_normal_form_is_linear_and_idempotent():
 
 
 def _division_nf(p, ell):
-    return divide(p, groebner_basis_IS(ell).elements)[1]
+    return divide(p, groebner_basis_IS(ell))[1]
 
 
 def _random_terms(ring, rng, top, terms, denominators=(1, 2, 3)):
