@@ -33,10 +33,8 @@ from .jets import (
     PsiWitness,
     compositions,
     derivative_monomial,
-    diff_to_jet_scale,
     homogeneous_membership,
     jet_generators,
-    jet_to_diff_scale,
     min_degree_formula,
     min_degree_search,
     minimal_primes,

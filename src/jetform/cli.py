@@ -188,15 +188,23 @@ def _budget_from(mb: float | None) -> Budget | None:
 # -- handlers -----------------------------------------------------------------
 
 
+def _zring(ell: int):
+    """The z ring of a size read from the command line, checked before any
+    polynomial is parsed into it, so a bad size is a domain error."""
+    if ell < 1:
+        raise ValueError("need at least one variable")
+    return symfun.zring(ell)
+
+
 def _cmd_nf(args):
-    ring = symfun.zring(args.ell)
+    ring = _zring(args.ell)
     p = parse_poly(ring, args.poly)
     nf = symfun.normal_form_IS(p, args.ell)
     return {"ell": args.ell, "input": str(p), "normal_form": str(nf)}, [str(nf)]
 
 
 def _cmd_nu(args):
-    ring = symfun.zring(args.ell)
+    ring = _zring(args.ell)
     p = parse_poly(ring, args.poly)
     value = symfun.nu(p, args.ell)
     return {"ell": args.ell, "nu": value}, ["none" if value is None else str(value)]
@@ -223,7 +231,7 @@ def _cmd_basis(args):
 
 def _cmd_nilpotency(args):
     lam = _parse_lambda(args.lam)
-    ring = symfun.zring(lam.ell)
+    ring = _zring(lam.ell)
     p = parse_poly(ring, args.poly)
     order = alambda.nilpotency_order(p, lam, args.block)
     if order is None:
@@ -252,7 +260,7 @@ def _cmd_monk(args):
 
 
 def _cmd_expand(args):
-    ring = symfun.zring(args.ell)
+    ring = _zring(args.ell)
     p = parse_poly(ring, args.poly)
     coeffs = schubert.schubert_expansion(p, args.ell, max_ell=args.max_ell)
     payload = {

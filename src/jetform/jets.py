@@ -17,7 +17,11 @@ once per search), so a nonzero normal form of psi(mono)^d modulo I_S shows
 that mono^d is not in the jet ideal.  Only a degree psi cannot refuse goes
 to exact elimination.  The elimination keys each monomial by one packed int
 (variable 0 in the most significant field), so lex order is integer order
-and multiplying by a monomial is adding its packed exponents.
+and multiplying by a monomial is adding its packed exponents.  The
+multipliers of all generators come from one table per query, filled by a
+single variable-by-variable pass per multiplier degree: the jet generators
+share their block degrees and differ only in weight, so one pass serves
+them all.
 """
 
 from __future__ import annotations
@@ -52,18 +56,14 @@ __all__ = [
     "min_degree_formula",
     "min_degree_search",
     "radical_witness",
-    "diff_to_jet_scale",
-    "jet_to_diff_scale",
     "derivative_monomial",
     "multiplicity_table",
 ]
 
 
 @lru_cache(maxsize=None)
-def _jet_ring(n: int, m: int, prefix: str) -> Ring:
-    return Ring(
-        tuple("%s%d_%d" % (prefix, i, j) for i in range(1, n + 1) for j in range(m + 1))
-    )
+def _jet_ring(n: int, m: int) -> Ring:
+    return Ring(tuple("x%d_%d" % (i, j) for i in range(1, n + 1) for j in range(m + 1)))
 
 
 @lru_cache(maxsize=None)
@@ -86,12 +86,7 @@ class JetRingDesc:
 
     @property
     def ring(self) -> Ring:
-        return _jet_ring(self.n, self.m, "x")
-
-    @property
-    def diff_ring(self) -> Ring:
-        """Companion ring with y-variables, used by the derivative scaling."""
-        return _jet_ring(self.n, self.m, "y")
+        return _jet_ring(self.n, self.m)
 
     @property
     def base_ring(self) -> Ring:
@@ -226,7 +221,9 @@ def minimal_primes(n: int, m: int) -> list[MinimalPrime]:
 
 def multiplicity_table(n: int, m: int) -> dict[Composition, int]:
     """Multiplicity (m+1)!/prod(lambda_i!) for each minimal prime; the
-    values always sum to n^(m+1)."""
+    values always sum to n^(m+1).  Rejects n < 1 and m < 0, as
+    minimal_primes does."""
+    JetRingDesc(n, m)
     table = {}
     for lam in compositions(m + 1, n):
         mult = factorial(m + 1)
@@ -340,49 +337,51 @@ def _common_gradings(polys: list[Poly], nvars: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _packed_multipliers(degree: int, constraints, shifts) -> list[int]:
-    """All exponent vectors of the given total degree matching every
-    (weights, target) constraint, packed with variable i shifted left by
-    shifts[i], in descending lex order.  Found by a depth-first search
-    pruned by suffix weight bounds."""
+def _packed_multipliers(degree: int, gradings, targets, shifts) -> dict:
+    """Every exponent vector of the given total degree whose weights under
+    `gradings` equal one of `targets`, packed with variable i shifted left
+    by shifts[i]: {target: packed vectors in descending lex order}.
+
+    One variable-by-variable pass serves all targets.  Exponent prefixes
+    with the same remaining degree and partial weights share one list of
+    packed prefixes, and a state is dropped as soon as its suffix weight
+    bounds cannot reach the bounding box of all targets.  Each level's
+    states are released as the next level is built.
+    """
     nvars = len(shifts)
-    weightrows = [w for w, _ in constraints]
-    targets = [t for _, t in constraints]
-    ncons = len(constraints)
-    # suffix minima / maxima of each weight vector for pruning
-    sufmin = [[0] * (nvars + 1) for _ in range(ncons)]
-    sufmax = [[0] * (nvars + 1) for _ in range(ncons)]
-    for c in range(ncons):
-        lo = hi = None
-        for i in range(nvars - 1, -1, -1):
-            w = weightrows[c][i]
-            lo = w if lo is None else min(lo, w)
-            hi = w if hi is None else max(hi, w)
-            sufmin[c][i] = lo
-            sufmax[c][i] = hi
-    out: list[int] = []
-
-    def rec(i: int, remaining: int, partial: tuple[int, ...], key: int):
-        if i == nvars - 1:
-            for c in range(ncons):
-                if partial[c] + weightrows[c][i] * remaining != targets[c]:
-                    return
-            out.append(key + (remaining << shifts[i]))
-            return
-        for c in range(ncons):
-            need = targets[c] - partial[c]
-            if remaining * sufmin[c][i] > need or remaining * sufmax[c][i] < need:
-                return
+    lo = [min(t[c] for t in targets) for c in range(len(gradings))]
+    hi = [max(t[c] for t in targets) for c in range(len(gradings))]
+    states = {(degree, (0,) * len(gradings)): [0]}
+    for i in range(nvars):
+        col = [w[i] for w in gradings]
+        sufmin = [min(w[i + 1 :], default=0) for w in gradings]
+        sufmax = [max(w[i + 1 :], default=0) for w in gradings]
         shift = shifts[i]
-        for e in range(remaining, -1, -1):
-            rec(
-                i + 1,
-                remaining - e,
-                tuple(partial[c] + weightrows[c][i] * e for c in range(ncons)),
-                key + (e << shift),
-            )
-
-    rec(0, degree, (0,) * ncons, 0)
+        nxt: dict = {}
+        while states:
+            (remaining, partial), prefixes = states.popitem()
+            # the last variable takes whatever degree is left
+            for e in range(remaining, -1, -1) if i < nvars - 1 else (remaining,):
+                left = remaining - e
+                part = tuple(s + w * e for s, w in zip(partial, col))
+                if any(
+                    s + left * a > high or s + left * b < low
+                    for s, a, b, low, high in zip(part, sufmin, sufmax, lo, hi)
+                ):
+                    continue
+                add = e << shift
+                grown = [k + add for k in prefixes]
+                known = nxt.get((left, part))
+                if known is None:
+                    nxt[left, part] = grown
+                else:
+                    known += grown
+        states = nxt
+    out: dict = {t: [] for t in targets}
+    for (_, part), keys in states.items():
+        if part in out:
+            keys.sort(reverse=True)
+            out[part] = keys
     return out
 
 
@@ -393,6 +392,13 @@ def _weight_of(poly: Poly, weights) -> int:
 
 def _solve_membership(p, gens, usable, gradings, span) -> tuple[dict, dict]:
     """Insert all multiplier*generator rows into `span`, then reduce p.
+
+    The multipliers of all generators are enumerated up front, one pass
+    per distinct multiplier degree, into a table keyed by the weights a
+    multiplier must have under `gradings`.  These weights fix its total
+    degree, since the total degree lies in the span of the gradings.  Each
+    generator's list is popped from the table when its last user has taken
+    it, so the table shrinks while the span grows.
 
     Rows are keyed by packed monomials and labelled (generator index,
     packed multiplier).  The field width is the bit length of deg p: every
@@ -408,14 +414,21 @@ def _solve_membership(p, gens, usable, gradings, span) -> tuple[dict, dict]:
         return sum(e << s for e, s in zip(mono.exps, shifts))
 
     p_weights = [_weight_of(p, w) for w in gradings]
+    targets = {
+        gi: tuple(pw - _weight_of(gens[gi], w) for w, pw in zip(gradings, p_weights))
+        for gi in usable
+    }
+    by_degree: dict = {}
     for gi in usable:
-        g = gens[gi]
-        grow = {pack(m): v for m, v in int_row(g.terms).items()}
-        mult_degree = degree - g.total_degree()
-        constraints = [
-            (w, pw - _weight_of(g, w)) for w, pw in zip(gradings, p_weights)
-        ]
-        for mult in _packed_multipliers(mult_degree, constraints, shifts):
+        by_degree.setdefault(degree - gens[gi].total_degree(), set()).add(targets[gi])
+    table = {}
+    for mult_degree, wanted in by_degree.items():
+        table.update(_packed_multipliers(mult_degree, gradings, wanted, shifts))
+    last_user = {t: gi for gi, t in targets.items()}
+    for gi in usable:
+        grow = {pack(m): v for m, v in int_row(gens[gi].terms).items()}
+        t = targets[gi]
+        for mult in table.pop(t) if last_user[t] == gi else table[t]:
             span.insert({k + mult: v for k, v in grow.items()}, (gi, mult))
     rem, comb = span.reduce({pack(m): c for m, c in p.terms.items()})
     mask = (1 << width) - 1
@@ -683,32 +696,3 @@ def _psi_normal_forms(spec: PsiSpecialization, gens, mono: Poly):
         yield nf
         if not nf.is_zero():
             nf = normal_form_IS(nf * image)
-
-
-# -- derivative scaling -------------------------------------------------------
-
-
-def _rescale(p: Poly, source: Ring, target: Ring, factors) -> Poly:
-    if p.ring != source:
-        raise RingMismatchError("polynomial not in the expected ring")
-    out = {}
-    for mono, coeff in p.terms.items():
-        c = coeff
-        for i, e in enumerate(mono.exps):
-            if e:
-                c = c * factors[i] ** e
-        out[mono] = c
-    return Poly(target, out)
-
-
-def diff_to_jet_scale(p: Poly, desc: JetRingDesc) -> Poly:
-    """Substitute y_i^(j) -> j! * x_i^(j); the invertible change of scale
-    between derivative variables and jet coefficients."""
-    factors = [Fraction(factorial(desc.pair(s)[1])) for s in range(desc.ring.nvars)]
-    return _rescale(p, desc.diff_ring, desc.ring, factors)
-
-
-def jet_to_diff_scale(p: Poly, desc: JetRingDesc) -> Poly:
-    """Inverse of diff_to_jet_scale: x_i^(j) -> y_i^(j) / j!."""
-    factors = [Fraction(1, factorial(desc.pair(s)[1])) for s in range(desc.ring.nvars)]
-    return _rescale(p, desc.ring, desc.diff_ring, factors)

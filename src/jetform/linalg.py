@@ -63,7 +63,7 @@ class Budget:
 
 
 def _normalize(row: dict, hist: dict) -> None:
-    """Divide row and history by their joint content, keep lead positive."""
+    """Divide row and history by their joint content."""
     g = 0
     for v in row.values():
         g = gcd(g, v)
@@ -106,7 +106,18 @@ class ExactSpan:
     # -- insertion ----------------------------------------------------------
 
     def insert(self, terms: Mapping[Hashable, int], label: Hashable) -> bool:
-        """Add one row; return True if it enlarged the span."""
+        """Add one row; return True if it enlarged the span.
+
+        Each step cancels the leading entry against its pivot: the row and
+        its history are scaled by the pivot's positive lead a (skipped when
+        a == 1, as it almost always is), then the pivot times the row's old
+        lead is subtracted in place.  An entry of +-1 makes the joint content
+        of row and history 1, so `_normalize` runs only once the row's own
+        label has lost its unit coefficient; with distinct labels only a
+        non-unit pivot lead can do that.  The row starts with history
+        {label: 1} and every step leaves joint content 1, so a row that
+        becomes a pivot is already primitive.
+        """
         row = {k: int(v) for k, v in terms.items() if v}
         hist = {label: 1}
         while row:
@@ -116,7 +127,6 @@ class ExactSpan:
                 if row[lead] < 0:
                     row = {k: -v for k, v in row.items()}
                     hist = {k: -v for k, v in hist.items()}
-                _normalize(row, hist)
                 self.pivots[lead] = _Row(lead, row, hist)
                 self.rank += 1
                 if self.budget is not None:
@@ -124,28 +134,27 @@ class ExactSpan:
                 return True
             a = piv.terms[lead]
             b = row.pop(lead)
+            if a != 1:
+                for k in row:
+                    row[k] *= a
+                for k in hist:
+                    hist[k] *= a
             for k, v in piv.terms.items():
                 if k == lead:
                     continue
-                s = a * row.get(k, 0) - b * v
+                s = row.get(k, 0) - b * v
                 if s:
                     row[k] = s
                 else:
                     row.pop(k, None)
-            for k in row:
-                if k not in piv.terms:
-                    row[k] *= a
-            new_hist = {}
-            for k, v in hist.items():
-                new_hist[k] = a * v
             for k, v in piv.hist.items():
-                s = new_hist.get(k, 0) - b * v
+                s = hist.get(k, 0) - b * v
                 if s:
-                    new_hist[k] = s
+                    hist[k] = s
                 else:
-                    new_hist.pop(k, None)
-            hist = new_hist
-            _normalize(row, hist)
+                    hist.pop(k, None)
+            if abs(hist.get(label, 0)) != 1:
+                _normalize(row, hist)
         return False
 
     # -- reduction ----------------------------------------------------------

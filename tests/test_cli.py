@@ -157,6 +157,13 @@ def test_multiplicity(capsys):
     assert doc["payload"]["expected"] == 27
 
 
+@pytest.mark.parametrize("m", [-1, -2])
+def test_multiplicity_rejects_negative_order(capsys, m):
+    code, doc = run_json(capsys, ["multiplicity", "--n", "2", "--m", str(m)])
+    assert code == 1
+    assert doc["payload"]["code"] == "domain-error"
+
+
 def test_parse_error_exit_code(capsys):
     assert main(["nf", "z9", "--ell", "3"]) == 2
     capsys.readouterr()
@@ -171,6 +178,21 @@ def test_domain_error_exit_code(capsys):
     assert code == 1
     assert doc["payload"]["code"] == "domain-error"
     code, doc = run_json(capsys, ["expand", "z1", "--ell", "7"])
+    assert code == 1
+    assert doc["payload"]["code"] == "domain-error"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nf", "z1", "--ell", "0"],
+        ["nu", "z1", "--ell", "0"],
+        ["expand", "z1", "--ell", "0"],
+        ["nilpotency", "z1", "--lambda", "0", "--block", "1"],
+    ],
+)
+def test_empty_ring_is_a_domain_error_before_parsing(capsys, argv):
+    code, doc = run_json(capsys, argv)
     assert code == 1
     assert doc["payload"]["code"] == "domain-error"
 

@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from jetform import jets
 from jetform import (
@@ -16,12 +18,10 @@ from jetform import (
     RingMismatchError,
     compositions,
     derivative_monomial,
-    diff_to_jet_scale,
     groebner_basis_IS,
     homogeneous_membership,
     in_IS,
     jet_generators,
-    jet_to_diff_scale,
     min_degree_formula,
     min_degree_search,
     minimal_primes,
@@ -187,6 +187,46 @@ def test_membership_pruning_matches_unpruned_search():
                 span.insert({m * mult: v for m, v in grow.items()}, (gi, mult))
         rem, _ = span.reduce(query.terms)
         assert fast.member == (not rem)
+
+
+def _weights(gradings, exps):
+    return tuple(sum(w * e for w, e in zip(row, exps)) for row in gradings)
+
+
+@st.composite
+def multiplier_queries(draw):
+    """A degree, weight rows with negative entries (like the mixed grading
+    (-4,-3,-2,-1,0,...,1) of the (2,1,1) elimination) and a target set that
+    mixes weights some vector reaches with arbitrary ones."""
+    nvars = draw(st.integers(min_value=1, max_value=6))
+    degree = draw(st.integers(min_value=0, max_value=5))
+    weight = st.integers(min_value=-4, max_value=4)
+    gradings = draw(
+        st.lists(st.tuples(*[weight] * nvars), min_size=1, max_size=3, unique=True)
+    )
+    vectors = exponent_vectors(nvars, degree)
+    reached = draw(st.lists(st.sampled_from(vectors), min_size=1, max_size=4))
+    targets = {_weights(gradings, v) for v in reached}
+    targets |= set(draw(st.lists(st.tuples(*[weight] * len(gradings)), max_size=2)))
+    return degree, gradings, targets
+
+
+@given(multiplier_queries())
+def test_packed_multipliers_match_brute_force(query):
+    degree, gradings, targets = query
+    nvars = len(gradings[0])
+    width = max(degree, 1).bit_length()
+    shifts = [width * (nvars - 1 - i) for i in range(nvars)]
+    expected = {t: [] for t in targets}
+    # exponent_vectors runs in descending lex order, so packed keys descend
+    for v in exponent_vectors(nvars, degree):
+        t = _weights(gradings, v)
+        if t in expected:
+            expected[t].append(sum(e << s for e, s in zip(v, shifts)))
+    got = jets._packed_multipliers(degree, gradings, targets, shifts)
+    assert got == expected
+    for keys in got.values():
+        assert all(a > b for a, b in zip(keys, keys[1:]))
 
 
 def test_membership_certificates_reexpand():
@@ -449,7 +489,7 @@ def _monomial_key_certificate(h):
 
 
 def test_packed_keys_give_the_monomial_key_certificates():
-    for h in [(1, 1), (2, 1), (1, 1, 1)]:
+    for h in [(1, 1), (2, 1), (1, 1, 1), (2, 2), (1, 3)]:
         assert min_degree_search(h).certificate.combination == _monomial_key_certificate(h)
 
 
@@ -484,26 +524,6 @@ def test_min_degree_budget_reports_partial_result():
     with pytest.raises(BudgetExceededError) as info:
         min_degree_search((1, 1), budget=Budget(0.0001))
     assert info.value.partial == {"refused": [1, 2], "psi_certified": [1, 2], "lower_bound": 3}
-
-
-# -- derivative scaling ----------------------------------------------------------
-
-
-def test_diff_to_jet_scale_examples():
-    desc = JetRingDesc(1, 3)
-    y = desc.diff_ring
-    assert diff_to_jet_scale(y.var(2), desc) == desc.var(1, 2).scale(2)
-    assert diff_to_jet_scale(y.var(0), desc) == desc.var(1, 0)
-
-
-def test_scale_round_trip():
-    rng = make_rng(8)
-    desc = JetRingDesc(2, 3)
-    for _ in range(10):
-        p = random_poly(desc.diff_ring, rng, max_deg=3, terms=4)
-        assert jet_to_diff_scale(diff_to_jet_scale(p, desc), desc) == p
-        q = random_poly(desc.ring, rng, max_deg=3, terms=4)
-        assert diff_to_jet_scale(jet_to_diff_scale(q, desc), desc) == q
 
 
 def test_compositions_descending_lex():
