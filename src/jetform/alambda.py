@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import factorial
 
 from .errors import InvariantViolationError
-from .polyring import Monomial, Poly, Ring
+from .polyring import Monomial, Poly, Ring, TruncatedSeries
 from .symfun import Composition, block_sigma, normal_form_IS, zring
 
 __all__ = [
@@ -153,26 +153,18 @@ def c_lambda_generators(lam: Composition) -> tuple[Poly, ...]:
     if lam.ell < 1:
         raise ValueError("composition must have positive total")
     ring = c_lambda_ring(lam)
-    m = lam.ell - 1
-    # coefficient lists of the monic block factors, degree-indexed
-    factors: list[list[Poly]] = []
+    ell = lam.ell
+    # the product has degree ell, so series to order ell lose nothing
+    product = TruncatedSeries.constant(ring, ring.one(), ell)
     slot = 0
     for part in lam.parts:
-        coeffs = [ring.var(slot + j) for j in range(part)] + [ring.one()]
+        block = [ring.var(slot + j) for j in range(part)] + [ring.one()]
+        block += [ring.zero()] * (ell - part)
+        product = product * TruncatedSeries(ring, block, ell)
         slot += part
-        factors.append(coeffs)
-    product = [ring.one()]
-    for coeffs in factors:
-        new = [ring.zero()] * (len(product) + len(coeffs) - 1)
-        for i, a in enumerate(product):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(coeffs):
-                new[i + j] = new[i + j] + a * b
-        product = new
-    if len(product) != m + 2 or product[m + 1] != ring.one():
+    if product.coeffs[ell] != ring.one():
         raise InvariantViolationError("monic block product has wrong shape")
-    return tuple(product[: m + 1])
+    return product.coeffs[:ell]
 
 
 def alpha_map(q: Poly, lam: Composition) -> Poly:

@@ -141,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("expand", "expansion in the Schubert basis modulo the symmetric ideal")
     p.add_argument("poly")
     p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--max-ell", type=int, default=schubert.DEFAULT_MAX_ELL)
 
     p = command("catalan", "coefficient of the binomial-power congruence")
     p.add_argument("--ell", type=int, required=True)
@@ -262,7 +261,7 @@ def _cmd_monk(args):
 def _cmd_expand(args):
     ring = _zring(args.ell)
     p = parse_poly(ring, args.poly)
-    coeffs = schubert.schubert_expansion(p, args.ell, max_ell=args.max_ell)
+    coeffs = schubert.schubert_expansion(p, args.ell)
     payload = {
         "ell": args.ell,
         "coefficients": [

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 from .errors import (
     BudgetExceededError,
@@ -324,16 +324,10 @@ def _common_gradings(polys: list[Poly], nvars: int) -> list[tuple[int, ...]]:
     basis = rational_nullspace(rows, nvars)
     out = []
     for vec in basis:
-        denom = 1
-        for v in vec:
-            denom = denom * v.denominator // gcd(denom, v.denominator)
+        denom = lcm(*(v.denominator for v in vec))
         ints = [int(v * denom) for v in vec]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        out.append(tuple(ints))
+        g = gcd(*ints)
+        out.append(tuple(v // g for v in ints))
     return out
 
 
@@ -471,7 +465,7 @@ def homogeneous_membership(
     rem, comb = _solve_membership(p, gens, usable, gradings, span)
     if rem:
         return MembershipResult(False, degree, None)
-    scales = {gi: _denominator_scale(gens[gi]) for gi in usable}
+    scales = {gi: lcm(*(c.denominator for c in gens[gi].terms.values())) for gi in usable}
     combination = [
         (gi, mono, coeff * scales[gi])
         for (gi, mono), coeff in sorted(comb.items())
@@ -481,13 +475,6 @@ def homogeneous_membership(
     if not result.verify(p, gens):
         raise InvariantViolationError("membership certificate failed re-expansion")
     return result
-
-
-def _denominator_scale(g: Poly) -> int:
-    denom = 1
-    for c in g.terms.values():
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    return denom
 
 
 # -- witness homomorphisms ----------------------------------------------------

@@ -1,12 +1,13 @@
 """Exact sparse linear algebra used by the membership oracle and basis tests.
 
 Rows are sparse integer vectors keyed by comparable hashable keys: packed
-ints in the membership oracle, `Monomial`s in the Schubert expansion.
-`ExactSpan` keeps an incremental triangular basis of the row span: every
-stored pivot row has a distinct leading key, so reducing a query vector
-against the pivots decides span membership exactly.  Elimination is exact
-and fraction-free: rows are cross-multiplied with integer coefficients and
-renormalised by their gcd, never divided into fractions.
+ints in the membership oracle, `Monomial`s in the Schubert expansion, row
+indices in `rational_nullspace`.  `ExactSpan` keeps an incremental
+triangular basis of the row span: every stored pivot row has a distinct
+leading key, so reducing a query vector against the pivots decides span
+membership exactly.  Elimination is fraction-free throughout: insertion and
+reduction share one integer step, and a rational query is scaled to
+integers and divided back once.
 
 Each pivot carries a history vector expressing it as an integer combination
 of the originally inserted rows, which is what turns a successful reduction
@@ -16,21 +17,25 @@ into an explicit membership certificate.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Hashable, Mapping
 
 from .errors import BudgetExceededError
 
 __all__ = ["ExactSpan", "Budget", "int_row", "rational_nullspace"]
 
+_QUERY = object()  # the label `ExactSpan.reduce` gives its query
+
+
+def _clear_denominators(terms: Mapping[Hashable, Fraction]) -> tuple[dict, int]:
+    """(d * terms without zeros, d) for d the lcm of the denominators."""
+    denom = lcm(*(Fraction(v).denominator for v in terms.values()))
+    return {k: int(Fraction(v) * denom) for k, v in terms.items() if v}, denom
+
 
 def int_row(terms: Mapping[Hashable, Fraction]) -> dict[Hashable, int]:
     """Clear denominators: the integer row spanning the same line."""
-    denom = 1
-    for c in terms.values():
-        c = Fraction(c)
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    return {k: int(Fraction(v) * denom) for k, v in terms.items() if v}
+    return _clear_denominators(terms)[0]
 
 
 class Budget:
@@ -64,16 +69,7 @@ class Budget:
 
 def _normalize(row: dict, hist: dict) -> None:
     """Divide row and history by their joint content."""
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            break
-    if g != 1:
-        for v in hist.values():
-            g = gcd(g, v)
-            if g == 1:
-                break
+    g = gcd(*row.values(), *hist.values())
     if g > 1:
         for k in row:
             row[k] //= g
@@ -82,10 +78,9 @@ def _normalize(row: dict, hist: dict) -> None:
 
 
 class _Row:
-    __slots__ = ("lead", "terms", "hist")
+    __slots__ = ("terms", "hist")
 
-    def __init__(self, lead, terms: dict, hist: dict):
-        self.lead = lead
+    def __init__(self, terms: dict, hist: dict):
         self.terms = terms
         self.hist = hist
 
@@ -103,45 +98,28 @@ class ExactSpan:
         self.pivots: dict[Hashable, _Row] = {}
         self.rank = 0
 
-    # -- insertion ----------------------------------------------------------
+    def _eliminate(self, row: dict, hist: dict, label: Hashable) -> Hashable | None:
+        """Cancel the row's leads against the pivots in place; return the
+        first lead without a pivot, or None once the row is zero.
 
-    def insert(self, terms: Mapping[Hashable, int], label: Hashable) -> bool:
-        """Add one row; return True if it enlarged the span.
-
-        Each step cancels the leading entry against its pivot: the row and
-        its history are scaled by the pivot's positive lead a (skipped when
-        a == 1, as it almost always is), then the pivot times the row's old
-        lead is subtracted in place.  An entry of +-1 makes the joint content
-        of row and history 1, so `_normalize` runs only once the row's own
-        label has lost its unit coefficient; with distinct labels only a
-        non-unit pivot lead can do that.  The row starts with history
-        {label: 1} and every step leaves joint content 1, so a row that
-        becomes a pivot is already primitive.
+        Each step scales row and history by the pivot's lead a (unless it is
+        1, as it almost always is) and subtracts b times the pivot, b the
+        row's lead.  A row started with history {label: 1} keeps joint
+        content 1: `_normalize` runs once its label's coefficient is not +-1.
         """
-        row = {k: int(v) for k, v in terms.items() if v}
-        hist = {label: 1}
         while row:
             lead = max(row)
             piv = self.pivots.get(lead)
             if piv is None:
-                if row[lead] < 0:
-                    row = {k: -v for k, v in row.items()}
-                    hist = {k: -v for k, v in hist.items()}
-                self.pivots[lead] = _Row(lead, row, hist)
-                self.rank += 1
-                if self.budget is not None:
-                    self.budget.charge(len(row) + len(hist), "span insertion")
-                return True
+                return lead
             a = piv.terms[lead]
-            b = row.pop(lead)
+            b = row[lead]
             if a != 1:
                 for k in row:
                     row[k] *= a
                 for k in hist:
                     hist[k] *= a
             for k, v in piv.terms.items():
-                if k == lead:
-                    continue
                 s = row.get(k, 0) - b * v
                 if s:
                     row[k] = s
@@ -155,74 +133,62 @@ class ExactSpan:
                     hist.pop(k, None)
             if abs(hist.get(label, 0)) != 1:
                 _normalize(row, hist)
-        return False
+        return None
 
-    # -- reduction ----------------------------------------------------------
+    def insert(self, terms: Mapping[Hashable, int], label: Hashable) -> bool:
+        """Add one integer row; return True if it enlarged the span.
 
-    def reduce(
-        self, terms: Mapping[Hashable, Fraction]
-    ) -> tuple[dict[Hashable, Fraction], dict[Hashable, Fraction]]:
+        What elimination leaves of a new row is primitive; it is stored,
+        with a positive lead, as the pivot of the lead it stopped at.
+        """
+        row = {k: int(v) for k, v in terms.items() if v}
+        hist = {label: 1}
+        lead = self._eliminate(row, hist, label)
+        if lead is None:
+            return False
+        if row[lead] < 0:
+            row = {k: -v for k, v in row.items()}
+            hist = {k: -v for k, v in hist.items()}
+        self.pivots[lead] = _Row(row, hist)
+        self.rank += 1
+        if self.budget is not None:
+            self.budget.charge(len(row) + len(hist), "span insertion")
+        return True
+
+    def reduce(self, terms: Mapping[Hashable, Fraction]) -> tuple[dict, dict]:
         """Reduce a rational query vector against the pivot rows.
 
         Returns (remainder, combination).  The remainder is empty exactly
         when the query lies in the span; the combination then expresses the
-        query over the labels of the originally inserted rows.
+        query over the labels of the inserted rows, and is empty otherwise.
+        The query is eliminated fraction-free, as an integer row under a
+        label of its own whose final coefficient is divided out at the end.
         """
-        rem = {k: Fraction(v) for k, v in terms.items() if v}
-        comb: dict[Hashable, Fraction] = {}
-        while rem:
-            lead = max(rem)
-            piv = self.pivots.get(lead)
-            if piv is None:
-                break
-            c = rem.pop(lead) / piv.terms[lead]
-            for k, v in piv.terms.items():
-                if k == lead:
-                    continue
-                s = rem.get(k, Fraction(0)) - c * v
-                if s:
-                    rem[k] = s
-                else:
-                    rem.pop(k, None)
-            for k, v in piv.hist.items():
-                s = comb.get(k, Fraction(0)) + c * v
-                if s:
-                    comb[k] = s
-                else:
-                    comb.pop(k, None)
-        return rem, comb
+        row, denom = _clear_denominators(terms)
+        hist = {_QUERY: 1}
+        self._eliminate(row, hist, _QUERY)
+        # row = scale * query - sum over labels k of hist[k] * (row k)
+        scale = hist.pop(_QUERY) * denom
+        if row:
+            return {k: Fraction(v, scale) for k, v in row.items()}, {}
+        return {}, {k: Fraction(-v, scale) for k, v in hist.items()}
 
 
 def rational_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the right nullspace of a small dense rational matrix."""
-    matrix = [list(map(Fraction, r)) for r in rows]
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(r, len(matrix)):
-            if matrix[i][c] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        matrix[r], matrix[sel] = matrix[sel], matrix[r]
-        inv = 1 / matrix[r][c]
-        matrix[r] = [v * inv for v in matrix[r]]
-        for i in range(len(matrix)):
-            if i != r and matrix[i][c] != 0:
-                f = matrix[i][c]
-                matrix[i] = [a - f * b for a, b in zip(matrix[i], matrix[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == len(matrix):
-            break
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    """Basis of the right nullspace of a small dense rational matrix.
+
+    Each column (rows scaled to integers) is reduced against the independent
+    columns before it; a dependent column j gives e_j minus its combination.
+    This is the reduced-echelon basis, in column order.
+    """
+    scaled = [int_row(dict(enumerate(r))) for r in rows]
+    span = ExactSpan()
     basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivot_cols):
-            vec[pc] = -matrix[i][fc]
-        basis.append(vec)
+    for j in range(ncols):
+        column = {i: r[j] for i, r in enumerate(scaled) if j in r}
+        rem, comb = span.reduce(column)
+        if rem:
+            span.insert(column, j)
+        else:
+            basis.append([Fraction(k == j) - comb.get(k, 0) for k in range(ncols)])
     return basis

@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 # dimensions above this factorial cap are refused by schubert_expansion
-DEFAULT_MAX_ELL = 6
+MAX_ELL = 6
 
 
 class Permutation:
@@ -225,22 +225,17 @@ def _schubert_span(ell: int) -> ExactSpan:
     return span
 
 
-def schubert_expansion(
-    p: Poly, ell: int | None = None, max_ell: int = DEFAULT_MAX_ELL
-) -> dict[Permutation, Fraction]:
+def schubert_expansion(p: Poly, ell: int | None = None) -> dict[Permutation, Fraction]:
     """Coefficients c_w with p congruent to sum(c_w * Schubert_w) mod I_S.
 
     Solved exactly against the normal forms of all ell! Schubert
-    polynomials; refuses ell beyond `max_ell` because the table grows with
+    polynomials; refuses ell beyond `MAX_ELL` because the table grows with
     the factorial.
     """
     if ell is None:
         ell = p.ring.nvars
-    if ell > max_ell:
-        raise ValueError(
-            "ell=%d exceeds the expansion cap %d; pass max_ell explicitly to override"
-            % (ell, max_ell)
-        )
+    if ell > MAX_ELL:
+        raise ValueError("ell=%d exceeds the expansion cap %d" % (ell, MAX_ELL))
     nf = normal_form_IS(p, ell)
     if nf.is_zero():
         return {}

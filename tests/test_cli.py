@@ -243,6 +243,7 @@ def test_member_budget_error_has_no_partial_result(capsys):
 def test_unknown_global_flags_are_usage_errors(capsys):
     assert main(["--mod-p", "2147483647", "member", "x1_1*x2_1", "--n", "2", "--m", "1"]) == 2
     assert main(["--seed", "7", "dim", "--lambda", "2,1"]) == 2
+    assert main(["expand", "z1", "--ell", "3", "--max-ell", "7"]) == 2
     capsys.readouterr()
 
 
@@ -298,7 +299,7 @@ SUBCOMMANDS = {
     "nilpotency": [POLYS, ("--lambda", LAMBDAS), ("--block", SIZES)],
     "schubert": [PERMS],
     "monk": [PERMS, ("--r", SIZES)],
-    "expand": [POLYS, ("--ell", SIZES), ("--max-ell", SIZES)],
+    "expand": [POLYS, ("--ell", SIZES)],
     "catalan": [("--ell", SIZES)],
     "jet-gens": [("--n", SIZES), ("--m", SIZES), ("--gens", GENS)],
     "primes": [("--n", SIZES), ("--m", SIZES)],
