@@ -13,11 +13,13 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 from .errors import InvariantViolationError
 from .polyring import Monomial, Poly, Ring, TruncatedSeries
-from .symfun import Composition, block_sigma, normal_form_IS, zring
+from .symfun import (
+    Composition, block_sigma, is_lambda_symmetric, normal_form_IS, sym_lambda_average, zring
+)
 
 __all__ = [
     "dim_A_lambda",
@@ -75,22 +77,15 @@ def basis_polys(lam: Composition) -> list[Poly]:
 
     The sum runs over the whole group with repetition, so the leading
     coefficient equals the stabiliser size rather than 1; leading monomials
-    are pairwise distinct.
+    are pairwise distinct.  This is the group average scaled by the group
+    order prod(lambda_i!).
     """
     ring = zring(lam.ell)
-    blocks = [list(b) for b in lam.blocks()]
-    out = []
-    for d in basis_exponents(lam):
-        terms: dict[Monomial, Fraction] = {}
-        for perms in itertools.product(*(itertools.permutations(b) for b in blocks)):
-            exps = [0] * lam.ell
-            flat = list(itertools.chain.from_iterable(perms))
-            for k, target in enumerate(flat):
-                exps[target] = d[k]
-            mono = Monomial(tuple(exps))
-            terms[mono] = terms.get(mono, Fraction(0)) + 1
-        out.append(Poly(ring, terms))
-    return out
+    order = prod(factorial(part) for part in lam.parts)
+    return [
+        sym_lambda_average(Poly(ring, {Monomial(d): Fraction(1)}), lam).scale(order)
+        for d in basis_exponents(lam)
+    ]
 
 
 def nilpotency_order(p: Poly, lam: Composition, block: int) -> int | None:
@@ -110,12 +105,12 @@ def nilpotency_order(p: Poly, lam: Composition, block: int) -> int | None:
         raise ValueError("polynomial must live in the %d-variable z ring" % ell)
     block_vars = set(lam.block(block))
     for mono in p.terms:
-        support = {i for i, e in enumerate(mono.exps) if e}
+        support = {i for i, e in enumerate(mono) if e}
         if not support <= block_vars:
             raise ValueError("polynomial is not supported on block %d" % block)
-    for j in range(lam.prefix(block), lam.prefix(block + 1) - 1):
-        if p.swap_vars(j, j + 1) != p:
-            raise ValueError("polynomial is not symmetric within block %d" % block)
+    # supported on the block, p is trivially symmetric in every other block
+    if not is_lambda_symmetric(p, lam):
+        raise ValueError("polynomial is not symmetric within block %d" % block)
     if p.constant_term() != 0:
         raise ValueError("polynomial must have zero constant term")
 

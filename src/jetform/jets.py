@@ -150,7 +150,7 @@ def jet_generators(gens, desc: JetRingDesc) -> list[Poly]:
         acc = TruncatedSeries.constant(ring, ring.zero(), m)
         for mono, coeff in g.terms.items():
             term = TruncatedSeries.constant(ring, ring.one(), m)
-            for i, e in enumerate(mono.exps):
+            for i, e in enumerate(mono):
                 if e:
                     term = term * series[i] ** e
             acc = acc + term.scale(coeff)
@@ -277,12 +277,15 @@ class MembershipResult:
         self.witness = witness
 
     def verify(self, p: Poly, gens) -> bool:
+        """Re-expand the combination term by term and compare it with p."""
         if not self.member:
             return False
-        total = p.ring.zero()
+        terms: dict[Monomial, Fraction] = {}
         for gi, mono, coeff in self.combination:
-            total = total + gens[gi].mul_monomial(mono, coeff)
-        return total == p
+            for m, c in gens[gi].terms.items():
+                key = m * mono
+                terms[key] = terms.get(key, 0) + c * coeff
+        return Poly(p.ring, terms) == p
 
     def to_json(self, ring: Ring) -> dict:
         payload = {"member": self.member, "degree": self.degree}
@@ -314,9 +317,9 @@ def _common_gradings(polys: list[Poly], nvars: int) -> list[tuple[int, ...]]:
         monos = list(p.terms)
         if len(monos) <= 1:
             continue
-        base = monos[0].exps
+        base = monos[0]
         for mono in monos[1:]:
-            rows.append([Fraction(e - b) for e, b in zip(mono.exps, base)])
+            rows.append([Fraction(e - b) for e, b in zip(mono, base)])
     if not rows:
         return [
             tuple(1 if j == i else 0 for j in range(nvars)) for i in range(nvars)
@@ -381,7 +384,7 @@ def _packed_multipliers(degree: int, gradings, targets, shifts) -> dict:
 
 def _weight_of(poly: Poly, weights) -> int:
     mono = next(iter(poly.terms))
-    return sum(w * e for w, e in zip(weights, mono.exps))
+    return sum(w * e for w, e in zip(weights, mono))
 
 
 def _solve_membership(p, gens, usable, gradings, span) -> tuple[dict, dict]:
@@ -405,7 +408,7 @@ def _solve_membership(p, gens, usable, gradings, span) -> tuple[dict, dict]:
     shifts = [width * (nvars - 1 - i) for i in range(nvars)]
 
     def pack(mono: Monomial) -> int:
-        return sum(e << s for e, s in zip(mono.exps, shifts))
+        return sum(e << s for e, s in zip(mono, shifts))
 
     p_weights = [_weight_of(p, w) for w in gradings]
     targets = {
@@ -492,7 +495,7 @@ def phi_binary_eval(p: Poly, h, desc: JetRingDesc) -> Fraction:
     }
     total = Fraction(0)
     for mono, coeff in p.terms.items():
-        if all(e == 0 or i not in zero_slots for i, e in enumerate(mono.exps)):
+        if all(e == 0 or i not in zero_slots for i, e in enumerate(mono)):
             total += coeff
     return total
 

@@ -1,11 +1,11 @@
 """Sparse multivariate polynomials over exact rationals.
 
 A `Ring` is just an ordered tuple of variable names.  Polynomials are
-immutable sparse maps Monomial -> Fraction with no zero coefficients stored;
-two polynomials are equal iff their term maps (and rings) are equal.  The
+immutable sparse maps Monomial -> Fraction with no zero coefficients stored,
+in construction order; `format_poly` prints terms in descending lex.  Two
+polynomials are equal iff their term maps (and rings) are equal.  The
 monomial order is lexicographic with the first ring variable most
-significant, which is the order every quotient computation in this package
-relies on.
+significant, which is the order every quotient computation here relies on.
 
 The module also provides multivariate division with remainder, truncated
 power series with polynomial coefficients, and the text grammar used by the
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ParseError, RingMismatchError
@@ -117,71 +118,56 @@ class Ring:
         return "Ring(%s, ..., %s)" % (", ".join(self.names[:3]), self.names[-1])
 
 
-class Monomial:
-    """Exponent vector with cached total degree; compares in plain lex."""
+class Monomial(tuple):
+    """Exponent vector: a tuple, so hashing and plain lex order are the
+    tuple's.  `*` adds exponents; `exps` is the monomial itself."""
 
-    __slots__ = ("exps", "deg", "_hash")
+    __slots__ = ()
 
-    def __init__(self, exps: tuple[int, ...]):
-        self.exps = exps
-        self.deg = sum(exps)
-        self._hash = hash(exps)
+    @property
+    def exps(self) -> "Monomial":
+        return self
 
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return self.exps == other.exps
-
-    def __lt__(self, other):
-        return self.exps < other.exps
-
-    def __le__(self, other):
-        return self.exps <= other.exps
-
-    def __gt__(self, other):
-        return self.exps > other.exps
-
-    def __ge__(self, other):
-        return self.exps >= other.exps
+    @property
+    def deg(self) -> int:
+        return sum(self)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
+        return Monomial(map(add, self, other))
 
     def divides(self, other: "Monomial") -> bool:
-        return all(a <= b for a, b in zip(self.exps, other.exps))
+        return all(a <= b for a, b in zip(self, other))
 
     def __truediv__(self, other: "Monomial") -> "Monomial":
-        exps = tuple(a - b for a, b in zip(self.exps, other.exps))
-        if any(e < 0 for e in exps):
+        quot = Monomial(map(sub, self, other))
+        if any(e < 0 for e in quot):
             raise ValueError("%r does not divide %r" % (other, self))
-        return Monomial(exps)
+        return quot
 
     def lcm(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(max(a, b) for a, b in zip(self.exps, other.exps)))
+        return Monomial(map(max, self, other))
 
     def __pow__(self, e: int) -> "Monomial":
         if e < 0:
             raise ValueError("negative monomial power")
-        return Monomial(tuple(a * e for a in self.exps))
+        return Monomial(a * e for a in self)
 
     def __repr__(self):
-        return "Monomial%r" % (self.exps,)
+        return "Monomial%s" % tuple.__repr__(self)
 
 
 class Poly:
     """Immutable sparse polynomial: Monomial -> Fraction, no zeros stored.
 
-    Term iteration order is descending lex, so printing and serialisation
-    are deterministic.
+    Terms iterate in construction order; `format_poly` prints them in
+    descending lex.  Only the constructor drops zero coefficients.
     """
 
     __slots__ = ("ring", "terms", "_hash")
 
     def __init__(self, ring: Ring, terms: Mapping[Monomial, Fraction]):
-        clean = {m: c for m, c in terms.items() if c != 0}
         self.ring = ring
-        self.terms = {m: clean[m] for m in sorted(clean, key=lambda m: m.exps, reverse=True)}
+        self.terms = {m: c for m, c in terms.items() if c}
         self._hash = None
 
     # -- basic queries ----------------------------------------------------
@@ -234,22 +220,14 @@ class Poly:
         self._check_ring(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
+            out[m] = out.get(m, 0) + c
         return Poly(self.ring, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
         self._check_ring(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) - c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
+            out[m] = out.get(m, 0) - c
         return Poly(self.ring, out)
 
     def __neg__(self) -> "Poly":
@@ -263,11 +241,7 @@ class Poly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = m1 * m2
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
+                out[m] = out.get(m, 0) + c1 * c2
         return Poly(self.ring, out)
 
     def __rmul__(self, other):
@@ -307,14 +281,10 @@ class Poly:
         out: dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
             exps = [0] * self.ring.nvars
-            for i, e in enumerate(m.exps):
+            for i, e in enumerate(m):
                 exps[images[i]] = e
-            mono = Monomial(tuple(exps))
-            s = out.get(mono, Fraction(0)) + c
-            if s:
-                out[mono] = s
-            else:
-                del out[mono]
+            mono = Monomial(exps)
+            out[mono] = out.get(mono, 0) + c
         return Poly(self.ring, out)
 
     def swap_vars(self, i: int, j: int) -> "Poly":
@@ -335,7 +305,7 @@ class Poly:
         power_cache: dict[tuple[int, int], Poly] = {}
         for m, c in self.terms.items():
             acc = target.const(c)
-            for i, e in enumerate(m.exps):
+            for i, e in enumerate(m):
                 if not e:
                     continue
                 key = (i, e)
@@ -638,7 +608,7 @@ def parse_poly(ring: Ring, text: str) -> Poly:
 
 def format_monomial(ring: Ring, mono: Monomial) -> str:
     parts = []
-    for name, e in zip(ring.names, mono.exps):
+    for name, e in zip(ring.names, mono):
         if e == 1:
             parts.append(name)
         elif e > 1:
@@ -650,7 +620,7 @@ def format_poly(p: Poly) -> str:
     if p.is_zero():
         return "0"
     chunks = []
-    for i, (mono, coeff) in enumerate(p.terms.items()):
+    for i, (mono, coeff) in enumerate(sorted(p.terms.items(), reverse=True)):
         neg = coeff < 0
         mag = -coeff if neg else coeff
         body = format_monomial(p.ring, mono)

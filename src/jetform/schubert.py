@@ -144,7 +144,7 @@ def divided_difference(p: Poly, i: int) -> Poly:
     ia, ib = i - 1, i
     out: dict[Monomial, Fraction] = {}
     for mono, coeff in p.terms.items():
-        a, b = mono.exps[ia], mono.exps[ib]
+        a, b = mono[ia], mono[ib]
         if a == b:
             continue
         sign = 1
@@ -152,15 +152,11 @@ def divided_difference(p: Poly, i: int) -> Poly:
             a, b = b, a
             sign = -1
         for k in range(b, a):
-            exps = list(mono.exps)
+            exps = list(mono)
             exps[ia] = k
             exps[ib] = a + b - 1 - k
-            key = Monomial(tuple(exps))
-            s = out.get(key, Fraction(0)) + sign * coeff
-            if s:
-                out[key] = s
-            else:
-                del out[key]
+            key = Monomial(exps)
+            out[key] = out.get(key, 0) + sign * coeff
     return Poly(p.ring, out)
 
 

@@ -173,7 +173,7 @@ def normal_form_IS(p: Poly, ell: int | None = None) -> Poly:
     pending: dict[int, int] = {}
     for mono, c in p.terms.items():
         key = 0
-        for e in mono.exps:
+        for e in mono:
             key = (key << width) | e
         pending[key] = c.numerator * (scale // c.denominator)
     heap = [-key for key in pending]
@@ -214,7 +214,7 @@ def _packed_rules(ell: int, width: int):
     shifts = tuple(width * (ell - 1 - v) for v in range(ell))
 
     def pack(mono):
-        return sum(e << s for e, s in zip(mono.exps, shifts))
+        return sum(e << s for e, s in zip(mono, shifts))
 
     rules = []
     for i, g in enumerate(groebner_basis_IS(ell), start=1):
@@ -276,19 +276,15 @@ def _average_block(p: Poly, block: list[int]) -> Poly:
         return p
     out: dict[Monomial, Fraction] = {}
     for mono, coeff in p.terms.items():
-        pattern = [mono.exps[i] for i in block]
+        pattern = [mono[i] for i in block]
         arrangements = _distinct_arrangements(tuple(sorted(pattern, reverse=True)))
         share = coeff / len(arrangements)
         for arr in arrangements:
-            exps = list(mono.exps)
+            exps = list(mono)
             for pos, e in zip(block, arr):
                 exps[pos] = e
-            key = Monomial(tuple(exps))
-            s = out.get(key, Fraction(0)) + share
-            if s:
-                out[key] = s
-            else:
-                del out[key]
+            key = Monomial(exps)
+            out[key] = out.get(key, 0) + share
     return Poly(p.ring, out)
 
 
@@ -354,7 +350,7 @@ def decompose_block_elementary(p: Poly, lam: Composition) -> Poly:
         y_slot = 0
         for i in range(1, lam.n + 1):
             block = list(lam.block(i))
-            exps = [lm.exps[v] for v in block] + [0]
+            exps = [lm[v] for v in block] + [0]
             for j in range(1, len(block) + 1):
                 e = exps[j - 1] - exps[j]
                 if e < 0:

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -413,6 +415,8 @@ def test_min_degree_search_small():
     gens = jet_generators(None, desc)
     mono = derivative_monomial((1, 1), desc)
     assert result.certificate.verify(mono**3, gens)
+    truncated = jets.MembershipResult(True, 6, result.certificate.combination[:-1])
+    assert not truncated.verify(mono**3, gens)
 
 
 def test_min_degree_search_cap():
@@ -500,8 +504,24 @@ def _oracle_tuples():
     return out
 
 
+# sha256 of the canonical JSON of every tuple's answer: degree, certificate
+# and refusals, as `_oracle_answer` lays them out
+ORACLE_ANSWERS_SHA256 = "94fe3107ea4430b5bdb76be2343b1705baf815198f0897b708cc0a5b06ce979d"
+
+
+def _oracle_answer(h, result) -> dict:
+    ring = JetRingDesc(len(h), sum(h)).ring
+    return {
+        "h": list(h),
+        "degree": result.degree,
+        "certificate": result.certificate.to_json(ring),
+        "refusals": {str(d): r.to_json(ring) for d, r in sorted(result.refusals.items())},
+    }
+
+
 def test_oracle_table_runs_one_elimination_per_search(monkeypatch):
     built = []
+    answers = []
 
     class CountingSpan(ExactSpan):
         def __init__(self, *args, **kwargs):
@@ -518,6 +538,9 @@ def test_oracle_table_runs_one_elimination_per_search(monkeypatch):
         assert result.degree == min_degree_formula(h)
         assert sorted(result.refusals) == list(range(1, result.degree))
         assert all(r.witness is not None for r in result.refusals.values())
+        answers.append(_oracle_answer(h, result))
+    canonical = json.dumps(answers, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == ORACLE_ANSWERS_SHA256
 
 
 def test_min_degree_budget_reports_partial_result():

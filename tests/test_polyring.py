@@ -77,15 +77,6 @@ def test_ring_axioms_random():
         assert (a + b) + c == a + (b + c)
 
 
-def test_terms_iterate_descending():
-    ring = zring(3)
-    rng = make_rng(7)
-    for _ in range(20):
-        p = random_poly(ring, rng)
-        monos = list(p.terms)
-        assert monos == sorted(monos, key=lambda m: m.exps, reverse=True)
-
-
 # -- division -----------------------------------------------------------------
 
 
