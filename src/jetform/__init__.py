@@ -19,6 +19,7 @@ from .alambda import (
 from .errors import (
     BudgetExceededError,
     CapExceededError,
+    DomainError,
     InvariantViolationError,
     JetformError,
     ParseError,

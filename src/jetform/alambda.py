@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 
-from .errors import InvariantViolationError
+from .errors import DomainError, InvariantViolationError
 from .polyring import Monomial, Poly, Ring, TruncatedSeries
 from .symfun import (
     Composition, block_sigma, is_lambda_symmetric, normal_form_IS, sym_lambda_average, zring
@@ -35,7 +35,7 @@ __all__ = [
 def dim_A_lambda(lam: Composition) -> int:
     """ell! / prod(lambda_i!)."""
     if lam.ell < 1:
-        raise ValueError("composition must have positive total")
+        raise DomainError("composition must have positive total")
     d = factorial(lam.ell)
     for part in lam.parts:
         d //= factorial(part)
@@ -99,20 +99,20 @@ def nilpotency_order(p: Poly, lam: Composition, block: int) -> int | None:
     internal error rather than a legal answer.
     """
     if not 1 <= block <= lam.n:
-        raise ValueError("block index %d out of range 1..%d" % (block, lam.n))
+        raise DomainError("block index %d out of range 1..%d" % (block, lam.n))
     ell = lam.ell
     if p.ring != zring(ell):
-        raise ValueError("polynomial must live in the %d-variable z ring" % ell)
+        raise DomainError("polynomial must live in the %d-variable z ring" % ell)
     block_vars = set(lam.block(block))
     for mono in p.terms:
         support = {i for i, e in enumerate(mono) if e}
         if not support <= block_vars:
-            raise ValueError("polynomial is not supported on block %d" % block)
+            raise DomainError("polynomial is not supported on block %d" % block)
     # supported on the block, p is trivially symmetric in every other block
     if not is_lambda_symmetric(p, lam):
-        raise ValueError("polynomial is not symmetric within block %d" % block)
+        raise DomainError("polynomial is not symmetric within block %d" % block)
     if p.constant_term() != 0:
-        raise ValueError("polynomial must have zero constant term")
+        raise DomainError("polynomial must have zero constant term")
 
     nf = normal_form_IS(p, ell)
     if nf.is_zero():
@@ -146,7 +146,7 @@ def c_lambda_generators(lam: Composition) -> tuple[Poly, ...]:
     ell of them (k = 0..ell-1), the non-leading coefficients.
     """
     if lam.ell < 1:
-        raise ValueError("composition must have positive total")
+        raise DomainError("composition must have positive total")
     ring = c_lambda_ring(lam)
     ell = lam.ell
     # the product has degree ell, so series to order ell lose nothing
@@ -170,7 +170,7 @@ def alpha_map(q: Poly, lam: Composition) -> Poly:
     """
     ring = c_lambda_ring(lam)
     if q.ring != ring:
-        raise ValueError("polynomial not in the coefficient ring of %r" % (lam,))
+        raise DomainError("polynomial not in the coefficient ring of %r" % (lam,))
     target = zring(lam.ell)
     images = []
     for i, part in enumerate(lam.parts, start=1):

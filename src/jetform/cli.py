@@ -21,6 +21,7 @@ from . import alambda, jets, schubert, symfun
 from .errors import (
     BudgetExceededError,
     CapExceededError,
+    DomainError,
     InvariantViolationError,
     ParseError,
 )
@@ -191,7 +192,7 @@ def _zring(ell: int):
     """The z ring of a size read from the command line, checked before any
     polynomial is parsed into it, so a bad size is a domain error."""
     if ell < 1:
-        raise ValueError("need at least one variable")
+        raise DomainError("need at least one variable")
     return symfun.zring(ell)
 
 
@@ -414,8 +415,7 @@ def run(argv) -> tuple[CommandResult, list[str]]:
         result = _error("cap-exceeded", str(exc), start, EXIT_ERROR, json_mode)
         result.payload["lower_bound"] = exc.lower_bound
         return result, []
-    except ValueError as exc:
-        # ParseError, a ValueError too, was caught above
+    except DomainError as exc:
         return _error("domain-error", str(exc), start, EXIT_ERROR, json_mode), []
     timing = (time.perf_counter() - start) * 1000.0
     return CommandResult("ok", payload, timing, json_mode=json_mode), lines

@@ -5,7 +5,12 @@ class JetformError(Exception):
     """Base class for all package-specific errors."""
 
 
-class RingMismatchError(JetformError, ValueError):
+class DomainError(JetformError, ValueError):
+    """An argument is outside the domain of the computation: a size, index,
+    degree or polynomial the operation is not defined for."""
+
+
+class RingMismatchError(DomainError):
     """Operands live in different polynomial rings."""
 
 

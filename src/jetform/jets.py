@@ -22,6 +22,16 @@ multipliers of all generators come from one table per query, filled by a
 single variable-by-variable pass per multiplier degree: the jet generators
 share their block degrees and differ only in weight, so one pass serves
 them all.
+
+Rows are inserted generator by generator, multipliers in descending lex
+order, and a row M*g_k is skipped without elimination when the trailing
+(lex-smallest) monomial of an earlier generator g_j divides M: that row is
+a combination of g_j rows and of g_k rows with lex-larger multipliers, all
+inserted before it, so it would have reduced to zero (the Koszul syzygy
+g_j*g_k - g_k*g_j).  The jet generators form a regular sequence, so most
+reductions to zero are of this kind.  Pivots and certificates are those of
+inserting every row.  Each packed field carries one guard bit above the
+exponent, so the divisibility test is one subtraction and one mask.
 """
 
 from __future__ import annotations
@@ -33,6 +43,7 @@ from math import factorial, gcd, lcm
 from .errors import (
     BudgetExceededError,
     CapExceededError,
+    DomainError,
     InvariantViolationError,
     RingMismatchError,
 )
@@ -78,9 +89,9 @@ class JetRingDesc:
 
     def __init__(self, n: int, m: int):
         if n < 1:
-            raise ValueError("need at least one base variable")
+            raise DomainError("need at least one base variable")
         if m < 0:
-            raise ValueError("jet order must be non-negative")
+            raise DomainError("jet order must be non-negative")
         self.n = n
         self.m = m
 
@@ -95,12 +106,12 @@ class JetRingDesc:
     def slot(self, i: int, j: int) -> int:
         """Flat variable index of x_i^(j); i is 1-based, 0 <= j <= m."""
         if not (1 <= i <= self.n and 0 <= j <= self.m):
-            raise ValueError("no variable x%d_(%d) in this jet ring" % (i, j))
+            raise DomainError("no variable x%d_(%d) in this jet ring" % (i, j))
         return (i - 1) * (self.m + 1) + j
 
     def pair(self, slot: int) -> tuple[int, int]:
         if not 0 <= slot < self.n * (self.m + 1):
-            raise ValueError("flat index %d out of range" % slot)
+            raise DomainError("flat index %d out of range" % slot)
         return slot // (self.m + 1) + 1, slot % (self.m + 1)
 
     def var(self, i: int, j: int) -> Poly:
@@ -120,7 +131,7 @@ def derivative_monomial(h, desc: JetRingDesc) -> Poly:
     """The product of x_i^(h_i) over all base variables, as a jet polynomial."""
     h = tuple(h)
     if len(h) != desc.n:
-        raise ValueError("derivative tuple of length %d for n=%d" % (len(h), desc.n))
+        raise DomainError("derivative tuple of length %d for n=%d" % (len(h), desc.n))
     exps = [0] * desc.ring.nvars
     for i, hi in enumerate(h, start=1):
         exps[desc.slot(i, hi)] += 1
@@ -162,7 +173,7 @@ def compositions(total: int, parts: int) -> list[Composition]:
     """All compositions of `total` into `parts` non-negative parts,
     enumerated in descending lexicographic order."""
     if parts < 1:
-        raise ValueError("need at least one part")
+        raise DomainError("need at least one part")
     out: list[Composition] = []
 
     def rec(prefix, remaining, left):
@@ -187,9 +198,9 @@ class MinimalPrime:
 
     def __init__(self, lam: Composition, desc: JetRingDesc):
         if lam.ell != desc.m + 1:
-            raise ValueError("composition must sum to m+1")
+            raise DomainError("composition must sum to m+1")
         if lam.n != desc.n:
-            raise ValueError("composition must have one part per base variable")
+            raise DomainError("composition must have one part per base variable")
         self.lam = lam
         self.desc = desc
 
@@ -387,8 +398,40 @@ def _weight_of(poly: Poly, weights) -> int:
     return sum(w * e for w, e in zip(weights, mono))
 
 
+def _packing(nvars: int, degree: int) -> tuple[int, list[int], int]:
+    """(width, shifts, guard) of the packed keys for exponent vectors whose
+    entries are at most `degree`.
+
+    Variable i sits in a field of `width` = degree.bit_length() + 1 bits,
+    shifted left by shifts[i], variable 0 in the most significant field.
+    Every exponent fits below its field's top bit; `guard` sets the top bit
+    of every field, which `_undivided` uses to test divisibility.
+    """
+    width = degree.bit_length() + 1
+    shifts = [width * (nvars - 1 - i) for i in range(nvars)]
+    guard = sum(1 << (s + width - 1) for s in shifts)
+    return width, shifts, guard
+
+
+def _undivided(mults, trailing, guard):
+    """Yield, in order, the packed multipliers that no packed monomial in
+    `trailing` divides.
+
+    t divides m iff ((m | guard) - t) & guard == guard.  In each field,
+    guard bit plus m_i minus t_i stays positive, so no borrow crosses a
+    field, and it keeps the guard bit exactly when m_i >= t_i.
+    """
+    for m in mults:
+        mg = m | guard
+        for t in trailing:
+            if (mg - t) & guard == guard:
+                break
+        else:
+            yield m
+
+
 def _solve_membership(p, gens, usable, gradings, span) -> tuple[dict, dict]:
-    """Insert all multiplier*generator rows into `span`, then reduce p.
+    """Insert the multiplier*generator rows into `span`, then reduce p.
 
     The multipliers of all generators are enumerated up front, one pass
     per distinct multiplier degree, into a table keyed by the weights a
@@ -397,15 +440,32 @@ def _solve_membership(p, gens, usable, gradings, span) -> tuple[dict, dict]:
     generator's list is popped from the table when its last user has taken
     it, so the table shrinks while the span grows.
 
-    Rows are keyed by packed monomials and labelled (generator index,
-    packed multiplier).  The field width is the bit length of deg p: every
+    Rows are inserted generator by generator in `usable` order, each
+    generator's multipliers in descending lex order.  A row M*g_k is
+    skipped (the Koszul criterion) when the trailing, lex-smallest monomial
+    T of an earlier generator g_j divides M.  With c the coefficient of T
+    in g_j,
+
+        M*g_k = (M/T)*g_k*g_j / c - sum over the other monomials s of g_j
+                of (c_s / c) * (M/T)*s*g_k,
+
+    and (M/T)*g_k*g_j is a combination of g_j rows, which come before
+    M*g_k, while each (M/T)*s*g_k has a multiplier lex-larger than M, as
+    s > T, so it comes before M*g_k too.  By induction along this order, a
+    skipped row lies in the span of the rows inserted before it: inserting
+    it would have reduced it to zero and changed nothing, so pivots,
+    histories, certificates and Budget charges are those of inserting
+    every row.  The leading monomial would not do: its (M/LM)*s*g_k have
+    lex-smaller multipliers, which come after M*g_k.
+
+    Rows are keyed by packed monomials (`_packing` for deg p: every
     monomial of the component has total degree deg p, so no exponent
-    exceeds it and adding a multiplier never carries across fields.
+    exceeds it and adding a multiplier never carries across fields) and
+    labelled (generator index, packed multiplier).
     """
     nvars = p.ring.nvars
     degree = p.total_degree()
-    width = degree.bit_length()
-    shifts = [width * (nvars - 1 - i) for i in range(nvars)]
+    width, shifts, guard = _packing(nvars, degree)
 
     def pack(mono: Monomial) -> int:
         return sum(e << s for e, s in zip(mono, shifts))
@@ -422,11 +482,14 @@ def _solve_membership(p, gens, usable, gradings, span) -> tuple[dict, dict]:
     for mult_degree, wanted in by_degree.items():
         table.update(_packed_multipliers(mult_degree, gradings, wanted, shifts))
     last_user = {t: gi for gi, t in targets.items()}
+    trailing: list[int] = []
     for gi in usable:
         grow = {pack(m): v for m, v in int_row(gens[gi].terms).items()}
         t = targets[gi]
-        for mult in table.pop(t) if last_user[t] == gi else table[t]:
+        mults = table.pop(t) if last_user[t] == gi else table[t]
+        for mult in _undivided(mults, trailing, guard):
             span.insert({k + mult: v for k, v in grow.items()}, (gi, mult))
+        trailing.append(min(grow))
     rem, comb = span.reduce({pack(m): c for m, c in p.terms.items()})
     mask = (1 << width) - 1
     return rem, {
@@ -445,20 +508,25 @@ def homogeneous_membership(
     Requires p and every generator homogeneous.  For homogeneous ideals this
     span equals the degree-deg(p) component of the ideal, so the verdict is
     ideal membership.  The verdict comes from one exact elimination over the
-    rationals, charged to `budget` if given.  Membership answers carry an
-    exact certificate that is re-expanded and compared against p before
-    being returned.
+    rationals, charged to `budget` if given.  The elimination skips every
+    row the Koszul criterion proves redundant (see `_solve_membership`):
+    the test holds for any homogeneous generators, and because it uses
+    trailing monomials, each skipped row lies in the span of the rows
+    inserted before it, so pivots, certificates and budget charges are
+    those of inserting every row.  Membership answers carry an exact
+    certificate that is re-expanded and compared against p before being
+    returned.
     """
     gens = list(gens)
     if not p.is_homogeneous():
-        raise ValueError("membership query must be homogeneous")
+        raise DomainError("membership query must be homogeneous")
     for i, g in enumerate(gens):
         if g.ring != p.ring:
             raise RingMismatchError("generator %d in a different ring" % i)
         if g.is_zero():
-            raise ValueError("generator %d is zero" % i)
+            raise DomainError("generator %d is zero" % i)
         if not g.is_homogeneous():
-            raise ValueError("generator %d is not homogeneous" % i)
+            raise DomainError("generator %d is not homogeneous" % i)
     if p.is_zero():
         return MembershipResult(True, None, [])
     degree = p.total_degree()
@@ -487,7 +555,7 @@ def phi_binary_eval(p: Poly, h, desc: JetRingDesc) -> Fraction:
     """Evaluate p at x_i^(j) = 0 when j < h_i and 1 otherwise."""
     h = tuple(h)
     if len(h) != desc.n:
-        raise ValueError("derivative tuple of length %d for n=%d" % (len(h), desc.n))
+        raise DomainError("derivative tuple of length %d for n=%d" % (len(h), desc.n))
     if p.ring != desc.ring:
         raise RingMismatchError("polynomial not in the jet ring of %r" % desc)
     zero_slots = {
@@ -510,10 +578,10 @@ def radical_witness(h) -> bool:
     """
     h = tuple(h)
     if any(v < 0 for v in h):
-        raise ValueError("derivative orders must be non-negative")
+        raise DomainError("derivative orders must be non-negative")
     total = sum(h)
     if total < 1:
-        raise ValueError("the order -1 jet ideal is undefined; need sum(h) >= 1")
+        raise DomainError("the order -1 jet ideal is undefined; need sum(h) >= 1")
     desc = JetRingDesc(len(h), total)
     gens = jet_generators(None, desc)[:total]
     if any(phi_binary_eval(g, h, desc) != 0 for g in gens):
@@ -537,9 +605,9 @@ class PsiSpecialization:
     def __init__(self, h, desc: JetRingDesc):
         h = tuple(int(v) for v in h)
         if len(h) != desc.n:
-            raise ValueError("derivative tuple of length %d for n=%d" % (len(h), desc.n))
+            raise DomainError("derivative tuple of length %d for n=%d" % (len(h), desc.n))
         if any(v < 0 for v in h):
-            raise ValueError("derivative orders must be non-negative")
+            raise DomainError("derivative orders must be non-negative")
         self.h = h
         self.desc = desc
         total = sum(h)
@@ -582,9 +650,9 @@ def min_degree_formula(h) -> int:
     """max over i of (h_i+1)(H-h_i), plus one."""
     h = tuple(h)
     if not h:
-        raise ValueError("empty derivative tuple")
+        raise DomainError("empty derivative tuple")
     if any(v < 0 for v in h):
-        raise ValueError("derivative orders must be non-negative")
+        raise DomainError("derivative orders must be non-negative")
     total = sum(h)
     return max((hi + 1) * (total - hi) for hi in h) + 1
 
@@ -636,7 +704,7 @@ def min_degree_search(
     if cap is None:
         cap = formula + 2
     if cap < 1:
-        raise ValueError("cap must be at least 1")
+        raise DomainError("cap must be at least 1")
     desc = JetRingDesc(len(h), sum(h))
     gens = jet_generators(None, desc)
     mono = derivative_monomial(h, desc)

@@ -135,13 +135,15 @@ class ExactSpan:
                 _normalize(row, hist)
         return None
 
-    def insert(self, terms: Mapping[Hashable, int], label: Hashable) -> bool:
+    def insert(self, row: dict[Hashable, int], label: Hashable) -> bool:
         """Add one integer row; return True if it enlarged the span.
 
-        What elimination leaves of a new row is primitive; it is stored,
-        with a positive lead, as the pivot of the lead it stopped at.
+        The span takes ownership of `row`, a dict of nonzero ints that the
+        caller must not use again: it is eliminated in place and may become
+        the stored pivot.  What elimination leaves of a new row is
+        primitive; it is stored, with a positive lead, as the pivot of the
+        lead it stopped at.
         """
-        row = {k: int(v) for k, v in terms.items() if v}
         hist = {label: 1}
         lead = self._eliminate(row, hist, label)
         if lead is None:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from operator import add, sub
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ParseError, RingMismatchError
+from .errors import DomainError, ParseError, RingMismatchError
 
 __all__ = [
     "Ring",
@@ -48,7 +48,7 @@ class Ring:
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
         if len(set(names)) != len(names):
-            raise ValueError("duplicate variable names: %r" % (names,))
+            raise DomainError("duplicate variable names: %r" % (names,))
         self.names = names
         self._index = {name: i for i, name in enumerate(names)}
         self._hash = hash(names)
@@ -71,7 +71,7 @@ class Ring:
                 % (len(exps), self.nvars)
             )
         if any(e < 0 for e in exps):
-            raise ValueError("negative exponent in %r" % (exps,))
+            raise DomainError("negative exponent in %r" % (exps,))
         return Monomial(exps)
 
     def one_monomial(self) -> Monomial:
@@ -141,7 +141,7 @@ class Monomial(tuple):
     def __truediv__(self, other: "Monomial") -> "Monomial":
         quot = Monomial(map(sub, self, other))
         if any(e < 0 for e in quot):
-            raise ValueError("%r does not divide %r" % (other, self))
+            raise DomainError("%r does not divide %r" % (other, self))
         return quot
 
     def lcm(self, other: "Monomial") -> "Monomial":
@@ -149,7 +149,7 @@ class Monomial(tuple):
 
     def __pow__(self, e: int) -> "Monomial":
         if e < 0:
-            raise ValueError("negative monomial power")
+            raise DomainError("negative monomial power")
         return Monomial(a * e for a in self)
 
     def __repr__(self):
@@ -195,7 +195,7 @@ class Poly:
     def leading(self) -> tuple[Monomial, Fraction]:
         """The lex-largest term, first ring variable most significant."""
         if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
+            raise DomainError("zero polynomial has no leading term")
         m = max(self.terms)
         return m, self.terms[m]
 
@@ -257,7 +257,7 @@ class Poly:
 
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
-            raise ValueError("negative polynomial power")
+            raise DomainError("negative polynomial power")
         result = self.ring.one()
         base = self
         while e:
@@ -362,7 +362,7 @@ def divide(
         if g.ring != ring:
             raise RingMismatchError("basis element in a different ring")
         if g.is_zero():
-            raise ValueError("zero polynomial in division basis")
+            raise DomainError("zero polynomial in division basis")
     leads = [g.leading() for g in basis]
     quot: list[dict[Monomial, Fraction]] = [{} for _ in basis]
     rem: dict[Monomial, Fraction] = {}
@@ -412,7 +412,7 @@ class TruncatedSeries:
     def __init__(self, ring: Ring, coeffs: Sequence[Poly], order: int):
         coeffs = tuple(coeffs)
         if len(coeffs) != order + 1:
-            raise ValueError(
+            raise DomainError(
                 "series truncated at order %d needs %d coefficients, got %d"
                 % (order, order + 1, len(coeffs))
             )
@@ -466,7 +466,7 @@ class TruncatedSeries:
 
     def __pow__(self, e: int) -> "TruncatedSeries":
         if e < 0:
-            raise ValueError("negative series power")
+            raise DomainError("negative series power")
         result = TruncatedSeries.constant(self.ring, self.ring.one(), self.order)
         base = self
         while e:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InvariantViolationError, ParseError
+from .errors import DomainError, InvariantViolationError, ParseError
 from .linalg import ExactSpan, int_row
 from .polyring import Monomial, Poly
 from .symfun import normal_form_IS, zring
@@ -43,7 +43,7 @@ class Permutation:
         oneline = tuple(int(v) for v in oneline)
         n = len(oneline)
         if sorted(oneline) != list(range(1, n + 1)):
-            raise ValueError("not a permutation of 1..%d: %r" % (n, oneline))
+            raise DomainError("not a permutation of 1..%d: %r" % (n, oneline))
         self.oneline = oneline
         self.length = sum(
             1
@@ -61,7 +61,7 @@ class Permutation:
     def simple(cls, i: int, ell: int) -> "Permutation":
         """The adjacent transposition s_i swapping i and i+1 (1-based)."""
         if not 1 <= i < ell:
-            raise ValueError("simple reflection index %d out of range" % i)
+            raise DomainError("simple reflection index %d out of range" % i)
         oneline = list(range(1, ell + 1))
         oneline[i - 1], oneline[i] = oneline[i], oneline[i - 1]
         return cls(oneline)
@@ -69,7 +69,7 @@ class Permutation:
     @classmethod
     def transposition(cls, j: int, k: int, ell: int) -> "Permutation":
         if not (1 <= j <= ell and 1 <= k <= ell and j != k):
-            raise ValueError("bad transposition (%d %d) in S_%d" % (j, k, ell))
+            raise DomainError("bad transposition (%d %d) in S_%d" % (j, k, ell))
         oneline = list(range(1, ell + 1))
         oneline[j - 1], oneline[k - 1] = oneline[k - 1], oneline[j - 1]
         return cls(oneline)
@@ -105,7 +105,7 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition as functions: (self * other)(i) = self(other(i))."""
         if self.ell != other.ell:
-            raise ValueError("permutations of different sizes")
+            raise DomainError("permutations of different sizes")
         return Permutation(self.oneline[v - 1] for v in other.oneline)
 
     def swap_positions(self, j: int, k: int) -> "Permutation":
@@ -140,7 +140,7 @@ def divided_difference(p: Poly, i: int) -> Poly:
     """
     ell = p.ring.nvars
     if not 1 <= i < ell:
-        raise ValueError("divided difference index %d out of range 1..%d" % (i, ell - 1))
+        raise DomainError("divided difference index %d out of range 1..%d" % (i, ell - 1))
     ia, ib = i - 1, i
     out: dict[Monomial, Fraction] = {}
     for mono, coeff in p.terms.items():
@@ -164,7 +164,7 @@ def divided_difference(p: Poly, i: int) -> Poly:
 def schubert_table(ell: int) -> dict[Permutation, Poly]:
     """All Schubert polynomials of S_ell, keyed by permutation."""
     if ell < 1:
-        raise ValueError("need ell >= 1")
+        raise DomainError("need ell >= 1")
     ring = zring(ell)
     w0 = Permutation.longest(ell)
     staircase = Poly(
@@ -199,7 +199,7 @@ def monk_expand(r: int, w: Permutation) -> list[Permutation]:
     """
     ell = w.ell
     if not 1 <= r < ell:
-        raise ValueError("Monk index %d out of range 1..%d" % (r, ell - 1))
+        raise DomainError("Monk index %d out of range 1..%d" % (r, ell - 1))
     out = []
     for j in range(1, r + 1):
         for k in range(r + 1, ell + 1):
@@ -231,7 +231,7 @@ def schubert_expansion(p: Poly, ell: int | None = None) -> dict[Permutation, Fra
     if ell is None:
         ell = p.ring.nvars
     if ell > MAX_ELL:
-        raise ValueError("ell=%d exceeds the expansion cap %d" % (ell, MAX_ELL))
+        raise DomainError("ell=%d exceeds the expansion cap %d" % (ell, MAX_ELL))
     nf = normal_form_IS(p, ell)
     if nf.is_zero():
         return {}
@@ -245,7 +245,7 @@ def schubert_expansion(p: Poly, ell: int | None = None) -> dict[Permutation, Fra
 
 def catalan_number(k: int) -> int:
     if k < 0:
-        raise ValueError("negative Catalan index")
+        raise DomainError("negative Catalan index")
     num = 1
     for i in range(k):
         num = num * (2 * k - i)
@@ -261,7 +261,7 @@ def catalan_congruence_check(ell: int) -> Fraction:
     monomial, which would indicate a bug rather than bad input.
     """
     if ell < 2:
-        raise ValueError("need ell >= 2")
+        raise DomainError("need ell >= 2")
     ring = zring(ell)
     power = (ring.var(0) + ring.var(1)) ** (2 * (ell - 2))
     nf = normal_form_IS(power, ell)
@@ -280,7 +280,7 @@ def block_rotation(ell: int, lam1: int) -> Permutation:
     """The permutation sending 1..lam1 to the top lam1 values and shifting
     the rest down; its length is lam1 * (ell - lam1)."""
     if not 0 <= lam1 <= ell:
-        raise ValueError("block size %d out of range 0..%d" % (lam1, ell))
+        raise DomainError("block size %d out of range 0..%d" % (lam1, ell))
     oneline = [ell - lam1 + i for i in range(1, lam1 + 1)]
     oneline += list(range(1, ell - lam1 + 1))
     return Permutation(oneline)

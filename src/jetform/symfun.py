@@ -23,7 +23,7 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import lcm
 
-from .errors import RingMismatchError
+from .errors import DomainError, RingMismatchError
 from .polyring import Monomial, Poly, Ring
 
 __all__ = [
@@ -56,7 +56,7 @@ class Composition:
     def __init__(self, parts):
         parts = tuple(int(p) for p in parts)
         if any(p < 0 for p in parts):
-            raise ValueError("composition parts must be non-negative: %r" % (parts,))
+            raise DomainError("composition parts must be non-negative: %r" % (parts,))
         self.parts = parts
         acc = [0]
         for p in parts:
@@ -98,16 +98,16 @@ class Composition:
 @lru_cache(maxsize=None)
 def zring(ell: int) -> Ring:
     if ell < 0:
-        raise ValueError("variable count must be non-negative")
+        raise DomainError("variable count must be non-negative")
     return Ring(tuple("z%d" % (i + 1) for i in range(ell)))
 
 
 def complete_homogeneous(d: int, k: int, ell: int) -> Poly:
     """Sum of all degree-d monomials in z_k, ..., z_ell (1-based k)."""
     if not 1 <= k <= ell:
-        raise ValueError("start index %d out of range 1..%d" % (k, ell))
+        raise DomainError("start index %d out of range 1..%d" % (k, ell))
     if d < 0:
-        raise ValueError("degree must be non-negative")
+        raise DomainError("degree must be non-negative")
     ring = zring(ell)
     terms = {}
     for combo in itertools.combinations_with_replacement(range(k - 1, ell), d):
@@ -122,7 +122,7 @@ def elementary_symmetric(ring: Ring, d: int, indices) -> Poly:
     """Sum of all squarefree degree-d monomials in the given variables."""
     indices = list(indices)
     if not 1 <= d <= len(indices):
-        raise ValueError(
+        raise DomainError(
             "elementary symmetric degree %d out of range 1..%d" % (d, len(indices))
         )
     terms = {}
@@ -138,7 +138,7 @@ def elementary_symmetric(ring: Ring, d: int, indices) -> Poly:
 def groebner_basis_IS(ell: int) -> tuple[Poly, ...]:
     """The basis (h_1(z_1..z_ell), h_2(z_2..z_ell), ..., h_ell(z_ell))."""
     if ell < 1:
-        raise ValueError("need at least one variable")
+        raise DomainError("need at least one variable")
     return tuple(complete_homogeneous(i, i, ell) for i in range(1, ell + 1))
 
 
@@ -332,7 +332,7 @@ def decompose_block_elementary(p: Poly, lam: Composition) -> Poly:
     """
     _check_arity(p, lam)
     if not is_lambda_symmetric(p, lam):
-        raise ValueError("input is not symmetric within the blocks of %r" % (lam,))
+        raise DomainError("input is not symmetric within the blocks of %r" % (lam,))
     yring = block_elementary_ring(lam)
     sigma_cache: dict[tuple[int, int], Poly] = {}
 
@@ -354,7 +354,7 @@ def decompose_block_elementary(p: Poly, lam: Composition) -> Poly:
             for j in range(1, len(block) + 1):
                 e = exps[j - 1] - exps[j]
                 if e < 0:
-                    raise ValueError(
+                    raise DomainError(
                         "leading monomial not sorted within block %d; "
                         "input is not block-symmetric" % i
                     )

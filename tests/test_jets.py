@@ -12,6 +12,7 @@ from jetform import (
     BudgetExceededError,
     Budget,
     CapExceededError,
+    DomainError,
     ExactSpan,
     InvariantViolationError,
     JetRingDesc,
@@ -265,8 +266,9 @@ def _sympy_expr(sympy, p, symbols):
 
 
 def test_membership_matches_sympy_groebner_at_width_boundaries():
-    # the packed keys use deg(p).bit_length()-bit fields; 1, 7, 8, 15 and 16
-    # sit on both sides of the 1-, 3-, 4- and 5-bit boundaries
+    # the packed keys use deg(p).bit_length() bits per exponent, below one
+    # guard bit; 1, 7, 8, 15 and 16 sit on both sides of the 1-, 3-, 4- and
+    # 5-bit boundaries
     import sympy
 
     rng = make_rng(4242)
@@ -306,6 +308,166 @@ def test_membership_matches_sympy_groebner_at_width_boundaries():
             verdicts.add((degree, result.member))
     assert {member for _, member in verdicts} == {True, False}
     assert {degree for degree, _ in verdicts} == {1, 7, 8, 15, 16}
+
+
+class _RecordingSpan(ExactSpan):
+    """An ExactSpan that records the label of every row it is offered."""
+
+    def __init__(self):
+        super().__init__()
+        self.labels = []
+
+    def insert(self, row, label):
+        self.labels.append(label)
+        return super().insert(row, label)
+
+
+def _pivot_rows(span):
+    return [
+        (lead, list(piv.terms.items()), list(piv.hist.items()))
+        for lead, piv in span.pivots.items()
+    ]
+
+
+def _koszul_skips_are_redundant(p, gens, multipliers) -> int:
+    """Run the oracle's elimination of p, which skips rows by the Koszul
+    criterion, and beside it a span offered every multiplier row in the
+    same order: generators in index order, each generator's multipliers of
+    the query's weights in descending lex order, drawn from
+    `multipliers(degree)`, exponent vectors of that degree in descending
+    lex order.  Check that each row the oracle skipped leaves the full span
+    unchanged and that both spans end with the same pivots and histories,
+    in dict order.  Returns the number of skipped rows."""
+    degree = p.total_degree()
+    nvars = p.ring.nvars
+    usable = [i for i, g in enumerate(gens) if g.total_degree() <= degree]
+    gradings = jets._common_gradings([gens[i] for i in usable] + [p], nvars)
+    kept = _RecordingSpan()
+    jets._solve_membership(p, gens, usable, gradings, kept)
+
+    _, shifts, _ = jets._packing(nvars, degree)
+
+    def pack(exps):
+        return sum(e << s for e, s in zip(exps, shifts))
+
+    target = _weights(gradings, next(iter(p.terms)))
+    full = ExactSpan()
+    offered = iter(kept.labels)
+    next_kept = next(offered, None)
+    skipped = 0
+    for gi in usable:
+        g = gens[gi]
+        grow = {pack(m): v for m, v in int_row(g.terms).items()}
+        g_weights = _weights(gradings, next(iter(g.terms)))
+        for exps in multipliers(degree - g.total_degree()):
+            weights = tuple(a + b for a, b in zip(_weights(gradings, exps), g_weights))
+            if weights != target:
+                continue
+            label = (gi, pack(exps))
+            enlarged = full.insert({k + label[1]: v for k, v in grow.items()}, label)
+            if label == next_kept:
+                next_kept = next(offered, None)
+            else:
+                assert not enlarged, ("skipped row enlarged the span", label)
+                skipped += 1
+    # every row the oracle inserted came up, in the oracle's order
+    assert next_kept is None
+    assert _pivot_rows(kept) == _pivot_rows(full)
+    return skipped
+
+
+@pytest.mark.parametrize("h", [(1, 1), (2, 1), (1, 2), (1, 1, 1), (2, 2)])
+def test_koszul_skipped_rows_are_redundant_on_oracle_tuples(h):
+    desc = JetRingDesc(len(h), sum(h))
+    d = min_degree_formula(h)
+    query = derivative_monomial(h, desc) ** d
+    # a jet generator has degree 1 in each base variable's block, so every
+    # multiplier has degree d-1 in each block; the product of the blocks'
+    # descending lists descends in lex order
+    blocks = exponent_vectors(sum(h) + 1, d - 1)
+
+    def multipliers(degree):
+        assert degree == len(h) * (d - 1)
+        for parts in itertools.product(blocks, repeat=len(h)):
+            yield tuple(e for part in parts for e in part)
+
+    assert _koszul_skips_are_redundant(query, jet_generators(None, desc), multipliers) > 0
+
+
+@st.composite
+def homogeneous_systems(draw):
+    """Up to three homogeneous generators of degree 1 to 3 in two to four
+    variables, and a homogeneous query of degree up to 4: half the time a
+    combination of multiples of the generators, so usually a member."""
+    nvars = draw(st.integers(min_value=2, max_value=4))
+    ring = zring(nvars)
+    coeff = st.integers(min_value=-3, max_value=3).filter(bool)
+
+    def homogeneous(degree, max_terms):
+        monos = draw(
+            st.lists(
+                st.sampled_from(exponent_vectors(nvars, degree)),
+                min_size=1,
+                max_size=max_terms,
+                unique=True,
+            )
+        )
+        return ring.from_terms({m: Fraction(draw(coeff)) for m in monos})
+
+    gens = [
+        homogeneous(draw(st.integers(min_value=1, max_value=3)), 3)
+        for _ in range(draw(st.integers(min_value=1, max_value=3)))
+    ]
+    degree = draw(st.integers(min_value=max(1, min(g.total_degree() for g in gens)), max_value=4))
+    query = homogeneous(degree, 4)
+    if draw(st.booleans()):
+        query = ring.zero()
+        for g in gens:
+            if g.total_degree() <= degree:
+                query = query + g * homogeneous(degree - g.total_degree(), 2)
+        if query.is_zero():
+            query = homogeneous(degree, 4)
+    return query, gens
+
+
+@given(homogeneous_systems())
+def test_koszul_skipped_rows_are_redundant_on_generic_systems(system):
+    query, gens = system
+    nvars = query.ring.nvars
+    _koszul_skips_are_redundant(query, gens, lambda degree: exponent_vectors(nvars, degree))
+
+
+@st.composite
+def packed_divisibility_cases(draw):
+    """A degree at a field-width boundary, an exponent vector m with
+    entries up to it, and one to three vectors t, each either drawn freely
+    or clipped to divide m."""
+    degree = draw(st.sampled_from([1, 3, 4, 7, 8, 15, 16]))
+    nvars = draw(st.integers(min_value=1, max_value=5))
+    entries = st.lists(
+        st.integers(min_value=0, max_value=degree), min_size=nvars, max_size=nvars
+    )
+    m = draw(entries)
+    ts = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        t = draw(entries)
+        if draw(st.booleans()):
+            t = [min(a, b) for a, b in zip(t, m)]
+        ts.append(t)
+    return degree, m, ts
+
+
+@given(packed_divisibility_cases())
+def test_guard_bit_divisibility_matches_componentwise_comparison(case):
+    degree, m, ts = case
+    _, shifts, guard = jets._packing(len(m), degree)
+
+    def pack(exps):
+        return sum(e << s for e, s in zip(exps, shifts))
+
+    divided = any(all(a >= b for a, b in zip(m, t)) for t in ts)
+    kept = list(jets._undivided([pack(m)], [pack(t) for t in ts], guard))
+    assert kept == ([] if divided else [pack(m)])
 
 
 # -- witnesses -----------------------------------------------------------------
@@ -553,3 +715,27 @@ def test_compositions_descending_lex():
     lams = compositions(2, 2)
     assert [c.parts for c in lams] == [(2, 0), (1, 1), (0, 2)]
     assert len(compositions(3, 3)) == 10
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: JetRingDesc(0, 1),
+        lambda: JetRingDesc(2, -1),
+        lambda: multiplicity_table(2, -1),
+        lambda: min_degree_formula(()),
+        lambda: min_degree_search((1, 1), cap=0),
+        lambda: radical_witness((0, 0)),
+        lambda: homogeneous_membership(zring(2).var(0) + zring(2).one(), []),
+        lambda: groebner_basis_IS(0),
+        lambda: zring(2).var(0) ** -1,
+    ],
+)
+def test_domain_checks_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_ring_mismatch_is_a_domain_error():
+    assert issubclass(RingMismatchError, DomainError)
+    assert issubclass(DomainError, ValueError)

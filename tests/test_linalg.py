@@ -53,7 +53,7 @@ def test_span_with_non_unit_leads_keeps_primitive_pivots_and_certificates():
         rows[label] = row
     span = ExactSpan()
     for label, row in rows.items():
-        span.insert(row, label)
+        span.insert(dict(row), label)  # insert takes ownership of its row
         _check_pivots(span, rows)
     assert span.rank == 8
     assert any(piv.terms[lead] > 1 for lead, piv in span.pivots.items())
@@ -89,7 +89,7 @@ def test_reduce_decides_membership_by_rank_and_certifies_members(case):
     rows, query = case
     span = ExactSpan()
     for label, row in rows.items():
-        span.insert(row, label)
+        span.insert(dict(row), label)  # insert takes ownership of its row
 
     def rank(vectors):
         return sympy.Matrix([[v.get(k, 0) for k in range(6)] for v in vectors] or [[0] * 6]).rank()
