@@ -62,10 +62,7 @@ def _parse_lambda(text: str) -> Composition:
         raise ParseError("bad composition %r" % text) from exc
     if not parts:
         raise ParseError("empty composition %r" % text)
-    try:
-        return Composition(parts)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    return Composition(parts)
 
 
 def _parse_h(text: str) -> tuple[int, ...]:

@@ -9,22 +9,28 @@ membership exactly.  Elimination is fraction-free throughout: insertion and
 reduction share one integer step, and a rational query is scaled to
 integers and divided back once.
 
-Each pivot carries a history vector expressing it as an integer combination
-of the originally inserted rows, which is what turns a successful reduction
-into an explicit membership certificate.
+Each pivot carries a step history: its own row's coefficient and one
+coefficient per pivot it was reduced by, so that a certificate is not
+built up entry by entry during elimination but expanded once per query,
+by back-substitution through the pivots' steps (the product form of the
+inverse, Dantzig & Orchard-Hays, Math. Tables Aids Comput. 8, 1954).  A row
+that reduces to zero on insertion is discarded with nothing to undo.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import gcd, lcm
+from types import MappingProxyType
 from typing import Hashable, Mapping
 
 from .errors import BudgetExceededError
 
 __all__ = ["ExactSpan", "Budget", "int_row", "rational_nullspace"]
 
-_QUERY = object()  # the label `ExactSpan.reduce` gives its query
+_OWN = object()  # the key of a row's own coefficient in its step history
+_UNIT = MappingProxyType({_OWN: 1})  # shared step history of a pivot stored unchanged
 
 
 def _clear_denominators(terms: Mapping[Hashable, Fraction]) -> tuple[dict, int]:
@@ -41,12 +47,17 @@ def int_row(terms: Mapping[Hashable, Fraction]) -> dict[Hashable, int]:
 class Budget:
     """Rough memory accounting for sparse elimination.
 
-    Counts stored matrix entries; each entry is costed at ~120 bytes (key
-    reference, two boxed ints, dict overhead).  Exceeding the configured
-    limit raises BudgetExceededError instead of thrashing.
+    Counts the entries of each pivot row and of its step history: its own
+    coefficient and one per elimination step (see `ExactSpan`), so one for a
+    pivot sharing `_UNIT`.  Each entry is costed at BYTES_PER_ENTRY, set
+    from `tracemalloc` peaks of whole searches, which also hold the
+    multiplier tables and the query: 178 bytes per entry for
+    min_degree_search((2, 2)), 167 for (1, 1, 2) and 134 for (0, 4).
+    Exceeding the configured limit raises BudgetExceededError instead of
+    thrashing.
     """
 
-    BYTES_PER_ENTRY = 120
+    BYTES_PER_ENTRY = 160
 
     def __init__(self, megabytes: float | None):
         self.limit_entries = (
@@ -68,7 +79,7 @@ class Budget:
 
 
 def _normalize(row: dict, hist: dict) -> None:
-    """Divide row and history by their joint content."""
+    """Divide row and step history by their joint content."""
     g = gcd(*row.values(), *hist.values())
     if g > 1:
         for k in row:
@@ -78,19 +89,31 @@ def _normalize(row: dict, hist: dict) -> None:
 
 
 class _Row:
-    __slots__ = ("terms", "hist")
+    __slots__ = ("terms", "hist", "label", "index")
 
-    def __init__(self, terms: dict, hist: dict):
+    def __init__(self, terms: dict, hist: dict, label: Hashable, index: int):
         self.terms = terms
         self.hist = hist
+        self.label = label
+        self.index = index
 
 
 class ExactSpan:
     """Incremental triangular basis of an integer row span with certificates.
 
-    Every pivot row keeps its history over the inserted rows' labels, so a
-    query that reduces to zero comes back with the combination proving it.
-    `budget`, if given, is charged for every stored entry.
+    Pivot k (its `index`, counting from 0 in insertion order) is stored
+    with the relation
+
+        pivot_k = hist[_OWN] * (the row inserted as `label`)
+                  + sum over j of hist[j] * (the pivot with lead j),
+
+    integral, over pivots of smaller index only.  A pivot whose row needed
+    no step has the history {_OWN: +-1}; with a positive lead it is
+    {_OWN: 1}, and all of those share the one read-only `_UNIT`, so they
+    cost no dict each.  No pivot history changes once stored.  The labels of
+    the inserted rows that became pivots are linearly independent rows, so
+    the combination `reduce` returns for a member is the only one over
+    them.  `budget`, if given, is charged for every stored entry.
     """
 
     def __init__(self, budget: Budget | None = None):
@@ -98,18 +121,21 @@ class ExactSpan:
         self.pivots: dict[Hashable, _Row] = {}
         self.rank = 0
 
-    def _eliminate(self, row: dict, hist: dict, label: Hashable) -> Hashable | None:
+    def _eliminate(self, row: dict, hist: dict) -> Hashable | None:
         """Cancel the row's leads against the pivots in place; return the
         first lead without a pivot, or None once the row is zero.
 
-        Each step scales row and history by the pivot's lead a (unless it is
-        1, as it almost always is) and subtracts b times the pivot, b the
-        row's lead.  A row started with history {label: 1} keeps joint
-        content 1: `_normalize` runs once its label's coefficient is not +-1.
+        Each step scales row and step history by the pivot's lead a (unless
+        it is 1, as it almost always is), subtracts b times the pivot, b the
+        row's lead, and records the step as hist[lead] = -b.  The row's lead
+        falls strictly at every step, so no pivot is recorded twice.  A step
+        history started as {_OWN: 1} keeps joint content 1 with the row
+        while hist[_OWN] is +-1; `_normalize` runs when it is not.
         """
+        pivots = self.pivots
         while row:
             lead = max(row)
-            piv = self.pivots.get(lead)
+            piv = pivots.get(lead)
             if piv is None:
                 return lead
             a = piv.terms[lead]
@@ -125,15 +151,53 @@ class ExactSpan:
                     row[k] = s
                 else:
                     row.pop(k, None)
-            for k, v in piv.hist.items():
-                s = hist.get(k, 0) - b * v
-                if s:
-                    hist[k] = s
-                else:
-                    hist.pop(k, None)
-            if abs(hist.get(label, 0)) != 1:
+            hist[lead] = -b
+            if abs(hist[_OWN]) != 1:
                 _normalize(row, hist)
         return None
+
+    def _expand(self, hist: Mapping[Hashable, int]) -> dict[Hashable, int]:
+        """Turn a combination of pivots, keyed by their leads, into the same
+        combination of inserted rows, keyed by their labels; integral in,
+        integral out, with no zero entries.
+
+        A pivot that took no step is a sink: its coefficient, times its
+        hist[_OWN] of +-1, goes straight to its own label.  Any other pivot
+        waits in a heap keyed by -index.  It refers only to pivots of
+        smaller index, so when it is popped, every pivot that refers to it
+        has been popped already and its coefficient is complete; it then
+        passes the coefficient on through its steps, once.  (The Schubert
+        span stores 360 of its 720 pivots negated without a step; as sinks
+        they skip the heap.)
+        """
+        pivots = self.pivots
+        out: dict = {}
+        pending: dict = {}
+        heap: list = []
+        for lead, c in hist.items():
+            piv = pivots[lead]
+            if len(piv.hist) == 1:
+                out[piv.label] = out.get(piv.label, 0) + c * piv.hist[_OWN]
+            else:
+                pending[lead] = c
+                heappush(heap, (-piv.index, lead))
+        while heap:
+            lead = heappop(heap)[1]
+            c = pending[lead]
+            piv = pivots[lead]
+            for k, d in piv.hist.items():
+                if k is _OWN:
+                    out[piv.label] = out.get(piv.label, 0) + c * d
+                    continue
+                sub = pivots[k]
+                if len(sub.hist) == 1:
+                    out[sub.label] = out.get(sub.label, 0) + c * d * sub.hist[_OWN]
+                elif k in pending:
+                    pending[k] += c * d
+                else:
+                    pending[k] = c * d
+                    heappush(heap, (-sub.index, k))
+        return {k: v for k, v in out.items() if v}
 
     def insert(self, row: dict[Hashable, int], label: Hashable) -> bool:
         """Add one integer row; return True if it enlarged the span.
@@ -142,16 +206,19 @@ class ExactSpan:
         caller must not use again: it is eliminated in place and may become
         the stored pivot.  What elimination leaves of a new row is
         primitive; it is stored, with a positive lead, as the pivot of the
-        lead it stopped at.
+        lead it stopped at, with its step history (`_UNIT` if it took no
+        step and was not negated).
         """
-        hist = {label: 1}
-        lead = self._eliminate(row, hist, label)
+        hist = {_OWN: 1}
+        lead = self._eliminate(row, hist)
         if lead is None:
             return False
         if row[lead] < 0:
             row = {k: -v for k, v in row.items()}
             hist = {k: -v for k, v in hist.items()}
-        self.pivots[lead] = _Row(row, hist)
+        elif len(hist) == 1:
+            hist = _UNIT
+        self.pivots[lead] = _Row(row, hist, label, self.rank)
         self.rank += 1
         if self.budget is not None:
             self.budget.charge(len(row) + len(hist), "span insertion")
@@ -163,17 +230,18 @@ class ExactSpan:
         Returns (remainder, combination).  The remainder is empty exactly
         when the query lies in the span; the combination then expresses the
         query over the labels of the inserted rows, and is empty otherwise.
-        The query is eliminated fraction-free, as an integer row under a
-        label of its own whose final coefficient is divided out at the end.
+        The query is eliminated fraction-free, as an integer row with a
+        step history of its own whose _OWN coefficient is divided out at
+        the end; `_expand` turns its steps into the combination.
         """
         row, denom = _clear_denominators(terms)
-        hist = {_QUERY: 1}
-        self._eliminate(row, hist, _QUERY)
-        # row = scale * query - sum over labels k of hist[k] * (row k)
-        scale = hist.pop(_QUERY) * denom
+        hist = {_OWN: 1}
+        self._eliminate(row, hist)
+        scale = hist.pop(_OWN) * denom
+        # row = scale * query + sum over leads j of hist[j] * (pivot j)
         if row:
             return {k: Fraction(v, scale) for k, v in row.items()}, {}
-        return {}, {k: Fraction(-v, scale) for k, v in hist.items()}
+        return {}, {k: Fraction(-v, scale) for k, v in self._expand(hist).items()}
 
 
 def rational_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:

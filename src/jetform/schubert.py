@@ -80,7 +80,11 @@ class Permutation:
 
     @classmethod
     def parse(cls, text: str) -> "Permutation":
-        """Read one-line notation like [2,3,1]."""
+        """Read one-line notation like [2,3,1].
+
+        Text that is not a list of integers is a ParseError; integers that
+        are not a permutation are the constructor's DomainError.
+        """
         stripped = text.strip()
         if stripped.startswith("[") and stripped.endswith("]"):
             stripped = stripped[1:-1]
@@ -90,10 +94,7 @@ class Permutation:
             raise ParseError("bad permutation text %r" % text) from exc
         if not values:
             raise ParseError("empty permutation text %r" % text)
-        try:
-            return cls(values)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
+        return cls(values)
 
     @property
     def ell(self) -> int:

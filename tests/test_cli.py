@@ -167,9 +167,9 @@ def test_multiplicity_rejects_negative_order(capsys, m):
 def test_parse_error_exit_code(capsys):
     assert main(["nf", "z9", "--ell", "3"]) == 2
     capsys.readouterr()
-    assert main(["schubert", "[1,1,2]"]) == 2
+    assert main(["schubert", "[1,x,2]"]) == 2
     capsys.readouterr()
-    assert main(["dim", "--lambda", "-2,1"]) == 2
+    assert main(["dim", "--lambda", "a,1"]) == 2
     capsys.readouterr()
 
 
@@ -180,6 +180,12 @@ def test_domain_error_exit_code(capsys):
     code, doc = run_json(capsys, ["expand", "z1", "--ell", "7"])
     assert code == 1
     assert doc["payload"]["code"] == "domain-error"
+    # integers that are not a permutation or a composition: the
+    # constructors' domain errors, not parse errors
+    for argv in (["schubert", "[1,1,2]"], ["dim", "--lambda=-2,1"], ["dim", "--lambda=0,0"]):
+        code, doc = run_json(capsys, argv)
+        assert code == 1
+        assert doc["payload"]["code"] == "domain-error"
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -703,6 +704,19 @@ def test_oracle_table_runs_one_elimination_per_search(monkeypatch):
         answers.append(_oracle_answer(h, result))
     canonical = json.dumps(answers, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(canonical.encode()).hexdigest() == ORACLE_ANSWERS_SHA256
+
+
+def test_budget_estimate_tracks_traced_peak_memory():
+    h = (2, 2)
+    min_degree_search(h)  # build the cached jet generators untraced
+    budget = Budget(None)
+    tracemalloc.start()
+    try:
+        min_degree_search(h, budget=budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.75 <= budget.entries * Budget.BYTES_PER_ENTRY / peak <= 1.33
 
 
 def test_min_degree_budget_reports_partial_result():

@@ -1,10 +1,11 @@
 """ExactSpan on rows whose leading coefficients are not units, its
-reduction against a rank oracle, and the nullspaces built on it."""
+reduction against a rank oracle and against a span that keeps full
+histories, and the nullspaces built on it."""
 
 from fractions import Fraction
 from math import gcd
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from jetform import (
@@ -37,7 +38,7 @@ def _check_pivots(span, rows):
         for v in list(piv.terms.values()) + list(piv.hist.values()):
             content = gcd(content, v)
         assert content == 1
-        assert _combine(rows, piv.hist) == piv.terms
+        assert _combine(rows, span._expand({lead: 1})) == piv.terms
 
 
 def test_span_with_non_unit_leads_keeps_primitive_pivots_and_certificates():
@@ -65,6 +66,16 @@ def test_span_with_non_unit_leads_keeps_primitive_pivots_and_certificates():
         assert _combine(rows, comb) == query
 
 
+def _draw_query(draw, rows, top_key):
+    """A rational combination of the rows (a member), or a vector over keys
+    0..top_key drawn freely (usually not one)."""
+    ratio = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    if rows and draw(st.booleans()):
+        coeffs = {label: draw(ratio) for label in rows}
+        return {k: Fraction(v) for k, v in _combine(rows, coeffs).items()}
+    return draw(st.dictionaries(st.integers(0, top_key), ratio, max_size=4))
+
+
 @st.composite
 def spans_and_queries(draw):
     """Up to five integer rows over keys 0..5, leads not restricted to +-1,
@@ -73,13 +84,104 @@ def spans_and_queries(draw):
     entry = st.integers(-6, 6)
     rows = draw(st.lists(st.dictionaries(st.integers(0, 5), entry, max_size=4), max_size=5))
     rows = {label: {k: v for k, v in row.items() if v} for label, row in enumerate(rows)}
-    ratio = st.fractions(min_value=-4, max_value=4, max_denominator=5)
-    if rows and draw(st.booleans()):
-        coeffs = {label: draw(ratio) for label in rows}
-        query = {k: Fraction(v) for k, v in _combine(rows, coeffs).items()}
-    else:
-        query = draw(st.dictionaries(st.integers(0, 5), ratio, max_size=4))
-    return rows, query
+    return rows, _draw_query(draw, rows, 5)
+
+
+@st.composite
+def non_unit_spans_and_queries(draw):
+    """Up to eight integer rows over keys 0..6 whose leads are 2, 3 or -4,
+    and a query as in `spans_and_queries`: most insertion steps scale, and
+    a row that stops at a negative lead is stored negated."""
+    rows = {}
+    for label in range(draw(st.integers(0, 8))):
+        lead = draw(st.integers(1, 6))
+        row = {lead: draw(st.sampled_from((2, 3, -4)))}
+        lower = draw(st.dictionaries(st.integers(0, lead - 1), st.integers(-6, 6), max_size=3))
+        row.update((k, v) for k, v in lower.items() if v)
+        rows[label] = row
+    return rows, _draw_query(draw, rows, 6)
+
+
+class _FullHistorySpan:
+    """Reference elimination in which every pivot keeps its full history:
+    its combination over the labels of the inserted rows, updated at every
+    step.  Queries are reduced over the rationals."""
+
+    def __init__(self):
+        self.pivots = {}
+
+    def insert(self, row, label):
+        row, hist = dict(row), {label: 1}
+        while row and max(row) in self.pivots:
+            lead = max(row)
+            terms, phist = self.pivots[lead]
+            a, b = terms[lead], row[lead]
+            for target, source in ((row, terms), (hist, phist)):
+                for k in target:
+                    target[k] *= a
+                for k, v in source.items():
+                    target[k] = target.get(k, 0) - b * v
+                    if not target[k]:
+                        del target[k]
+            content = gcd(*row.values(), *hist.values())
+            row = {k: v // content for k, v in row.items()}
+            hist = {k: v // content for k, v in hist.items()}
+        if not row:
+            return False
+        sign = 1 if row[max(row)] > 0 else -1
+        self.pivots[max(row)] = (
+            {k: sign * v for k, v in row.items()},
+            {k: sign * v for k, v in hist.items()},
+        )
+        return True
+
+    def reduce(self, terms):
+        rem, comb = {k: Fraction(v) for k, v in terms.items() if v}, {}
+        while rem and max(rem) in self.pivots:
+            pterms, phist = self.pivots[max(rem)]
+            c = rem[max(rem)] / pterms[max(rem)]
+            for target, source in ((rem, pterms), (comb, phist)):
+                for k, v in source.items():
+                    target[k] = target.get(k, 0) - c * v
+                    if not target[k]:
+                        del target[k]
+        if rem:
+            return rem, {}
+        return {}, {k: -v for k, v in comb.items()}
+
+
+def _check_against_full_histories(rows, query):
+    span, reference = ExactSpan(), _FullHistorySpan()
+    for label, row in rows.items():
+        assert span.insert(dict(row), label) == reference.insert(row, label)
+    assert list(span.pivots) == list(reference.pivots)
+    for lead, piv in span.pivots.items():
+        # the same pivot rows up to a positive scalar, each re-expanding
+        # from its steps to its own combination of inserted rows
+        ref_terms, ref_hist = reference.pivots[lead]
+        ratio = Fraction(piv.terms[lead], ref_terms[lead])
+        assert ratio > 0
+        assert piv.terms == {k: ratio * v for k, v in ref_terms.items()}
+        assert span._expand({lead: 1}) == {k: ratio * v for k, v in ref_hist.items()}
+        assert _combine(rows, span._expand({lead: 1})) == piv.terms
+    rem, comb = span.reduce(query)
+    assert (rem, comb) == reference.reduce(query)
+    for part in (rem, comb):
+        assert all(isinstance(v, Fraction) and v for v in part.values())
+
+
+# the query steps through the pivots of leads 4 and 3, and pivot 3 was
+# itself reduced by pivot 4, so pivot 4's coefficient is complete only
+# after pivot 3 has passed its share on
+@example(({0: {5: 1}, 1: {5: 1, 4: 1}, 2: {4: 1, 3: 1}}, {4: Fraction(1), 3: Fraction(2)}))
+@given(spans_and_queries())
+def test_step_histories_match_full_histories(case):
+    _check_against_full_histories(*case)
+
+
+@given(non_unit_spans_and_queries())
+def test_step_histories_match_full_histories_with_non_unit_leads(case):
+    _check_against_full_histories(*case)
 
 
 @given(spans_and_queries())

@@ -2,8 +2,11 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from jetform import (
+    DomainError,
     ParseError,
     Permutation,
     block_rotation,
@@ -20,6 +23,7 @@ from jetform import (
 )
 
 from conftest import make_rng, random_poly
+from test_properties import polys_in
 
 
 def test_inversions_examples():
@@ -36,7 +40,7 @@ def test_permutation_validation_and_parse():
     w = Permutation.parse("[2,3,1]")
     assert w == Permutation([2, 3, 1])
     assert Permutation.parse(str(w)) == w
-    with pytest.raises(ParseError):
+    with pytest.raises(DomainError):
         Permutation.parse("[2,3]")
     with pytest.raises(ParseError):
         Permutation.parse("nope")
@@ -73,6 +77,59 @@ def test_divided_difference_square_zero_and_braid():
                 divided_difference(divided_difference(p, i + 1), i), i + 1
             )
             assert lhs == rhs
+
+
+def _indices_and_polys(ells, nindices, npolys):
+    """Divided-difference indices, then polynomials, in one zring(ell)."""
+    return st.sampled_from(ells).flatmap(
+        lambda ell: st.tuples(
+            *[st.integers(1, ell - 1)] * nindices, *[polys_in(zring(ell))] * npolys
+        )
+    )
+
+
+@given(_indices_and_polys((2, 3, 4), 1, 2))
+def test_divided_difference_leibniz_rule(args):
+    i, f, g = args
+    s_i_f = f.swap_vars(i - 1, i)
+    expected = divided_difference(f, i) * g + s_i_f * divided_difference(g, i)
+    assert divided_difference(f * g, i) == expected
+
+
+@given(_indices_and_polys((4, 5), 2, 1))
+def test_distant_divided_differences_commute(args):
+    i, j, p = args
+    if abs(i - j) >= 2:
+        lhs = divided_difference(divided_difference(p, i), j)
+        assert lhs == divided_difference(divided_difference(p, j), i)
+
+
+def _indices_and_permutations(ells):
+    """An index 1..ell-1 and a permutation in S_ell."""
+    return st.sampled_from(ells).flatmap(
+        lambda ell: st.tuples(
+            st.integers(1, ell - 1), st.permutations(range(1, ell + 1)).map(Permutation)
+        )
+    )
+
+
+@given(_indices_and_permutations((2, 3, 4, 5)))
+def test_divided_difference_of_schubert_polynomial(args):
+    i, w = args
+    ws = w.swap_positions(i, i + 1)  # w * s_i
+    image = divided_difference(schubert_poly(w), i)
+    if ws.length < w.length:
+        assert image == schubert_poly(ws)
+    else:
+        assert image.is_zero()
+
+
+@given(_indices_and_permutations((5, 6)))
+def test_monk_rule_through_expansion(args):
+    r, w = args
+    ell = w.ell
+    product = schubert_poly(Permutation.simple(r, ell)) * schubert_poly(w)
+    assert schubert_expansion(product, ell) == {v: Fraction(1) for v in monk_expand(r, w)}
 
 
 def test_schubert_simple_reflections():
