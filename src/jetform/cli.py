@@ -70,8 +70,8 @@ def _parse_h(text: str) -> tuple[int, ...]:
         values = tuple(int(v) for v in text.split(",") if v.strip() != "")
     except ValueError as exc:
         raise ParseError("bad derivative tuple %r" % text) from exc
-    if not values or any(v < 0 for v in values):
-        raise ParseError("derivative tuple must be non-negative integers: %r" % text)
+    if not values:
+        raise ParseError("empty derivative tuple %r" % text)
     return values
 
 
@@ -103,6 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jetform",
         description="Exact computations in jet ideals and block-symmetric quotients.",
+        epilog="Values may start with a minus sign, as in `dim --lambda -2,1` "
+        "or `nf -z1 --ell 2`; `--lambda=-2,1` and `nf --ell 2 -- -z1` work too.",
         parents=[common],
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -388,10 +390,29 @@ _HANDLERS = {
 }
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse argv, taking every argument that starts with a single minus
+    sign, other than -h, as a value.
+
+    argparse would read `-2,1` or `-z1` as an unknown option, but every
+    option here is --name or -h.  A leading space makes such an argument a
+    value to argparse; int() and float() skip it, and it is removed from
+    string values after parsing.
+    """
+    shielded = [
+        " " + a if a[:1] == "-" and a[1:2] not in ("", "-") and a != "-h" else a
+        for a in argv
+    ]
+    args = build_parser().parse_args(shielded)
+    for key, value in vars(args).items():
+        if isinstance(value, str) and value.startswith(" -"):
+            setattr(args, key, value[1:])
+    return args
+
+
 def run(argv) -> tuple[CommandResult, list[str]]:
     """Execute one CLI invocation; returns the result and text lines."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(argv)
     # global flags default to SUPPRESS so either parser may supply them
     json_mode = getattr(args, "json", False)
     budget_mb = getattr(args, "budget_mb", None)

@@ -7,38 +7,45 @@ series.  For the principal ideal of x_1...x_n this module provides the
 minimal primes, the multiplicity table, two witness homomorphisms (a 0/1
 evaluation and a specialisation into block elementary symmetrics), and a
 homogeneous ideal-membership oracle based on exact linear algebra that
-returns re-checkable certificates.  No Groebner engine is involved: every
-ideal handled here is homogeneous, so degree-by-degree span testing is
-complete.
+returns re-checkable certificates.  Every ideal handled here is
+homogeneous, so degree-by-degree span testing is complete; the only
+Groebner basis computed is a small degree-truncated one that tells the
+elimination which rows it may skip.
 
 The minimal-degree search certifies both ways.  A refused power is proved
 by the psi specialisation: psi sends every jet generator into I_S (checked
 once per search), so a nonzero normal form of psi(mono)^d modulo I_S shows
 that mono^d is not in the jet ideal.  Only a degree psi cannot refuse goes
-to exact elimination.  The elimination keys each monomial by one packed int
+to exact elimination.  The elimination packs each monomial into one int
 (variable 0 in the most significant field), so lex order is integer order
-and multiplying by a monomial is adding its packed exponents.  The
-multipliers of all generators come from one table per query, filled by a
-single variable-by-variable pass per multiplier degree: the jet generators
-share their block degrees and differ only in weight, so one pass serves
-them all.
+and multiplying by a monomial is adding its packed exponents; a row's
+columns are the negated packed monomials, so elimination works from the
+lex-smallest one.  The multipliers of all generators come from one table
+per query, filled by a single variable-by-variable pass per multiplier
+degree: the jet generators share their block degrees and differ only in
+weight, so one pass serves them all.
 
 Rows are inserted generator by generator, multipliers in descending lex
-order, and a row M*g_k is skipped without elimination when the trailing
-(lex-smallest) monomial of an earlier generator g_j divides M: that row is
-a combination of g_j rows and of g_k rows with lex-larger multipliers, all
-inserted before it, so it would have reduced to zero (the Koszul syzygy
-g_j*g_k - g_k*g_j).  The jet generators form a regular sequence, so most
-reductions to zero are of this kind.  Pivots and certificates are those of
-inserting every row.  Each packed field carries one guard bit above the
-exponent, so the divisibility test is one subtraction and one mask.
+order, and a row M*g_k is skipped without elimination when M is divisible
+by the trailing (lex-smallest) monomial of some element of the ideal of
+the earlier generators (the F5 criterion): that row lies in the span of
+the rows inserted before it.  The divisors are the leads of a Groebner
+basis of that ideal for the order whose leading term is the lex-smallest,
+grevlex with the variables reversed on homogeneous input, built per query
+and truncated to the monomials that can divide a multiplier.  The jet
+generators form a regular sequence, so no row that is inserted reduces to
+zero.  Pivots and certificates are those of inserting every row.  Each
+packed field carries one guard bit above the exponent, so a divisibility
+test is one subtraction and one mask.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
+from operator import mul
 
 from .errors import (
     BudgetExceededError,
@@ -413,9 +420,9 @@ def _packing(nvars: int, degree: int) -> tuple[int, list[int], int]:
     return width, shifts, guard
 
 
-def _undivided(mults, trailing, guard):
+def _undivided(mults, leads, guard):
     """Yield, in order, the packed multipliers that no packed monomial in
-    `trailing` divides.
+    `leads` divides.
 
     t divides m iff ((m | guard) - t) & guard == guard.  In each field,
     guard bit plus m_i minus t_i stays positive, so no borrow crosses a
@@ -423,11 +430,140 @@ def _undivided(mults, trailing, guard):
     """
     for m in mults:
         mg = m | guard
-        for t in trailing:
+        for t in leads:
             if (mg - t) & guard == guard:
                 break
         else:
             yield m
+
+
+def _columns(terms, shifts) -> dict:
+    """The row of `terms` keyed by negated packed monomials.
+
+    `ExactSpan` eliminates from its largest key, so negated keys make it
+    work from the lex-smallest monomial.  The same rows become pivots in
+    any column order, and this one stores far fewer step-history entries
+    than lex-largest first.
+    """
+    return {-sum(e << s for e, s in zip(mono, shifts)): v for mono, v in terms.items()}
+
+
+def _trailing_term_leads(rows, shifts, width, guard, top, bounds, budget):
+    """Yield, for k = 0, 1, ..., len(rows)-1, the packed leading monomials
+    of a Groebner basis of (g_0, ..., g_{k-1}), truncated as below, where a
+    polynomial's leading term is its lex-smallest one.  The g_j are given
+    as homogeneous rows keyed by packed monomials, and on homogeneous input
+    this order is grevlex with the variables reversed.
+
+    The basis is built incrementally by Buchberger's algorithm with the
+    Gebauer-Moeller criteria (J. Symbolic Comput. 6, 1988), pairs taken in
+    order of lcm degree and reduced fraction-free by top-reduction only.
+    Only monomials of total degree at most `top` and of weight at most b
+    under every (w, b) of `bounds`, gradings with no negative entry, can
+    divide a multiplier.  Outside that box a lead, and every lead of the
+    pairs it would make, divides none, so such an element is not stored and
+    such a pair is dropped; a reducer's lead divides the lead it cancels,
+    so reduction inside the box never needs them.  The last row is never
+    added, since no basis after it is used.  Each stored basis row is
+    charged to `budget`.
+    """
+    mask = (1 << width) - 1
+    basis = []  # (row, packed lead, lead exponents) of the live elements
+    pairs = []  # (lcm degree, packed lcm, element, element)
+
+    def divides(t, m):
+        return ((m | guard) - t) & guard == guard
+
+    def lcm_of(a, b):
+        exps = tuple(map(max, a[2], b[2]))
+        return exps, sum(e << s for e, s in zip(exps, shifts))
+
+    def top_reduce(f):
+        while f:
+            t = min(f)
+            for g, lead, _ in basis:
+                if divides(lead, t):
+                    break
+            else:
+                c = gcd(*f.values())
+                return {k: v // c for k, v in f.items()}
+            c = gcd(g[lead], f[t])
+            a, b = g[lead] // c, f[t] // c
+            if a != 1:
+                f = {k: a * v for k, v in f.items()}
+            shift = t - lead
+            for k, v in g.items():
+                k += shift
+                s = f.get(k, 0) - b * v
+                if s:
+                    f[k] = s
+                else:
+                    del f[k]
+        return None
+
+    def in_box(exps):
+        return sum(exps) <= top and all(sum(map(mul, w, exps)) <= b for w, b in bounds)
+
+    def add(h):
+        lead = min(h)
+        new = (h, lead, tuple((lead >> s) & mask for s in shifts))
+        if not in_box(new[2]):
+            return
+        if budget is not None:
+            budget.charge(len(h), "trailing-term basis")
+        fresh = []
+        for g in basis:
+            exps, lcm_ = lcm_of(new, g)
+            if in_box(exps):
+                degree = sum(exps)
+                coprime = degree == sum(new[2]) + sum(g[2])
+                fresh.append((coprime, degree, lcm_, g))
+        # criteria M and F: keep a pair only if no other new pair's lcm
+        # divides its lcm; of equal lcms one survives, a coprime one if any
+        kept = []
+        while fresh:
+            pair = fresh.pop()
+            if pair[0] or not any(
+                divides(q[2], pair[2]) for q in itertools.chain(fresh, kept)
+            ):
+                kept.append(pair)
+        # criterion B: an old pair whose lcm the new lead divides is
+        # redundant unless the new lead shares that lcm with one of its ends
+        pairs[:] = [
+            q for q in pairs
+            if not divides(lead, q[1])
+            or lcm_of(new, q[2])[1] == q[1]
+            or lcm_of(new, q[3])[1] == q[1]
+        ]
+        # Buchberger's product criterion
+        pairs.extend((d, l, new, g) for coprime, d, l, g in kept if not coprime)
+        basis[:] = [g for g in basis if not divides(lead, g[1])] + [new]
+
+    for row in rows[:-1]:
+        yield [g[1] for g in basis]
+        h = top_reduce(dict(row))
+        if h:
+            add(h)
+        while pairs:
+            i = min(range(len(pairs)), key=lambda i: pairs[i][0])
+            _, l, (f, fl, _), (g, gl, _) = pairs.pop(i)
+            c = gcd(f[fl], g[gl])
+            a, b = g[gl] // c, f[fl] // c
+            sf, sg = l - fl, l - gl
+            s = {k + sf: a * v for k, v in f.items() if k != fl}
+            for k, v in g.items():
+                if k != gl:
+                    k += sg
+                    x = s.get(k, 0) - b * v
+                    if x:
+                        s[k] = x
+                    else:
+                        del s[k]
+            h = top_reduce(s)
+            if h:
+                add(h)
+    if rows:
+        yield [g[1] for g in basis]
 
 
 def _solve_membership(p, gens, usable, gradings, span) -> tuple[dict, dict]:
@@ -442,34 +578,39 @@ def _solve_membership(p, gens, usable, gradings, span) -> tuple[dict, dict]:
 
     Rows are inserted generator by generator in `usable` order, each
     generator's multipliers in descending lex order.  A row M*g_k is
-    skipped (the Koszul criterion) when the trailing, lex-smallest monomial
-    T of an earlier generator g_j divides M.  With c the coefficient of T
-    in g_j,
+    skipped (the F5 criterion, Faugere, ISSAC 2002) when M is divisible by
+    the trailing, lex-smallest monomial T of some G in the ideal I_<k of
+    the generators before g_k.  The leads of a Groebner basis of I_<k for
+    the lex-smallest-term order divide every such T (see
+    `_trailing_term_leads`); the trailing monomials of the earlier
+    generators are among the T, so the Koszul criterion is a special case.
+    G is homogeneous under `gradings`, as the generators are.  With c the
+    coefficient of T in G,
 
-        M*g_k = (M/T)*g_k*g_j / c - sum over the other monomials s of g_j
+        M*g_k = (M/T)*g_k*G / c - sum over the other monomials s of G
                 of (c_s / c) * (M/T)*s*g_k,
 
-    and (M/T)*g_k*g_j is a combination of g_j rows, which come before
-    M*g_k, while each (M/T)*s*g_k has a multiplier lex-larger than M, as
-    s > T, so it comes before M*g_k too.  By induction along this order, a
-    skipped row lies in the span of the rows inserted before it: inserting
-    it would have reduced it to zero and changed nothing, so pivots,
-    histories, certificates and Budget charges are those of inserting
-    every row.  The leading monomial would not do: its (M/LM)*s*g_k have
-    lex-smaller multipliers, which come after M*g_k.
+    and (M/T)*g_k*G is a combination of rows of generators before g_k,
+    which come before M*g_k, while each (M/T)*s*g_k has a multiplier of
+    the same weights and lex-larger than M, as s > T, so it comes before
+    M*g_k too.  By induction along this order, a skipped row lies in the
+    span of the rows inserted before it: inserting it would have reduced it
+    to zero and changed nothing, so pivots, histories, certificates and
+    span charges are those of inserting every row.  The argument needs
+    only G in I_<k, so a pair the basis drops costs skips, never answers.
+    Conversely, a row that would reduce to zero gives a syzygy whose g_k
+    coefficient has trailing monomial M.  When the generators form a
+    regular sequence, as the jet generators do, that coefficient lies in
+    (I_<k : g_k) = I_<k, so every such row is skipped.
 
-    Rows are keyed by packed monomials (`_packing` for deg p: every
-    monomial of the component has total degree deg p, so no exponent
-    exceeds it and adding a multiplier never carries across fields) and
-    labelled (generator index, packed multiplier).
+    Rows are keyed by `_columns` (`_packing` for deg p: every monomial of
+    the component has total degree deg p, so no exponent exceeds it and
+    adding a multiplier never carries across fields) and labelled
+    (generator index, packed multiplier).
     """
     nvars = p.ring.nvars
     degree = p.total_degree()
     width, shifts, guard = _packing(nvars, degree)
-
-    def pack(mono: Monomial) -> int:
-        return sum(e << s for e, s in zip(mono, shifts))
-
     p_weights = [_weight_of(p, w) for w in gradings]
     targets = {
         gi: tuple(pw - _weight_of(gens[gi], w) for w, pw in zip(gradings, p_weights))
@@ -482,15 +623,29 @@ def _solve_membership(p, gens, usable, gradings, span) -> tuple[dict, dict]:
     for mult_degree, wanted in by_degree.items():
         table.update(_packed_multipliers(mult_degree, gradings, wanted, shifts))
     last_user = {t: gi for gi, t in targets.items()}
-    trailing: list[int] = []
-    for gi in usable:
-        grow = {pack(m): v for m, v in int_row(gens[gi].terms).items()}
+    rows = [_columns(int_row(gens[gi].terms), shifts) for gi in usable]
+    # a lead divides a multiplier only if no grading without negative
+    # entries weighs it more, nor does the total degree
+    bounds = [
+        (w, max((t[c] for t in targets.values()), default=0))
+        for c, w in enumerate(gradings)
+        if min(w) >= 0
+    ]
+    leads = _trailing_term_leads(
+        [{-k: v for k, v in row.items()} for row in rows],
+        shifts,
+        width,
+        guard,
+        max(by_degree, default=0),
+        bounds,
+        span.budget,
+    )
+    for gi, row, trailing in zip(usable, rows, leads):
         t = targets[gi]
         mults = table.pop(t) if last_user[t] == gi else table[t]
         for mult in _undivided(mults, trailing, guard):
-            span.insert({k + mult: v for k, v in grow.items()}, (gi, mult))
-        trailing.append(min(grow))
-    rem, comb = span.reduce({pack(m): c for m, c in p.terms.items()})
+            span.insert({k - mult: v for k, v in row.items()}, (gi, mult))
+    rem, comb = span.reduce(_columns(p.terms, shifts))
     mask = (1 << width) - 1
     return rem, {
         (gi, Monomial(tuple((mult >> s) & mask for s in shifts))): c
@@ -508,14 +663,15 @@ def homogeneous_membership(
     Requires p and every generator homogeneous.  For homogeneous ideals this
     span equals the degree-deg(p) component of the ideal, so the verdict is
     ideal membership.  The verdict comes from one exact elimination over the
-    rationals, charged to `budget` if given.  The elimination skips every
-    row the Koszul criterion proves redundant (see `_solve_membership`):
-    the test holds for any homogeneous generators, and because it uses
-    trailing monomials, each skipped row lies in the span of the rows
-    inserted before it, so pivots, certificates and budget charges are
-    those of inserting every row.  Membership answers carry an exact
-    certificate that is re-expanded and compared against p before being
-    returned.
+    rationals, charged to `budget` if given, together with the trailing-term
+    basis that decides which rows to skip.  The elimination skips a row
+    M*g_k whenever the trailing monomial of an element of the ideal of the
+    generators before g_k divides M (the F5 criterion, see
+    `_solve_membership`): the test holds for any homogeneous generators,
+    each skipped row lies in the span of the rows inserted before it, so
+    pivots, certificates and span charges are those of inserting every
+    row.  Membership answers carry an exact certificate that is re-expanded
+    and compared against p before being returned.
     """
     gens = list(gens)
     if not p.is_homogeneous():

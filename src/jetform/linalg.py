@@ -49,10 +49,11 @@ class Budget:
 
     Counts the entries of each pivot row and of its step history: its own
     coefficient and one per elimination step (see `ExactSpan`), so one for a
-    pivot sharing `_UNIT`.  Each entry is costed at BYTES_PER_ENTRY, set
+    pivot sharing `_UNIT`.  The membership oracle also charges the terms of
+    its trailing-term basis.  Each entry is costed at BYTES_PER_ENTRY, set
     from `tracemalloc` peaks of whole searches, which also hold the
-    multiplier tables and the query: 178 bytes per entry for
-    min_degree_search((2, 2)), 167 for (1, 1, 2) and 134 for (0, 4).
+    multiplier tables and the query: 203 bytes per entry for
+    min_degree_search((2, 2)), 192 for (1, 1, 2) and 170 for (0, 4).
     Exceeding the configured limit raises BudgetExceededError instead of
     thrashing.
     """

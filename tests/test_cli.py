@@ -191,6 +191,47 @@ def test_domain_error_exit_code(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["dim", "--lambda", "-2,1"],
+        ["dim", "--lambda=-2,1"],
+        ["min-degree", "--h", "-1,2"],
+        ["min-degree", "--h=-1,2"],
+        ["radical-witness", "--h", "-1,2"],
+        ["nf", "z1", "--ell", "-1"],
+    ],
+)
+def test_negative_values_reach_the_domain_checks(capsys, argv):
+    code, doc = run_json(capsys, argv)
+    assert code == 1
+    assert doc["payload"]["code"] == "domain-error"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nf", "-z1", "--ell", "2"],
+        ["nf", "--ell", "2", "-z1"],
+        ["--json", "nf", "--ell", "2", "--", "-z1"],
+        ["--json", "nf", "-z1", "--ell", "2"],
+    ],
+)
+def test_polynomials_may_start_with_a_minus_sign(capsys, argv):
+    code, doc = run_json(capsys, argv)
+    assert code == 0
+    assert doc["payload"]["input"] == "-z1"
+    assert doc["payload"]["normal_form"] == "z2"
+
+
+def test_help_names_minus_sign_values_and_short_options_stay_usage_errors(capsys):
+    assert main(["--help"]) == 0
+    assert "`nf --ell 2 -- -z1`" in " ".join(capsys.readouterr().out.split())
+    assert main(["dim", "-j", "--lambda", "2,1"]) == 2
+    assert main(["dim", "--lambda", "2,1", "-h"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["nf", "z1", "--ell", "0"],
         ["nu", "z1", "--ell", "0"],
         ["expand", "z1", "--ell", "0"],

@@ -330,15 +330,16 @@ def _pivot_rows(span):
     ]
 
 
-def _koszul_skips_are_redundant(p, gens, multipliers) -> int:
-    """Run the oracle's elimination of p, which skips rows by the Koszul
+def _skipped_rows_are_redundant(p, gens, multipliers) -> int:
+    """Run the oracle's elimination of p, which skips rows by the F5
     criterion, and beside it a span offered every multiplier row in the
     same order: generators in index order, each generator's multipliers of
     the query's weights in descending lex order, drawn from
     `multipliers(degree)`, exponent vectors of that degree in descending
-    lex order.  Check that each row the oracle skipped leaves the full span
-    unchanged and that both spans end with the same pivots and histories,
-    in dict order.  Returns the number of skipped rows."""
+    lex order, keyed by the oracle's `_columns`.  Check that each row the
+    oracle skipped leaves the full span unchanged and that both spans end
+    with the same pivots and histories, in dict order.  Returns the number
+    of skipped rows."""
     degree = p.total_degree()
     nvars = p.ring.nvars
     usable = [i for i, g in enumerate(gens) if g.total_degree() <= degree]
@@ -347,10 +348,6 @@ def _koszul_skips_are_redundant(p, gens, multipliers) -> int:
     jets._solve_membership(p, gens, usable, gradings, kept)
 
     _, shifts, _ = jets._packing(nvars, degree)
-
-    def pack(exps):
-        return sum(e << s for e, s in zip(exps, shifts))
-
     target = _weights(gradings, next(iter(p.terms)))
     full = ExactSpan()
     offered = iter(kept.labels)
@@ -358,14 +355,16 @@ def _koszul_skips_are_redundant(p, gens, multipliers) -> int:
     skipped = 0
     for gi in usable:
         g = gens[gi]
-        grow = {pack(m): v for m, v in int_row(g.terms).items()}
+        grow = int_row(g.terms)
         g_weights = _weights(gradings, next(iter(g.terms)))
         for exps in multipliers(degree - g.total_degree()):
             weights = tuple(a + b for a, b in zip(_weights(gradings, exps), g_weights))
             if weights != target:
                 continue
-            label = (gi, pack(exps))
-            enlarged = full.insert({k + label[1]: v for k, v in grow.items()}, label)
+            mult = Monomial(exps)
+            label = (gi, sum(e << s for e, s in zip(exps, shifts)))
+            row = jets._columns({m * mult: v for m, v in grow.items()}, shifts)
+            enlarged = full.insert(row, label)
             if label == next_kept:
                 next_kept = next(offered, None)
             else:
@@ -392,7 +391,7 @@ def test_koszul_skipped_rows_are_redundant_on_oracle_tuples(h):
         for parts in itertools.product(blocks, repeat=len(h)):
             yield tuple(e for part in parts for e in part)
 
-    assert _koszul_skips_are_redundant(query, jet_generators(None, desc), multipliers) > 0
+    assert _skipped_rows_are_redundant(query, jet_generators(None, desc), multipliers) > 0
 
 
 @st.composite
@@ -435,7 +434,85 @@ def homogeneous_systems(draw):
 def test_koszul_skipped_rows_are_redundant_on_generic_systems(system):
     query, gens = system
     nvars = query.ring.nvars
-    _koszul_skips_are_redundant(query, gens, lambda degree: exponent_vectors(nvars, degree))
+    _skipped_rows_are_redundant(query, gens, lambda degree: exponent_vectors(nvars, degree))
+
+
+def test_no_offered_row_reduces_to_zero_on_oracle_tuples(monkeypatch):
+    # the jet generators form a regular sequence, so the F5 criterion skips
+    # every row that would reduce to zero (Faugere, ISSAC 2002)
+    spans = []
+
+    class CountingSpan(_RecordingSpan):
+        def __init__(self, *args, **kwargs):
+            super().__init__()
+            spans.append(self)
+
+    monkeypatch.setattr(jets, "ExactSpan", CountingSpan)
+    for h in _oracle_tuples():
+        if len(h) > 3 or sum(h) > 3:
+            continue
+        desc = JetRingDesc(len(h), sum(h))
+        query = derivative_monomial(h, desc) ** min_degree_formula(h)
+        del spans[:]
+        assert homogeneous_membership(query, jet_generators(None, desc)).member
+        (span,) = spans
+        assert len(span.labels) == span.rank > 0, h
+
+
+@pytest.mark.parametrize("n, H", [(n, H) for n in (1, 2, 3) for H in (1, 2, 3)] + [(2, 4)])
+def test_trailing_term_leads_match_sympy_grevlex(n, H):
+    # lead = lex-smallest term is grevlex with the variables reversed on
+    # homogeneous input; sympy's reduced bases of these prefixes have
+    # degree at most 7, so top 7 is complete and top n+1 truncates
+    import sympy
+
+    desc = JetRingDesc(n, H)
+    gens = jet_generators(None, desc)
+    symbols = sympy.symbols(desc.ring.names)
+    reversed_symbols = symbols[::-1]
+    expected = [[]]
+    for k in range(1, len(gens)):
+        basis = sympy.groebner(
+            [_sympy_expr(sympy, g, symbols) for g in gens[:k]],
+            *reversed_symbols,
+            order="grevlex",
+            domain="QQ",
+        )
+        expected.append(
+            [
+                sympy.Poly(e, *reversed_symbols).monoms(order="grevlex")[0][::-1]
+                for e in basis.exprs
+            ]
+        )
+    for top in sorted({n + 1, 7}):
+        width, shifts, guard = jets._packing(desc.ring.nvars, top)
+
+        def pack(exps):
+            return sum(e << s for e, s in zip(exps, shifts))
+
+        rows = [{pack(m): v for m, v in int_row(g.terms).items()} for g in gens]
+        got = list(jets._trailing_term_leads(rows, shifts, width, guard, top, [], None))
+        assert len(got) == len(gens)
+        for leads, monos in zip(got, expected):
+            assert sorted(leads) == sorted(pack(m) for m in monos if sum(m) <= top), (top, monos)
+
+
+# full sha256 of json.dumps(cert.to_json(ring), sort_keys=True) for three
+# degree-7 searches with n=3, H=4
+STRETCH_CERTIFICATE_SHA256 = {
+    (2, 1, 1): "5f4516809cbf0b7fb935e0d5a91bf5c8e71f98a14531dd5b3dfe76da1bf79ef9",
+    (2, 2, 0): "da2db9f430f7dffb2c361d227e1a75a0cfaaa98b191370b44a5e698863b4af71",
+    (3, 1, 0): "a5b44a95d6f24e86380c0815f3ba63ebe7fba0ea10b8603cfe8b19cc090329a3",
+}
+
+
+@pytest.mark.parametrize("h", sorted(STRETCH_CERTIFICATE_SHA256))
+def test_stretch_certificates_are_pinned(h):
+    result = min_degree_search(h)
+    assert result.degree == 7
+    ring = JetRingDesc(len(h), sum(h)).ring
+    payload = json.dumps(result.certificate.to_json(ring), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == STRETCH_CERTIFICATE_SHA256[h]
 
 
 @st.composite
