@@ -55,24 +55,19 @@ class CommandResult:
         return {"status": self.status, "payload": self.payload, "timing_ms": self.timing_ms}
 
 
-def _parse_lambda(text: str) -> Composition:
-    try:
-        parts = [int(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError as exc:
-        raise ParseError("bad composition %r" % text) from exc
-    if not parts:
-        raise ParseError("empty composition %r" % text)
-    return Composition(parts)
-
-
-def _parse_h(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str, what: str) -> tuple[int, ...]:
+    """A nonempty comma-separated list of ints; `what` names it in errors."""
     try:
         values = tuple(int(v) for v in text.split(",") if v.strip() != "")
     except ValueError as exc:
-        raise ParseError("bad derivative tuple %r" % text) from exc
+        raise ParseError("bad %s %r" % (what, text)) from exc
     if not values:
-        raise ParseError("empty derivative tuple %r" % text)
+        raise ParseError("empty %s %r" % (what, text))
     return values
+
+
+def _parse_lambda(text: str) -> Composition:
+    return Composition(_parse_ints(text, "composition"))
 
 
 def _global_flags() -> argparse.ArgumentParser:
@@ -90,7 +85,8 @@ def _global_flags() -> argparse.ArgumentParser:
         "--budget-mb",
         type=float,
         default=argparse.SUPPRESS,
-        help="memory budget for linear algebra (default: env %s or unlimited)" % BUDGET_ENV,
+        help="memory budget for linear algebra, a finite number of MB >= 0 "
+        "(default: env %s or unlimited)" % BUDGET_ENV,
     )
     return common
 
@@ -109,64 +105,70 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help_text):
-        return sub.add_parser(name, help=help_text, parents=[common])
+    def command(name, help_text, handler):
+        p = sub.add_parser(name, help=help_text, parents=[common])
+        p.set_defaults(handler=handler)
+        return p
 
-    p = command("nf", "normal form modulo the symmetric ideal")
+    p = command("nf", "normal form modulo the symmetric ideal", _cmd_nf)
     p.add_argument("poly")
     p.add_argument("--ell", type=int, required=True)
 
-    p = command("nu", "minimal degree in the normal form")
+    p = command("nu", "minimal degree in the normal form", _cmd_nu)
     p.add_argument("poly")
     p.add_argument("--ell", type=int, required=True)
 
-    p = command("dim", "dimension of the block-symmetric quotient")
+    p = command("dim", "dimension of the block-symmetric quotient", _cmd_dim)
     p.add_argument("--lambda", dest="lam", required=True)
 
-    p = command("basis", "monomial basis of the block-symmetric quotient")
+    p = command("basis", "monomial basis of the block-symmetric quotient", _cmd_basis)
     p.add_argument("--lambda", dest="lam", required=True)
 
-    p = command("nilpotency", "nilpotency order of a block-symmetric class")
+    p = command("nilpotency", "nilpotency order of a block-symmetric class", _cmd_nilpotency)
     p.add_argument("poly")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--block", type=int, required=True)
 
-    p = command("schubert", "Schubert polynomial of a permutation")
+    p = command("schubert", "Schubert polynomial of a permutation", _cmd_schubert)
     p.add_argument("perm")
 
-    p = command("monk", "Monk product expansion")
+    p = command("monk", "Monk product expansion", _cmd_monk)
     p.add_argument("perm")
     p.add_argument("--r", type=int, required=True)
 
-    p = command("expand", "expansion in the Schubert basis modulo the symmetric ideal")
+    p = command(
+        "expand", "expansion in the Schubert basis modulo the symmetric ideal", _cmd_expand
+    )
     p.add_argument("poly")
     p.add_argument("--ell", type=int, required=True)
 
-    p = command("catalan", "coefficient of the binomial-power congruence")
+    p = command("catalan", "coefficient of the binomial-power congruence", _cmd_catalan)
     p.add_argument("--ell", type=int, required=True)
 
-    p = command("jet-gens", "jet ideal generators")
+    p = command("jet-gens", "jet ideal generators", _cmd_jet_gens)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--gens", default=None, help="semicolon-separated base polynomials")
 
-    p = command("primes", "minimal primes of the jet ideal of x1...xn")
+    p = command("primes", "minimal primes of the jet ideal of x1...xn", _cmd_primes)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
 
-    p = command("member", "certified membership in the jet ideal of x1...xn")
+    p = command("member", "certified membership in the jet ideal of x1...xn", _cmd_member)
     p.add_argument("poly")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
 
-    p = command("min-degree", "minimal member power of a derivative monomial")
+    p = command("min-degree", "minimal member power of a derivative monomial", _cmd_min_degree)
     p.add_argument("--h", required=True)
     p.add_argument("--cap", type=int, default=None)
 
-    p = command("radical-witness", "non-membership witness in the radical")
+    p = command(
+        "radical-witness", "non-membership witness in the radical", _cmd_radical_witness
+    )
     p.add_argument("--h", required=True)
 
-    p = command("multiplicity", "multiplicities of the minimal primes")
+    p = command("multiplicity", "multiplicities of the minimal primes", _cmd_multiplicity)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
 
@@ -327,7 +329,7 @@ def _cmd_member(args):
 
 
 def _cmd_min_degree(args):
-    h = _parse_h(args.h)
+    h = _parse_ints(args.h, "derivative tuple")
     formula = jets.min_degree_formula(h)
     result = jets.min_degree_search(h, cap=args.cap, budget=args.budget)
     desc = jets.JetRingDesc(len(h), sum(h))
@@ -349,7 +351,7 @@ def _cmd_min_degree(args):
 
 
 def _cmd_radical_witness(args):
-    h = _parse_h(args.h)
+    h = _parse_ints(args.h, "derivative tuple")
     value = jets.radical_witness(h)
     return {"h": list(h), "witness": value}, [str(value).lower()]
 
@@ -369,25 +371,6 @@ def _cmd_multiplicity(args):
     lines = ["lambda=%-12s %d" % (lam.parts, mult) for lam, mult in table.items()]
     lines.append("total=%d (n^(m+1)=%d)" % (total, args.n ** (args.m + 1)))
     return payload, lines
-
-
-_HANDLERS = {
-    "nf": _cmd_nf,
-    "nu": _cmd_nu,
-    "dim": _cmd_dim,
-    "basis": _cmd_basis,
-    "nilpotency": _cmd_nilpotency,
-    "schubert": _cmd_schubert,
-    "monk": _cmd_monk,
-    "expand": _cmd_expand,
-    "catalan": _cmd_catalan,
-    "jet-gens": _cmd_jet_gens,
-    "primes": _cmd_primes,
-    "member": _cmd_member,
-    "min-degree": _cmd_min_degree,
-    "radical-witness": _cmd_radical_witness,
-    "multiplicity": _cmd_multiplicity,
-}
 
 
 def _parse_args(argv) -> argparse.Namespace:
@@ -420,7 +403,7 @@ def run(argv) -> tuple[CommandResult, list[str]]:
     try:
         # read by the member and min-degree handlers
         args.budget = _budget_from(budget_mb)
-        payload, lines = _HANDLERS[args.command](args)
+        payload, lines = args.handler(args)
     except ParseError as exc:
         return _error("parse-error", str(exc), start, EXIT_PARSE, json_mode), []
     except BudgetExceededError as exc:

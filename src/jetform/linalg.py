@@ -21,11 +21,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from types import MappingProxyType
 from typing import Hashable, Mapping
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, DomainError
 
 __all__ = ["ExactSpan", "Budget", "int_row", "rational_nullspace"]
 
@@ -55,12 +55,15 @@ class Budget:
     multiplier tables and the query: 203 bytes per entry for
     min_degree_search((2, 2)), 192 for (1, 1, 2) and 170 for (0, 4).
     Exceeding the configured limit raises BudgetExceededError instead of
-    thrashing.
+    thrashing.  The limit is None, for no limit, or a finite number of MB,
+    at least 0; anything else raises DomainError.
     """
 
     BYTES_PER_ENTRY = 160
 
     def __init__(self, megabytes: float | None):
+        if megabytes is not None and not 0 <= megabytes < inf:
+            raise DomainError("memory budget must be a finite number of MB >= 0")
         self.limit_entries = (
             None
             if megabytes is None

@@ -147,11 +147,6 @@ class Monomial(tuple):
     def lcm(self, other: "Monomial") -> "Monomial":
         return Monomial(map(max, self, other))
 
-    def __pow__(self, e: int) -> "Monomial":
-        if e < 0:
-            raise DomainError("negative monomial power")
-        return Monomial(a * e for a in self)
-
     def __repr__(self):
         return "Monomial%s" % tuple.__repr__(self)
 
@@ -198,9 +193,6 @@ class Poly:
             raise DomainError("zero polynomial has no leading term")
         m = max(self.terms)
         return m, self.terms[m]
-
-    def coeff(self, mono: Monomial) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
 
     def min_degree(self) -> int | None:
         """Minimal term degree, or None for the zero polynomial."""
@@ -256,17 +248,7 @@ class Poly:
         return Poly(self.ring, {m: c * v for m, v in self.terms.items()})
 
     def __pow__(self, e: int) -> "Poly":
-        if e < 0:
-            raise DomainError("negative polynomial power")
-        result = self.ring.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(self, e, self.ring.one())
 
     def mul_monomial(self, mono: Monomial, coeff=Fraction(1)) -> "Poly":
         coeff = Fraction(coeff)
@@ -340,6 +322,20 @@ class Poly:
 
     def __repr__(self):
         return "Poly(%s)" % format_poly(self)
+
+
+def _power(base, e: int, one):
+    """base**e by square-and-multiply, `one` being the identity."""
+    if e < 0:
+        raise DomainError("negative power")
+    result = one
+    while e:
+        if e & 1:
+            result = result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return result
 
 
 # -- division --------------------------------------------------------------
@@ -465,17 +461,7 @@ class TruncatedSeries:
         return TruncatedSeries(self.ring, out, m)
 
     def __pow__(self, e: int) -> "TruncatedSeries":
-        if e < 0:
-            raise DomainError("negative series power")
-        result = TruncatedSeries.constant(self.ring, self.ring.one(), self.order)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(self, e, TruncatedSeries.constant(self.ring, self.ring.one(), self.order))
 
     def __repr__(self):
         return "TruncatedSeries(%s)" % " + ".join(
@@ -549,7 +535,6 @@ class _Parser:
     def term(self) -> Poly:
         coeff = Fraction(1)
         exps = [0] * self.ring.nvars
-        saw_factor = False
         kind, val = self.peek()
         if kind == "num":
             self.take()
@@ -567,13 +552,11 @@ class _Parser:
             if kind == "op" and nxt == "*":
                 self.take()
                 self.factor(exps)
-                saw_factor = True
             else:
                 # bare constant term
                 return self.ring.const(coeff)
         else:
             self.factor(exps)
-            saw_factor = True
         while True:
             kind, val = self.peek()
             if kind == "op" and val == "*":
@@ -581,8 +564,6 @@ class _Parser:
                 self.factor(exps)
                 continue
             break
-        if not saw_factor:
-            return self.ring.const(coeff)
         return Poly(self.ring, {Monomial(tuple(exps)): coeff})
 
     def factor(self, exps: list[int]):

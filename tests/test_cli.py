@@ -278,6 +278,31 @@ def test_budget_env_var(capsys, monkeypatch):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["--budget-mb", "-1", "min-degree", "--h", "1,1"], None),
+        (["--budget-mb=nan", "min-degree", "--h", "1,1"], None),
+        (["--budget-mb=inf", "min-degree", "--h", "1,1"], None),
+        (["member", "x1_0", "--n", "1", "--m", "0"], "-5"),
+    ],
+)
+def test_negative_or_non_finite_budgets_are_domain_errors(capsys, monkeypatch, argv, env):
+    if env is None:
+        monkeypatch.delenv("JETFORM_BUDGET_MB", raising=False)
+    else:
+        monkeypatch.setenv("JETFORM_BUDGET_MB", env)
+    code, doc = run_json(capsys, argv)
+    assert code == 1
+    assert doc["payload"]["code"] == "domain-error"
+
+
+def test_zero_budget_is_legal_and_exhausted(capsys):
+    code, doc = run_json(capsys, ["--budget-mb", "0", "min-degree", "--h", "1,1"])
+    assert code == 3
+    assert doc["payload"]["code"] == "budget-exceeded"
+
+
 def test_member_budget_error_has_no_partial_result(capsys):
     argv = ["--budget-mb", "0.0001", "member", "x1_0*x2_1", "--n", "2", "--m", "1"]
     code, doc = run_json(capsys, argv)
@@ -335,7 +360,7 @@ LAMBDAS = ["2,1", "1,1", "3", "1,0,2", "", ",", "a,b", "-1,2", "0,0"]
 PERMS = ["[2,3,1]", "3,1,2", "[1]", "[4,3,2,1]", "[1,1,2]", "[]", "[0,1]", "x", "[2,,1]"]
 HS = ["1,1", "2", "1,0", "0", "0,0", "2,1", "", "-1,1", "a", ","]
 GENS = ["x1*x2", "x1^2 - x2", "x1;x2", ";", "", "z1"]
-BUDGETS = ["0.0001", "512", "-1", "x"]
+BUDGETS = ["0.0001", "512", "-1", "x", "nan", "inf"]
 
 # per subcommand: positional alphabets, then (option, alphabet) pairs
 SUBCOMMANDS = {

@@ -5,7 +5,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetform import jets
@@ -20,6 +20,7 @@ from jetform import (
     Monomial,
     PsiSpecialization,
     RingMismatchError,
+    TruncatedSeries,
     compositions,
     derivative_monomial,
     groebner_basis_IS,
@@ -459,16 +460,15 @@ def test_no_offered_row_reduces_to_zero_on_oracle_tuples(monkeypatch):
         assert len(span.labels) == span.rank > 0, h
 
 
-@pytest.mark.parametrize("n, H", [(n, H) for n in (1, 2, 3) for H in (1, 2, 3)] + [(2, 4)])
-def test_trailing_term_leads_match_sympy_grevlex(n, H):
-    # lead = lex-smallest term is grevlex with the variables reversed on
-    # homogeneous input; sympy's reduced bases of these prefixes have
-    # degree at most 7, so top 7 is complete and top n+1 truncates
+def _check_trailing_term_leads(gens, tops):
+    """For every prefix of `gens` and every truncation degree in `tops`,
+    the leads `_trailing_term_leads` yields equal those of sympy's reduced
+    grevlex basis over the reversed variables, up to that degree: on
+    homogeneous input that order's leading term is the lex-smallest."""
     import sympy
 
-    desc = JetRingDesc(n, H)
-    gens = jet_generators(None, desc)
-    symbols = sympy.symbols(desc.ring.names)
+    ring = gens[0].ring
+    symbols = sympy.symbols(ring.names)
     reversed_symbols = symbols[::-1]
     expected = [[]]
     for k in range(1, len(gens)):
@@ -484,8 +484,10 @@ def test_trailing_term_leads_match_sympy_grevlex(n, H):
                 for e in basis.exprs
             ]
         )
-    for top in sorted({n + 1, 7}):
-        width, shifts, guard = jets._packing(desc.ring.nvars, top)
+    for top in tops:
+        width, shifts, guard = jets._packing(
+            ring.nvars, max(top, *(g.total_degree() for g in gens))
+        )
 
         def pack(exps):
             return sum(e << s for e, s in zip(exps, shifts))
@@ -495,6 +497,41 @@ def test_trailing_term_leads_match_sympy_grevlex(n, H):
         assert len(got) == len(gens)
         for leads, monos in zip(got, expected):
             assert sorted(leads) == sorted(pack(m) for m in monos if sum(m) <= top), (top, monos)
+
+
+@pytest.mark.parametrize("n, H", [(n, H) for n in (1, 2, 3) for H in (1, 2, 3)] + [(2, 4)])
+def test_trailing_term_leads_match_sympy_grevlex(n, H):
+    # sympy's reduced bases of these prefixes have degree at most 7, so
+    # top 7 is complete and top n+1 truncates
+    _check_trailing_term_leads(jet_generators(None, JetRingDesc(n, H)), sorted({n + 1, 7}))
+
+
+@st.composite
+def small_homogeneous_generators(draw):
+    """One to three homogeneous generators of degree 1 to 3 in one to four
+    variables, with coefficients in [-3, 3]."""
+    nvars = draw(st.integers(min_value=1, max_value=4))
+    ring = zring(nvars)
+    coeff = st.integers(min_value=-3, max_value=3).filter(bool)
+    gens = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        degree = draw(st.integers(min_value=1, max_value=3))
+        monos = draw(
+            st.lists(
+                st.sampled_from(exponent_vectors(nvars, degree)),
+                min_size=1,
+                max_size=4,
+                unique=True,
+            )
+        )
+        gens.append(ring.from_terms({m: Fraction(draw(coeff)) for m in monos}))
+    return gens
+
+
+@settings(deadline=None)
+@given(small_homogeneous_generators(), st.integers(min_value=1, max_value=5))
+def test_trailing_term_leads_match_sympy_grevlex_on_generic_systems(gens, top):
+    _check_trailing_term_leads(gens, [top])
 
 
 # full sha256 of json.dumps(cert.to_json(ring), sort_keys=True) for three
@@ -820,6 +857,10 @@ def test_compositions_descending_lex():
         lambda: homogeneous_membership(zring(2).var(0) + zring(2).one(), []),
         lambda: groebner_basis_IS(0),
         lambda: zring(2).var(0) ** -1,
+        lambda: TruncatedSeries.constant(zring(2), zring(2).one(), 2) ** -1,
+        lambda: Budget(-1),
+        lambda: Budget(float("nan")),
+        lambda: Budget(float("inf")),
     ],
 )
 def test_domain_checks_raise_domain_error(call):
