@@ -13,12 +13,19 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial, gcd, prod
 
-from .errors import DomainError, InvariantViolationError
+from .errors import DomainError, InvariantViolationError, RingMismatchError
 from .polyring import Monomial, Poly, Ring, TruncatedSeries
 from .symfun import (
-    Composition, block_sigma, is_lambda_symmetric, normal_form_IS, sym_lambda_average, zring
+    Composition,
+    _pack,
+    _reduce_packed,
+    block_sigma,
+    is_lambda_symmetric,
+    normal_form_IS,
+    sym_lambda_average,
+    zring,
 )
 
 __all__ = [
@@ -97,12 +104,21 @@ def nilpotency_order(p: Poly, lam: Composition, block: int) -> int | None:
     small.  Returns None only if no zero power shows up below the certified
     bound floor(lambda_i * (ell - lambda_i) / nu(p)) + 1, which signals an
     internal error rather than a legal answer.
+
+    The power loop runs on packed integer polynomials, as `normal_form_IS`
+    does inside: NF(p) is scaled to integer coefficients and packed once,
+    a product adds keys, and `symfun._reduce_packed` reduces it.  Whether a
+    power is zero does not depend on its scale, so each power is divided by
+    the gcd of its coefficients and no Fraction is made.  A reduced monomial
+    has deg_{z_i} < i, so total degree at most ell(ell-1)/2; a product of
+    two has degree at most ell(ell-1), and fields of bit length
+    (ell(ell-1)).bit_length() + 1 hold its exponents below the guard bit.
     """
     if not 1 <= block <= lam.n:
         raise DomainError("block index %d out of range 1..%d" % (block, lam.n))
     ell = lam.ell
     if p.ring != zring(ell):
-        raise DomainError("polynomial must live in the %d-variable z ring" % ell)
+        raise RingMismatchError("polynomial must live in the %d-variable z ring" % ell)
     block_vars = set(lam.block(block))
     for mono in p.terms:
         support = {i for i, e in enumerate(mono) if e}
@@ -120,11 +136,21 @@ def nilpotency_order(p: Poly, lam: Composition, block: int) -> int | None:
     r = nf.min_degree()
     lam_i = lam.parts[block - 1]
     bound = (lam_i * (ell - lam_i)) // r + 1
-    power = nf
+    width = (ell * (ell - 1)).bit_length() + 1
+    base, _ = _pack(nf, width)
+    power = base
     for e in range(2, bound + 1):
-        power = normal_form_IS(power * nf, ell)
-        if power.is_zero():
+        product: dict[int, int] = {}
+        for k1, c1 in power.items():
+            for k2, c2 in base.items():
+                k = k1 + k2
+                product[k] = product.get(k, 0) + c1 * c2
+        power = _reduce_packed(product, ell, width)
+        if not power:
             return e
+        content = gcd(*power.values())
+        if content != 1:
+            power = {k: c // content for k, c in power.items()}
     return None
 
 

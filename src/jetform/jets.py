@@ -491,8 +491,14 @@ def _trailing_term_leads(rows, shifts, width, guard, top, bounds, budget):
         return f
 
     def top_reduce(f):
+        # each cancellation removes the lead t and adds only larger keys, so
+        # t must rise strictly; a step that does not rise would never end
+        last = -1
         while f:
             t = min(f)
+            if t <= last:
+                raise InvariantViolationError("trailing-term reduction did not cancel its lead")
+            last = t
             for g, lead, _ in basis:
                 if divides(lead, t):
                     f = cancel(f, t, g, lead)

@@ -13,6 +13,13 @@ driven by a composition (lambda_1, ..., lambda_n) of ell: invariance tests,
 the averaging projector over S_{lambda_1} x ... x S_{lambda_n}, and the
 rewriting of a block-symmetric polynomial in the elementary symmetric
 polynomials of its blocks.
+
+The arithmetic of the quotient runs on integers.  `_reduce_packed` is the
+one reduction kernel: it takes a polynomial as integer coefficients on
+monomials packed into ints, and `normal_form_IS` and
+`alambda.nilpotency_order` both call it.  The averaging projector keeps
+integer numerators over one common denominator.  Fractions are made only
+for the Polys these functions return.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from math import lcm
+from math import factorial, lcm
 
 from .errors import DomainError, RingMismatchError
 from .polyring import Monomial, Poly, Ring
@@ -149,33 +156,65 @@ def normal_form_IS(p: Poly, ell: int | None = None) -> Poly:
     the rules z_i^i -> -(g_i - z_i^i) read off the Groebner basis.  Each
     monomial is packed into one int, z_1 in the most significant field, so
     lex order is integer order and applying a rule is adding a fixed offset.
-    Pending monomials sit in a max-heap; every monomial a rule produces is
-    lex-smaller than the one it replaces, so a popped monomial never comes
-    back and the reduced ones leave the heap as finished remainder terms.
-    The normal form is unique, so a monomial divisible by several z_i^i may
-    be rewritten by any of their rules; the highest i is taken, which on
-    the ell=6 Schubert polynomials pops fewer monomials than the lowest.
+    See `_reduce_packed` for the loop and its one-step rule dispatch.
 
-    The field width is the bit length of p's top degree.  Every g_i is
-    homogeneous, so a rewrite keeps total degree and no exponent can exceed
-    that degree; no field overflows into its neighbour.  Coefficients are
-    scaled to integers by the lcm of p's denominators and divided back at
-    the end, which is exact because NF(c*p) = c*NF(p).
+    A field holds an exponent below its top bit, the guard bit, so the
+    field width is one more than the bit length of p's top degree.  Every
+    g_i is homogeneous, so a rewrite keeps total degree and no exponent can
+    exceed that degree; no field overflows into its neighbour.  Coefficients
+    are scaled to integers by the lcm of p's denominators and divided back
+    at the end, which is exact because NF(c*p) = c*NF(p).
     """
     if ell is None:
         ell = p.ring.nvars
     if p.ring != zring(ell):
         raise RingMismatchError("polynomial not in the %d-variable z ring" % ell)
-    width = max((p.total_degree() or 0).bit_length(), 1)
-    shifts, rules = _packed_rules(ell, width)
+    width = (p.total_degree() or 0).bit_length() + 1
+    pending, scale = _pack(p, width)
+    reduced = _reduce_packed(pending, ell, width)
     mask = (1 << width) - 1
+    shifts = range(width * (ell - 1), -1, -width)
+    return Poly(
+        p.ring,
+        {
+            Monomial((key >> s) & mask for s in shifts): Fraction(c, scale)
+            for key, c in reduced.items()
+        },
+    )
+
+
+def _pack(p: Poly, width: int) -> tuple[dict[int, int], int]:
+    """p as integer coefficients on packed keys, z_1 in the most significant
+    `width`-bit field, and the common denominator they are over: the lcm of
+    p's denominators."""
     scale = lcm(*(c.denominator for c in p.terms.values()))
-    pending: dict[int, int] = {}
+    packed = {}
     for mono, c in p.terms.items():
         key = 0
         for e in mono:
             key = (key << width) | e
-        pending[key] = c.numerator * (scale // c.denominator)
+        packed[key] = c.numerator * (scale // c.denominator)
+    return packed, scale
+
+
+def _reduce_packed(pending: dict[int, int], ell: int, width: int) -> dict[int, int]:
+    """Reduce the packed integer polynomial `pending` modulo I_S; consumes it.
+
+    Keys pack z_1..z_ell into `width`-bit fields, z_1 most significant,
+    each exponent below its field's guard bit.  Pending monomials sit in a
+    max-heap; every monomial a rule produces is lex-smaller than the one it
+    replaces, so a popped monomial never comes back and the reduced ones
+    leave the heap as finished remainder terms, in descending key order.
+
+    The normal form is unique, so a monomial divisible by several z_i^i may
+    be rewritten by any of their rules; the highest i is taken, which on
+    the ell=6 Schubert polynomials pops fewer monomials than the lowest.
+    One addition finds it: `bump` adds 2^(width-1) - i to the field of z_i,
+    which sets that field's guard bit exactly when z_i >= i, so
+    (key + bump) & guard is 0 on reduced monomials and otherwise has as its
+    lowest set bit the guard bit of the largest such i.
+    """
+    bump, guard, rules = _packed_rules(ell, width)
     heap = [-key for key in pending]
     heapify(heap)
     reduced: dict[int, int] = {}
@@ -184,47 +223,51 @@ def normal_form_IS(p: Poly, ell: int | None = None) -> Poly:
         c = pending.pop(key)
         if not c:
             continue
-        for shift, i, rule in rules:
-            if (key >> shift) & mask >= i:
-                for offset, rc in rule:
-                    child = key + offset
-                    old = pending.get(child)
-                    if old is None:
-                        pending[child] = c * rc
-                        heappush(heap, -child)
-                    else:
-                        pending[child] = old + c * rc
-                break
-        else:
+        hit = (key + bump) & guard
+        if not hit:
             reduced[key] = c
-    return Poly(
-        p.ring,
-        {
-            Monomial(tuple((key >> s) & mask for s in shifts)): Fraction(c, scale)
-            for key, c in reduced.items()
-        },
-    )
+            continue
+        for offset, rc in rules[hit & -hit]:
+            child = key + offset
+            old = pending.get(child)
+            if old is None:
+                pending[child] = c * rc
+                heappush(heap, -child)
+            else:
+                pending[child] = old + c * rc
+    return reduced
 
 
 @lru_cache(maxsize=128)
 def _packed_rules(ell: int, width: int):
-    """Field shifts of z_1..z_ell for `width`-bit fields, and the rewrite
-    rules as (shift of z_i, i, ((packed offset, coefficient), ...)) for
-    i = ell down to 1."""
-    shifts = tuple(width * (ell - 1 - v) for v in range(ell))
+    """(bump, guard, rules) of `_reduce_packed` for `width`-bit fields.
+
+    `rules` maps the guard bit of z_i's field to the rewrite z_i^i -> ...
+    as ((packed offset, coefficient), ...).  Only i <= 2^(width-1) gets a
+    bump and a rule: every exponent is below 2^(width-1), so no larger i
+    can have z_i >= i, and a bump of 2^(width-1) - i >= 0 with an exponent
+    below 2^(width-1) never carries out of its field.
+    """
+    shifts = [width * (ell - i) for i in range(1, ell + 1)]
+    top = 1 << (width - 1)
 
     def pack(mono):
         return sum(e << s for e, s in zip(mono, shifts))
 
-    rules = []
+    bump = guard = 0
+    rules = {}
     for i, g in enumerate(groebner_basis_IS(ell), start=1):
+        if i > top:
+            break
+        bit = top << shifts[i - 1]
+        bump += (top - i) << shifts[i - 1]
+        guard |= bit
         lead, _ = g.leading()
         # g_i is monic with every coefficient 1, so the rule stays integral
-        tail = tuple(
+        rules[bit] = tuple(
             (pack(m) - pack(lead), -int(c)) for m, c in g.terms.items() if m != lead
         )
-        rules.append((shifts[i - 1], i, tail))
-    return shifts, tuple(reversed(rules))
+    return bump, guard, rules
 
 
 def in_IS(p: Poly) -> bool:
@@ -263,29 +306,34 @@ def sym_lambda_average(p: Poly, lam: Composition) -> Poly:
 
     An idempotent linear projector onto the lambda-symmetric subspace.  The
     block averages commute, so it averages one block at a time through
-    monomial orbit sums.
+    monomial orbit sums, on integer numerators over one common denominator.
+    The denominator starts as the lcm of p's denominators.  Averaging over a
+    block of size b multiplies it by b!, and each of a monomial's orbit
+    arrangements gets its numerator times b! / (orbit size); the orbit size
+    divides b!, so every numerator stays integral.  Zeros are dropped after
+    each block, so that a cancelled monomial keeps no place in the term
+    order, and Fractions are made once, for the output terms.
     """
     _check_arity(p, lam)
-    for i in range(1, lam.n + 1):
-        p = _average_block(p, list(lam.block(i)))
-    return p
-
-
-def _average_block(p: Poly, block: list[int]) -> Poly:
-    if len(block) <= 1:
+    blocks = [block for block in lam.blocks() if len(block) > 1]
+    if not blocks:
         return p
-    out: dict[Monomial, Fraction] = {}
-    for mono, coeff in p.terms.items():
-        pattern = [mono[i] for i in block]
-        arrangements = _distinct_arrangements(tuple(sorted(pattern, reverse=True)))
-        share = coeff / len(arrangements)
-        for arr in arrangements:
-            exps = list(mono)
-            for pos, e in zip(block, arr):
-                exps[pos] = e
-            key = Monomial(exps)
-            out[key] = out.get(key, 0) + share
-    return Poly(p.ring, out)
+    scale = lcm(*(c.denominator for c in p.terms.values()))
+    terms = {m: c.numerator * (scale // c.denominator) for m, c in p.terms.items()}
+    for block in blocks:
+        start, stop = block.start, block.stop
+        size = factorial(stop - start)
+        scale *= size
+        out: dict[Monomial, int] = {}
+        for mono, c in terms.items():
+            head, tail = mono[:start], mono[stop:]
+            arrangements = _distinct_arrangements(tuple(sorted(mono[start:stop], reverse=True)))
+            share = c * (size // len(arrangements))
+            for arr in arrangements:
+                key = Monomial(head + arr + tail)
+                out[key] = out.get(key, 0) + share
+        terms = {m: c for m, c in out.items() if c}
+    return Poly(p.ring, {m: Fraction(c, scale) for m, c in terms.items()})
 
 
 @lru_cache(maxsize=4096)

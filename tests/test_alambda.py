@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from jetform import (
     Composition,
     ExactSpan,
+    RingMismatchError,
     alpha_map,
     basis_exponents,
     basis_polys,
@@ -17,6 +19,7 @@ from jetform import (
     nilpotency_order,
     normal_form_IS,
     nu,
+    sym_lambda_average,
     zring,
 )
 from jetform.linalg import int_row
@@ -140,6 +143,55 @@ def test_nilpotency_rejections():
         nilpotency_order(z1 + z2 + 1 * ring.one(), lam, 1)  # constant term
     with pytest.raises(ValueError):
         nilpotency_order(z1 + z2, lam, 5)  # no such block
+
+
+def test_nilpotency_ring_mismatch_is_ring_mismatch_error():
+    lam = Composition((2, 1))
+    for ell in (2, 4):
+        p = zring(ell).var(0) + zring(ell).var(1)
+        with pytest.raises(RingMismatchError):
+            nilpotency_order(p, lam, 1)
+        with pytest.raises(RingMismatchError):
+            normal_form_IS(p, lam.ell)
+        with pytest.raises(RingMismatchError):
+            sym_lambda_average(p, lam)
+
+
+def _nilpotency_order_by_poly_powers(p, lam, block):
+    """The Poly power loop that `nilpotency_order` replaced, kept as the
+    reference: multiply the last power's normal form by NF(p) and reduce,
+    up to the certified bound."""
+    nf = normal_form_IS(p, lam.ell)
+    if nf.is_zero():
+        return 1
+    part = lam.parts[block - 1]
+    power = nf
+    for e in range(2, (part * (lam.ell - part)) // nf.min_degree() + 2):
+        power = normal_form_IS(power * nf, lam.ell)
+        if power.is_zero():
+            return e
+    return None
+
+
+def test_nilpotency_matches_poly_power_loop():
+    # every block of every composition of ell <= 5: sigma_1, and
+    # c_1 sigma_1 + c_2 sigma_2 with denominators as the benchmark draws them
+    rng = make_rng(4)
+
+    def coeff():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((1, 2, 3, 7, 12)))
+
+    for ell in range(1, 6):
+        for parts in positive_compositions(ell):
+            lam = Composition(parts)
+            for i, part in enumerate(parts, start=1):
+                p = block_sigma(lam, i, 1).scale(coeff())
+                if part >= 2:
+                    p = p + block_sigma(lam, i, 2).scale(coeff())
+                for q in (block_sigma(lam, i, 1), p):
+                    assert nilpotency_order(q, lam, i) == _nilpotency_order_by_poly_powers(
+                        q, lam, i
+                    ), (parts, i, q)
 
 
 def test_nilpotency_bound_random():

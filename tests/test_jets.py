@@ -3,6 +3,7 @@ import itertools
 import json
 import tracemalloc
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -460,11 +461,14 @@ def test_no_offered_row_reduces_to_zero_on_oracle_tuples(monkeypatch):
         assert len(span.labels) == span.rank > 0, h
 
 
-def _check_trailing_term_leads(gens, tops):
-    """For every prefix of `gens` and every truncation degree in `tops`,
-    the leads `_trailing_term_leads` yields equal those of sympy's reduced
-    grevlex basis over the reversed variables, up to that degree: on
-    homogeneous input that order's leading term is the lex-smallest."""
+def _check_trailing_term_leads(gens, tops, boxes=([],)):
+    """For every prefix of `gens`, every truncation degree in `tops` and
+    every weight box in `boxes` (a list of (grading, bound) pairs, as the
+    `bounds` of `_trailing_term_leads`), the leads `_trailing_term_leads`
+    yields equal those of sympy's reduced grevlex basis over the reversed
+    variables that have degree at most top and weight at most b under
+    every (w, b) of the box: on homogeneous input that order's leading term
+    is the lex-smallest."""
     import sympy
 
     ring = gens[0].ring
@@ -493,10 +497,16 @@ def _check_trailing_term_leads(gens, tops):
             return sum(e << s for e, s in zip(exps, shifts))
 
         rows = [{pack(m): v for m, v in int_row(g.terms).items()} for g in gens]
-        got = list(jets._trailing_term_leads(rows, shifts, width, guard, top, [], None))
-        assert len(got) == len(gens)
-        for leads, monos in zip(got, expected):
-            assert sorted(leads) == sorted(pack(m) for m in monos if sum(m) <= top), (top, monos)
+        for bounds in boxes:
+            got = list(jets._trailing_term_leads(rows, shifts, width, guard, top, bounds, None))
+            assert len(got) == len(gens)
+            for leads, monos in zip(got, expected):
+                want = [
+                    pack(m)
+                    for m in monos
+                    if sum(m) <= top and all(sum(map(mul, w, m)) <= b for w, b in bounds)
+                ]
+                assert sorted(leads) == sorted(want), (top, bounds, monos)
 
 
 @pytest.mark.parametrize("n, H", [(n, H) for n in (1, 2, 3) for H in (1, 2, 3)] + [(2, 4)])
@@ -504,6 +514,18 @@ def test_trailing_term_leads_match_sympy_grevlex(n, H):
     # sympy's reduced bases of these prefixes have degree at most 7, so
     # top 7 is complete and top n+1 truncates
     _check_trailing_term_leads(jet_generators(None, JetRingDesc(n, H)), sorted({n + 1, 7}))
+
+
+@pytest.mark.parametrize("n, H", [(1, 3), (2, 2), (2, 3), (3, 2), (2, 4)])
+def test_trailing_term_leads_in_weight_boxes_match_sympy_grevlex(n, H):
+    # the oracle's weight boxes: each grading of the jet generators without
+    # negative entries, with every bound from 1 to 3
+    gens = jet_generators(None, JetRingDesc(n, H))
+    gradings = [w for w in jets._common_gradings(gens, gens[0].ring.nvars) if min(w) >= 0]
+    boxes = [
+        list(zip(gradings, bs)) for bs in itertools.product(range(1, 4), repeat=len(gradings))
+    ]
+    _check_trailing_term_leads(gens, sorted({n + 1, 7}), boxes)
 
 
 @st.composite

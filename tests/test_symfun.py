@@ -2,9 +2,13 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from jetform import (
     Composition,
+    Monomial,
+    Poly,
     Ring,
     RingMismatchError,
     block_sigma,
@@ -171,10 +175,12 @@ def test_normal_form_zero_and_constants():
             assert normal_form_IS(ring.const(c)) == ring.const(c)
 
 
-@pytest.mark.parametrize("top", [1, 7, 8, 15, 16])
+@pytest.mark.parametrize("top", [*range(1, 9), 15, 16])
 def test_normal_form_at_field_width_boundaries(top):
-    # exponents are packed into fields of top.bit_length() bits: 1, 3, 4, 4
-    # and 5 for these degrees; a pure power fills its field to the top.
+    # exponents are packed into fields of top.bit_length() + 1 bits, the top
+    # one a guard bit: 2 bits for degree 1, 3 for 2-3, 4 for 4-7, 5 for 8-15
+    # and 6 for 16; a pure power fills its field up to the guard bit.  For
+    # degrees 1-3 the fields of z_i with i above 2^(bits-1) carry no rule.
     # Generic division at degree 15 and up in six variables takes seconds
     # per input, so those degrees stop at five.
     rng = make_rng(top)
@@ -352,6 +358,86 @@ def test_sym_average_block_orbit_path_matches_full_group():
         for first, second in product(permutations(range(3)), permutations(range(3, 5))):
             full = full + p.permute_vars(first + second)
         assert sym_lambda_average(p, lam) == full.scale(Fraction(1, 12))
+
+
+def _average_by_blocks(p, lam):
+    """The per-block Fraction averaging that `sym_lambda_average` replaced,
+    kept as the reference for its values and its term order."""
+    for block in lam.blocks():
+        if len(block) <= 1:
+            continue
+        out = {}
+        for mono, coeff in p.terms.items():
+            arrangements = sorted(set(permutations(mono[block.start : block.stop])), reverse=True)
+            for arr in arrangements:
+                key = Monomial(mono[: block.start] + arr + mono[block.stop :])
+                out[key] = out.get(key, 0) + coeff / len(arrangements)
+        p = Poly(p.ring, out)
+    return p
+
+
+@st.composite
+def compositions_with_polys(draw):
+    """A composition of ell <= 5, zero parts and singleton blocks allowed,
+    and a polynomial in z_1..z_ell with coefficient denominators in
+    {1, 2, 3, 7, 12}.  With two blocks of size two or more, it is often
+    q - q' + r + q'' for swaps q' and q'' of q within the two, so that
+    averaging the earlier block cancels terms and averaging the later one
+    brings them back, after those of r."""
+    parts = draw(
+        st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=4).filter(
+            lambda parts: 1 <= sum(parts) <= 5
+        )
+    )
+    lam = Composition(parts)
+    ell = lam.ell
+    ring = zring(ell)
+    coeff = st.builds(
+        Fraction,
+        st.integers(min_value=-4, max_value=4).filter(bool),
+        st.sampled_from((1, 2, 3, 7, 12)),
+    )
+    exps = st.tuples(*[st.integers(min_value=0, max_value=2)] * ell)
+
+    def poly(min_size=0):
+        return ring.from_terms(draw(st.dictionaries(exps, coeff, min_size=min_size, max_size=4)))
+
+    wide = [block for block in lam.blocks() if len(block) > 1]
+    if len(wide) < 2 or draw(st.booleans()):
+        return lam, poly()
+    pair = draw(st.lists(st.sampled_from(wide), min_size=2, max_size=2, unique=True))
+    first, second = sorted(pair, key=lambda block: block.start)
+    q = poly(1)
+    p = q - q.swap_vars(first.start, first.start + 1) + poly(1)
+    return lam, p + q.swap_vars(second.start, second.start + 1)
+
+
+@given(compositions_with_polys())
+def test_sym_average_matches_full_group_average(case):
+    lam, p = case
+    blocks = [permutations(block) for block in lam.blocks()]
+    full = p.ring.zero()
+    count = 0
+    for images in product(*blocks):
+        full = full + p.permute_vars([i for block in images for i in block])
+        count += 1
+    avg = sym_lambda_average(p, lam)
+    assert avg == full.scale(Fraction(1, count))
+    assert list(avg.terms.items()) == list(_average_by_blocks(p, lam).terms.items())
+
+
+def test_sym_average_drops_cancelled_terms_between_blocks():
+    # averaging block 1 cancels z1*z3 and z2*z3, and averaging block 2
+    # brings them back from z1*z4, after z1 and z2
+    lam = Composition((2, 2))
+    z1, z2, z3, z4 = zring(4).gens()
+    p = z1 * z3 - z2 * z3 + z1 + z1 * z4
+    avg = sym_lambda_average(p, lam)
+    assert avg == (z1 + z2).scale(Fraction(1, 2)) + (z1 + z2) * (z3 + z4).scale(Fraction(1, 4))
+    assert list(avg.terms) == [
+        (1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)
+    ]
+    assert list(avg.terms.items()) == list(_average_by_blocks(p, lam).terms.items())
 
 
 # -- block elementary decomposition ---------------------------------------------
