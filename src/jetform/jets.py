@@ -23,7 +23,10 @@ columns are the negated packed monomials, so elimination works from the
 lex-smallest one.  The multipliers of all generators come from one table
 per query, filled by a single variable-by-variable pass per multiplier
 degree: the jet generators share their block degrees and differ only in
-weight, so one pass serves them all.
+weight, so one pass serves them all.  Each state of the pass, a remaining
+degree and partial weights, cuts the exponent of its variable to one
+interval by two linear bounds per grading, so no exponent is tested on its
+own, and the table is charged to the memory budget as it grows.
 
 Rows are inserted generator by generator, multipliers in descending lex
 order, and a row M*g_k is skipped without elimination when M is divisible
@@ -46,7 +49,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 
 from .alambda import dim_A_lambda
 from .errors import (
@@ -348,51 +351,112 @@ def _common_gradings(polys: list[Poly], nvars: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _packed_multipliers(degree: int, gradings, targets, shifts) -> dict:
+# packed multipliers counted as one `Budget` entry: the finished (2,1,1)
+# table takes 49 bytes traced per packed int, its build peaks at 63, and
+# Budget.BYTES_PER_ENTRY is 160
+_PACKED_PER_ENTRY = 3
+
+
+def _exponent_range(remaining: int, partial, bounds) -> range:
+    """The exponents e of one variable, in descending order, after which
+    some completion of the prefix can still reach the box of targets.
+
+    The prefix has `remaining` degree r left and weight s_c under grading
+    c, its entries of `partial`.  Each entry of `bounds` is (w_c, a_c, b_c,
+    lo_c, hi_c): the weight of grading c on this variable, its min and max
+    over the later variables, and the range of the targets' c-th weights.
+    The box stays in reach only if
+
+        s_c + w_c*e + (r - e)*a_c <= hi_c,  that is (w_c - a_c)*e <= hi_c - s_c - r*a_c,
+        s_c + w_c*e + (r - e)*b_c >= lo_c,  that is (w_c - b_c)*e >= lo_c - s_c - r*b_c,
+
+    for every c.  By the sign of its factor, each inequality is a floor or a
+    ceiling bound on e; with a zero factor it holds for every e or for none.
+    """
+    first, last = 0, remaining
+    for s, (w, a, b, low, high) in zip(partial, bounds):
+        room, d = high - s - remaining * a, w - a
+        if d > 0:
+            last = min(last, room // d)
+        elif d < 0:
+            first = max(first, -(-room // d))
+        elif room < 0:
+            return range(0)
+        need, d = low - s - remaining * b, w - b
+        if d > 0:
+            first = max(first, -(-need // d))
+        elif d < 0:
+            last = min(last, need // d)
+        elif need > 0:
+            return range(0)
+    return range(last, first - 1, -1)
+
+
+def _packed_multipliers(degree: int, gradings, targets, shifts, budget=None) -> dict:
     """Every exponent vector of the given total degree whose weights under
     `gradings` equal one of `targets`, packed with variable i shifted left
     by shifts[i]: {target: packed vectors in descending lex order}.
 
     One variable-by-variable pass serves all targets.  Exponent prefixes
     with the same remaining degree and partial weights share one list of
-    packed prefixes, and a state is dropped as soon as its suffix weight
-    bounds cannot reach the bounding box of all targets.  Each level's
-    states are released as the next level is built.
+    packed prefixes.  Such a state cuts the exponent of its variable once,
+    by `_exponent_range`, to the interval after which the bounding box of
+    all targets is still in reach, and takes those exponents with no test
+    of its own.  The last variable takes whatever degree is left, and only
+    the states that hit a target are kept.  Each level's states are
+    released as the next level is built.
+
+    `budget`, if given, is charged "multiplier table" as each level grows:
+    one entry per _PACKED_PER_ENTRY packed prefixes of the largest level so
+    far, whole entries only, so a table that outgrows the budget stops
+    before it is built.
     """
     nvars = len(shifts)
     lo = [min(t[c] for t in targets) for c in range(len(gradings))]
     hi = [max(t[c] for t in targets) for c in range(len(gradings))]
     states = {(degree, (0,) * len(gradings)): [0]}
-    for i in range(nvars):
-        col = [w[i] for w in gradings]
-        sufmin = [min(w[i + 1 :], default=0) for w in gradings]
-        sufmax = [max(w[i + 1 :], default=0) for w in gradings]
+    charged = 0
+    for i in range(nvars - 1):
+        bounds = [
+            (w[i], min(w[i + 1 :]), max(w[i + 1 :]), low, high)
+            for w, low, high in zip(gradings, lo, hi)
+        ]
+        # the weights of x_i^e under all gradings, for each e
+        steps = [tuple(w[i] * e for w in gradings) for e in range(degree + 1)]
         shift = shifts[i]
         nxt: dict = {}
+        size = 0
         while states:
             (remaining, partial), prefixes = states.popitem()
-            # the last variable takes whatever degree is left
-            for e in range(remaining, -1, -1) if i < nvars - 1 else (remaining,):
-                left = remaining - e
-                part = tuple(s + w * e for s, w in zip(partial, col))
-                if any(
-                    s + left * a > high or s + left * b < low
-                    for s, a, b, low, high in zip(part, sufmin, sufmax, lo, hi)
-                ):
-                    continue
-                add = e << shift
-                grown = [k + add for k in prefixes]
-                known = nxt.get((left, part))
+            exps = _exponent_range(remaining, partial, bounds)
+            if budget is not None:
+                size += len(prefixes) * len(exps)
+                if size // _PACKED_PER_ENTRY > charged:
+                    budget.charge(size // _PACKED_PER_ENTRY - charged, "multiplier table")
+                    charged = size // _PACKED_PER_ENTRY
+            for e in exps:
+                part = tuple(map(add, partial, steps[e]))
+                if e:
+                    step = e << shift
+                    grown = [k + step for k in prefixes]
+                else:
+                    grown = prefixes  # e = 0 comes last: the popped list moves on
+                known = nxt.get((remaining - e, part))
                 if known is None:
-                    nxt[left, part] = grown
+                    nxt[remaining - e, part] = grown
                 else:
                     known += grown
         states = nxt
     out: dict = {t: [] for t in targets}
-    for (_, part), keys in states.items():
-        if part in out:
-            keys.sort(reverse=True)
-            out[part] = keys
+    col = [w[-1] for w in gradings]
+    while states:
+        (remaining, partial), prefixes = states.popitem()
+        keys = out.get(tuple(s + w * remaining for s, w in zip(partial, col)))
+        if keys is not None:
+            top = remaining << shifts[-1]
+            keys += [k + top for k in prefixes]
+    for keys in out.values():
+        keys.sort(reverse=True)
     return out
 
 
@@ -562,7 +626,9 @@ def _solve_membership(p, gens, usable, gradings, span) -> tuple[dict, dict]:
     multiplier must have under `gradings`.  These weights fix its total
     degree, since the total degree lies in the span of the gradings.  Each
     generator's list is popped from the table when its last user has taken
-    it, so the table shrinks while the span grows.
+    it, so the table shrinks while the span grows.  The table is charged to
+    the span's budget while it is built, so a budget too small for it stops
+    the query before any row is inserted.
 
     Rows are inserted generator by generator in `usable` order, each
     generator's multipliers in descending lex order.  A row M*g_k is
@@ -609,7 +675,7 @@ def _solve_membership(p, gens, usable, gradings, span) -> tuple[dict, dict]:
         by_degree.setdefault(degree - gens[gi].total_degree(), set()).add(targets[gi])
     table = {}
     for mult_degree, wanted in by_degree.items():
-        table.update(_packed_multipliers(mult_degree, gradings, wanted, shifts))
+        table.update(_packed_multipliers(mult_degree, gradings, wanted, shifts, span.budget))
     last_user = {t: gi for gi, t in targets.items()}
     rows = [_columns(int_row(gens[gi].terms), shifts) for gi in usable]
     # a lead divides a multiplier only if no grading without negative
@@ -631,8 +697,9 @@ def _solve_membership(p, gens, usable, gradings, span) -> tuple[dict, dict]:
     for gi, row, trailing in zip(usable, rows, leads):
         t = targets[gi]
         mults = table.pop(t) if last_user[t] == gi else table[t]
+        items = list(row.items())
         for mult in _undivided(mults, trailing, guard):
-            span.insert({k - mult: v for k, v in row.items()}, (gi, mult))
+            span.insert({k - mult: v for k, v in items}, (gi, mult))
     rem, comb = span.reduce(_columns(p.terms, shifts))
     mask = (1 << width) - 1
     return rem, {

@@ -47,13 +47,19 @@ def int_row(terms: Mapping[Hashable, Fraction]) -> dict[Hashable, int]:
 class Budget:
     """Rough memory accounting for sparse elimination.
 
-    Counts the entries of each pivot row and of its step history: its own
-    coefficient and one per elimination step (see `ExactSpan`), so one for a
-    pivot sharing `_UNIT`.  The membership oracle also charges the terms of
-    its trailing-term basis.  Each entry is costed at BYTES_PER_ENTRY, set
-    from `tracemalloc` peaks of whole searches, which also hold the
-    multiplier tables and the query: 203 bytes per entry for
-    min_degree_search((2, 2)), 192 for (1, 1, 2) and 170 for (0, 4).
+    Everything charged, with the step named in the error message:
+    - "span insertion": the entries of each pivot row and of its step
+      history, its own coefficient and one per elimination step (see
+      `ExactSpan`), so one for a pivot sharing `_UNIT`;
+    - "trailing-term basis": the terms of each element the membership
+      oracle stores in its trailing-term basis;
+    - "multiplier table": one entry per three packed multipliers of the
+      oracle's multiplier table, charged while the table is built (a
+      packed multiplier takes about 49 bytes traced).
+    Each entry is costed at BYTES_PER_ENTRY, set from `tracemalloc` peaks
+    of whole searches, which also hold the query and the psi normal forms:
+    168 bytes per entry for min_degree_search((2, 2)), 159 for (1, 1, 2)
+    and 148 for (0, 4).
     Exceeding the configured limit raises BudgetExceededError instead of
     thrashing.  The limit is None, for no limit, or a finite number of MB,
     at least 0; anything else raises DomainError.

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -310,6 +311,31 @@ def test_member_budget_error_has_no_partial_result(capsys):
     assert doc["payload"]["code"] == "budget-exceeded"
     assert "span insertion" in doc["payload"]["message"]
     assert doc["payload"]["partial"] is None
+
+
+def _cap_address_space():
+    # 1 GiB: a run that ignores its budget fails here, not on the machine
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_budget_stops_a_large_multiplier_table_end_to_end():
+    # (3,3,3) reaches elimination at degree 25, whose multiplier table would
+    # outgrow several GB; a 1 MB budget must stop it while it is built
+    src = os.path.dirname(os.path.dirname(os.path.abspath(jetform.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["min-degree", "--h", "3,3,3", "--budget-mb", "1", "--json"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "jetform.cli"] + argv,
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+        preexec_fn=_cap_address_space,
+    )
+    assert proc.returncode == 3, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["payload"]["code"] == "budget-exceeded"
+    assert "multiplier table" in doc["payload"]["message"]
 
 
 def test_unknown_global_flags_are_usage_errors(capsys):

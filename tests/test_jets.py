@@ -203,18 +203,69 @@ def _weights(gradings, exps):
 def multiplier_queries(draw):
     """A degree, weight rows with negative entries (like the mixed grading
     (-4,-3,-2,-1,0,...,1) of the (2,1,1) elimination) and a target set that
-    mixes weights some vector reaches with arbitrary ones."""
+    mixes weights some vector reaches with arbitrary ones.  Some rows weigh
+    a variable as the min or the max of their weights on the later ones, so
+    that one of its interval bounds does not depend on the exponent."""
     nvars = draw(st.integers(min_value=1, max_value=6))
     degree = draw(st.integers(min_value=0, max_value=5))
     weight = st.integers(min_value=-4, max_value=4)
-    gradings = draw(
-        st.lists(st.tuples(*[weight] * nvars), min_size=1, max_size=3, unique=True)
-    )
+    rows = draw(st.lists(st.tuples(*[weight] * nvars), min_size=1, max_size=3))
+    rows = [list(w) for w in rows]
+    if nvars > 1:
+        ties = st.tuples(
+            st.integers(min_value=0, max_value=len(rows) - 1),
+            st.integers(min_value=0, max_value=nvars - 2),
+            st.sampled_from([min, max]),
+        )
+        for c, i, pick in draw(st.lists(ties, max_size=4)):
+            rows[c][i] = pick(rows[c][i + 1 :])
+    gradings = list(dict.fromkeys(tuple(w) for w in rows))
     vectors = exponent_vectors(nvars, degree)
     reached = draw(st.lists(st.sampled_from(vectors), min_size=1, max_size=4))
     targets = {_weights(gradings, v) for v in reached}
     targets |= set(draw(st.lists(st.tuples(*[weight] * len(gradings)), max_size=2)))
     return degree, gradings, targets
+
+
+def _packed_multipliers_by_exponent(degree, gradings, targets, shifts) -> dict:
+    """Reference for `jets._packed_multipliers`: the same pass over the same
+    states, but each exponent of each state is tested against the box of
+    targets one by one."""
+    nvars = len(shifts)
+    lo = [min(t[c] for t in targets) for c in range(len(gradings))]
+    hi = [max(t[c] for t in targets) for c in range(len(gradings))]
+    states = {(degree, (0,) * len(gradings)): [0]}
+    for i in range(nvars):
+        col = [w[i] for w in gradings]
+        sufmin = [min(w[i + 1 :], default=0) for w in gradings]
+        sufmax = [max(w[i + 1 :], default=0) for w in gradings]
+        shift = shifts[i]
+        nxt: dict = {}
+        while states:
+            (remaining, partial), prefixes = states.popitem()
+            # the last variable takes whatever degree is left
+            for e in range(remaining, -1, -1) if i < nvars - 1 else (remaining,):
+                left = remaining - e
+                part = tuple(s + w * e for s, w in zip(partial, col))
+                if any(
+                    s + left * a > high or s + left * b < low
+                    for s, a, b, low, high in zip(part, sufmin, sufmax, lo, hi)
+                ):
+                    continue
+                add = e << shift
+                grown = [k + add for k in prefixes]
+                known = nxt.get((left, part))
+                if known is None:
+                    nxt[left, part] = grown
+                else:
+                    known += grown
+        states = nxt
+    out: dict = {t: [] for t in targets}
+    for (_, part), keys in states.items():
+        if part in out:
+            keys.sort(reverse=True)
+            out[part] = keys
+    return out
 
 
 @given(multiplier_queries())
@@ -231,8 +282,60 @@ def test_packed_multipliers_match_brute_force(query):
             expected[t].append(sum(e << s for e, s in zip(v, shifts)))
     got = jets._packed_multipliers(degree, gradings, targets, shifts)
     assert got == expected
+    assert list(got.items()) == list(
+        _packed_multipliers_by_exponent(degree, gradings, targets, shifts).items()
+    )
     for keys in got.values():
         assert all(a > b for a, b in zip(keys, keys[1:]))
+
+
+@st.composite
+def exponent_range_cases(draw):
+    """A state (remaining degree, partial weights) and per-grading bounds
+    (w, a, b, lo, hi) with a <= b and lo <= hi; w often equals a or b, so
+    that an inequality does not depend on the exponent."""
+    remaining = draw(st.integers(min_value=0, max_value=6))
+    small = st.integers(min_value=-4, max_value=4)
+    partial, bounds = [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        a, b = sorted(draw(st.tuples(small, small)))
+        w = draw(st.one_of(small, st.just(a), st.just(b)))
+        low, high = sorted(draw(st.tuples(*[st.integers(min_value=-20, max_value=20)] * 2)))
+        partial.append(draw(st.integers(min_value=-12, max_value=12)))
+        bounds.append((w, a, b, low, high))
+    return remaining, partial, bounds
+
+
+@settings(max_examples=1000)
+@given(exponent_range_cases())
+def test_exponent_range_is_the_set_the_box_test_keeps(case):
+    remaining, partial, bounds = case
+    kept = [
+        e
+        for e in range(remaining, -1, -1)
+        if all(
+            s + w * e + (remaining - e) * a <= high and s + w * e + (remaining - e) * b >= low
+            for s, (w, a, b, low, high) in zip(partial, bounds)
+        )
+    ]
+    assert list(jets._exponent_range(remaining, partial, bounds)) == kept
+
+
+def test_packed_multipliers_match_reference_on_oracle_calls(monkeypatch):
+    calls = []
+    enumerate_ = jets._packed_multipliers
+
+    def recording(degree, gradings, targets, shifts, budget=None):
+        got = enumerate_(degree, gradings, targets, shifts, budget)
+        calls.append(((degree, gradings, targets, shifts), list(got.items())))
+        return got
+
+    monkeypatch.setattr(jets, "_packed_multipliers", recording)
+    for h in _oracle_tuples():
+        min_degree_search(h)
+    assert len(calls) == 37
+    for call, got in calls:
+        assert got == list(_packed_multipliers_by_exponent(*call).items())
 
 
 def test_membership_certificates_reexpand():
@@ -844,7 +947,7 @@ def test_oracle_table_runs_one_elimination_per_search(monkeypatch):
 
 def test_budget_estimate_tracks_traced_peak_memory():
     h = (2, 2)
-    min_degree_search(h)  # build the cached jet generators untraced
+    min_degree_search(h)  # fill the lru caches, such as _jet_ring and _packed_rules, untraced
     budget = Budget(None)
     tracemalloc.start()
     try:
@@ -859,6 +962,16 @@ def test_min_degree_budget_reports_partial_result():
     with pytest.raises(BudgetExceededError) as info:
         min_degree_search((1, 1), budget=Budget(0.0001))
     assert info.value.partial == {"refused": [1, 2], "psi_certified": [1, 2], "lower_bound": 3}
+
+
+def test_min_degree_budget_stops_the_multiplier_table():
+    # the (2,1,1) table holds 1,094,475 packed multipliers; a budget of
+    # 6,553 entries must stop it while it is built, before any span row
+    with pytest.raises(BudgetExceededError) as info:
+        min_degree_search((2, 1, 1), budget=Budget(1))
+    assert "multiplier table" in str(info.value)
+    assert info.value.partial["refused"] == [1, 2, 3, 4, 5, 6]
+    assert info.value.partial["lower_bound"] == 7
 
 
 def test_compositions_descending_lex():
