@@ -56,14 +56,14 @@ class CommandResult:
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
-    """A nonempty comma-separated list of ints; `what` names it in errors."""
+    """A nonempty comma-separated list of ints, no field empty; `what` names
+    it in errors."""
+    if not text.strip():
+        raise ParseError("empty %s %r" % (what, text))
     try:
-        values = tuple(int(v) for v in text.split(",") if v.strip() != "")
+        return tuple(int(v) for v in text.split(","))
     except ValueError as exc:
         raise ParseError("bad %s %r" % (what, text)) from exc
-    if not values:
-        raise ParseError("empty %s %r" % (what, text))
-    return values
 
 
 def _parse_lambda(text: str) -> Composition:

@@ -186,6 +186,8 @@ def compositions(total: int, parts: int) -> list[Composition]:
     enumerated in descending lexicographic order."""
     if parts < 1:
         raise DomainError("need at least one part")
+    if total < 0:
+        raise DomainError("negative total %d" % total)
     out: list[Composition] = []
 
     def rec(prefix, remaining, left):

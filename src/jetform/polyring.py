@@ -18,6 +18,8 @@ CLI:
     var   := identifier known to the ring (e.g. z1, x1_0)
 
 Whitespace is ignored.  Unknown variable names are rejected, never guessed.
+The grammar has no nesting, so `parse_poly` matches one signed term at a
+time, in linear time; a syntax error gives its position.
 """
 
 from __future__ import annotations
@@ -471,120 +473,48 @@ class TruncatedSeries:
 
 # -- text format -------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)|([-+*/^()]))")
-
-
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            tail = text[pos:].strip()
-            if not tail:
-                break
-            raise ParseError("unexpected character %r at position %d" % (tail[0], pos))
-        if m.group(1) is not None:
-            tokens.append(("num", m.group(1)))
-        elif m.group(2) is not None:
-            tokens.append(("name", m.group(2)))
-        else:
-            tokens.append(("op", m.group(3)))
-        pos = m.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, ring: Ring, tokens: list[tuple[str, str]]):
-        self.ring = ring
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def expect_num(self) -> int:
-        kind, val = self.take()
-        if kind != "num":
-            raise ParseError("expected a number, got %r" % (val,))
-        return int(val)
-
-    def parse(self) -> Poly:
-        result = self.ring.zero()
-        sign = 1
-        kind, val = self.peek()
-        if kind == "op" and val in "+-":
-            self.take()
-            sign = -1 if val == "-" else 1
-        while True:
-            result = result + self.term().scale(sign)
-            kind, val = self.peek()
-            if kind is None:
-                return result
-            if kind == "op" and val in "+-":
-                self.take()
-                sign = -1 if val == "-" else 1
-                continue
-            raise ParseError("expected '+' or '-', got %r" % (val,))
-
-    def term(self) -> Poly:
-        coeff = Fraction(1)
-        exps = [0] * self.ring.nvars
-        kind, val = self.peek()
-        if kind == "num":
-            self.take()
-            num = int(val)
-            kind, nxt = self.peek()
-            if kind == "op" and nxt == "/":
-                self.take()
-                den = self.expect_num()
-                if den == 0:
-                    raise ParseError("zero denominator")
-                coeff = Fraction(num, den)
-            else:
-                coeff = Fraction(num)
-            kind, nxt = self.peek()
-            if kind == "op" and nxt == "*":
-                self.take()
-                self.factor(exps)
-            else:
-                # bare constant term
-                return self.ring.const(coeff)
-        else:
-            self.factor(exps)
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val == "*":
-                self.take()
-                self.factor(exps)
-                continue
-            break
-        return Poly(self.ring, {Monomial(tuple(exps)): coeff})
-
-    def factor(self, exps: list[int]):
-        kind, val = self.take()
-        if kind != "name":
-            raise ParseError("expected a variable name, got %r" % (val,))
-        idx = self.ring.index(val)
-        exp = 1
-        kind, nxt = self.peek()
-        if kind == "op" and nxt == "^":
-            self.take()
-            exp = self.expect_num()
-        exps[idx] += exp
+# One pattern matches a whole signed term; the factor pattern then reads the
+# factors inside it.
+_FACTOR = r"([A-Za-z][A-Za-z0-9_]*) (?: \s* \^ \s* (\d+) )?"  # factor := var ['^' uint]
+_FACTOR_RE = re.compile(_FACTOR, re.VERBOSE)
+_TERM_RE = re.compile(
+    rf"""
+    \s* (?: (?P<sign> [-+] ) \s* )? (?= \d | [A-Za-z] )  # poly := ['+'|'-'] term (('+'|'-') term)*
+    (?: (?P<num> \d+ ) (?: \s* / \s* (?P<den> \d+ ) )? )?  # coeff := uint ['/' uint]
+    # term := coeff | [coeff '*'] factor ('*' factor)*
+    (?P<factors> (?(num) \s*\*\s* ) {_FACTOR} (?: \s*\*\s* {_FACTOR} )* )?
+    """,
+    re.VERBOSE,
+)
 
 
 def parse_poly(ring: Ring, text: str) -> Poly:
-    """Parse the textual polynomial grammar in the given ring."""
-    tokens = _tokenize(text)
-    if not tokens:
+    """Parse the textual polynomial grammar in the given ring.  A coefficient
+    that cancels is dropped at once, so terms keep the order of a running sum."""
+    end = len(text.rstrip())
+    if not end:
         raise ParseError("empty polynomial text")
-    return _Parser(ring, tokens).parse()
+    terms: dict[Monomial, Fraction] = {}
+    pos = 0
+    while pos < end:
+        m = _TERM_RE.match(text, pos)
+        if m is None or (pos and not m["sign"]):
+            at = len(text) - len(text[pos:].lstrip())
+            raise ParseError("unexpected %r at position %d" % (text[at : at + 20].split()[0], at))
+        num, den = int(m["num"] or 1), int(m["den"] or 1)
+        if not den:
+            raise ParseError("zero denominator")
+        exps = [0] * ring.nvars
+        for name, exp in _FACTOR_RE.findall(m["factors"] or ""):
+            exps[ring.index(name)] += int(exp or 1)
+        mono = Monomial(exps)
+        coeff = terms.get(mono, 0) + Fraction(-num if m["sign"] == "-" else num, den)
+        if coeff:
+            terms[mono] = coeff
+        else:
+            terms.pop(mono, None)
+        pos = m.end()
+    return Poly(ring, terms)
 
 
 def format_monomial(ring: Ring, mono: Monomial) -> str:

@@ -88,12 +88,12 @@ class Permutation:
         stripped = text.strip()
         if stripped.startswith("[") and stripped.endswith("]"):
             stripped = stripped[1:-1]
+        if not stripped.strip():
+            raise ParseError("empty permutation text %r" % text)
         try:
-            values = [int(v) for v in stripped.split(",") if v.strip()]
+            values = [int(v) for v in stripped.split(",")]
         except ValueError as exc:
             raise ParseError("bad permutation text %r" % text) from exc
-        if not values:
-            raise ParseError("empty permutation text %r" % text)
         return cls(values)
 
     @property

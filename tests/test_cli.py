@@ -172,6 +172,12 @@ def test_parse_error_exit_code(capsys):
     capsys.readouterr()
     assert main(["dim", "--lambda", "a,1"]) == 2
     capsys.readouterr()
+    # an empty field is an error, not a field to skip
+    for argv in (["min-degree", "--h", "1,,1"], ["min-degree", "--h", ",1,1"],
+                 ["min-degree", "--h", "1,1,"], ["dim", "--lambda", "2,,1"],
+                 ["schubert", "[2,,1]"]):
+        assert main(argv) == 2, argv
+        capsys.readouterr()
 
 
 def test_domain_error_exit_code(capsys):
@@ -380,11 +386,13 @@ def test_text_output(capsys):
 # small fixed alphabets of valid and malformed values; every valid size is
 # small enough that a call finishes in milliseconds
 POLYS = ["z1^2 + z2", "z1*z2 - 1/2*z3", "x1_0*x2_1", "x1_1^2*x2_1^2", "0", "-3",
-         "", "z1^", "z9", "1/0", "z1 +", "**", "z1 z2", "(z1)", "x1_5"]
+         "", "z1^", "z9", "1/0", "z1 +", "**", "z1 z2", "(z1)", "x1_5",
+         "z1 ^ 2\t+ 1/2 * z2", "z1 + z2 - z1 + z1",
+         " + ".join("z1^%d*z2^%d*z3^%d" % (i // 49, i // 7 % 7, i % 7) for i in range(300))]
 SIZES = ["-1", "0", "1", "2", "3", "x", ""]
-LAMBDAS = ["2,1", "1,1", "3", "1,0,2", "", ",", "a,b", "-1,2", "0,0"]
+LAMBDAS = ["2,1", "1,1", "3", "1,0,2", "", ",", "a,b", "-1,2", "0,0", "1,,1", "2,"]
 PERMS = ["[2,3,1]", "3,1,2", "[1]", "[4,3,2,1]", "[1,1,2]", "[]", "[0,1]", "x", "[2,,1]"]
-HS = ["1,1", "2", "1,0", "0", "0,0", "2,1", "", "-1,1", "a", ","]
+HS = ["1,1", "2", "1,0", "0", "0,0", "2,1", "", "-1,1", "a", ",", "1,,1", "2,"]
 GENS = ["x1*x2", "x1^2 - x2", "x1;x2", ";", "", "z1"]
 BUDGETS = ["0.0001", "512", "-1", "x", "nan", "inf"]
 

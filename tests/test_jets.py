@@ -996,6 +996,7 @@ def test_compositions_descending_lex():
         lambda: Budget(-1),
         lambda: Budget(float("nan")),
         lambda: Budget(float("inf")),
+        lambda: compositions(-1, 2),
     ],
 )
 def test_domain_checks_raise_domain_error(call):

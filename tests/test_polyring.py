@@ -1,6 +1,9 @@
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetform import (
     ParseError,
@@ -11,7 +14,7 @@ from jetform import (
     parse_poly,
     zring,
 )
-from jetform.polyring import format_poly
+from jetform.polyring import Monomial, Poly, format_poly
 
 from conftest import make_rng, random_poly
 
@@ -277,9 +280,28 @@ def test_parse_rejects_unknown_variable():
 
 def test_parse_rejects_garbage():
     ring = zring(2)
-    for bad in ("", "z1 +", "* z1", "z1 ^", "3/0", "z1 ? z2", "z1 - -z2"):
+    with pytest.raises(ParseError, match="empty polynomial text"):
+        parse_poly(ring, "")
+    with pytest.raises(ParseError, match="zero denominator"):
+        parse_poly(ring, "3/0")
+    # one input per rejection branch of the reference parser below
+    for bad in ("z1 +", "* z1", "z1 ^", "z1 ? z2", "z1 - -z2", "2 z1", "z1 z2",
+                "z1^2^3", "z1/2", "1/2/3", "+-z1", "(z1)", "z1**2", "2*3", "z1*2",
+                "z1 # z2"):
         with pytest.raises(ParseError):
+            reference_parse(ring, bad)
+        with pytest.raises(ParseError, match=r"^unexpected .+ at position \d+$"):
             parse_poly(ring, bad)
+    with pytest.raises(ParseError, match=r"^unexpected '#' at position 3$"):
+        parse_poly(ring, "z1 # z2")
+
+
+def test_parse_drops_a_cancelled_term_at_once():
+    # the running sum z1, z1 + z2, z2, z2 + z1: z1 cancels and comes back last
+    ring = zring(2)
+    z1, z2 = (g.leading()[0] for g in ring.gens())
+    for parse in (parse_poly, reference_parse):
+        assert list(parse(ring, "z1 + z2 - z1 + z1").terms) == [z2, z1]
 
 
 def test_format_round_trip_random():
@@ -290,3 +312,163 @@ def test_format_round_trip_random():
         assert parse_poly(ring, format_poly(p)) == p
     assert format_poly(ring.zero()) == "0"
     assert parse_poly(ring, "0") == ring.zero()
+
+
+# -- reference parser ----------------------------------------------------------
+# The tokenizer and token-stream parser that `parse_poly` replaced, copied
+# verbatim: the oracle that `parse_poly` must match on acceptance, rejection
+# and term order.
+
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)|([-+*/^()]))")
+
+
+def _tokenize(text: str) -> list[tuple[str, str]]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None or m.end() == pos:
+            tail = text[pos:].strip()
+            if not tail:
+                break
+            raise ParseError("unexpected character %r at position %d" % (tail[0], pos))
+        if m.group(1) is not None:
+            tokens.append(("num", m.group(1)))
+        elif m.group(2) is not None:
+            tokens.append(("name", m.group(2)))
+        else:
+            tokens.append(("op", m.group(3)))
+        pos = m.end()
+    return tokens
+
+
+class _Parser:
+    def __init__(self, ring: Ring, tokens: list[tuple[str, str]]):
+        self.ring = ring
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
+
+    def take(self):
+        tok = self.peek()
+        self.pos += 1
+        return tok
+
+    def expect_num(self) -> int:
+        kind, val = self.take()
+        if kind != "num":
+            raise ParseError("expected a number, got %r" % (val,))
+        return int(val)
+
+    def parse(self) -> Poly:
+        result = self.ring.zero()
+        sign = 1
+        kind, val = self.peek()
+        if kind == "op" and val in "+-":
+            self.take()
+            sign = -1 if val == "-" else 1
+        while True:
+            result = result + self.term().scale(sign)
+            kind, val = self.peek()
+            if kind is None:
+                return result
+            if kind == "op" and val in "+-":
+                self.take()
+                sign = -1 if val == "-" else 1
+                continue
+            raise ParseError("expected '+' or '-', got %r" % (val,))
+
+    def term(self) -> Poly:
+        coeff = Fraction(1)
+        exps = [0] * self.ring.nvars
+        kind, val = self.peek()
+        if kind == "num":
+            self.take()
+            num = int(val)
+            kind, nxt = self.peek()
+            if kind == "op" and nxt == "/":
+                self.take()
+                den = self.expect_num()
+                if den == 0:
+                    raise ParseError("zero denominator")
+                coeff = Fraction(num, den)
+            else:
+                coeff = Fraction(num)
+            kind, nxt = self.peek()
+            if kind == "op" and nxt == "*":
+                self.take()
+                self.factor(exps)
+            else:
+                # bare constant term
+                return self.ring.const(coeff)
+        else:
+            self.factor(exps)
+        while True:
+            kind, val = self.peek()
+            if kind == "op" and val == "*":
+                self.take()
+                self.factor(exps)
+                continue
+            break
+        return Poly(self.ring, {Monomial(tuple(exps)): coeff})
+
+    def factor(self, exps: list[int]):
+        kind, val = self.take()
+        if kind != "name":
+            raise ParseError("expected a variable name, got %r" % (val,))
+        idx = self.ring.index(val)
+        exp = 1
+        kind, nxt = self.peek()
+        if kind == "op" and nxt == "^":
+            self.take()
+            exp = self.expect_num()
+        exps[idx] += exp
+
+
+def reference_parse(ring: Ring, text: str) -> Poly:
+    tokens = _tokenize(text)
+    if not tokens:
+        raise ParseError("empty polynomial text")
+    return _Parser(ring, tokens).parse()
+
+
+# the grammar's alphabet: whitespace (`\s` and `str.strip` agree on all of
+# it), signs, coefficients with zero numerators, known names and a non-ASCII
+# digit; one piece in ten is a stray: a zero denominator, an unknown name, a
+# bare '^', a stray '*', '#', a parenthesis or '?'
+_SPACES = ["", "", " ", "\t", "\n", "\x1c", "\xa0"]
+_SIGNS = ["+", "-"]
+_TERMS = ["z1", "z2", "1", "2*z1", "z1*z2", "1/2", "0", "0/3", "z1^2", "1 / 2 * z1 ^ 2",
+          "z2^0", "\u0663*z"]
+_STRAYS = ["", "3/0", "/0", "2/", "x1", "z12", "z1z2", "z1^", "^", "^3", "*", "**", "#",
+           "(", ")", "?", "z1 z2"]
+
+
+@st.composite
+def poly_texts(draw):
+    """Sums of up to eight signed terms, with a stray piece now and then."""
+
+    def piece(alphabet):
+        if not draw(st.integers(0, 9)):
+            alphabet = _STRAYS
+        return "".join(draw(st.sampled_from(a)) for a in (_SPACES, alphabet, _SPACES))
+
+    text = draw(st.sampled_from(["", "+", "-"])) + piece(_TERMS)
+    for _ in range(draw(st.integers(0, 7))):
+        text += piece(_SIGNS) + piece(_TERMS)
+    return text
+
+
+@settings(max_examples=2000)
+@given(poly_texts())
+def test_parse_matches_reference_parser(text):
+    ring = Ring(("z1", "z2", "z"))
+    try:
+        expected = list(reference_parse(ring, text).terms.items())
+    except ParseError:
+        with pytest.raises(ParseError):
+            parse_poly(ring, text)
+    else:
+        assert list(parse_poly(ring, text).terms.items()) == expected
