@@ -38,9 +38,9 @@ grevlex with the variables reversed on homogeneous input, built per query
 by Buchberger's algorithm with the Gebauer-Moeller criteria M and F and
 the product criterion, and truncated to the monomials that can divide a
 multiplier.  The jet generators form a regular sequence, so no row that is
-inserted reduces to zero.  Pivots and certificates are those of inserting every row.  Each
-packed field carries one guard bit above the exponent, so a divisibility
-test is one subtraction and one mask.
+inserted reduces to zero.  Pivots and certificates are those of inserting
+every row.  Each packed field carries one guard bit above the exponent, so
+a divisibility test is one subtraction and one mask.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from operator import add, mul
 
 from .alambda import dim_A_lambda
@@ -59,7 +59,7 @@ from .errors import (
     InvariantViolationError,
     RingMismatchError,
 )
-from .linalg import Budget, ExactSpan, int_row, rational_nullspace
+from .linalg import Budget, ExactSpan, _clear_denominators, integer_nullspace
 from .polyring import Monomial, Poly, Ring, TruncatedSeries, format_monomial, format_poly
 from .symfun import Composition, block_sigma, normal_form_IS, zring
 
@@ -325,32 +325,15 @@ class MembershipResult:
 
 
 def _common_gradings(polys: list[Poly], nvars: int) -> list[tuple[int, ...]]:
-    """Integer functionals under which every given polynomial is homogeneous.
-
-    The functionals span the rational solution space of the difference
-    constraints, scaled to integers; the all-ones total degree functional is
-    always in their span.
+    """Integer functionals under which every given polynomial is homogeneous:
+    `integer_nullspace` of the differences of each polynomial's exponents
+    from its first monomial's; the total degree is always in their span.
     """
     rows = []
     for p in polys:
         monos = list(p.terms)
-        if len(monos) <= 1:
-            continue
-        base = monos[0]
-        for mono in monos[1:]:
-            rows.append([Fraction(e - b) for e, b in zip(mono, base)])
-    if not rows:
-        return [
-            tuple(1 if j == i else 0 for j in range(nvars)) for i in range(nvars)
-        ]
-    basis = rational_nullspace(rows, nvars)
-    out = []
-    for vec in basis:
-        denom = lcm(*(v.denominator for v in vec))
-        ints = [int(v * denom) for v in vec]
-        g = gcd(*ints)
-        out.append(tuple(v // g for v in ints))
-    return out
+        rows.extend([e - b for e, b in zip(mono, monos[0])] for mono in monos[1:])
+    return integer_nullspace(rows, nvars)
 
 
 # packed multipliers counted as one `Budget` entry: the finished (2,1,1)
@@ -662,7 +645,8 @@ def _solve_membership(p, gens, usable, gradings, span) -> tuple[dict, dict]:
     Rows are keyed by `_columns` (`_packing` for deg p: every monomial of
     the component has total degree deg p, so no exponent exceeds it and
     adding a multiplier never carries across fields) and labelled
-    (generator index, packed multiplier).
+    (generator index, packed multiplier).  A row is its generator times the
+    lcm d of its denominators, so the returned coefficients are scaled by d.
     """
     nvars = p.ring.nvars
     degree = p.total_degree()
@@ -679,7 +663,8 @@ def _solve_membership(p, gens, usable, gradings, span) -> tuple[dict, dict]:
     for mult_degree, wanted in by_degree.items():
         table.update(_packed_multipliers(mult_degree, gradings, wanted, shifts, span.budget))
     last_user = {t: gi for gi, t in targets.items()}
-    rows = [_columns(int_row(gens[gi].terms), shifts) for gi in usable]
+    cleared = {gi: _clear_denominators(gens[gi].terms) for gi in usable}
+    rows = [_columns(cleared[gi][0], shifts) for gi in usable]
     # a lead divides a multiplier only if no grading without negative
     # entries weighs it more, nor does the total degree
     bounds = [
@@ -705,7 +690,7 @@ def _solve_membership(p, gens, usable, gradings, span) -> tuple[dict, dict]:
     rem, comb = span.reduce(_columns(p.terms, shifts))
     mask = (1 << width) - 1
     return rem, {
-        (gi, Monomial(tuple((mult >> s) & mask for s in shifts))): c
+        (gi, Monomial(tuple((mult >> s) & mask for s in shifts))): c * cleared[gi][1]
         for (gi, mult), c in comb.items()
     }
 
@@ -749,11 +734,7 @@ def homogeneous_membership(
     rem, comb = _solve_membership(p, gens, usable, gradings, span)
     if rem:
         return MembershipResult(False, degree, None)
-    scales = {gi: lcm(*(c.denominator for c in gens[gi].terms.values())) for gi in usable}
-    combination = [
-        (gi, mono, coeff * scales[gi])
-        for (gi, mono), coeff in sorted(comb.items())
-    ]
+    combination = [(gi, mono, coeff) for (gi, mono), coeff in sorted(comb.items())]
     result = MembershipResult(True, degree, combination)
     if not result.verify(p, gens):
         raise InvariantViolationError("membership certificate failed re-expansion")

@@ -2,7 +2,7 @@
 
 Rows are sparse integer vectors keyed by comparable hashable keys: packed
 ints in the membership oracle, `Monomial`s in the Schubert expansion, row
-indices in `rational_nullspace`.  `ExactSpan` keeps an incremental
+indices in `integer_nullspace`.  `ExactSpan` keeps an incremental
 triangular basis of the row span: every stored pivot row has a distinct
 leading key, so reducing a query vector against the pivots decides span
 membership exactly.  Elimination is fraction-free throughout: insertion and
@@ -27,16 +27,17 @@ from typing import Hashable, Mapping
 
 from .errors import BudgetExceededError, DomainError
 
-__all__ = ["ExactSpan", "Budget", "int_row", "rational_nullspace"]
+__all__ = ["ExactSpan", "Budget", "int_row", "integer_nullspace"]
 
 _OWN = object()  # the key of a row's own coefficient in its step history
 _UNIT = MappingProxyType({_OWN: 1})  # shared step history of a pivot stored unchanged
 
 
 def _clear_denominators(terms: Mapping[Hashable, Fraction]) -> tuple[dict, int]:
-    """(d * terms without zeros, d) for d the lcm of the denominators."""
-    denom = lcm(*(Fraction(v).denominator for v in terms.values()))
-    return {k: int(Fraction(v) * denom) for k, v in terms.items() if v}, denom
+    """(d * terms without zeros, d) for d the lcm of the denominators; ints
+    and Fractions both carry a numerator and a denominator, so none is made."""
+    denom = lcm(*(v.denominator for v in terms.values()))
+    return {k: v.numerator * (denom // v.denominator) for k, v in terms.items() if v}, denom
 
 
 def int_row(terms: Mapping[Hashable, Fraction]) -> dict[Hashable, int]:
@@ -254,21 +255,23 @@ class ExactSpan:
         return {}, {k: Fraction(-v, scale) for k, v in self._expand(hist).items()}
 
 
-def rational_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the right nullspace of a small dense rational matrix.
+def integer_nullspace(rows: list[list[int]], ncols: int) -> list[tuple[int, ...]]:
+    """Basis of the right nullspace of a small dense integer matrix.
 
-    Each column (rows scaled to integers) is reduced against the independent
-    columns before it; a dependent column j gives e_j minus its combination.
-    This is the reduced-echelon basis, in column order.
+    Each column is reduced against the independent columns before it; a
+    dependent column j gives d * (e_j minus its combination), d the lcm of
+    its denominators.  That is the reduced-echelon basis in column order,
+    each vector positive at j and primitive, since each prime's full power
+    in d divides a reduced denominator, leaving that entry prime to it.
     """
-    scaled = [int_row(dict(enumerate(r))) for r in rows]
     span = ExactSpan()
     basis = []
     for j in range(ncols):
-        column = {i: r[j] for i, r in enumerate(scaled) if j in r}
+        column = {i: r[j] for i, r in enumerate(rows) if r[j]}
         rem, comb = span.reduce(column)
         if rem:
             span.insert(column, j)
-        else:
-            basis.append([Fraction(k == j) - comb.get(k, 0) for k in range(ncols)])
+            continue
+        comb, denom = _clear_denominators(comb)
+        basis.append(tuple(denom if k == j else -comb.get(k, 0) for k in range(ncols)))
     return basis

@@ -277,7 +277,8 @@ class Poly:
         return self.permute_vars(images)
 
     def substitute(self, target: Ring, images: Sequence["Poly"]) -> "Poly":
-        """Evaluate at `images`, one target-ring polynomial per variable."""
+        """Evaluate at `images`, one target-ring polynomial per variable; a
+        cancelled coefficient is dropped at once, as in a running sum."""
         if len(images) != self.ring.nvars:
             raise RingMismatchError(
                 "need %d images, got %d" % (self.ring.nvars, len(images))
@@ -285,7 +286,7 @@ class Poly:
         for img in images:
             if img.ring != target:
                 raise RingMismatchError("image %s not in target ring" % img)
-        result = target.zero()
+        out: dict[Monomial, Fraction] = {}
         power_cache: dict[tuple[int, int], Poly] = {}
         for m, c in self.terms.items():
             acc = target.const(c)
@@ -298,8 +299,13 @@ class Poly:
                     p = images[i] ** e
                     power_cache[key] = p
                 acc = acc * p
-            result = result + acc
-        return result
+            for mono, coeff in acc.terms.items():
+                coeff += out.get(mono, 0)
+                if coeff:
+                    out[mono] = coeff
+                else:
+                    del out[mono]
+        return Poly(target, out)
 
     def homogeneous_components(self) -> dict[int, "Poly"]:
         buckets: dict[int, dict[Monomial, Fraction]] = {}
@@ -501,12 +507,17 @@ def parse_poly(ring: Ring, text: str) -> Poly:
         if m is None or (pos and not m["sign"]):
             at = len(text) - len(text[pos:].lstrip())
             raise ParseError("unexpected %r at position %d" % (text[at : at + 20].split()[0], at))
-        num, den = int(m["num"] or 1), int(m["den"] or 1)
+        try:
+            num, den = int(m["num"] or 1), int(m["den"] or 1)
+            factors = [(name, int(e or 1)) for name, e in _FACTOR_RE.findall(m["factors"] or "")]
+        except ValueError:  # past int()'s digit limit; point at the longest number
+            at = max(re.finditer(r"(?<!\w)\d+", m[0]), key=lambda d: len(d[0])).start()
+            raise ParseError("number too long at position %d" % (m.start() + at)) from None
         if not den:
             raise ParseError("zero denominator")
         exps = [0] * ring.nvars
-        for name, exp in _FACTOR_RE.findall(m["factors"] or ""):
-            exps[ring.index(name)] += int(exp or 1)
+        for name, e in factors:
+            exps[ring.index(name)] += e
         mono = Monomial(exps)
         coeff = terms.get(mono, 0) + Fraction(-num if m["sign"] == "-" else num, den)
         if coeff:

@@ -178,6 +178,9 @@ def test_parse_error_exit_code(capsys):
                  ["schubert", "[2,,1]"]):
         assert main(argv) == 2, argv
         capsys.readouterr()
+    # a number too long for int() is a parse error, not a traceback
+    assert main(["nf", "1" * 5000, "--ell", "3"]) == 2
+    assert "number too long" in capsys.readouterr().err
 
 
 def test_domain_error_exit_code(capsys):
@@ -388,7 +391,8 @@ def test_text_output(capsys):
 POLYS = ["z1^2 + z2", "z1*z2 - 1/2*z3", "x1_0*x2_1", "x1_1^2*x2_1^2", "0", "-3",
          "", "z1^", "z9", "1/0", "z1 +", "**", "z1 z2", "(z1)", "x1_5",
          "z1 ^ 2\t+ 1/2 * z2", "z1 + z2 - z1 + z1",
-         " + ".join("z1^%d*z2^%d*z3^%d" % (i // 49, i // 7 % 7, i % 7) for i in range(300))]
+         " + ".join("z1^%d*z2^%d*z3^%d" % (i // 49, i // 7 % 7, i % 7) for i in range(300)),
+         "7" * 5000, "z1^" + "7" * 5000, "z1 + 1/" + "7" * 5000]
 SIZES = ["-1", "0", "1", "2", "3", "x", ""]
 LAMBDAS = ["2,1", "1,1", "3", "1,0,2", "", ",", "a,b", "-1,2", "0,0", "1,,1", "2,"]
 PERMS = ["[2,3,1]", "3,1,2", "[1]", "[4,3,2,1]", "[1,1,2]", "[]", "[0,1]", "x", "[2,,1]"]

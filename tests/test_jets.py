@@ -353,6 +353,17 @@ def test_membership_certificates_reexpand():
             assert res.verify(comp, basis)
 
 
+def test_membership_certificate_is_over_generators_with_denominators():
+    # the elimination sees each generator with its denominators cleared; the
+    # certificate is scaled back to the generators themselves
+    z1, z2 = zring(2).gens()
+    gens = [z1.scale(Fraction(1, 2)) + z2.scale(Fraction(1, 3)), (z1 * z2).scale(Fraction(2, 5))]
+    query = z1 * z2 * gens[0] + (z1 * gens[1]).scale(3)
+    result = homogeneous_membership(query, gens)
+    assert result.member
+    assert result.verify(query, gens)
+
+
 def test_budget_abort():
     desc = JetRingDesc(2, 2)
     gens = jet_generators(None, desc)

@@ -3,7 +3,7 @@ reduction against a rank oracle and against a span that keeps full
 histories, and the nullspaces built on it."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -16,7 +16,7 @@ from jetform import (
     jet_generators,
     jets,
 )
-from jetform.linalg import rational_nullspace
+from jetform.linalg import _clear_denominators, integer_nullspace
 
 from conftest import make_rng
 from test_jets import _oracle_tuples
@@ -207,13 +207,20 @@ def test_reduce_decides_membership_by_rank_and_certifies_members(case):
 
 
 def _sympy_nullspace(rows, ncols):
+    """sympy's nullspace basis, each vector scaled to primitive integers."""
     import sympy
 
-    matrix = sympy.Matrix(len(rows), ncols, [sympy.Rational(str(v)) for r in rows for v in r])
-    return [[Fraction(str(x)) for x in vec] for vec in matrix.nullspace()]
+    out = []
+    for vec in sympy.Matrix(len(rows), ncols, [v for r in rows for v in r]).nullspace():
+        fracs = [Fraction(str(x)) for x in vec]
+        d = lcm(*(f.denominator for f in fracs))
+        ints = [int(v * d) for v in fracs]
+        g = gcd(*ints)
+        out.append(tuple(v // g for v in ints))
+    return out
 
 
-def test_rational_nullspace_matches_sympy_on_the_oracle_grading_systems(monkeypatch):
+def test_integer_nullspace_matches_sympy_on_the_oracle_grading_systems(monkeypatch):
     """The grading systems of the 37-tuple oracle table.  A search eliminates
     only at the member degree, where every generator is usable and the query
     monomial adds no constraint, so its system is the one a degree-n query
@@ -221,27 +228,50 @@ def test_rational_nullspace_matches_sympy_on_the_oracle_grading_systems(monkeypa
     systems = []
 
     def recording(rows, ncols):
-        basis = rational_nullspace(rows, ncols)
+        basis = integer_nullspace(rows, ncols)
         systems.append((rows, ncols, basis))
         return basis
 
-    monkeypatch.setattr(jets, "rational_nullspace", recording)
+    monkeypatch.setattr(jets, "integer_nullspace", recording)
     tuples = _oracle_tuples()
     for h in tuples:
         desc = JetRingDesc(len(h), sum(h))
         homogeneous_membership(derivative_monomial(h, desc), jet_generators(None, desc))
-    # for n = 1 the generators are monomials: no constraint, no system
-    assert len(systems) == sum(len(h) > 1 for h in tuples) == 33
+    # for n = 1 the generators are monomials: a system with no rows
+    assert len(systems) == len(tuples) == 37
+    assert sum(not rows for rows, _, _ in systems) == sum(len(h) == 1 for h in tuples)
     for rows, ncols, basis in systems:
         assert basis == _sympy_nullspace(rows, ncols)
 
 
-def test_rational_nullspace_matches_sympy_on_random_matrices():
+def test_integer_nullspace_matches_sympy_on_random_matrices():
     rng = make_rng(707)
     for _ in range(200):
         nrows, ncols = rng.randint(0, 5), rng.randint(1, 6)
         rows = [
-            [Fraction(rng.randint(-3, 3) * rng.randint(0, 1), rng.randint(1, 3)) for _ in range(ncols)]
+            [rng.randint(-3, 3) * rng.randint(0, 1) for _ in range(ncols)]
             for _ in range(nrows)
         ]
-        assert rational_nullspace(rows, ncols) == _sympy_nullspace(rows, ncols)
+        assert integer_nullspace(rows, ncols) == _sympy_nullspace(rows, ncols)
+
+
+def _reference_clear_denominators(terms):
+    """The Fraction-based formula that `_clear_denominators` replaced."""
+    denom = lcm(*(Fraction(v).denominator for v in terms.values()))
+    return {k: int(Fraction(v) * denom) for k, v in terms.items() if v}, denom
+
+
+_values = st.one_of(
+    st.integers(-50, 50),
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 36)),
+)
+
+
+@example({0: Fraction(1, 2), 1: Fraction(1, 3), 2: 0})
+@given(st.dictionaries(st.integers(0, 20), _values, max_size=8))
+def test_clear_denominators_matches_the_fraction_formula(terms):
+    row, denom = _clear_denominators(terms)
+    expected_row, expected_denom = _reference_clear_denominators(terms)
+    assert denom == expected_denom
+    assert list(row.items()) == list(expected_row.items())
+    assert all(type(v) is int for v in row.values())

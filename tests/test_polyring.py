@@ -294,6 +294,11 @@ def test_parse_rejects_garbage():
             parse_poly(ring, bad)
     with pytest.raises(ParseError, match=r"^unexpected '#' at position 3$"):
         parse_poly(ring, "z1 # z2")
+    # past int()'s limit on converted digits: a coefficient, exponent, denominator
+    long = "1" * 5000
+    for bad, at in ((long, 0), ("z1^" + long, 3), ("z2 + 1/" + long, 7)):
+        with pytest.raises(ParseError, match=r"^number too long at position %d$" % at):
+            parse_poly(ring, bad)
 
 
 def test_parse_drops_a_cancelled_term_at_once():
@@ -472,3 +477,43 @@ def test_parse_matches_reference_parser(text):
             parse_poly(ring, text)
     else:
         assert list(parse_poly(ring, text).terms.items()) == expected
+
+
+def reference_substitute(p: Poly, target: Ring, images) -> Poly:
+    """`Poly.substitute` as it was before it summed into one dict: it added
+    each term's image to a new Poly, copying the running sum every time."""
+    result = target.zero()
+    power_cache = {}
+    for m, c in p.terms.items():
+        acc = target.const(c)
+        for i, e in enumerate(m):
+            if not e:
+                continue
+            key = (i, e)
+            q = power_cache.get(key)
+            if q is None:
+                q = images[i] ** e
+                power_cache[key] = q
+            acc = acc * q
+        result = result + acc
+    return result
+
+
+_COEFFS = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2)])
+
+
+def _small_polys(nvars):
+    """Up to five terms of degree at most 2 per variable, coefficients that
+    cancel one another often."""
+    monos = st.tuples(*[st.integers(0, 2)] * nvars).map(Monomial)
+    return st.dictionaries(monos, _COEFFS, max_size=5)
+
+
+@settings(max_examples=500)
+@given(_small_polys(3), st.lists(_small_polys(2), min_size=3, max_size=3))
+def test_substitute_matches_reference_term_order(terms, image_terms):
+    source, target = zring(3), zring(2)
+    p = Poly(source, terms)
+    images = [Poly(target, t) for t in image_terms]
+    expected = reference_substitute(p, target, images)
+    assert list(p.substitute(target, images).terms.items()) == list(expected.terms.items())
