@@ -38,9 +38,15 @@ grevlex with the variables reversed on homogeneous input, built per query
 by Buchberger's algorithm with the Gebauer-Moeller criteria M and F and
 the product criterion, and truncated to the monomials that can divide a
 multiplier.  The jet generators form a regular sequence, so no row that is
-inserted reduces to zero.  Pivots and certificates are those of inserting
-every row.  Each packed field carries one guard bit above the exponent, so
-a divisibility test is one subtraction and one mask.
+inserted reduces to zero.  The first jet generator g_0 = x_1^(0)...x_n^(0)
+is a monomial, so its rows are unit vectors: none is inserted, and the
+g_0-divisible columns are dropped from the other rows and the query
+instead.  Pivots are those of these projected rows.  g_0's cofactor is the
+residual of the query after the other generators' part, divided by g_0,
+and the certificate is the one inserting every row would give, as it is
+unique over the rows that become pivots.  Each packed field carries one
+guard bit above the exponent, so a divisibility test is one subtraction
+and one mask.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from operator import add, mul
 
 from .alambda import dim_A_lambda
@@ -634,13 +640,25 @@ def _solve_membership(p, gens, usable, gradings, span) -> tuple[dict, dict]:
     the same weights and lex-larger than M, as s > T, so it comes before
     M*g_k too.  By induction along this order, a skipped row lies in the
     span of the rows inserted before it: inserting it would have reduced it
-    to zero and changed nothing, so pivots, histories, certificates and
-    span charges are those of inserting every row.  The argument needs
-    only G in I_<k, so a pair the basis drops costs skips, never answers.
-    Conversely, a row that would reduce to zero gives a syzygy whose g_k
-    coefficient has trailing monomial M.  When the generators form a
-    regular sequence, as the jet generators do, that coefficient lies in
-    (I_<k : g_k) = I_<k, so every such row is skipped.
+    to zero and changed nothing.  The argument needs only G in I_<k, so a
+    pair the basis drops costs skips, never answers.  Conversely, a row
+    that would reduce to zero gives a syzygy whose g_k coefficient has
+    trailing monomial M.  When the generators form a regular sequence, as
+    the jet generators do, that coefficient lies in (I_<k : g_k) = I_<k, so
+    every such row is skipped.
+
+    When the first usable generator g_0 is a monomial, as the jet g_0 is,
+    its rows M*g_0 are the unit vectors of the g_0-divisible columns, all
+    of the component's.  They are not inserted: those columns are dropped
+    from every other row and from p instead, and a row left empty is
+    skipped.  Dropping them is the linear projection that kills exactly
+    the span of the g_0 rows, so skipped rows stay redundant, the same
+    rows become pivots as beside the g_0 rows, stored projected, and the
+    certificate, unique over those rows, is the same.  A term T*M is
+    g_0-divisible exactly when T*min(M, g_0) is, so each generator filters
+    its terms once per capped multiplier min(M, g_0).  g_0's cofactor is
+    the residual p - sum of c*M*g_k divided by g_0; a residual term g_0
+    does not divide raises InvariantViolationError.
 
     Rows are keyed by `_columns` (`_packing` for deg p: every monomial of
     the component has total degree deg p, so no exponent exceeds it and
@@ -664,7 +682,7 @@ def _solve_membership(p, gens, usable, gradings, span) -> tuple[dict, dict]:
         table.update(_packed_multipliers(mult_degree, gradings, wanted, shifts, span.budget))
     last_user = {t: gi for gi, t in targets.items()}
     cleared = {gi: _clear_denominators(gens[gi].terms) for gi in usable}
-    rows = [_columns(cleared[gi][0], shifts) for gi in usable]
+    rows = {gi: _columns(cleared[gi][0], shifts) for gi in usable}
     # a lead divides a multiplier only if no grading without negative
     # entries weighs it more, nor does the total degree
     bounds = [
@@ -673,7 +691,7 @@ def _solve_membership(p, gens, usable, gradings, span) -> tuple[dict, dict]:
         if min(w) >= 0
     ]
     leads = _trailing_term_leads(
-        [{-k: v for k, v in row.items()} for row in rows],
+        [{-k: v for k, v in row.items()} for row in rows.values()],
         shifts,
         width,
         guard,
@@ -681,18 +699,90 @@ def _solve_membership(p, gens, usable, gradings, span) -> tuple[dict, dict]:
         bounds,
         span.budget,
     )
-    for gi, row, trailing in zip(usable, rows, leads):
+    # the packed monomial g_0, or None when the first usable generator is none
+    first = rows[usable[0]] if usable else None
+    g0 = -next(iter(first)) if first and len(first) == 1 else None
+    query = _columns(p.terms, shifts)
+    if g0 is not None:
+        query = {k: v for k, v in query.items() if ((-k | guard) - g0) & guard != guard}
+    for (gi, row), trailing in zip(rows.items(), leads):
         t = targets[gi]
         mults = table.pop(t) if last_user[t] == gi else table[t]
-        items = list(row.items())
+        if g0 is None:
+            items = list(row.items())
+        elif gi == usable[0]:
+            continue
+        by_cap: dict = {}
         for mult in _undivided(mults, trailing, guard):
+            if g0 is not None:
+                # the fields where mult reaches g_0 take g_0's exponent
+                s = ((mult | guard) - g0) & guard
+                cap = mult ^ ((mult ^ g0) & (s - (s >> (width - 1))))
+                items = by_cap.get(cap)
+                if items is None:
+                    items = by_cap[cap] = [
+                        (k, v) for k, v in row.items() if (((cap - k) | guard) - g0) & guard != guard
+                    ]
+                if not items:
+                    continue
             span.insert({k - mult: v for k, v in items}, (gi, mult))
-    rem, comb = span.reduce(_columns(p.terms, shifts))
+    rem, comb = span.reduce(query)
     mask = (1 << width) - 1
-    return rem, {
-        (gi, Monomial(tuple((mult >> s) & mask for s in shifts))): c * cleared[gi][1]
-        for (gi, mult), c in comb.items()
-    }
+
+    def unpack(key):
+        return Monomial(tuple((key >> s) & mask for s in shifts))
+
+    cert = {(gi, unpack(mult)): c * cleared[gi][1] for (gi, mult), c in comb.items()}
+    if rem or g0 is None:
+        return rem, cert
+    residual, scale = _scaled_residual(
+        p, shifts, [(mult, c, rows[gi]) for (gi, mult), c in comb.items()]
+    )
+    for key, v in residual.items():
+        if not v:
+            continue
+        if ((key | guard) - g0) & guard != guard:
+            raise InvariantViolationError("residual term not divisible by the monomial generator")
+        cert[usable[0], unpack(key - g0)] = Fraction(
+            v * cleared[usable[0]][1], scale * first[-g0]
+        )
+    return rem, cert
+
+
+def _scaled_residual(p: Poly, shifts, triples) -> tuple[dict, int]:
+    """(s * (p - sum of c*M*row), s), keyed by packed monomials, for a list
+    of (packed M, c, integer row keyed by `_columns`) triples: the residual
+    of a combination in integers, s the lcm of the denominators of p and
+    every c."""
+    terms, denom = _clear_denominators(p.terms)
+    scale = lcm(denom, *(c.denominator for _, c, _ in triples))
+    residual = {-k: v * (scale // denom) for k, v in _columns(terms, shifts).items()}
+    for mult, c, row in triples:
+        f = c.numerator * (scale // c.denominator)
+        for k, v in row.items():
+            residual[mult - k] = residual.get(mult - k, 0) - f * v
+    return residual, scale
+
+
+def _reexpands(p: Poly, gens, combination) -> bool:
+    """`MembershipResult.verify` on packed keys and in integers: whether the
+    (generator index, multiplier, coefficient) triples re-expand to p.
+    Each multiplier is packed from its monomial once it is known to give
+    M*g the degree of p, so that no exponent exceeds its field."""
+    degree = p.total_degree()
+    _, shifts, _ = _packing(p.ring.nvars, degree)
+    rows = {}
+    for gi in {gi for gi, _, _ in combination}:
+        terms, d = _clear_denominators(gens[gi].terms)
+        rows[gi] = (_columns(terms, shifts), d, degree - gens[gi].total_degree())
+    triples = []
+    for gi, mono, coeff in combination:
+        row, d, mult_degree = rows[gi]
+        if sum(mono) != mult_degree or min(mono) < 0:
+            return False
+        mult = sum(e << s for e, s in zip(mono, shifts))
+        triples.append((mult, coeff if d == 1 else coeff / d, row))
+    return not any(_scaled_residual(p, shifts, triples)[0].values())
 
 
 def homogeneous_membership(
@@ -710,9 +800,14 @@ def homogeneous_membership(
     M*g_k whenever the trailing monomial of an element of the ideal of the
     generators before g_k divides M (the F5 criterion, see
     `_solve_membership`): the test holds for any homogeneous generators,
-    each skipped row lies in the span of the rows inserted before it, so
-    pivots, certificates and span charges are those of inserting every
-    row.  Membership answers carry an exact certificate that is re-expanded
+    and each skipped row lies in the span of the rows inserted before it.
+    When the first usable generator is a monomial, its rows are not
+    inserted: its columns are dropped from the other rows and from p, and
+    its cofactor is the residual of p after the other generators' part,
+    divided by it.  Pivots and span charges are those of the projected
+    rows; the certificate is the one inserting every row would give.
+    Membership answers carry an exact certificate that is re-expanded on
+    packed keys (`_reexpands`, the packed form of `MembershipResult.verify`)
     and compared against p before being returned.
     """
     gens = list(gens)
@@ -735,10 +830,9 @@ def homogeneous_membership(
     if rem:
         return MembershipResult(False, degree, None)
     combination = [(gi, mono, coeff) for (gi, mono), coeff in sorted(comb.items())]
-    result = MembershipResult(True, degree, combination)
-    if not result.verify(p, gens):
+    if not _reexpands(p, gens, combination):
         raise InvariantViolationError("membership certificate failed re-expansion")
-    return result
+    return MembershipResult(True, degree, combination)
 
 
 # -- witness homomorphisms ----------------------------------------------------

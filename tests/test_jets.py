@@ -38,7 +38,7 @@ from jetform import (
     radical_witness,
     zring,
 )
-from jetform.linalg import int_row
+from jetform.linalg import _clear_denominators, int_row
 
 from conftest import exponent_vectors, make_rng, random_poly
 from test_acceptance import SEARCH_CASES
@@ -172,7 +172,8 @@ def test_membership_zero_query_is_trivial():
 
 
 def test_membership_pruning_matches_unpruned_search():
-    # same verdicts as a full enumeration with no grading constraints
+    # same verdicts and certificates as a full enumeration with no grading
+    # constraints
     rng = make_rng(90)
     desc = JetRingDesc(2, 1)
     gens = jet_generators(None, desc)
@@ -183,16 +184,7 @@ def test_membership_pruning_matches_unpruned_search():
         for _ in range(degree):
             exps[rng.randrange(ring.nvars)] += 1
         query = ring.from_terms({tuple(exps): Fraction(rng.randint(1, 3))})
-        fast = homogeneous_membership(query, gens)
-
-        span = ExactSpan()
-        for gi, g in enumerate(gens):
-            grow = int_row(g.terms)
-            for exps in exponent_vectors(ring.nvars, degree - g.total_degree()):
-                mult = Monomial(exps)
-                span.insert({m * mult: v for m, v in grow.items()}, (gi, mult))
-        rem, _ = span.reduce(query.terms)
-        assert fast.member == (not rem)
+        assert homogeneous_membership(query, gens).combination == _plain_certificate(query, gens)
 
 
 def _weights(gradings, exps):
@@ -448,30 +440,37 @@ def _pivot_rows(span):
 
 def _skipped_rows_are_redundant(p, gens, multipliers) -> int:
     """Run the oracle's elimination of p, which skips rows by the F5
-    criterion, and beside it a span offered every multiplier row in the
-    same order: generators in index order, each generator's multipliers of
-    the query's weights in descending lex order, drawn from
-    `multipliers(degree)`, exponent vectors of that degree in descending
-    lex order, keyed by the oracle's `_columns`.  Check that each row the
-    oracle skipped leaves the full span unchanged and that both spans end
-    with the same pivots and histories, in dict order.  Returns the number
-    of skipped rows."""
+    criterion, and beside it a span offered every row the oracle would see
+    without that criterion, in the same order: generators in index order,
+    each generator's multipliers of the query's weights in descending lex
+    order, drawn from `multipliers(degree)`, exponent vectors of that
+    degree in descending lex order, keyed by the oracle's `_columns`.  When
+    the first usable generator g_0 is a monomial, the oracle sees no row
+    M*g_0 and no g_0-divisible column, and rows left empty are not offered;
+    so neither does this reference.  Check that each row the oracle skipped
+    leaves the reference span unchanged and that both spans end with the
+    same pivots and histories, in dict order.  Check also that the oracle's
+    certificate is the one a third span gives, offered every row, g_0's
+    included, with no column dropped.  Returns the number of skipped
+    rows."""
     degree = p.total_degree()
     nvars = p.ring.nvars
     usable = [i for i, g in enumerate(gens) if g.total_degree() <= degree]
     gradings = jets._common_gradings([gens[i] for i in usable] + [p], nvars)
     kept = _RecordingSpan()
-    jets._solve_membership(p, gens, usable, gradings, kept)
+    rem, cert = jets._solve_membership(p, gens, usable, gradings, kept)
 
     _, shifts, _ = jets._packing(nvars, degree)
     target = _weights(gradings, next(iter(p.terms)))
+    g0 = next(iter(gens[usable[0]].terms)) if len(gens[usable[0]].terms) == 1 else None
     full = ExactSpan()
+    plain = ExactSpan()
     offered = iter(kept.labels)
     next_kept = next(offered, None)
     skipped = 0
     for gi in usable:
         g = gens[gi]
-        grow = int_row(g.terms)
+        grow, denom = _clear_denominators(g.terms)
         g_weights = _weights(gradings, next(iter(g.terms)))
         for exps in multipliers(degree - g.total_degree()):
             weights = tuple(a + b for a, b in zip(_weights(gradings, exps), g_weights))
@@ -479,8 +478,15 @@ def _skipped_rows_are_redundant(p, gens, multipliers) -> int:
                 continue
             mult = Monomial(exps)
             label = (gi, sum(e << s for e, s in zip(exps, shifts)))
-            row = jets._columns({m * mult: v for m, v in grow.items()}, shifts)
-            enlarged = full.insert(row, label)
+            terms = {m * mult: v for m, v in grow.items()}
+            plain.insert(jets._columns(terms, shifts), (gi, mult, denom))
+            if g0 is not None:
+                if gi == usable[0]:
+                    continue
+                terms = {m: v for m, v in terms.items() if not g0.divides(m)}
+                if not terms:
+                    continue
+            enlarged = full.insert(jets._columns(terms, shifts), label)
             if label == next_kept:
                 next_kept = next(offered, None)
             else:
@@ -489,6 +495,10 @@ def _skipped_rows_are_redundant(p, gens, multipliers) -> int:
     # every row the oracle inserted came up, in the oracle's order
     assert next_kept is None
     assert _pivot_rows(kept) == _pivot_rows(full)
+    plain_rem, comb = plain.reduce(jets._columns(p.terms, shifts))
+    assert bool(rem) == bool(plain_rem)
+    if not rem:
+        assert cert == {(gi, mult): c * denom for (gi, mult, denom), c in comb.items()}
     return skipped
 
 
@@ -511,10 +521,12 @@ def test_koszul_skipped_rows_are_redundant_on_oracle_tuples(h):
 
 
 @st.composite
-def homogeneous_systems(draw):
+def homogeneous_systems(draw, monomial_first=False):
     """Up to three homogeneous generators of degree 1 to 3 in two to four
     variables, and a homogeneous query of degree up to 4: half the time a
-    combination of multiples of the generators, so usually a member."""
+    combination of multiples of the generators, so usually a member.  With
+    `monomial_first`, the first generator is one term with a rational
+    coefficient."""
     nvars = draw(st.integers(min_value=2, max_value=4))
     ring = zring(nvars)
     coeff = st.integers(min_value=-3, max_value=3).filter(bool)
@@ -531,9 +543,11 @@ def homogeneous_systems(draw):
         return ring.from_terms({m: Fraction(draw(coeff)) for m in monos})
 
     gens = [
-        homogeneous(draw(st.integers(min_value=1, max_value=3)), 3)
-        for _ in range(draw(st.integers(min_value=1, max_value=3)))
+        homogeneous(draw(st.integers(min_value=1, max_value=3)), 1 if monomial_first and i == 0 else 3)
+        for i in range(draw(st.integers(min_value=1, max_value=3)))
     ]
+    if monomial_first:
+        gens[0] = gens[0].scale(draw(st.fractions(-3, 3, max_denominator=4).filter(bool)))
     degree = draw(st.integers(min_value=max(1, min(g.total_degree() for g in gens)), max_value=4))
     query = homogeneous(degree, 4)
     if draw(st.booleans()):
@@ -556,14 +570,7 @@ def test_koszul_skipped_rows_are_redundant_on_generic_systems(system):
 def test_no_offered_row_reduces_to_zero_on_oracle_tuples(monkeypatch):
     # the jet generators form a regular sequence, so the F5 criterion skips
     # every row that would reduce to zero (Faugere, ISSAC 2002)
-    spans = []
-
-    class CountingSpan(_RecordingSpan):
-        def __init__(self, *args, **kwargs):
-            super().__init__()
-            spans.append(self)
-
-    monkeypatch.setattr(jets, "ExactSpan", CountingSpan)
+    spans = _record_spans(monkeypatch)
     for h in _oracle_tuples():
         if len(h) > 3 or sum(h) > 3:
             continue
@@ -573,6 +580,135 @@ def test_no_offered_row_reduces_to_zero_on_oracle_tuples(monkeypatch):
         assert homogeneous_membership(query, jet_generators(None, desc)).member
         (span,) = spans
         assert len(span.labels) == span.rank > 0, h
+
+
+def _record_spans(monkeypatch) -> list:
+    """Make the oracle build `_RecordingSpan`s; returns the list of them."""
+    spans = []
+
+    class RecordingSpan(_RecordingSpan):
+        def __init__(self, *args, **kwargs):
+            super().__init__()
+            spans.append(self)
+
+    monkeypatch.setattr(jets, "ExactSpan", RecordingSpan)
+    return spans
+
+
+def _plain_certificate(p, gens):
+    """The combination of p from a plain ExactSpan keyed by Monomial and
+    offered every row M*g, g_0's included, in the oracle's order: generators
+    in index order, each one's multipliers of every weight in descending
+    lex order; None for a non-member.  Rows of other weights lie in other
+    graded components, so the rows that become pivots in p's component, and
+    the combination over them, are the oracle's."""
+    degree = p.total_degree()
+    span = ExactSpan()
+    for gi, g in enumerate(gens):
+        if g.total_degree() > degree:
+            continue
+        grow, denom = _clear_denominators(g.terms)
+        for exps in exponent_vectors(p.ring.nvars, degree - g.total_degree()):
+            mult = Monomial(exps)
+            span.insert({m * mult: v for m, v in grow.items()}, (gi, mult, denom))
+    rem, comb = span.reduce(p.terms)
+    if rem:
+        return None
+    return [(gi, mult, c * denom) for (gi, mult, denom), c in sorted(comb.items())]
+
+
+@pytest.mark.parametrize("coeff", [Fraction(2), Fraction(1, 3), Fraction(-3, 2)])
+def test_monomial_g0_with_a_coefficient_gets_a_scaled_cofactor(coeff):
+    x, y = zring(2).gens()
+    gens = [(x * y).scale(coeff), x**2 + y**2]
+    # x^2*g_1 + 6*x*y^3; the row x*y*g_1 is all g_0-divisible
+    query = x**4 + x**2 * y**2 + (x * y**3).scale(6)
+    result = homogeneous_membership(query, gens)
+    assert result.combination == [
+        (0, Monomial((0, 2)), 6 / coeff),
+        (1, Monomial((2, 0)), Fraction(1)),
+    ]
+    assert result.verify(query, gens)
+    assert result.combination == _plain_certificate(query, gens)
+
+
+def test_query_of_g0_multiples_has_only_g0_in_its_certificate(monkeypatch):
+    spans = _record_spans(monkeypatch)
+    x, y = zring(2).gens()
+    gens = [x * y, x**2 + y**2]
+    query = x**2 * y + (x * y**2).scale(3)
+    result = homogeneous_membership(query, gens)
+    assert result.combination == [(0, Monomial((0, 1)), 3), (0, Monomial((1, 0)), 1)]
+    assert result.combination == _plain_certificate(query, gens)
+    # g_1's rows x*g_1 and y*g_1 were offered, as x^3 and y^3
+    (span,) = spans
+    assert [gi for gi, _ in span.labels] == [1, 1] and span.rank == 2
+
+
+def test_generator_whose_rows_all_project_to_nothing_offers_no_row(monkeypatch):
+    spans = _record_spans(monkeypatch)
+    x, y = zring(2).gens()
+    gens = [x * y, x**2 * y + x * y**2]  # g_1 = (x + y)*g_0
+    query = x**3 * y + x**2 * y**2
+    result = homogeneous_membership(query, gens)
+    assert result.combination == [(0, Monomial((1, 1)), 1), (0, Monomial((2, 0)), 1)]
+    assert result.combination == _plain_certificate(query, gens)
+    (span,) = spans
+    assert span.labels == []
+
+
+def test_monomial_generator_is_filtered_only_when_first_usable(monkeypatch):
+    spans = _record_spans(monkeypatch)
+    x, y = zring(2).gens()
+    query = x**3 * y + x**2 * y**2 + x * y**3
+    # not first: x*y keeps its rows
+    gens = [x**2 + y**2, x * y]
+    result = homogeneous_membership(query, gens)
+    assert result.combination == _plain_certificate(query, gens)
+    assert {gi for gi, _ in spans[-1].labels} == {0, 1}
+    # first usable, after a generator above the query's degree: filtered
+    gens = [x**5, x * y, x**2 + y**2]
+    result = homogeneous_membership(query, gens)
+    assert result.combination == _plain_certificate(query, gens)
+    assert {gi for gi, _ in spans[-1].labels} == {2}
+
+
+def test_residual_that_g0_does_not_divide_raises(monkeypatch):
+    class DroppingSpan(ExactSpan):
+        # loses one entry of every combination
+        def reduce(self, terms):
+            rem, comb = super().reduce(terms)
+            return rem, dict(list(comb.items())[1:])
+
+    monkeypatch.setattr(jets, "ExactSpan", DroppingSpan)
+    x, y = zring(2).gens()
+    gens = [x * y, x**2 + y**2]
+    with pytest.raises(InvariantViolationError, match="residual"):
+        homogeneous_membership(x**2 * gens[1], gens)
+
+
+@given(homogeneous_systems(monomial_first=True))
+def test_filtered_certificates_match_a_span_offered_every_row(system):
+    query, gens = system
+    result = homogeneous_membership(query, gens)
+    assert result.combination == _plain_certificate(query, gens)
+    if result.member and result.combination:
+        # the packed re-expansion agrees with `verify` on a wrong certificate
+        gi, mono, c = result.combination[-1]
+        wrong = result.combination[:-1] + [(gi, mono, c + 1)]
+        assert not jets._reexpands(query, gens, wrong)
+        assert not jets.MembershipResult(True, result.degree, wrong).verify(query, gens)
+
+
+def test_oracle_offers_no_g0_row(monkeypatch):
+    # g_0 = x_1^(0)...x_n^(0) is a monomial, so its columns are dropped: the
+    # 37 spans hold 33,323 pivots, not the 63,302 of inserting its rows
+    spans = _record_spans(monkeypatch)
+    for h in _oracle_tuples():
+        min_degree_search(h)
+    assert len(spans) == 37
+    assert all(gi != 0 for span in spans for gi, _ in span.labels)
+    assert sum(span.rank for span in spans) == sum(len(span.labels) for span in spans) == 33323
 
 
 def _check_trailing_term_leads(gens, tops, boxes=([],)):

@@ -255,6 +255,25 @@ def test_integer_nullspace_matches_sympy_on_random_matrices():
         assert integer_nullspace(rows, ncols) == _sympy_nullspace(rows, ncols)
 
 
+def test_integer_nullspace_eliminates_each_column_once(monkeypatch):
+    # a column that becomes a pivot is not eliminated a second time
+    calls = []
+    eliminate = ExactSpan._eliminate
+
+    def counting(self, row, hist):
+        calls.append(len(row))
+        return eliminate(self, row, hist)
+
+    monkeypatch.setattr(ExactSpan, "_eliminate", counting)
+    rng = make_rng(708)
+    for _ in range(200):
+        nrows, ncols = rng.randint(0, 5), rng.randint(1, 6)
+        rows = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)]
+        del calls[:]
+        integer_nullspace(rows, ncols)
+        assert len(calls) == ncols
+
+
 def _reference_clear_denominators(terms):
     """The Fraction-based formula that `_clear_denominators` replaced."""
     denom = lcm(*(Fraction(v).denominator for v in terms.values()))
