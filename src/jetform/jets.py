@@ -20,8 +20,8 @@ to exact elimination.  The elimination packs each monomial into one int
 (variable 0 in the most significant field), so lex order is integer order
 and multiplying by a monomial is adding its packed exponents; a row's
 columns are the negated packed monomials, so elimination works from the
-lex-smallest one.  The multipliers of all generators come from one table
-per query, filled by a single variable-by-variable pass per multiplier
+lex-smallest one.  The multipliers of the inserted generators come from one
+table per query, filled by one variable-by-variable pass per multiplier
 degree: the jet generators share their block degrees and differ only in
 weight, so one pass serves them all.  Each state of the pass, a remaining
 degree and partial weights, cuts the exponent of its variable to one
@@ -39,14 +39,12 @@ by Buchberger's algorithm with the Gebauer-Moeller criteria M and F and
 the product criterion, and truncated to the monomials that can divide a
 multiplier.  The jet generators form a regular sequence, so no row that is
 inserted reduces to zero.  The first jet generator g_0 = x_1^(0)...x_n^(0)
-is a monomial, so its rows are unit vectors: none is inserted, and the
-g_0-divisible columns are dropped from the other rows and the query
-instead.  Pivots are those of these projected rows.  g_0's cofactor is the
-residual of the query after the other generators' part, divided by g_0,
-and the certificate is the one inserting every row would give, as it is
-unique over the rows that become pivots.  Each packed field carries one
-guard bit above the exponent, so a divisibility test is one subtraction
-and one mask.
+is a monomial, so its rows are unit vectors.  A monomial first usable
+generator is therefore a column filter, not rows: its multipliers are never
+enumerated, its columns are dropped from the other rows and the query, and
+its cofactor comes from the query's residual in the one pass that
+re-expands the certificate.  Each packed field carries one guard bit above
+the exponent, so a divisibility test is one subtraction and one mask.
 """
 
 from __future__ import annotations
@@ -302,11 +300,14 @@ class MembershipResult:
         self.witness = witness
 
     def verify(self, p: Poly, gens) -> bool:
-        """Re-expand the combination term by term and compare it with p."""
+        """Re-expand the combination term by term and compare it with p; an
+        entry naming no generator or no exponent vector of p's ring fails."""
         if not self.member:
             return False
         terms: dict[Monomial, Fraction] = {}
         for gi, mono, coeff in self.combination:
+            if not 0 <= gi < len(gens) or len(mono) != p.ring.nvars or min(mono, default=0) < 0:
+                return False
             for m, c in gens[gi].terms.items():
                 key = m * mono
                 terms[key] = terms.get(key, 0) + c * coeff
@@ -609,17 +610,17 @@ def _trailing_term_leads(rows, shifts, width, guard, top, bounds, budget):
         yield [g[1] for g in basis]
 
 
-def _solve_membership(p, gens, usable, gradings, span) -> tuple[dict, dict]:
+def _solve_membership(p, gens, usable, gradings, span, filtered) -> tuple[dict, dict]:
     """Insert the multiplier*generator rows into `span`, then reduce p.
 
-    The multipliers of all generators are enumerated up front, one pass
-    per distinct multiplier degree, into a table keyed by the weights a
-    multiplier must have under `gradings`.  These weights fix its total
-    degree, since the total degree lies in the span of the gradings.  Each
-    generator's list is popped from the table when its last user has taken
-    it, so the table shrinks while the span grows.  The table is charged to
-    the span's budget while it is built, so a budget too small for it stops
-    the query before any row is inserted.
+    The multipliers of all generators but `filtered` are enumerated up
+    front, one pass per distinct multiplier degree, into a table keyed by
+    the weights a multiplier must have under `gradings`.  These weights fix
+    its total degree, since the total degree lies in the span of the
+    gradings.  Each generator's list is popped from the table when its last
+    user has taken it, so the table shrinks while the span grows.  The table
+    is charged to the span's budget while it is built, so a budget too
+    small for it stops the query before any row is inserted.
 
     Rows are inserted generator by generator in `usable` order, each
     generator's multipliers in descending lex order.  A row M*g_k is
@@ -647,35 +648,34 @@ def _solve_membership(p, gens, usable, gradings, span) -> tuple[dict, dict]:
     the jet generators do, that coefficient lies in (I_<k : g_k) = I_<k, so
     every such row is skipped.
 
-    When the first usable generator g_0 is a monomial, as the jet g_0 is,
-    its rows M*g_0 are the unit vectors of the g_0-divisible columns, all
-    of the component's.  They are not inserted: those columns are dropped
-    from every other row and from p instead, and a row left empty is
-    skipped.  Dropping them is the linear projection that kills exactly
-    the span of the g_0 rows, so skipped rows stay redundant, the same
-    rows become pivots as beside the g_0 rows, stored projected, and the
-    certificate, unique over those rows, is the same.  A term T*M is
-    g_0-divisible exactly when T*min(M, g_0) is, so each generator filters
-    its terms once per capped multiplier min(M, g_0).  g_0's cofactor is
-    the residual p - sum of c*M*g_k divided by g_0; a residual term g_0
-    does not divide raises InvariantViolationError.
+    `filtered` is None or usable[0], the index of a monomial g_0.  Its rows
+    M*g_0 are the unit vectors of the g_0-divisible columns, all of the
+    component's, so those columns are dropped from every other row and
+    from p instead, and a row left empty is skipped.  Dropping them is the
+    linear projection that kills exactly the span of the g_0 rows, so
+    skipped rows stay redundant, the same rows become pivots as beside the
+    g_0 rows, stored projected, and the combination over them, unique, is
+    the same.  A term T*M is g_0-divisible exactly when T*min(M, g_0) is,
+    so each generator filters its terms once per capped multiplier.
 
     Rows are keyed by `_columns` (`_packing` for deg p: every monomial of
     the component has total degree deg p, so no exponent exceeds it and
     adding a multiplier never carries across fields) and labelled
     (generator index, packed multiplier).  A row is its generator times the
-    lcm d of its denominators, so the returned coefficients are scaled by d.
+    lcm d of its denominators, so the coefficients of the returned
+    {(generator index, multiplier): coefficient} are scaled by d.
     """
     nvars = p.ring.nvars
     degree = p.total_degree()
     width, shifts, guard = _packing(nvars, degree)
+    inserted = usable[1:] if filtered is not None else usable
     p_weights = [_weight_of(p, w) for w in gradings]
     targets = {
         gi: tuple(pw - _weight_of(gens[gi], w) for w, pw in zip(gradings, p_weights))
-        for gi in usable
+        for gi in inserted
     }
     by_degree: dict = {}
-    for gi in usable:
+    for gi in inserted:
         by_degree.setdefault(degree - gens[gi].total_degree(), set()).add(targets[gi])
     table = {}
     for mult_degree, wanted in by_degree.items():
@@ -699,19 +699,18 @@ def _solve_membership(p, gens, usable, gradings, span) -> tuple[dict, dict]:
         bounds,
         span.budget,
     )
-    # the packed monomial g_0, or None when the first usable generator is none
-    first = rows[usable[0]] if usable else None
-    g0 = -next(iter(first)) if first and len(first) == 1 else None
     query = _columns(p.terms, shifts)
-    if g0 is not None:
+    g0 = None
+    if filtered is not None:
+        g0 = -next(iter(rows[filtered]))  # the packed monomial g_0
         query = {k: v for k, v in query.items() if ((-k | guard) - g0) & guard != guard}
-    for (gi, row), trailing in zip(rows.items(), leads):
+        next(leads)  # the empty basis before g_0
+    for gi, trailing in zip(inserted, leads):
+        row = rows[gi]
         t = targets[gi]
         mults = table.pop(t) if last_user[t] == gi else table[t]
         if g0 is None:
             items = list(row.items())
-        elif gi == usable[0]:
-            continue
         by_cap: dict = {}
         for mult in _undivided(mults, trailing, guard):
             if g0 is not None:
@@ -727,33 +726,41 @@ def _solve_membership(p, gens, usable, gradings, span) -> tuple[dict, dict]:
                     continue
             span.insert({k - mult: v for k, v in items}, (gi, mult))
     rem, comb = span.reduce(query)
+    return rem, {
+        (gi, _unpacked(mult, shifts, width)): c * cleared[gi][1] for (gi, mult), c in comb.items()
+    }
+
+
+def _unpacked(key: int, shifts, width: int) -> Monomial:
     mask = (1 << width) - 1
-
-    def unpack(key):
-        return Monomial(tuple((key >> s) & mask for s in shifts))
-
-    cert = {(gi, unpack(mult)): c * cleared[gi][1] for (gi, mult), c in comb.items()}
-    if rem or g0 is None:
-        return rem, cert
-    residual, scale = _scaled_residual(
-        p, shifts, [(mult, c, rows[gi]) for (gi, mult), c in comb.items()]
-    )
-    for key, v in residual.items():
-        if not v:
-            continue
-        if ((key | guard) - g0) & guard != guard:
-            raise InvariantViolationError("residual term not divisible by the monomial generator")
-        cert[usable[0], unpack(key - g0)] = Fraction(
-            v * cleared[usable[0]][1], scale * first[-g0]
-        )
-    return rem, cert
+    return Monomial(tuple((key >> s) & mask for s in shifts))
 
 
-def _scaled_residual(p: Poly, shifts, triples) -> tuple[dict, int]:
-    """(s * (p - sum of c*M*row), s), keyed by packed monomials, for a list
-    of (packed M, c, integer row keyed by `_columns`) triples: the residual
-    of a combination in integers, s the lcm of the denominators of p and
-    every c."""
+def _certificate(p: Poly, gens, comb: dict, filtered) -> list:
+    """The certificate of a member p, re-expanded against p: the
+    elimination's {(generator index, multiplier): coefficient} `comb` and
+    the cofactor of g_0 = gens[filtered], as sorted triples.
+
+    Each entry is packed once M*g is known to have p's degree and no
+    negative exponent, and the residual s*(p - sum of c*M*g) is formed once
+    in integers, s the lcm of the denominators.  Each nonzero residual term
+    divided by g_0 is an entry of g_0's cofactor, subtracted back through
+    g_0's cleared row; a term g_0 does not divide raises.  What is left,
+    all of the residual if `filtered` is None, must be zero.
+    """
+    degree = p.total_degree()
+    width, shifts, guard = _packing(p.ring.nvars, degree)
+    rows = {}
+    for gi in {gi for gi, _ in comb}:
+        terms, d = _clear_denominators(gens[gi].terms)
+        rows[gi] = (_columns(terms, shifts), d, degree - gens[gi].total_degree())
+    triples = []
+    for (gi, mono), coeff in comb.items():
+        row, d, mult_degree = rows[gi]
+        if sum(mono) != mult_degree or min(mono) < 0:
+            raise InvariantViolationError("membership certificate failed re-expansion")
+        mult = sum(e << s for e, s in zip(mono, shifts))
+        triples.append((mult, coeff if d == 1 else coeff / d, row))
     terms, denom = _clear_denominators(p.terms)
     scale = lcm(denom, *(c.denominator for _, c, _ in triples))
     residual = {-k: v * (scale // denom) for k, v in _columns(terms, shifts).items()}
@@ -761,28 +768,22 @@ def _scaled_residual(p: Poly, shifts, triples) -> tuple[dict, int]:
         f = c.numerator * (scale // c.denominator)
         for k, v in row.items():
             residual[mult - k] = residual.get(mult - k, 0) - f * v
-    return residual, scale
-
-
-def _reexpands(p: Poly, gens, combination) -> bool:
-    """`MembershipResult.verify` on packed keys and in integers: whether the
-    (generator index, multiplier, coefficient) triples re-expand to p.
-    Each multiplier is packed from its monomial once it is known to give
-    M*g the degree of p, so that no exponent exceeds its field."""
-    degree = p.total_degree()
-    _, shifts, _ = _packing(p.ring.nvars, degree)
-    rows = {}
-    for gi in {gi for gi, _, _ in combination}:
-        terms, d = _clear_denominators(gens[gi].terms)
-        rows[gi] = (_columns(terms, shifts), d, degree - gens[gi].total_degree())
-    triples = []
-    for gi, mono, coeff in combination:
-        row, d, mult_degree = rows[gi]
-        if sum(mono) != mult_degree or min(mono) < 0:
-            return False
-        mult = sum(e << s for e, s in zip(mono, shifts))
-        triples.append((mult, coeff if d == 1 else coeff / d, row))
-    return not any(_scaled_residual(p, shifts, triples)[0].values())
+    cert = dict(comb)
+    if filtered is not None:
+        terms, d = _clear_denominators(gens[filtered].terms)
+        ((mono, a),) = terms.items()
+        g0 = sum(e << s for e, s in zip(mono, shifts))
+        for key, v in residual.items():
+            if not v:
+                continue
+            if ((key | guard) - g0) & guard != guard:
+                raise InvariantViolationError("residual term not divisible by the monomial generator")
+            c = cert[filtered, _unpacked(key - g0, shifts, width)] = Fraction(v * d, scale * a)
+            # (v - (c/d)*a) * d * c.denominator: the term left once c*M*g_0 is subtracted
+            residual[key] = v * d * c.denominator - c.numerator * a * scale
+    if any(residual.values()):
+        raise InvariantViolationError("membership certificate failed re-expansion")
+    return [(gi, mono, c) for (gi, mono), c in sorted(cert.items())]
 
 
 def homogeneous_membership(
@@ -801,14 +802,14 @@ def homogeneous_membership(
     generators before g_k divides M (the F5 criterion, see
     `_solve_membership`): the test holds for any homogeneous generators,
     and each skipped row lies in the span of the rows inserted before it.
-    When the first usable generator is a monomial, its rows are not
-    inserted: its columns are dropped from the other rows and from p, and
-    its cofactor is the residual of p after the other generators' part,
-    divided by it.  Pivots and span charges are those of the projected
-    rows; the certificate is the one inserting every row would give.
-    Membership answers carry an exact certificate that is re-expanded on
-    packed keys (`_reexpands`, the packed form of `MembershipResult.verify`)
-    and compared against p before being returned.
+
+    The first usable generator, if it is a monomial g_0, is a column filter
+    instead of rows, decided here once for both halves of the oracle:
+    `_solve_membership` neither enumerates nor inserts its rows and drops
+    its columns, and `_certificate` recovers its cofactor from the residual
+    of p.  Pivots and span charges are those of the projected rows; the
+    certificate is the one inserting every row would give, and every entry
+    of it, g_0's included, is re-expanded against p before it is returned.
     """
     gens = list(gens)
     if not p.is_homogeneous():
@@ -824,15 +825,13 @@ def homogeneous_membership(
         return MembershipResult(True, None, [])
     degree = p.total_degree()
     usable = [i for i, g in enumerate(gens) if g.total_degree() <= degree]
+    filtered = usable[0] if usable and len(gens[usable[0]].terms) == 1 else None
     gradings = _common_gradings([gens[i] for i in usable] + [p], p.ring.nvars)
     span = ExactSpan(budget=budget)
-    rem, comb = _solve_membership(p, gens, usable, gradings, span)
+    rem, comb = _solve_membership(p, gens, usable, gradings, span, filtered)
     if rem:
         return MembershipResult(False, degree, None)
-    combination = [(gi, mono, coeff) for (gi, mono), coeff in sorted(comb.items())]
-    if not _reexpands(p, gens, combination):
-        raise InvariantViolationError("membership certificate failed re-expansion")
-    return MembershipResult(True, degree, combination)
+    return MembershipResult(True, degree, _certificate(p, gens, comb, filtered))
 
 
 # -- witness homomorphisms ----------------------------------------------------

@@ -56,12 +56,12 @@ class Budget:
       oracle stores in its trailing-term basis;
     - "multiplier table": one entry per three packed multipliers of the
       oracle's multiplier table, charged while the table is built (a
-      packed multiplier takes about 49 bytes traced).
+      packed multiplier takes about 49 bytes traced); a monomial generator
+      g_0 that the oracle filters as columns has no list in it.
     Each entry is costed at BYTES_PER_ENTRY, set from `tracemalloc` peaks
     of whole searches, which also hold the query and the psi normal forms:
-    168 bytes per entry for min_degree_search((2, 2)), 159 for (1, 1, 2)
-    and 148 for (0, 4) while the oracle stored the rows of the monomial
-    generator g_0; without them, 148, 137 and 143.
+    153 bytes per entry for min_degree_search((2, 2)), 149 for (1, 1, 2)
+    and 146 for (0, 4).
     Exceeding the configured limit raises BudgetExceededError instead of
     thrashing.  The limit is None, for no limit, or a finite number of MB,
     at least 0; anything else raises DomainError.

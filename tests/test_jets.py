@@ -356,6 +356,21 @@ def test_membership_certificate_is_over_generators_with_denominators():
     assert result.verify(query, gens)
 
 
+def test_verify_rejects_entries_outside_the_generators_and_the_ring():
+    desc = JetRingDesc(2, 1)
+    gens = jet_generators(None, desc)
+    query = desc.var(1, 1) * desc.var(2, 1)
+    assert not homogeneous_membership(query, gens).member
+    # x1_0^-1*x1_1*x2_0^-1*x2_1 times g_0 = x1_0*x2_0 is the query
+    assert not jets.MembershipResult(True, 2, [(0, Monomial((-1, 1, -1, 1)), 1)]).verify(query, gens)
+    one = Monomial((0, 0, 0, 0))
+    assert jets.MembershipResult(True, 2, [(1, one, 1)]).verify(gens[1], gens)
+    # index -1 would name g_1, index 2 no generator; a fifth exponent
+    # would be dropped by the product with g_1's terms
+    for gi, mono in [(-1, one), (2, one), (1, Monomial((0, 0, 0))), (1, Monomial((0, 0, 0, 0, 7)))]:
+        assert not jets.MembershipResult(True, 2, [(gi, mono, 1)]).verify(gens[1], gens)
+
+
 def test_budget_abort():
     desc = JetRingDesc(2, 2)
     gens = jet_generators(None, desc)
@@ -450,19 +465,20 @@ def _skipped_rows_are_redundant(p, gens, multipliers) -> int:
     so neither does this reference.  Check that each row the oracle skipped
     leaves the reference span unchanged and that both spans end with the
     same pivots and histories, in dict order.  Check also that the oracle's
-    certificate is the one a third span gives, offered every row, g_0's
-    included, with no column dropped.  Returns the number of skipped
-    rows."""
+    certificate, as `_certificate` completes and re-expands it, is the one
+    a third span gives, offered every row, g_0's included, with no column
+    dropped.  Returns the number of skipped rows."""
     degree = p.total_degree()
     nvars = p.ring.nvars
     usable = [i for i, g in enumerate(gens) if g.total_degree() <= degree]
+    filtered = usable[0] if len(gens[usable[0]].terms) == 1 else None
     gradings = jets._common_gradings([gens[i] for i in usable] + [p], nvars)
     kept = _RecordingSpan()
-    rem, cert = jets._solve_membership(p, gens, usable, gradings, kept)
+    rem, cert = jets._solve_membership(p, gens, usable, gradings, kept, filtered)
 
     _, shifts, _ = jets._packing(nvars, degree)
     target = _weights(gradings, next(iter(p.terms)))
-    g0 = next(iter(gens[usable[0]].terms)) if len(gens[usable[0]].terms) == 1 else None
+    g0 = next(iter(gens[filtered].terms)) if filtered is not None else None
     full = ExactSpan()
     plain = ExactSpan()
     offered = iter(kept.labels)
@@ -498,7 +514,9 @@ def _skipped_rows_are_redundant(p, gens, multipliers) -> int:
     plain_rem, comb = plain.reduce(jets._columns(p.terms, shifts))
     assert bool(rem) == bool(plain_rem)
     if not rem:
-        assert cert == {(gi, mult): c * denom for (gi, mult, denom), c in comb.items()}
+        assert jets._certificate(p, gens, cert, filtered) == sorted(
+            (gi, mult, c * denom) for (gi, mult, denom), c in comb.items()
+        )
     return skipped
 
 
@@ -687,17 +705,60 @@ def test_residual_that_g0_does_not_divide_raises(monkeypatch):
         homogeneous_membership(x**2 * gens[1], gens)
 
 
+@pytest.mark.parametrize(
+    "order, message",
+    [((0, 1), "not divisible by the monomial generator"), ((1, 0), "failed re-expansion")],
+)
+def test_wrong_coefficient_from_the_span_raises(monkeypatch, order, message):
+    class OffByOneSpan(ExactSpan):
+        # adds one to the coefficient of the largest label of every combination
+        def reduce(self, terms):
+            rem, comb = super().reduce(terms)
+            comb[max(comb)] += 1
+            return rem, comb
+
+    x, y = zring(2).gens()
+    gens = [(x * y).scale(Fraction(1, 3)), x**2 + y**2]
+    gens = [gens[i] for i in order]  # g_0 = x*y/3 first, filtered, or second, as rows
+    query = x**4 + x**2 * y**2 + (x * y**3).scale(6)
+    assert homogeneous_membership(query, gens).member
+    monkeypatch.setattr(jets, "ExactSpan", OffByOneSpan)
+    with pytest.raises(InvariantViolationError, match=message):
+        homogeneous_membership(query, gens)
+
+
+def test_g0_cofactor_missing_its_denominator_raises(monkeypatch):
+    # g_0 = x*y/3 has d_0 = 3; a cofactor made without it, each coefficient
+    # a third of the right one, fails its subtraction through g_0's row
+    x, y = zring(2).gens()
+    gens = [(x * y).scale(Fraction(1, 3)), x**2 + y**2]
+    query = x**4 + x**2 * y**2 + (x * y**3).scale(6)
+    assert homogeneous_membership(query, gens).member
+    monkeypatch.setattr(jets, "Fraction", lambda num, den: Fraction(num, 3 * den))
+    with pytest.raises(InvariantViolationError, match="failed re-expansion"):
+        homogeneous_membership(query, gens)
+
+
 @given(homogeneous_systems(monomial_first=True))
 def test_filtered_certificates_match_a_span_offered_every_row(system):
     query, gens = system
     result = homogeneous_membership(query, gens)
     assert result.combination == _plain_certificate(query, gens)
     if result.member and result.combination:
-        # the packed re-expansion agrees with `verify` on a wrong certificate
+        # the certificate check agrees with `verify` on a wrong certificate:
+        # it completes the elimination's part with g_0's cofactor, and
+        # raises when one of that part's coefficients is wrong
         gi, mono, c = result.combination[-1]
         wrong = result.combination[:-1] + [(gi, mono, c + 1)]
-        assert not jets._reexpands(query, gens, wrong)
         assert not jets.MembershipResult(True, result.degree, wrong).verify(query, gens)
+        usable = [i for i, g in enumerate(gens) if g.total_degree() <= result.degree]
+        filtered = usable[0] if len(gens[usable[0]].terms) == 1 else None
+        comb = {(gi, mono): c for gi, mono, c in result.combination if gi != filtered}
+        assert jets._certificate(query, gens, comb, filtered) == result.combination
+        if comb:
+            comb[max(comb)] += 1
+            with pytest.raises(InvariantViolationError):
+                jets._certificate(query, gens, comb, filtered)
 
 
 def test_oracle_offers_no_g0_row(monkeypatch):
@@ -709,6 +770,37 @@ def test_oracle_offers_no_g0_row(monkeypatch):
     assert len(spans) == 37
     assert all(gi != 0 for span in spans for gi, _ in span.labels)
     assert sum(span.rank for span in spans) == sum(len(span.labels) for span in spans) == 33323
+
+
+def test_oracle_enumerates_no_g0_multiplier(monkeypatch):
+    # g_0's rows are replaced by a column filter, so the multiplier table
+    # never holds g_0's list, and each nonempty list it holds goes to a
+    # generator whose rows are offered
+    calls = []
+    enumerate_ = jets._packed_multipliers
+
+    def recording(degree, gradings, targets, shifts, budget=None):
+        got = enumerate_(degree, gradings, targets, shifts, budget)
+        calls.append((gradings, set(targets), {t for t, keys in got.items() if keys}))
+        return got
+
+    monkeypatch.setattr(jets, "_packed_multipliers", recording)
+    spans = _record_spans(monkeypatch)
+    for h in _oracle_tuples():
+        del calls[:], spans[:]
+        desc = JetRingDesc(len(h), sum(h))
+        gens = jet_generators(None, desc)
+        query = derivative_monomial(h, desc) ** min_degree_search(h).degree
+        ((gradings, targets, filled),) = calls
+        (span,) = spans
+
+        def target(g):
+            ends = (next(iter(query.terms)), next(iter(g.terms)))
+            return tuple(a - b for a, b in zip(*(_weights(gradings, e) for e in ends)))
+
+        assert target(gens[0]) not in targets, h
+        offered = {target(gens[gi]) for gi, _ in span.labels}
+        assert filled <= offered, h
 
 
 def _check_trailing_term_leads(gens, tops, boxes=([],)):
@@ -1112,7 +1204,7 @@ def test_min_degree_budget_reports_partial_result():
 
 
 def test_min_degree_budget_stops_the_multiplier_table():
-    # the (2,1,1) table holds 1,094,475 packed multipliers; a budget of
+    # the (2,1,1) table holds 811,617 packed multipliers; a budget of
     # 6,553 entries must stop it while it is built, before any span row
     with pytest.raises(BudgetExceededError) as info:
         min_degree_search((2, 1, 1), budget=Budget(1))
