@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import factorial, gcd, prod
 
 from .errors import DomainError, InvariantViolationError, RingMismatchError
-from .polyring import Monomial, Poly, Ring, TruncatedSeries
+from .polyring import Monomial, Packing, Poly, Ring, TruncatedSeries
 from .symfun import (
     Composition,
     _pack,
@@ -110,9 +110,9 @@ def nilpotency_order(p: Poly, lam: Composition, block: int) -> int | None:
     a product adds keys, and `symfun._reduce_packed` reduces it.  Whether a
     power is zero does not depend on its scale, so each power is divided by
     the gcd of its coefficients and no Fraction is made.  A reduced monomial
-    has deg_{z_i} < i, so total degree at most ell(ell-1)/2; a product of
-    two has degree at most ell(ell-1), and fields of bit length
-    (ell(ell-1)).bit_length() + 1 hold its exponents below the guard bit.
+    has deg_{z_i} < i, so total degree at most ell(ell-1)/2, and a product
+    of two has degree at most ell(ell-1): the keys are packed for that
+    degree (see `polyring.Packing`), so adding two never carries.
     """
     if not 1 <= block <= lam.n:
         raise DomainError("block index %d out of range 1..%d" % (block, lam.n))
@@ -136,8 +136,8 @@ def nilpotency_order(p: Poly, lam: Composition, block: int) -> int | None:
     r = nf.min_degree()
     lam_i = lam.parts[block - 1]
     bound = (lam_i * (ell - lam_i)) // r + 1
-    width = (ell * (ell - 1)).bit_length() + 1
-    base, _ = _pack(nf, width)
+    packing = Packing(ell, ell * (ell - 1))
+    base, _ = _pack(nf, packing)
     power = base
     for e in range(2, bound + 1):
         product: dict[int, int] = {}
@@ -145,7 +145,7 @@ def nilpotency_order(p: Poly, lam: Composition, block: int) -> int | None:
             for k2, c2 in base.items():
                 k = k1 + k2
                 product[k] = product.get(k, 0) + c1 * c2
-        power = _reduce_packed(product, ell, width)
+        power = _reduce_packed(product, packing)
         if not power:
             return e
         content = gcd(*power.values())

@@ -17,13 +17,13 @@ by the psi specialisation: psi sends every jet generator into I_S (checked
 once per search), so a nonzero normal form of psi(mono)^d modulo I_S shows
 that mono^d is not in the jet ideal.  Only a degree psi cannot refuse goes
 to exact elimination.  The elimination packs each monomial into one int
-(variable 0 in the most significant field), so lex order is integer order
-and multiplying by a monomial is adding its packed exponents; a row's
-columns are the negated packed monomials, so elimination works from the
-lex-smallest one.  The multipliers of the inserted generators come from one
-table per query, filled by one variable-by-variable pass per multiplier
-degree: the jet generators share their block degrees and differ only in
-weight, so one pass serves them all.  Each state of the pass, a remaining
+by a `polyring.Packing` for the query's degree, so lex order is integer
+order, multiplying is adding and dividing is subtracting.  A row's columns
+are the negated packed monomials, so elimination works from the
+lex-smallest one.  The multipliers of the inserted generators come from
+one table per query, filled by one variable-by-variable pass per
+multiplier degree: the jet generators share their block degrees and
+differ only in weight, so one pass serves them all.  Each state of the pass, a remaining
 degree and partial weights, cuts the exponent of its variable to one
 interval by two linear bounds per grading, so no exponent is tested on its
 own, and the table is charged to the memory budget as it grows.
@@ -43,8 +43,7 @@ is a monomial, so its rows are unit vectors.  A monomial first usable
 generator is therefore a column filter, not rows: its multipliers are never
 enumerated, its columns are dropped from the other rows and the query, and
 its cofactor comes from the query's residual in the one pass that
-re-expands the certificate.  Each packed field carries one guard bit above
-the exponent, so a divisibility test is one subtraction and one mask.
+re-expands the certificate.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, index, mul
 
 from .alambda import dim_A_lambda
 from .errors import (
@@ -64,7 +63,7 @@ from .errors import (
     RingMismatchError,
 )
 from .linalg import Budget, ExactSpan, _clear_denominators, integer_nullspace
-from .polyring import Monomial, Poly, Ring, TruncatedSeries, format_monomial, format_poly
+from .polyring import Monomial, Packing, Poly, Ring, TruncatedSeries, format_monomial, format_poly
 from .symfun import Composition, block_sigma, normal_form_IS, zring
 
 __all__ = [
@@ -143,11 +142,25 @@ class JetRingDesc:
         return "JetRingDesc(n=%d, m=%d)" % (self.n, self.m)
 
 
+def _derivative_tuple(h, n: int | None = None) -> tuple[int, ...]:
+    """h as a nonempty tuple of non-negative ints, of length n if given; a
+    float entry is refused, not truncated, and every refusal is a DomainError."""
+    try:
+        h = tuple(map(index, h))
+    except TypeError:
+        raise DomainError("derivative orders must be integers: %r" % (h,)) from None
+    if not h:
+        raise DomainError("empty derivative tuple")
+    if n is not None and len(h) != n:
+        raise DomainError("derivative tuple of length %d for n=%d" % (len(h), n))
+    if min(h) < 0:
+        raise DomainError("derivative orders must be non-negative")
+    return h
+
+
 def derivative_monomial(h, desc: JetRingDesc) -> Poly:
     """The product of x_i^(h_i) over all base variables, as a jet polynomial."""
-    h = tuple(h)
-    if len(h) != desc.n:
-        raise DomainError("derivative tuple of length %d for n=%d" % (len(h), desc.n))
+    h = _derivative_tuple(h, desc.n)
     exps = [0] * desc.ring.nvars
     for i, hi in enumerate(h, start=1):
         exps[desc.slot(i, hi)] += 1
@@ -457,29 +470,9 @@ def _weight_of(poly: Poly, weights) -> int:
     return sum(w * e for w, e in zip(weights, mono))
 
 
-def _packing(nvars: int, degree: int) -> tuple[int, list[int], int]:
-    """(width, shifts, guard) of the packed keys for exponent vectors whose
-    entries are at most `degree`.
-
-    Variable i sits in a field of `width` = degree.bit_length() + 1 bits,
-    shifted left by shifts[i], variable 0 in the most significant field.
-    Every exponent fits below its field's top bit; `guard` sets the top bit
-    of every field, which `_undivided` uses to test divisibility.
-    """
-    width = degree.bit_length() + 1
-    shifts = [width * (nvars - 1 - i) for i in range(nvars)]
-    guard = sum(1 << (s + width - 1) for s in shifts)
-    return width, shifts, guard
-
-
 def _undivided(mults, leads, guard):
     """Yield, in order, the packed multipliers that no packed monomial in
-    `leads` divides.
-
-    t divides m iff ((m | guard) - t) & guard == guard.  In each field,
-    guard bit plus m_i minus t_i stays positive, so no borrow crosses a
-    field, and it keeps the guard bit exactly when m_i >= t_i.
-    """
+    `leads` divides, by the guard-bit test of `Packing` with its `guard`."""
     for m in mults:
         mg = m | guard
         for t in leads:
@@ -489,7 +482,7 @@ def _undivided(mults, leads, guard):
             yield m
 
 
-def _columns(terms, shifts) -> dict:
+def _columns(terms, packing: Packing) -> dict:
     """The row of `terms` keyed by negated packed monomials.
 
     `ExactSpan` eliminates from its largest key, so negated keys make it
@@ -497,15 +490,16 @@ def _columns(terms, shifts) -> dict:
     any column order, and this one stores far fewer step-history entries
     than lex-largest first.
     """
-    return {-sum(e << s for e, s in zip(mono, shifts)): v for mono, v in terms.items()}
+    return {-packing.pack(mono): v for mono, v in terms.items()}
 
 
-def _trailing_term_leads(rows, shifts, width, guard, top, bounds, budget):
+def _trailing_term_leads(rows, packing: Packing, top, bounds, budget):
     """Yield, for k = 0, 1, ..., len(rows)-1, the packed leading monomials
     of a Groebner basis of (g_0, ..., g_{k-1}), truncated as below, where a
     polynomial's leading term is its lex-smallest one.  The g_j are given
-    as homogeneous rows keyed by packed monomials, and on homogeneous input
-    this order is grevlex with the variables reversed.
+    as homogeneous rows keyed by monomials packed by `packing`, whose degree
+    bounds every exponent met, and on homogeneous input this order is
+    grevlex with the variables reversed.
 
     The basis is built incrementally by Buchberger's algorithm, pairs taken
     in order of lcm degree.  Each reduction step, the S-polynomial's too,
@@ -523,12 +517,9 @@ def _trailing_term_leads(rows, shifts, width, guard, top, bounds, budget):
     Xeon, Python 3.11).  The last row is never added, since no basis after
     it is used.  Each stored basis row is charged to `budget`.
     """
-    mask = (1 << width) - 1
+    divides = packing.divides
     basis = []  # (row, packed lead, lead exponents) of the live elements
     pairs = []  # (lcm degree, packed lcm, element, element)
-
-    def divides(t, m):
-        return ((m | guard) - t) & guard == guard
 
     def cancel(f, t, g, lead):
         # a*f - b*x^(t-lead)*g with a, b coprime, so the term t cancels
@@ -569,7 +560,7 @@ def _trailing_term_leads(rows, shifts, width, guard, top, bounds, budget):
 
     def add(h):
         lead = min(h)
-        new = (h, lead, tuple((lead >> s) & mask for s in shifts))
+        new = (h, lead, packing.unpack(lead))
         if not in_box(new[2]):
             return
         if budget is not None:
@@ -580,7 +571,7 @@ def _trailing_term_leads(rows, shifts, width, guard, top, bounds, budget):
             if in_box(exps):
                 degree = sum(exps)
                 coprime = degree == sum(new[2]) + sum(g[2])
-                lcm_ = sum(e << s for e, s in zip(exps, shifts))
+                lcm_ = packing.pack(exps)
                 fresh.append((coprime, degree, lcm_, g))
         # criteria M and F: keep a pair only if no other new pair's lcm
         # divides its lcm; of equal lcms one survives, a coprime one if any
@@ -610,7 +601,7 @@ def _trailing_term_leads(rows, shifts, width, guard, top, bounds, budget):
         yield [g[1] for g in basis]
 
 
-def _solve_membership(p, gens, usable, gradings, span, filtered) -> tuple[dict, dict]:
+def _solve_membership(p, gens, usable, gradings, span, filtered) -> tuple:
     """Insert the multiplier*generator rows into `span`, then reduce p.
 
     The multipliers of all generators but `filtered` are enumerated up
@@ -658,16 +649,16 @@ def _solve_membership(p, gens, usable, gradings, span, filtered) -> tuple[dict, 
     the same.  A term T*M is g_0-divisible exactly when T*min(M, g_0) is,
     so each generator filters its terms once per capped multiplier.
 
-    Rows are keyed by `_columns` (`_packing` for deg p: every monomial of
-    the component has total degree deg p, so no exponent exceeds it and
-    adding a multiplier never carries across fields) and labelled
-    (generator index, packed multiplier).  A row is its generator times the
-    lcm d of its denominators, so the coefficients of the returned
-    {(generator index, multiplier): coefficient} are scaled by d.
+    Rows are keyed by `_columns` on a `Packing` for deg p: every monomial
+    of the component has total degree deg p, so no exponent exceeds it.  A
+    row is its generator times the lcm d of its denominators, labelled
+    (generator index, packed multiplier).  Returns the remainder, the
+    combination over the rows, the packing and {generator index: (row, d)},
+    which `_certificate` takes.
     """
-    nvars = p.ring.nvars
     degree = p.total_degree()
-    width, shifts, guard = _packing(nvars, degree)
+    packing = Packing(p.ring.nvars, degree)
+    guard, width = packing.guard, packing.width
     inserted = usable[1:] if filtered is not None else usable
     p_weights = [_weight_of(p, w) for w in gradings]
     targets = {
@@ -679,10 +670,12 @@ def _solve_membership(p, gens, usable, gradings, span, filtered) -> tuple[dict, 
         by_degree.setdefault(degree - gens[gi].total_degree(), set()).add(targets[gi])
     table = {}
     for mult_degree, wanted in by_degree.items():
-        table.update(_packed_multipliers(mult_degree, gradings, wanted, shifts, span.budget))
+        table.update(
+            _packed_multipliers(mult_degree, gradings, wanted, packing.shifts, span.budget)
+        )
     last_user = {t: gi for gi, t in targets.items()}
     cleared = {gi: _clear_denominators(gens[gi].terms) for gi in usable}
-    rows = {gi: _columns(cleared[gi][0], shifts) for gi in usable}
+    cleared = {gi: (_columns(terms, packing), d) for gi, (terms, d) in cleared.items()}
     # a lead divides a multiplier only if no grading without negative
     # entries weighs it more, nor does the total degree
     bounds = [
@@ -691,22 +684,20 @@ def _solve_membership(p, gens, usable, gradings, span, filtered) -> tuple[dict, 
         if min(w) >= 0
     ]
     leads = _trailing_term_leads(
-        [{-k: v for k, v in row.items()} for row in rows.values()],
-        shifts,
-        width,
-        guard,
+        [{-k: v for k, v in row.items()} for row, _ in cleared.values()],
+        packing,
         max(by_degree, default=0),
         bounds,
         span.budget,
     )
-    query = _columns(p.terms, shifts)
+    query = _columns(p.terms, packing)
     g0 = None
     if filtered is not None:
-        g0 = -next(iter(rows[filtered]))  # the packed monomial g_0
+        g0 = -next(iter(cleared[filtered][0]))  # the packed monomial g_0
         query = {k: v for k, v in query.items() if ((-k | guard) - g0) & guard != guard}
         next(leads)  # the empty basis before g_0
     for gi, trailing in zip(inserted, leads):
-        row = rows[gi]
+        row = cleared[gi][0]
         t = targets[gi]
         mults = table.pop(t) if last_user[t] == gi else table[t]
         if g0 is None:
@@ -726,64 +717,55 @@ def _solve_membership(p, gens, usable, gradings, span, filtered) -> tuple[dict, 
                     continue
             span.insert({k - mult: v for k, v in items}, (gi, mult))
     rem, comb = span.reduce(query)
-    return rem, {
-        (gi, _unpacked(mult, shifts, width)): c * cleared[gi][1] for (gi, mult), c in comb.items()
-    }
+    return rem, comb, packing, cleared
 
 
-def _unpacked(key: int, shifts, width: int) -> Monomial:
-    mask = (1 << width) - 1
-    return Monomial(tuple((key >> s) & mask for s in shifts))
+def _certificate(p: Poly, gens, comb: dict, packing: Packing, cleared: dict, filtered) -> list:
+    """The certificate of a member p, re-expanded against p, as sorted
+    (generator index, multiplier, coefficient) triples: what
+    `_solve_membership` returned, and the cofactor of g_0 = gens[filtered].
 
-
-def _certificate(p: Poly, gens, comb: dict, filtered) -> list:
-    """The certificate of a member p, re-expanded against p: the
-    elimination's {(generator index, multiplier): coefficient} `comb` and
-    the cofactor of g_0 = gens[filtered], as sorted triples.
-
-    Each entry is packed once M*g is known to have p's degree and no
-    negative exponent, and the residual s*(p - sum of c*M*g) is formed once
-    in integers, s the lcm of the denominators.  Each nonzero residual term
+    The residual s*(p - sum of c*M*row) is formed once in integers, s the
+    lcm of the denominators.  Each entry is unpacked once, for its triple,
+    with coefficient c*d, and its multiplier must have its generator's
+    multiplier degree; a field that borrowed or overflowed unpacks to more
+    than that, so this is also the sign check.  Each nonzero residual term
     divided by g_0 is an entry of g_0's cofactor, subtracted back through
-    g_0's cleared row; a term g_0 does not divide raises.  What is left,
-    all of the residual if `filtered` is None, must be zero.
+    g_0's row; a term g_0 does not divide raises.  What is left, all of the
+    residual if `filtered` is None, must be zero.
     """
     degree = p.total_degree()
-    width, shifts, guard = _packing(p.ring.nvars, degree)
-    rows = {}
-    for gi in {gi for gi, _ in comb}:
-        terms, d = _clear_denominators(gens[gi].terms)
-        rows[gi] = (_columns(terms, shifts), d, degree - gens[gi].total_degree())
-    triples = []
-    for (gi, mono), coeff in comb.items():
-        row, d, mult_degree = rows[gi]
-        if sum(mono) != mult_degree or min(mono) < 0:
-            raise InvariantViolationError("membership certificate failed re-expansion")
-        mult = sum(e << s for e, s in zip(mono, shifts))
-        triples.append((mult, coeff if d == 1 else coeff / d, row))
+    mult_degree = {gi: degree - gens[gi].total_degree() for gi in cleared}
     terms, denom = _clear_denominators(p.terms)
-    scale = lcm(denom, *(c.denominator for _, c, _ in triples))
-    residual = {-k: v * (scale // denom) for k, v in _columns(terms, shifts).items()}
-    for mult, c, row in triples:
+    scale = lcm(denom, *(c.denominator for c in comb.values()))
+    residual = {packing.pack(m): v * (scale // denom) for m, v in terms.items()}
+    triples = []
+    for (gi, mult), c in comb.items():
+        mono = packing.unpack(mult)
+        if sum(mono) != mult_degree[gi]:
+            raise InvariantViolationError("membership certificate failed re-expansion")
+        row, d = cleared[gi]
         f = c.numerator * (scale // c.denominator)
         for k, v in row.items():
             residual[mult - k] = residual.get(mult - k, 0) - f * v
-    cert = dict(comb)
+        triples.append((gi, mono, c * d))
     if filtered is not None:
-        terms, d = _clear_denominators(gens[filtered].terms)
-        ((mono, a),) = terms.items()
-        g0 = sum(e << s for e, s in zip(mono, shifts))
+        row, d = cleared[filtered]
+        ((column, a),) = row.items()
+        g0 = -column
         for key, v in residual.items():
             if not v:
                 continue
-            if ((key | guard) - g0) & guard != guard:
+            if not packing.divides(g0, key):
                 raise InvariantViolationError("residual term not divisible by the monomial generator")
-            c = cert[filtered, _unpacked(key - g0, shifts, width)] = Fraction(v * d, scale * a)
+            c = Fraction(v * d, scale * a)
+            triples.append((filtered, packing.unpack(key - g0), c))
             # (v - (c/d)*a) * d * c.denominator: the term left once c*M*g_0 is subtracted
             residual[key] = v * d * c.denominator - c.numerator * a * scale
     if any(residual.values()):
         raise InvariantViolationError("membership certificate failed re-expansion")
-    return [(gi, mono, c) for (gi, mono), c in sorted(cert.items())]
+    triples.sort()
+    return triples
 
 
 def homogeneous_membership(
@@ -828,10 +810,10 @@ def homogeneous_membership(
     filtered = usable[0] if usable and len(gens[usable[0]].terms) == 1 else None
     gradings = _common_gradings([gens[i] for i in usable] + [p], p.ring.nvars)
     span = ExactSpan(budget=budget)
-    rem, comb = _solve_membership(p, gens, usable, gradings, span, filtered)
+    rem, comb, packing, cleared = _solve_membership(p, gens, usable, gradings, span, filtered)
     if rem:
         return MembershipResult(False, degree, None)
-    return MembershipResult(True, degree, _certificate(p, gens, comb, filtered))
+    return MembershipResult(True, degree, _certificate(p, gens, comb, packing, cleared, filtered))
 
 
 # -- witness homomorphisms ----------------------------------------------------
@@ -839,9 +821,7 @@ def homogeneous_membership(
 
 def phi_binary_eval(p: Poly, h, desc: JetRingDesc) -> Fraction:
     """Evaluate p at x_i^(j) = 0 when j < h_i and 1 otherwise."""
-    h = tuple(h)
-    if len(h) != desc.n:
-        raise DomainError("derivative tuple of length %d for n=%d" % (len(h), desc.n))
+    h = _derivative_tuple(h, desc.n)
     if p.ring != desc.ring:
         raise RingMismatchError("polynomial not in the jet ring of %r" % desc)
     zero_slots = {
@@ -862,9 +842,7 @@ def radical_witness(h) -> bool:
     the monomial to 1; a ring homomorphism cannot do both for an element of
     the radical.
     """
-    h = tuple(h)
-    if any(v < 0 for v in h):
-        raise DomainError("derivative orders must be non-negative")
+    h = _derivative_tuple(h)
     total = sum(h)
     if total < 1:
         raise DomainError("the order -1 jet ideal is undefined; need sum(h) >= 1")
@@ -889,11 +867,7 @@ class PsiSpecialization:
     __slots__ = ("h", "desc", "lam", "sorted_indices", "target", "_images")
 
     def __init__(self, h, desc: JetRingDesc):
-        h = tuple(int(v) for v in h)
-        if len(h) != desc.n:
-            raise DomainError("derivative tuple of length %d for n=%d" % (len(h), desc.n))
-        if any(v < 0 for v in h):
-            raise DomainError("derivative orders must be non-negative")
+        h = _derivative_tuple(h, desc.n)
         self.h = h
         self.desc = desc
         total = sum(h)
@@ -934,11 +908,7 @@ def psi_specialize(p: Poly, h, desc: JetRingDesc) -> Poly:
 
 def min_degree_formula(h) -> int:
     """max over i of (h_i+1)(H-h_i), plus one."""
-    h = tuple(h)
-    if not h:
-        raise DomainError("empty derivative tuple")
-    if any(v < 0 for v in h):
-        raise DomainError("derivative orders must be non-negative")
+    h = _derivative_tuple(h)
     total = sum(h)
     return max((hi + 1) * (total - hi) for hi in h) + 1
 
@@ -985,7 +955,7 @@ def min_degree_search(
     "lower_bound": d}: the degrees already refused and the degree at which
     the budget ran out.
     """
-    h = tuple(h)
+    h = _derivative_tuple(h)
     formula = min_degree_formula(h)
     if cap is None:
         cap = formula + 2

@@ -153,6 +153,54 @@ class Monomial(tuple):
         return "Monomial%s" % tuple.__repr__(self)
 
 
+class Packing:
+    """Exponent vectors of `nvars` entries, each at most `degree`, packed
+    into one int (Monagan & Pearce, CASC 2007).
+
+    Variable i sits in a field of `width` = degree.bit_length() + 1 bits,
+    shifted left by shifts[i], variable 0 in the most significant field, so
+    integer order is lex order; `mask` covers one field.  Every entry stays
+    below its field's top bit, the guard bit, which `guard` sets in every
+    field.  While no entry exceeds `degree`, pack(a*b) = pack(a) + pack(b).
+
+    t divides m iff ((m | guard) - t) & guard == guard: in each field, the
+    guard bit plus m_i minus t_i stays positive, so no borrow crosses a
+    field, and it keeps the guard bit exactly when m_i >= t_i.  Hot loops
+    test inline; `divides` is the same test.  The guard fixes the field
+    count and width, so packings with equal guards are equal.
+    """
+
+    __slots__ = ("width", "shifts", "guard", "mask")
+
+    def __init__(self, nvars: int, degree: int):
+        self.width = width = degree.bit_length() + 1
+        self.shifts = list(range(width * (nvars - 1), -1, -width))
+        self.mask = mask = (1 << width) - 1
+        # (2^(width*nvars) - 1) / mask sets the lowest bit of every field
+        self.guard = ((1 << width * nvars) - 1) // mask << (width - 1)
+
+    def pack(self, exps) -> int:
+        width = self.width
+        key = 0
+        for e in exps:
+            key = (key << width) | e
+        return key
+
+    def unpack(self, key: int) -> Monomial:
+        mask = self.mask
+        return Monomial([(key >> s) & mask for s in self.shifts])
+
+    def divides(self, t: int, m: int) -> bool:
+        guard = self.guard
+        return ((m | guard) - t) & guard == guard
+
+    def __eq__(self, other):
+        return isinstance(other, Packing) and self.guard == other.guard
+
+    def __hash__(self):
+        return hash(self.guard)
+
+
 class Poly:
     """Immutable sparse polynomial: Monomial -> Fraction, no zeros stored.
 

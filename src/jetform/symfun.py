@@ -16,7 +16,8 @@ polynomials of its blocks.
 
 The arithmetic of the quotient runs on integers.  `_reduce_packed` is the
 one reduction kernel: it takes a polynomial as integer coefficients on
-monomials packed into ints, and `normal_form_IS` and
+monomials packed into ints by a `polyring.Packing`, which states the field
+layout and the guard bit, and `normal_form_IS` and
 `alambda.nilpotency_order` both call it.  The averaging projector keeps
 integer numerators over one common denominator.  Fractions are made only
 for the Polys these functions return.
@@ -31,7 +32,7 @@ from heapq import heapify, heappop, heappush
 from math import factorial, lcm
 
 from .errors import DomainError, RingMismatchError
-from .polyring import Monomial, Poly, Ring
+from .polyring import Monomial, Packing, Poly, Ring
 
 __all__ = [
     "Composition",
@@ -153,68 +154,53 @@ def normal_form_IS(p: Poly, ell: int | None = None) -> Poly:
     """Fully reduced remainder of p modulo I_S under lex z_1 > ... > z_ell.
 
     Heap division on packed exponents (Monagan & Pearce, CASC 2007), with
-    the rules z_i^i -> -(g_i - z_i^i) read off the Groebner basis.  Each
-    monomial is packed into one int, z_1 in the most significant field, so
-    lex order is integer order and applying a rule is adding a fixed offset.
-    See `_reduce_packed` for the loop and its one-step rule dispatch.
+    the rules z_i^i -> -(g_i - z_i^i) read off the Groebner basis, on a
+    `Packing` for p's top degree: lex order is integer order and applying a
+    rule is adding a fixed offset.  See `_reduce_packed` for the loop and
+    its one-step rule dispatch.
 
-    A field holds an exponent below its top bit, the guard bit, so the
-    field width is one more than the bit length of p's top degree.  Every
-    g_i is homogeneous, so a rewrite keeps total degree and no exponent can
-    exceed that degree; no field overflows into its neighbour.  Coefficients
-    are scaled to integers by the lcm of p's denominators and divided back
-    at the end, which is exact because NF(c*p) = c*NF(p).
+    Every g_i is homogeneous, so a rewrite keeps total degree and no
+    exponent can exceed p's top degree.  Coefficients are scaled to integers
+    by the lcm of p's denominators and divided back at the end, which is
+    exact because NF(c*p) = c*NF(p).
     """
     if ell is None:
         ell = p.ring.nvars
     if p.ring != zring(ell):
         raise RingMismatchError("polynomial not in the %d-variable z ring" % ell)
-    width = (p.total_degree() or 0).bit_length() + 1
-    pending, scale = _pack(p, width)
-    reduced = _reduce_packed(pending, ell, width)
-    mask = (1 << width) - 1
-    shifts = range(width * (ell - 1), -1, -width)
-    return Poly(
-        p.ring,
-        {
-            Monomial((key >> s) & mask for s in shifts): Fraction(c, scale)
-            for key, c in reduced.items()
-        },
-    )
+    packing = Packing(ell, p.total_degree() or 0)
+    pending, scale = _pack(p, packing)
+    reduced = _reduce_packed(pending, packing)
+    unpack = packing.unpack
+    return Poly(p.ring, {unpack(key): Fraction(c, scale) for key, c in reduced.items()})
 
 
-def _pack(p: Poly, width: int) -> tuple[dict[int, int], int]:
-    """p as integer coefficients on packed keys, z_1 in the most significant
-    `width`-bit field, and the common denominator they are over: the lcm of
-    p's denominators."""
+def _pack(p: Poly, packing: Packing) -> tuple[dict[int, int], int]:
+    """p as integer coefficients on keys packed by `packing`, and the common
+    denominator they are over: the lcm of p's denominators."""
     scale = lcm(*(c.denominator for c in p.terms.values()))
-    packed = {}
-    for mono, c in p.terms.items():
-        key = 0
-        for e in mono:
-            key = (key << width) | e
-        packed[key] = c.numerator * (scale // c.denominator)
-    return packed, scale
+    pack = packing.pack
+    return {pack(m): c.numerator * (scale // c.denominator) for m, c in p.terms.items()}, scale
 
 
-def _reduce_packed(pending: dict[int, int], ell: int, width: int) -> dict[int, int]:
+def _reduce_packed(pending: dict[int, int], packing: Packing) -> dict[int, int]:
     """Reduce the packed integer polynomial `pending` modulo I_S; consumes it.
 
-    Keys pack z_1..z_ell into `width`-bit fields, z_1 most significant,
-    each exponent below its field's guard bit.  Pending monomials sit in a
-    max-heap; every monomial a rule produces is lex-smaller than the one it
-    replaces, so a popped monomial never comes back and the reduced ones
-    leave the heap as finished remainder terms, in descending key order.
+    Keys are packed by `packing`, no exponent above its degree.  Pending
+    monomials sit in a max-heap; every monomial a rule produces is
+    lex-smaller than the one it replaces, so a popped monomial never comes
+    back and the reduced ones leave the heap as finished remainder terms,
+    in descending key order.
 
     The normal form is unique, so a monomial divisible by several z_i^i may
     be rewritten by any of their rules; the highest i is taken, which on
     the ell=6 Schubert polynomials pops fewer monomials than the lowest.
-    One addition finds it: `bump` adds 2^(width-1) - i to the field of z_i,
+    One addition finds it: `bump` adds (guard bit) - i to the field of z_i,
     which sets that field's guard bit exactly when z_i >= i, so
     (key + bump) & guard is 0 on reduced monomials and otherwise has as its
     lowest set bit the guard bit of the largest such i.
     """
-    bump, guard, rules = _packed_rules(ell, width)
+    bump, guard, rules = _packed_rules(packing)
     heap = [-key for key in pending]
     heapify(heap)
     reduced: dict[int, int] = {}
@@ -239,28 +225,24 @@ def _reduce_packed(pending: dict[int, int], ell: int, width: int) -> dict[int, i
 
 
 @lru_cache(maxsize=128)
-def _packed_rules(ell: int, width: int):
-    """(bump, guard, rules) of `_reduce_packed` for `width`-bit fields.
+def _packed_rules(packing: Packing):
+    """(bump, guard, rules) of `_reduce_packed`, cached once per variable
+    count and field width, which is all a packing compares.
 
     `rules` maps the guard bit of z_i's field to the rewrite z_i^i -> ...
-    as ((packed offset, coefficient), ...).  Only i <= 2^(width-1) gets a
-    bump and a rule: every exponent is below 2^(width-1), so no larger i
-    can have z_i >= i, and a bump of 2^(width-1) - i >= 0 with an exponent
-    below 2^(width-1) never carries out of its field.
+    as ((packed offset, coefficient), ...).  Only i up to the guard bit's
+    value gets a bump and a rule: every exponent is below it, so no larger
+    i can have z_i >= i, and a bump of (guard bit) - i >= 0 added to an
+    exponent below the guard bit never carries out of its field.
     """
-    shifts = [width * (ell - i) for i in range(1, ell + 1)]
-    top = 1 << (width - 1)
-
-    def pack(mono):
-        return sum(e << s for e, s in zip(mono, shifts))
-
+    pack = packing.pack
     bump = guard = 0
     rules = {}
-    for i, g in enumerate(groebner_basis_IS(ell), start=1):
-        if i > top:
+    for i, (g, s) in enumerate(zip(groebner_basis_IS(len(packing.shifts)), packing.shifts), 1):
+        bit = packing.guard & (packing.mask << s)  # the guard bit of z_i's field
+        if i << s > bit:
             break
-        bit = top << shifts[i - 1]
-        bump += (top - i) << shifts[i - 1]
+        bump += bit - (i << s)
         guard |= bit
         lead, _ = g.leading()
         # g_i is monic with every coefficient 1, so the rule stays integral

@@ -39,6 +39,7 @@ from jetform import (
     zring,
 )
 from jetform.linalg import _clear_denominators, int_row
+from jetform.polyring import Packing
 
 from conftest import exponent_vectors, make_rng, random_poly
 from test_acceptance import SEARCH_CASES
@@ -474,9 +475,9 @@ def _skipped_rows_are_redundant(p, gens, multipliers) -> int:
     filtered = usable[0] if len(gens[usable[0]].terms) == 1 else None
     gradings = jets._common_gradings([gens[i] for i in usable] + [p], nvars)
     kept = _RecordingSpan()
-    rem, cert = jets._solve_membership(p, gens, usable, gradings, kept, filtered)
+    rem, cert, packing, cleared = jets._solve_membership(p, gens, usable, gradings, kept, filtered)
 
-    _, shifts, _ = jets._packing(nvars, degree)
+    shifts = packing.shifts
     target = _weights(gradings, next(iter(p.terms)))
     g0 = next(iter(gens[filtered].terms)) if filtered is not None else None
     full = ExactSpan()
@@ -495,14 +496,14 @@ def _skipped_rows_are_redundant(p, gens, multipliers) -> int:
             mult = Monomial(exps)
             label = (gi, sum(e << s for e, s in zip(exps, shifts)))
             terms = {m * mult: v for m, v in grow.items()}
-            plain.insert(jets._columns(terms, shifts), (gi, mult, denom))
+            plain.insert(jets._columns(terms, packing), (gi, mult, denom))
             if g0 is not None:
                 if gi == usable[0]:
                     continue
                 terms = {m: v for m, v in terms.items() if not g0.divides(m)}
                 if not terms:
                     continue
-            enlarged = full.insert(jets._columns(terms, shifts), label)
+            enlarged = full.insert(jets._columns(terms, packing), label)
             if label == next_kept:
                 next_kept = next(offered, None)
             else:
@@ -511,10 +512,10 @@ def _skipped_rows_are_redundant(p, gens, multipliers) -> int:
     # every row the oracle inserted came up, in the oracle's order
     assert next_kept is None
     assert _pivot_rows(kept) == _pivot_rows(full)
-    plain_rem, comb = plain.reduce(jets._columns(p.terms, shifts))
+    plain_rem, comb = plain.reduce(jets._columns(p.terms, packing))
     assert bool(rem) == bool(plain_rem)
     if not rem:
-        assert jets._certificate(p, gens, cert, filtered) == sorted(
+        assert jets._certificate(p, gens, cert, packing, cleared, filtered) == sorted(
             (gi, mult, c * denom) for (gi, mult, denom), c in comb.items()
         )
     return skipped
@@ -753,12 +754,16 @@ def test_filtered_certificates_match_a_span_offered_every_row(system):
         assert not jets.MembershipResult(True, result.degree, wrong).verify(query, gens)
         usable = [i for i, g in enumerate(gens) if g.total_degree() <= result.degree]
         filtered = usable[0] if len(gens[usable[0]].terms) == 1 else None
-        comb = {(gi, mono): c for gi, mono, c in result.combination if gi != filtered}
-        assert jets._certificate(query, gens, comb, filtered) == result.combination
+        gradings = jets._common_gradings([gens[i] for i in usable] + [query], query.ring.nvars)
+        _, comb, packing, cleared = jets._solve_membership(
+            query, gens, usable, gradings, ExactSpan(), filtered
+        )
+        cert = jets._certificate(query, gens, comb, packing, cleared, filtered)
+        assert cert == result.combination
         if comb:
             comb[max(comb)] += 1
             with pytest.raises(InvariantViolationError):
-                jets._certificate(query, gens, comb, filtered)
+                jets._certificate(query, gens, comb, packing, cleared, filtered)
 
 
 def test_oracle_offers_no_g0_row(monkeypatch):
@@ -831,16 +836,14 @@ def _check_trailing_term_leads(gens, tops, boxes=([],)):
             ]
         )
     for top in tops:
-        width, shifts, guard = jets._packing(
-            ring.nvars, max(top, *(g.total_degree() for g in gens))
-        )
+        packing = Packing(ring.nvars, max(top, *(g.total_degree() for g in gens)))
 
         def pack(exps):
-            return sum(e << s for e, s in zip(exps, shifts))
+            return sum(e << s for e, s in zip(exps, packing.shifts))
 
         rows = [{pack(m): v for m, v in int_row(g.terms).items()} for g in gens]
         for bounds in boxes:
-            got = list(jets._trailing_term_leads(rows, shifts, width, guard, top, bounds, None))
+            got = list(jets._trailing_term_leads(rows, packing, top, bounds, None))
             assert len(got) == len(gens)
             for leads, monos in zip(got, expected):
                 want = [
@@ -939,13 +942,13 @@ def packed_divisibility_cases(draw):
 @given(packed_divisibility_cases())
 def test_guard_bit_divisibility_matches_componentwise_comparison(case):
     degree, m, ts = case
-    _, shifts, guard = jets._packing(len(m), degree)
+    packing = Packing(len(m), degree)
 
     def pack(exps):
-        return sum(e << s for e, s in zip(exps, shifts))
+        return sum(e << s for e, s in zip(exps, packing.shifts))
 
     divided = any(all(a >= b for a, b in zip(m, t)) for t in ts)
-    kept = list(jets._undivided([pack(m)], [pack(t) for t in ts], guard))
+    kept = list(jets._undivided([pack(m)], [pack(t) for t in ts], packing.guard))
     assert kept == ([] if divided else [pack(m)])
 
 
@@ -1241,6 +1244,34 @@ def test_compositions_descending_lex():
 def test_domain_checks_raise_domain_error(call):
     with pytest.raises(DomainError):
         call()
+
+
+_DESC = JetRingDesc(2, 3)
+# each entry point that takes a derivative tuple, and whether it takes a
+# jet ring whose n fixes the tuple's length
+_DERIVATIVE_ENTRY_POINTS = {
+    "min_degree_formula": (min_degree_formula, False),
+    "min_degree_search": (min_degree_search, False),
+    "radical_witness": (radical_witness, False),
+    "derivative_monomial": (lambda h: derivative_monomial(h, _DESC), True),
+    "phi_binary_eval": (lambda h: phi_binary_eval(_DESC.ring.one(), h, _DESC), True),
+    "PsiSpecialization": (lambda h: PsiSpecialization(h, _DESC), True),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, h",
+    [
+        (entry, h)
+        for entry, (_, takes_desc) in _DERIVATIVE_ENTRY_POINTS.items()
+        for h in [(), (2.5, 1), (2.7, 1), (1.0, 2), ("1", 2), (-1, 2), 3]
+        + ([(1, 1, 1)] if takes_desc else [])
+    ],
+)
+def test_derivative_tuples_are_refused_alike(entry, h):
+    call, _ = _DERIVATIVE_ENTRY_POINTS[entry]
+    with pytest.raises(DomainError):
+        call(h)
 
 
 def test_ring_mismatch_is_a_domain_error():

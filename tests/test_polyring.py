@@ -14,7 +14,7 @@ from jetform import (
     parse_poly,
     zring,
 )
-from jetform.polyring import Monomial, Poly, format_poly
+from jetform.polyring import Monomial, Packing, Poly, format_poly
 
 from conftest import make_rng, random_poly
 
@@ -517,3 +517,36 @@ def test_substitute_matches_reference_term_order(terms, image_terms):
     images = [Poly(target, t) for t in image_terms]
     expected = reference_substitute(p, target, images)
     assert list(p.substitute(target, images).terms.items()) == list(expected.terms.items())
+
+
+@st.composite
+def packed_pairs(draw):
+    """A degree at or near a field-width boundary and two exponent vectors
+    with entries up to it, the first clipped to divide the second half the
+    time."""
+    degree = draw(st.sampled_from([0, 1, 2, 3, 4, 7, 8, 15, 16]))
+    nvars = draw(st.integers(min_value=1, max_value=5))
+    vector = st.tuples(*[st.integers(0, degree)] * nvars).map(Monomial)
+    a, b = draw(vector), draw(vector)
+    if draw(st.booleans()):
+        a = Monomial(map(min, a, b))
+    return degree, a, b
+
+
+@settings(max_examples=500)
+@given(packed_pairs())
+def test_packing_round_trips_and_keeps_order_product_and_divisibility(case):
+    degree, a, b = case
+    packing = Packing(len(a), degree)
+    pa, pb = packing.pack(a), packing.pack(b)
+    assert packing.unpack(pa) == a and type(packing.unpack(pa)) is Monomial
+    assert (pa < pb) == (a < b) and (pa == pb) == (a == b)
+    if max(a * b) <= degree:
+        assert pa + pb == packing.pack(a * b)
+    assert packing.divides(pa, pb) == a.divides(b)
+
+
+def test_packings_compare_by_field_count_and_width():
+    # `symfun._packed_rules` is cached on this equality
+    assert Packing(2, 4) == Packing(2, 7) and hash(Packing(2, 4)) == hash(Packing(2, 7))
+    assert Packing(2, 7) != Packing(2, 8) and Packing(2, 4) != Packing(3, 4)
