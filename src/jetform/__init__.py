@@ -49,7 +49,6 @@ from .polyring import (
     Monomial,
     Poly,
     Ring,
-    TruncatedSeries,
     divide,
     parse_poly,
     spoly,

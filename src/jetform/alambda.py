@@ -15,8 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, prod
 
-from .errors import DomainError, InvariantViolationError, RingMismatchError
-from .polyring import Monomial, Packing, Poly, Ring, TruncatedSeries
+from .errors import DomainError, InvariantViolationError, RingMismatchError, _size
+from .polyring import Monomial, Packing, Poly, Ring, _series_coefficients
 from .symfun import (
     Composition,
     _pack,
@@ -114,6 +114,7 @@ def nilpotency_order(p: Poly, lam: Composition, block: int) -> int | None:
     of two has degree at most ell(ell-1): the keys are packed for that
     degree (see `polyring.Packing`), so adding two never carries.
     """
+    block = _size(block, "block index")
     if not 1 <= block <= lam.n:
         raise DomainError("block index %d out of range 1..%d" % (block, lam.n))
     ell = lam.ell
@@ -168,24 +169,20 @@ def c_lambda_generators(lam: Composition) -> tuple[Poly, ...]:
     the ring `c_lambda_ring(lam)`.
 
     Entry k is the t^k coefficient of the product of the monic block
-    polynomials y{i}_0 + y{i}_1 t + ... + t^(lambda_i); there are exactly
-    ell of them (k = 0..ell-1), the non-leading coefficients.
+    polynomials y{i}_0 + y{i}_1 t + ... + t^(lambda_i): the sum of
+    c_1*...*c_n over j_1 + ... + j_n = k, c_i being y{i}_{j_i} for
+    j_i < lambda_i and 1 for j_i = lambda_i.  There are exactly ell of them
+    (k = 0..ell-1), the non-leading coefficients.
     """
     if lam.ell < 1:
         raise DomainError("composition must have positive total")
     ring = c_lambda_ring(lam)
     ell = lam.ell
-    # the product has degree ell, so series to order ell lose nothing
-    product = TruncatedSeries.constant(ring, ring.one(), ell)
-    slot = 0
-    for part in lam.parts:
-        block = [ring.var(slot + j) for j in range(part)] + [ring.one()]
-        block += [ring.zero()] * (ell - part)
-        product = product * TruncatedSeries(ring, block, ell)
-        slot += part
-    if product.coeffs[ell] != ring.one():
+    blocks = [[*lam.block(i), None] for i in range(1, lam.n + 1)]
+    coeffs = _series_coefficients(ring.nvars, blocks, ell)
+    if coeffs[ell] != {(0,) * ring.nvars: 1}:
         raise InvariantViolationError("monic block product has wrong shape")
-    return product.coeffs[:ell]
+    return tuple(ring.from_terms(terms) for terms in coeffs[:ell])
 
 
 def alpha_map(q: Poly, lam: Composition) -> Poly:

@@ -24,6 +24,7 @@ from .errors import (
     DomainError,
     InvariantViolationError,
     ParseError,
+    _size,
 )
 from .linalg import Budget
 from .polyring import parse_poly
@@ -192,9 +193,7 @@ def _budget_from(mb: float | None) -> Budget | None:
 def _zring(ell: int):
     """The z ring of a size read from the command line, checked before any
     polynomial is parsed into it, so a bad size is a domain error."""
-    if ell < 1:
-        raise DomainError("need at least one variable")
-    return symfun.zring(ell)
+    return symfun.zring(_size(ell, "variable count", 1))
 
 
 def _cmd_nf(args):

@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the size check that
+raises them."""
+
+from operator import index
+
+__all__ = [
+    "JetformError", "DomainError", "RingMismatchError", "ParseError",
+    "BudgetExceededError", "CapExceededError", "InvariantViolationError",
+]
 
 
 class JetformError(Exception):
@@ -44,3 +52,15 @@ class CapExceededError(JetformError, RuntimeError):
 
 class InvariantViolationError(JetformError, AssertionError):
     """An internal consistency check failed; indicates a bug, not bad input."""
+
+
+def _size(value, what: str, least: int = 0) -> int:
+    """`value` as an int of at least `least`: a float or a string is refused
+    by `operator.index`, not truncated, and every refusal is a DomainError."""
+    try:
+        value = index(value)
+    except TypeError:
+        raise DomainError("%s must be an integer: %r" % (what, value)) from None
+    if value < least:
+        raise DomainError("%s must be at least %d, got %d" % (what, least, value))
+    return value

@@ -61,9 +61,12 @@ from .errors import (
     DomainError,
     InvariantViolationError,
     RingMismatchError,
+    _size,
 )
 from .linalg import Budget, ExactSpan, _clear_denominators, integer_nullspace
-from .polyring import Monomial, Packing, Poly, Ring, TruncatedSeries, format_monomial, format_poly
+from .polyring import (
+    Monomial, Packing, Poly, Ring, _series_coefficients, format_monomial, format_poly
+)
 from .symfun import Composition, block_sigma, normal_form_IS, zring
 
 __all__ = [
@@ -103,12 +106,8 @@ class JetRingDesc:
     __slots__ = ("n", "m")
 
     def __init__(self, n: int, m: int):
-        if n < 1:
-            raise DomainError("need at least one base variable")
-        if m < 0:
-            raise DomainError("jet order must be non-negative")
-        self.n = n
-        self.m = m
+        self.n = _size(n, "base variable count", 1)
+        self.m = _size(m, "jet order")
 
     @property
     def ring(self) -> Ring:
@@ -171,7 +170,11 @@ def jet_generators(gens, desc: JetRingDesc) -> list[Poly]:
     """t-coefficients of the given base polynomials evaluated on jet series.
 
     `gens` defaults to the single product x_1...x_n.  Each generator
-    contributes m+1 output polynomials, the coefficients of t^0 .. t^m.
+    contributes m+1 output polynomials, the coefficients of t^0 .. t^m.  In
+    that of t^k, a term c*x^a contributes c times the sum, over the ways to
+    pick one x_i^(j) per factor x_i of x^a with the j summing to k, of their
+    product; x_1...x_n gives g_k = sum of x_1^(j_1)...x_n^(j_n) over
+    j_1 + ... + j_n = k.
     """
     base = desc.base_ring
     if gens is None:
@@ -179,32 +182,25 @@ def jet_generators(gens, desc: JetRingDesc) -> list[Poly]:
         gens = [Poly(base, {mono: Fraction(1)})]
     ring = desc.ring
     m = desc.m
-    series = [
-        TruncatedSeries(ring, [ring.var(desc.slot(i, j)) for j in range(m + 1)], m)
-        for i in range(1, desc.n + 1)
-    ]
+    series = [range(desc.slot(i, 0), desc.slot(i, m) + 1) for i in range(1, desc.n + 1)]
     out: list[Poly] = []
     for g in gens:
         if g.ring != base:
             raise RingMismatchError("generator %s not in the %d-variable base ring" % (g, desc.n))
-        acc = TruncatedSeries.constant(ring, ring.zero(), m)
-        for mono, coeff in g.terms.items():
-            term = TruncatedSeries.constant(ring, ring.one(), m)
-            for i, e in enumerate(mono):
-                if e:
-                    term = term * series[i] ** e
-            acc = acc + term.scale(coeff)
-        out.extend(acc.coeffs)
+        coeffs: list[dict] = [{} for _ in range(m + 1)]
+        for mono, c in g.terms.items():
+            factors = [series[i] for i, e in enumerate(mono) for _ in range(e)]
+            # distinct base terms have distinct block degrees, so their jet terms never meet
+            for acc, terms in zip(coeffs, _series_coefficients(ring.nvars, factors, m)):
+                acc.update((Monomial(exps), c * v) for exps, v in terms.items())
+        out.extend(Poly(ring, terms) for terms in coeffs)
     return out
 
 
 def compositions(total: int, parts: int) -> list[Composition]:
     """All compositions of `total` into `parts` non-negative parts,
     enumerated in descending lexicographic order."""
-    if parts < 1:
-        raise DomainError("need at least one part")
-    if total < 0:
-        raise DomainError("negative total %d" % total)
+    parts, total = _size(parts, "part count", 1), _size(total, "total")
     out: list[Composition] = []
 
     def rec(prefix, remaining, left):
@@ -957,10 +953,7 @@ def min_degree_search(
     """
     h = _derivative_tuple(h)
     formula = min_degree_formula(h)
-    if cap is None:
-        cap = formula + 2
-    if cap < 1:
-        raise DomainError("cap must be at least 1")
+    cap = _size(formula + 2 if cap is None else cap, "cap", 1)
     desc = JetRingDesc(len(h), sum(h))
     gens = jet_generators(None, desc)
     mono = derivative_monomial(h, desc)

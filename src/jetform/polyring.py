@@ -7,9 +7,9 @@ polynomials are equal iff their term maps (and rings) are equal.  The
 monomial order is lexicographic with the first ring variable most
 significant, which is the order every quotient computation here relies on.
 
-The module also provides multivariate division with remainder, truncated
-power series with polynomial coefficients, and the text grammar used by the
-CLI:
+The module also provides multivariate division with remainder, the
+t-coefficients of a product of series with single-variable coefficients,
+and the text grammar used by the CLI:
 
     poly  := ['+'|'-'] term (('+'|'-') term)*
     term  := coeff | [coeff '*'] factor ('*' factor)*
@@ -35,7 +35,6 @@ __all__ = [
     "Ring",
     "Monomial",
     "Poly",
-    "TruncatedSeries",
     "divide",
     "spoly",
     "parse_poly",
@@ -298,7 +297,17 @@ class Poly:
         return Poly(self.ring, {m: c * v for m, v in self.terms.items()})
 
     def __pow__(self, e: int) -> "Poly":
-        return _power(self, e, self.ring.one())
+        """self**e by square-and-multiply."""
+        if e < 0:
+            raise DomainError("negative power")
+        result, base = self.ring.one(), self
+        while e:
+            if e & 1:
+                result = result * base
+            e >>= 1
+            if e:
+                base = base * base
+        return result
 
     def mul_monomial(self, mono: Monomial, coeff=Fraction(1)) -> "Poly":
         coeff = Fraction(coeff)
@@ -380,20 +389,6 @@ class Poly:
         return "Poly(%s)" % format_poly(self)
 
 
-def _power(base, e: int, one):
-    """base**e by square-and-multiply, `one` being the identity."""
-    if e < 0:
-        raise DomainError("negative power")
-    result = one
-    while e:
-        if e & 1:
-            result = result * base
-        e >>= 1
-        if e:
-            base = base * base
-    return result
-
-
 # -- division --------------------------------------------------------------
 
 
@@ -453,76 +448,29 @@ def spoly(f: Poly, g: Poly) -> Poly:
     )
 
 
-# -- truncated power series --------------------------------------------------
+# -- series coefficients -----------------------------------------------------
 
 
-class TruncatedSeries:
-    """Polynomial-coefficient series modulo t^(m+1): exactly m+1 coefficients."""
+def _series_coefficients(nvars: int, factors, top: int) -> list[dict[tuple[int, ...], int]]:
+    """The coefficients of t^0..t^top in prod over p of sum_j v_{p,j} t^j,
+    each as {exponent tuple: int} over `nvars` variables.
 
-    __slots__ = ("ring", "order", "coeffs")
-
-    def __init__(self, ring: Ring, coeffs: Sequence[Poly], order: int):
-        coeffs = tuple(coeffs)
-        if len(coeffs) != order + 1:
-            raise DomainError(
-                "series truncated at order %d needs %d coefficients, got %d"
-                % (order, order + 1, len(coeffs))
-            )
-        for c in coeffs:
-            if c.ring != ring:
-                raise RingMismatchError("series coefficient in a different ring")
-        self.ring = ring
-        self.order = order
-        self.coeffs = coeffs
-
-    @classmethod
-    def constant(cls, ring: Ring, value: Poly, order: int) -> "TruncatedSeries":
-        coeffs = [value] + [ring.zero()] * order
-        return cls(ring, coeffs, order)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruncatedSeries)
-            and self.ring == other.ring
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if self.ring != other.ring or self.order != other.order:
-            raise RingMismatchError("series with mismatched ring or truncation order")
-        return TruncatedSeries(
-            self.ring,
-            [a + b for a, b in zip(self.coeffs, other.coeffs)],
-            self.order,
-        )
-
-    def scale(self, c) -> "TruncatedSeries":
-        return TruncatedSeries(self.ring, [p.scale(c) for p in self.coeffs], self.order)
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if self.ring != other.ring or self.order != other.order:
-            raise RingMismatchError("series with mismatched ring or truncation order")
-        m = self.order
-        zero = self.ring.zero()
-        out = [zero] * (m + 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j in range(0, m + 1 - i):
-                b = other.coeffs[j]
-                if b.is_zero():
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return TruncatedSeries(self.ring, out, m)
-
-    def __pow__(self, e: int) -> "TruncatedSeries":
-        return _power(self, e, TruncatedSeries.constant(self.ring, self.ring.one(), self.order))
-
-    def __repr__(self):
-        return "TruncatedSeries(%s)" % " + ".join(
-            "(%s)*t^%d" % (c, k) for k, c in enumerate(self.coeffs)
-        )
+    Factor p lists its coefficients' variable indices v_{p,0}, v_{p,1}, ...,
+    None standing for the constant 1.  The coefficient of t^k is the sum of
+    v_{1,j_1}*...*v_{P,j_P} over j_1 + ... + j_P = k; the empty product is 1.
+    """
+    coeffs = [{(0,) * nvars: 1}] + [{} for _ in range(top)]
+    for factor in factors:
+        out = [{} for _ in range(top + 1)]
+        for k, terms in enumerate(coeffs):
+            for j, v in enumerate(factor[: top + 1 - k]):
+                acc = out[k + j]
+                for exps, c in terms.items():
+                    if v is not None:
+                        exps = exps[:v] + (exps[v] + 1,) + exps[v + 1 :]
+                    acc[exps] = acc.get(exps, 0) + c
+        coeffs = out
+    return coeffs
 
 
 # -- text format -------------------------------------------------------------

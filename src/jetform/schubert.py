@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, InvariantViolationError, ParseError
+from .errors import DomainError, InvariantViolationError, ParseError, _size
 from .linalg import ExactSpan, int_row
 from .polyring import Monomial, Poly
 from .symfun import normal_form_IS, zring
@@ -40,7 +40,7 @@ class Permutation:
     __slots__ = ("oneline", "length", "_hash")
 
     def __init__(self, oneline):
-        oneline = tuple(int(v) for v in oneline)
+        oneline = tuple(_size(v, "permutation entry", 1) for v in oneline)
         n = len(oneline)
         if sorted(oneline) != list(range(1, n + 1)):
             raise DomainError("not a permutation of 1..%d: %r" % (n, oneline))
@@ -164,9 +164,7 @@ def divided_difference(p: Poly, i: int) -> Poly:
 @lru_cache(maxsize=None)
 def schubert_table(ell: int) -> dict[Permutation, Poly]:
     """All Schubert polynomials of S_ell, keyed by permutation."""
-    if ell < 1:
-        raise DomainError("need ell >= 1")
-    ring = zring(ell)
+    ring = zring(_size(ell, "ell", 1))
     w0 = Permutation.longest(ell)
     staircase = Poly(
         ring,
@@ -243,8 +241,7 @@ def schubert_expansion(p: Poly, ell: int | None = None) -> dict[Permutation, Fra
 
 
 def catalan_number(k: int) -> int:
-    if k < 0:
-        raise DomainError("negative Catalan index")
+    k = _size(k, "Catalan index")
     num = 1
     for i in range(k):
         num = num * (2 * k - i)

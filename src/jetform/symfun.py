@@ -31,7 +31,7 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import factorial, lcm
 
-from .errors import DomainError, RingMismatchError
+from .errors import DomainError, RingMismatchError, _size
 from .polyring import Monomial, Packing, Poly, Ring
 
 __all__ = [
@@ -62,9 +62,7 @@ class Composition:
     __slots__ = ("parts", "_prefix")
 
     def __init__(self, parts):
-        parts = tuple(int(p) for p in parts)
-        if any(p < 0 for p in parts):
-            raise DomainError("composition parts must be non-negative: %r" % (parts,))
+        parts = tuple(_size(p, "composition part") for p in parts)
         self.parts = parts
         acc = [0]
         for p in parts:
@@ -105,9 +103,7 @@ class Composition:
 
 @lru_cache(maxsize=None)
 def zring(ell: int) -> Ring:
-    if ell < 0:
-        raise DomainError("variable count must be non-negative")
-    return Ring(tuple("z%d" % (i + 1) for i in range(ell)))
+    return Ring(tuple("z%d" % (i + 1) for i in range(_size(ell, "variable count"))))
 
 
 def complete_homogeneous(d: int, k: int, ell: int) -> Poly:
@@ -145,8 +141,7 @@ def elementary_symmetric(ring: Ring, d: int, indices) -> Poly:
 @lru_cache(maxsize=None)
 def groebner_basis_IS(ell: int) -> tuple[Poly, ...]:
     """The basis (h_1(z_1..z_ell), h_2(z_2..z_ell), ..., h_ell(z_ell))."""
-    if ell < 1:
-        raise DomainError("need at least one variable")
+    ell = _size(ell, "variable count", 1)
     return tuple(complete_homogeneous(i, i, ell) for i in range(1, ell + 1))
 
 

@@ -14,14 +14,15 @@ from jetform import (
     BudgetExceededError,
     Budget,
     CapExceededError,
+    Composition,
     DomainError,
     ExactSpan,
     InvariantViolationError,
     JetRingDesc,
     Monomial,
+    Permutation,
     PsiSpecialization,
     RingMismatchError,
-    TruncatedSeries,
     compositions,
     derivative_monomial,
     groebner_basis_IS,
@@ -32,6 +33,7 @@ from jetform import (
     min_degree_search,
     minimal_primes,
     multiplicity_table,
+    nilpotency_order,
     normal_form_IS,
     phi_binary_eval,
     psi_specialize,
@@ -766,6 +768,31 @@ def test_filtered_certificates_match_a_span_offered_every_row(system):
                 jets._certificate(query, gens, comb, packing, cleared, filtered)
 
 
+@given(homogeneous_systems())
+def test_certificate_refuses_each_wrong_coefficient_on_generic_systems(system):
+    # the first generator is mostly not a monomial here, so no g_0 cofactor
+    # is recovered and only the final check of the residual sees a wrong
+    # coefficient: one added to any entry of the packed combination leaves
+    # s*(p - sum c*M*g) nonzero, or a term g_0 does not divide
+    query, gens = system
+    degree = query.total_degree()
+    usable = [i for i, g in enumerate(gens) if g.total_degree() <= degree]
+    filtered = usable[0] if usable and len(gens[usable[0]].terms) == 1 else None
+    gradings = jets._common_gradings([gens[i] for i in usable] + [query], query.ring.nvars)
+    rem, comb, packing, cleared = jets._solve_membership(
+        query, gens, usable, gradings, ExactSpan(), filtered
+    )
+    if rem:
+        return
+    cert = jets._certificate(query, gens, comb, packing, cleared, filtered)
+    assert cert == homogeneous_membership(query, gens).combination
+    for key in comb:
+        wrong = dict(comb)
+        wrong[key] += 1
+        with pytest.raises(InvariantViolationError):
+            jets._certificate(query, gens, wrong, packing, cleared, filtered)
+
+
 def test_oracle_offers_no_g0_row(monkeypatch):
     # g_0 = x_1^(0)...x_n^(0) is a monomial, so its columns are dropped: the
     # 37 spans hold 33,323 pivots, not the 63,302 of inserting its rows
@@ -1234,11 +1261,20 @@ def test_compositions_descending_lex():
         lambda: homogeneous_membership(zring(2).var(0) + zring(2).one(), []),
         lambda: groebner_basis_IS(0),
         lambda: zring(2).var(0) ** -1,
-        lambda: TruncatedSeries.constant(zring(2), zring(2).one(), 2) ** -1,
         lambda: Budget(-1),
         lambda: Budget(float("nan")),
         lambda: Budget(float("inf")),
         lambda: compositions(-1, 2),
+        # a size that is not an integer is refused, not truncated
+        lambda: Composition([2.7, 1]),
+        lambda: Permutation([1.5, 2]),
+        lambda: JetRingDesc(2.5, 1),
+        lambda: multiplicity_table(2, 1.5),
+        lambda: zring(2.5),
+        lambda: min_degree_search((1, 1), cap=2.5),
+        lambda: nilpotency_order(zring(2).var(0), Composition((1, 1)), block=1.0),
+        lambda: compositions(2.5, 2),
+        lambda: groebner_basis_IS(1.5),
     ],
 )
 def test_domain_checks_raise_domain_error(call):

@@ -6,11 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetform import (
+    JetRingDesc,
     ParseError,
     RingMismatchError,
     Ring,
-    TruncatedSeries,
+    c_lambda_generators,
+    c_lambda_ring,
+    compositions,
     divide,
+    jet_generators,
     parse_poly,
     zring,
 )
@@ -174,81 +178,64 @@ def test_leading_is_lex_with_first_variable_largest():
     assert p.leading()[0] == (z1**2).leading()[0]
 
 
-# -- truncated series ---------------------------------------------------------
+# -- series coefficients -------------------------------------------------------
+# jet_generators and c_lambda_generators read t-coefficients off a product of
+# series; the reference multiplies in a ring with t adjoined instead.
 
 
-def test_series_convolution():
-    ring = Ring(("a0", "a1", "b0", "b1"))
-    a0, a1, b0, b1 = ring.gens()
-    s = TruncatedSeries(ring, [a0, a1], 1)
-    t = TruncatedSeries(ring, [b0, b1], 1)
-    prod = s * t
-    assert prod.coeffs == (a0 * b0, a0 * b1 + a1 * b0)
+def _t_coefficients(p: Poly, ring: Ring, top: int) -> list[Poly]:
+    """The coefficients of t^0..t^top of p, in a ring of `ring`'s variables
+    and t last, as polynomials in `ring`; nothing above t^top is checked."""
+    sliced = [{} for _ in range(top + 1)]
+    for mono, coeff in p.terms.items():
+        if mono[-1] <= top:
+            sliced[mono[-1]][ring.monomial(mono[:-1])] = coeff
+    return [ring.from_terms(terms) for terms in sliced]
 
 
-def test_series_single_input_identity():
-    ring = zring(2)
-    s = TruncatedSeries(ring, [ring.var(0), ring.var(1), ring.one()], 2)
-    assert s * TruncatedSeries.constant(ring, ring.one(), 2) == s
+def test_jet_generators_match_substituting_jet_series():
+    rng = make_rng(21)
+    for n in range(1, 4):
+        for m in range(5):
+            desc = JetRingDesc(n, m)
+            ext = Ring(desc.ring.names + ("t",))
+            t = ext.var(ext.nvars - 1)
+            series = [
+                sum((ext.var(desc.slot(i, j)) * t**j for j in range(m + 1)), ext.zero())
+                for i in range(1, n + 1)
+            ]
+            base = desc.base_ring
+            x1 = base.var(0)
+            product = base.one()
+            for x in base.gens():
+                product = product * x
+            # None stands for x_1...x_n; then a zero generator, a constant
+            # term, a repeated factor and random generators
+            gens = [product, base.zero(), x1**2 + base.const(Fraction(-2, 3)), x1**2 * base.var(n - 1)]
+            gens += [random_poly(base, rng, max_deg=3, terms=3) for _ in range(4)]
+            expected = []
+            for g in gens:
+                expected += _t_coefficients(g.substitute(ext, series), desc.ring, m)
+            assert jet_generators(gens, desc) == expected
+            assert jet_generators(None, desc) == expected[: m + 1]
 
 
-def test_series_two_variable_jet_product():
-    ring = Ring(tuple("x%d_%d" % (i, j) for i in (1, 2) for j in range(3)))
-    x1 = [ring.var(j) for j in range(3)]
-    x2 = [ring.var(3 + j) for j in range(3)]
-    s1 = TruncatedSeries(ring, x1, 2)
-    s2 = TruncatedSeries(ring, x2, 2)
-    prod = s1 * s2
-    assert prod.coeffs[0] == x1[0] * x2[0]
-    assert prod.coeffs[1] == x1[0] * x2[1] + x1[1] * x2[0]
-    assert prod.coeffs[2] == x1[0] * x2[2] + x1[1] * x2[1] + x1[2] * x2[0]
-
-
-def test_series_mismatched_order_rejected():
-    ring = zring(1)
-    s1 = TruncatedSeries(ring, [ring.one(), ring.var(0)], 1)
-    s2 = TruncatedSeries(ring, [ring.one()], 0)
-    with pytest.raises(RingMismatchError):
-        s1 * s2
-
-
-def test_series_wrong_length_rejected():
-    ring = zring(1)
-    with pytest.raises(ValueError):
-        TruncatedSeries(ring, [ring.one()], 1)
-
-
-def test_series_product_matches_adjoined_variable_oracle():
-    # multiply series as polynomials in an extra variable t, then truncate
-    rng = make_rng(55)
-    base = zring(2)
-    for m in range(1, 7):
-        ext = Ring(base.names + ("t",))
-        t_ext = ext.var(2)
-
-        def lift(p):
-            return p.substitute(ext, [ext.var(0), ext.var(1)])
-
-        coeffs1 = [random_poly(base, rng, max_deg=2, terms=2) for _ in range(m + 1)]
-        coeffs2 = [random_poly(base, rng, max_deg=2, terms=2) for _ in range(m + 1)]
-        s1 = TruncatedSeries(base, coeffs1, m)
-        s2 = TruncatedSeries(base, coeffs2, m)
-        product = s1 * s2
-
-        full = ext.zero()
-        for k, c in enumerate(coeffs1):
-            full = full + lift(c) * t_ext**k
-        other = ext.zero()
-        for k, c in enumerate(coeffs2):
-            other = other + lift(c) * t_ext**k
-        full = full * other
-        # collect coefficients of t^k for k <= m
-        for k in range(m + 1):
-            sliced = {}
-            for mono, coeff in full.terms.items():
-                if mono.exps[2] == k:
-                    sliced[base.monomial(mono.exps[:2])] = coeff
-            assert base.from_terms(sliced) == product.coeffs[k]
+def test_c_lambda_generators_match_the_product_of_block_polynomials():
+    for ell in range(1, 7):
+        for n in range(1, 5):
+            for lam in compositions(ell, n):
+                ring = c_lambda_ring(lam)
+                ext = Ring(ring.names + ("t",))
+                t = ext.var(ext.nvars - 1)
+                product = ext.one()
+                for i in range(1, n + 1):
+                    block = t ** lam.parts[i - 1]
+                    for j, slot in enumerate(lam.block(i)):
+                        block = block + ext.var(slot) * t**j
+                    product = product * block
+                *expected, lead = _t_coefficients(product, ring, ell)
+                assert lead == ring.one(), lam
+                assert c_lambda_generators(lam) == tuple(expected), lam
 
 
 # -- parsing and printing ------------------------------------------------------
