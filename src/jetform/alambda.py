@@ -16,14 +16,15 @@ from functools import lru_cache
 from math import factorial, gcd, prod
 
 from .errors import DomainError, InvariantViolationError, RingMismatchError, _size
-from .polyring import Monomial, Packing, Poly, Ring, _series_coefficients
+from .polyring import Monomial, Poly, Ring, _series_coefficients
 from .symfun import (
     Composition,
-    _pack,
+    _normal_form,
+    _packed_rules,
+    _packing,
     _reduce_packed,
     block_sigma,
     is_lambda_symmetric,
-    normal_form_IS,
     sym_lambda_average,
     zring,
 )
@@ -105,14 +106,13 @@ def nilpotency_order(p: Poly, lam: Composition, block: int) -> int | None:
     bound floor(lambda_i * (ell - lambda_i) / nu(p)) + 1, which signals an
     internal error rather than a legal answer.
 
-    The power loop runs on packed integer polynomials, as `normal_form_IS`
-    does inside: NF(p) is scaled to integer coefficients and packed once,
-    a product adds keys, and `symfun._reduce_packed` reduces it.  Whether a
-    power is zero does not depend on its scale, so each power is divided by
-    the gcd of its coefficients and no Fraction is made.  A reduced monomial
-    has deg_{z_i} < i, so total degree at most ell(ell-1)/2, and a product
-    of two has degree at most ell(ell-1): the keys are packed for that
-    degree (see `polyring.Packing`), so adding two never carries.
+    The power loop runs on packed integer polynomials: the keys of
+    `symfun._normal_form`'s NF(p), of degree at most ell(ell-1)/2, are
+    repacked once for degree ell(ell-1), so adding two never carries (see
+    `polyring.Packing`); a product adds keys and `symfun._reduce_packed`
+    reduces it.  Whether a power is zero does not depend on its scale, so
+    NF(p)'s denominator is dropped and each power is divided by the gcd of
+    its coefficients: no Fraction is made.
     """
     block = _size(block, "block index")
     if not 1 <= block <= lam.n:
@@ -131,14 +131,15 @@ def nilpotency_order(p: Poly, lam: Composition, block: int) -> int | None:
     if p.constant_term() != 0:
         raise DomainError("polynomial must have zero constant term")
 
-    nf = normal_form_IS(p, ell)
-    if nf.is_zero():
+    nf, _ = _normal_form(p, ell)
+    if not nf:
         return 1
-    r = nf.min_degree()
+    monos = [_packing(ell).unpack(key) for key in nf]
     lam_i = lam.parts[block - 1]
-    bound = (lam_i * (ell - lam_i)) // r + 1
-    packing = Packing(ell, ell * (ell - 1))
-    base, _ = _pack(nf, packing)
+    bound = (lam_i * (ell - lam_i)) // min(map(sum, monos)) + 1
+    degree = ell * (ell - 1)
+    pack = _packed_rules(ell, degree)[0].pack
+    base = {pack(m): c for m, c in zip(monos, nf.values())}
     power = base
     for e in range(2, bound + 1):
         product: dict[int, int] = {}
@@ -146,7 +147,7 @@ def nilpotency_order(p: Poly, lam: Composition, block: int) -> int | None:
             for k2, c2 in base.items():
                 k = k1 + k2
                 product[k] = product.get(k, 0) + c1 * c2
-        power = _reduce_packed(product, packing)
+        power = _reduce_packed(product, ell, degree)
         if not power:
             return e
         content = gcd(*power.values())

@@ -51,7 +51,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from operator import add, index, mul
 
 from .alambda import dim_A_lambda
@@ -63,9 +63,10 @@ from .errors import (
     RingMismatchError,
     _size,
 )
-from .linalg import Budget, ExactSpan, _clear_denominators, integer_nullspace
+from .linalg import Budget, ExactSpan, integer_nullspace
 from .polyring import (
-    Monomial, Packing, Poly, Ring, _series_coefficients, format_monomial, format_poly
+    Monomial, Packing, Poly, Ring, _clear_denominators, _series_coefficients, format_monomial,
+    format_poly,
 )
 from .symfun import Composition, block_sigma, normal_form_IS, zring
 
@@ -119,11 +120,13 @@ class JetRingDesc:
 
     def slot(self, i: int, j: int) -> int:
         """Flat variable index of x_i^(j); i is 1-based, 0 <= j <= m."""
+        i, j = _size(i, "base variable index"), _size(j, "derivative order")
         if not (1 <= i <= self.n and 0 <= j <= self.m):
             raise DomainError("no variable x%d_(%d) in this jet ring" % (i, j))
         return (i - 1) * (self.m + 1) + j
 
     def pair(self, slot: int) -> tuple[int, int]:
+        slot = _size(slot, "flat index")
         if not 0 <= slot < self.n * (self.m + 1):
             raise DomainError("flat index %d out of range" % slot)
         return slot // (self.m + 1) + 1, slot % (self.m + 1)
@@ -648,9 +651,9 @@ def _solve_membership(p, gens, usable, gradings, span, filtered) -> tuple:
     Rows are keyed by `_columns` on a `Packing` for deg p: every monomial
     of the component has total degree deg p, so no exponent exceeds it.  A
     row is its generator times the lcm d of its denominators, labelled
-    (generator index, packed multiplier).  Returns the remainder, the
-    combination over the rows, the packing and {generator index: (row, d)},
-    which `_certificate` takes.
+    (generator index, packed multiplier); the query is p cleared alike.
+    Returns `ExactSpan.reduce`'s relation for the query, the packing and
+    {generator index: (row, d)}, which `_certificate` takes.
     """
     degree = p.total_degree()
     packing = Packing(p.ring.nvars, degree)
@@ -686,7 +689,7 @@ def _solve_membership(p, gens, usable, gradings, span, filtered) -> tuple:
         bounds,
         span.budget,
     )
-    query = _columns(p.terms, packing)
+    query = _columns(_clear_denominators(p.terms)[0], packing)
     g0 = None
     if filtered is not None:
         g0 = -next(iter(cleared[filtered][0]))  # the packed monomial g_0
@@ -712,39 +715,39 @@ def _solve_membership(p, gens, usable, gradings, span, filtered) -> tuple:
                 if not items:
                     continue
             span.insert({k - mult: v for k, v in items}, (gi, mult))
-    rem, comb = span.reduce(query)
-    return rem, comb, packing, cleared
+    return span.reduce(query), packing, cleared
 
 
-def _certificate(p: Poly, gens, comb: dict, packing: Packing, cleared: dict, filtered) -> list:
+def _certificate(p: Poly, gens, relation, packing: Packing, cleared: dict, filtered) -> list:
     """The certificate of a member p, re-expanded against p, as sorted
-    (generator index, multiplier, coefficient) triples: what
-    `_solve_membership` returned, and the cofactor of g_0 = gens[filtered].
+    (generator index, multiplier, coefficient) triples: the relation
+    (combination, scale) `_solve_membership` returned, and the cofactor of
+    g_0 = gens[filtered].
 
-    The residual s*(p - sum of c*M*row) is formed once in integers, s the
-    lcm of the denominators.  Each entry is unpacked once, for its triple,
-    with coefficient c*d, and its multiplier must have its generator's
-    multiplier degree; a field that borrowed or overflowed unpacks to more
-    than that, so this is also the sign check.  Each nonzero residual term
-    divided by g_0 is an entry of g_0's cofactor, subtracted back through
-    g_0's row; a term g_0 does not divide raises.  What is left, all of the
-    residual if `filtered` is None, must be zero.
+    The residual s*p - sum of c*M*row, s = scale times the lcm of p's
+    denominators, is formed once in integers.  Each entry is unpacked once,
+    for its triple, with coefficient c*d/s, and its multiplier must have
+    its generator's multiplier degree; a field that borrowed or overflowed
+    unpacks to more than that, so this is also the sign check.  Each
+    nonzero residual term divided by g_0 is an entry of g_0's cofactor,
+    subtracted back through g_0's row; a term g_0 does not divide raises.
+    What is left, all of the residual if `filtered` is None, must be zero.
     """
     degree = p.total_degree()
     mult_degree = {gi: degree - gens[gi].total_degree() for gi in cleared}
+    comb, scale = relation
     terms, denom = _clear_denominators(p.terms)
-    scale = lcm(denom, *(c.denominator for c in comb.values()))
-    residual = {packing.pack(m): v * (scale // denom) for m, v in terms.items()}
+    residual = {packing.pack(m): v * scale for m, v in terms.items()}
+    scale *= denom
     triples = []
     for (gi, mult), c in comb.items():
         mono = packing.unpack(mult)
         if sum(mono) != mult_degree[gi]:
             raise InvariantViolationError("membership certificate failed re-expansion")
         row, d = cleared[gi]
-        f = c.numerator * (scale // c.denominator)
         for k, v in row.items():
-            residual[mult - k] = residual.get(mult - k, 0) - f * v
-        triples.append((gi, mono, c * d))
+            residual[mult - k] = residual.get(mult - k, 0) - c * v
+        triples.append((gi, mono, Fraction(c * d, scale)))
     if filtered is not None:
         row, d = cleared[filtered]
         ((column, a),) = row.items()
@@ -806,10 +809,10 @@ def homogeneous_membership(
     filtered = usable[0] if usable and len(gens[usable[0]].terms) == 1 else None
     gradings = _common_gradings([gens[i] for i in usable] + [p], p.ring.nvars)
     span = ExactSpan(budget=budget)
-    rem, comb, packing, cleared = _solve_membership(p, gens, usable, gradings, span, filtered)
-    if rem:
+    solved = _solve_membership(p, gens, usable, gradings, span, filtered)
+    if solved[0] is None:  # the span's relation for p
         return MembershipResult(False, degree, None)
-    return MembershipResult(True, degree, _certificate(p, gens, comb, packing, cleared, filtered))
+    return MembershipResult(True, degree, _certificate(p, gens, *solved, filtered))
 
 
 # -- witness homomorphisms ----------------------------------------------------

@@ -1,13 +1,14 @@
-"""Exact sparse linear algebra used by the membership oracle and basis tests.
+"""Exact sparse integer linear algebra for the membership oracle, the
+Schubert expansion and the grading systems.
 
-Rows are sparse integer vectors keyed by comparable hashable keys: packed
-ints in the membership oracle, `Monomial`s in the Schubert expansion, row
-indices in `integer_nullspace`.  `ExactSpan` keeps an incremental
-triangular basis of the row span: every stored pivot row has a distinct
-leading key, so reducing a query vector against the pivots decides span
-membership exactly.  Elimination is fraction-free throughout: insertion and
-reduction share one integer step, and a rational query is scaled to
-integers and divided back once.
+Rows are dicts of nonzero ints keyed by comparable hashable keys: packed
+monomials in the oracle and the Schubert expansion, row indices in
+`integer_nullspace`; callers clear denominators first.  `ExactSpan` keeps
+an incremental triangular basis of the row span: every stored pivot row
+has a distinct leading key, so reducing a query row against the pivots
+decides span membership exactly.  Elimination is fraction-free throughout:
+insertion and reduction share one integer step, and a member comes back
+as an integer relation.
 
 Each pivot carries a step history: its own row's coefficient and one
 coefficient per pivot it was reduced by, so that a certificate is not
@@ -19,30 +20,17 @@ that reduces to zero on insertion is discarded with nothing to undo.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heappop, heappush
-from math import gcd, inf, lcm
+from math import gcd, inf
 from types import MappingProxyType
 from typing import Hashable, Mapping
 
 from .errors import BudgetExceededError, DomainError
 
-__all__ = ["ExactSpan", "Budget", "int_row", "integer_nullspace"]
+__all__ = ["ExactSpan", "Budget", "integer_nullspace"]
 
 _OWN = object()  # the key of a row's own coefficient in its step history
 _UNIT = MappingProxyType({_OWN: 1})  # shared step history of a pivot stored unchanged
-
-
-def _clear_denominators(terms: Mapping[Hashable, Fraction]) -> tuple[dict, int]:
-    """(d * terms without zeros, d) for d the lcm of the denominators; ints
-    and Fractions both carry a numerator and a denominator, so none is made."""
-    denom = lcm(*(v.denominator for v in terms.values()))
-    return {k: v.numerator * (denom // v.denominator) for k, v in terms.items() if v}, denom
-
-
-def int_row(terms: Mapping[Hashable, Fraction]) -> dict[Hashable, int]:
-    """Clear denominators: the integer row spanning the same line."""
-    return _clear_denominators(terms)[0]
 
 
 class Budget:
@@ -241,24 +229,22 @@ class ExactSpan:
         if self.budget is not None:
             self.budget.charge(len(row) + len(hist), "span insertion")
 
-    def reduce(self, terms: Mapping[Hashable, Fraction]) -> tuple[dict, dict]:
-        """Reduce a rational query vector against the pivot rows.
+    def reduce(self, row: Mapping[Hashable, int]) -> tuple[dict, int] | None:
+        """Reduce an integer query row, on a copy, against the pivot rows.
 
-        Returns (remainder, combination).  The remainder is empty exactly
-        when the query lies in the span; the combination then expresses the
-        query over the labels of the inserted rows, and is empty otherwise.
-        The query is eliminated fraction-free, as an integer row with a
-        step history of its own whose _OWN coefficient is divided out at
-        the end; `_expand` turns its steps into the combination.
+        Returns None for a non-member, otherwise (combination, scale) with
+        scale > 0 and scale * row = the sum of combination[label] times the
+        row inserted as `label`, integral with no zero entries.  The scale
+        is the query's own step coefficient, a product of pivot leads over a
+        gcd; `_expand` turns its other steps into the combination.
         """
-        row, denom = _clear_denominators(terms)
+        row = dict(row)
         hist = {_OWN: 1}
-        self._eliminate(row, hist)
-        scale = hist.pop(_OWN) * denom
-        # row = scale * query + sum over leads j of hist[j] * (pivot j)
-        if row:
-            return {k: Fraction(v, scale) for k, v in row.items()}, {}
-        return {}, {k: Fraction(-v, scale) for k, v in self._expand(hist).items()}
+        if self._eliminate(row, hist) is not None:
+            return None
+        scale = hist.pop(_OWN)
+        # 0 = scale * query + sum over leads j of hist[j] * (pivot j)
+        return {k: -v for k, v in self._expand(hist).items()}, scale
 
 
 def integer_nullspace(rows: list[list[int]], ncols: int) -> list[tuple[int, ...]]:

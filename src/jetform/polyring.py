@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from operator import add, sub
-from typing import Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import DomainError, ParseError, RingMismatchError
 
@@ -165,8 +166,7 @@ class Packing:
     t divides m iff ((m | guard) - t) & guard == guard: in each field, the
     guard bit plus m_i minus t_i stays positive, so no borrow crosses a
     field, and it keeps the guard bit exactly when m_i >= t_i.  Hot loops
-    test inline; `divides` is the same test.  The guard fixes the field
-    count and width, so packings with equal guards are equal.
+    test inline; `divides` is the same test.
     """
 
     __slots__ = ("width", "shifts", "guard", "mask")
@@ -192,12 +192,6 @@ class Packing:
     def divides(self, t: int, m: int) -> bool:
         guard = self.guard
         return ((m | guard) - t) & guard == guard
-
-    def __eq__(self, other):
-        return isinstance(other, Packing) and self.guard == other.guard
-
-    def __hash__(self):
-        return hash(self.guard)
 
 
 class Poly:
@@ -387,6 +381,14 @@ class Poly:
 
     def __repr__(self):
         return "Poly(%s)" % format_poly(self)
+
+
+def _clear_denominators(terms: Mapping[Hashable, Fraction]) -> tuple[dict, int]:
+    """(d * terms without zeros, d) for d the lcm of the denominators: the
+    integer row spanning the same line.  Ints and Fractions both carry a
+    numerator and a denominator, so no Fraction is made."""
+    denom = lcm(*(v.denominator for v in terms.values()))
+    return {k: v.numerator * (denom // v.denominator) for k, v in terms.items() if v}, denom
 
 
 # -- division --------------------------------------------------------------

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from .errors import DomainError, InvariantViolationError, ParseError, _size
-from .linalg import ExactSpan, int_row
+from .linalg import ExactSpan
 from .polyring import Monomial, Poly
-from .symfun import normal_form_IS, zring
+from .symfun import _normal_form, normal_form_IS, zring
 
 __all__ = [
     "Permutation",
@@ -55,11 +56,12 @@ class Permutation:
 
     @classmethod
     def identity(cls, ell: int) -> "Permutation":
-        return cls(range(1, ell + 1))
+        return cls(range(1, _size(ell, "permutation size") + 1))
 
     @classmethod
     def simple(cls, i: int, ell: int) -> "Permutation":
         """The adjacent transposition s_i swapping i and i+1 (1-based)."""
+        i, ell = _size(i, "simple reflection index"), _size(ell, "permutation size")
         if not 1 <= i < ell:
             raise DomainError("simple reflection index %d out of range" % i)
         oneline = list(range(1, ell + 1))
@@ -68,6 +70,7 @@ class Permutation:
 
     @classmethod
     def transposition(cls, j: int, k: int, ell: int) -> "Permutation":
+        j, k, ell = (_size(v, "transposition argument") for v in (j, k, ell))
         if not (1 <= j <= ell and 1 <= k <= ell and j != k):
             raise DomainError("bad transposition (%d %d) in S_%d" % (j, k, ell))
         oneline = list(range(1, ell + 1))
@@ -76,7 +79,7 @@ class Permutation:
 
     @classmethod
     def longest(cls, ell: int) -> "Permutation":
-        return cls(range(ell, 0, -1))
+        return cls(range(_size(ell, "permutation size"), 0, -1))
 
     @classmethod
     def parse(cls, text: str) -> "Permutation":
@@ -140,6 +143,7 @@ def divided_difference(p: Poly, i: int) -> Poly:
     actual division.
     """
     ell = p.ring.nvars
+    i = _size(i, "divided difference index")
     if not 1 <= i < ell:
         raise DomainError("divided difference index %d out of range 1..%d" % (i, ell - 1))
     ia, ib = i - 1, i
@@ -197,6 +201,7 @@ def monk_expand(r: int, w: Permutation) -> list[Permutation]:
     multiplicity-free sum.
     """
     ell = w.ell
+    r = _size(r, "Monk index")
     if not 1 <= r < ell:
         raise DomainError("Monk index %d out of range 1..%d" % (r, ell - 1))
     out = []
@@ -211,9 +216,9 @@ def monk_expand(r: int, w: Permutation) -> list[Permutation]:
 @lru_cache(maxsize=None)
 def _schubert_span(ell: int) -> ExactSpan:
     span = ExactSpan()
-    for w in sorted(schubert_table(ell)):
-        nf = normal_form_IS(schubert_table(ell)[w], ell)
-        if not span.insert(int_row(nf.terms), w):
+    table = schubert_table(ell)
+    for w in sorted(table):
+        if not span.insert(_normal_form(table[w], ell)[0], w):
             raise InvariantViolationError(
                 "Schubert normal forms are linearly dependent at ell=%d" % ell
             )
@@ -225,29 +230,26 @@ def schubert_expansion(p: Poly, ell: int | None = None) -> dict[Permutation, Fra
 
     Solved exactly against the normal forms of all ell! Schubert
     polynomials; refuses ell beyond `MAX_ELL` because the table grows with
-    the factorial.
+    the factorial.  The span's relation scale * d*NF(p) = sum of
+    c * NF(Schubert_w) gives each c_w once, as c / (scale * d).
     """
     if ell is None:
         ell = p.ring.nvars
     if ell > MAX_ELL:
         raise DomainError("ell=%d exceeds the expansion cap %d" % (ell, MAX_ELL))
-    nf = normal_form_IS(p, ell)
-    rem, comb = _schubert_span(ell).reduce(nf.terms)
-    if rem:
+    terms, denom = _normal_form(p, ell)
+    relation = _schubert_span(ell).reduce(terms)
+    if relation is None:
         raise InvariantViolationError(
             "normal form escaped the Schubert span at ell=%d" % ell
         )
-    return dict(sorted(comb.items()))
+    coeffs, scale = relation
+    return {w: Fraction(c, scale * denom) for w, c in sorted(coeffs.items())}
 
 
 def catalan_number(k: int) -> int:
     k = _size(k, "Catalan index")
-    num = 1
-    for i in range(k):
-        num = num * (2 * k - i)
-    for i in range(1, k + 1):
-        num //= i
-    return num // (k + 1)
+    return comb(2 * k, k) // (k + 1)
 
 
 def catalan_congruence_check(ell: int) -> Fraction:
@@ -273,6 +275,7 @@ def catalan_congruence_check(ell: int) -> Fraction:
 def block_rotation(ell: int, lam1: int) -> Permutation:
     """The permutation sending 1..lam1 to the top lam1 values and shifting
     the rest down; its length is lam1 * (ell - lam1)."""
+    ell, lam1 = _size(ell, "ell"), _size(lam1, "block size")
     if not 0 <= lam1 <= ell:
         raise DomainError("block size %d out of range 0..%d" % (lam1, ell))
     oneline = [ell - lam1 + i for i in range(1, lam1 + 1)]

@@ -14,13 +14,12 @@ the averaging projector over S_{lambda_1} x ... x S_{lambda_n}, and the
 rewriting of a block-symmetric polynomial in the elementary symmetric
 polynomials of its blocks.
 
-The arithmetic of the quotient runs on integers.  `_reduce_packed` is the
-one reduction kernel: it takes a polynomial as integer coefficients on
-monomials packed into ints by a `polyring.Packing`, which states the field
-layout and the guard bit, and `normal_form_IS` and
-`alambda.nilpotency_order` both call it.  The averaging projector keeps
-integer numerators over one common denominator.  Fractions are made only
-for the Polys these functions return.
+The arithmetic of the quotient runs on integers.  `_normal_form` packs a
+polynomial into ints by one `polyring.Packing` per z ring and reduces it
+with `_reduce_packed`, the one reduction kernel; `normal_form_IS`,
+`alambda.nilpotency_order` and the Schubert expansion take their normal
+forms from it.  The averaging projector keeps integer numerators over one
+common denominator.  Fractions are made only for the Polys returned.
 """
 
 from __future__ import annotations
@@ -29,10 +28,10 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from math import factorial, lcm
+from math import factorial
 
 from .errors import DomainError, RingMismatchError, _size
-from .polyring import Monomial, Packing, Poly, Ring
+from .polyring import Monomial, Packing, Poly, Ring, _clear_denominators
 
 __all__ = [
     "Composition",
@@ -108,10 +107,9 @@ def zring(ell: int) -> Ring:
 
 def complete_homogeneous(d: int, k: int, ell: int) -> Poly:
     """Sum of all degree-d monomials in z_k, ..., z_ell (1-based k)."""
+    d, k, ell = _size(d, "degree"), _size(k, "start index"), _size(ell, "variable count")
     if not 1 <= k <= ell:
         raise DomainError("start index %d out of range 1..%d" % (k, ell))
-    if d < 0:
-        raise DomainError("degree must be non-negative")
     ring = zring(ell)
     terms = {}
     for combo in itertools.combinations_with_replacement(range(k - 1, ell), d):
@@ -124,7 +122,7 @@ def complete_homogeneous(d: int, k: int, ell: int) -> Poly:
 
 def elementary_symmetric(ring: Ring, d: int, indices) -> Poly:
     """Sum of all squarefree degree-d monomials in the given variables."""
-    indices = list(indices)
+    indices, d = list(indices), _size(d, "elementary symmetric degree")
     if not 1 <= d <= len(indices):
         raise DomainError(
             "elementary symmetric degree %d out of range 1..%d" % (d, len(indices))
@@ -149,39 +147,43 @@ def normal_form_IS(p: Poly, ell: int | None = None) -> Poly:
     """Fully reduced remainder of p modulo I_S under lex z_1 > ... > z_ell.
 
     Heap division on packed exponents (Monagan & Pearce, CASC 2007), with
-    the rules z_i^i -> -(g_i - z_i^i) read off the Groebner basis, on a
-    `Packing` for p's top degree: lex order is integer order and applying a
-    rule is adding a fixed offset.  See `_reduce_packed` for the loop and
-    its one-step rule dispatch.
-
-    Every g_i is homogeneous, so a rewrite keeps total degree and no
-    exponent can exceed p's top degree.  Coefficients are scaled to integers
-    by the lcm of p's denominators and divided back at the end, which is
-    exact because NF(c*p) = c*NF(p).
+    the rules z_i^i -> -(g_i - z_i^i) read off the Groebner basis: lex
+    order is integer order and applying a rule is adding a fixed offset.
+    See `_normal_form` for why one packing per z ring suffices and
+    `_reduce_packed` for the loop and its one-step rule dispatch.
     """
     if ell is None:
         ell = p.ring.nvars
+    terms, denom = _normal_form(p, ell)
+    unpack = _packing(ell).unpack
+    return Poly(p.ring, {unpack(key): Fraction(c, denom) for key, c in terms.items()})
+
+
+def _normal_form(p: Poly, ell: int) -> tuple[dict[int, int], int]:
+    """NF(p) as (the terms of d*NF(p), packed by `_packing(ell)`, d), d the
+    lcm of the kept denominators.  A reduced monomial has deg_{z_i} < i, so
+    degree at most ell(ell-1)/2, where k[z]/I_S stops: a term above that
+    lies in I_S and is dropped, and the g_i are homogeneous, so no exponent
+    of the rest, rewritten or not, exceeds the one packing's degree.
+    """
     if p.ring != zring(ell):
         raise RingMismatchError("polynomial not in the %d-variable z ring" % ell)
-    packing = Packing(ell, p.total_degree() or 0)
-    pending, scale = _pack(p, packing)
-    reduced = _reduce_packed(pending, packing)
-    unpack = packing.unpack
-    return Poly(p.ring, {unpack(key): Fraction(c, scale) for key, c in reduced.items()})
+    top = ell * (ell - 1) // 2
+    pack = _packing(ell).pack
+    kept = {pack(m): c for m, c in p.terms.items() if sum(m) <= top}
+    pending, denom = _clear_denominators(kept)
+    return _reduce_packed(pending, ell, top), denom
 
 
-def _pack(p: Poly, packing: Packing) -> tuple[dict[int, int], int]:
-    """p as integer coefficients on keys packed by `packing`, and the common
-    denominator they are over: the lcm of p's denominators."""
-    scale = lcm(*(c.denominator for c in p.terms.values()))
-    pack = packing.pack
-    return {pack(m): c.numerator * (scale // c.denominator) for m, c in p.terms.items()}, scale
+def _packing(ell: int) -> Packing:
+    """The packing of `_normal_form`'s keys, for degree ell(ell-1)/2."""
+    return _packed_rules(ell, ell * (ell - 1) // 2)[0]
 
 
-def _reduce_packed(pending: dict[int, int], packing: Packing) -> dict[int, int]:
+def _reduce_packed(pending: dict[int, int], ell: int, degree: int) -> dict[int, int]:
     """Reduce the packed integer polynomial `pending` modulo I_S; consumes it.
 
-    Keys are packed by `packing`, no exponent above its degree.  Pending
+    Keys are packed by `_packed_rules(ell, degree)`'s packing.  Pending
     monomials sit in a max-heap; every monomial a rule produces is
     lex-smaller than the one it replaces, so a popped monomial never comes
     back and the reduced ones leave the heap as finished remainder terms,
@@ -195,7 +197,7 @@ def _reduce_packed(pending: dict[int, int], packing: Packing) -> dict[int, int]:
     (key + bump) & guard is 0 on reduced monomials and otherwise has as its
     lowest set bit the guard bit of the largest such i.
     """
-    bump, guard, rules = _packed_rules(packing)
+    _, bump, guard, rules = _packed_rules(ell, degree)
     heap = [-key for key in pending]
     heapify(heap)
     reduced: dict[int, int] = {}
@@ -219,24 +221,23 @@ def _reduce_packed(pending: dict[int, int], packing: Packing) -> dict[int, int]:
     return reduced
 
 
-@lru_cache(maxsize=128)
-def _packed_rules(packing: Packing):
-    """(bump, guard, rules) of `_reduce_packed`, cached once per variable
-    count and field width, which is all a packing compares.
+@lru_cache(maxsize=None)
+def _packed_rules(ell: int, degree: int):
+    """(packing, bump, guard, rules) of `_reduce_packed`: the `Packing` of
+    ell variables for `degree`, made once per (ell, degree) with its rules.
 
     `rules` maps the guard bit of z_i's field to the rewrite z_i^i -> ...
-    as ((packed offset, coefficient), ...).  Only i up to the guard bit's
-    value gets a bump and a rule: every exponent is below it, so no larger
-    i can have z_i >= i, and a bump of (guard bit) - i >= 0 added to an
-    exponent below the guard bit never carries out of its field.
+    as ((packed offset, coefficient), ...).  `degree` is at least
+    ell(ell-1)/2, so the guard bit's value, 2^degree.bit_length(), is at
+    least ell: a bump of (guard bit) - i >= 0 added to an exponent below
+    the guard bit never carries out of its field.
     """
+    packing = Packing(ell, degree)
     pack = packing.pack
     bump = guard = 0
     rules = {}
-    for i, (g, s) in enumerate(zip(groebner_basis_IS(len(packing.shifts)), packing.shifts), 1):
+    for i, (g, s) in enumerate(zip(groebner_basis_IS(ell), packing.shifts), 1):
         bit = packing.guard & (packing.mask << s)  # the guard bit of z_i's field
-        if i << s > bit:
-            break
         bump += bit - (i << s)
         guard |= bit
         lead, _ = g.leading()
@@ -244,7 +245,7 @@ def _packed_rules(packing: Packing):
         rules[bit] = tuple(
             (pack(m) - pack(lead), -int(c)) for m, c in g.terms.items() if m != lead
         )
-    return bump, guard, rules
+    return packing, bump, guard, rules
 
 
 def in_IS(p: Poly) -> bool:
@@ -295,8 +296,7 @@ def sym_lambda_average(p: Poly, lam: Composition) -> Poly:
     blocks = [block for block in lam.blocks() if len(block) > 1]
     if not blocks:
         return p
-    scale = lcm(*(c.denominator for c in p.terms.values()))
-    terms = {m: c.numerator * (scale // c.denominator) for m, c in p.terms.items()}
+    terms, scale = _clear_denominators(p.terms)
     for block in blocks:
         start, stop = block.start, block.stop
         size = factorial(stop - start)
@@ -333,7 +333,7 @@ def _distinct_arrangements(values: tuple[int, ...]) -> tuple[tuple[int, ...], ..
 def block_sigma(lam: Composition, i: int, j: int, ring: Ring | None = None) -> Poly:
     """Elementary symmetric polynomial of degree j in the variables of block i."""
     ring = ring if ring is not None else zring(lam.ell)
-    return elementary_symmetric(ring, j, lam.block(i))
+    return elementary_symmetric(ring, j, lam.block(_size(i, "block index", 1)))
 
 
 def block_elementary_ring(lam: Composition) -> Ring:

@@ -1,5 +1,7 @@
 """Guards on the package's public names: a name deleted from a module must
-leave its `__all__` and the package's re-exports with it."""
+leave its `__all__` and the package's re-exports with it.  Also guards on
+what passes between the kernels: `linalg` works on integer rows only, and
+each z ring has one packing whose keys fit one CPython digit."""
 
 import ast
 import importlib
@@ -30,3 +32,32 @@ def test_package_imports_only_names_its_modules_export():
         exported = getattr(module, "__all__", ())
         stray = [alias.name for alias in node.names if alias.name not in exported]
         assert not stray, (node.module, stray)
+
+
+def test_linalg_is_integer_only():
+    from jetform import linalg
+
+    assert "Fraction" not in vars(linalg)
+    assert sorted(linalg.__all__) == ["Budget", "ExactSpan", "integer_nullspace"]
+
+
+@pytest.mark.parametrize("ell", range(1, 7))
+def test_z_ring_packing_keys_fit_one_cpython_digit(ell):
+    # one packing per z ring, for degree ell(ell-1)/2; its fields, guard
+    # bits included, take at most 30 bits, so every key, bump added, is an
+    # int of one 30-bit CPython digit
+    from jetform import symfun
+
+    packing = symfun._packing(ell)
+    assert packing is symfun._packing(ell)
+    assert packing.width * ell <= 30
+    top = ell * (ell - 1) // 2
+    assert packing.pack((top,) + (0,) * (ell - 1)) | packing.guard < 2**30
+
+
+def test_schubert_span_is_keyed_by_packed_ints():
+    from jetform import schubert
+
+    schubert.schubert_expansion(jetform.zring(4).var(0))
+    pivots = schubert._schubert_span(4).pivots
+    assert len(pivots) == 24 and all(type(lead) is int for lead in pivots)

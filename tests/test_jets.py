@@ -23,8 +23,13 @@ from jetform import (
     Permutation,
     PsiSpecialization,
     RingMismatchError,
+    block_rotation,
+    block_sigma,
+    complete_homogeneous,
     compositions,
     derivative_monomial,
+    divided_difference,
+    elementary_symmetric,
     groebner_basis_IS,
     homogeneous_membership,
     in_IS,
@@ -32,6 +37,7 @@ from jetform import (
     min_degree_formula,
     min_degree_search,
     minimal_primes,
+    monk_expand,
     multiplicity_table,
     nilpotency_order,
     normal_form_IS,
@@ -40,8 +46,7 @@ from jetform import (
     radical_witness,
     zring,
 )
-from jetform.linalg import _clear_denominators, int_row
-from jetform.polyring import Packing
+from jetform.polyring import Packing, _clear_denominators
 
 from conftest import exponent_vectors, make_rng, random_poly
 from test_acceptance import SEARCH_CASES
@@ -477,7 +482,7 @@ def _skipped_rows_are_redundant(p, gens, multipliers) -> int:
     filtered = usable[0] if len(gens[usable[0]].terms) == 1 else None
     gradings = jets._common_gradings([gens[i] for i in usable] + [p], nvars)
     kept = _RecordingSpan()
-    rem, cert, packing, cleared = jets._solve_membership(p, gens, usable, gradings, kept, filtered)
+    relation, packing, cleared = jets._solve_membership(p, gens, usable, gradings, kept, filtered)
 
     shifts = packing.shifts
     target = _weights(gradings, next(iter(p.terms)))
@@ -514,11 +519,14 @@ def _skipped_rows_are_redundant(p, gens, multipliers) -> int:
     # every row the oracle inserted came up, in the oracle's order
     assert next_kept is None
     assert _pivot_rows(kept) == _pivot_rows(full)
-    plain_rem, comb = plain.reduce(jets._columns(p.terms, packing))
-    assert bool(rem) == bool(plain_rem)
-    if not rem:
-        assert jets._certificate(p, gens, cert, packing, cleared, filtered) == sorted(
-            (gi, mult, c * denom) for (gi, mult, denom), c in comb.items()
+    p_row, p_denom = _clear_denominators(p.terms)
+    plain_relation = plain.reduce(jets._columns(p_row, packing))
+    assert (relation is None) == (plain_relation is None)
+    if relation is not None:
+        comb, scale = plain_relation
+        assert jets._certificate(p, gens, relation, packing, cleared, filtered) == sorted(
+            (gi, mult, Fraction(c * denom, scale * p_denom))
+            for (gi, mult, denom), c in comb.items()
         )
     return skipped
 
@@ -632,10 +640,15 @@ def _plain_certificate(p, gens):
         for exps in exponent_vectors(p.ring.nvars, degree - g.total_degree()):
             mult = Monomial(exps)
             span.insert({m * mult: v for m, v in grow.items()}, (gi, mult, denom))
-    rem, comb = span.reduce(p.terms)
-    if rem:
+    p_row, p_denom = _clear_denominators(p.terms)
+    relation = span.reduce(p_row)
+    if relation is None:
         return None
-    return [(gi, mult, c * denom) for (gi, mult, denom), c in sorted(comb.items())]
+    comb, scale = relation
+    return [
+        (gi, mult, Fraction(c * denom, scale * p_denom))
+        for (gi, mult, denom), c in sorted(comb.items())
+    ]
 
 
 @pytest.mark.parametrize("coeff", [Fraction(2), Fraction(1, 3), Fraction(-3, 2)])
@@ -697,9 +710,9 @@ def test_monomial_generator_is_filtered_only_when_first_usable(monkeypatch):
 def test_residual_that_g0_does_not_divide_raises(monkeypatch):
     class DroppingSpan(ExactSpan):
         # loses one entry of every combination
-        def reduce(self, terms):
-            rem, comb = super().reduce(terms)
-            return rem, dict(list(comb.items())[1:])
+        def reduce(self, row):
+            comb, scale = super().reduce(row)
+            return dict(list(comb.items())[1:]), scale
 
     monkeypatch.setattr(jets, "ExactSpan", DroppingSpan)
     x, y = zring(2).gens()
@@ -715,10 +728,10 @@ def test_residual_that_g0_does_not_divide_raises(monkeypatch):
 def test_wrong_coefficient_from_the_span_raises(monkeypatch, order, message):
     class OffByOneSpan(ExactSpan):
         # adds one to the coefficient of the largest label of every combination
-        def reduce(self, terms):
-            rem, comb = super().reduce(terms)
+        def reduce(self, row):
+            comb, scale = super().reduce(row)
             comb[max(comb)] += 1
-            return rem, comb
+            return comb, scale
 
     x, y = zring(2).gens()
     gens = [(x * y).scale(Fraction(1, 3)), x**2 + y**2]
@@ -757,15 +770,16 @@ def test_filtered_certificates_match_a_span_offered_every_row(system):
         usable = [i for i, g in enumerate(gens) if g.total_degree() <= result.degree]
         filtered = usable[0] if len(gens[usable[0]].terms) == 1 else None
         gradings = jets._common_gradings([gens[i] for i in usable] + [query], query.ring.nvars)
-        _, comb, packing, cleared = jets._solve_membership(
+        relation, packing, cleared = jets._solve_membership(
             query, gens, usable, gradings, ExactSpan(), filtered
         )
-        cert = jets._certificate(query, gens, comb, packing, cleared, filtered)
+        cert = jets._certificate(query, gens, relation, packing, cleared, filtered)
         assert cert == result.combination
+        comb, _ = relation
         if comb:
             comb[max(comb)] += 1
             with pytest.raises(InvariantViolationError):
-                jets._certificate(query, gens, comb, packing, cleared, filtered)
+                jets._certificate(query, gens, relation, packing, cleared, filtered)
 
 
 @given(homogeneous_systems())
@@ -779,18 +793,19 @@ def test_certificate_refuses_each_wrong_coefficient_on_generic_systems(system):
     usable = [i for i, g in enumerate(gens) if g.total_degree() <= degree]
     filtered = usable[0] if usable and len(gens[usable[0]].terms) == 1 else None
     gradings = jets._common_gradings([gens[i] for i in usable] + [query], query.ring.nvars)
-    rem, comb, packing, cleared = jets._solve_membership(
+    relation, packing, cleared = jets._solve_membership(
         query, gens, usable, gradings, ExactSpan(), filtered
     )
-    if rem:
+    if relation is None:
         return
-    cert = jets._certificate(query, gens, comb, packing, cleared, filtered)
+    cert = jets._certificate(query, gens, relation, packing, cleared, filtered)
     assert cert == homogeneous_membership(query, gens).combination
+    comb, scale = relation
     for key in comb:
         wrong = dict(comb)
         wrong[key] += 1
         with pytest.raises(InvariantViolationError):
-            jets._certificate(query, gens, wrong, packing, cleared, filtered)
+            jets._certificate(query, gens, (wrong, scale), packing, cleared, filtered)
 
 
 def test_oracle_offers_no_g0_row(monkeypatch):
@@ -868,7 +883,7 @@ def _check_trailing_term_leads(gens, tops, boxes=([],)):
         def pack(exps):
             return sum(e << s for e, s in zip(exps, packing.shifts))
 
-        rows = [{pack(m): v for m, v in int_row(g.terms).items()} for g in gens]
+        rows = [{pack(m): v for m, v in _clear_denominators(g.terms)[0].items()} for g in gens]
         for bounds in boxes:
             got = list(jets._trailing_term_leads(rows, packing, top, bounds, None))
             assert len(got) == len(gens)
@@ -1152,15 +1167,14 @@ def _monomial_key_certificate(h):
     span = ExactSpan()
     for k, g in enumerate(gens):
         assert all(c.denominator == 1 for c in g.terms.values())
-        row = int_row(g.terms)
+        row = _clear_denominators(g.terms)[0]
         for parts in itertools.product(blocks, repeat=len(h)):
             if sum(j * e for part in parts for j, e in enumerate(part)) != d * H - k:
                 continue
             mult = Monomial(tuple(e for part in parts for e in part))
             span.insert({m * mult: v for m, v in row.items()}, (k, mult))
-    rem, comb = span.reduce(query.terms)
-    assert not rem
-    return [(k, mult, c) for (k, mult), c in sorted(comb.items()) if c]
+    comb, scale = span.reduce(_clear_denominators(query.terms)[0])
+    return [(k, mult, Fraction(c, scale)) for (k, mult), c in sorted(comb.items())]
 
 
 def test_packed_keys_give_the_monomial_key_certificates():
@@ -1275,6 +1289,20 @@ def test_compositions_descending_lex():
         lambda: nilpotency_order(zring(2).var(0), Composition((1, 1)), block=1.0),
         lambda: compositions(2.5, 2),
         lambda: groebner_basis_IS(1.5),
+        # nor is an index or a degree
+        lambda: Permutation.identity(2.5),
+        lambda: Permutation.longest(2.5),
+        lambda: Permutation.simple(1.5, 3),
+        lambda: Permutation.transposition(1.0, 2, 3),
+        lambda: monk_expand(1.5, Permutation.identity(3)),
+        lambda: divided_difference(zring(3).var(0), 1.5),
+        lambda: block_rotation(3, 1.5),
+        lambda: complete_homogeneous(1.5, 1, 2),
+        lambda: elementary_symmetric(zring(2), 1.0, [0, 1]),
+        lambda: block_sigma(Composition((1, 1)), 1.0, 1),
+        lambda: JetRingDesc(2, 1).slot(1.0, 0),
+        lambda: JetRingDesc(2, 1).pair(1.0),
+        lambda: JetRingDesc(2, 1).var(1.0, 0),
     ],
 )
 def test_domain_checks_raise_domain_error(call):

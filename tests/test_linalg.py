@@ -16,7 +16,8 @@ from jetform import (
     jet_generators,
     jets,
 )
-from jetform.linalg import _clear_denominators, integer_nullspace
+from jetform.linalg import integer_nullspace
+from jetform.polyring import _clear_denominators
 
 from conftest import make_rng
 from test_jets import _oracle_tuples
@@ -60,26 +61,28 @@ def test_span_with_non_unit_leads_keeps_primitive_pivots_and_certificates():
     assert any(piv.terms[lead] > 1 for lead, piv in span.pivots.items())
     for _ in range(20):
         coeffs = {k: Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for k in rows}
-        query = _combine(rows, coeffs)
-        rem, comb = span.reduce(query)
-        assert not rem
-        assert _combine(rows, comb) == query
+        query, _ = _clear_denominators(_combine(rows, coeffs))
+        comb, scale = span.reduce(query)
+        assert scale > 0
+        assert _combine(rows, comb) == {k: scale * v for k, v in query.items()}
 
 
 def _draw_query(draw, rows, top_key):
-    """A rational combination of the rows (a member), or a vector over keys
-    0..top_key drawn freely (usually not one)."""
+    """An integer row: a rational combination of the rows (a member), or a
+    vector over keys 0..top_key drawn freely (usually not one), with its
+    denominators cleared."""
     ratio = st.fractions(min_value=-4, max_value=4, max_denominator=5)
     if rows and draw(st.booleans()):
-        coeffs = {label: draw(ratio) for label in rows}
-        return {k: Fraction(v) for k, v in _combine(rows, coeffs).items()}
-    return draw(st.dictionaries(st.integers(0, top_key), ratio, max_size=4))
+        query = _combine(rows, {label: draw(ratio) for label in rows})
+    else:
+        query = draw(st.dictionaries(st.integers(0, top_key), ratio, max_size=4))
+    return _clear_denominators(query)[0]
 
 
 @st.composite
 def spans_and_queries(draw):
     """Up to five integer rows over keys 0..5, leads not restricted to +-1,
-    and a rational query that is a combination of the rows (a member) or
+    and an integer query that is a multiple of a combination of the rows (a member) or
     drawn freely (usually not one)."""
     entry = st.integers(-6, 6)
     rows = draw(st.lists(st.dictionaries(st.integers(0, 5), entry, max_size=4), max_size=5))
@@ -164,16 +167,19 @@ def _check_against_full_histories(rows, query):
         assert piv.terms == {k: ratio * v for k, v in ref_terms.items()}
         assert span._expand({lead: 1}) == {k: ratio * v for k, v in ref_hist.items()}
         assert _combine(rows, span._expand({lead: 1})) == piv.terms
-    rem, comb = span.reduce(query)
-    assert (rem, comb) == reference.reduce(query)
-    for part in (rem, comb):
-        assert all(isinstance(v, Fraction) and v for v in part.values())
+    relation = span.reduce(query)
+    rem, comb = reference.reduce(query)
+    assert (relation is None) == bool(rem)
+    if relation is not None:
+        ints, scale = relation
+        assert scale > 0 and all(type(v) is int and v for v in ints.values())
+        assert {k: Fraction(v, scale) for k, v in ints.items()} == comb
 
 
 # the query steps through the pivots of leads 4 and 3, and pivot 3 was
 # itself reduced by pivot 4, so pivot 4's coefficient is complete only
 # after pivot 3 has passed its share on
-@example(({0: {5: 1}, 1: {5: 1, 4: 1}, 2: {4: 1, 3: 1}}, {4: Fraction(1), 3: Fraction(2)}))
+@example(({0: {5: 1}, 1: {5: 1, 4: 1}, 2: {4: 1, 3: 1}}, {4: 1, 3: 2}))
 @given(spans_and_queries())
 def test_step_histories_match_full_histories(case):
     _check_against_full_histories(*case)
@@ -197,13 +203,14 @@ def test_reduce_decides_membership_by_rank_and_certifies_members(case):
         return sympy.Matrix([[v.get(k, 0) for k in range(6)] for v in vectors] or [[0] * 6]).rank()
 
     member = rank(list(rows.values()) + [query]) == rank(list(rows.values()))
-    rem, comb = span.reduce(query)
-    assert (not rem) == member
+    before = dict(query)
+    relation = span.reduce(query)
+    assert query == before  # reduce works on a copy of its query
+    assert (relation is not None) == member
     if member:
-        assert _combine(rows, comb) == {k: v for k, v in query.items() if v}
-    else:
-        assert comb == {}
-        assert all(isinstance(v, Fraction) for v in rem.values())
+        comb, scale = relation
+        assert scale > 0
+        assert _combine(rows, comb) == {k: scale * v for k, v in query.items()}
 
 
 def _sympy_nullspace(rows, ncols):

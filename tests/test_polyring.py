@@ -531,9 +531,3 @@ def test_packing_round_trips_and_keeps_order_product_and_divisibility(case):
     if max(a * b) <= degree:
         assert pa + pb == packing.pack(a * b)
     assert packing.divides(pa, pb) == a.divides(b)
-
-
-def test_packings_compare_by_field_count_and_width():
-    # `symfun._packed_rules` is cached on this equality
-    assert Packing(2, 4) == Packing(2, 7) and hash(Packing(2, 4)) == hash(Packing(2, 7))
-    assert Packing(2, 7) != Packing(2, 8) and Packing(2, 4) != Packing(3, 4)

@@ -204,12 +204,12 @@ def test_monk_matches_expansion_at_ell_6():
 
 def test_schubert_normal_forms_have_full_rank():
     from jetform import ExactSpan
-    from jetform.linalg import int_row
+    from jetform.polyring import _clear_denominators
 
     for ell in (2, 3, 4, 5):
         span = ExactSpan()
         for w, p in schubert_table(ell).items():
-            assert span.insert(int_row(normal_form_IS(p, ell).terms), w)
+            assert span.insert(_clear_denominators(normal_form_IS(p, ell).terms)[0], w)
         assert span.rank == factorial(ell)
 
 
@@ -241,6 +241,47 @@ def test_expansion_recombines_to_normal_form():
         assert normal_form_IS(total, 4) == normal_form_IS(p, 4)
 
 
+def _divided_difference_coefficients(f, ell):
+    """c_w as the constant term of f after the divided differences of w:
+    while w is not the identity, apply the one at its first descent i,
+    w(i) > w(i+1), to f and swap positions i and i+1 of w.  A divided
+    difference maps I_S into itself and an element of I_S has constant
+    term 0, so c_w depends only on the class of f.  Any descent gives a
+    reduced word of w and the same operator; the word applied in reverse
+    order is that of w^-1 and disagrees on 13 of the 48 polynomials below."""
+    out = {}
+    for w in sorted(schubert_table(ell)):
+        g, v = f, list(w.oneline)
+        descents = [i for i in range(1, ell) if v[i - 1] > v[i]]
+        while descents:
+            i = descents[0]
+            g = divided_difference(g, i)
+            v[i - 1], v[i] = v[i], v[i - 1]
+            descents = [i for i in range(1, ell) if v[i - 1] > v[i]]
+        if g.constant_term():
+            out[w] = g.constant_term()
+    return out
+
+
+def test_expansion_matches_the_divided_difference_oracle():
+    rng = make_rng(2212)
+    for ell in range(1, 5):
+        ring = zring(ell)
+        for _ in range(12):
+            p = random_poly(ring, rng, max_deg=ell * (ell - 1) // 2 + 2, terms=5)
+            assert schubert_expansion(p) == _divided_difference_coefficients(p, ell)
+    table = schubert_table(5)
+    perms = sorted(table)
+    # the longest permutation gives a product above the top degree
+    pairs = [(1, perms[-1])] + [(rng.randint(1, 4), w) for w in rng.sample(perms, 4)]
+    for r, w in pairs:
+        product = table[Permutation.simple(r, 5)] * table[w]
+        expected = _divided_difference_coefficients(product, 5)
+        assert schubert_expansion(product, 5) == expected
+        if r != 1 or w != perms[-1]:
+            assert expected == {v: Fraction(1) for v in monk_expand(r, w)}
+
+
 def test_expansion_cap():
     ring = zring(7)
     with pytest.raises(ValueError):
@@ -249,6 +290,10 @@ def test_expansion_cap():
 
 def test_catalan_values():
     assert [catalan_number(k) for k in range(6)] == [1, 1, 2, 5, 14, 42]
+    catalan = [1]
+    for k in range(40):  # C_{k+1} = sum over i of C_i * C_{k-i}
+        catalan.append(sum(catalan[i] * catalan[k - i] for i in range(k + 1)))
+    assert [catalan_number(k) for k in range(41)] == catalan
     assert catalan_congruence_check(2) == 1
     assert catalan_congruence_check(3) == 1
     assert catalan_congruence_check(4) == 2

@@ -21,8 +21,10 @@ from jetform import (
     homogeneous_membership,
     in_IS,
     is_lambda_symmetric,
+    nilpotency_order,
     normal_form_IS,
     nu,
+    schubert_expansion,
     schubert_table,
     spoly,
     sym_lambda_average,
@@ -177,12 +179,13 @@ def test_normal_form_zero_and_constants():
 
 @pytest.mark.parametrize("top", [*range(1, 9), 15, 16])
 def test_normal_form_at_field_width_boundaries(top):
-    # exponents are packed into fields of top.bit_length() + 1 bits, the top
-    # one a guard bit: 2 bits for degree 1, 3 for 2-3, 4 for 4-7, 5 for 8-15
-    # and 6 for 16; a pure power fills its field up to the guard bit.  For
-    # degrees 1-3 the fields of z_i with i above 2^(bits-1) carry no rule.
-    # Generic division at degree 15 and up in six variables takes seconds
-    # per input, so those degrees stop at five.
+    # the z ring of ell variables packs exponents into fields of
+    # d.bit_length() + 1 bits for d = ell(ell-1)/2, the top one a guard bit:
+    # 1 bit at ell = 1, 2 at ell = 2, 3 at ell = 3, 4 at ell = 4 and 5 at
+    # ell = 5, 6; a pure power of degree up to d fills its field up to the
+    # guard bit, and one above d is dropped.  Generic division at degree 15
+    # and up in six variables takes seconds per input, so those degrees stop
+    # at five.
     rng = make_rng(top)
     for ell in range(1, 7 if top <= 8 else 6):
         ring = zring(ell)
@@ -190,6 +193,50 @@ def test_normal_form_at_field_width_boundaries(top):
         polys += [_random_terms(ring, rng, top, 4) for _ in range(3)]
         for p in polys:
             assert normal_form_IS(p) == _division_nf(p, ell)
+
+
+def _above_top_cases():
+    """(ell, p) with p mixing terms above the top degree ell(ell-1)/2 of a
+    reduced monomial and terms below it.  A term above the top is dropped
+    before packing; packed instead, a power such as z_1^5 at ell = 3 or
+    z_1^9 at ell = 4 would carry out of its field."""
+    z3, z4, z6 = zring(3).gens(), zring(4).gens(), zring(6).gens()
+    cases = [
+        (6, z6[0] ** 16 + z6[1]),
+        (3, z3[0] ** 4 + z3[0] * z3[1] - z3[2].scale(Fraction(2, 3))),
+        (3, z3[0] ** 5 * z3[1] + z3[2] ** 9 + z3[0] ** 2 + z3[1] ** 7 * z3[2]),
+        (3, z3[0] ** 4 * z3[2] - (z3[1] ** 5).scale(Fraction(2, 3))),  # all above the top
+        (4, z4[2] ** 9 + z4[0] ** 9 * z4[3] + z4[0] ** 3 * z4[1] ** 2 + z4[3]),
+    ]
+    rng = make_rng(2210)
+    for ell in (2, 3, 4):
+        ring = zring(ell)
+        for _ in range(6):
+            top = ell * (ell - 1) // 2 + rng.randint(1, 8)
+            cases.append((ell, _random_terms(ring, rng, top, 5, denominators=(1, 2, 7))))
+    return cases
+
+
+def test_terms_above_the_top_degree_match_division():
+    for ell, p in _above_top_cases():
+        rem = _division_nf(p, ell)
+        assert normal_form_IS(p) == rem
+        assert nu(p) == rem.min_degree()
+        assert in_IS(p) == rem.is_zero()
+        assert schubert_expansion(p) == schubert_expansion(rem)
+
+
+@pytest.mark.parametrize("parts, block", [((1, 2), 2), ((2, 1), 1), ((2, 2), 1)])
+def test_nilpotency_order_with_terms_above_the_top_degree_matches_division(parts, block):
+    # sigma_1 + sigma_1^7 of the block: its seventh power lies above the top
+    # degree and in I_S, so the order is the least e with p^e in I_S
+    lam = Composition(parts)
+    s1 = block_sigma(lam, block, 1)
+    p = s1 + s1**7
+    e = 1
+    while not _division_nf(p**e, lam.ell).is_zero():
+        e += 1
+    assert nilpotency_order(p, lam, block) == e
 
 
 def test_normal_form_of_every_schubert_polynomial_small():
