@@ -42,8 +42,7 @@ __all__ = [
 
 def dim_A_lambda(lam: Composition) -> int:
     """ell! / prod(lambda_i!)."""
-    if lam.ell < 1:
-        raise DomainError("composition must have positive total")
+    _size(lam.ell, "composition total", 1)
     d = factorial(lam.ell)
     for part in lam.parts:
         d //= factorial(part)
@@ -114,9 +113,7 @@ def nilpotency_order(p: Poly, lam: Composition, block: int) -> int | None:
     NF(p)'s denominator is dropped and each power is divided by the gcd of
     its coefficients: no Fraction is made.
     """
-    block = _size(block, "block index")
-    if not 1 <= block <= lam.n:
-        raise DomainError("block index %d out of range 1..%d" % (block, lam.n))
+    block = _size(block, "block index", 1, lam.n)
     ell = lam.ell
     if p.ring != zring(ell):
         raise RingMismatchError("polynomial must live in the %d-variable z ring" % ell)
@@ -175,8 +172,7 @@ def c_lambda_generators(lam: Composition) -> tuple[Poly, ...]:
     j_i < lambda_i and 1 for j_i = lambda_i.  There are exactly ell of them
     (k = 0..ell-1), the non-leading coefficients.
     """
-    if lam.ell < 1:
-        raise DomainError("composition must have positive total")
+    _size(lam.ell, "composition total", 1)
     ring = c_lambda_ring(lam)
     ell = lam.ell
     blocks = [[*lam.block(i), None] for i in range(1, lam.n + 1)]

@@ -24,7 +24,6 @@ from .errors import (
     DomainError,
     InvariantViolationError,
     ParseError,
-    _size,
 )
 from .linalg import Budget
 from .polyring import parse_poly
@@ -190,21 +189,15 @@ def _budget_from(mb: float | None) -> Budget | None:
 # -- handlers -----------------------------------------------------------------
 
 
-def _zring(ell: int):
-    """The z ring of a size read from the command line, checked before any
-    polynomial is parsed into it, so a bad size is a domain error."""
-    return symfun.zring(_size(ell, "variable count", 1))
-
-
 def _cmd_nf(args):
-    ring = _zring(args.ell)
+    ring = symfun.zring(args.ell)
     p = parse_poly(ring, args.poly)
     nf = symfun.normal_form_IS(p, args.ell)
     return {"ell": args.ell, "input": str(p), "normal_form": str(nf)}, [str(nf)]
 
 
 def _cmd_nu(args):
-    ring = _zring(args.ell)
+    ring = symfun.zring(args.ell)
     p = parse_poly(ring, args.poly)
     value = symfun.nu(p, args.ell)
     return {"ell": args.ell, "nu": value}, ["none" if value is None else str(value)]
@@ -231,7 +224,7 @@ def _cmd_basis(args):
 
 def _cmd_nilpotency(args):
     lam = _parse_lambda(args.lam)
-    ring = _zring(lam.ell)
+    ring = symfun.zring(lam.ell)
     p = parse_poly(ring, args.poly)
     order = alambda.nilpotency_order(p, lam, args.block)
     if order is None:
@@ -260,7 +253,7 @@ def _cmd_monk(args):
 
 
 def _cmd_expand(args):
-    ring = _zring(args.ell)
+    ring = symfun.zring(args.ell)
     p = parse_poly(ring, args.poly)
     coeffs = schubert.schubert_expansion(p, args.ell)
     payload = {

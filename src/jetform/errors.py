@@ -54,13 +54,16 @@ class InvariantViolationError(JetformError, AssertionError):
     """An internal consistency check failed; indicates a bug, not bad input."""
 
 
-def _size(value, what: str, least: int = 0) -> int:
-    """`value` as an int of at least `least`: a float or a string is refused
-    by `operator.index`, not truncated, and every refusal is a DomainError."""
+def _size(value, what: str, least: int = 0, most: int | None = None) -> int:
+    """`value` as an int in least..most, or of at least `least` if `most` is
+    None: the one check of every size and index argument in the package.
+    A float or a string is refused by `operator.index`, not truncated, and
+    every refusal, of the type or of either bound, is a DomainError."""
     try:
         value = index(value)
     except TypeError:
         raise DomainError("%s must be an integer: %r" % (what, value)) from None
-    if value < least:
-        raise DomainError("%s must be at least %d, got %d" % (what, least, value))
+    if value < least or most is not None and value > most:
+        bounds = "at least %d" % least if most is None else "in %d..%d" % (least, most)
+        raise DomainError("%s must be %s, got %d" % (what, bounds, value))
     return value

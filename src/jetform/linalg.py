@@ -14,13 +14,15 @@ Each pivot carries a step history: its own row's coefficient and one
 coefficient per pivot it was reduced by, so that a certificate is not
 built up entry by entry during elimination but expanded once per query,
 by back-substitution through the pivots' steps (the product form of the
-inverse, Dantzig & Orchard-Hays, Math. Tables Aids Comput. 8, 1954).  A row
-that reduces to zero on insertion is discarded with nothing to undo.
+inverse, Dantzig & Orchard-Hays, Math. Tables Aids Comput. 8, 1954).  A
+pivot's steps name only pivots of larger lead, so one walk in ascending
+lead order is that back-substitution; pivots need no insertion index.  A
+row that reduces to zero on insertion is discarded with nothing to undo.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from math import gcd, inf
 from types import MappingProxyType
 from typing import Hashable, Mapping
@@ -89,31 +91,30 @@ def _normalize(row: dict, hist: dict) -> None:
 
 
 class _Row:
-    __slots__ = ("terms", "hist", "label", "index")
+    __slots__ = ("terms", "hist", "label")
 
-    def __init__(self, terms: dict, hist: dict, label: Hashable, index: int):
+    def __init__(self, terms: dict, hist: dict, label: Hashable):
         self.terms = terms
         self.hist = hist
         self.label = label
-        self.index = index
 
 
 class ExactSpan:
     """Incremental triangular basis of an integer row span with certificates.
 
-    Pivot k (its `index`, counting from 0 in insertion order) is stored
-    with the relation
+    The pivot with lead L is stored with the relation
 
-        pivot_k = hist[_OWN] * (the row inserted as `label`)
+        pivot_L = hist[_OWN] * (the row inserted as `label`)
                   + sum over j of hist[j] * (the pivot with lead j),
 
-    integral, over pivots of smaller index only.  A pivot whose row needed
-    no step has the history {_OWN: +-1}; with a positive lead it is
-    {_OWN: 1}, and all of those share the one read-only `_UNIT`, so they
-    cost no dict each.  No pivot history changes once stored.  The labels of
-    the inserted rows that became pivots are linearly independent rows, so
-    the combination `reduce` returns for a member is the only one over
-    them.  `budget`, if given, is charged for every stored entry.
+    integral, over pivots of leads j > L only: `_eliminate`'s lead falls at
+    every step and stops at L.  A pivot whose row needed no step has the
+    history {_OWN: +-1}; with a positive lead it is {_OWN: 1}, and all of
+    those share the one read-only `_UNIT`, so they cost no dict each.  No
+    pivot history changes once stored.  The labels of the inserted rows
+    that became pivots are linearly independent rows, so the combination
+    `reduce` returns for a member is the only one over them.  `budget`, if
+    given, is charged for every stored entry.
     """
 
     def __init__(self, budget: Budget | None = None):
@@ -161,42 +162,29 @@ class ExactSpan:
         combination of inserted rows, keyed by their labels; integral in,
         integral out, with no zero entries.
 
-        A pivot that took no step is a sink: its coefficient, times its
-        hist[_OWN] of +-1, goes straight to its own label.  Any other pivot
-        waits in a heap keyed by -index.  It refers only to pivots of
-        smaller index, so when it is popped, every pivot that refers to it
-        has been popped already and its coefficient is complete; it then
-        passes the coefficient on through its steps, once.  (The Schubert
-        span stores 360 of its 720 pivots negated without a step; as sinks
-        they skip the heap.)
+        Pending leads wait in one heap and are popped smallest first.  A
+        pivot's steps name only leads above its own, so every pivot that
+        refers to the popped one has a smaller lead and was popped before
+        it: its coefficient is complete, and it passes the coefficient on
+        through its steps, once.
         """
         pivots = self.pivots
         out: dict = {}
-        pending: dict = {}
-        heap: list = []
-        for lead, c in hist.items():
-            piv = pivots[lead]
-            if len(piv.hist) == 1:
-                out[piv.label] = out.get(piv.label, 0) + c * piv.hist[_OWN]
-            else:
-                pending[lead] = c
-                heappush(heap, (-piv.index, lead))
+        pending = dict(hist)
+        heap = list(pending)
+        heapify(heap)
         while heap:
-            lead = heappop(heap)[1]
-            c = pending[lead]
+            lead = heappop(heap)
+            c = pending.pop(lead)
             piv = pivots[lead]
             for k, d in piv.hist.items():
                 if k is _OWN:
                     out[piv.label] = out.get(piv.label, 0) + c * d
-                    continue
-                sub = pivots[k]
-                if len(sub.hist) == 1:
-                    out[sub.label] = out.get(sub.label, 0) + c * d * sub.hist[_OWN]
                 elif k in pending:
                     pending[k] += c * d
                 else:
                     pending[k] = c * d
-                    heappush(heap, (-sub.index, k))
+                    heappush(heap, k)
         return {k: v for k, v in out.items() if v}
 
     def insert(self, row: dict[Hashable, int], label: Hashable) -> bool:
@@ -224,7 +212,7 @@ class ExactSpan:
             hist = {k: -v for k, v in hist.items()}
         elif len(hist) == 1:
             hist = _UNIT
-        self.pivots[lead] = _Row(row, hist, label, self.rank)
+        self.pivots[lead] = _Row(row, hist, label)
         self.rank += 1
         if self.budget is not None:
             self.budget.charge(len(row) + len(hist), "span insertion")

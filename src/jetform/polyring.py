@@ -30,7 +30,7 @@ from math import lcm
 from operator import add, sub
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .errors import DomainError, ParseError, RingMismatchError
+from .errors import DomainError, ParseError, RingMismatchError, _size
 
 __all__ = [
     "Ring",
@@ -94,7 +94,7 @@ class Ring:
     def var(self, i: int) -> Poly:
         """The variable with 0-based index `i` as a polynomial."""
         exps = [0] * self.nvars
-        exps[i] = 1
+        exps[_size(i, "variable index", 0, self.nvars - 1)] = 1
         return Poly(self, {Monomial(tuple(exps)): Fraction(1)})
 
     def gens(self) -> list[Poly]:
@@ -292,8 +292,7 @@ class Poly:
 
     def __pow__(self, e: int) -> "Poly":
         """self**e by square-and-multiply."""
-        if e < 0:
-            raise DomainError("negative power")
+        e = _size(e, "exponent")
         result, base = self.ring.one(), self
         while e:
             if e & 1:
@@ -312,10 +311,15 @@ class Poly:
     # -- structural operations ----------------------------------------------
 
     def permute_vars(self, images: Sequence[int]) -> "Poly":
-        """Relabel variables: old slot i becomes new slot images[i]."""
+        """Relabel variables: old slot i becomes new slot images[i]; the
+        images must be a permutation of 0..nvars-1."""
+        n = self.ring.nvars
+        images = [_size(v, "variable image") for v in images]
+        if sorted(images) != list(range(n)):
+            raise DomainError("not a permutation of 0..%d: %r" % (n - 1, images))
         out: dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
-            exps = [0] * self.ring.nvars
+            exps = [0] * n
             for i, e in enumerate(m):
                 exps[images[i]] = e
             mono = Monomial(exps)
@@ -323,7 +327,9 @@ class Poly:
         return Poly(self.ring, out)
 
     def swap_vars(self, i: int, j: int) -> "Poly":
-        images = list(range(self.ring.nvars))
+        n = self.ring.nvars
+        i, j = (_size(v, "variable index", 0, n - 1) for v in (i, j))
+        images = list(range(n))
         images[i], images[j] = images[j], images[i]
         return self.permute_vars(images)
 
@@ -338,18 +344,11 @@ class Poly:
             if img.ring != target:
                 raise RingMismatchError("image %s not in target ring" % img)
         out: dict[Monomial, Fraction] = {}
-        power_cache: dict[tuple[int, int], Poly] = {}
         for m, c in self.terms.items():
             acc = target.const(c)
             for i, e in enumerate(m):
-                if not e:
-                    continue
-                key = (i, e)
-                p = power_cache.get(key)
-                if p is None:
-                    p = images[i] ** e
-                    power_cache[key] = p
-                acc = acc * p
+                if e:
+                    acc = acc * images[i] ** e
             for mono, coeff in acc.terms.items():
                 coeff += out.get(mono, 0)
                 if coeff:

@@ -61,18 +61,18 @@ class Permutation:
     @classmethod
     def simple(cls, i: int, ell: int) -> "Permutation":
         """The adjacent transposition s_i swapping i and i+1 (1-based)."""
-        i, ell = _size(i, "simple reflection index"), _size(ell, "permutation size")
-        if not 1 <= i < ell:
-            raise DomainError("simple reflection index %d out of range" % i)
+        ell = _size(ell, "permutation size")
+        i = _size(i, "simple reflection index", 1, ell - 1)
         oneline = list(range(1, ell + 1))
         oneline[i - 1], oneline[i] = oneline[i], oneline[i - 1]
         return cls(oneline)
 
     @classmethod
     def transposition(cls, j: int, k: int, ell: int) -> "Permutation":
-        j, k, ell = (_size(v, "transposition argument") for v in (j, k, ell))
-        if not (1 <= j <= ell and 1 <= k <= ell and j != k):
-            raise DomainError("bad transposition (%d %d) in S_%d" % (j, k, ell))
+        ell = _size(ell, "permutation size")
+        j, k = (_size(v, "transposition argument", 1, ell) for v in (j, k))
+        if j == k:
+            raise DomainError("transposition (%d %d) moves nothing" % (j, k))
         oneline = list(range(1, ell + 1))
         oneline[j - 1], oneline[k - 1] = oneline[k - 1], oneline[j - 1]
         return cls(oneline)
@@ -104,7 +104,7 @@ class Permutation:
         return len(self.oneline)
 
     def __call__(self, i: int) -> int:
-        return self.oneline[i - 1]
+        return self.oneline[_size(i, "position", 1, self.ell) - 1]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition as functions: (self * other)(i) = self(other(i))."""
@@ -115,8 +115,9 @@ class Permutation:
     def swap_positions(self, j: int, k: int) -> "Permutation":
         """Right multiplication by the transposition (j k): entries at
         positions j and k of the one-line notation are exchanged."""
+        j, k = (_size(v, "position", 1, self.ell) - 1 for v in (j, k))
         oneline = list(self.oneline)
-        oneline[j - 1], oneline[k - 1] = oneline[k - 1], oneline[j - 1]
+        oneline[j], oneline[k] = oneline[k], oneline[j]
         return Permutation(oneline)
 
     def __eq__(self, other):
@@ -142,10 +143,7 @@ def divided_difference(p: Poly, i: int) -> Poly:
     (z_i^a z_{i+1}^b - z_i^b z_{i+1}^a) / (z_i - z_{i+1}), which avoids an
     actual division.
     """
-    ell = p.ring.nvars
-    i = _size(i, "divided difference index")
-    if not 1 <= i < ell:
-        raise DomainError("divided difference index %d out of range 1..%d" % (i, ell - 1))
+    i = _size(i, "divided difference index", 1, p.ring.nvars - 1)
     ia, ib = i - 1, i
     out: dict[Monomial, Fraction] = {}
     for mono, coeff in p.terms.items():
@@ -201,9 +199,7 @@ def monk_expand(r: int, w: Permutation) -> list[Permutation]:
     multiplicity-free sum.
     """
     ell = w.ell
-    r = _size(r, "Monk index")
-    if not 1 <= r < ell:
-        raise DomainError("Monk index %d out of range 1..%d" % (r, ell - 1))
+    r = _size(r, "Monk index", 1, ell - 1)
     out = []
     for j in range(1, r + 1):
         for k in range(r + 1, ell + 1):
@@ -233,10 +229,7 @@ def schubert_expansion(p: Poly, ell: int | None = None) -> dict[Permutation, Fra
     the factorial.  The span's relation scale * d*NF(p) = sum of
     c * NF(Schubert_w) gives each c_w once, as c / (scale * d).
     """
-    if ell is None:
-        ell = p.ring.nvars
-    if ell > MAX_ELL:
-        raise DomainError("ell=%d exceeds the expansion cap %d" % (ell, MAX_ELL))
+    ell = _size(p.ring.nvars if ell is None else ell, "ell", 1, MAX_ELL)
     terms, denom = _normal_form(p, ell)
     relation = _schubert_span(ell).reduce(terms)
     if relation is None:
@@ -258,8 +251,7 @@ def catalan_congruence_check(ell: int) -> Fraction:
     Raises if the normal form is not proportional to the single reduced
     monomial, which would indicate a bug rather than bad input.
     """
-    if ell < 2:
-        raise DomainError("need ell >= 2")
+    ell = _size(ell, "ell", 2)
     ring = zring(ell)
     power = (ring.var(0) + ring.var(1)) ** (2 * (ell - 2))
     nf = normal_form_IS(power, ell)
@@ -275,9 +267,8 @@ def catalan_congruence_check(ell: int) -> Fraction:
 def block_rotation(ell: int, lam1: int) -> Permutation:
     """The permutation sending 1..lam1 to the top lam1 values and shifting
     the rest down; its length is lam1 * (ell - lam1)."""
-    ell, lam1 = _size(ell, "ell"), _size(lam1, "block size")
-    if not 0 <= lam1 <= ell:
-        raise DomainError("block size %d out of range 0..%d" % (lam1, ell))
+    ell = _size(ell, "ell")
+    lam1 = _size(lam1, "block size", 0, ell)
     oneline = [ell - lam1 + i for i in range(1, lam1 + 1)]
     oneline += list(range(1, ell - lam1 + 1))
     return Permutation(oneline)

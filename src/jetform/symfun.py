@@ -77,15 +77,16 @@ class Composition:
         return self._prefix[-1]
 
     def prefix(self, i: int) -> int:
-        """Partial sum before block i (1-based)."""
-        return self._prefix[i - 1]
+        """Partial sum before block i (1-based, up to n+1)."""
+        return self._prefix[_size(i, "block index", 1, self.n + 1) - 1]
 
     def block(self, i: int) -> range:
         """0-based variable indices of block i (1-based)."""
+        i = _size(i, "block index", 1, self.n)
         return range(self._prefix[i - 1], self._prefix[i])
 
     def blocks(self):
-        return [self.block(i) for i in range(1, self.n + 1)]
+        return list(map(range, self._prefix, self._prefix[1:]))
 
     def __eq__(self, other):
         return isinstance(other, Composition) and self.parts == other.parts
@@ -102,14 +103,13 @@ class Composition:
 
 @lru_cache(maxsize=None)
 def zring(ell: int) -> Ring:
-    return Ring(tuple("z%d" % (i + 1) for i in range(_size(ell, "variable count"))))
+    return Ring(tuple("z%d" % (i + 1) for i in range(_size(ell, "variable count", 1))))
 
 
 def complete_homogeneous(d: int, k: int, ell: int) -> Poly:
     """Sum of all degree-d monomials in z_k, ..., z_ell (1-based k)."""
-    d, k, ell = _size(d, "degree"), _size(k, "start index"), _size(ell, "variable count")
-    if not 1 <= k <= ell:
-        raise DomainError("start index %d out of range 1..%d" % (k, ell))
+    d, ell = _size(d, "degree"), _size(ell, "variable count", 1)
+    k = _size(k, "start index", 1, ell)
     ring = zring(ell)
     terms = {}
     for combo in itertools.combinations_with_replacement(range(k - 1, ell), d):
@@ -122,11 +122,8 @@ def complete_homogeneous(d: int, k: int, ell: int) -> Poly:
 
 def elementary_symmetric(ring: Ring, d: int, indices) -> Poly:
     """Sum of all squarefree degree-d monomials in the given variables."""
-    indices, d = list(indices), _size(d, "elementary symmetric degree")
-    if not 1 <= d <= len(indices):
-        raise DomainError(
-            "elementary symmetric degree %d out of range 1..%d" % (d, len(indices))
-        )
+    indices = [_size(i, "variable index", 0, ring.nvars - 1) for i in indices]
+    d = _size(d, "elementary symmetric degree", 1, len(indices))
     terms = {}
     for combo in itertools.combinations(indices, d):
         exps = [0] * ring.nvars
@@ -333,7 +330,7 @@ def _distinct_arrangements(values: tuple[int, ...]) -> tuple[tuple[int, ...], ..
 def block_sigma(lam: Composition, i: int, j: int, ring: Ring | None = None) -> Poly:
     """Elementary symmetric polynomial of degree j in the variables of block i."""
     ring = ring if ring is not None else zring(lam.ell)
-    return elementary_symmetric(ring, j, lam.block(_size(i, "block index", 1)))
+    return elementary_symmetric(ring, j, lam.block(i))
 
 
 def block_elementary_ring(lam: Composition) -> Ring:

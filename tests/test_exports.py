@@ -1,7 +1,8 @@
 """Guards on the package's public names: a name deleted from a module must
 leave its `__all__` and the package's re-exports with it.  Also guards on
 what passes between the kernels: `linalg` works on integer rows only, and
-each z ring has one packing whose keys fit one CPython digit."""
+each z ring has one packing whose keys fit one CPython digit.  And a guard
+that every index is checked by `errors._size` alone."""
 
 import ast
 import importlib
@@ -61,3 +62,20 @@ def test_schubert_span_is_keyed_by_packed_ints():
     schubert.schubert_expansion(jetform.zring(4).var(0))
     pivots = schubert._schubert_span(4).pivots
     assert len(pivots) == 24 and all(type(lead) is int for lead in pivots)
+
+
+def test_only_errors_checks_an_index_by_hand():
+    # every size and index argument goes through `errors._size`: no other
+    # module takes `operator.index` or words its own range refusal
+    for name in MODULES:
+        if name == "errors":
+            continue
+        tree = ast.parse(Path(jetform.__file__).with_name(name + ".py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "operator":
+                assert "index" not in [alias.name for alias in node.names], name
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                assert (node.value.id, node.attr) != ("operator", "index"), name
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                for phrase in ("out of range", "must be at least", "must be in "):
+                    assert phrase not in node.value, (name, node.value)

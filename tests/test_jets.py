@@ -1303,11 +1303,73 @@ def test_compositions_descending_lex():
         lambda: JetRingDesc(2, 1).slot(1.0, 0),
         lambda: JetRingDesc(2, 1).pair(1.0),
         lambda: JetRingDesc(2, 1).var(1.0, 0),
+        # an index is checked at both ends
+        lambda: zring(2).var(-1),
+        lambda: zring(2).var(2),
+        lambda: zring(2).var(2.0),
+        lambda: zring(2).var(0).swap_vars(-1, 0),
+        lambda: (zring(2).var(0) * zring(2).var(1) ** 2).permute_vars([0, 0]),
+        lambda: Composition((1, 1)).block(0),
+        lambda: Composition((1, 1)).block(3),
+        lambda: Composition((1, 1)).prefix(0),
+        lambda: Permutation([2, 1, 3])(0),
+        lambda: Permutation([2, 1, 3]).swap_positions(0, 1),
+        lambda: elementary_symmetric(zring(2), 1, [-1]),
+        lambda: elementary_symmetric(zring(2), 1, [0.5, 1]),
+        lambda: block_sigma(Composition((1, 1)), 3, 1),
+        lambda: zring(2).var(0) ** 2.0,
     ],
 )
 def test_domain_checks_raise_domain_error(call):
     with pytest.raises(DomainError):
         call()
+
+
+# each index argument: a call that takes it, and its least and largest
+# legal values
+_INDEX_ARGUMENTS = {
+    "Ring.var": (lambda i: zring(3).var(i), 0, 2),
+    "Poly.swap_vars": (lambda i: zring(2).var(0).swap_vars(0, i), 0, 1),
+    "Composition.block": (lambda i: Composition((1, 2)).block(i), 1, 2),
+    "Composition.prefix": (lambda i: Composition((1, 2)).prefix(i), 1, 3),
+    "Permutation.__call__": (lambda i: Permutation([2, 1, 3])(i), 1, 3),
+    "Permutation.swap_positions": (lambda j: Permutation([2, 1, 3]).swap_positions(1, j), 1, 3),
+    "Permutation.simple": (lambda i: Permutation.simple(i, 3), 1, 2),
+    "Permutation.transposition": (lambda k: Permutation.transposition(1, k, 3), 1, 3),
+    "monk_expand": (lambda r: monk_expand(r, Permutation.identity(3)), 1, 2),
+    "divided_difference": (lambda i: divided_difference(zring(3).var(0), i), 1, 2),
+    "block_rotation": (lambda lam1: block_rotation(3, lam1), 0, 3),
+    "complete_homogeneous": (lambda k: complete_homogeneous(2, k, 3), 1, 3),
+    "elementary_symmetric degree": (lambda d: elementary_symmetric(zring(3), d, [0, 2]), 1, 2),
+    "elementary_symmetric index": (lambda i: elementary_symmetric(zring(3), 1, [i]), 0, 2),
+    "block_sigma block": (lambda i: block_sigma(Composition((1, 2)), i, 1), 1, 2),
+    "block_sigma degree": (lambda j: block_sigma(Composition((1, 2)), 2, j), 1, 2),
+    "nilpotency_order": (
+        lambda b: nilpotency_order(zring(3).var(1) + zring(3).var(2), Composition((1, 2)), b),
+        1,
+        2,
+    ),
+    "JetRingDesc.slot base": (lambda i: JetRingDesc(2, 1).slot(i, 0), 1, 2),
+    "JetRingDesc.slot order": (lambda j: JetRingDesc(2, 1).slot(1, j), 0, 1),
+    "JetRingDesc.pair": (lambda slot: JetRingDesc(2, 1).pair(slot), 0, 3),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_INDEX_ARGUMENTS))
+def test_index_arguments_are_refused_below_above_and_as_floats(entry):
+    call, least, most = _INDEX_ARGUMENTS[entry]
+    call(most)
+    for bad in (-1, least - 1, most + 1, float(most)):
+        with pytest.raises(DomainError):
+            call(bad)
+
+
+def test_largest_legal_index_still_answers():
+    assert str(zring(3).var(2)) == "z3"
+    assert Composition((1, 2)).prefix(3) == 3
+    assert Permutation([2, 1, 3])(3) == 3
+    assert JetRingDesc(2, 1).pair(3) == (2, 1)
+    assert str(block_sigma(Composition((1, 2)), 2, 2)) == "z2*z3"
 
 
 _DESC = JetRingDesc(2, 3)

@@ -16,7 +16,8 @@ from jetform import (
     jet_generators,
     jets,
 )
-from jetform.linalg import integer_nullspace
+from jetform import schubert
+from jetform.linalg import _OWN, integer_nullspace
 from jetform.polyring import _clear_denominators
 
 from conftest import make_rng
@@ -211,6 +212,49 @@ def test_reduce_decides_membership_by_rank_and_certifies_members(case):
         comb, scale = relation
         assert scale > 0
         assert _combine(rows, comb) == {k: scale * v for k, v in query.items()}
+
+
+def _steps_above_leads(spans):
+    """The number of step-history entries of the spans' pivots, each
+    checked to name a pivot whose lead is above its own pivot's lead."""
+    count = 0
+    for span in spans:
+        for lead, piv in span.pivots.items():
+            steps = [k for k in piv.hist if k is not _OWN]
+            assert all(k > lead for k in steps), (lead, steps)
+            count += len(steps)
+    return count
+
+
+def test_pivot_steps_name_only_larger_leads(monkeypatch):
+    # the order `ExactSpan._expand` walks by: popped smallest lead first, a
+    # pivot's coefficient is complete only if every pivot referring to it
+    # has a smaller lead
+    rng = make_rng(909)
+    spans = []
+    for _ in range(300):
+        span = ExactSpan()
+        for label in range(rng.randint(1, 8)):
+            keys = rng.sample(range(8), rng.randint(1, 4))
+            span.insert({k: rng.choice((-3, -2, -1, 1, 2, 3, 4)) for k in keys}, label)
+        spans.append(span)
+    assert _steps_above_leads(spans) > 0
+
+    oracle_spans = []
+
+    class RecordingSpan(ExactSpan):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            oracle_spans.append(self)
+
+    monkeypatch.setattr(jets, "ExactSpan", RecordingSpan)
+    for h in _oracle_tuples():
+        jets.min_degree_search(h)
+    assert len(oracle_spans) == 37
+    assert _steps_above_leads(oracle_spans) > 0
+    # the Schubert normal forms have distinct leads, so these spans store
+    # their pivots with no step at all
+    _steps_above_leads(schubert._schubert_span(ell) for ell in range(1, 6))
 
 
 def _sympy_nullspace(rows, ncols):
