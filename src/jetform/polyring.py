@@ -66,14 +66,12 @@ class Ring:
             raise ParseError("unknown variable %r in ring %s" % (name, self)) from None
 
     def monomial(self, exps: Iterable[int]) -> Monomial:
-        exps = tuple(exps)
+        exps = tuple(_size(e, "exponent") for e in exps)
         if len(exps) != self.nvars:
             raise RingMismatchError(
                 "exponent vector of length %d in a ring with %d variables"
                 % (len(exps), self.nvars)
             )
-        if any(e < 0 for e in exps):
-            raise DomainError("negative exponent in %r" % (exps,))
         return Monomial(exps)
 
     def one_monomial(self) -> Monomial:

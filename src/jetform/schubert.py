@@ -3,9 +3,10 @@
 Schubert polynomials are indexed by permutations of {1..ell} and computed by
 applying divided difference operators to the staircase monomial
 z_1^(ell-1) z_2^(ell-2) ... z_{ell-1}, the polynomial of the longest
-permutation.  Their classes modulo the ideal of constant-free symmetric
-polynomials form a basis of the quotient, which is what the expansion
-routine solves against.
+permutation.  Their classes modulo the ideal I_S of constant-free symmetric
+polynomials form a basis of k[z]/I_S (Lascoux & Schuetzenberger, C. R.
+Acad. Sci. Paris 294, 1982), which the expansion routine solves against in
+reversed variables: see `_schubert_span`.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from math import comb
 
 from .errors import DomainError, InvariantViolationError, ParseError, _size
 from .linalg import ExactSpan
-from .polyring import Monomial, Poly
-from .symfun import _normal_form, normal_form_IS, zring
+from .polyring import Monomial, Poly, _clear_denominators
+from .symfun import _normal_form, _packed_rules, normal_form_IS, zring
 
 __all__ = [
     "Permutation",
@@ -211,12 +212,26 @@ def monk_expand(r: int, w: Permutation) -> list[Permutation]:
 
 @lru_cache(maxsize=None)
 def _schubert_span(ell: int) -> ExactSpan:
+    """The rows rho(S_w), w in S_ell, for rho: z_i -> z_{ell+1-i}, inserted
+    with no normal form taken.  S_w is supported on z^a with a_i <= ell - i
+    (Macdonald, Notes on Schubert Polynomials, LaCIM 1991), so rho(S_w) has
+    deg_{z_j} < j: it is reduced.  This is checked, not assumed: every row
+    must be integral and pass `_reduce_packed`'s test (key + bump) & guard
+    == 0; S_w has degree at most the packing's, so no field overflows.
+    """
+    packing, bump, guard, _ = _packed_rules(ell, ell * (ell - 1) // 2)
     span = ExactSpan()
     table = schubert_table(ell)
     for w in sorted(table):
-        if not span.insert(_normal_form(table[w], ell)[0], w):
+        terms = table[w].permute_vars(range(ell - 1, -1, -1)).terms
+        row, denom = _clear_denominators({packing.pack(m): c for m, c in terms.items()})
+        if denom != 1 or any((key + bump) & guard for key in row):
             raise InvariantViolationError(
-                "Schubert normal forms are linearly dependent at ell=%d" % ell
+                "reversed Schubert polynomial of %s is not an integral normal form" % w
+            )
+        if not span.insert(row, w):
+            raise InvariantViolationError(
+                "reversed Schubert polynomials are linearly dependent at ell=%d" % ell
             )
     return span
 
@@ -224,13 +239,14 @@ def _schubert_span(ell: int) -> ExactSpan:
 def schubert_expansion(p: Poly, ell: int | None = None) -> dict[Permutation, Fraction]:
     """Coefficients c_w with p congruent to sum(c_w * Schubert_w) mod I_S.
 
-    Solved exactly against the normal forms of all ell! Schubert
-    polynomials; refuses ell beyond `MAX_ELL` because the table grows with
-    the factorial.  The span's relation scale * d*NF(p) = sum of
-    c * NF(Schubert_w) gives each c_w once, as c / (scale * d).
+    rho permutes the variables, so it fixes I_S: p is congruent to
+    sum(c_w * S_w) iff rho(p) is congruent to sum(c_w * rho(S_w)).  So the
+    span's relation scale * d*NF(rho(p)) = sum of c * rho(S_w) gives each
+    c_w once, as c / (scale * d).  Refuses ell beyond `MAX_ELL` because
+    the table grows with the factorial.
     """
     ell = _size(p.ring.nvars if ell is None else ell, "ell", 1, MAX_ELL)
-    terms, denom = _normal_form(p, ell)
+    terms, denom = _normal_form(p.permute_vars(range(p.ring.nvars - 1, -1, -1)), ell)
     relation = _schubert_span(ell).reduce(terms)
     if relation is None:
         raise InvariantViolationError(

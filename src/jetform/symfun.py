@@ -17,9 +17,10 @@ polynomials of its blocks.
 The arithmetic of the quotient runs on integers.  `_normal_form` packs a
 polynomial into ints by one `polyring.Packing` per z ring and reduces it
 with `_reduce_packed`, the one reduction kernel; `normal_form_IS`,
-`alambda.nilpotency_order` and the Schubert expansion take their normal
-forms from it.  The averaging projector keeps integer numerators over one
-common denominator.  Fractions are made only for the Polys returned.
+`alambda.nilpotency_order` and the Schubert expansion's queries take their
+normal forms from it; its rows, reversed Schubert polynomials, take none.
+The averaging projector keeps integer numerators over one common
+denominator.  Fractions are made only for the Polys returned.
 """
 
 from __future__ import annotations
@@ -123,6 +124,8 @@ def complete_homogeneous(d: int, k: int, ell: int) -> Poly:
 def elementary_symmetric(ring: Ring, d: int, indices) -> Poly:
     """Sum of all squarefree degree-d monomials in the given variables."""
     indices = [_size(i, "variable index", 0, ring.nvars - 1) for i in indices]
+    if len(set(indices)) != len(indices):
+        raise DomainError("repeated variable index in %r" % (indices,))
     d = _size(d, "elementary symmetric degree", 1, len(indices))
     terms = {}
     for combo in itertools.combinations(indices, d):

@@ -1318,6 +1318,14 @@ def test_compositions_descending_lex():
         lambda: elementary_symmetric(zring(2), 1, [0.5, 1]),
         lambda: block_sigma(Composition((1, 1)), 3, 1),
         lambda: zring(2).var(0) ** 2.0,
+        # a repeated variable index would answer for a lower degree
+        lambda: elementary_symmetric(zring(3), 2, [0, 0]),
+        lambda: elementary_symmetric(zring(3), 1, [1, 1]),
+        # an exponent is an index too, never a float
+        lambda: zring(2).from_terms({(1.5, 0): 1}),
+        lambda: normal_form_IS(zring(2).from_terms({(1.0, 0): 1}), 2),
+        lambda: zring(2).from_terms({(-1, 0): 1}),
+        lambda: zring(2).monomial((0, 1.0)),
     ],
 )
 def test_domain_checks_raise_domain_error(call):

@@ -1,14 +1,19 @@
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from jetform import schubert, symfun
 from jetform import (
     DomainError,
+    ExactSpan,
+    InvariantViolationError,
     ParseError,
     Permutation,
+    Poly,
     block_rotation,
     catalan_congruence_check,
     catalan_number,
@@ -280,6 +285,88 @@ def test_expansion_matches_the_divided_difference_oracle():
         assert schubert_expansion(product, 5) == expected
         if r != 1 or w != perms[-1]:
             assert expected == {v: Fraction(1) for v in monk_expand(r, w)}
+
+
+@lru_cache(maxsize=None)
+def _normal_form_span(ell):
+    """The expansion's span before reversal: the normal forms of the S_w."""
+    span = ExactSpan()
+    for w, p in sorted(schubert_table(ell).items()):
+        assert span.insert(symfun._normal_form(p, ell)[0], w)
+    return span
+
+
+def _expansion_by_normal_forms(p, ell):
+    """The reference expansion: NF(p) reduced against the NF(S_w)."""
+    terms, denom = symfun._normal_form(p, ell)
+    coeffs, scale = _normal_form_span(ell).reduce(terms)
+    return {w: Fraction(c, scale * denom) for w, c in sorted(coeffs.items())}
+
+
+def _reversed(p):
+    return p.permute_vars(range(p.ring.nvars - 1, -1, -1))
+
+
+def test_reversed_schubert_polynomials_are_normal_forms():
+    for ell in range(1, 7):
+        for p in schubert_table(ell).values():
+            assert normal_form_IS(_reversed(p), ell) == _reversed(p)
+
+
+def test_expansion_matches_the_normal_form_reference():
+    rng = make_rng(2401)
+    for ell in range(1, 7):
+        ring = zring(ell)
+        top = ell * (ell - 1) // 2
+        for _ in range(10):
+            # rational coefficients, and degrees up to three above the top
+            p = random_poly(ring, rng, max_deg=top + 3, terms=6)
+            assert schubert_expansion(p) == _expansion_by_normal_forms(p, ell)
+        p = random_poly(ring, rng, max_deg=top, terms=4).mul_monomial(
+            ring.monomial([1] + [0] * (ell - 1)), Fraction(-2, 7)
+        )
+        assert schubert_expansion(p) == _expansion_by_normal_forms(p, ell)
+
+
+def test_monk_expansion_matches_the_normal_form_reference():
+    rng = make_rng(2402)
+    for ell in range(2, 7):
+        table = schubert_table(ell)
+        pairs = [(r, w) for w in sorted(table) for r in range(1, ell)]
+        if ell == 6:
+            pairs = rng.sample(pairs, 40)
+        for r, w in pairs:
+            product = table[Permutation.simple(r, ell)] * table[w]
+            assert schubert_expansion(product, ell) == _expansion_by_normal_forms(product, ell)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda p, reversed_p: p,  # the unreversed S_w: not reduced
+        lambda p, reversed_p: reversed_p.scale(Fraction(1, 2)),  # reduced, not integral
+    ],
+)
+def test_a_span_of_unreduced_or_fractional_rows_is_refused(monkeypatch, mutate):
+    permute = Poly.permute_vars
+    monkeypatch.setattr(Poly, "permute_vars", lambda p, images: mutate(p, permute(p, images)))
+    for ell in range(2, 7):
+        with pytest.raises(InvariantViolationError):
+            schubert._schubert_span.__wrapped__(ell)
+
+
+def test_the_schubert_span_takes_no_normal_form(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the Schubert span took a normal form")
+
+    monkeypatch.setattr(symfun, "_reduce_packed", refuse)
+    monkeypatch.setattr(schubert, "_normal_form", refuse)
+    schubert._schubert_span.cache_clear()
+    try:
+        for ell in range(1, 7):
+            assert schubert._schubert_span(ell).rank == factorial(ell)
+    finally:
+        schubert._schubert_span.cache_clear()
 
 
 def test_expansion_cap():
