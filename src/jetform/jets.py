@@ -68,7 +68,7 @@ from .polyring import (
     Monomial, Packing, Poly, Ring, _clear_denominators, _series_coefficients, format_monomial,
     format_poly,
 )
-from .symfun import Composition, block_sigma, normal_form_IS, zring
+from .symfun import Composition, _block_sigmas, normal_form_IS, zring
 
 __all__ = [
     "JetRingDesc",
@@ -812,18 +812,14 @@ def homogeneous_membership(
 
 
 def phi_binary_eval(p: Poly, h, desc: JetRingDesc) -> Fraction:
-    """Evaluate p at x_i^(j) = 0 when j < h_i and 1 otherwise."""
+    """Evaluate p at x_i^(j) = 0 when j < h_i and 1 otherwise: one
+    substitution into the ring of no variables, whose constant is the value."""
     h = _derivative_tuple(h, desc.n)
     if p.ring != desc.ring:
         raise RingMismatchError("polynomial not in the jet ring of %r" % desc)
-    zero_slots = {
-        desc.slot(i, j) for i in range(1, desc.n + 1) for j in range(min(h[i - 1], desc.m + 1))
-    }
-    total = Fraction(0)
-    for mono, coeff in p.terms.items():
-        if all(e == 0 or i not in zero_slots for i, e in enumerate(mono)):
-            total += coeff
-    return total
+    point = Ring(())
+    images = [point.const(int(j >= hi)) for hi in h for j in range(desc.m + 1)]
+    return p.substitute(point, images).constant_term()
 
 
 def radical_witness(h) -> bool:
@@ -850,9 +846,12 @@ class PsiSpecialization:
     Blocks are assigned after reordering the derivative tuple so the first
     block maximises the witness power (h_i+1)(H-h_i); that block gets size
     h_i+1 and every other index keeps size h_i.  `sorted_indices` records
-    the reordering (original 1-based indices in block order).  Under the
-    resulting map every generator of the order-H jet ideal of x_1...x_n
-    lands in the ideal of constant-free symmetric polynomials.
+    the reordering (original 1-based indices in block order).  Base variable
+    i, of block size lambda, takes its block's `symfun._block_sigmas` list
+    reversed, then 1, then zeros, cut to m+1 entries: x_i^(j) goes to
+    sigma_(lambda-j) for j < lambda, to 1 at j = lambda and to 0 above.
+    Under the resulting map every generator of the order-H jet ideal of
+    x_1...x_n lands in the ideal of constant-free symmetric polynomials.
     """
 
     __slots__ = ("h", "desc", "lam", "sorted_indices", "target", "_images")
@@ -862,27 +861,17 @@ class PsiSpecialization:
         self.h = h
         self.desc = desc
         total = sum(h)
-        order = sorted(
-            range(len(h)),
-            key=lambda i: (-(h[i] + 1) * (total - h[i]), -h[i], i),
-        )
-        parts = [h[i] + 1 if k == 0 else h[i] for k, i in enumerate(order)]
-        self.lam = Composition(parts)
+        order = sorted(range(len(h)), key=lambda i: (-(h[i] + 1) * (total - h[i]), -h[i], i))
+        self.lam = Composition([h[i] + 1 if k == 0 else h[i] for k, i in enumerate(order)])
         self.sorted_indices = tuple(i + 1 for i in order)
         self.target = zring(total + 1)
-        position = {orig: k for k, orig in enumerate(order)}
-        images = []
-        for slot in range(desc.ring.nvars):
-            i, j = desc.pair(slot)
-            s = position[i - 1]
-            lam_s = parts[s]
-            if j < lam_s:
-                images.append(block_sigma(self.lam, s + 1, lam_s - j, self.target))
-            elif j == lam_s:
-                images.append(self.target.one())
-            else:
-                images.append(self.target.zero())
-        self._images = images
+        one, zero = self.target.one(), self.target.zero()
+        # the indices in `order` are distinct, so sorting never compares the lists
+        self._images = [
+            image
+            for _, sigmas in sorted(zip(order, _block_sigmas(self.lam, self.target)))
+            for image in (sigmas[::-1] + [one] + [zero] * desc.m)[: desc.m + 1]
+        ]
 
     def apply(self, p: Poly) -> Poly:
         if p.ring != self.desc.ring:

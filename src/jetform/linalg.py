@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from math import gcd, inf
+from numbers import Real
 from types import MappingProxyType
 from typing import Hashable, Mapping
 
@@ -60,8 +61,8 @@ class Budget:
     BYTES_PER_ENTRY = 160
 
     def __init__(self, megabytes: float | None):
-        if megabytes is not None and not 0 <= megabytes < inf:
-            raise DomainError("memory budget must be a finite number of MB >= 0")
+        if megabytes is not None and not (isinstance(megabytes, Real) and 0 <= megabytes < inf):
+            raise DomainError("memory budget must be a finite number of MB >= 0: %r" % (megabytes,))
         self.limit_entries = (
             None
             if megabytes is None

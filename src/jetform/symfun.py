@@ -190,12 +190,17 @@ def _reduce_packed(pending: dict[int, int], ell: int, degree: int) -> dict[int, 
     in descending key order.
 
     The normal form is unique, so a monomial divisible by several z_i^i may
-    be rewritten by any of their rules; the highest i is taken, which on
-    the ell=6 Schubert polynomials pops fewer monomials than the lowest.
-    One addition finds it: `bump` adds (guard bit) - i to the field of z_i,
-    which sets that field's guard bit exactly when z_i >= i, so
-    (key + bump) & guard is 0 on reduced monomials and otherwise has as its
-    lowest set bit the guard bit of the largest such i.
+    be rewritten by any of their rules; the highest i is taken, because one
+    addition and one `hit & -hit` find it: `bump` adds (guard bit) - i to
+    the field of z_i, which sets that field's guard bit exactly when
+    z_i >= i, so hit = (key + bump) & guard is 0 on reduced monomials and
+    otherwise has as its lowest set bit the guard bit of the largest such i.
+    The choice costs little.  Measured against the lowest i on the
+    benchmark's traffic (2,520 quotient averages, 382 nilpotency powers and
+    200 expand queries at ell=6, two seeds), the highest i pops 2% more
+    monomials on the averages, 9-12% more on the expand queries and as
+    many on the nilpotency powers, with no time difference beyond
+    run-to-run noise.
     """
     _, bump, guard, rules = _packed_rules(ell, degree)
     heap = [-key for key in pending]
@@ -336,13 +341,24 @@ def block_sigma(lam: Composition, i: int, j: int, ring: Ring | None = None) -> P
     return elementary_symmetric(ring, j, lam.block(i))
 
 
+def _block_sigmas(lam: Composition, ring: Ring) -> list[list[Poly]]:
+    """For each block i, [sigma_1, ..., sigma_{lambda_i}] of its variables in
+    `ring`: the one image table of the block specialisations.  The block
+    elementary presentation takes the lists as they are; alpha and psi take
+    each list reversed, as their y{i}_0 and x_i^(0) go to the top sigma."""
+    return [[elementary_symmetric(ring, j, b) for j in range(1, len(b) + 1)] for b in lam.blocks()]
+
+
+def _y_ring(lam: Composition, first: int) -> Ring:
+    """Ring of y{i}_{j} for first <= j < lambda_i + first, block by block."""
+    return Ring(
+        "y%d_%d" % (i, j) for i, part in enumerate(lam.parts, 1) for j in range(first, part + first)
+    )
+
+
 def block_elementary_ring(lam: Composition) -> Ring:
     """Ring of formal block elementary symmetrics y{i}_{j}, 1 <= j <= lambda_i."""
-    names = []
-    for i, part in enumerate(lam.parts, start=1):
-        for j in range(1, part + 1):
-            names.append("y%d_%d" % (i, j))
-    return Ring(tuple(names))
+    return _y_ring(lam, 1)
 
 
 def decompose_block_elementary(p: Poly, lam: Composition) -> Poly:
@@ -351,55 +367,42 @@ def decompose_block_elementary(p: Poly, lam: Composition) -> Poly:
 
     Classical elimination: the lex leading monomial of a block-symmetric
     polynomial is non-increasing inside every block, so it is matched by a
-    unique product of block sigma powers; subtracting drives the leading
-    monomial strictly down.  Substituting y{i}_{j} -> sigma_j(block i) into
-    the result recovers p exactly.
+    unique product of block sigma powers, read from `_block_sigmas`;
+    subtracting drives the leading monomial strictly down.  Substituting
+    y{i}_{j} -> sigma_j(block i) into the result recovers p exactly.
     """
     _check_arity(p, lam)
     if not is_lambda_symmetric(p, lam):
         raise DomainError("input is not symmetric within the blocks of %r" % (lam,))
     yring = block_elementary_ring(lam)
-    sigma_cache: dict[tuple[int, int], Poly] = {}
-
-    def sigma(i, j):
-        if (i, j) not in sigma_cache:
-            sigma_cache[(i, j)] = block_sigma(lam, i, j, p.ring)
-        return sigma_cache[(i, j)]
-
+    table = list(zip(lam.blocks(), _block_sigmas(lam, p.ring)))
     result_terms: dict[Monomial, Fraction] = {}
     work = p
     while not work.is_zero():
         lm, lc = work.leading()
-        y_exps = [0] * yring.nvars
+        y_exps = []
         product = p.ring.one()
-        y_slot = 0
-        for i in range(1, lam.n + 1):
-            block = list(lam.block(i))
+        for i, (block, sigmas) in enumerate(table, 1):
             exps = [lm[v] for v in block] + [0]
-            for j in range(1, len(block) + 1):
-                e = exps[j - 1] - exps[j]
+            for j, sigma in enumerate(sigmas):
+                e = exps[j] - exps[j + 1]
                 if e < 0:
                     raise DomainError(
                         "leading monomial not sorted within block %d; "
                         "input is not block-symmetric" % i
                     )
-                y_exps[y_slot] = e
-                y_slot += 1
+                y_exps.append(e)
                 if e:
-                    product = product * sigma(i, j) ** e
+                    product = product * sigma**e
         result_terms[Monomial(tuple(y_exps))] = lc
         work = work - product.scale(lc)
     return Poly(yring, result_terms)
 
 
 def expand_block_elementary(q: Poly, lam: Composition) -> Poly:
-    """Substitute y{i}_{j} -> sigma_j(block i); inverse of the decomposition."""
-    yring = block_elementary_ring(lam)
-    if q.ring != yring:
+    """Substitute y{i}_{j} -> sigma_j(block i), each block's `_block_sigmas`
+    list as it is; inverse of the decomposition."""
+    if q.ring != block_elementary_ring(lam):
         raise RingMismatchError("polynomial not in the block elementary ring of %r" % (lam,))
     target = zring(lam.ell)
-    images = []
-    for i, part in enumerate(lam.parts, start=1):
-        for j in range(1, part + 1):
-            images.append(block_sigma(lam, i, j, target))
-    return q.substitute(target, images)
+    return q.substitute(target, [s for sigmas in _block_sigmas(lam, target) for s in sigmas])

@@ -3,9 +3,12 @@ from math import factorial
 
 import pytest
 
+from jetform import alambda
 from jetform import (
     Composition,
+    DomainError,
     ExactSpan,
+    InvariantViolationError,
     RingMismatchError,
     alpha_map,
     basis_exponents,
@@ -41,6 +44,14 @@ def test_basis_exponents_examples():
     assert basis_exponents(Composition((1, 1))) == [(0, 0), (0, 1)]
     assert basis_exponents(Composition((2, 1))) == [(0, 0, 0), (0, 0, 1), (0, 0, 2)]
     assert basis_exponents(Composition((1,))) == [(0,)]
+
+
+@pytest.mark.parametrize("parts", [(0,), (0, 0)])
+def test_basis_refuses_a_composition_of_total_zero(parts):
+    # as dim_A_lambda does: the algebra of no variables has no basis here
+    for call in (dim_A_lambda, basis_exponents, basis_polys):
+        with pytest.raises(DomainError, match="composition total"):
+            call(Composition(parts))
 
 
 def test_basis_exponent_constraints():
@@ -143,6 +154,15 @@ def test_nilpotency_rejections():
         nilpotency_order(z1 + z2 + 1 * ring.one(), lam, 1)  # constant term
     with pytest.raises(ValueError):
         nilpotency_order(z1 + z2, lam, 5)  # no such block
+
+
+def test_nilpotency_without_a_zero_power_is_an_invariant_violation(monkeypatch):
+    z1, z2, _ = zring(3).gens()
+    assert nilpotency_order(z1 + z2, Composition((2, 1)), 1) == 3
+    # a reduction that never reaches zero: no power of the class does
+    monkeypatch.setattr(alambda, "_reduce_packed", lambda pending, ell, degree: {0: 1})
+    with pytest.raises(InvariantViolationError, match="certified bound 3"):
+        nilpotency_order(z1 + z2, Composition((2, 1)), 1)
 
 
 def test_nilpotency_ring_mismatch_is_ring_mismatch_error():
@@ -249,6 +269,13 @@ def test_alpha_defining_images():
     z1, z2, _ = z.gens()
     assert alpha_map(ring.var(0), lam) == z1 * z2
     assert alpha_map(ring.var(1), lam) == z1 + z2
+
+
+def test_alpha_refuses_a_polynomial_outside_the_coefficient_ring():
+    lam = Composition((2, 1))
+    for q in (zring(3).var(0), c_lambda_ring(Composition((1, 2))).var(0)):
+        with pytest.raises(RingMismatchError):
+            alpha_map(q, lam)
 
 
 def test_alpha_sends_relations_to_full_elementaries():

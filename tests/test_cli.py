@@ -254,6 +254,20 @@ def test_empty_ring_is_a_domain_error_before_parsing(capsys, argv):
     assert doc["payload"]["code"] == "domain-error"
 
 
+def test_basis_of_total_zero_names_the_composition(capsys):
+    code, doc = run_json(capsys, ["basis", "--lambda", "0,0"])
+    assert code == 1
+    assert doc["payload"]["code"] == "domain-error"
+    assert "composition total" in doc["payload"]["message"]
+
+
+def test_nilpotency_without_a_zero_power_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(jetform.alambda, "_reduce_packed", lambda pending, ell, degree: {0: 1})
+    code, doc = run_json(capsys, ["nilpotency", "z1+z2", "--lambda", "2,1", "--block", "1"])
+    assert code == 4
+    assert doc["payload"]["code"] == "invariant-violation"
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit):
         # argparse exits directly inside run(); main converts to return code
@@ -305,6 +319,16 @@ def test_negative_or_non_finite_budgets_are_domain_errors(capsys, monkeypatch, a
     code, doc = run_json(capsys, argv)
     assert code == 1
     assert doc["payload"]["code"] == "domain-error"
+
+
+def test_only_member_and_min_degree_read_a_budget(capsys, monkeypatch):
+    monkeypatch.setenv("JETFORM_BUDGET_MB", "abc")
+    assert main(["nf", "z1", "--ell", "2"]) == 0
+    assert main(["min-degree", "--h", "1,1"]) == 2
+    assert "JETFORM_BUDGET_MB" in capsys.readouterr().err
+    monkeypatch.delenv("JETFORM_BUDGET_MB")
+    assert main(["dim", "--lambda", "2,1", "--budget-mb", "-5"]) == 0
+    capsys.readouterr()
 
 
 def test_zero_budget_is_legal_and_exhausted(capsys):

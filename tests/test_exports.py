@@ -2,7 +2,8 @@
 leave its `__all__` and the package's re-exports with it.  Also guards on
 what passes between the kernels: `linalg` works on integer rows only, and
 each z ring has one packing whose keys fit one CPython digit.  And a guard
-that every index is checked by `errors._size` alone."""
+that every index is checked by `errors._size` alone, and one that psi and
+alpha take their images from the one block sigma table."""
 
 import ast
 import importlib
@@ -62,6 +63,19 @@ def test_schubert_span_is_keyed_by_packed_ints():
     schubert.schubert_expansion(jetform.zring(4).var(0))
     pivots = schubert._schubert_span(4).pivots
     assert len(pivots) == 24 and all(type(lead) is int for lead in pivots)
+
+
+@pytest.mark.parametrize("name", ["jets", "alambda"])
+def test_block_images_come_from_the_one_table(name):
+    # psi and alpha read their images from `symfun._block_sigmas`, not from
+    # sigmas of their own
+    tree = ast.parse(Path(jetform.__file__).with_name(name + ".py").read_text())
+    imported = {
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert "_block_sigmas" in imported
+    assert not imported & {"block_sigma", "elementary_symmetric"}
 
 
 def test_only_errors_checks_an_index_by_hand():

@@ -1326,11 +1326,21 @@ def test_compositions_descending_lex():
         lambda: normal_form_IS(zring(2).from_terms({(1.0, 0): 1}), 2),
         lambda: zring(2).from_terms({(-1, 0): 1}),
         lambda: zring(2).monomial((0, 1.0)),
+        # a budget that is not a number is refused, not compared
+        lambda: Budget("5"),
+        lambda: Budget(1j),
+        lambda: Budget([1]),
     ],
 )
 def test_domain_checks_raise_domain_error(call):
     with pytest.raises(DomainError):
         call()
+
+
+def test_legal_budgets_construct():
+    assert Budget(None).limit_entries is None
+    assert Budget(0).limit_entries == 0
+    assert Budget(0.5).limit_entries == (1 << 19) // Budget.BYTES_PER_ENTRY
 
 
 # each index argument: a call that takes it, and its least and largest
