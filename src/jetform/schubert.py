@@ -1,12 +1,11 @@
 """Permutations, divided differences, Schubert polynomials, Monk products.
 
-Schubert polynomials are indexed by permutations of {1..ell} and computed by
-applying divided difference operators to the staircase monomial
-z_1^(ell-1) z_2^(ell-2) ... z_{ell-1}, the polynomial of the longest
-permutation.  Their classes modulo the ideal I_S of constant-free symmetric
-polynomials form a basis of k[z]/I_S (Lascoux & Schuetzenberger, C. R.
-Acad. Sci. Paris 294, 1982), which the expansion routine solves against in
-reversed variables: see `_schubert_span`.
+Schubert polynomials S_w, w in S_ell, come from the staircase
+z_1^(ell-1) z_2^(ell-2) ... z_{ell-1} = S_w0 by one divided-difference
+kernel on packed integer monomials.  Their classes modulo I_S form a basis
+of k[z]/I_S (Lascoux & Schuetzenberger, C. R. Acad. Sci. Paris 294, 1982),
+which the expansion solves against in reversed variables: on the reversed
+field order the kernel makes `_schubert_span`'s rows rho(S_w) directly.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from math import comb
 
 from .errors import DomainError, InvariantViolationError, ParseError, _size
 from .linalg import ExactSpan
-from .polyring import Monomial, Poly, _clear_denominators
+from .polyring import Monomial, Packing, Poly
 from .symfun import _normal_form, _packed_rules, normal_form_IS, zring
 
 __all__ = [
@@ -47,12 +46,7 @@ class Permutation:
         if sorted(oneline) != list(range(1, n + 1)):
             raise DomainError("not a permutation of 1..%d: %r" % (n, oneline))
         self.oneline = oneline
-        self.length = sum(
-            1
-            for i in range(n)
-            for j in range(i + 1, n)
-            if oneline[i] > oneline[j]
-        )
+        self.length = sum(a > b for i, a in enumerate(oneline) for b in oneline[i + 1 :])
         self._hash = hash(oneline)
 
     @classmethod
@@ -137,59 +131,83 @@ class Permutation:
         return "[%s]" % ",".join(map(str, self.oneline))
 
 
+def _packed_divided_difference(terms: dict, si: int, sj: int, mask: int) -> dict:
+    """d_i of packed `terms`, z_i's field at shift si and z_{i+1}'s at sj:
+    z_i^a z_{i+1}^b goes to the sum over b <= k < a of z_i^k z_{i+1}^(a+b-1-k),
+    negated if a < b, 0 if a = b; integers stay integers, exponents fall."""
+    out: dict = {}
+    for key, c in terms.items():
+        a, b = (key >> si) & mask, (key >> sj) & mask
+        base = key - (a << si) - (b << sj)
+        if a < b:
+            a, b, c = b, a, -c
+        for k in range(b, a):
+            child = base + (k << si) + ((a + b - 1 - k) << sj)
+            out[child] = out.get(child, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def _staircase(shifts) -> dict[int, int]:
+    """The packed S_w0 = z_1^(ell-1) z_2^(ell-2) ... z_{ell-1}, ell = len(shifts)."""
+    return {sum((len(shifts) - 1 - k) << s for k, s in enumerate(shifts)): 1}
+
+
 def divided_difference(p: Poly, i: int) -> Poly:
     """(p - s_i p) / (z_i - z_{i+1}) for 1-based i; always a polynomial.
-
-    Computed monomial by monomial through the telescoping identity for
-    (z_i^a z_{i+1}^b - z_i^b z_{i+1}^a) / (z_i - z_{i+1}), which avoids an
-    actual division.
-    """
+    p is packed, `_packed_divided_difference` runs, and the result unpacked."""
     i = _size(i, "divided difference index", 1, p.ring.nvars - 1)
-    ia, ib = i - 1, i
-    out: dict[Monomial, Fraction] = {}
-    for mono, coeff in p.terms.items():
-        a, b = mono[ia], mono[ib]
-        if a == b:
-            continue
-        sign = 1
-        if a < b:
-            a, b = b, a
-            sign = -1
-        for k in range(b, a):
-            exps = list(mono)
-            exps[ia] = k
-            exps[ib] = a + b - 1 - k
-            key = Monomial(exps)
-            out[key] = out.get(key, 0) + sign * coeff
-    return Poly(p.ring, out)
+    packing = Packing(p.ring.nvars, max((max(m) for m in p.terms), default=0))
+    terms = {packing.pack(m): c for m, c in p.terms.items()}
+    si, sj = packing.shifts[i - 1 : i + 1]
+    terms = _packed_divided_difference(terms, si, sj, packing.mask)
+    return Poly(p.ring, {packing.unpack(key): c for key, c in terms.items()})
+
+
+def _schubert_rows(ell: int, shifts, mask: int) -> dict[tuple, dict[int, int]]:
+    """{one-line w: S_w as packed integer terms} over S_ell, z_k's field at
+    shifts[k - 1]; uncached.  From the staircase down by length, with
+    S_{w s_i} = d_i S_w at each descent w(i) > w(i+1), each v from the
+    first w of the level above and the smallest such i."""
+    level = {tuple(range(ell, 0, -1)): _staircase(shifts)}
+    rows: dict = {}
+    while level:
+        rows.update(level)
+        found: dict = {}
+        for w, terms in level.items():
+            for i in range(ell - 1):
+                if w[i] > w[i + 1]:
+                    v = w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
+                    if v not in found:
+                        found[v] = _packed_divided_difference(terms, shifts[i], shifts[i + 1], mask)
+        level = found
+    return rows
 
 
 @lru_cache(maxsize=None)
 def schubert_table(ell: int) -> dict[Permutation, Poly]:
-    """All Schubert polynomials of S_ell, keyed by permutation."""
-    ring = zring(_size(ell, "ell", 1))
-    w0 = Permutation.longest(ell)
-    staircase = Poly(
-        ring,
-        {Monomial(tuple(ell - 1 - k for k in range(ell))): Fraction(1)},
-    )
-    table = {w0: staircase}
-    by_length: dict[int, list[Permutation]] = {w0.length: [w0]}
-    order = w0.length
-    for target_len in range(order - 1, -1, -1):
-        found: dict[Permutation, Poly] = {}
-        for w in by_length.get(target_len + 1, []):
-            for i in range(1, ell):
-                v = w.swap_positions(i, i + 1)
-                if v.length == target_len and v not in found:
-                    found[v] = divided_difference(table[w], i)
-        by_length[target_len] = list(found)
-        table.update(found)
-    return table
+    """All Schubert polynomials of S_ell, keyed by permutation: the rows of
+    `_schubert_span` from the same generator, in unreversed field order."""
+    ring, packing = zring(_size(ell, "ell", 1)), Packing(ell, ell - 1)
+    return {
+        Permutation(w): Poly(ring, {packing.unpack(key): Fraction(c) for key, c in terms.items()})
+        for w, terms in _schubert_rows(ell, packing.shifts, packing.mask).items()
+    }
 
 
 def schubert_poly(w: Permutation) -> Poly:
-    return schubert_table(w.ell)[w]
+    """S_w from one chain, with no table: bubble-sort w into w0 by swapping
+    ascents, w s_i1 ... s_ik = w0, so S_w = d_i1 ... d_ik S_w0."""
+    ell, oneline, steps = _size(w.ell, "ell", 1), list(w.oneline), []
+    for _ in range(ell):
+        for i in range(ell - 1):
+            if oneline[i] < oneline[i + 1]:
+                oneline[i], oneline[i + 1] = oneline[i + 1], oneline[i]
+                steps.append(i)
+    packing = Packing(ell, ell - 1)
+    shifts, terms = packing.shifts, _staircase(packing.shifts)
+    for i in reversed(steps):
+        terms = _packed_divided_difference(terms, shifts[i], shifts[i + 1], packing.mask)
+    return Poly(zring(ell), {packing.unpack(key): Fraction(c) for key, c in terms.items()})
 
 
 def monk_expand(r: int, w: Permutation) -> list[Permutation]:
@@ -199,40 +217,27 @@ def monk_expand(r: int, w: Permutation) -> list[Permutation]:
     the product of the corresponding Schubert classes is their
     multiplicity-free sum.
     """
-    ell = w.ell
-    r = _size(r, "Monk index", 1, ell - 1)
-    out = []
-    for j in range(1, r + 1):
-        for k in range(r + 1, ell + 1):
-            v = w.swap_positions(j, k)
-            if v.length == w.length + 1:
-                out.append(v)
-    return sorted(out)
+    r = _size(r, "Monk index", 1, w.ell - 1)
+    swaps = (w.swap_positions(j, k) for j in range(1, r + 1) for k in range(r + 1, w.ell + 1))
+    return sorted(v for v in swaps if v.length == w.length + 1)
 
 
 @lru_cache(maxsize=None)
 def _schubert_span(ell: int) -> ExactSpan:
-    """The rows rho(S_w), w in S_ell, for rho: z_i -> z_{ell+1-i}, inserted
-    with no normal form taken.  S_w is supported on z^a with a_i <= ell - i
-    (Macdonald, Notes on Schubert Polynomials, LaCIM 1991), so rho(S_w) has
-    deg_{z_j} < j: it is reduced.  This is checked, not assumed: every row
-    must be integral and pass `_reduce_packed`'s test (key + bump) & guard
-    == 0; S_w has degree at most the packing's, so no field overflows.
-    """
+    """The rows rho(S_w), w in S_ell, rho: z_i -> z_{ell+1-i}, as
+    `_schubert_rows` makes them on the z ring's packing with the field order
+    reversed, integral by construction.  S_w lives on z^a with a_i <= ell-i
+    (Macdonald, Notes on Schubert Polynomials, LaCIM 1991), so rho(S_w) is
+    reduced and no normal form is taken; that is checked by `_reduce_packed`'s
+    test (key + bump) & guard == 0 on every key, and so is independence."""
     packing, bump, guard, _ = _packed_rules(ell, ell * (ell - 1) // 2)
     span = ExactSpan()
-    table = schubert_table(ell)
-    for w in sorted(table):
-        terms = table[w].permute_vars(range(ell - 1, -1, -1)).terms
-        row, denom = _clear_denominators({packing.pack(m): c for m, c in terms.items()})
-        if denom != 1 or any((key + bump) & guard for key in row):
-            raise InvariantViolationError(
-                "reversed Schubert polynomial of %s is not an integral normal form" % w
-            )
-        if not span.insert(row, w):
-            raise InvariantViolationError(
-                "reversed Schubert polynomials are linearly dependent at ell=%d" % ell
-            )
+    rows = _schubert_rows(ell, packing.shifts[::-1], packing.mask)
+    for w, row in sorted(rows.items()):
+        if any((key + bump) & guard for key in row):
+            raise InvariantViolationError("reversed S_w is not a normal form for w=%s" % Permutation(w))
+        if not span.insert(row, Permutation(w)):
+            raise InvariantViolationError("reversed S_w are linearly dependent at ell=%d" % ell)
     return span
 
 

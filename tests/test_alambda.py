@@ -1,4 +1,6 @@
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
@@ -68,6 +70,31 @@ def test_basis_exponent_constraints():
                 assert d[block[0]] <= lam.prefix(i)
                 for a, b in zip(block, block[1:]):
                     assert d[a] >= d[b]
+
+
+def _q_multinomial(parts):
+    """Coefficients of [ell; lambda]_q, by MacMahon: the generating function
+    of inversions over the words with lambda_i letters i."""
+    word = [i for i, part in enumerate(parts) for _ in range(part)]
+    counts = Counter(sum(a > b for a, b in combinations(w, 2)) for w in set(permutations(word)))
+    return [counts[d] for d in range(max(counts) + 1)]
+
+
+def test_basis_degrees_follow_the_q_multinomial():
+    # the Hilbert series of A_lambda is [ell; lambda]_q; its top degree is
+    # e_2(lambda), the sum of lambda_i * lambda_j over i < j
+    checked = 0
+    for ell in range(1, 7):
+        for a in range(ell + 1):
+            for b in range(ell - a + 1):
+                parts = (a, b, ell - a - b)
+                top = sum(p * q for i, p in enumerate(parts) for q in parts[i + 1:])
+                counts = [0] * (top + 1)
+                for exps in basis_exponents(Composition(parts)):
+                    counts[sum(exps)] += 1
+                assert counts == _q_multinomial(parts), parts
+                checked += 1
+    assert checked == 83
 
 
 def test_basis_polys_examples():

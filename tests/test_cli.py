@@ -401,6 +401,21 @@ def test_expand_at_ell_6_entry_point():
     assert doc["payload"]["coefficients"] == [{"perm": [2, 3, 1, 4, 5, 6], "coeff": "1"}]
 
 
+def test_schubert_of_a_permutation_of_nine_entry_point():
+    # one chain of divided differences, not the 362,880-row table of S_9
+    src = os.path.dirname(os.path.dirname(os.path.abspath(jetform.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "jetform.cli", "schubert", "[1,2,3,4,5,6,7,9,8]", "--json"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["payload"]["poly"] == "z1 + z2 + z3 + z4 + z5 + z6 + z7 + z8"
+
+
 def test_text_output(capsys):
     assert main(["dim", "--lambda", "2,1"]) == 0
     assert capsys.readouterr().out.strip() == "3"

@@ -26,6 +26,7 @@ from jetform import (
     schubert_table,
     zring,
 )
+from jetform.polyring import Monomial, _clear_denominators
 
 from conftest import make_rng, random_poly
 from test_properties import polys_in
@@ -307,6 +308,114 @@ def _reversed(p):
     return p.permute_vars(range(p.ring.nvars - 1, -1, -1))
 
 
+def _reference_divided_difference(p, i):
+    """The Poly-level divided-difference loop that preceded the packed
+    kernel, kept as a reference."""
+    ia, ib = i - 1, i
+    out = {}
+    for mono, coeff in p.terms.items():
+        a, b = mono[ia], mono[ib]
+        if a == b:
+            continue
+        sign = 1
+        if a < b:
+            a, b = b, a
+            sign = -1
+        for k in range(b, a):
+            exps = list(mono)
+            exps[ia] = k
+            exps[ib] = a + b - 1 - k
+            key = Monomial(exps)
+            out[key] = out.get(key, 0) + sign * coeff
+    return Poly(p.ring, out)
+
+
+@lru_cache(maxsize=None)
+def _reference_table(ell):
+    """The Poly-level search by length that preceded the packed rows."""
+    ring = zring(ell)
+    w0 = Permutation.longest(ell)
+    table = {w0: Poly(ring, {Monomial(tuple(ell - 1 - k for k in range(ell))): Fraction(1)})}
+    by_length = {w0.length: [w0]}
+    for target_len in range(w0.length - 1, -1, -1):
+        found = {}
+        for w in by_length.get(target_len + 1, []):
+            for i in range(1, ell):
+                v = w.swap_positions(i, i + 1)
+                if v.length == target_len and v not in found:
+                    found[v] = _reference_divided_difference(table[w], i)
+        by_length[target_len] = list(found)
+        table.update(found)
+    return table
+
+
+def _reference_span(ell):
+    """The span of the reference rows, reversed, packed and cleared."""
+    pack = symfun._packing(ell).pack
+    span = ExactSpan()
+    for w, p in sorted(_reference_table(ell).items()):
+        row, _ = _clear_denominators({pack(m): c for m, c in _reversed(p).terms.items()})
+        assert span.insert(row, w)
+    return span
+
+
+def test_schubert_table_matches_the_poly_reference():
+    for ell in range(1, 7):
+        table, reference = schubert_table(ell), _reference_table(ell)
+        assert list(table) == list(reference)
+        for w, p in reference.items():
+            assert list(table[w].terms.items()) == list(p.terms.items())
+
+
+def test_schubert_span_pivots_match_the_reference_rows():
+    for ell in range(1, 7):
+        pivots, reference = schubert._schubert_span(ell).pivots, _reference_span(ell).pivots
+        assert list(pivots) == list(reference)
+        for lead, row in reference.items():
+            got = pivots[lead]
+            assert list(got.terms.items()) == list(row.terms.items())
+            assert list(got.hist.items()) == list(row.hist.items())
+            assert got.label == row.label
+
+
+def test_divided_difference_matches_the_poly_reference():
+    rng = make_rng(2601)
+    for n in (2, 3, 4):
+        ring = zring(n)
+        for _ in range(10):
+            p = random_poly(ring, rng, max_deg=6, terms=6)
+            for i in range(1, n):
+                assert divided_difference(p, i) == _reference_divided_difference(p, i)
+
+
+def test_schubert_poly_is_one_chain_of_the_table():
+    for ell in range(1, 7):
+        for w, p in schubert_table(ell).items():
+            assert schubert_poly(w) == p
+
+
+def test_schubert_poly_of_nine_builds_no_table(monkeypatch):
+    def refuse(ell):
+        raise AssertionError("schubert_poly built the whole table")
+
+    monkeypatch.setattr(schubert, "schubert_table", refuse)
+    w = Permutation([1, 3, 2, 5, 4, 7, 6, 9, 8])
+    p = schubert_poly(w)
+    # s_2 s_4 s_6 s_8 commute and are far apart, so Monk's rule gives one
+    # term each time: S_w is the product of the S_{s_i} = z_1 + ... + z_i
+    ring = zring(9)
+    expected = ring.one()
+    for i in (2, 4, 6, 8):
+        expected = expected * sum((ring.var(k) for k in range(1, i)), ring.var(0))
+    assert p == expected
+    for i in range(1, 9):
+        image = divided_difference(p, i)
+        if w(i) > w(i + 1):
+            assert image == schubert_poly(w.swap_positions(i, i + 1))
+        else:
+            assert image.is_zero()
+
+
 def test_reversed_schubert_polynomials_are_normal_forms():
     for ell in range(1, 7):
         for p in schubert_table(ell).values():
@@ -340,19 +449,39 @@ def test_monk_expansion_matches_the_normal_form_reference():
             assert schubert_expansion(product, ell) == _expansion_by_normal_forms(product, ell)
 
 
+def _unreversed_rows(rows, ell, shifts, mask):
+    """The S_w packed in the z ring's own field order: not reduced."""
+    return rows(ell, shifts[::-1], mask)
+
+
+def _one_row_duplicated(rows, ell, shifts, mask):
+    """Reduced integer rows, but the last one repeats the first."""
+    out = rows(ell, shifts, mask)
+    out[max(out)] = dict(out[min(out)])
+    return out
+
+
 @pytest.mark.parametrize(
-    "mutate",
-    [
-        lambda p, reversed_p: p,  # the unreversed S_w: not reduced
-        lambda p, reversed_p: reversed_p.scale(Fraction(1, 2)),  # reduced, not integral
-    ],
+    "mutate, message",
+    [(_unreversed_rows, "not a normal form"), (_one_row_duplicated, "linearly dependent")],
+    ids=["unreduced", "dependent"],
 )
-def test_a_span_of_unreduced_or_fractional_rows_is_refused(monkeypatch, mutate):
-    permute = Poly.permute_vars
-    monkeypatch.setattr(Poly, "permute_vars", lambda p, images: mutate(p, permute(p, images)))
+def test_a_span_of_unreduced_or_dependent_rows_is_refused(monkeypatch, mutate, message):
+    rows = schubert._schubert_rows
+    monkeypatch.setattr(schubert, "_schubert_rows", lambda *args: mutate(rows, *args))
     for ell in range(2, 7):
-        with pytest.raises(InvariantViolationError):
+        with pytest.raises(InvariantViolationError, match=message):
             schubert._schubert_span.__wrapped__(ell)
+
+
+def test_the_schubert_span_builds_no_poly_or_fraction(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Schubert span built a Poly or a Fraction")
+
+    symfun._packed_rules(6, 15)  # the z ring's rules are made from Polys, once
+    monkeypatch.setattr(Poly, "__init__", refuse)
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    assert schubert._schubert_span.__wrapped__(6).rank == 720
 
 
 def test_the_schubert_span_takes_no_normal_form(monkeypatch):
