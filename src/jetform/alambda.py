@@ -13,17 +13,14 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, prod
+from math import factorial, prod
 
 from .errors import DomainError, InvariantViolationError, RingMismatchError, _size
 from .polyring import Monomial, Poly, Ring, _series_coefficients
 from .symfun import (
     Composition,
     _block_sigmas,
-    _normal_form,
-    _packed_rules,
-    _packing,
-    _reduce_packed,
+    _nf_powers,
     _y_ring,
     is_lambda_symmetric,
     sym_lambda_average,
@@ -102,19 +99,12 @@ def nilpotency_order(p: Poly, lam: Composition, block: int) -> int:
     """Minimal e >= 1 with p^e congruent to zero modulo I_S.
 
     `p` must be a symmetric polynomial in the variables of the given block
-    (1-based) with zero constant term.  Powers are formed by multiplying the
-    previous normal form by the normal form of p, keeping intermediates
-    small.  A power reaches zero by the certified bound
-    floor(lambda_i * (ell - lambda_i) / nu(p)) + 1; if none does, that is an
-    internal error, raised as InvariantViolationError.
-
-    The power loop runs on packed integer polynomials: the keys of
-    `symfun._normal_form`'s NF(p), of degree at most ell(ell-1)/2, are
-    repacked once for degree ell(ell-1), so adding two never carries (see
-    `polyring.Packing`); a product adds keys and `symfun._reduce_packed`
-    reduces it.  Whether a power is zero does not depend on its scale, so
-    NF(p)'s denominator is dropped and each power is divided by the gcd of
-    its coefficients: no Fraction is made.
+    (1-based) with zero constant term.  The powers are counted as
+    `symfun._nf_powers` makes them, packed in integers, each the previous
+    one times NF(p).  One is zero by the certified bound
+    floor(lambda_i * (ell - lambda_i) / m) + 1, m the least degree of p's
+    terms, which nu(p) is at least; if none is, that is an internal error,
+    raised as InvariantViolationError.
     """
     block = _size(block, "block index", 1, lam.n)
     ell = lam.ell
@@ -131,29 +121,12 @@ def nilpotency_order(p: Poly, lam: Composition, block: int) -> int:
     if p.constant_term() != 0:
         raise DomainError("polynomial must have zero constant term")
 
-    nf, _ = _normal_form(p, ell)
-    if not nf:
-        return 1
-    monos = [_packing(ell).unpack(key) for key in nf]
     lam_i = lam.parts[block - 1]
-    bound = (lam_i * (ell - lam_i)) // min(map(sum, monos)) + 1
-    degree = ell * (ell - 1)
-    pack = _packed_rules(ell, degree)[0].pack
-    base = {pack(m): c for m, c in zip(monos, nf.values())}
-    power = base
-    for e in range(2, bound + 1):
-        product: dict[int, int] = {}
-        for k1, c1 in power.items():
-            for k2, c2 in base.items():
-                k = k1 + k2
-                product[k] = product.get(k, 0) + c1 * c2
-        power = _reduce_packed(product, ell, degree)
-        if not power:
-            return e
-        content = gcd(*power.values())
-        if content != 1:
-            power = {k: c // content for k, c in power.items()}
-    raise InvariantViolationError("no zero power by the certified bound %d" % bound)
+    bound = (lam_i * (ell - lam_i)) // min(map(sum, p.terms), default=1) + 1
+    nonzero = sum(1 for _ in itertools.islice(_nf_powers(p, ell), bound))
+    if nonzero == bound:
+        raise InvariantViolationError("no zero power by the certified bound %d" % bound)
+    return nonzero + 1
 
 
 def c_lambda_ring(lam: Composition) -> Ring:

@@ -68,7 +68,7 @@ from .polyring import (
     Monomial, Packing, Poly, Ring, _clear_denominators, _series_coefficients, format_monomial,
     format_poly,
 )
-from .symfun import Composition, _block_sigmas, normal_form_IS, zring
+from .symfun import Composition, _block_sigmas, _nf_poly, _nf_powers, normal_form_IS, zring
 
 __all__ = [
     "JetRingDesc",
@@ -919,13 +919,13 @@ def min_degree_search(
 
     Each degree is first tried against the psi specialisation: a nonzero
     NF_IS(psi(mono)^d) refuses it, recorded with a PsiWitness and without
-    elimination.  The normal form is carried from one degree to the next,
-    and psi's kernel is checked to contain every jet generator once per
-    search, so the refusals never rest on the degree theorem.  A degree psi
-    cannot refuse (in practice only the formula's) goes to the membership
-    oracle, whose exact elimination runs on packed-int keys; `budget`
-    applies there only.  Every refusal is thus certified, by a PsiWitness
-    or by a nonzero remainder of exact elimination.
+    elimination.  The powers are `symfun._nf_powers`'s, and psi's kernel is
+    checked to contain every jet generator once per search, so the refusals
+    never rest on the degree theorem.  A degree psi cannot refuse (in
+    practice only the formula's) goes to the membership oracle, whose exact
+    elimination runs on packed-int keys; `budget` applies there only.
+    Every refusal is thus certified, by a PsiWitness or by a nonzero
+    remainder of exact elimination.
 
     The default cap is the closed-form value plus two, so a wrong formula
     would surface as a cap error instead of an unbounded search.  Raises
@@ -970,8 +970,8 @@ def min_degree_search(
 
 
 def _psi_normal_forms(spec: PsiSpecialization, gens, mono: Poly):
-    """Yield NF_IS(psi(mono)^d) for d = 1, 2, ..., each the normal form of
-    the previous one times psi(mono); zero once it has reached zero.
+    """Yield NF_IS(psi(mono)^d) for d = 1, 2, ..., the packed powers of
+    `symfun._nf_powers` made Polys; zero once it has reached zero.
 
     Before the first, check that psi sends every generator into I_S, which
     is what makes a nonzero normal form a proof of non-membership.
@@ -981,9 +981,7 @@ def _psi_normal_forms(spec: PsiSpecialization, gens, mono: Poly):
             raise InvariantViolationError(
                 "psi image of jet generator %d is not in I_S for h=%r" % (i, spec.h)
             )
-    image = normal_form_IS(spec.apply(mono))
-    nf = image
-    while True:
-        yield nf
-        if not nf.is_zero():
-            nf = normal_form_IS(nf * image)
+    ell = spec.lam.ell
+    for terms, scale in _nf_powers(spec.apply(mono), ell):
+        yield _nf_poly(terms, scale, ell)
+    yield from itertools.repeat(spec.target.zero())

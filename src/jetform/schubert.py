@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .errors import DomainError, InvariantViolationError, ParseError, _size
+from .errors import DomainError, InvariantViolationError, ParseError, RingMismatchError, _size
 from .linalg import ExactSpan
 from .polyring import Monomial, Packing, Poly
 from .symfun import _normal_form, _packed_rules, normal_form_IS, zring
@@ -230,7 +230,7 @@ def _schubert_span(ell: int) -> ExactSpan:
     (Macdonald, Notes on Schubert Polynomials, LaCIM 1991), so rho(S_w) is
     reduced and no normal form is taken; that is checked by `_reduce_packed`'s
     test (key + bump) & guard == 0 on every key, and so is independence."""
-    packing, bump, guard, _ = _packed_rules(ell, ell * (ell - 1) // 2)
+    packing, bump, guard, _ = _packed_rules(ell)
     span = ExactSpan()
     rows = _schubert_rows(ell, packing.shifts[::-1], packing.mask)
     for w, row in sorted(rows.items()):
@@ -251,12 +251,12 @@ def schubert_expansion(p: Poly, ell: int | None = None) -> dict[Permutation, Fra
     the table grows with the factorial.
     """
     ell = _size(p.ring.nvars if ell is None else ell, "ell", 1, MAX_ELL)
-    terms, denom = _normal_form(p.permute_vars(range(p.ring.nvars - 1, -1, -1)), ell)
+    if p.ring != zring(ell):
+        raise RingMismatchError("polynomial not in the %d-variable z ring" % ell)
+    terms, denom = _normal_form(((m[::-1], c) for m, c in p.terms.items()), ell)
     relation = _schubert_span(ell).reduce(terms)
     if relation is None:
-        raise InvariantViolationError(
-            "normal form escaped the Schubert span at ell=%d" % ell
-        )
+        raise InvariantViolationError("normal form escaped the Schubert span at ell=%d" % ell)
     coeffs, scale = relation
     return {w: Fraction(c, scale * denom) for w, c in sorted(coeffs.items())}
 

@@ -14,13 +14,15 @@ the averaging projector over S_{lambda_1} x ... x S_{lambda_n}, and the
 rewriting of a block-symmetric polynomial in the elementary symmetric
 polynomials of its blocks.
 
-The arithmetic of the quotient runs on integers.  `_normal_form` packs a
-polynomial into ints by one `polyring.Packing` per z ring and reduces it
-with `_reduce_packed`, the one reduction kernel; `normal_form_IS`,
-`alambda.nilpotency_order` and the Schubert expansion's queries take their
-normal forms from it; its rows, reversed Schubert polynomials, take none.
-The averaging projector keeps integer numerators over one common
-denominator.  Fractions are made only for the Polys returned.
+The arithmetic of the quotient runs on integers, and no other module
+multiplies or reduces packed z-ring polynomials.  `_normal_form` packs
+exponent vectors by the one `polyring.Packing` of each z ring and reduces
+them with `_reduce_packed`, the one reduction kernel, for `normal_form_IS`
+and the Schubert expansion's queries.  `_nf_powers`, the one power loop,
+gives `alambda.nilpotency_order` and the psi refusals of
+`jets.min_degree_search` their powers.  The averaging projector keeps
+integer numerators over one common denominator.  Fractions are made only
+for the Polys returned.
 """
 
 from __future__ import annotations
@@ -152,42 +154,72 @@ def normal_form_IS(p: Poly, ell: int | None = None) -> Poly:
     See `_normal_form` for why one packing per z ring suffices and
     `_reduce_packed` for the loop and its one-step rule dispatch.
     """
-    if ell is None:
-        ell = p.ring.nvars
-    terms, denom = _normal_form(p, ell)
+    ell = p.ring.nvars if ell is None else ell
+    if p.ring != zring(ell):
+        raise RingMismatchError("polynomial not in the %d-variable z ring" % ell)
+    return _nf_poly(*_normal_form(p.terms.items(), ell), ell)
+
+
+def _nf_poly(terms: dict[int, int], denom: int, ell: int) -> Poly:
+    """The Poly of the packed normal form terms / denom in the z ring."""
     unpack = _packing(ell).unpack
-    return Poly(p.ring, {unpack(key): Fraction(c, denom) for key, c in terms.items()})
+    return Poly(zring(ell), {unpack(key): Fraction(c, denom) for key, c in terms.items()})
 
 
-def _normal_form(p: Poly, ell: int) -> tuple[dict[int, int], int]:
-    """NF(p) as (the terms of d*NF(p), packed by `_packing(ell)`, d), d the
-    lcm of the kept denominators.  A reduced monomial has deg_{z_i} < i, so
+def _normal_form(terms, ell: int) -> tuple[dict[int, int], int]:
+    """NF of the (exponents, coefficient) pairs `terms` in the ell-variable
+    z ring, as (the terms of d*NF, packed by `_packing(ell)`, d), d the lcm
+    of the kept denominators.  A reduced monomial has deg_{z_i} < i, so
     degree at most ell(ell-1)/2, where k[z]/I_S stops: a term above that
     lies in I_S and is dropped, and the g_i are homogeneous, so no exponent
     of the rest, rewritten or not, exceeds the one packing's degree.
     """
-    if p.ring != zring(ell):
-        raise RingMismatchError("polynomial not in the %d-variable z ring" % ell)
     top = ell * (ell - 1) // 2
     pack = _packing(ell).pack
-    kept = {pack(m): c for m, c in p.terms.items() if sum(m) <= top}
+    kept = {pack(m): c for m, c in terms if sum(m) <= top}
     pending, denom = _clear_denominators(kept)
-    return _reduce_packed(pending, ell, top), denom
+    return _reduce_packed(pending, ell), denom
+
+
+def _nf_powers(p: Poly, ell: int):
+    """Yield (d^e * NF(p^e), d^e) for e = 1, 2, ... while NF(p^e) != 0, the
+    terms packed by `_packing(ell)` and d the denominator of d*NF(p), the
+    integer polynomial `_normal_form` makes of p.
+
+    Each power is the previous one times d*NF(p), in integers, reduced by
+    `_reduce_packed`.  A product of two reduced monomials of degree above
+    ell(ell-1)/2 lies in I_S and is dropped first; its degree is its key
+    modulo the field mask, since 2^width = 1 modulo it, a field of the sum
+    holds at most 2(ell-1) < 2^width and the degree at most
+    ell(ell-1) < 2^width - 1.  So every kept key fits the one packing.
+    """
+    base, denom = _normal_form(p.terms.items(), ell)
+    top = ell * (ell - 1) // 2
+    mask = _packing(ell).mask
+    power, scale = base, denom
+    while power:
+        yield power, scale
+        product: dict[int, int] = {}
+        for k1, c1 in power.items():
+            for k2, c2 in base.items():
+                k = k1 + k2
+                if k % mask <= top:
+                    product[k] = product.get(k, 0) + c1 * c2
+        power, scale = _reduce_packed(product, ell), scale * denom
 
 
 def _packing(ell: int) -> Packing:
-    """The packing of `_normal_form`'s keys, for degree ell(ell-1)/2."""
-    return _packed_rules(ell, ell * (ell - 1) // 2)[0]
+    """The one packing of the ell-variable z ring, for degree ell(ell-1)/2."""
+    return _packed_rules(ell)[0]
 
 
-def _reduce_packed(pending: dict[int, int], ell: int, degree: int) -> dict[int, int]:
+def _reduce_packed(pending: dict[int, int], ell: int) -> dict[int, int]:
     """Reduce the packed integer polynomial `pending` modulo I_S; consumes it.
 
-    Keys are packed by `_packed_rules(ell, degree)`'s packing.  Pending
-    monomials sit in a max-heap; every monomial a rule produces is
-    lex-smaller than the one it replaces, so a popped monomial never comes
-    back and the reduced ones leave the heap as finished remainder terms,
-    in descending key order.
+    Keys are packed by `_packing(ell)`.  Pending monomials sit in a
+    max-heap; every monomial a rule produces is lex-smaller than the one it
+    replaces, so a popped monomial never comes back and the reduced ones
+    leave the heap as finished remainder terms, in descending key order.
 
     The normal form is unique, so a monomial divisible by several z_i^i may
     be rewritten by any of their rules; the highest i is taken, because one
@@ -196,13 +228,12 @@ def _reduce_packed(pending: dict[int, int], ell: int, degree: int) -> dict[int, 
     z_i >= i, so hit = (key + bump) & guard is 0 on reduced monomials and
     otherwise has as its lowest set bit the guard bit of the largest such i.
     The choice costs little.  Measured against the lowest i on the
-    benchmark's traffic (2,520 quotient averages, 382 nilpotency powers and
-    200 expand queries at ell=6, two seeds), the highest i pops 2% more
-    monomials on the averages, 9-12% more on the expand queries and as
-    many on the nilpotency powers, with no time difference beyond
-    run-to-run noise.
+    benchmark's traffic (2,520 quotient averages and 200 expand queries at
+    ell=6, two seeds), the highest i pops 2% more monomials on the averages
+    and 9-12% more on the expand queries, with no time difference beyond
+    run-to-run noise; both pop 48,084 on a quotient run's 172 nilpotencies.
     """
-    _, bump, guard, rules = _packed_rules(ell, degree)
+    _, bump, guard, rules = _packed_rules(ell)
     heap = [-key for key in pending]
     heapify(heap)
     reduced: dict[int, int] = {}
@@ -227,17 +258,18 @@ def _reduce_packed(pending: dict[int, int], ell: int, degree: int) -> dict[int, 
 
 
 @lru_cache(maxsize=None)
-def _packed_rules(ell: int, degree: int):
+def _packed_rules(ell: int):
     """(packing, bump, guard, rules) of `_reduce_packed`: the `Packing` of
-    ell variables for `degree`, made once per (ell, degree) with its rules.
+    the ell-variable z ring for degree ell(ell-1)/2, made once per ell with
+    its rules.
 
     `rules` maps the guard bit of z_i's field to the rewrite z_i^i -> ...
-    as ((packed offset, coefficient), ...).  `degree` is at least
-    ell(ell-1)/2, so the guard bit's value, 2^degree.bit_length(), is at
-    least ell: a bump of (guard bit) - i >= 0 added to an exponent below
-    the guard bit never carries out of its field.
+    as ((packed offset, coefficient), ...).  The guard bit's value exceeds
+    ell(ell-1)/2 >= ell - 1, so it is at least ell: a bump of
+    (guard bit) - i >= 0 added to an exponent below the guard bit never
+    carries out of its field.
     """
-    packing = Packing(ell, degree)
+    packing = Packing(ell, ell * (ell - 1) // 2)
     pack = packing.pack
     bump = guard = 0
     rules = {}

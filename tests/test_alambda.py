@@ -1,6 +1,6 @@
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, repeat
 from math import factorial
 
 import pytest
@@ -186,8 +186,8 @@ def test_nilpotency_rejections():
 def test_nilpotency_without_a_zero_power_is_an_invariant_violation(monkeypatch):
     z1, z2, _ = zring(3).gens()
     assert nilpotency_order(z1 + z2, Composition((2, 1)), 1) == 3
-    # a reduction that never reaches zero: no power of the class does
-    monkeypatch.setattr(alambda, "_reduce_packed", lambda pending, ell, degree: {0: 1})
+    # a power kernel that never reaches zero: no power of the class does
+    monkeypatch.setattr(alambda, "_nf_powers", lambda p, ell: repeat(({0: 1}, 1)))
     with pytest.raises(InvariantViolationError, match="certified bound 3"):
         nilpotency_order(z1 + z2, Composition((2, 1)), 1)
 

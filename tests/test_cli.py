@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import resource
@@ -262,7 +263,7 @@ def test_basis_of_total_zero_names_the_composition(capsys):
 
 
 def test_nilpotency_without_a_zero_power_exits_4(capsys, monkeypatch):
-    monkeypatch.setattr(jetform.alambda, "_reduce_packed", lambda pending, ell, degree: {0: 1})
+    monkeypatch.setattr(jetform.alambda, "_nf_powers", lambda p, ell: itertools.repeat(({0: 1}, 1)))
     code, doc = run_json(capsys, ["nilpotency", "z1+z2", "--lambda", "2,1", "--block", "1"])
     assert code == 4
     assert doc["payload"]["code"] == "invariant-violation"

@@ -1,9 +1,10 @@
 """Guards on the package's public names: a name deleted from a module must
 leave its `__all__` and the package's re-exports with it.  Also guards on
-what passes between the kernels: `linalg` works on integer rows only, and
-each z ring has one packing whose keys fit one CPython digit.  And a guard
-that every index is checked by `errors._size` alone, and one that psi and
-alpha take their images from the one block sigma table."""
+what passes between the kernels: `linalg` works on integer rows only,
+each z ring has one packing whose keys fit one CPython digit, and only
+`symfun` reduces packed z-ring polynomials.  And a guard that every index
+is checked by `errors._size` alone, and one that psi and alpha take their
+images from the one block sigma table."""
 
 import ast
 import importlib
@@ -55,6 +56,44 @@ def test_z_ring_packing_keys_fit_one_cpython_digit(ell):
     assert packing.width * ell <= 30
     top = ell * (ell - 1) // 2
     assert packing.pack((top,) + (0,) * (ell - 1)) | packing.guard < 2**30
+
+
+def test_each_z_ring_has_one_packing():
+    # normal forms, nilpotency orders, psi refusals and expansions all take
+    # the one packing of their z ring: one cached entry per ell
+    from jetform import symfun
+
+    symfun._packed_rules.cache_clear()
+    for ell in range(1, 7):
+        ring = jetform.zring(ell)
+        jetform.normal_form_IS(ring.var(0) ** ell)
+        jetform.schubert_expansion(ring.var(ell - 1) ** 2)
+        lam = jetform.Composition((1, ell - 1))
+        jetform.nilpotency_order(jetform.block_sigma(lam, 1, 1), lam, 1)
+    for h in [(1,), (1, 1), (2, 1), (2, 2)]:
+        jetform.min_degree_search(h)
+    assert symfun._packed_rules.cache_info().currsize == 6
+
+
+def test_only_symfun_reduces_packed_polynomials():
+    # `_reduce_packed` is named in `symfun` alone, and `alambda` takes its
+    # powers from `symfun._nf_powers`, not from the packed kernels
+    privates = {"_normal_form", "_packed_rules", "_packing", "_reduce_packed"}
+    for name in MODULES:
+        tree = ast.parse(Path(jetform.__file__).with_name(name + ".py").read_text())
+        named = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                named.update(alias.name for alias in node.names)
+        if name != "symfun":
+            assert "_reduce_packed" not in named, name
+        if name == "alambda":
+            assert "_nf_powers" in named
+            assert not named & privates, named & privates
 
 
 def test_schubert_span_is_keyed_by_packed_ints():

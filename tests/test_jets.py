@@ -1228,6 +1228,19 @@ def test_oracle_table_runs_one_elimination_per_search(monkeypatch):
     assert hashlib.sha256(canonical.encode()).hexdigest() == ORACLE_ANSWERS_SHA256
 
 
+def test_psi_refusals_are_the_nonzero_powers_of_sigma_1():
+    # on every oracle tuple psi(mono) is sigma_1 of the first block, so the
+    # psi refusals stop one below its nilpotency order
+    for h in _oracle_tuples():
+        desc = JetRingDesc(len(h), sum(h))
+        spec = PsiSpecialization(h, desc)
+        sigma = block_sigma(spec.lam, 1, 1)
+        assert spec.apply(derivative_monomial(h, desc)) == sigma
+        refusals = min_degree_search(h).refusals
+        psi = sorted(d for d, r in refusals.items() if r.witness is not None)
+        assert psi == list(range(1, nilpotency_order(sigma, spec.lam, 1))), h
+
+
 def test_budget_estimate_tracks_traced_peak_memory():
     h = (2, 2)
     min_degree_search(h)  # fill the lru caches, such as _jet_ring and _packed_rules, untraced

@@ -293,13 +293,13 @@ def _normal_form_span(ell):
     """The expansion's span before reversal: the normal forms of the S_w."""
     span = ExactSpan()
     for w, p in sorted(schubert_table(ell).items()):
-        assert span.insert(symfun._normal_form(p, ell)[0], w)
+        assert span.insert(symfun._normal_form(p.terms.items(), ell)[0], w)
     return span
 
 
 def _expansion_by_normal_forms(p, ell):
     """The reference expansion: NF(p) reduced against the NF(S_w)."""
-    terms, denom = symfun._normal_form(p, ell)
+    terms, denom = symfun._normal_form(p.terms.items(), ell)
     coeffs, scale = _normal_form_span(ell).reduce(terms)
     return {w: Fraction(c, scale * denom) for w, c in sorted(coeffs.items())}
 
@@ -478,7 +478,7 @@ def test_the_schubert_span_builds_no_poly_or_fraction(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the Schubert span built a Poly or a Fraction")
 
-    symfun._packed_rules(6, 15)  # the z ring's rules are made from Polys, once
+    symfun._packed_rules(6)  # the z ring's rules are made from Polys, once
     monkeypatch.setattr(Poly, "__init__", refuse)
     monkeypatch.setattr(Fraction, "__new__", refuse)
     assert schubert._schubert_span.__wrapped__(6).rank == 720

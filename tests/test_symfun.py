@@ -531,3 +531,36 @@ def test_block_sigma_matches_elementary():
     lam = Composition((2, 3))
     ring = zring(5)
     assert block_sigma(lam, 2, 2) == elementary_symmetric(ring, 2, range(2, 5))
+
+
+@pytest.mark.parametrize("ell", range(1, 7))
+def test_nf_powers_are_the_normal_forms_of_the_powers(ell):
+    # the packed power kernel yields d^e * NF(p^e) and d^e for every e up to
+    # the first zero power; p has Fraction coefficients and a term above the
+    # top degree ell(ell-1)/2
+    from jetform import symfun
+
+    rng = make_rng(ell)
+    ring = zring(ell)
+    top = ell * (ell - 1) // 2
+    unpack = symfun._packing(ell).unpack
+    for _ in range(3 if ell < 6 else 1):  # the powers at ell = 6 take 1.5 s
+        terms = dict(random_poly(ring, rng, max_deg=2, terms=3).terms)
+        high = [0] * ell
+        high[rng.randrange(ell)] = top + 1
+        terms[ring.monomial(high)] = Fraction(1, 2)
+        for i in range(ell):  # a linear form sum of i*z_i, whose power top is nonzero
+            unit = ring.monomial([int(j == i) for j in range(ell)])
+            terms[unit] = terms.get(unit, 0) + Fraction(i, 7)
+        p = Poly(ring, {m: c for m, c in terms.items() if sum(m)})
+        e, power = 0, ring.one()
+        powers = list(symfun._nf_powers(p, ell))
+        for e, (packed, scale) in enumerate(powers, 1):
+            # p^e cut to degree <= top, which is all of it normal_form_IS reads
+            power = Poly(ring, {m: c for m, c in (power * p).terms.items() if sum(m) <= top})
+            assert scale == powers[0][1] ** e
+            assert {unpack(k): Fraction(c, scale) for k, c in packed.items()} == (
+                normal_form_IS(power).terms
+            )
+        assert normal_form_IS(power * p).is_zero()
+        assert e == top  # degree top is reached, so no product of it is dropped
