@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 
-from .errors import DomainError, InvariantViolationError, RingMismatchError, _size
+from .errors import DomainError, InvariantViolationError, _in_ring, _size
 from .polyring import Monomial, Poly, Ring, _series_coefficients
 from .symfun import (
     Composition,
@@ -108,8 +108,7 @@ def nilpotency_order(p: Poly, lam: Composition, block: int) -> int:
     """
     block = _size(block, "block index", 1, lam.n)
     ell = lam.ell
-    if p.ring != zring(ell):
-        raise RingMismatchError("polynomial must live in the %d-variable z ring" % ell)
+    _in_ring(p, zring(ell), "polynomial")
     block_vars = set(lam.block(block))
     for mono in p.terms:
         support = {i for i, e in enumerate(mono) if e}
@@ -162,7 +161,6 @@ def alpha_map(q: Poly, lam: Composition) -> Poly:
     Injective on polynomials because block elementary symmetrics are
     algebraically independent.
     """
-    if q.ring != c_lambda_ring(lam):
-        raise RingMismatchError("polynomial not in the coefficient ring of %r" % (lam,))
+    _in_ring(q, c_lambda_ring(lam), "polynomial")
     target = zring(lam.ell)
     return q.substitute(target, [s for sigmas in _block_sigmas(lam, target) for s in sigmas[::-1]])

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the size check that
-raises them."""
+"""Exception types shared across the package, and the two checks that
+raise them for every module: `_size` for sizes and indices, and `_in_ring`
+for ring identity.  No other code compares a polynomial's ring."""
 
 from operator import index
 
@@ -67,3 +68,11 @@ def _size(value, what: str, least: int = 0, most: int | None = None) -> int:
         bounds = "at least %d" % least if most is None else "in %d..%d" % (least, most)
         raise DomainError("%s must be %s, got %d" % (what, bounds, value))
     return value
+
+
+def _in_ring(poly, ring, what: str):
+    """`poly` if it lies in `ring`, else a RingMismatchError naming `what`,
+    the ring wanted and the ring given: the one check of ring identity."""
+    if poly.ring is not ring and poly.ring != ring:  # mostly the same Ring
+        raise RingMismatchError("%s must be in %r, not in %r" % (what, ring, poly.ring))
+    return poly

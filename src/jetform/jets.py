@@ -60,7 +60,7 @@ from .errors import (
     CapExceededError,
     DomainError,
     InvariantViolationError,
-    RingMismatchError,
+    _in_ring,
     _size,
 )
 from .linalg import Budget, ExactSpan, integer_nullspace
@@ -180,8 +180,7 @@ def jet_generators(gens, desc: JetRingDesc) -> list[Poly]:
     series = [range(desc.slot(i, 0), desc.slot(i, m) + 1) for i in range(1, desc.n + 1)]
     out: list[Poly] = []
     for g in gens:
-        if g.ring != base:
-            raise RingMismatchError("generator %s not in the %d-variable base ring" % (g, desc.n))
+        _in_ring(g, base, "generator")
         coeffs: list[dict] = [{} for _ in range(m + 1)]
         for mono, c in g.terms.items():
             factors = [series[i] for i, e in enumerate(mono) for _ in range(e)]
@@ -306,6 +305,8 @@ class MembershipResult:
     def verify(self, p: Poly, gens) -> bool:
         """Re-expand the combination term by term and compare it with p; an
         entry naming no generator or no exponent vector of p's ring fails."""
+        for i, g in enumerate(gens):
+            _in_ring(g, p.ring, "generator %d" % i)
         if not self.member:
             return False
         terms: dict[Monomial, Fraction] = {}
@@ -789,9 +790,7 @@ def homogeneous_membership(
     if not p.is_homogeneous():
         raise DomainError("membership query must be homogeneous")
     for i, g in enumerate(gens):
-        if g.ring != p.ring:
-            raise RingMismatchError("generator %d in a different ring" % i)
-        if g.is_zero():
+        if _in_ring(g, p.ring, "generator %d" % i).is_zero():
             raise DomainError("generator %d is zero" % i)
         if not g.is_homogeneous():
             raise DomainError("generator %d is not homogeneous" % i)
@@ -815,8 +814,7 @@ def phi_binary_eval(p: Poly, h, desc: JetRingDesc) -> Fraction:
     """Evaluate p at x_i^(j) = 0 when j < h_i and 1 otherwise: one
     substitution into the ring of no variables, whose constant is the value."""
     h = _derivative_tuple(h, desc.n)
-    if p.ring != desc.ring:
-        raise RingMismatchError("polynomial not in the jet ring of %r" % desc)
+    _in_ring(p, desc.ring, "polynomial")
     point = Ring(())
     images = [point.const(int(j >= hi)) for hi in h for j in range(desc.m + 1)]
     return p.substitute(point, images).constant_term()
@@ -874,9 +872,7 @@ class PsiSpecialization:
         ]
 
     def apply(self, p: Poly) -> Poly:
-        if p.ring != self.desc.ring:
-            raise RingMismatchError("polynomial not in the jet ring of %r" % self.desc)
-        return p.substitute(self.target, self._images)
+        return _in_ring(p, self.desc.ring, "polynomial").substitute(self.target, self._images)
 
 
 def psi_specialize(p: Poly, h, desc: JetRingDesc) -> Poly:

@@ -51,8 +51,8 @@ class Budget:
       g_0 that the oracle filters as columns has no list in it.
     Each entry is costed at BYTES_PER_ENTRY, set from `tracemalloc` peaks
     of whole searches, which also hold the query and the psi normal forms:
-    153 bytes per entry for min_degree_search((2, 2)), 149 for (1, 1, 2)
-    and 146 for (0, 4).
+    142 bytes per entry for min_degree_search((2, 2)), 141 for (1, 1, 2)
+    and 136 for (0, 4), so the charge is 1.12-1.18 times the traced peak.
     Exceeding the configured limit raises BudgetExceededError instead of
     thrashing.  The limit is None, for no limit, or a finite number of MB,
     at least 0; anything else raises DomainError.

@@ -3,7 +3,9 @@
 A `Ring` is just an ordered tuple of variable names.  Polynomials are
 immutable sparse maps Monomial -> Fraction with no zero coefficients stored,
 in construction order; `format_poly` prints terms in descending lex.  Two
-polynomials are equal iff their term maps (and rings) are equal.  The
+polynomials are equal iff their term maps (and rings) are equal.  Whether
+a polynomial lies in the ring an operation needs, the operands of `+`,
+`-` and `*` included, is checked by `errors._in_ring` alone.  The
 monomial order is lexicographic with the first ring variable most
 significant, which is the order every quotient computation here relies on.
 
@@ -30,7 +32,7 @@ from math import lcm
 from operator import add, sub
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .errors import DomainError, ParseError, RingMismatchError, _size
+from .errors import DomainError, ParseError, RingMismatchError, _in_ring, _size
 
 __all__ = [
     "Ring",
@@ -243,21 +245,15 @@ class Poly:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check_ring(self, other: "Poly"):
-        if self.ring != other.ring:
-            raise RingMismatchError(
-                "operands in different rings: %r vs %r" % (self.ring, other.ring)
-            )
-
     def __add__(self, other: "Poly") -> "Poly":
-        self._check_ring(other)
+        _in_ring(other, self.ring, "operand")
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, 0) + c
         return Poly(self.ring, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        self._check_ring(other)
+        _in_ring(other, self.ring, "operand")
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, 0) - c
@@ -269,7 +265,7 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        self._check_ring(other)
+        _in_ring(other, self.ring, "operand")
         out: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -339,8 +335,7 @@ class Poly:
                 "need %d images, got %d" % (self.ring.nvars, len(images))
             )
         for img in images:
-            if img.ring != target:
-                raise RingMismatchError("image %s not in target ring" % img)
+            _in_ring(img, target, "image")
         out: dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
             acc = target.const(c)
@@ -405,9 +400,7 @@ def divide(
         return [], p
     ring = p.ring
     for g in basis:
-        if g.ring != ring:
-            raise RingMismatchError("basis element in a different ring")
-        if g.is_zero():
+        if _in_ring(g, ring, "basis element").is_zero():
             raise DomainError("zero polynomial in division basis")
     leads = [g.leading() for g in basis]
     quot: list[dict[Monomial, Fraction]] = [{} for _ in basis]

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .errors import DomainError, InvariantViolationError, ParseError, RingMismatchError, _size
+from .errors import DomainError, InvariantViolationError, ParseError, _in_ring, _size
 from .linalg import ExactSpan
 from .polyring import Monomial, Packing, Poly
 from .symfun import _normal_form, _packed_rules, normal_form_IS, zring
@@ -183,10 +183,10 @@ def _schubert_rows(ell: int, shifts, mask: int) -> dict[tuple, dict[int, int]]:
     return rows
 
 
-@lru_cache(maxsize=None)
 def schubert_table(ell: int) -> dict[Permutation, Poly]:
     """All Schubert polynomials of S_ell, keyed by permutation: the rows of
-    `_schubert_span` from the same generator, in unreversed field order."""
+    `_schubert_span` from the same generator, in unreversed field order,
+    made afresh on every call."""
     ring, packing = zring(_size(ell, "ell", 1)), Packing(ell, ell - 1)
     return {
         Permutation(w): Poly(ring, {packing.unpack(key): Fraction(c) for key, c in terms.items()})
@@ -230,11 +230,11 @@ def _schubert_span(ell: int) -> ExactSpan:
     (Macdonald, Notes on Schubert Polynomials, LaCIM 1991), so rho(S_w) is
     reduced and no normal form is taken; that is checked by `_reduce_packed`'s
     test (key + bump) & guard == 0 on every key, and so is independence."""
-    packing, bump, guard, _ = _packed_rules(ell)
+    packing, bump, _ = _packed_rules(ell)
     span = ExactSpan()
     rows = _schubert_rows(ell, packing.shifts[::-1], packing.mask)
     for w, row in sorted(rows.items()):
-        if any((key + bump) & guard for key in row):
+        if any((key + bump) & packing.guard for key in row):
             raise InvariantViolationError("reversed S_w is not a normal form for w=%s" % Permutation(w))
         if not span.insert(row, Permutation(w)):
             raise InvariantViolationError("reversed S_w are linearly dependent at ell=%d" % ell)
@@ -251,8 +251,7 @@ def schubert_expansion(p: Poly, ell: int | None = None) -> dict[Permutation, Fra
     the table grows with the factorial.
     """
     ell = _size(p.ring.nvars if ell is None else ell, "ell", 1, MAX_ELL)
-    if p.ring != zring(ell):
-        raise RingMismatchError("polynomial not in the %d-variable z ring" % ell)
+    _in_ring(p, zring(ell), "polynomial")
     terms, denom = _normal_form(((m[::-1], c) for m, c in p.terms.items()), ell)
     relation = _schubert_span(ell).reduce(terms)
     if relation is None:

@@ -33,7 +33,7 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import factorial
 
-from .errors import DomainError, RingMismatchError, _size
+from .errors import DomainError, RingMismatchError, _in_ring, _size
 from .polyring import Monomial, Packing, Poly, Ring, _clear_denominators
 
 __all__ = [
@@ -155,8 +155,7 @@ def normal_form_IS(p: Poly, ell: int | None = None) -> Poly:
     `_reduce_packed` for the loop and its one-step rule dispatch.
     """
     ell = p.ring.nvars if ell is None else ell
-    if p.ring != zring(ell):
-        raise RingMismatchError("polynomial not in the %d-variable z ring" % ell)
+    _in_ring(p, zring(ell), "polynomial")
     return _nf_poly(*_normal_form(p.terms.items(), ell), ell)
 
 
@@ -233,7 +232,8 @@ def _reduce_packed(pending: dict[int, int], ell: int) -> dict[int, int]:
     and 9-12% more on the expand queries, with no time difference beyond
     run-to-run noise; both pop 48,084 on a quotient run's 172 nilpotencies.
     """
-    _, bump, guard, rules = _packed_rules(ell)
+    packing, bump, rules = _packed_rules(ell)
+    guard = packing.guard
     heap = [-key for key in pending]
     heapify(heap)
     reduced: dict[int, int] = {}
@@ -259,30 +259,26 @@ def _reduce_packed(pending: dict[int, int], ell: int) -> dict[int, int]:
 
 @lru_cache(maxsize=None)
 def _packed_rules(ell: int):
-    """(packing, bump, guard, rules) of `_reduce_packed`: the `Packing` of
-    the ell-variable z ring for degree ell(ell-1)/2, made once per ell with
-    its rules.
+    """(packing, bump, rules) of `_reduce_packed`: the `Packing` of the
+    ell-variable z ring for degree ell(ell-1)/2, made once per ell with its
+    rules.
 
     `rules` maps the guard bit of z_i's field to the rewrite z_i^i -> ...
-    as ((packed offset, coefficient), ...).  The guard bit's value exceeds
-    ell(ell-1)/2 >= ell - 1, so it is at least ell: a bump of
-    (guard bit) - i >= 0 added to an exponent below the guard bit never
-    carries out of its field.
+    as ((packed offset, coefficient), ...).  `bump` adds (guard bit) - i to
+    the field of z_i; the guard bit's value exceeds ell(ell-1)/2 >= ell - 1,
+    so the bump is >= 0 and never carries an exponent out of its field.
     """
     packing = Packing(ell, ell * (ell - 1) // 2)
     pack = packing.pack
-    bump = guard = 0
     rules = {}
-    for i, (g, s) in enumerate(zip(groebner_basis_IS(ell), packing.shifts), 1):
-        bit = packing.guard & (packing.mask << s)  # the guard bit of z_i's field
-        bump += bit - (i << s)
-        guard |= bit
+    for g, s in zip(groebner_basis_IS(ell), packing.shifts):
         lead, _ = g.leading()
-        # g_i is monic with every coefficient 1, so the rule stays integral
-        rules[bit] = tuple(
+        # g_i is monic with every coefficient 1, so the rule stays integral;
+        # it is keyed by the guard bit of z_i's field
+        rules[packing.guard & (packing.mask << s)] = tuple(
             (pack(m) - pack(lead), -int(c)) for m, c in g.terms.items() if m != lead
         )
-    return packing, bump, guard, rules
+    return packing, packing.guard - pack(range(1, ell + 1)), rules
 
 
 def in_IS(p: Poly) -> bool:
@@ -401,7 +397,8 @@ def decompose_block_elementary(p: Poly, lam: Composition) -> Poly:
     polynomial is non-increasing inside every block, so it is matched by a
     unique product of block sigma powers, read from `_block_sigmas`;
     subtracting drives the leading monomial strictly down.  Substituting
-    y{i}_{j} -> sigma_j(block i) into the result recovers p exactly.
+    y{i}_{j} -> sigma_j(block i) into the result recovers p exactly when p
+    is in the z ring: `expand_block_elementary` returns z-ring polynomials.
     """
     _check_arity(p, lam)
     if not is_lambda_symmetric(p, lam):
@@ -434,7 +431,6 @@ def decompose_block_elementary(p: Poly, lam: Composition) -> Poly:
 def expand_block_elementary(q: Poly, lam: Composition) -> Poly:
     """Substitute y{i}_{j} -> sigma_j(block i), each block's `_block_sigmas`
     list as it is; inverse of the decomposition."""
-    if q.ring != block_elementary_ring(lam):
-        raise RingMismatchError("polynomial not in the block elementary ring of %r" % (lam,))
+    _in_ring(q, block_elementary_ring(lam), "polynomial")
     target = zring(lam.ell)
     return q.substitute(target, [s for sigmas in _block_sigmas(lam, target) for s in sigmas])

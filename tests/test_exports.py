@@ -2,9 +2,10 @@
 leave its `__all__` and the package's re-exports with it.  Also guards on
 what passes between the kernels: `linalg` works on integer rows only,
 each z ring has one packing whose keys fit one CPython digit, and only
-`symfun` reduces packed z-ring polynomials.  And a guard that every index
-is checked by `errors._size` alone, and one that psi and alpha take their
-images from the one block sigma table."""
+`symfun` reduces packed z-ring polynomials.  And guards that every index
+is checked by `errors._size` alone and every ring by `errors._in_ring`
+alone, and one that psi and alpha take their images from the one block
+sigma table."""
 
 import ast
 import importlib
@@ -132,3 +133,19 @@ def test_only_errors_checks_an_index_by_hand():
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 for phrase in ("out of range", "must be at least", "must be in "):
                     assert phrase not in node.value, (name, node.value)
+
+
+def test_only_errors_compares_a_polynomials_ring():
+    # ring identity is checked by `errors._in_ring` alone: no other module
+    # tests `<expr>.ring != ...`; `p.ring.nvars != ...` counts variables,
+    # an arity check, and stays allowed
+    for name in MODULES:
+        if name == "errors":
+            continue
+        tree = ast.parse(Path(jetform.__file__).with_name(name + ".py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare) and any(isinstance(op, ast.NotEq) for op in node.ops):
+                operands = [node.left, *node.comparators]
+                assert not any(
+                    isinstance(o, ast.Attribute) and o.attr == "ring" for o in operands
+                ), (name, ast.unparse(node))

@@ -22,14 +22,20 @@ from jetform import (
     Monomial,
     Permutation,
     PsiSpecialization,
+    Ring,
     RingMismatchError,
+    alpha_map,
+    block_elementary_ring,
     block_rotation,
     block_sigma,
+    c_lambda_ring,
     complete_homogeneous,
     compositions,
     derivative_monomial,
+    divide,
     divided_difference,
     elementary_symmetric,
+    expand_block_elementary,
     groebner_basis_IS,
     homogeneous_membership,
     in_IS,
@@ -44,6 +50,7 @@ from jetform import (
     phi_binary_eval,
     psi_specialize,
     radical_witness,
+    schubert_expansion,
     zring,
 )
 from jetform.polyring import Packing, _clear_denominators
@@ -1429,6 +1436,46 @@ def test_derivative_tuples_are_refused_alike(entry, h):
     call, _ = _DERIVATIVE_ENTRY_POINTS[entry]
     with pytest.raises(DomainError):
         call(h)
+
+
+_Z3, _LAM = zring(3), Composition((1, 2))
+_Z1Z2 = _Z3.var(0) * _Z3.var(1)
+# each entry point that checks ring identity: the ring it wants, and a call
+# that hands it one polynomial q of that ring
+_RING_ENTRY_POINTS = {
+    "Poly.__add__": (_Z3, lambda q: _Z3.one() + q),
+    "Poly.__sub__": (_Z3, lambda q: _Z3.one() - q),
+    "Poly.__mul__": (_Z3, lambda q: _Z3.one() * q),
+    "Poly.substitute": (_Z3, lambda q: _Z3.var(0).substitute(_Z3, [q, q, q])),
+    "divide": (_Z3, lambda q: divide(_Z3.var(0), [q])),
+    "normal_form_IS": (_Z3, lambda q: normal_form_IS(q, 3)),
+    "expand_block_elementary": (
+        block_elementary_ring(_LAM), lambda q: expand_block_elementary(q, _LAM)
+    ),
+    "nilpotency_order": (_Z3, lambda q: nilpotency_order(q, _LAM, 1)),
+    "alpha_map": (c_lambda_ring(_LAM), lambda q: alpha_map(q, _LAM)),
+    "schubert_expansion": (_Z3, lambda q: schubert_expansion(q, 3)),
+    "jet_generators": (_DESC.base_ring, lambda q: jet_generators([q], _DESC)),
+    "homogeneous_membership": (
+        _DESC.ring, lambda q: homogeneous_membership(_DESC.ring.var(0), [q])
+    ),
+    "phi_binary_eval": (_DESC.ring, lambda q: phi_binary_eval(q, (1, 2), _DESC)),
+    "PsiSpecialization.apply": (_DESC.ring, lambda q: PsiSpecialization((1, 2), _DESC).apply(q)),
+    "MembershipResult.verify": (
+        _Z3, lambda q: homogeneous_membership(_Z1Z2, [_Z3.var(0)]).verify(_Z1Z2, [q])
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", _RING_ENTRY_POINTS)
+def test_polynomials_from_another_ring_are_refused_alike(entry):
+    # a ring of as many variables under other names is still another ring
+    ring, call = _RING_ENTRY_POINTS[entry]
+    call(ring.var(0))
+    foreign = Ring("w%d" % i for i in range(ring.nvars))
+    with pytest.raises(RingMismatchError) as info:
+        call(foreign.var(0))
+    assert repr(ring) in str(info.value) and repr(foreign) in str(info.value)
 
 
 def test_ring_mismatch_is_a_domain_error():

@@ -359,6 +359,13 @@ def _reference_span(ell):
     return span
 
 
+def test_schubert_table_hands_out_no_cache():
+    table = schubert_table(3)
+    expected = dict(table)
+    table.clear()
+    assert schubert_table(3) == expected
+
+
 def test_schubert_table_matches_the_poly_reference():
     for ell in range(1, 7):
         table, reference = schubert_table(ell), _reference_table(ell)
