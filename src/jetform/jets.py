@@ -16,17 +16,19 @@ The minimal-degree search certifies both ways.  A refused power is proved
 by the psi specialisation: psi sends every jet generator into I_S (checked
 once per search), so a nonzero normal form of psi(mono)^d modulo I_S shows
 that mono^d is not in the jet ideal.  Only a degree psi cannot refuse goes
-to exact elimination.  The elimination packs each monomial into one int
-by a `polyring.Packing` for the query's degree, so lex order is integer
-order, multiplying is adding and dividing is subtracting.  A row's columns
-are the negated packed monomials, so elimination works from the
-lex-smallest one.  The multipliers of the inserted generators come from
-one table per query, filled by one variable-by-variable pass per
-multiplier degree: the jet generators share their block degrees and
-differ only in weight, so one pass serves them all.  Each state of the pass, a remaining
-degree and partial weights, cuts the exponent of its variable to one
-interval by two linear bounds per grading, so no exponent is tested on its
-own, and the table is charged to the memory budget as it grows.
+to exact elimination, which packs each monomial into one int by a
+`polyring.Packing` for the query's degree, so lex order is integer order,
+multiplying is adding and dividing is subtracting.  `_solve_membership`
+builds the span of the query's graded component, rows and query keyed by
+packed monomials negated only as they enter it, so elimination works from
+the lex-smallest one; `_certificate` reduces the query against it.  The
+multipliers of the inserted generators come from one table per query,
+filled by one variable-by-variable pass per multiplier degree: the jet
+generators share their block degrees and differ only in weight, so one
+pass serves them all.  Each state of the pass, a remaining degree and
+partial weights, cuts the exponent of its variable to one interval by two
+linear bounds per grading, so no exponent is tested on its own, and the
+table is charged to the memory budget as it grows.
 
 Rows are inserted generator by generator, multipliers in descending lex
 order, and a row M*g_k is skipped without elimination when M is divisible
@@ -52,7 +54,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import add, mul
+from operator import mul
 
 from .alambda import dim_A_lambda
 from .errors import (
@@ -418,8 +420,7 @@ def _packed_multipliers(degree: int, gradings, targets, shifts, budget=None) -> 
             (w[i], min(w[i + 1 :]), max(w[i + 1 :]), low, high)
             for w, low, high in zip(gradings, lo, hi)
         ]
-        # the weights of x_i^e under all gradings, for each e
-        steps = [tuple(w[i] * e for w in gradings) for e in range(degree + 1)]
+        col = [w[i] for w in gradings]
         shift = shifts[i]
         nxt: dict = {}
         size = 0
@@ -432,12 +433,13 @@ def _packed_multipliers(degree: int, gradings, targets, shifts, budget=None) -> 
                     budget.charge(size // _PACKED_PER_ENTRY - charged, "multiplier table")
                     charged = size // _PACKED_PER_ENTRY
             for e in exps:
-                part = tuple(map(add, partial, steps[e]))
+                # weights per e taken: a list for every e <= degree would precede any charge
                 if e:
+                    part = tuple([s + c * e for s, c in zip(partial, col)])
                     step = e << shift
                     grown = [k + step for k in prefixes]
                 else:
-                    grown = prefixes  # e = 0 comes last: the popped list moves on
+                    part, grown = partial, prefixes  # e = 0 comes last: the popped list moves on
                 known = nxt.get((remaining - e, part))
                 if known is None:
                     nxt[remaining - e, part] = grown
@@ -472,17 +474,6 @@ def _undivided(mults, leads, guard):
                 break
         else:
             yield m
-
-
-def _columns(terms, packing: Packing) -> dict:
-    """The row of `terms` keyed by negated packed monomials.
-
-    `ExactSpan` eliminates from its largest key, so negated keys make it
-    work from the lex-smallest monomial.  The same rows become pivots in
-    any column order, and this one stores far fewer step-history entries
-    than lex-largest first.
-    """
-    return {-packing.pack(mono): v for mono, v in terms.items()}
 
 
 def _trailing_term_leads(rows, packing: Packing, top, bounds, budget):
@@ -595,7 +586,8 @@ def _trailing_term_leads(rows, packing: Packing, top, bounds, budget):
 
 
 def _solve_membership(p, gens, usable, gradings, span, filtered) -> tuple:
-    """Insert the multiplier*generator rows into `span`, then reduce p.
+    """Insert into `span` the multiplier*generator rows of p's graded
+    component, read from p's degree and weights alone, never its terms.
 
     The multipliers of all generators but `filtered` are enumerated up
     front, one pass per distinct multiplier degree, into a table keyed by
@@ -632,22 +624,22 @@ def _solve_membership(p, gens, usable, gradings, span, filtered) -> tuple:
     the jet generators do, that coefficient lies in (I_<k : g_k) = I_<k, so
     every such row is skipped.
 
-    `filtered` is None or usable[0], the index of a monomial g_0.  Its rows
+    `filtered` is None or usable[0], the index of a monomial g_0. Its rows
     M*g_0 are the unit vectors of the g_0-divisible columns, all of the
-    component's, so those columns are dropped from every other row and
-    from p instead, and a row left empty is skipped.  Dropping them is the
-    linear projection that kills exactly the span of the g_0 rows, so
-    skipped rows stay redundant, the same rows become pivots as beside the
-    g_0 rows, stored projected, and the combination over them, unique, is
-    the same.  A term T*M is g_0-divisible exactly when T*min(M, g_0) is,
-    so each generator filters its terms once per capped multiplier.
+    component's, so those columns are dropped from every other row, and by
+    `_certificate` from p, instead, and a row left empty is skipped.
+    Dropping them is the linear projection that kills exactly the span of
+    the g_0 rows, so skipped rows stay redundant, the same rows become
+    pivots as beside the g_0 rows, stored projected, and the combination
+    over them, unique, is the same.  A term T*M is g_0-divisible exactly
+    when T*min(M, g_0) is, so each generator filters its terms once per
+    capped multiplier.
 
-    Rows are keyed by `_columns` on a `Packing` for deg p: every monomial
-    of the component has total degree deg p, so no exponent exceeds it.  A
-    row is its generator times the lcm d of its denominators, labelled
-    (generator index, packed multiplier); the query is p cleared alike.
-    Returns `ExactSpan.reduce`'s relation for the query, the packing and
-    {generator index: (row, d)}, which `_certificate` takes.
+    Monomials are packed by a `Packing` for deg p: every monomial of the
+    component has total degree deg p, so no exponent exceeds it.  Returns
+    the packing and {generator index: (row, d)}, the row its generator
+    times the lcm d of its denominators, keyed by packed monomials; the
+    span holds M*row negated, labelled (generator index, packed M).
     """
     degree = p.total_degree()
     packing = Packing(p.ring.nvars, degree)
@@ -668,7 +660,7 @@ def _solve_membership(p, gens, usable, gradings, span, filtered) -> tuple:
         )
     last_user = {t: gi for gi, t in targets.items()}
     cleared = {gi: _clear_denominators(gens[gi].terms) for gi in usable}
-    cleared = {gi: (_columns(terms, packing), d) for gi, (terms, d) in cleared.items()}
+    cleared = {gi: ({packing.pack(m): v for m, v in t.items()}, d) for gi, (t, d) in cleared.items()}
     # a lead divides a multiplier only if no grading without negative
     # entries weighs it more, nor does the total degree
     bounds = [
@@ -677,24 +669,20 @@ def _solve_membership(p, gens, usable, gradings, span, filtered) -> tuple:
         if min(w) >= 0
     ]
     leads = _trailing_term_leads(
-        [{-k: v for k, v in row.items()} for row, _ in cleared.values()],
-        packing,
-        max(by_degree, default=0),
-        bounds,
-        span.budget,
+        [row for row, _ in cleared.values()], packing, max(by_degree, default=0), bounds, span.budget
     )
-    query = _columns(_clear_denominators(p.terms)[0], packing)
     g0 = None
     if filtered is not None:
-        g0 = -next(iter(cleared[filtered][0]))  # the packed monomial g_0
-        query = {k: v for k, v in query.items() if ((-k | guard) - g0) & guard != guard}
+        g0 = next(iter(cleared[filtered][0]))  # the packed monomial g_0
         next(leads)  # the empty basis before g_0
     for gi, trailing in zip(inserted, leads):
         row = cleared[gi][0]
         t = targets[gi]
         mults = table.pop(t) if last_user[t] == gi else table[t]
+        # ExactSpan eliminates from its largest key; negated, it works from the
+        # lex-smallest, the order that stores far fewer step-history entries
         if g0 is None:
-            items = list(row.items())
+            items = [(-k, v) for k, v in row.items()]
         by_cap: dict = {}
         for mult in _undivided(mults, trailing, guard):
             if g0 is not None:
@@ -704,34 +692,42 @@ def _solve_membership(p, gens, usable, gradings, span, filtered) -> tuple:
                 items = by_cap.get(cap)
                 if items is None:
                     items = by_cap[cap] = [
-                        (k, v) for k, v in row.items() if (((cap - k) | guard) - g0) & guard != guard
+                        (-k, v) for k, v in row.items() if (((cap + k) | guard) - g0) & guard != guard
                     ]
                 if not items:
                     continue
             span.insert({k - mult: v for k, v in items}, (gi, mult))
-    return span.reduce(query), packing, cleared
+    return packing, cleared
 
 
-def _certificate(p: Poly, gens, relation, packing: Packing, cleared: dict, filtered) -> list:
-    """The certificate of a member p, re-expanded against p, as sorted
-    (generator index, multiplier, coefficient) triples: the relation
-    (combination, scale) `_solve_membership` returned, and the cofactor of
-    g_0 = gens[filtered].
+def _certificate(p: Poly, gens, span, packing: Packing, cleared: dict, filtered) -> list | None:
+    """None for a p outside `span`, else p's certificate, re-expanded
+    against p, as sorted (generator index, multiplier, coefficient) triples.
 
+    The half of the oracle that reads p: p is cleared and packed once, its
+    g_0-divisible terms dropped and the rest, negated, reduced by `span`.
     The residual s*p - sum of c*M*row, s = scale times the lcm of p's
-    denominators, is formed once in integers.  Each entry is unpacked once,
-    for its triple, with coefficient c*d/s, and its multiplier must have
-    its generator's multiplier degree; a field that borrowed or overflowed
-    unpacks to more than that, so this is also the sign check.  Each
-    nonzero residual term divided by g_0 is an entry of g_0's cofactor,
-    subtracted back through g_0's row; a term g_0 does not divide raises.
-    What is left, all of the residual if `filtered` is None, must be zero.
+    denominators, is formed from the same packed terms.  Each entry is
+    unpacked once, for its triple, with coefficient c*d/s, and its
+    multiplier must have its generator's multiplier degree; a field that
+    borrowed or overflowed unpacks to more than that, so this is also the
+    sign check.  Each nonzero residual term divided by g_0 = gens[filtered]
+    is an entry of g_0's cofactor, subtracted back through g_0's row; a
+    term g_0 does not divide raises.  What is left, all of the residual if
+    `filtered` is None, must be zero.
     """
+    terms, denom = _clear_denominators(p.terms)
+    terms = {packing.pack(m): v for m, v in terms.items()}
+    if filtered is not None:
+        ((g0, a),) = cleared[filtered][0].items()
+    query = {-k: v for k, v in terms.items() if filtered is None or not packing.divides(g0, k)}
+    relation = span.reduce(query)
+    if relation is None:
+        return None
+    comb, scale = relation
     degree = p.total_degree()
     mult_degree = {gi: degree - gens[gi].total_degree() for gi in cleared}
-    comb, scale = relation
-    terms, denom = _clear_denominators(p.terms)
-    residual = {packing.pack(m): v * scale for m, v in terms.items()}
+    residual = {k: v * scale for k, v in terms.items()}
     scale *= denom
     triples = []
     for (gi, mult), c in comb.items():
@@ -740,12 +736,10 @@ def _certificate(p: Poly, gens, relation, packing: Packing, cleared: dict, filte
             raise InvariantViolationError("membership certificate failed re-expansion")
         row, d = cleared[gi]
         for k, v in row.items():
-            residual[mult - k] = residual.get(mult - k, 0) - c * v
+            residual[mult + k] = residual.get(mult + k, 0) - c * v
         triples.append((gi, mono, Fraction(c * d, scale)))
     if filtered is not None:
-        row, d = cleared[filtered]
-        ((column, a),) = row.items()
-        g0 = -column
+        d = cleared[filtered][1]
         for key, v in residual.items():
             if not v:
                 continue
@@ -778,13 +772,15 @@ def homogeneous_membership(
     `_solve_membership`): the test holds for any homogeneous generators,
     and each skipped row lies in the span of the rows inserted before it.
 
-    The first usable generator, if it is a monomial g_0, is a column filter
-    instead of rows, decided here once for both halves of the oracle:
-    `_solve_membership` neither enumerates nor inserts its rows and drops
-    its columns, and `_certificate` recovers its cofactor from the residual
-    of p.  Pivots and span charges are those of the projected rows; the
-    certificate is the one inserting every row would give, and every entry
-    of it, g_0's included, is re-expanded against p before it is returned.
+    `_solve_membership` builds the span of p's component without reading p's
+    terms; `_certificate` packs them once, reduces and re-expands.  The
+    first usable generator, if it is a monomial g_0, is a column filter
+    instead of rows, decided here once for both halves: `_solve_membership`
+    neither enumerates nor inserts its rows and drops its columns, and
+    `_certificate` recovers its cofactor from the residual of p.  Pivots and
+    span charges are those of the projected rows; the certificate is the one
+    inserting every row would give, and every entry of it, g_0's included,
+    is re-expanded against p before it is returned.
     """
     gens = list(gens)
     if not p.is_homogeneous():
@@ -801,10 +797,9 @@ def homogeneous_membership(
     filtered = usable[0] if usable and len(gens[usable[0]].terms) == 1 else None
     gradings = _common_gradings([gens[i] for i in usable] + [p], p.ring.nvars)
     span = ExactSpan(budget=budget)
-    solved = _solve_membership(p, gens, usable, gradings, span, filtered)
-    if solved[0] is None:  # the span's relation for p
-        return MembershipResult(False, degree, None)
-    return MembershipResult(True, degree, _certificate(p, gens, *solved, filtered))
+    packing, cleared = _solve_membership(p, gens, usable, gradings, span, filtered)
+    certificate = _certificate(p, gens, span, packing, cleared, filtered)
+    return MembershipResult(certificate is not None, degree, certificate)
 
 
 # -- witness homomorphisms ----------------------------------------------------

@@ -5,10 +5,12 @@ each z ring has one packing whose keys fit one CPython digit, and only
 `symfun` reduces packed z-ring polynomials.  And guards that every index
 is checked by `errors._size` alone and every ring by `errors._in_ring`
 alone, and one that psi and alpha take their images from the one block
-sigma table."""
+sigma table.  Guards that the membership oracle reads its query in one
+half only, and that every name the bench tracer wraps still exists."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -149,3 +151,75 @@ def test_only_errors_compares_a_polynomials_ring():
                 assert not any(
                     isinstance(o, ast.Attribute) and o.attr == "ring" for o in operands
                 ), (name, ast.unparse(node))
+
+
+def test_oracle_packs_the_query_in_one_place():
+    # `_certificate` clears, packs and projects the query; no second helper
+    # keys a query or a row for the span
+    from jetform import jets
+
+    assert not hasattr(jets, "_columns")
+
+
+def test_span_half_of_the_oracle_reads_no_query_terms():
+    # `_solve_membership` builds the span of the query's graded component
+    # from the query's degree and weights only
+    from jetform import jets
+
+    (func,) = ast.parse(inspect.getsource(jets._solve_membership)).body
+    query = func.args.args[0].arg
+    reads = [
+        ast.unparse(node)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "terms"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == query
+    ]
+    assert not reads, reads
+
+
+def test_trailing_term_basis_takes_the_cleared_rows_themselves(monkeypatch):
+    # no negated or un-negated copy of a row is made for the F5 basis: the
+    # rows it receives are the objects `_solve_membership` returns, keyed
+    # by positive packed monomials
+    from jetform import jets
+
+    received = []
+    leads = jets._trailing_term_leads
+
+    def spy(rows, *args):
+        received.append(rows)
+        return leads(rows, *args)
+
+    monkeypatch.setattr(jets, "_trailing_term_leads", spy)
+    desc = jetform.JetRingDesc(2, 2)
+    gens = jetform.jet_generators(None, desc)
+    query = jetform.derivative_monomial((1, 1), desc) ** 3
+    usable = list(range(len(gens)))
+    gradings = jets._common_gradings(gens + [query], desc.ring.nvars)
+    span = jetform.ExactSpan()
+    packing, cleared = jets._solve_membership(query, gens, usable, gradings, span, 0)
+    (rows,) = received
+    assert len(rows) == len(cleared) == len(gens)
+    assert all(got is row for got, (row, _) in zip(rows, cleared.values()))
+    assert all(key > 0 for row in rows for key in row)
+    assert jets._certificate(query, gens, span, packing, cleared, 0)
+
+
+def test_every_traced_name_resolves():
+    # `bench/tracer.py` wraps each (module, class, attribute) of its TARGETS
+    # by name; one deleted from jetform fails here instead of in a traced run
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "bench" / "tracer.py").read_text())
+    (targets,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [ast.unparse(t) for t in node.targets] == ["TARGETS"]
+    ]
+    assert targets
+    for _, module, cls, attr in targets:
+        owner = importlib.import_module("jetform." + module)
+        if cls is not None:
+            owner = getattr(owner, cls, None)
+        assert callable(getattr(owner, attr, None)), (module, cls, attr)

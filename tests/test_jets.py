@@ -461,6 +461,21 @@ class _RecordingSpan(ExactSpan):
         return super().insert(row, label)
 
 
+class _BumpingSpan(ExactSpan):
+    """An ExactSpan whose `reduce` keeps its relation in `relation` and,
+    once `bump` is set to a label, returns it with one added to that
+    label's coefficient."""
+
+    bump = None
+
+    def reduce(self, row):
+        self.relation = super().reduce(row)
+        if self.relation is None or self.bump is None:
+            return self.relation
+        comb, scale = self.relation
+        return {**comb, self.bump: comb[self.bump] + 1}, scale
+
+
 def _pivot_rows(span):
     return [
         (lead, list(piv.terms.items()), list(piv.hist.items()))
@@ -473,23 +488,27 @@ def _skipped_rows_are_redundant(p, gens, multipliers) -> int:
     criterion, and beside it a span offered every row the oracle would see
     without that criterion, in the same order: generators in index order,
     each generator's multipliers of the query's weights in descending lex
-    order, drawn from `multipliers(degree)`, exponent vectors of that
-    degree in descending lex order, keyed by the oracle's `_columns`.  When
-    the first usable generator g_0 is a monomial, the oracle sees no row
-    M*g_0 and no g_0-divisible column, and rows left empty are not offered;
-    so neither does this reference.  Check that each row the oracle skipped
-    leaves the reference span unchanged and that both spans end with the
-    same pivots and histories, in dict order.  Check also that the oracle's
-    certificate, as `_certificate` completes and re-expands it, is the one
-    a third span gives, offered every row, g_0's included, with no column
-    dropped.  Returns the number of skipped rows."""
+    order, drawn from `multipliers(degree)`, exponent vectors of that degree
+    in descending lex order, keyed by negated packed monomials as the oracle
+    inserts them.  When the first usable generator g_0 is a monomial, the
+    oracle sees no row M*g_0 and no g_0-divisible column, and rows left
+    empty are not offered; so neither does this reference.  Check that each
+    row the oracle skipped leaves the reference span unchanged and that both
+    spans end with the same pivots and histories, in dict order.  Check also
+    that the oracle's certificate, as `_certificate` reduces p against the
+    oracle's span and completes and re-expands it, is the one a third span
+    gives, offered every row, g_0's included, with no column dropped.
+    Returns the number of skipped rows."""
     degree = p.total_degree()
     nvars = p.ring.nvars
     usable = [i for i, g in enumerate(gens) if g.total_degree() <= degree]
     filtered = usable[0] if len(gens[usable[0]].terms) == 1 else None
     gradings = jets._common_gradings([gens[i] for i in usable] + [p], nvars)
     kept = _RecordingSpan()
-    relation, packing, cleared = jets._solve_membership(p, gens, usable, gradings, kept, filtered)
+    packing, cleared = jets._solve_membership(p, gens, usable, gradings, kept, filtered)
+
+    def columns(terms):
+        return {-packing.pack(mono): v for mono, v in terms.items()}
 
     shifts = packing.shifts
     target = _weights(gradings, next(iter(p.terms)))
@@ -510,14 +529,14 @@ def _skipped_rows_are_redundant(p, gens, multipliers) -> int:
             mult = Monomial(exps)
             label = (gi, sum(e << s for e, s in zip(exps, shifts)))
             terms = {m * mult: v for m, v in grow.items()}
-            plain.insert(jets._columns(terms, packing), (gi, mult, denom))
+            plain.insert(columns(terms), (gi, mult, denom))
             if g0 is not None:
                 if gi == usable[0]:
                     continue
                 terms = {m: v for m, v in terms.items() if not g0.divides(m)}
                 if not terms:
                     continue
-            enlarged = full.insert(jets._columns(terms, packing), label)
+            enlarged = full.insert(columns(terms), label)
             if label == next_kept:
                 next_kept = next(offered, None)
             else:
@@ -527,11 +546,12 @@ def _skipped_rows_are_redundant(p, gens, multipliers) -> int:
     assert next_kept is None
     assert _pivot_rows(kept) == _pivot_rows(full)
     p_row, p_denom = _clear_denominators(p.terms)
-    plain_relation = plain.reduce(jets._columns(p_row, packing))
-    assert (relation is None) == (plain_relation is None)
-    if relation is not None:
+    plain_relation = plain.reduce(columns(p_row))
+    certificate = jets._certificate(p, gens, kept, packing, cleared, filtered)
+    assert (certificate is None) == (plain_relation is None)
+    if certificate is not None:
         comb, scale = plain_relation
-        assert jets._certificate(p, gens, relation, packing, cleared, filtered) == sorted(
+        assert certificate == sorted(
             (gi, mult, Fraction(c * denom, scale * p_denom))
             for (gi, mult, denom), c in comb.items()
         )
@@ -777,16 +797,15 @@ def test_filtered_certificates_match_a_span_offered_every_row(system):
         usable = [i for i, g in enumerate(gens) if g.total_degree() <= result.degree]
         filtered = usable[0] if len(gens[usable[0]].terms) == 1 else None
         gradings = jets._common_gradings([gens[i] for i in usable] + [query], query.ring.nvars)
-        relation, packing, cleared = jets._solve_membership(
-            query, gens, usable, gradings, ExactSpan(), filtered
-        )
-        cert = jets._certificate(query, gens, relation, packing, cleared, filtered)
+        span = _BumpingSpan()
+        packing, cleared = jets._solve_membership(query, gens, usable, gradings, span, filtered)
+        cert = jets._certificate(query, gens, span, packing, cleared, filtered)
         assert cert == result.combination
-        comb, _ = relation
+        comb, _ = span.relation
         if comb:
-            comb[max(comb)] += 1
+            span.bump = max(comb)
             with pytest.raises(InvariantViolationError):
-                jets._certificate(query, gens, relation, packing, cleared, filtered)
+                jets._certificate(query, gens, span, packing, cleared, filtered)
 
 
 @given(homogeneous_systems())
@@ -800,19 +819,16 @@ def test_certificate_refuses_each_wrong_coefficient_on_generic_systems(system):
     usable = [i for i, g in enumerate(gens) if g.total_degree() <= degree]
     filtered = usable[0] if usable and len(gens[usable[0]].terms) == 1 else None
     gradings = jets._common_gradings([gens[i] for i in usable] + [query], query.ring.nvars)
-    relation, packing, cleared = jets._solve_membership(
-        query, gens, usable, gradings, ExactSpan(), filtered
-    )
-    if relation is None:
+    span = _BumpingSpan()
+    packing, cleared = jets._solve_membership(query, gens, usable, gradings, span, filtered)
+    cert = jets._certificate(query, gens, span, packing, cleared, filtered)
+    if cert is None:
         return
-    cert = jets._certificate(query, gens, relation, packing, cleared, filtered)
     assert cert == homogeneous_membership(query, gens).combination
-    comb, scale = relation
-    for key in comb:
-        wrong = dict(comb)
-        wrong[key] += 1
+    for key in span.relation[0]:
+        span.bump = key
         with pytest.raises(InvariantViolationError):
-            jets._certificate(query, gens, (wrong, scale), packing, cleared, filtered)
+            jets._certificate(query, gens, span, packing, cleared, filtered)
 
 
 def test_oracle_offers_no_g0_row(monkeypatch):
@@ -1259,6 +1275,51 @@ def test_budget_estimate_tracks_traced_peak_memory():
     finally:
         tracemalloc.stop()
     assert 0.75 <= budget.entries * Budget.BYTES_PER_ENTRY / peak <= 1.33
+
+
+def test_budget_bounds_the_multiplier_pass_from_its_start():
+    # no multiplier of g_1 has the weights x1_0^200000 needs, so the query
+    # is refused with next to no table: nothing sized by the degree, such as
+    # the weights of x_i^e for every e up to it, may precede the first charge
+    desc = JetRingDesc(2, 1)
+    gens = jet_generators(None, desc)
+    query = desc.var(1, 0) ** 200000
+    tracemalloc.start()
+    try:
+        result = homogeneous_membership(query, gens, budget=Budget(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not result.member
+    assert peak < 2**20
+
+
+def test_one_component_span_answers_every_query_of_the_component():
+    # all four queries lie in the component of (x^(0,1,1))^3 for n = 3,
+    # H = 2; one span built from its degree and weights certifies the first
+    # three and refuses x^(0,1,1)^2*x^(1,0,1), each as the oracle answers
+    # the query alone
+    desc = JetRingDesc(3, 2)
+    gens = jet_generators(None, desc)
+    x = [
+        derivative_monomial(h, desc)
+        for h in [(0, 1, 1), (1, 1, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 0, 1)]
+    ]
+    queries = [x[0] ** 3, x[1] ** 3, x[2] * x[3] * x[4], x[0] ** 2 * x[5]]
+    usable = list(range(len(gens)))
+    gradings = jets._common_gradings(gens + [queries[0]], desc.ring.nvars)
+    assert len({_weights(gradings, next(iter(q.terms))) for q in queries}) == 1
+    span = ExactSpan()
+    packing, cleared = jets._solve_membership(queries[0], gens, usable, gradings, span, 0)
+    sizes = []
+    for query in queries:
+        certificate = jets._certificate(query, gens, span, packing, cleared, 0)
+        result = homogeneous_membership(query, gens)
+        assert certificate == result.combination
+        if result.member:
+            assert result.verify(query, gens)
+        sizes.append(None if certificate is None else len(certificate))
+    assert sizes == [21, 21, 1, None]
 
 
 def test_min_degree_budget_reports_partial_result():
