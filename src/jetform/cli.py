@@ -26,7 +26,7 @@ from .errors import (
     ParseError,
 )
 from .linalg import Budget
-from .polyring import parse_poly
+from .polyring import _parse_ints, parse_poly
 from .schubert import Permutation
 from .symfun import Composition
 
@@ -53,17 +53,6 @@ class CommandResult:
 
     def to_json(self) -> dict:
         return {"status": self.status, "payload": self.payload, "timing_ms": self.timing_ms}
-
-
-def _parse_ints(text: str, what: str) -> tuple[int, ...]:
-    """A nonempty comma-separated list of ints, no field empty; `what` names
-    it in errors."""
-    if not text.strip():
-        raise ParseError("empty %s %r" % (what, text))
-    try:
-        return tuple(int(v) for v in text.split(","))
-    except ValueError as exc:
-        raise ParseError("bad %s %r" % (what, text)) from exc
 
 
 def _parse_lambda(text: str) -> Composition:

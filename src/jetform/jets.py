@@ -411,6 +411,8 @@ def _packed_multipliers(degree: int, gradings, targets, shifts, budget=None) -> 
     before it is built.
     """
     nvars = len(shifts)
+    if not nvars:  # the empty vector, of degree 0, is the only one
+        return {t: [0] if degree == 0 else [] for t in targets}
     lo = [min(t[c] for t in targets) for c in range(len(gradings))]
     hi = [max(t[c] for t in targets) for c in range(len(gradings))]
     states = {(degree, (0,) * len(gradings)): [0]}
@@ -627,13 +629,16 @@ def _solve_membership(p, gens, usable, gradings, span, filtered) -> tuple:
     `filtered` is None or usable[0], the index of a monomial g_0. Its rows
     M*g_0 are the unit vectors of the g_0-divisible columns, all of the
     component's, so those columns are dropped from every other row, and by
-    `_certificate` from p, instead, and a row left empty is skipped.
-    Dropping them is the linear projection that kills exactly the span of
-    the g_0 rows, so skipped rows stay redundant, the same rows become
-    pivots as beside the g_0 rows, stored projected, and the combination
-    over them, unique, is the same.  A term T*M is g_0-divisible exactly
-    when T*min(M, g_0) is, so each generator filters its terms once per
-    capped multiplier.
+    `_certificate` from p, instead.  Dropping them is the linear projection
+    that kills exactly the span of the g_0 rows, so skipped rows stay
+    redundant, the same rows become pivots as beside the g_0 rows, stored
+    projected, and the combination over them, unique, is the same.
+
+    So each multiplier M the F5 criterion keeps gives one row: the packed
+    terms of M*g_k, negated, less those that g_0 divides by the guard-bit
+    test of `Packing`, the test `_certificate` applies to p.  With no g_0
+    the test runs against a guard bit, which divides nothing.  A row left
+    empty is skipped.
 
     Monomials are packed by a `Packing` for deg p: every monomial of the
     component has total degree deg p, so no exponent exceeds it.  Returns
@@ -643,7 +648,7 @@ def _solve_membership(p, gens, usable, gradings, span, filtered) -> tuple:
     """
     degree = p.total_degree()
     packing = Packing(p.ring.nvars, degree)
-    guard, width = packing.guard, packing.width
+    guard = packing.guard
     inserted = usable[1:] if filtered is not None else usable
     p_weights = [_weight_of(p, w) for w in gradings]
     targets = {
@@ -671,7 +676,7 @@ def _solve_membership(p, gens, usable, gradings, span, filtered) -> tuple:
     leads = _trailing_term_leads(
         [row for row, _ in cleared.values()], packing, max(by_degree, default=0), bounds, span.budget
     )
-    g0 = None
+    g0 = guard  # a guard bit exceeds every entry, so it divides no packed monomial
     if filtered is not None:
         g0 = next(iter(cleared[filtered][0]))  # the packed monomial g_0
         next(leads)  # the empty basis before g_0
@@ -679,24 +684,14 @@ def _solve_membership(p, gens, usable, gradings, span, filtered) -> tuple:
         row = cleared[gi][0]
         t = targets[gi]
         mults = table.pop(t) if last_user[t] == gi else table[t]
-        # ExactSpan eliminates from its largest key; negated, it works from the
-        # lex-smallest, the order that stores far fewer step-history entries
-        if g0 is None:
-            items = [(-k, v) for k, v in row.items()]
-        by_cap: dict = {}
         for mult in _undivided(mults, trailing, guard):
-            if g0 is not None:
-                # the fields where mult reaches g_0 take g_0's exponent
-                s = ((mult | guard) - g0) & guard
-                cap = mult ^ ((mult ^ g0) & (s - (s >> (width - 1))))
-                items = by_cap.get(cap)
-                if items is None:
-                    items = by_cap[cap] = [
-                        (-k, v) for k, v in row.items() if (((cap + k) | guard) - g0) & guard != guard
-                    ]
-                if not items:
-                    continue
-            span.insert({k - mult: v for k, v in items}, (gi, mult))
+            # ExactSpan eliminates from its largest key; negated, it works from the
+            # lex-smallest, the order that stores far fewer step-history entries
+            projected = {
+                -mult - k: v for k, v in row.items() if (((mult + k) | guard) - g0) & guard != guard
+            }
+            if projected:
+                span.insert(projected, (gi, mult))
     return packing, cleared
 
 

@@ -70,14 +70,14 @@ class Budget:
         )
         self.entries = 0
 
-    def charge(self, n: int, context: str = ""):
+    def charge(self, n: int, context: str):
         """Count n more entries; `context` only names the step in the error
         message, which carries no partial result."""
         self.entries += n
         if self.limit_entries is not None and self.entries > self.limit_entries:
             raise BudgetExceededError(
-                "memory budget exhausted (%d entries > %d)%s"
-                % (self.entries, self.limit_entries, " in " + context if context else "")
+                "memory budget exhausted (%d entries > %d) in %s"
+                % (self.entries, self.limit_entries, context)
             )
 
 
@@ -121,7 +121,10 @@ class ExactSpan:
     def __init__(self, budget: Budget | None = None):
         self.budget = budget
         self.pivots: dict[Hashable, _Row] = {}
-        self.rank = 0
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
 
     def _eliminate(self, row: dict, hist: dict) -> Hashable | None:
         """Cancel the row's leads against the pivots in place; return the
@@ -214,7 +217,6 @@ class ExactSpan:
         elif len(hist) == 1:
             hist = _UNIT
         self.pivots[lead] = _Row(row, hist, label)
-        self.rank += 1
         if self.budget is not None:
             self.budget.charge(len(row) + len(hist), "span insertion")
 

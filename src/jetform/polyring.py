@@ -18,10 +18,13 @@ and the text grammar used by the CLI:
     factor:= var ['^' uint]
     coeff := uint ['/' uint]
     var   := identifier known to the ring (e.g. z1, x1_0)
+    ints  := int (',' int)*
 
-Whitespace is ignored.  Unknown variable names are rejected, never guessed.
-The grammar has no nesting, so `parse_poly` matches one signed term at a
-time, in linear time; a syntax error gives its position.
+`ints`, read by `_parse_ints`, spells derivative tuples, compositions and
+permutations, the last optionally in brackets.  Whitespace is ignored.
+Unknown variable names are rejected, never guessed.  The grammar has no
+nesting, so `parse_poly` matches one signed term at a time, in linear
+time; a syntax error gives its position.
 """
 
 from __future__ import annotations
@@ -514,6 +517,17 @@ def parse_poly(ring: Ring, text: str) -> Poly:
             terms.pop(mono, None)
         pos = m.end()
     return Poly(ring, terms)
+
+
+def _parse_ints(text: str, what: str) -> tuple[int, ...]:
+    """A nonempty comma-separated list of ints, no field empty; `what` names
+    it in errors."""
+    if not text.strip():
+        raise ParseError("empty %s %r" % (what, text))
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError as exc:
+        raise ParseError("bad %s %r" % (what, text)) from exc
 
 
 def format_monomial(ring: Ring, mono: Monomial) -> str:

@@ -14,9 +14,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .errors import DomainError, InvariantViolationError, ParseError, _in_ring, _size
+from .errors import DomainError, InvariantViolationError, _in_ring, _size
 from .linalg import ExactSpan
-from .polyring import Monomial, Packing, Poly
+from .polyring import Monomial, Packing, Poly, _parse_ints
 from .symfun import _normal_form, _packed_rules, normal_form_IS, zring
 
 __all__ = [
@@ -86,13 +86,7 @@ class Permutation:
         stripped = text.strip()
         if stripped.startswith("[") and stripped.endswith("]"):
             stripped = stripped[1:-1]
-        if not stripped.strip():
-            raise ParseError("empty permutation text %r" % text)
-        try:
-            values = [int(v) for v in stripped.split(",")]
-        except ValueError as exc:
-            raise ParseError("bad permutation text %r" % text) from exc
-        return cls(values)
+        return cls(_parse_ints(stripped, "permutation text"))
 
     @property
     def ell(self) -> int:

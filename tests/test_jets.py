@@ -186,6 +186,18 @@ def test_membership_zero_query_is_trivial():
     assert result.member and result.combination == []
 
 
+def test_membership_in_the_ring_of_no_variables():
+    # a nonzero constant is a unit there, so any generator answers; the
+    # first is the monomial g_0, and the second has only its empty multiplier
+    point = Ring(())
+    query = point.const(2)
+    for gens in ([point.const(3)], [point.const(3), point.const(5)]):
+        result = homogeneous_membership(query, gens)
+        assert result.member and result.degree == 0
+        assert result.combination == [(0, Monomial(()), Fraction(2, 3))]
+        assert result.verify(query, gens)
+
+
 def test_membership_pruning_matches_unpruned_search():
     # same verdicts and certificates as a full enumeration with no grading
     # constraints
