@@ -144,14 +144,11 @@ class JetRingDesc:
 
 
 def _derivative_tuple(h, n: int | None = None) -> tuple[int, ...]:
-    """h as a nonempty tuple of non-negative ints, of length n if given; a
-    float entry is refused, not truncated, and every refusal is a DomainError."""
-    try:
-        h = tuple(h)
-    except TypeError:
-        raise DomainError("derivative orders must be a sequence: %r" % (h,)) from None
+    """h as a nonempty tuple of non-negative ints, of length n if given, read
+    as a Composition: a float is refused, not truncated, as a DomainError."""
+    h = Composition(h).parts
     _size(len(h), "derivative tuple length", n or 1, n)
-    return tuple(_size(v, "derivative order") for v in h)
+    return h
 
 
 def derivative_monomial(h, desc: JetRingDesc) -> Poly:
@@ -210,6 +207,14 @@ def compositions(total: int, parts: int) -> list[Composition]:
     return out
 
 
+def _jet_composition(lam, desc: JetRingDesc) -> Composition:
+    """lam as a Composition of m+1 into n parts, or a DomainError."""
+    lam = Composition(lam)
+    if lam.ell != desc.m + 1 or lam.n != desc.n:
+        raise DomainError("%r is not a composition of m+1 into n parts" % (lam.parts,))
+    return lam
+
+
 class MinimalPrime:
     """Coordinate-subspace prime of the jet ideal of x_1...x_n.
 
@@ -220,11 +225,7 @@ class MinimalPrime:
     __slots__ = ("lam", "desc")
 
     def __init__(self, lam: Composition, desc: JetRingDesc):
-        if lam.ell != desc.m + 1:
-            raise DomainError("composition must sum to m+1")
-        if lam.n != desc.n:
-            raise DomainError("composition must have one part per base variable")
-        self.lam = lam
+        self.lam = _jet_composition(lam, desc)
         self.desc = desc
 
     @property
@@ -267,9 +268,9 @@ def multiplicity_table(n: int, m: int) -> dict[Composition, int]:
 class PsiWitness:
     """Non-membership certificate from the psi specialisation.
 
-    `normal_form` is NF_IS(psi(mono^d)) in the z ring of the block
-    composition `lam`.  psi sends every jet generator into I_S, so a nonzero
-    normal form proves that mono^d is not in the jet ideal.
+    `normal_form` is NF_IS(psi(mono^d)) for `PsiSpecialization(lam, desc)`,
+    `lam` in base-variable order: block i of z_1..z_{m+1} belongs to x_i.
+    A nonzero normal form proves that mono^d is not in the jet ideal.
     """
 
     __slots__ = ("lam", "normal_form")
@@ -829,35 +830,25 @@ def radical_witness(h) -> bool:
 
 
 class PsiSpecialization:
-    """Substitution of jet variables by block elementary symmetrics.
+    """psi_lambda: substitution of jet variables by block elementary symmetrics.
 
-    Blocks are assigned after reordering the derivative tuple so the first
-    block maximises the witness power (h_i+1)(H-h_i); that block gets size
-    h_i+1 and every other index keeps size h_i.  `sorted_indices` records
-    the reordering (original 1-based indices in block order).  Base variable
-    i, of block size lambda, takes its block's `symfun._block_sigmas` list
-    reversed, then 1, then zeros, cut to m+1 entries: x_i^(j) goes to
-    sigma_(lambda-j) for j < lambda, to 1 at j = lambda and to 0 above.
-    Under the resulting map every generator of the order-H jet ideal of
-    x_1...x_n lands in the ideal of constant-free symmetric polynomials.
+    `lam` is a composition of m+1 into n parts, zero parts allowed, in
+    base-variable order: x_i takes block i of z_1..z_{m+1}, its
+    `symfun._block_sigmas` list reversed, then 1, then zeros, cut to m+1
+    entries, so x_i^(j) goes to sigma_(lambda_i-j) for j < lambda_i, to 1 at
+    j = lambda_i and to 0 above.  Every jet generator lands in I_S.
     """
 
-    __slots__ = ("h", "desc", "lam", "sorted_indices", "target", "_images")
+    __slots__ = ("desc", "lam", "target", "_images")
 
-    def __init__(self, h, desc: JetRingDesc):
-        h = _derivative_tuple(h, desc.n)
-        self.h = h
+    def __init__(self, lam, desc: JetRingDesc):
+        self.lam = _jet_composition(lam, desc)
         self.desc = desc
-        total = sum(h)
-        order = sorted(range(len(h)), key=lambda i: (-(h[i] + 1) * (total - h[i]), -h[i], i))
-        self.lam = Composition([h[i] + 1 if k == 0 else h[i] for k, i in enumerate(order)])
-        self.sorted_indices = tuple(i + 1 for i in order)
-        self.target = zring(total + 1)
+        self.target = zring(desc.m + 1)
         one, zero = self.target.one(), self.target.zero()
-        # the indices in `order` are distinct, so sorting never compares the lists
         self._images = [
             image
-            for _, sigmas in sorted(zip(order, _block_sigmas(self.lam, self.target)))
+            for sigmas in _block_sigmas(self.lam, self.target)
             for image in (sigmas[::-1] + [one] + [zero] * desc.m)[: desc.m + 1]
         ]
 
@@ -865,8 +856,25 @@ class PsiSpecialization:
         return _in_ring(p, self.desc.ring, "polynomial").substitute(self.target, self._images)
 
 
+def _witness_composition(h) -> Composition:
+    """h + e_i for the first i that maximises the witness power (h_i+1)(H-h_i):
+    its psi sends x_i^(h_i) to sigma_1 of block i and every other x_k^(h_k) to 1."""
+    powers = [(hi + 1) * (sum(h) - hi) for hi in h]
+    i = powers.index(max(powers))
+    return Composition(hi + (k == i) for k, hi in enumerate(h))
+
+
 def psi_specialize(p: Poly, h, desc: JetRingDesc) -> Poly:
-    return PsiSpecialization(h, desc).apply(p)
+    """psi of the composition h + e_i that `min_degree_search` refuses with."""
+    return PsiSpecialization(_witness_composition(_derivative_tuple(h, desc.n)), desc).apply(p)
+
+
+def _check_psi_kernel(spec: PsiSpecialization) -> None:
+    """Raise InvariantViolationError unless psi sends every jet generator
+    into I_S, which makes its nonzero normal forms refusals."""
+    for i, g in enumerate(jet_generators(None, spec.desc)):
+        if not normal_form_IS(spec.apply(g)).is_zero():
+            raise InvariantViolationError("psi of %r misses I_S at generator %d" % (spec.lam, i))
 
 
 # -- the minimal degree -------------------------------------------------------
@@ -903,9 +911,9 @@ def min_degree_search(
     """Smallest d with the d-th power of the derivative monomial inside the
     order-H jet ideal of x_1...x_n, decided degree by degree.
 
-    Each degree is first tried against the psi specialisation: a nonzero
-    NF_IS(psi(mono)^d) refuses it, recorded with a PsiWitness and without
-    elimination.  The powers are `symfun._nf_powers`'s, and psi's kernel is
+    Each degree is first tried against psi of lambda = h + e_i, i the first
+    index maximising (h_i+1)(H-h_i): a nonzero NF_IS(psi(mono)^d) refuses
+    it, recorded with a PsiWitness and without elimination.  psi's kernel is
     checked to contain every jet generator once per search, so the refusals
     never rest on the degree theorem.  A degree psi cannot refuse (in
     practice only the formula's) goes to the membership oracle, whose exact
@@ -927,9 +935,9 @@ def min_degree_search(
     desc = JetRingDesc(len(h), sum(h))
     gens = jet_generators(None, desc)
     mono = derivative_monomial(h, desc)
-    spec = PsiSpecialization(h, desc)
+    spec = PsiSpecialization(_witness_composition(h), desc)
     refusals: dict[int, MembershipResult] = {}
-    for d, nf in zip(range(1, cap + 1), _psi_normal_forms(spec, gens, mono)):
+    for d, nf in zip(range(1, cap + 1), _psi_normal_forms(spec, mono)):
         if not nf.is_zero():
             # `degree` is the query's total degree, as for elimination refusals
             refusals[d] = MembershipResult(
@@ -955,18 +963,11 @@ def min_degree_search(
     )
 
 
-def _psi_normal_forms(spec: PsiSpecialization, gens, mono: Poly):
+def _psi_normal_forms(spec: PsiSpecialization, mono: Poly):
     """Yield NF_IS(psi(mono)^d) for d = 1, 2, ..., the packed powers of
-    `symfun._nf_powers` made Polys; zero once it has reached zero.
-
-    Before the first, check that psi sends every generator into I_S, which
-    is what makes a nonzero normal form a proof of non-membership.
-    """
-    for i, g in enumerate(gens):
-        if not normal_form_IS(spec.apply(g)).is_zero():
-            raise InvariantViolationError(
-                "psi image of jet generator %d is not in I_S for h=%r" % (i, spec.h)
-            )
+    `symfun._nf_powers` made Polys, after `_check_psi_kernel`; zero once
+    it has reached zero."""
+    _check_psi_kernel(spec)
     ell = spec.lam.ell
     for terms, scale in _nf_powers(spec.apply(mono), ell):
         yield _nf_poly(terms, scale, ell)

@@ -58,13 +58,16 @@ class Composition:
 
     prefix(i) is lambda_1 + ... + lambda_{i-1} for 1-based i, so prefix(1)
     is 0 and prefix(n+1) equals ell.  Zero parts are allowed and denote
-    empty blocks.
+    empty blocks.  Every refusal, of a non-sequence or a part, is a DomainError.
     """
 
     __slots__ = ("parts", "_prefix")
 
     def __init__(self, parts):
-        parts = tuple(_size(p, "composition part") for p in parts)
+        try:
+            parts = tuple(_size(p, "composition part") for p in parts)
+        except TypeError:
+            raise DomainError("composition parts must be a sequence: %r" % (parts,)) from None
         self.parts = parts
         acc = [0]
         for p in parts:

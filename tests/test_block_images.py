@@ -30,23 +30,17 @@ from jetform import (
 from conftest import make_rng, random_lambda_symmetric, random_poly
 
 
-def _psi_images_by_slot(h, desc):
-    """x_i^(j) -> sigma_(lambda_s - j) of block s, 1 at j = lambda_s, 0
-    above, block s found through the position of i in the block order."""
-    total = sum(h)
-    order = sorted(range(len(h)), key=lambda i: (-(h[i] + 1) * (total - h[i]), -h[i], i))
-    parts = [h[i] + 1 if k == 0 else h[i] for k, i in enumerate(order)]
-    lam = Composition(parts)
-    target = zring(total + 1)
-    position = {orig: k for k, orig in enumerate(order)}
+def _psi_images_by_slot(lam, desc):
+    """x_i^(j) -> sigma_(lambda_i - j) of block i, 1 at j = lambda_i, 0
+    above."""
+    target = zring(lam.ell)
     images = []
     for slot in range(desc.ring.nvars):
         i, j = desc.pair(slot)
-        s = position[i - 1]
-        lam_s = parts[s]
-        if j < lam_s:
-            images.append(block_sigma(lam, s + 1, lam_s - j, target))
-        elif j == lam_s:
+        part = lam.parts[i - 1]
+        if j < part:
+            images.append(block_sigma(lam, i, part - j, target))
+        elif j == part:
             images.append(target.one())
         else:
             images.append(target.zero())
@@ -95,11 +89,14 @@ _COMPOSITIONS = [lam for ell in range(1, 6) for n in range(1, 5) for lam in comp
 
 @pytest.mark.parametrize("h", list(_derivative_tuples(3, 4)))
 def test_psi_images_match_the_slot_loop(h):
-    for m in range(sum(h) + 2):
-        desc = JetRingDesc(len(h), m)
-        spec = PsiSpecialization(h, desc)
-        images = [spec.apply(desc.ring.var(slot)) for slot in range(desc.ring.nvars)]
-        assert images == _psi_images_by_slot(h, desc), (h, m)
+    # the compositions h + e_i of H+1; over these 55 tuples they are every
+    # composition of total 1..5 into 1..3 parts, zero parts included
+    desc = JetRingDesc(len(h), sum(h))
+    for i in range(len(h)):
+        lam = Composition(hk + (k == i) for k, hk in enumerate(h))
+        spec = PsiSpecialization(lam, desc)
+        images = [spec.apply(v) for v in desc.ring.gens()]
+        assert images == _psi_images_by_slot(lam, desc), lam
 
 
 def test_alpha_and_expand_images_match_the_slot_loops():

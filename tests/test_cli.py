@@ -128,12 +128,13 @@ def test_min_degree_refusal_witness_reparses(capsys):
     refusal = doc["payload"]["refusal_below"]
     witness = refusal["witness"]
     desc = jetform.JetRingDesc(len(h), sum(h))
-    spec = jetform.PsiSpecialization(h, desc)
+    spec = jetform.PsiSpecialization(witness["lambda"], desc)
     assert witness["kind"] == "psi"
-    assert witness["lambda"] == list(spec.lam.parts)
+    assert witness["lambda"] == [2, 2]
     d = doc["payload"]["search"] - 1
     mono = jetform.derivative_monomial(h, desc)
-    expected = normal_form_IS(jetform.psi_specialize(mono**d, h, desc))
+    expected = normal_form_IS(spec.apply(mono**d))
+    assert expected == normal_form_IS(jetform.psi_specialize(mono**d, h, desc))
     assert not expected.is_zero()
     assert parse_poly(zring(sum(h) + 1), witness["normal_form"]) == expected
 

@@ -19,6 +19,7 @@ from jetform import (
     ExactSpan,
     InvariantViolationError,
     JetRingDesc,
+    MinimalPrime,
     Monomial,
     Permutation,
     PsiSpecialization,
@@ -38,7 +39,6 @@ from jetform import (
     expand_block_elementary,
     groebner_basis_IS,
     homogeneous_membership,
-    in_IS,
     jet_generators,
     min_degree_formula,
     min_degree_search,
@@ -47,6 +47,7 @@ from jetform import (
     multiplicity_table,
     nilpotency_order,
     normal_form_IS,
+    parse_poly,
     phi_binary_eval,
     psi_specialize,
     radical_witness,
@@ -1053,49 +1054,46 @@ def test_radical_witness_values():
 
 
 def test_psi_block_assignment_and_monomial_image():
+    # lambda is in base-variable order: block i of z1..z3 belongs to x_i
     desc = JetRingDesc(2, 2)
-    spec = PsiSpecialization((1, 1), desc)
-    assert spec.lam.parts == (2, 1)
-    assert spec.sorted_indices == (1, 2)
     ring = zring(3)
-    image = psi_specialize(derivative_monomial((1, 1), desc), (1, 1), desc)
-    assert image == ring.var(0) + ring.var(1)
+    mono = derivative_monomial((1, 1), desc)
+    spec = PsiSpecialization((2, 1), desc)
+    assert spec.lam.parts == (2, 1)
+    assert spec.apply(mono) == ring.var(0) + ring.var(1)
+    assert psi_specialize(mono, (1, 1), desc) == spec.apply(mono)
+    assert PsiSpecialization((1, 2), desc).apply(mono) == ring.var(1) + ring.var(2)
 
 
 def test_psi_kills_high_derivatives():
     desc = JetRingDesc(2, 4)
-    spec = PsiSpecialization((1, 1), desc)
-    # lambda = (2, 1): x1^(j) for j > 2 maps to zero
+    spec = PsiSpecialization((2, 3), desc)
+    # x1^(j) for j > 2 and x2^(j) for j > 3 map to zero
     assert spec.apply(desc.var(1, 3)).is_zero()
     assert spec.apply(desc.var(1, 2)) == spec.target.one()
+    assert spec.apply(desc.var(2, 4)).is_zero()
+    assert spec.apply(desc.var(2, 3)) == spec.target.one()
 
 
 def test_psi_puts_largest_witness_power_first():
+    # the power (h_i+1)(H-h_i) is 3 at h=2 and 4 at h=1, so index 2 gains the part
+    assert jets._witness_composition((2, 1)).parts == (2, 2)
+    # of tied powers the first index gains it, whatever its h_i
+    assert jets._witness_composition((1, 1)).parts == (2, 1)
+    assert jets._witness_composition((1, 1, 2)).parts == (2, 1, 2)
     desc = JetRingDesc(2, 3)
-    spec = PsiSpecialization((2, 1), desc)
-    # the power (h_i+1)(H-h_i) is 3 at h=2 and 4 at h=1, so index 2 leads
-    assert spec.sorted_indices == (2, 1)
-    assert spec.lam.parts == (2, 2)
     image = psi_specialize(derivative_monomial((2, 1), desc), (2, 1), desc)
     ring = zring(4)
-    assert image == ring.var(0) + ring.var(1)
+    assert image == ring.var(2) + ring.var(3)
 
 
 def test_psi_kernel_contains_jet_generators():
-    def tuples(n, total):
-        if n == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in tuples(n - 1, total - first):
-                yield (first,) + rest
-
-    for n in (1, 2, 3):
-        for total in range(0, 6):
-            for h in tuples(n, total):
-                desc = JetRingDesc(n, total)
-                for g in jet_generators(None, desc):
-                    assert in_IS(psi_specialize(g, h, desc))
+    # all 130 compositions of m+1 into n parts, zero parts included, for
+    # n <= 4 and m <= 4
+    for n, m in itertools.product(range(1, 5), range(5)):
+        desc = JetRingDesc(n, m)
+        for lam in compositions(m + 1, n):
+            jets._check_psi_kernel(PsiSpecialization(lam, desc))
 
 
 def test_psi_witness_power_is_nonzero():
@@ -1150,7 +1148,7 @@ def test_min_degree_refusals_carry_psi_witnesses():
     for h in SEARCH_CASES:
         result = min_degree_search(h)
         desc = JetRingDesc(len(h), sum(h))
-        spec = PsiSpecialization(h, desc)
+        spec = PsiSpecialization(jets._witness_composition(h), desc)
         mono = derivative_monomial(h, desc)
         assert sorted(result.refusals) == list(range(1, result.degree))
         for d, refusal in result.refusals.items():
@@ -1166,7 +1164,7 @@ def test_min_degree_search_without_psi_falls_back_to_elimination(monkeypatch):
     monkeypatch.setattr(
         jets,
         "_psi_normal_forms",
-        lambda spec, gens, mono: itertools.repeat(spec.target.zero()),
+        lambda spec, mono: itertools.repeat(spec.target.zero()),
     )
     for h in SEARCH_CASES:
         result = min_degree_search(h)
@@ -1226,7 +1224,7 @@ def _oracle_tuples():
 
 # sha256 of the canonical JSON of every tuple's answer: degree, certificate
 # and refusals, as `_oracle_answer` lays them out
-ORACLE_ANSWERS_SHA256 = "94fe3107ea4430b5bdb76be2343b1705baf815198f0897b708cc0a5b06ce979d"
+ORACLE_ANSWERS_SHA256 = "48c0277b6492ad18af572ed24f61d08e00be9c3c75005c50c245aa86a100e3cc"
 
 
 def _oracle_answer(h, result) -> dict:
@@ -1264,16 +1262,32 @@ def test_oracle_table_runs_one_elimination_per_search(monkeypatch):
 
 
 def test_psi_refusals_are_the_nonzero_powers_of_sigma_1():
-    # on every oracle tuple psi(mono) is sigma_1 of the first block, so the
-    # psi refusals stop one below its nilpotency order
+    # on every oracle tuple psi(mono) is sigma_1 of block i, for the i where
+    # lambda = h + e_i, so the psi refusals stop one below its nilpotency order
     for h in _oracle_tuples():
         desc = JetRingDesc(len(h), sum(h))
-        spec = PsiSpecialization(h, desc)
-        sigma = block_sigma(spec.lam, 1, 1)
+        spec = PsiSpecialization(jets._witness_composition(h), desc)
+        (i,) = [k for k, (part, hk) in enumerate(zip(spec.lam.parts, h), 1) if part != hk]
+        sigma = block_sigma(spec.lam, i, 1)
         assert spec.apply(derivative_monomial(h, desc)) == sigma
         refusals = min_degree_search(h).refusals
         psi = sorted(d for d, r in refusals.items() if r.witness is not None)
-        assert psi == list(range(1, nilpotency_order(sigma, spec.lam, 1))), h
+        assert psi == list(range(1, nilpotency_order(sigma, spec.lam, i))), h
+
+
+def test_every_psi_witness_rechecks_from_its_json_alone():
+    # knowing only h, d and the witness JSON: rebuild psi from "lambda",
+    # check its kernel, and recompute the normal form it records
+    for h in _oracle_tuples():
+        desc = JetRingDesc(len(h), sum(h))
+        mono = derivative_monomial(h, desc)
+        for d, refusal in min_degree_search(h).refusals.items():
+            witness = json.loads(json.dumps(refusal.to_json(desc.ring)))["witness"]
+            spec = PsiSpecialization(witness["lambda"], desc)
+            jets._check_psi_kernel(spec)
+            nf = normal_form_IS(spec.apply(mono**d))
+            assert not nf.is_zero()
+            assert nf == parse_poly(spec.target, witness["normal_form"]), (h, d)
 
 
 def test_budget_estimate_tracks_traced_peak_memory():
@@ -1492,7 +1506,7 @@ _DERIVATIVE_ENTRY_POINTS = {
     "radical_witness": (radical_witness, False),
     "derivative_monomial": (lambda h: derivative_monomial(h, _DESC), True),
     "phi_binary_eval": (lambda h: phi_binary_eval(_DESC.ring.one(), h, _DESC), True),
-    "PsiSpecialization": (lambda h: PsiSpecialization(h, _DESC), True),
+    "psi_specialize": (lambda h: psi_specialize(_DESC.ring.one(), h, _DESC), True),
 }
 
 
@@ -1509,6 +1523,33 @@ def test_derivative_tuples_are_refused_alike(entry, h):
     call, _ = _DERIVATIVE_ENTRY_POINTS[entry]
     with pytest.raises(DomainError):
         call(h)
+
+
+# each entry point that takes a composition, and whether it takes a jet ring
+# whose n and m+1 fix the composition's length and total
+_COMPOSITION_ENTRY_POINTS = {
+    "Composition": (Composition, False),
+    "MinimalPrime": (lambda lam: MinimalPrime(lam, _DESC), True),
+    "PsiSpecialization": (lambda lam: PsiSpecialization(lam, _DESC), True),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, lam",
+    [
+        (entry, lam)
+        for entry, (_, takes_desc) in _COMPOSITION_ENTRY_POINTS.items()
+        for lam in [3, None, (2.5, 1.5), (1.0, 3), ("1", 3), (-1, 5)]
+        + ([(1, 1, 2), (1, 2), (2, 3)] if takes_desc else [])
+    ],
+)
+def test_compositions_are_refused_alike(entry, lam):
+    call, takes_desc = _COMPOSITION_ENTRY_POINTS[entry]
+    if takes_desc:
+        call(Composition((1, 3)))
+        call((1, 3))
+    with pytest.raises(DomainError):
+        call(lam)
 
 
 _Z3, _LAM = zring(3), Composition((1, 2))
@@ -1533,7 +1574,7 @@ _RING_ENTRY_POINTS = {
         _DESC.ring, lambda q: homogeneous_membership(_DESC.ring.var(0), [q])
     ),
     "phi_binary_eval": (_DESC.ring, lambda q: phi_binary_eval(q, (1, 2), _DESC)),
-    "PsiSpecialization.apply": (_DESC.ring, lambda q: PsiSpecialization((1, 2), _DESC).apply(q)),
+    "PsiSpecialization.apply": (_DESC.ring, lambda q: PsiSpecialization((1, 3), _DESC).apply(q)),
     "MembershipResult.verify": (
         _Z3, lambda q: homogeneous_membership(_Z1Z2, [_Z3.var(0)]).verify(_Z1Z2, [q])
     ),
