@@ -70,7 +70,8 @@ from .polyring import (
     Monomial, Packing, Poly, Ring, _clear_denominators, _series_coefficients, format_monomial,
     format_poly,
 )
-from .symfun import Composition, _block_sigmas, _nf_poly, _nf_powers, normal_form_IS, zring
+from .symfun import Composition, _block_sigmas, _image_in_IS, _nf_poly, _nf_powers, zring
+from .symfun import _packed_image, _packing
 
 __all__ = [
     "JetRingDesc",
@@ -837,23 +838,33 @@ class PsiSpecialization:
     `symfun._block_sigmas` list reversed, then 1, then zeros, cut to m+1
     entries, so x_i^(j) goes to sigma_(lambda_i-j) for j < lambda_i, to 1 at
     j = lambda_i and to 0 above.  Every jet generator lands in I_S.
+
+    The one image table keeps each image as its keys on `symfun._packing(m+1)`,
+    all with coefficient 1.  A jet generator term takes one image per base
+    variable and the blocks are disjoint, so its image is squarefree and no
+    field overflows.  `apply` re-packs the table for the degree of p, which
+    bounds every exponent of psi(p) since every image is squarefree.
     """
 
-    __slots__ = ("desc", "lam", "target", "_images")
+    __slots__ = ("desc", "lam", "target", "_table")
 
     def __init__(self, lam, desc: JetRingDesc):
         self.lam = _jet_composition(lam, desc)
         self.desc = desc
         self.target = zring(desc.m + 1)
-        one, zero = self.target.one(), self.target.zero()
-        self._images = [
-            image
+        pack, cut = _packing(desc.m + 1).pack, desc.m + 1
+        self._table = [
+            keys
             for sigmas in _block_sigmas(self.lam, self.target)
-            for image in (sigmas[::-1] + [one] + [zero] * desc.m)[: desc.m + 1]
+            for keys in ([list(map(pack, s.terms)) for s in sigmas[::-1]] + [[0]] + [[]] * cut)[:cut]
         ]
 
     def apply(self, p: Poly) -> Poly:
-        return _in_ring(p, self.desc.ring, "polynomial").substitute(self.target, self._images)
+        degree = _in_ring(p, self.desc.ring, "polynomial").total_degree()
+        narrow, wide = _packing(self.target.nvars), Packing(self.target.nvars, degree or 1)
+        table = [[wide.pack(narrow.unpack(k)) for k in keys] for keys in self._table]
+        image = _packed_image(table, p.terms.items())
+        return Poly(self.target, {wide.unpack(k): c for k, c in image.items()})
 
 
 def _witness_composition(h) -> Composition:
@@ -869,11 +880,15 @@ def psi_specialize(p: Poly, h, desc: JetRingDesc) -> Poly:
     return PsiSpecialization(_witness_composition(_derivative_tuple(h, desc.n)), desc).apply(p)
 
 
-def _check_psi_kernel(spec: PsiSpecialization) -> None:
-    """Raise InvariantViolationError unless psi sends every jet generator
-    into I_S, which makes its nonzero normal forms refusals."""
-    for i, g in enumerate(jet_generators(None, spec.desc)):
-        if not normal_form_IS(spec.apply(g)).is_zero():
+def _check_psi_kernel(spec: PsiSpecialization, gens=None) -> None:
+    """Raise InvariantViolationError unless psi sends every jet generator, of
+    `gens` or else all m+1, into I_S, which makes its nonzero normal forms
+    refusals.  The cleared integer terms of each generator take squarefree
+    images from the packed table, so no field overflows.  A product above
+    degree ell(ell-1)/2 lies in I_S, as no reduced monomial is that high, and
+    is dropped."""
+    for i, g in enumerate(jet_generators(None, spec.desc) if gens is None else gens):
+        if not _image_in_IS(spec._table, _clear_denominators(g.terms)[0].items(), spec.lam.ell):
             raise InvariantViolationError("psi of %r misses I_S at generator %d" % (spec.lam, i))
 
 
@@ -937,7 +952,7 @@ def min_degree_search(
     mono = derivative_monomial(h, desc)
     spec = PsiSpecialization(_witness_composition(h), desc)
     refusals: dict[int, MembershipResult] = {}
-    for d, nf in zip(range(1, cap + 1), _psi_normal_forms(spec, mono)):
+    for d, nf in zip(range(1, cap + 1), _psi_normal_forms(spec, mono, gens)):
         if not nf.is_zero():
             # `degree` is the query's total degree, as for elimination refusals
             refusals[d] = MembershipResult(
@@ -963,11 +978,11 @@ def min_degree_search(
     )
 
 
-def _psi_normal_forms(spec: PsiSpecialization, mono: Poly):
+def _psi_normal_forms(spec: PsiSpecialization, mono: Poly, gens):
     """Yield NF_IS(psi(mono)^d) for d = 1, 2, ..., the packed powers of
-    `symfun._nf_powers` made Polys, after `_check_psi_kernel`; zero once
-    it has reached zero."""
-    _check_psi_kernel(spec)
+    `symfun._nf_powers` made Polys, after `_check_psi_kernel` on the jet
+    generators `gens`; zero once it has reached zero."""
+    _check_psi_kernel(spec, gens)
     ell = spec.lam.ell
     for terms, scale in _nf_powers(spec.apply(mono), ell):
         yield _nf_poly(terms, scale, ell)

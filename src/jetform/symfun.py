@@ -20,9 +20,9 @@ exponent vectors by the one `polyring.Packing` of each z ring and reduces
 them with `_reduce_packed`, the one reduction kernel, for `normal_form_IS`
 and the Schubert expansion's queries.  `_nf_powers`, the one power loop,
 gives `alambda.nilpotency_order` and the psi refusals of
-`jets.min_degree_search` their powers.  The averaging projector keeps
-integer numerators over one common denominator.  Fractions are made only
-for the Polys returned.
+`jets.min_degree_search` their powers; `_image_in_IS` checks psi's kernel.
+The averaging projector keeps integer numerators over one common
+denominator.  Fractions are made only for the Polys returned.
 """
 
 from __future__ import annotations
@@ -208,6 +208,33 @@ def _nf_powers(p: Poly, ell: int):
                 if k % mask <= top:
                     product[k] = product.get(k, 0) + c1 * c2
         power, scale = _reduce_packed(product, ell), scale * denom
+
+
+def _packed_image(images, terms) -> dict:
+    """Substitute `images`, one list of packed keys with coefficient 1 per
+    variable, into the (exponents, coefficient) pairs `terms`: each factor
+    multiplies by adding keys.  The caller's packing holds every exponent."""
+    out: dict = {}
+    for exps, c in terms:
+        acc = {0: c}
+        for keys in (keys for keys, e in zip(images, exps) for _ in range(e)):
+            step: dict = {}
+            for k1, v in acc.items():
+                for k2 in keys:
+                    step[k1 + k2] = step.get(k1 + k2, 0) + v
+            acc = step
+        for k, v in acc.items():
+            out[k] = out.get(k, 0) + v
+    return out
+
+
+def _image_in_IS(images, terms, ell: int) -> bool:
+    """True iff `_packed_image(images, terms)` lies in I_S, for images on
+    `_packing(ell)` whose every product is squarefree: a key's degree is its
+    bit count, and keys above ell(ell-1)/2 lie in I_S and are dropped."""
+    top = ell * (ell - 1) // 2
+    kept = {k: c for k, c in _packed_image(images, terms).items() if k.bit_count() <= top}
+    return not _reduce_packed(kept, ell)
 
 
 def _packing(ell: int) -> Packing:

@@ -4,9 +4,10 @@ what passes between the kernels: `linalg` works on integer rows only,
 each z ring has one packing whose keys fit one CPython digit, and only
 `symfun` reduces packed z-ring polynomials.  And guards that every index
 is checked by `errors._size` alone and every ring by `errors._in_ring`
-alone, and one that psi and alpha take their images from the one block
-sigma table.  Guards that the membership oracle reads its query in one
-half only, and that every name the bench tracer wraps still exists."""
+alone, that psi and alpha take their images from the one block sigma
+table, and that psi runs on packed integers.  Guards that the membership
+oracle reads its query in one half only, and that every name the bench
+tracer wraps still exists."""
 
 import ast
 import importlib
@@ -118,6 +119,20 @@ def test_block_images_come_from_the_one_table(name):
     }
     assert "_block_sigmas" in imported
     assert not imported & {"block_sigma", "elementary_symmetric"}
+
+
+def test_psi_runs_on_packed_integers():
+    # psi's table, `apply` and the kernel check add packed integer keys:
+    # none of them, nor the symfun kernels they call, names `substitute` or
+    # `Fraction`, so the psi path cannot drift back onto Poly arithmetic
+    from jetform import jets, symfun
+
+    for obj in (jets.PsiSpecialization, jets._check_psi_kernel, symfun._packed_image,
+                symfun._image_in_IS):
+        tree = ast.parse(inspect.getsource(obj))
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not named & {"substitute", "Fraction"}, obj.__name__
 
 
 def test_only_errors_checks_an_index_by_hand():

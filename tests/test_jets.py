@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetform import jets
+from jetform import jets, symfun
 from jetform import (
     BudgetExceededError,
     Budget,
@@ -1088,7 +1088,7 @@ def test_psi_puts_largest_witness_power_first():
 
 
 def test_psi_kernel_contains_jet_generators():
-    # all 130 compositions of m+1 into n parts, zero parts included, for
+    # all 205 compositions of m+1 into n parts, zero parts included, for
     # n <= 4 and m <= 4
     for n, m in itertools.product(range(1, 5), range(5)):
         desc = JetRingDesc(n, m)
@@ -1164,7 +1164,7 @@ def test_min_degree_search_without_psi_falls_back_to_elimination(monkeypatch):
     monkeypatch.setattr(
         jets,
         "_psi_normal_forms",
-        lambda spec, mono: itertools.repeat(spec.target.zero()),
+        lambda spec, mono, gens: itertools.repeat(spec.target.zero()),
     )
     for h in SEARCH_CASES:
         result = min_degree_search(h)
@@ -1175,13 +1175,21 @@ def test_min_degree_search_without_psi_falls_back_to_elimination(monkeypatch):
 
 
 def test_min_degree_search_rejects_psi_that_misses_a_generator(monkeypatch):
-    real_apply = PsiSpecialization.apply
+    # corrupt the one image table: x_1^(0) takes z_ell on top of its sigma,
+    # and both the kernel check and `apply` read the fault
+    real_init = PsiSpecialization.__init__
 
-    def apply(self, p):
-        image = real_apply(self, p)
-        return image + self.target.var(self.target.nvars - 1) ** p.total_degree()
+    def init(self, lam, desc):
+        real_init(self, lam, desc)
+        self._table[0] = self._table[0] + [symfun._packing(desc.m + 1).pack((0,) * desc.m + (1,))]
 
-    monkeypatch.setattr(PsiSpecialization, "apply", apply)
+    monkeypatch.setattr(PsiSpecialization, "__init__", init)
+    desc = JetRingDesc(2, 2)
+    spec = PsiSpecialization((2, 1), desc)
+    z1, z2, z3 = spec.target.gens()
+    assert spec.apply(desc.var(1, 0)) == z1 * z2 + z3
+    with pytest.raises(InvariantViolationError):
+        jets._check_psi_kernel(spec)
     with pytest.raises(InvariantViolationError):
         min_degree_search((1, 1))
 
