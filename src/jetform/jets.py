@@ -30,22 +30,22 @@ partial weights, cuts the exponent of its variable to one interval by two
 linear bounds per grading, so no exponent is tested on its own, and the
 table is charged to the memory budget as it grows.
 
-Rows are inserted generator by generator, multipliers in descending lex
-order, and a row M*g_k is skipped without elimination when M is divisible
-by the trailing (lex-smallest) monomial of some element of the ideal of
-the earlier generators (the F5 criterion): that row lies in the span of
-the rows inserted before it.  The divisors are the leads of a Groebner
-basis of that ideal for the order whose leading term is the lex-smallest,
-grevlex with the variables reversed on homogeneous input, built per query
-by Buchberger's algorithm with the Gebauer-Moeller criteria M and F and
-the product criterion, and truncated to the monomials that can divide a
-multiplier.  The jet generators form a regular sequence, so no row that is
-inserted reduces to zero.  The first jet generator g_0 = x_1^(0)...x_n^(0)
-is a monomial, so its rows are unit vectors.  A monomial first usable
-generator is therefore a column filter, not rows: its multipliers are never
-enumerated, its columns are dropped from the other rows and the query, and
-its cofactor comes from the query's residual in the one pass that
-re-expands the certificate.
+Rows are inserted generator by generator, and a row M*g_k is skipped
+without elimination when M is divisible by the trailing (lex-smallest)
+monomial of some element of the ideal of the earlier generators (the F5
+criterion): that row lies in the span of the kept rows, in whatever order
+they are inserted.  The divisors are the leads of a Groebner basis of that
+ideal for the order whose leading term is the lex-smallest, grevlex with
+the variables reversed on homogeneous input, built per query by
+Buchberger's algorithm with the Gebauer-Moeller criteria M and F and the
+product criterion, and truncated to the monomials that can divide a
+multiplier.  The jet generators form a regular sequence, so the kept rows
+are independent and the certificate is unique.  The first jet generator
+g_0 = x_1^(0)...x_n^(0) is a monomial, so its rows are unit vectors.  A
+monomial first usable generator is therefore a column filter, not rows: its
+multipliers are never enumerated, its columns are dropped from the other
+rows and the query, and its cofactor comes from the query's residual in the
+one pass that re-expands the certificate.
 """
 
 from __future__ import annotations
@@ -352,9 +352,9 @@ def _common_gradings(polys: list[Poly], nvars: int) -> list[tuple[int, ...]]:
     return integer_nullspace(rows, nvars)
 
 
-# packed multipliers counted as one `Budget` entry: the finished (2,1,1)
-# table takes 49 bytes traced per packed int, its build peaks at 63, and
-# Budget.BYTES_PER_ENTRY is 160
+# packed multipliers counted as one `Budget` entry: by tracemalloc, the
+# finished (2,1,1) table of 811,617 packed ints takes 49 bytes per int, its
+# build peaks at 66, and Budget.BYTES_PER_ENTRY is 160
 _PACKED_PER_ENTRY = 3
 
 
@@ -396,7 +396,7 @@ def _exponent_range(remaining: int, partial, bounds) -> range:
 def _packed_multipliers(degree: int, gradings, targets, shifts, budget=None) -> dict:
     """Every exponent vector of the given total degree whose weights under
     `gradings` equal one of `targets`, packed with variable i shifted left
-    by shifts[i]: {target: packed vectors in descending lex order}.
+    by shifts[i]: {target: packed vectors, in no particular order}.
 
     One variable-by-variable pass serves all targets.  Exponent prefixes
     with the same remaining degree and partial weights share one list of
@@ -458,26 +458,12 @@ def _packed_multipliers(degree: int, gradings, targets, shifts, budget=None) -> 
         if keys is not None:
             top = remaining << shifts[-1]
             keys += [k + top for k in prefixes]
-    for keys in out.values():
-        keys.sort(reverse=True)
     return out
 
 
 def _weight_of(poly: Poly, weights) -> int:
     mono = next(iter(poly.terms))
     return sum(w * e for w, e in zip(weights, mono))
-
-
-def _undivided(mults, leads, guard):
-    """Yield, in order, the packed multipliers that no packed monomial in
-    `leads` divides, by the guard-bit test of `Packing` with its `guard`."""
-    for m in mults:
-        mg = m | guard
-        for t in leads:
-            if (mg - t) & guard == guard:
-                break
-        else:
-            yield m
 
 
 def _trailing_term_leads(rows, packing: Packing, top, bounds, budget):
@@ -603,37 +589,37 @@ def _solve_membership(p, gens, usable, gradings, span, filtered) -> tuple:
     small for it stops the query before any row is inserted.
 
     Rows are inserted generator by generator in `usable` order, each
-    generator's multipliers in descending lex order.  A row M*g_k is
-    skipped (the F5 criterion, Faugere, ISSAC 2002) when M is divisible by
-    the trailing, lex-smallest monomial T of some G in the ideal I_<k of
-    the generators before g_k.  The leads of a Groebner basis of I_<k for
-    the lex-smallest-term order divide every such T (see
-    `_trailing_term_leads`); the trailing monomials of the earlier
-    generators are among the T, so the Koszul criterion is a special case.
-    G is homogeneous under `gradings`, as the generators are.  With c the
-    coefficient of T in G,
+    generator's multipliers in table order.  A row M*g_k is skipped (the F5
+    criterion, Faugere, ISSAC 2002) when M is divisible by the trailing,
+    lex-smallest monomial T of some G in the ideal I_<k of the generators
+    before g_k.  The leads of a Groebner basis of I_<k for the
+    lex-smallest-term order divide every such T (see `_trailing_term_leads`);
+    the trailing monomials of the earlier generators are among the T, so
+    the Koszul criterion is a special case.  G is homogeneous under
+    `gradings`, as the generators are.  With c the coefficient of T in G,
 
         M*g_k = (M/T)*g_k*G / c - sum over the other monomials s of G
-                of (c_s / c) * (M/T)*s*g_k,
+                of (c_s / c) * (M/T)*s*g_k.
 
-    and (M/T)*g_k*G is a combination of rows of generators before g_k,
-    which come before M*g_k, while each (M/T)*s*g_k has a multiplier of
-    the same weights and lex-larger than M, as s > T, so it comes before
-    M*g_k too.  By induction along this order, a skipped row lies in the
-    span of the rows inserted before it: inserting it would have reduced it
-    to zero and changed nothing.  The argument needs only G in I_<k, so a
-    pair the basis drops costs skips, never answers.  Conversely, a row
-    that would reduce to zero gives a syzygy whose g_k coefficient has
-    trailing monomial M.  When the generators form a regular sequence, as
-    the jet generators do, that coefficient lies in (I_<k : g_k) = I_<k, so
-    every such row is skipped.
+    Order the rows by generator, then by multiplier in descending lex
+    order.  (M/T)*g_k*G is a combination of rows of generators before g_k,
+    and each (M/T)*s*g_k has a multiplier of the same weights lex-larger
+    than M, as s > T, so all come before M*g_k.  By induction along this
+    order every skipped row is a combination of kept rows, so the kept rows
+    span the component in whatever order they are inserted.  The argument
+    needs only G in I_<k, so a pair the basis drops costs skips, never
+    answers.  For a regular sequence, as the jet generators are, the kept
+    rows are independent, so the combination over them is unique: were
+    sum_j q_j*g_j = 0, each q_j a combination of g_j's kept multipliers,
+    with q_k the last nonzero one, then q_k lies in (I_<k : g_k) = I_<k and
+    the basis would have skipped q_k's trailing monomial.
 
     `filtered` is None or usable[0], the index of a monomial g_0. Its rows
     M*g_0 are the unit vectors of the g_0-divisible columns, all of the
     component's, so those columns are dropped from every other row, and by
     `_certificate` from p, instead.  Dropping them is the linear projection
     that kills exactly the span of the g_0 rows, so skipped rows stay
-    redundant, the same rows become pivots as beside the g_0 rows, stored
+    redundant, the same rows become pivots as after the g_0 rows, stored
     projected, and the combination over them, unique, is the same.
 
     So each multiplier M the F5 criterion keeps gives one row: the packed
@@ -686,14 +672,20 @@ def _solve_membership(p, gens, usable, gradings, span, filtered) -> tuple:
         row = cleared[gi][0]
         t = targets[gi]
         mults = table.pop(t) if last_user[t] == gi else table[t]
-        for mult in _undivided(mults, trailing, guard):
-            # ExactSpan eliminates from its largest key; negated, it works from the
-            # lex-smallest, the order that stores far fewer step-history entries
-            projected = {
-                -mult - k: v for k, v in row.items() if (((mult + k) | guard) - g0) & guard != guard
-            }
-            if projected:
-                span.insert(projected, (gi, mult))
+        for mult in mults:
+            # the F5 test, `Packing.divides` inlined: skip mult if a trailing lead divides it
+            mg = mult | guard
+            for lead in trailing:
+                if (mg - lead) & guard == guard:
+                    break
+            else:
+                # ExactSpan eliminates from its largest key; negated, it works from the
+                # lex-smallest, the order that stores far fewer step-history entries
+                projected = {
+                    -mult - k: v for k, v in row.items() if (((mult + k) | guard) - g0) & guard != guard
+                }
+                if projected:
+                    span.insert(projected, (gi, mult))
     return packing, cleared
 
 
@@ -767,7 +759,7 @@ def homogeneous_membership(
     M*g_k whenever the trailing monomial of an element of the ideal of the
     generators before g_k divides M (the F5 criterion, see
     `_solve_membership`): the test holds for any homogeneous generators,
-    and each skipped row lies in the span of the rows inserted before it.
+    and each skipped row lies in the span of the kept rows, in any order.
 
     `_solve_membership` builds the span of p's component without reading p's
     terms; `_certificate` packs them once, reduces and re-expands.  The
@@ -776,8 +768,9 @@ def homogeneous_membership(
     neither enumerates nor inserts its rows and drops its columns, and
     `_certificate` recovers its cofactor from the residual of p.  Pivots and
     span charges are those of the projected rows; the certificate is the one
-    inserting every row would give, and every entry of it, g_0's included,
-    is re-expanded against p before it is returned.
+    a span offered g_0's rows, then the kept rows, would give, and every
+    entry of it, g_0's included, is re-expanded against p before it is
+    returned.
     """
     gens = list(gens)
     if not p.is_homogeneous():

@@ -33,7 +33,7 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import factorial
 
-from .errors import DomainError, RingMismatchError, _in_ring, _size
+from .errors import DomainError, InvariantViolationError, RingMismatchError, _in_ring, _size
 from .polyring import Monomial, Packing, Poly, Ring, _clear_denominators
 
 __all__ = [
@@ -445,10 +445,9 @@ def decompose_block_elementary(p: Poly, lam: Composition) -> Poly:
             exps = [lm[v] for v in block] + [0]
             for j, sigma in enumerate(sigmas):
                 e = exps[j] - exps[j + 1]
-                if e < 0:
-                    raise DomainError(
-                        "leading monomial not sorted within block %d; "
-                        "input is not block-symmetric" % i
+                if e < 0:  # p passed is_lambda_symmetric, so only a fault gets here
+                    raise InvariantViolationError(
+                        "leading monomial not sorted within block %d of a block-symmetric input" % i
                     )
                 y_exps.append(e)
                 if e:

@@ -288,6 +288,15 @@ def _packed_multipliers_by_exponent(degree, gradings, targets, shifts) -> dict:
     return out
 
 
+def _sorted_table(table) -> list:
+    """A multiplier table's (target, keys) pairs, each target's keys in
+    descending order, after checking that no target lists a key twice: the
+    oracle reads the keys as a set, in any order."""
+    for keys in table.values():
+        assert len(set(keys)) == len(keys)
+    return [(t, sorted(keys, reverse=True)) for t, keys in table.items()]
+
+
 @given(multiplier_queries())
 def test_packed_multipliers_match_brute_force(query):
     degree, gradings, targets = query
@@ -300,13 +309,9 @@ def test_packed_multipliers_match_brute_force(query):
         t = _weights(gradings, v)
         if t in expected:
             expected[t].append(sum(e << s for e, s in zip(v, shifts)))
-    got = jets._packed_multipliers(degree, gradings, targets, shifts)
-    assert got == expected
-    assert list(got.items()) == list(
-        _packed_multipliers_by_exponent(degree, gradings, targets, shifts).items()
-    )
-    for keys in got.values():
-        assert all(a > b for a, b in zip(keys, keys[1:]))
+    got = _sorted_table(jets._packed_multipliers(degree, gradings, targets, shifts))
+    assert dict(got) == expected
+    assert got == list(_packed_multipliers_by_exponent(degree, gradings, targets, shifts).items())
 
 
 @st.composite
@@ -347,7 +352,7 @@ def test_packed_multipliers_match_reference_on_oracle_calls(monkeypatch):
 
     def recording(degree, gradings, targets, shifts, budget=None):
         got = enumerate_(degree, gradings, targets, shifts, budget)
-        calls.append(((degree, gradings, targets, shifts), list(got.items())))
+        calls.append(((degree, gradings, targets, shifts), _sorted_table(got)))
         return got
 
     monkeypatch.setattr(jets, "_packed_multipliers", recording)
@@ -388,7 +393,8 @@ def test_verify_rejects_entries_outside_the_generators_and_the_ring():
     desc = JetRingDesc(2, 1)
     gens = jet_generators(None, desc)
     query = desc.var(1, 1) * desc.var(2, 1)
-    assert not homogeneous_membership(query, gens).member
+    refused = homogeneous_membership(query, gens)
+    assert not refused.member and not refused.verify(query, gens)
     # x1_0^-1*x1_1*x2_0^-1*x2_1 times g_0 = x1_0*x2_0 is the query
     assert not jets.MembershipResult(True, 2, [(0, Monomial((-1, 1, -1, 1)), 1)]).verify(query, gens)
     one = Monomial((0, 0, 0, 0))
@@ -498,20 +504,21 @@ def _pivot_rows(span):
 
 def _skipped_rows_are_redundant(p, gens, multipliers) -> int:
     """Run the oracle's elimination of p, which skips rows by the F5
-    criterion, and beside it a span offered every row the oracle would see
-    without that criterion, in the same order: generators in index order,
-    each generator's multipliers of the query's weights in descending lex
-    order, drawn from `multipliers(degree)`, exponent vectors of that degree
-    in descending lex order, keyed by negated packed monomials as the oracle
-    inserts them.  When the first usable generator g_0 is a monomial, the
-    oracle sees no row M*g_0 and no g_0-divisible column, and rows left
-    empty are not offered; so neither does this reference.  Check that each
-    row the oracle skipped leaves the reference span unchanged and that both
-    spans end with the same pivots and histories, in dict order.  Check also
-    that the oracle's certificate, as `_certificate` reduces p against the
-    oracle's span and completes and re-expands it, is the one a third span
-    gives, offered every row, g_0's included, with no column dropped.
-    Returns the number of skipped rows."""
+    criterion, and beside it a span that gets the rows the oracle inserted,
+    in the oracle's recorded order, then every row the oracle skipped.  The
+    rows are each usable generator's multipliers of the query's weights,
+    drawn from `multipliers(degree)` in any order, keyed by negated packed
+    monomials as the oracle inserts them.  When the first usable generator
+    g_0 is a monomial, the oracle sees no row M*g_0 and no g_0-divisible
+    column, and rows left empty are not offered; so neither does this
+    reference.  Check that the oracle inserted each offered row at most
+    once, that both spans end with the same pivots and histories, in dict
+    order, and that no skipped row changes the span.  Check also that the
+    oracle's certificate, as `_certificate` reduces p against the oracle's
+    span and completes and re-expands it, is the one a third span gives,
+    with no column dropped, offered g_0's rows first, then the rows the
+    oracle inserted in its order, then the rest.  Returns the number of
+    skipped rows."""
     degree = p.total_degree()
     nvars = p.ring.nvars
     usable = [i for i, g in enumerate(gens) if g.total_degree() <= degree]
@@ -526,11 +533,8 @@ def _skipped_rows_are_redundant(p, gens, multipliers) -> int:
     shifts = packing.shifts
     target = _weights(gradings, next(iter(p.terms)))
     g0 = next(iter(gens[filtered].terms)) if filtered is not None else None
-    full = ExactSpan()
-    plain = ExactSpan()
-    offered = iter(kept.labels)
-    next_kept = next(offered, None)
-    skipped = 0
+    offered = {}  # label: the row the oracle would insert, projected
+    every = {}  # label: (the row with no column dropped, the plain span's label)
     for gi in usable:
         g = gens[gi]
         grow, denom = _clear_denominators(g.terms)
@@ -542,22 +546,28 @@ def _skipped_rows_are_redundant(p, gens, multipliers) -> int:
             mult = Monomial(exps)
             label = (gi, sum(e << s for e, s in zip(exps, shifts)))
             terms = {m * mult: v for m, v in grow.items()}
-            plain.insert(columns(terms), (gi, mult, denom))
+            every[label] = (columns(terms), (gi, mult, denom))
             if g0 is not None:
                 if gi == usable[0]:
                     continue
                 terms = {m: v for m, v in terms.items() if not g0.divides(m)}
                 if not terms:
                     continue
-            enlarged = full.insert(columns(terms), label)
-            if label == next_kept:
-                next_kept = next(offered, None)
-            else:
-                assert not enlarged, ("skipped row enlarged the span", label)
-                skipped += 1
-    # every row the oracle inserted came up, in the oracle's order
-    assert next_kept is None
+            offered[label] = columns(terms)
+    inserted = set(kept.labels)
+    assert len(inserted) == len(kept.labels) and inserted <= set(offered)
+    full = ExactSpan()
+    for label in kept.labels:
+        full.insert(offered[label], label)
+    skipped = [label for label in offered if label not in inserted]
+    for label in skipped:
+        assert not full.insert(offered[label], label), ("skipped row enlarged the span", label)
     assert _pivot_rows(kept) == _pivot_rows(full)
+    first = [label for label in every if label[0] == filtered] + kept.labels
+    taken = set(first)
+    plain = ExactSpan()
+    for label in first + [label for label in every if label not in taken]:
+        plain.insert(*every[label])
     p_row, p_denom = _clear_denominators(p.terms)
     plain_relation = plain.reduce(columns(p_row))
     certificate = jets._certificate(p, gens, kept, packing, cleared, filtered)
@@ -568,7 +578,7 @@ def _skipped_rows_are_redundant(p, gens, multipliers) -> int:
             (gi, mult, Fraction(c * denom, scale * p_denom))
             for (gi, mult, denom), c in comb.items()
         )
-    return skipped
+    return len(skipped)
 
 
 @pytest.mark.parametrize("h", [(1, 1), (2, 1), (1, 2), (1, 1, 1), (2, 2)])
@@ -577,8 +587,7 @@ def test_koszul_skipped_rows_are_redundant_on_oracle_tuples(h):
     d = min_degree_formula(h)
     query = derivative_monomial(h, desc) ** d
     # a jet generator has degree 1 in each base variable's block, so every
-    # multiplier has degree d-1 in each block; the product of the blocks'
-    # descending lists descends in lex order
+    # multiplier has degree d-1 in each block
     blocks = exponent_vectors(sum(h) + 1, d - 1)
 
     def multipliers(degree):
@@ -666,11 +675,14 @@ def _record_spans(monkeypatch) -> list:
 
 def _plain_certificate(p, gens):
     """The combination of p from a plain ExactSpan keyed by Monomial and
-    offered every row M*g, g_0's included, in the oracle's order: generators
-    in index order, each one's multipliers of every weight in descending
-    lex order; None for a non-member.  Rows of other weights lie in other
-    graded components, so the rows that become pivots in p's component, and
-    the combination over them, are the oracle's."""
+    offered every row M*g, g_0's included: generators in index order, each
+    one's multipliers of every weight in descending lex order; None for a
+    non-member.  Rows of other weights lie in other graded components.  In
+    this order each row the oracle skips follows the rows it is a
+    combination of, so the oracle's kept rows, when independent, become the
+    pivots of p's component, and the combination over them, unique, is the
+    oracle's.  Kept rows can be dependent only when the generators are not
+    a regular sequence; the oracle may then give another valid one."""
     degree = p.total_degree()
     span = ExactSpan()
     for gi, g in enumerate(gens):
@@ -997,6 +1009,17 @@ def test_stretch_certificates_are_pinned(h):
     assert hashlib.sha256(payload.encode()).hexdigest() == STRETCH_CERTIFICATE_SHA256[h]
 
 
+@pytest.mark.stretch
+@pytest.mark.parametrize("h", sorted(STRETCH_CERTIFICATE_SHA256))
+def test_stretch_certificates_do_not_depend_on_the_multiplier_order(monkeypatch, h):
+    moved = _shuffle_multiplier_lists(monkeypatch, 7)
+    result = min_degree_search(h)
+    assert moved
+    ring = JetRingDesc(len(h), sum(h)).ring
+    payload = json.dumps(result.certificate.to_json(ring), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == STRETCH_CERTIFICATE_SHA256[h]
+
+
 @st.composite
 def packed_divisibility_cases(draw):
     """A degree at a field-width boundary, an exponent vector m with
@@ -1025,9 +1048,9 @@ def test_guard_bit_divisibility_matches_componentwise_comparison(case):
     def pack(exps):
         return sum(e << s for e, s in zip(exps, packing.shifts))
 
-    divided = any(all(a >= b for a, b in zip(m, t)) for t in ts)
-    kept = list(jets._undivided([pack(m)], [pack(t) for t in ts], packing.guard))
-    assert kept == ([] if divided else [pack(m)])
+    # the F5 test of `jets._solve_membership` is this guard-bit test, inlined
+    for t in ts:
+        assert packing.divides(pack(t), pack(m)) == all(a >= b for a, b in zip(m, t))
 
 
 # -- witnesses -----------------------------------------------------------------
@@ -1269,6 +1292,38 @@ def test_oracle_table_runs_one_elimination_per_search(monkeypatch):
     assert hashlib.sha256(canonical.encode()).hexdigest() == ORACLE_ANSWERS_SHA256
 
 
+def _shuffle_multiplier_lists(monkeypatch, seed) -> list:
+    """Make `jets._packed_multipliers` shuffle every list it returns by a
+    `random.Random` seeded with `seed`.  Returns a list that gets one entry
+    for each list the shuffle left in another order."""
+    rng = make_rng(seed)
+    enumerate_ = jets._packed_multipliers
+    moved = []
+
+    def shuffled(*args):
+        table = enumerate_(*args)
+        for keys in table.values():
+            before = list(keys)
+            rng.shuffle(keys)
+            if keys != before:
+                moved.append(len(keys))
+        return table
+
+    monkeypatch.setattr(jets, "_packed_multipliers", shuffled)
+    return moved
+
+
+def test_oracle_answers_do_not_depend_on_the_multiplier_order(monkeypatch):
+    # a skipped row is a combination of kept rows in any insertion order, and
+    # the jet generators' kept rows are independent, so the answers are the
+    # pinned ones whatever order the multipliers come in
+    moved = _shuffle_multiplier_lists(monkeypatch, 33)
+    answers = [_oracle_answer(h, min_degree_search(h)) for h in _oracle_tuples()]
+    assert len(moved) > 30
+    canonical = json.dumps(answers, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == ORACLE_ANSWERS_SHA256
+
+
 def test_psi_refusals_are_the_nonzero_powers_of_sigma_1():
     # on every oracle tuple psi(mono) is sigma_1 of block i, for the i where
     # lambda = h + e_i, so the psi refusals stop one below its nilpotency order
@@ -1445,6 +1500,15 @@ def test_compositions_descending_lex():
         lambda: Budget("5"),
         lambda: Budget(1j),
         lambda: Budget([1]),
+        # input refusals of their own
+        lambda: homogeneous_membership(zring(2).var(0), [zring(2).zero()]),
+        lambda: Ring(("x", "y", "x")),
+        lambda: zring(2).monomial((0, 1, 0)),
+        lambda: Monomial((1, 0)) / Monomial((0, 1)),
+        lambda: zring(2).zero().leading(),
+        lambda: zring(2).var(0).substitute(zring(1), [zring(1).var(0)]),
+        lambda: Permutation.transposition(2, 2, 3),
+        lambda: Permutation.identity(2) * Permutation.identity(3),
     ],
 )
 def test_domain_checks_raise_domain_error(call):

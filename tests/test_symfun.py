@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from jetform import symfun
 from jetform import (
     Composition,
+    InvariantViolationError,
     Monomial,
     Poly,
     Ring,
@@ -514,6 +516,14 @@ def test_decompose_requires_block_symmetry():
     lam = Composition((2, 1))
     with pytest.raises(ValueError):
         decompose_block_elementary(zring(3).var(0), lam)
+
+
+def test_decompose_unsorted_lead_past_the_symmetry_check_is_an_invariant_violation(monkeypatch):
+    # the lead of a block-symmetric polynomial never rises within a block, so
+    # only a wrong symmetry check can let z2 under lambda = (2,) through
+    monkeypatch.setattr(symfun, "is_lambda_symmetric", lambda p, lam: True)
+    with pytest.raises(InvariantViolationError, match="not sorted within block 1"):
+        decompose_block_elementary(zring(2).var(1), Composition((2,)))
 
 
 def test_decompose_round_trip_random():
