@@ -44,7 +44,8 @@ are independent and the certificate is unique.  The first jet generator
 g_0 = x_1^(0)...x_n^(0) is a monomial, so its rows are unit vectors.  A
 monomial first usable generator is therefore a column filter, not rows: its
 multipliers are never enumerated, its columns are dropped from the other
-rows and the query, and its cofactor comes from the query's residual in the
+rows, by one template per generator and M's exponents at g_0's variables,
+and from the query, and its cofactor comes from the query's residual in the
 one pass that re-expands the certificate.
 """
 
@@ -624,9 +625,12 @@ def _solve_membership(p, gens, usable, gradings, span, filtered) -> tuple:
 
     So each multiplier M the F5 criterion keeps gives one row: the packed
     terms of M*g_k, negated, less those that g_0 divides by the guard-bit
-    test of `Packing`, the test `_certificate` applies to p.  With no g_0
-    the test runs against a guard bit, which divides nothing.  A row left
-    empty is skipped.
+    test of `Packing`, the test `_certificate` applies to p.  It reads M
+    only at g_0's variables, `mult & fields`, so it runs once per generator
+    and key: the terms it keeps, in g_k's term order, are a template that M
+    shifts, exact for any monomial g_0.  With no g_0, `fields` is 0 and the
+    test runs against a guard bit, which divides nothing.  A row left empty
+    is skipped.
 
     Monomials are packed by a `Packing` for deg p: every monomial of the
     component has total degree deg p, so no exponent exceeds it.  Returns
@@ -664,14 +668,16 @@ def _solve_membership(p, gens, usable, gradings, span, filtered) -> tuple:
     leads = _trailing_term_leads(
         [row for row, _ in cleared.values()], packing, max(by_degree, default=0), bounds, span.budget
     )
-    g0 = guard  # a guard bit exceeds every entry, so it divides no packed monomial
+    g0, fields = guard, 0  # a guard bit exceeds every entry, so it divides no packed monomial
     if filtered is not None:
         g0 = next(iter(cleared[filtered][0]))  # the packed monomial g_0
         next(leads)  # the empty basis before g_0
+        fields = sum(packing.mask << s for s, e in zip(packing.shifts, packing.unpack(g0)) if e)
     for gi, trailing in zip(inserted, leads):
         row = cleared[gi][0]
         t = targets[gi]
         mults = table.pop(t) if last_user[t] == gi else table[t]
+        templates = {}
         for mult in mults:
             # the F5 test, `Packing.divides` inlined: skip mult if a trailing lead divides it
             mg = mult | guard
@@ -679,13 +685,15 @@ def _solve_membership(p, gens, usable, gradings, span, filtered) -> tuple:
                 if (mg - lead) & guard == guard:
                     break
             else:
-                # ExactSpan eliminates from its largest key; negated, it works from the
-                # lex-smallest, the order that stores far fewer step-history entries
-                projected = {
-                    -mult - k: v for k, v in row.items() if (((mult + k) | guard) - g0) & guard != guard
-                }
-                if projected:
-                    span.insert(projected, (gi, mult))
+                template = templates.get(mult & fields)
+                if template is None:
+                    template = templates[mult & fields] = [
+                        (k, v) for k, v in row.items() if (((mult + k) | guard) - g0) & guard != guard
+                    ]
+                if template:
+                    # ExactSpan eliminates from its largest key; negated, it works from the
+                    # lex-smallest, the order that stores far fewer step-history entries
+                    span.insert({-mult - k: v for k, v in template}, (gi, mult))
     return packing, cleared
 
 

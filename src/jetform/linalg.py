@@ -196,15 +196,20 @@ class ExactSpan:
 
         The span takes ownership of `row`, a dict of nonzero ints that the
         caller must not use again: it is eliminated in place and may become
-        the stored pivot.  What elimination leaves of a new row is
-        primitive; it is stored, with a positive lead, as the pivot of the
-        lead it stopped at, with its step history (`_UNIT` if it took no
-        step and was not negated).
+        the stored pivot.  A row whose lead has no pivot is stored
+        unchanged, with `_UNIT`, or negated if its lead is negative.  Any
+        other row is eliminated, and what is left of it, if anything, is
+        stored, with a positive lead, as the pivot of the lead it stopped
+        at, with its step history.
         """
-        hist = {_OWN: 1}
-        lead = self._eliminate(row, hist)
-        if lead is None:
+        if not row:
             return False
+        lead, hist = max(row), _UNIT
+        if lead in self.pivots:
+            hist = {_OWN: 1}
+            lead = self._eliminate(row, hist)
+            if lead is None:
+                return False
         self._store(row, hist, lead, label)
         return True
 

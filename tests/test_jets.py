@@ -731,6 +731,26 @@ def test_query_of_g0_multiples_has_only_g0_in_its_certificate(monkeypatch):
     assert [gi for gi, _ in span.labels] == [1, 1] and span.rank == 2
 
 
+def test_non_squarefree_g0_projects_each_row_by_its_exponents_not_its_support(monkeypatch):
+    # g_0 = x^2*y: whether g_0 divides M*t depends on M's exponent of x, not
+    # only on whether x divides M.  x*z and x^2 have the same support on
+    # g_0's variables, but x*z*g_1 keeps x*y*z^2 and x*z^3, where x^2*g_1
+    # keeps only x^2*z^2
+    spans = _record_spans(monkeypatch)
+    x, y, z = zring(3).gens()
+    gens = [x**2 * y, x * y + y * z + z**2]
+    query = (x**2 + x * z + y * z) * gens[1]
+    result = homogeneous_membership(query, gens)
+    assert result.member and result.verify(query, gens)
+    assert result.combination == _plain_certificate(query, gens)
+    (span,) = spans
+    packing = Packing(3, 4)
+    at_g0 = {packing.unpack(mult)[:2] for gi, mult in span.labels}  # exponents of x, y
+    assert {(1, 0), (2, 0)} <= at_g0
+    (row,) = [piv.terms for piv in span.pivots.values() if piv.label == (1, packing.pack((2, 0, 0)))]
+    assert row == {-packing.pack((2, 0, 2)): 1}
+
+
 def test_generator_whose_rows_all_project_to_nothing_offers_no_row(monkeypatch):
     spans = _record_spans(monkeypatch)
     x, y = zring(2).gens()
