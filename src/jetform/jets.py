@@ -46,7 +46,9 @@ monomial first usable generator is therefore a column filter, not rows: its
 multipliers are never enumerated, its columns are dropped from the other
 rows, by one template per generator and M's exponents at g_0's variables,
 and from the query, and its cofactor comes from the query's residual in the
-one pass that re-expands the certificate.
+one pass that re-expands the certificate.  So is each kept row with one
+term left once g_0's columns drop, a unit row: its column goes into a table,
+not the span, and its cofactor too is read off the residual.
 """
 
 from __future__ import annotations
@@ -353,10 +355,10 @@ def _common_gradings(polys: list[Poly], nvars: int) -> list[tuple[int, ...]]:
     return integer_nullspace(rows, nvars)
 
 
-# packed multipliers counted as one `Budget` entry: by tracemalloc, the
-# finished (2,1,1) table of 811,617 packed ints takes 49 bytes per int, its
-# build peaks at 66, and Budget.BYTES_PER_ENTRY is 160
-_PACKED_PER_ENTRY = 3
+# bytes charged to a `Budget` per packed multiplier: by tracemalloc, building
+# the (1,1,1) table of 6,316 packed ints peaks at 66.4 bytes per int, and the
+# (2,1,1) table of 811,617 at 66.0; the finished table takes 49
+_PACKED_BYTES = 68
 
 
 def _exponent_range(remaining: int, partial, bounds) -> range:
@@ -409,9 +411,8 @@ def _packed_multipliers(degree: int, gradings, targets, shifts, budget=None) -> 
     released as the next level is built.
 
     `budget`, if given, is charged "multiplier table" as each level grows:
-    one entry per _PACKED_PER_ENTRY packed prefixes of the largest level so
-    far, whole entries only, so a table that outgrows the budget stops
-    before it is built.
+    _PACKED_BYTES per packed prefix of the largest level so far, in whole
+    entries, so a table that outgrows the budget stops before it is built.
     """
     nvars = len(shifts)
     if not nvars:  # the empty vector, of degree 0, is the only one
@@ -434,9 +435,10 @@ def _packed_multipliers(degree: int, gradings, targets, shifts, budget=None) -> 
             exps = _exponent_range(remaining, partial, bounds)
             if budget is not None:
                 size += len(prefixes) * len(exps)
-                if size // _PACKED_PER_ENTRY > charged:
-                    budget.charge(size // _PACKED_PER_ENTRY - charged, "multiplier table")
-                    charged = size // _PACKED_PER_ENTRY
+                entries = size * _PACKED_BYTES // budget.BYTES_PER_ENTRY
+                if entries > charged:
+                    budget.charge(entries - charged, "multiplier table")
+                    charged = entries
             for e in exps:
                 # weights per e taken: a list for every e <= degree would precede any charge
                 if e:
@@ -627,16 +629,27 @@ def _solve_membership(p, gens, usable, gradings, span, filtered) -> tuple:
     terms of M*g_k, negated, less those that g_0 divides by the guard-bit
     test of `Packing`, the test `_certificate` applies to p.  It reads M
     only at g_0's variables, `mult & fields`, so it runs once per generator
-    and key: the terms it keeps, in g_k's term order, are a template that M
-    shifts, exact for any monomial g_0.  With no g_0, `fields` is 0 and the
+    and key: the terms it keeps, negated, in g_k's term order, are a
+    template that M shifts, exact for any monomial g_0.  With no g_0, `fields` is 0 and the
     test runs against a guard bit, which divides nothing.  A row left empty
     is skipped.
 
+    A row left with one term v at column c, a unit row, is v*e_c plus g_0
+    rows, so c is a column filter too.  A first pass records it as units[c]
+    = (generator index, packed M, v), the first one at c only, as a second
+    is dependent, and every other kept row as (generator index, packed M,
+    template), charging `Budget` "row feed" per record.  A second inserts
+    those rows, unit columns dropped, if not left empty.  That projection
+    kills exactly the span of the unit and g_0 rows: the verdict is the
+    same, and so is the combination over independent kept rows; off a
+    regular sequence it may be another valid one.
+
     Monomials are packed by a `Packing` for deg p: every monomial of the
     component has total degree deg p, so no exponent exceeds it.  Returns
-    the packing and {generator index: (row, d)}, the row its generator
-    times the lcm d of its denominators, keyed by packed monomials; the
-    span holds M*row negated, labelled (generator index, packed M).
+    the packing, {generator index: (row, d)}, the row its generator times
+    the lcm d of its denominators, keyed by packed monomials, and the unit
+    table, keyed by negated packed monomials; the span holds M*row negated,
+    less the dropped columns, labelled (generator index, packed M).
     """
     degree = p.total_degree()
     packing = Packing(p.ring.nvars, degree)
@@ -673,11 +686,14 @@ def _solve_membership(p, gens, usable, gradings, span, filtered) -> tuple:
         g0 = next(iter(cleared[filtered][0]))  # the packed monomial g_0
         next(leads)  # the empty basis before g_0
         fields = sum(packing.mask << s for s, e in zip(packing.shifts, packing.unpack(g0)) if e)
+    units = {}  # unit column: (generator index, packed M, coefficient)
+    rows = []  # (generator index, packed M, template) of every other kept row
     for gi, trailing in zip(inserted, leads):
         row = cleared[gi][0]
         t = targets[gi]
         mults = table.pop(t) if last_user[t] == gi else table[t]
         templates = {}
+        recorded = len(rows) + len(units)
         for mult in mults:
             # the F5 test, `Packing.divides` inlined: skip mult if a trailing lead divides it
             mg = mult | guard
@@ -688,36 +704,50 @@ def _solve_membership(p, gens, usable, gradings, span, filtered) -> tuple:
                 template = templates.get(mult & fields)
                 if template is None:
                     template = templates[mult & fields] = [
-                        (k, v) for k, v in row.items() if (((mult + k) | guard) - g0) & guard != guard
+                        (-k, v) for k, v in row.items() if (((mult + k) | guard) - g0) & guard != guard
                     ]
-                if template:
-                    # ExactSpan eliminates from its largest key; negated, it works from the
-                    # lex-smallest, the order that stores far fewer step-history entries
-                    span.insert({-mult - k: v for k, v in template}, (gi, mult))
-    return packing, cleared
+                if len(template) > 1:
+                    rows.append((gi, mult, template))
+                elif template:
+                    ((k, v),) = template
+                    units.setdefault(k - mult, (gi, mult, v))  # a second unit there is dependent
+        if span.budget is not None:
+            span.budget.charge(len(rows) + len(units) - recorded, "row feed")
+    for gi, mult, template in rows:
+        # ExactSpan eliminates from its largest key; negated, it works from the
+        # lex-smallest, the order that stores far fewer step-history entries
+        row = {c: v for k, v in template if (c := k - mult) not in units}
+        if row:
+            span.insert(row, (gi, mult))
+    return packing, cleared, units
 
 
-def _certificate(p: Poly, gens, span, packing: Packing, cleared: dict, filtered) -> list | None:
+def _certificate(p: Poly, gens, span, packing: Packing, cleared: dict, filtered, units) -> list | None:
     """None for a p outside `span`, else p's certificate, re-expanded
     against p, as sorted (generator index, multiplier, coefficient) triples.
 
     The half of the oracle that reads p: p is cleared and packed once, its
-    g_0-divisible terms dropped and the rest, negated, reduced by `span`.
+    terms at g_0's columns and at the columns of `units`, the unit table of
+    `_solve_membership`, dropped and the rest, negated, reduced by `span`.
     The residual s*p - sum of c*M*row, s = scale times the lcm of p's
     denominators, is formed from the same packed terms.  Each entry is
     unpacked once, for its triple, with coefficient c*d/s, and its
     multiplier must have its generator's multiplier degree; a field that
     borrowed or overflowed unpacks to more than that, so this is also the
-    sign check.  Each nonzero residual term divided by g_0 = gens[filtered]
+    sign check.  Each nonzero residual term r at the column of a unit row
+    (k, M, v) gives that row's entry, coefficient r*d/(s*v), subtracted
+    back through the full row M*row; every other term of it is divisible
+    by g_0.  Then each nonzero residual term divided by g_0 = gens[filtered]
     is an entry of g_0's cofactor, subtracted back through g_0's row; a
     term g_0 does not divide raises.  What is left, all of the residual if
     `filtered` is None, must be zero.
     """
     terms, denom = _clear_denominators(p.terms)
     terms = {packing.pack(m): v for m, v in terms.items()}
+    query = {-k: v for k, v in terms.items() if -k not in units}
     if filtered is not None:
         ((g0, a),) = cleared[filtered][0].items()
-    query = {-k: v for k, v in terms.items() if filtered is None or not packing.divides(g0, k)}
+        query = {c: v for c, v in query.items() if not packing.divides(g0, -c)}
     relation = span.reduce(query)
     if relation is None:
         return None
@@ -735,6 +765,17 @@ def _certificate(p: Poly, gens, span, packing: Packing, cleared: dict, filtered)
         for k, v in row.items():
             residual[mult + k] = residual.get(mult + k, 0) - c * v
         triples.append((gi, mono, Fraction(c * d, scale)))
+    for key in [k for k, v in residual.items() if v and -k in units]:
+        gi, mult, v = units[-key]
+        row, d = cleared[gi]
+        c = Fraction(residual[key] * d, scale * v)
+        triples.append((gi, packing.unpack(mult), c))
+        # c*M*g_k is step*M*row: step*v cancels the term at key, exactly in ints when v divides it
+        step, rest = divmod(c.numerator * scale, c.denominator * d)
+        if rest:
+            step = Fraction(c.numerator * scale, c.denominator * d)
+        for k, w in row.items():
+            residual[mult + k] = residual.get(mult + k, 0) - step * w
     if filtered is not None:
         d = cleared[filtered][1]
         for key, v in residual.items():
@@ -774,11 +815,12 @@ def homogeneous_membership(
     first usable generator, if it is a monomial g_0, is a column filter
     instead of rows, decided here once for both halves: `_solve_membership`
     neither enumerates nor inserts its rows and drops its columns, and
-    `_certificate` recovers its cofactor from the residual of p.  Pivots and
-    span charges are those of the projected rows; the certificate is the one
-    a span offered g_0's rows, then the kept rows, would give, and every
-    entry of it, g_0's included, is re-expanded against p before it is
-    returned.
+    `_certificate` recovers its cofactor from the residual of p; so it does
+    for each unit row, whose column is in the table `_solve_membership`
+    returns.  Pivots and span charges are those of the projected rows; the
+    certificate is the one a span offered g_0's rows, then the unit rows,
+    then the other kept rows, would give, and every entry of it is
+    re-expanded against p before it is returned.
     """
     gens = list(gens)
     if not p.is_homogeneous():
@@ -795,8 +837,8 @@ def homogeneous_membership(
     filtered = usable[0] if usable and len(gens[usable[0]].terms) == 1 else None
     gradings = _common_gradings([gens[i] for i in usable] + [p], p.ring.nvars)
     span = ExactSpan(budget=budget)
-    packing, cleared = _solve_membership(p, gens, usable, gradings, span, filtered)
-    certificate = _certificate(p, gens, span, packing, cleared, filtered)
+    packing, cleared, units = _solve_membership(p, gens, usable, gradings, span, filtered)
+    certificate = _certificate(p, gens, span, packing, cleared, filtered, units)
     return MembershipResult(certificate is not None, degree, certificate)
 
 

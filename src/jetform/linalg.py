@@ -45,20 +45,21 @@ class Budget:
       `ExactSpan`), so one for a pivot sharing `_UNIT`;
     - "trailing-term basis": the terms of each element the membership
       oracle stores in its trailing-term basis;
-    - "multiplier table": one entry per three packed multipliers of the
-      oracle's multiplier table, charged while the table is built (a
-      packed multiplier takes about 49 bytes traced); a monomial generator
-      g_0 that the oracle filters as columns has no list in it.
+    - "multiplier table": 68 bytes per packed multiplier of the oracle's
+      multiplier table, at least the traced peak of its build, charged
+      while the table is built; a monomial generator g_0 that the oracle
+      filters as columns has no list in it;
+    - "row feed": one entry per kept row the oracle records, unit or not.
     Each entry is costed at BYTES_PER_ENTRY, set from `tracemalloc` peaks
     of whole searches, which also hold the query and the psi normal forms:
-    142 bytes per entry for min_degree_search((2, 2)), 141 for (1, 1, 2)
-    and 136 for (0, 4), so the charge is 1.12-1.18 times the traced peak.
+    84 bytes per entry for min_degree_search((2, 2)), 86 for (1, 1, 2)
+    and 91 for (0, 4), so the charge is 1.10-1.19 times the traced peak.
     Exceeding the configured limit raises BudgetExceededError instead of
     thrashing.  The limit is None, for no limit, or a finite number of MB,
     at least 0; anything else raises DomainError.
     """
 
-    BYTES_PER_ENTRY = 160
+    BYTES_PER_ENTRY = 100
 
     def __init__(self, megabytes: float | None):
         if megabytes is not None and not (isinstance(megabytes, Real) and 0 <= megabytes < inf):

@@ -214,12 +214,12 @@ def test_trailing_term_basis_takes_the_cleared_rows_themselves(monkeypatch):
     usable = list(range(len(gens)))
     gradings = jets._common_gradings(gens + [query], desc.ring.nvars)
     span = jetform.ExactSpan()
-    packing, cleared = jets._solve_membership(query, gens, usable, gradings, span, 0)
+    packing, cleared, units = jets._solve_membership(query, gens, usable, gradings, span, 0)
     (rows,) = received
     assert len(rows) == len(cleared) == len(gens)
     assert all(got is row for got, (row, _) in zip(rows, cleared.values()))
     assert all(key > 0 for row in rows for key in row)
-    assert jets._certificate(query, gens, span, packing, cleared, 0)
+    assert jets._certificate(query, gens, span, packing, cleared, 0, units)
 
 
 def test_every_traced_name_resolves():

@@ -511,21 +511,24 @@ def _skipped_rows_are_redundant(p, gens, multipliers) -> int:
     monomials as the oracle inserts them.  When the first usable generator
     g_0 is a monomial, the oracle sees no row M*g_0 and no g_0-divisible
     column, and rows left empty are not offered; so neither does this
-    reference.  Check that the oracle inserted each offered row at most
-    once, that both spans end with the same pivots and histories, in dict
-    order, and that no skipped row changes the span.  Check also that the
-    oracle's certificate, as `_certificate` reduces p against the oracle's
-    span and completes and re-expands it, is the one a third span gives,
-    with no column dropped, offered g_0's rows first, then the rows the
-    oracle inserted in its order, then the rest.  Returns the number of
-    skipped rows."""
+    reference.  Nor does it see the unit columns `_solve_membership`
+    returns: check that each unit is a row the oracle did not insert, one
+    term once g_0's columns drop, that term at its column, and drop those
+    columns from the reference rows too.  Check that the oracle inserted
+    each offered row at most once, that both spans end with the same
+    pivots and histories, in dict order, and that no skipped row changes
+    the span.  Check also that the oracle's certificate, as `_certificate`
+    reduces p against the oracle's span and completes and re-expands it,
+    is the one a third span gives, with no column dropped, offered g_0's
+    rows first, then the unit rows, then the rows the oracle inserted in
+    its order, then the rest.  Returns the number of skipped rows."""
     degree = p.total_degree()
     nvars = p.ring.nvars
     usable = [i for i, g in enumerate(gens) if g.total_degree() <= degree]
     filtered = usable[0] if len(gens[usable[0]].terms) == 1 else None
     gradings = jets._common_gradings([gens[i] for i in usable] + [p], nvars)
     kept = _RecordingSpan()
-    packing, cleared = jets._solve_membership(p, gens, usable, gradings, kept, filtered)
+    packing, cleared, units = jets._solve_membership(p, gens, usable, gradings, kept, filtered)
 
     def columns(terms):
         return {-packing.pack(mono): v for mono, v in terms.items()}
@@ -556,21 +559,32 @@ def _skipped_rows_are_redundant(p, gens, multipliers) -> int:
             offered[label] = columns(terms)
     inserted = set(kept.labels)
     assert len(inserted) == len(kept.labels) and inserted <= set(offered)
+    unit_rows = [(gi, mult) for gi, mult, _ in units.values()]
+    recorded = inserted | set(unit_rows)
+    assert len(recorded) == len(inserted) + len(units)
+    for column, (gi, mult, v) in units.items():
+        assert offered[gi, mult] == {column: v}
+
+    def projected(label):
+        return {k: v for k, v in offered[label].items() if k not in units}
+
     full = ExactSpan()
     for label in kept.labels:
-        full.insert(offered[label], label)
-    skipped = [label for label in offered if label not in inserted]
+        row = projected(label)
+        assert row
+        full.insert(row, label)
+    skipped = [label for label in offered if label not in recorded]
     for label in skipped:
-        assert not full.insert(offered[label], label), ("skipped row enlarged the span", label)
+        assert not full.insert(projected(label), label), ("skipped row enlarged the span", label)
     assert _pivot_rows(kept) == _pivot_rows(full)
-    first = [label for label in every if label[0] == filtered] + kept.labels
+    first = [label for label in every if label[0] == filtered] + unit_rows + kept.labels
     taken = set(first)
     plain = ExactSpan()
     for label in first + [label for label in every if label not in taken]:
         plain.insert(*every[label])
     p_row, p_denom = _clear_denominators(p.terms)
     plain_relation = plain.reduce(columns(p_row))
-    certificate = jets._certificate(p, gens, kept, packing, cleared, filtered)
+    certificate = jets._certificate(p, gens, kept, packing, cleared, filtered, units)
     assert (certificate is None) == (plain_relation is None)
     if certificate is not None:
         comb, scale = plain_relation
@@ -657,20 +671,33 @@ def test_no_offered_row_reduces_to_zero_on_oracle_tuples(monkeypatch):
         del spans[:]
         assert homogeneous_membership(query, jet_generators(None, desc)).member
         (span,) = spans
-        assert len(span.labels) == span.rank > 0, h
+        assert len(span.labels) == span.rank and span.rank + len(span.units) > 0, h
 
 
 def _record_spans(monkeypatch) -> list:
-    """Make the oracle build `_RecordingSpan`s; returns the list of them."""
+    """Make the oracle build `_RecordingSpan`s, each given as `units` the
+    unit table `_solve_membership` returns with it; returns the list of
+    them."""
     spans = []
+    solve = jets._solve_membership
 
     class RecordingSpan(_RecordingSpan):
         def __init__(self, *args, **kwargs):
             super().__init__()
             spans.append(self)
 
+    def solve_keeping_units(p, gens, usable, gradings, span, filtered):
+        packing, cleared, span.units = solve(p, gens, usable, gradings, span, filtered)
+        return packing, cleared, span.units
+
     monkeypatch.setattr(jets, "ExactSpan", RecordingSpan)
+    monkeypatch.setattr(jets, "_solve_membership", solve_keeping_units)
     return spans
+
+
+def _row_generators(span) -> set:
+    """The generators of the rows a recorded span was offered or took as units."""
+    return {gi for gi, _ in span.labels} | {gi for gi, _, _ in span.units.values()}
 
 
 def _plain_certificate(p, gens):
@@ -726,9 +753,14 @@ def test_query_of_g0_multiples_has_only_g0_in_its_certificate(monkeypatch):
     result = homogeneous_membership(query, gens)
     assert result.combination == [(0, Monomial((0, 1)), 3), (0, Monomial((1, 0)), 1)]
     assert result.combination == _plain_certificate(query, gens)
-    # g_1's rows x*g_1 and y*g_1 were offered, as x^3 and y^3
+    # g_1's rows x*g_1 and y*g_1 project to x^3 and y^3: unit columns, not rows
     (span,) = spans
-    assert [gi for gi, _ in span.labels] == [1, 1] and span.rank == 2
+    packing = Packing(2, 3)
+    assert span.labels == [] and span.rank == 0
+    assert span.units == {
+        -packing.pack((3, 0)): (1, packing.pack((1, 0)), 1),
+        -packing.pack((0, 3)): (1, packing.pack((0, 1)), 1),
+    }
 
 
 def test_non_squarefree_g0_projects_each_row_by_its_exponents_not_its_support(monkeypatch):
@@ -745,10 +777,10 @@ def test_non_squarefree_g0_projects_each_row_by_its_exponents_not_its_support(mo
     assert result.combination == _plain_certificate(query, gens)
     (span,) = spans
     packing = Packing(3, 4)
-    at_g0 = {packing.unpack(mult)[:2] for gi, mult in span.labels}  # exponents of x, y
-    assert {(1, 0), (2, 0)} <= at_g0
-    (row,) = [piv.terms for piv in span.pivots.values() if piv.label == (1, packing.pack((2, 0, 0)))]
-    assert row == {-packing.pack((2, 0, 2)): 1}
+    # x*z*g_1 is offered as a row of two terms; x^2*g_1 keeps x^2*z^2 alone, a unit
+    (row,) = [piv.terms for piv in span.pivots.values() if piv.label == (1, packing.pack((1, 0, 1)))]
+    assert row == {-packing.pack((1, 1, 2)): 1, -packing.pack((1, 0, 3)): 1}
+    assert span.units[-packing.pack((2, 0, 2))] == (1, packing.pack((2, 0, 0)), 1)
 
 
 def test_generator_whose_rows_all_project_to_nothing_offers_no_row(monkeypatch):
@@ -767,16 +799,16 @@ def test_monomial_generator_is_filtered_only_when_first_usable(monkeypatch):
     spans = _record_spans(monkeypatch)
     x, y = zring(2).gens()
     query = x**3 * y + x**2 * y**2 + x * y**3
-    # not first: x*y keeps its rows
+    # not first: x*y keeps its rows, each of them a unit
     gens = [x**2 + y**2, x * y]
     result = homogeneous_membership(query, gens)
     assert result.combination == _plain_certificate(query, gens)
-    assert {gi for gi, _ in spans[-1].labels} == {0, 1}
+    assert _row_generators(spans[-1]) == {0, 1}
     # first usable, after a generator above the query's degree: filtered
     gens = [x**5, x * y, x**2 + y**2]
     result = homogeneous_membership(query, gens)
     assert result.combination == _plain_certificate(query, gens)
-    assert {gi for gi, _ in spans[-1].labels} == {2}
+    assert _row_generators(spans[-1]) == {2}
 
 
 def test_residual_that_g0_does_not_divide_raises(monkeypatch):
@@ -787,8 +819,8 @@ def test_residual_that_g0_does_not_divide_raises(monkeypatch):
             return dict(list(comb.items())[1:]), scale
 
     monkeypatch.setattr(jets, "ExactSpan", DroppingSpan)
-    x, y = zring(2).gens()
-    gens = [x * y, x**2 + y**2]
+    x, y, z = zring(3).gens()
+    gens = [x * y, x**2 + z**2]  # x^2*g_1 is the row x^4 + x^2*z^2
     with pytest.raises(InvariantViolationError, match="residual"):
         homogeneous_membership(x**2 * gens[1], gens)
 
@@ -805,33 +837,142 @@ def test_wrong_coefficient_from_the_span_raises(monkeypatch, order, message):
             comb[max(comb)] += 1
             return comb, scale
 
-    x, y = zring(2).gens()
-    gens = [(x * y).scale(Fraction(1, 3)), x**2 + y**2]
-    gens = [gens[i] for i in order]  # g_0 = x*y/3 first, filtered, or second, as rows
-    query = x**4 + x**2 * y**2 + (x * y**3).scale(6)
+    gens, query = _g0_with_a_denominator()
+    gens = [gens[i] for i in order]  # g_0 = x*y/3 first, filtered, or second, as unit rows
     assert homogeneous_membership(query, gens).member
     monkeypatch.setattr(jets, "ExactSpan", OffByOneSpan)
     with pytest.raises(InvariantViolationError, match=message):
         homogeneous_membership(query, gens)
 
 
+def _g0_with_a_denominator():
+    """g_0 = x*y/3 and g_1 = x^2 + z^2, and the member x^2*g_1 + 18*z^2*g_0:
+    the span holds rows of two terms, such as x^2*g_1, and the unit rows
+    y^2*g_1 and y*z*g_1, which the certificate does not use."""
+    x, y, z = zring(3).gens()
+    gens = [(x * y).scale(Fraction(1, 3)), x**2 + z**2]
+    return gens, x**4 + x**2 * z**2 + (x * y * z**2).scale(6)
+
+
 def test_g0_cofactor_missing_its_denominator_raises(monkeypatch):
     # g_0 = x*y/3 has d_0 = 3; a cofactor made without it, each coefficient
     # a third of the right one, fails its subtraction through g_0's row
-    x, y = zring(2).gens()
-    gens = [(x * y).scale(Fraction(1, 3)), x**2 + y**2]
-    query = x**4 + x**2 * y**2 + (x * y**3).scale(6)
-    assert homogeneous_membership(query, gens).member
+    gens, query = _g0_with_a_denominator()
+    result = homogeneous_membership(query, gens)
+    assert result.combination == [(0, Monomial((0, 0, 2)), 18), (1, Monomial((2, 0, 0)), 1)]
     monkeypatch.setattr(jets, "Fraction", lambda num, den: Fraction(num, 3 * den))
     with pytest.raises(InvariantViolationError, match="failed re-expansion"):
         homogeneous_membership(query, gens)
 
 
+def _unit_with_a_denominator(order=(0, 1)):
+    """g_0 = x*y and g_1 = 2*x^2 + 3*z^2, in `order`, and the member
+    y^2*z^2 = y^2*g_1/3 - 2*x*y*g_0/3.  With g_0 first, filtered, y^2*g_1
+    keeps 3*y^2*z^2 alone once g_0's columns drop: a unit row whose
+    cofactor has the denominator 3.  With g_0 second, its rows are units."""
+    x, y, z = zring(3).gens()
+    gens = [x * y, (x**2).scale(2) + (z**2).scale(3)]
+    return [gens[i] for i in order], y**2 * z**2
+
+
+def test_unit_cofactor_with_a_denominator(monkeypatch):
+    spans = _record_spans(monkeypatch)
+    gens, query = _unit_with_a_denominator()
+    result = homogeneous_membership(query, gens)
+    assert result.combination == [
+        (0, Monomial((1, 1, 0)), Fraction(-2, 3)),
+        (1, Monomial((0, 2, 0)), Fraction(1, 3)),
+    ]
+    assert result.verify(query, gens)
+    assert result.combination == _plain_certificate(query, gens)
+    (span,) = spans
+    packing = Packing(3, 4)
+    assert span.labels == []
+    assert span.units == {-packing.pack((0, 2, 2)): (1, packing.pack((0, 2, 0)), 3)}
+
+
+@pytest.mark.parametrize(
+    "order, message",
+    [((0, 1), "not divisible by the monomial generator"), ((1, 0), "failed re-expansion")],
+)
+def test_wrong_unit_coefficient_raises(monkeypatch, order, message):
+    # a unit table that doubles a coefficient halves the cofactor taken from
+    # it, and subtracting that through the generator's own row leaves half
+    # the residual at the unit's column
+    gens, query = _unit_with_a_denominator(order)
+    assert homogeneous_membership(query, gens).verify(query, gens)
+    solve = jets._solve_membership
+
+    def doubling(*args):
+        packing, cleared, units = solve(*args)
+        return packing, cleared, {c: (gi, mult, 2 * v) for c, (gi, mult, v) in units.items()}
+
+    monkeypatch.setattr(jets, "_solve_membership", doubling)
+    with pytest.raises(InvariantViolationError, match=message):
+        homogeneous_membership(query, gens)
+
+
+def test_second_kept_row_at_a_unit_column_is_left_out(monkeypatch):
+    # g_2 - g_1 = x*y = g_0, so these are no regular sequence.  With g_0's
+    # columns dropped, g_1 and g_2 both keep x^2 alone, and F5 skips neither
+    # (their multiplier is 1); the first stays the unit of x^2, the second
+    # is dependent and offered to no span
+    spans = _record_spans(monkeypatch)
+    x, y = zring(2).gens()
+    gens = [x * y, x**2 + x * y, x**2 + (x * y).scale(2)]
+    query = x**2
+    assert not _kept_rows_are_independent(query, gens)
+    result = homogeneous_membership(query, gens)
+    assert result.combination == [(0, Monomial((0, 0)), -1), (1, Monomial((0, 0)), 1)]
+    assert result.combination == _plain_certificate(query, gens)
+    (span,) = spans
+    packing = Packing(2, 2)
+    assert span.labels == []
+    assert span.units == {-packing.pack((2, 0)): (1, 0, 1)}
+
+
+def _kept_rows_are_independent(p, gens) -> bool:
+    """Whether the rows of p's graded component that the oracle's F5 test
+    keeps, g_0's included, are linearly independent, that is as many as the
+    component's rank.  The trailing-term leads are the oracle's, computed
+    with no truncation but by p's degree: a lead outside the oracle's weight
+    box divides no multiplier either way."""
+    degree = p.total_degree()
+    nvars = p.ring.nvars
+    usable = [i for i, g in enumerate(gens) if g.total_degree() <= degree]
+    gradings = jets._common_gradings([gens[i] for i in usable] + [p], nvars)
+    target = _weights(gradings, next(iter(p.terms)))
+    packing = Packing(nvars, degree)
+    rows = [
+        {packing.pack(m): v for m, v in _clear_denominators(gens[gi].terms)[0].items()}
+        for gi in usable
+    ]
+    component = ExactSpan()
+    kept = 0
+    leads_before = jets._trailing_term_leads(rows, packing, degree, [], None)
+    for gi, row, leads in zip(usable, rows, leads_before):
+        g_weights = _weights(gradings, next(iter(gens[gi].terms)))
+        for exps in exponent_vectors(nvars, degree - gens[gi].total_degree()):
+            if tuple(a + b for a, b in zip(_weights(gradings, exps), g_weights)) != target:
+                continue
+            mult = packing.pack(exps)
+            kept += not any(packing.divides(lead, mult) for lead in leads)
+            component.insert({mult + k: v for k, v in row.items()}, None)
+    return kept == component.rank
+
+
 @given(homogeneous_systems(monomial_first=True))
 def test_filtered_certificates_match_a_span_offered_every_row(system):
+    # the combination over independent kept rows is unique; off a regular
+    # sequence the oracle may give another, checked by `verify`
     query, gens = system
     result = homogeneous_membership(query, gens)
-    assert result.combination == _plain_certificate(query, gens)
+    plain = _plain_certificate(query, gens)
+    assert (result.combination is None) == (plain is None)
+    if _kept_rows_are_independent(query, gens):
+        assert result.combination == plain
+    elif result.member:
+        assert result.verify(query, gens)
     if result.member and result.combination:
         # the certificate check agrees with `verify` on a wrong certificate:
         # it completes the elimination's part with g_0's cofactor, and
@@ -843,54 +984,59 @@ def test_filtered_certificates_match_a_span_offered_every_row(system):
         filtered = usable[0] if len(gens[usable[0]].terms) == 1 else None
         gradings = jets._common_gradings([gens[i] for i in usable] + [query], query.ring.nvars)
         span = _BumpingSpan()
-        packing, cleared = jets._solve_membership(query, gens, usable, gradings, span, filtered)
-        cert = jets._certificate(query, gens, span, packing, cleared, filtered)
+        packing, cleared, units = jets._solve_membership(query, gens, usable, gradings, span, filtered)
+        cert = jets._certificate(query, gens, span, packing, cleared, filtered, units)
         assert cert == result.combination
         comb, _ = span.relation
         if comb:
             span.bump = max(comb)
             with pytest.raises(InvariantViolationError):
-                jets._certificate(query, gens, span, packing, cleared, filtered)
+                jets._certificate(query, gens, span, packing, cleared, filtered, units)
 
 
 @given(homogeneous_systems())
 def test_certificate_refuses_each_wrong_coefficient_on_generic_systems(system):
     # the first generator is mostly not a monomial here, so no g_0 cofactor
     # is recovered and only the final check of the residual sees a wrong
-    # coefficient: one added to any entry of the packed combination leaves
-    # s*(p - sum c*M*g) nonzero, or a term g_0 does not divide
+    # coefficient: one added to any entry of the packed combination adds a
+    # row with a term at a column neither g_0 nor a unit row owns, so
+    # s*(p - sum c*M*g) stays nonzero there
     query, gens = system
     degree = query.total_degree()
     usable = [i for i, g in enumerate(gens) if g.total_degree() <= degree]
     filtered = usable[0] if usable and len(gens[usable[0]].terms) == 1 else None
     gradings = jets._common_gradings([gens[i] for i in usable] + [query], query.ring.nvars)
     span = _BumpingSpan()
-    packing, cleared = jets._solve_membership(query, gens, usable, gradings, span, filtered)
-    cert = jets._certificate(query, gens, span, packing, cleared, filtered)
+    packing, cleared, units = jets._solve_membership(query, gens, usable, gradings, span, filtered)
+    cert = jets._certificate(query, gens, span, packing, cleared, filtered, units)
     if cert is None:
         return
     assert cert == homogeneous_membership(query, gens).combination
     for key in span.relation[0]:
         span.bump = key
         with pytest.raises(InvariantViolationError):
-            jets._certificate(query, gens, span, packing, cleared, filtered)
+            jets._certificate(query, gens, span, packing, cleared, filtered, units)
 
 
 def test_oracle_offers_no_g0_row(monkeypatch):
     # g_0 = x_1^(0)...x_n^(0) is a monomial, so its columns are dropped: the
-    # 37 spans hold 33,323 pivots, not the 63,302 of inserting its rows
+    # 37 spans and their unit tables hold 33,323 kept rows, not the 63,302
+    # of inserting its rows; 15,535 of them are units, offered to no span
     spans = _record_spans(monkeypatch)
     for h in _oracle_tuples():
         min_degree_search(h)
     assert len(spans) == 37
-    assert all(gi != 0 for span in spans for gi, _ in span.labels)
-    assert sum(span.rank for span in spans) == sum(len(span.labels) for span in spans) == 33323
+    assert 0 not in set().union(*map(_row_generators, spans))
+    rank = sum(span.rank for span in spans)
+    units = sum(len(span.units) for span in spans)
+    assert rank == sum(len(span.labels) for span in spans)
+    assert rank + units == 33323 and units == 15535
 
 
 def test_oracle_enumerates_no_g0_multiplier(monkeypatch):
     # g_0's rows are replaced by a column filter, so the multiplier table
     # never holds g_0's list, and each nonempty list it holds goes to a
-    # generator whose rows are offered
+    # generator whose rows are offered or taken as units
     calls = []
     enumerate_ = jets._packed_multipliers
 
@@ -914,7 +1060,7 @@ def test_oracle_enumerates_no_g0_multiplier(monkeypatch):
             return tuple(a - b for a, b in zip(*(_weights(gradings, e) for e in ends)))
 
         assert target(gens[0]) not in targets, h
-        offered = {target(gens[gi]) for gi, _ in span.labels}
+        offered = {target(gens[gi]) for gi in _row_generators(span)}
         assert filled <= offered, h
 
 
@@ -1386,6 +1532,32 @@ def test_budget_estimate_tracks_traced_peak_memory():
     assert 0.75 <= budget.entries * Budget.BYTES_PER_ENTRY / peak <= 1.33
 
 
+def test_multiplier_table_charge_covers_its_traced_build_peak():
+    # the table of the (1,1,1) formula degree holds 6,316 packed multipliers;
+    # its build peaks at about 66 bytes per multiplier, charged as 68
+    h = (1, 1, 1)
+    desc = JetRingDesc(3, 3)
+    gens = jet_generators(None, desc)
+    query = derivative_monomial(h, desc) ** min_degree_formula(h)
+    gradings = jets._common_gradings(gens + [query], desc.ring.nvars)
+    weights = _weights(gradings, next(iter(query.terms)))
+    targets = {
+        tuple(a - b for a, b in zip(weights, _weights(gradings, next(iter(g.terms)))))
+        for g in gens[1:]
+    }
+    degree = query.total_degree() - gens[1].total_degree()
+    shifts = Packing(desc.ring.nvars, query.total_degree()).shifts
+    budget = Budget(None)
+    tracemalloc.start()
+    try:
+        table = jets._packed_multipliers(degree, gradings, targets, shifts, budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, table.values())) == 6316
+    assert peak <= budget.entries * Budget.BYTES_PER_ENTRY <= 1.1 * peak
+
+
 def test_budget_bounds_the_multiplier_pass_from_its_start():
     # no multiplier of g_1 has the weights x1_0^200000 needs, so the query
     # is refused with next to no table: nothing sized by the degree, such as
@@ -1419,10 +1591,10 @@ def test_one_component_span_answers_every_query_of_the_component():
     gradings = jets._common_gradings(gens + [queries[0]], desc.ring.nvars)
     assert len({_weights(gradings, next(iter(q.terms))) for q in queries}) == 1
     span = ExactSpan()
-    packing, cleared = jets._solve_membership(queries[0], gens, usable, gradings, span, 0)
+    packing, cleared, units = jets._solve_membership(queries[0], gens, usable, gradings, span, 0)
     sizes = []
     for query in queries:
-        certificate = jets._certificate(query, gens, span, packing, cleared, 0)
+        certificate = jets._certificate(query, gens, span, packing, cleared, 0, units)
         result = homogeneous_membership(query, gens)
         assert certificate == result.combination
         if result.member:
@@ -1439,7 +1611,7 @@ def test_min_degree_budget_reports_partial_result():
 
 def test_min_degree_budget_stops_the_multiplier_table():
     # the (2,1,1) table holds 811,617 packed multipliers; a budget of
-    # 6,553 entries must stop it while it is built, before any span row
+    # 10,485 entries must stop it while it is built, before any span row
     with pytest.raises(BudgetExceededError) as info:
         min_degree_search((2, 1, 1), budget=Budget(1))
     assert "multiplier table" in str(info.value)
