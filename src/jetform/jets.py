@@ -735,9 +735,11 @@ def _certificate(p: Poly, gens, span, packing: Packing, cleared: dict, filtered,
     multiplier must have its generator's multiplier degree; a field that
     borrowed or overflowed unpacks to more than that, so this is also the
     sign check.  Each nonzero residual term r at the column of a unit row
-    (k, M, v) gives that row's entry, coefficient r*d/(s*v), subtracted
-    back through the full row M*row; every other term of it is divisible
-    by g_0.  Then each nonzero residual term divided by g_0 = gens[filtered]
+    (k, M, v) gives that row's entry, coefficient r*d/(s*v), and every
+    other term of its row is divisible by g_0.  Every entry, the span's and
+    the units', is subtracted back through the full row M*row from its
+    triple's own coefficient, so a wrong coefficient is left in the
+    residual.  Then each nonzero residual term divided by g_0 = gens[filtered]
     is an entry of g_0's cofactor, subtracted back through g_0's row; a
     term g_0 does not divide raises.  What is left, all of the residual if
     `filtered` is None, must be zero.
@@ -757,25 +759,27 @@ def _certificate(p: Poly, gens, span, packing: Packing, cleared: dict, filtered,
     residual = {k: v * scale for k, v in terms.items()}
     scale *= denom
     triples = []
-    for (gi, mult), c in comb.items():
-        mono = packing.unpack(mult)
-        if sum(mono) != mult_degree[gi]:
-            raise InvariantViolationError("membership certificate failed re-expansion")
+
+    def take(gi, mult, mono, c):
+        # the entry c*M*g_k, subtracted through its own coefficient: c*M*g_k
+        # is step*M*row, in ints when c*s/d is whole
         row, d = cleared[gi]
-        for k, v in row.items():
-            residual[mult + k] = residual.get(mult + k, 0) - c * v
-        triples.append((gi, mono, Fraction(c * d, scale)))
-    for key in [k for k, v in residual.items() if v and -k in units]:
-        gi, mult, v = units[-key]
-        row, d = cleared[gi]
-        c = Fraction(residual[key] * d, scale * v)
-        triples.append((gi, packing.unpack(mult), c))
-        # c*M*g_k is step*M*row: step*v cancels the term at key, exactly in ints when v divides it
+        triples.append((gi, mono, c))
         step, rest = divmod(c.numerator * scale, c.denominator * d)
         if rest:
             step = Fraction(c.numerator * scale, c.denominator * d)
         for k, w in row.items():
             residual[mult + k] = residual.get(mult + k, 0) - step * w
+
+    for (gi, mult), c in comb.items():
+        mono = packing.unpack(mult)
+        if sum(mono) != mult_degree[gi]:
+            raise InvariantViolationError("membership certificate failed re-expansion")
+        take(gi, mult, mono, Fraction(c * cleared[gi][1], scale))
+    for key in [k for k, v in residual.items() if v and -k in units]:
+        gi, mult, v = units[-key]
+        # step*v cancels the term at key
+        take(gi, mult, packing.unpack(mult), Fraction(residual[key] * cleared[gi][1], scale * v))
     if filtered is not None:
         d = cleared[filtered][1]
         for key, v in residual.items():

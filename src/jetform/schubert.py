@@ -222,7 +222,7 @@ def _schubert_span(ell: int) -> ExactSpan:
     `_schubert_rows` makes them on the z ring's packing with the field order
     reversed, integral by construction.  S_w lives on z^a with a_i <= ell-i
     (Macdonald, Notes on Schubert Polynomials, LaCIM 1991), so rho(S_w) is
-    reduced and no normal form is taken; that is checked by `_reduce_packed`'s
+    reduced and no normal form is taken; that is checked by `_heap_reduce`'s
     test (key + bump) & guard == 0 on every key, and so is independence."""
     packing, bump, _ = _packed_rules(ell)
     span = ExactSpan()

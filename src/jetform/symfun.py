@@ -17,17 +17,22 @@ polynomials of its blocks.
 The arithmetic of the quotient runs on integers, and no other module
 multiplies or reduces packed z-ring polynomials.  `_normal_form` packs
 exponent vectors by the one `polyring.Packing` of each z ring and reduces
-them with `_reduce_packed`, the one reduction kernel, for `normal_form_IS`
-and the Schubert expansion's queries.  `_nf_powers`, the one power loop,
-gives `alambda.nilpotency_order` and the psi refusals of
-`jets.min_degree_search` their powers; `_image_in_IS` checks psi's kernel.
-The averaging projector keeps integer numerators over one common
-denominator.  Fractions are made only for the Polys returned.
+them with `_reduce_packed`, for `normal_form_IS` and the Schubert
+expansion's queries.  k[z]/I_S has the finite basis of reduced monomials,
+so `_reduce_packed` sums cached rows NF(z^a) of the monomials that recur,
+each made once by `_heap_reduce`, the one reduction kernel, which reduces
+the other terms together; the table is bounded by `ROW_TABLE_TERMS`.
+`_nf_powers`, the one power loop, gives `alambda.nilpotency_order` and the
+psi refusals of `jets.min_degree_search` their powers; `_image_in_IS`
+checks psi's kernel.  The averaging projector keeps integer numerators
+over one common denominator.  Fractions are made only for the Polys
+returned.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
@@ -154,8 +159,10 @@ def normal_form_IS(p: Poly, ell: int | None = None) -> Poly:
     Heap division on packed exponents (Monagan & Pearce, CASC 2007), with
     the rules z_i^i -> -(g_i - z_i^i) read off the Groebner basis: lex
     order is integer order and applying a rule is adding a fixed offset.
-    See `_normal_form` for why one packing per z ring suffices and
-    `_reduce_packed` for the loop and its one-step rule dispatch.
+    The normal form of a monomial met again is read from a table of rows.
+    See `_normal_form` for why one packing per z ring suffices,
+    `_reduce_packed` for the rows and `_heap_reduce` for the loop and its
+    one-step rule dispatch.
     """
     ell = p.ring.nvars if ell is None else ell
     _in_ring(p, zring(ell), "polynomial")
@@ -163,9 +170,20 @@ def normal_form_IS(p: Poly, ell: int | None = None) -> Poly:
 
 
 def _nf_poly(terms: dict[int, int], denom: int, ell: int) -> Poly:
-    """The Poly of the packed normal form terms / denom in the z ring."""
-    unpack = _packing(ell).unpack
-    return Poly(zring(ell), {unpack(key): Fraction(c, denom) for key, c in terms.items()})
+    """The Poly of the packed normal form terms / denom in the z ring, its
+    Monomials read from the table of `_reduce_packed` or stored there."""
+    global _row_terms
+    monomials, unpack = _ROW_TABLE[ell][1], _packing(ell).unpack
+    out = {}
+    for key, c in terms.items():
+        mono = monomials.get(key)
+        if mono is None:
+            mono = unpack(key)
+            if _row_terms < ROW_TABLE_TERMS:
+                monomials[key] = mono
+                _row_terms += 1
+        out[mono] = Fraction(c, denom)
+    return Poly(zring(ell), out)
 
 
 def _normal_form(terms, ell: int) -> tuple[dict[int, int], int]:
@@ -242,8 +260,83 @@ def _packing(ell: int) -> Packing:
     return _packed_rules(ell)[0]
 
 
+# The normal-form table, per ell: the packed NF(z^key) of monomials not
+# reduced, as `_reduce_packed` makes them, and the Monomial of each key
+# `_nf_poly` has returned.  A row counts its terms plus one for its key,
+# so that rows of monomials in I_S count too, and a Monomial counts one;
+# nothing more is stored once the count passes ROW_TABLE_TERMS over every
+# ell.  An 18-second bench run, seed 1, counts 6,748 on the quotient
+# workload (ell <= 6: 682 rows of 5,896 terms and 170 Monomials, 319 kB
+# traced), 1,517 on expand (128 rows, 62 kB) and 144 on oracle (13 kB).
+# One row at ell >= 8 can hold thousands of terms; the first row past the
+# bound is used but not stored.
+ROW_TABLE_TERMS = 16384
+_ROW_TABLE: defaultdict[int, tuple[dict[int, dict[int, int]], dict[int, Monomial]]] = (
+    defaultdict(lambda: ({}, {}))
+)
+_row_terms = 0
+
+
 def _reduce_packed(pending: dict[int, int], ell: int) -> dict[int, int]:
-    """Reduce the packed integer polynomial `pending` modulo I_S; consumes it.
+    """Reduce the packed integer polynomial `pending` modulo I_S, into a new
+    dict: the sum of c * NF(z^key) over its terms.
+
+    Keys are packed by `_packing(ell)`.  k[z]/I_S has the finite basis of
+    reduced monomials, so NF(z^key) is a fixed integer row, and the same
+    monomials recur from call to call.  A reduced key, (key + bump) & guard
+    = 0 as in `_heap_reduce`, is its own row; any other row is read from
+    the table above, or made by `_heap_reduce` from {key: 1} and stored.
+
+    A row made on its own shares no rewrite with the call's other misses,
+    so a call makes at most as many rows as it found, or the row of its one
+    miss, which costs the same heap either way; the rest of its misses are
+    reduced together in one `_heap_reduce`.  Rows thus come at the pace
+    their monomials recur.  Cold, NF((z1 + 2z2 + ... + 6z6)^10), 3,003
+    terms, takes 6 ms so and 354 ms with a row made for every miss.
+    """
+    global _row_terms
+    packing, bump, _ = _packed_rules(ell)
+    guard = packing.guard
+    rows = _ROW_TABLE[ell][0]
+    out: dict[int, int] = {}
+    get = out.get
+    misses: dict[int, int] = {}
+    found = 0
+    for key, c in pending.items():
+        if not (key + bump) & guard:
+            out[key] = get(key, 0) + c
+            continue
+        row = rows.get(key)
+        if row is None:
+            if c:
+                misses[key] = c
+            continue
+        found += 1
+        for k, v in row.items():
+            out[k] = get(k, 0) + c * v
+    if len(misses) == 1:
+        found = 1
+    rest: dict[int, int] = {}
+    for key, c in misses.items():
+        if not found or _row_terms >= ROW_TABLE_TERMS:
+            rest[key] = c
+            continue
+        found -= 1
+        row = _heap_reduce({key: 1}, ell)
+        _row_terms += len(row) + 1
+        if _row_terms <= ROW_TABLE_TERMS:
+            rows[key] = row
+        for k, v in row.items():
+            out[k] = get(k, 0) + c * v
+    if rest:
+        for k, v in _heap_reduce(rest, ell).items():
+            out[k] = get(k, 0) + v
+    return {k: v for k, v in out.items() if v}
+
+
+def _heap_reduce(pending: dict[int, int], ell: int) -> dict[int, int]:
+    """Reduce the packed integer polynomial `pending` modulo I_S; consumes
+    it.  The one reduction kernel, run by `_reduce_packed` on its misses.
 
     Keys are packed by `_packing(ell)`.  Pending monomials sit in a
     max-heap; every monomial a rule produces is lex-smaller than the one it
@@ -251,16 +344,16 @@ def _reduce_packed(pending: dict[int, int], ell: int) -> dict[int, int]:
     leave the heap as finished remainder terms, in descending key order.
 
     The normal form is unique, so a monomial divisible by several z_i^i may
-    be rewritten by any of their rules; the highest i is taken, because one
-    addition and one `hit & -hit` find it: `bump` adds (guard bit) - i to
+    be rewritten by any of their rules; the lowest i is taken, as one
+    addition and one `bit_length` find it: `bump` adds (guard bit) - i to
     the field of z_i, which sets that field's guard bit exactly when
     z_i >= i, so hit = (key + bump) & guard is 0 on reduced monomials and
-    otherwise has as its lowest set bit the guard bit of the largest such i.
-    The choice costs little.  Measured against the lowest i on the
-    benchmark's traffic (2,520 quotient averages and 200 expand queries at
-    ell=6, two seeds), the highest i pops 2% more monomials on the averages
-    and 9-12% more on the expand queries, with no time difference beyond
-    run-to-run noise; both pop 48,084 on a quotient run's 172 nilpotencies.
+    otherwise has as its highest set bit the guard bit of the smallest such
+    i, z_1's field being the most significant.  On the misses of one
+    18-second bench run, seeds 1 and 2, the lowest i pops 2% fewer
+    monomials than the highest on quotient (24,221 against 24,705 at seed
+    1), 6-7% fewer on expand (5,361 against 5,701) and as many on oracle
+    (1,919).
     """
     packing, bump, rules = _packed_rules(ell)
     guard = packing.guard
@@ -276,7 +369,7 @@ def _reduce_packed(pending: dict[int, int], ell: int) -> dict[int, int]:
         if not hit:
             reduced[key] = c
             continue
-        for offset, rc in rules[hit & -hit]:
+        for offset, rc in rules[hit.bit_length()]:
             child = key + offset
             old = pending.get(child)
             if old is None:
@@ -289,14 +382,15 @@ def _reduce_packed(pending: dict[int, int], ell: int) -> dict[int, int]:
 
 @lru_cache(maxsize=None)
 def _packed_rules(ell: int):
-    """(packing, bump, rules) of `_reduce_packed`: the `Packing` of the
+    """(packing, bump, rules) of `_heap_reduce`: the `Packing` of the
     ell-variable z ring for degree ell(ell-1)/2, made once per ell with its
     rules.
 
-    `rules` maps the guard bit of z_i's field to the rewrite z_i^i -> ...
-    as ((packed offset, coefficient), ...).  `bump` adds (guard bit) - i to
-    the field of z_i; the guard bit's value exceeds ell(ell-1)/2 >= ell - 1,
-    so the bump is >= 0 and never carries an exponent out of its field.
+    `rules` maps the bit length of the guard bit of z_i's field to the
+    rewrite z_i^i -> ... as ((packed offset, coefficient), ...).  `bump`
+    adds (guard bit) - i to the field of z_i; the guard bit's value exceeds
+    ell(ell-1)/2 >= ell - 1, so the bump is >= 0 and never carries an
+    exponent out of its field.
     """
     packing = Packing(ell, ell * (ell - 1) // 2)
     pack = packing.pack
@@ -304,8 +398,8 @@ def _packed_rules(ell: int):
     for g, s in zip(groebner_basis_IS(ell), packing.shifts):
         lead, _ = g.leading()
         # g_i is monic with every coefficient 1, so the rule stays integral;
-        # it is keyed by the guard bit of z_i's field
-        rules[packing.guard & (packing.mask << s)] = tuple(
+        # it is keyed by the bit length of z_i's field, its guard bit's
+        rules[s + packing.width] = tuple(
             (pack(m) - pack(lead), -int(c)) for m, c in g.terms.items() if m != lead
         )
     return packing, packing.guard - pack(range(1, ell + 1)), rules

@@ -856,12 +856,33 @@ def _g0_with_a_denominator():
 
 def test_g0_cofactor_missing_its_denominator_raises(monkeypatch):
     # g_0 = x*y/3 has d_0 = 3; a cofactor made without it, each coefficient
-    # a third of the right one, fails its subtraction through g_0's row
+    # a third of the right one, fails its subtraction through g_0's row.
+    # The query's span entry x^2*g_1, made the same way, is caught first;
+    # 6*x*y*z^2 = 18*z^2*g_0 lies in g_0's columns alone and has no span entry
     gens, query = _g0_with_a_denominator()
+    x, y, z = zring(3).gens()
+    g0_only = (x * y * z**2).scale(6)
     result = homogeneous_membership(query, gens)
     assert result.combination == [(0, Monomial((0, 0, 2)), 18), (1, Monomial((2, 0, 0)), 1)]
+    assert homogeneous_membership(g0_only, gens).combination == [(0, Monomial((0, 0, 2)), 18)]
     monkeypatch.setattr(jets, "Fraction", lambda num, den: Fraction(num, 3 * den))
+    with pytest.raises(InvariantViolationError, match="not divisible by the monomial generator"):
+        homogeneous_membership(query, gens)
     with pytest.raises(InvariantViolationError, match="failed re-expansion"):
+        homogeneous_membership(g0_only, gens)
+
+
+def test_span_entry_is_checked_through_its_returned_coefficient(monkeypatch):
+    # x^2*g_1 is a row of two terms in the span, so the certificate's one
+    # entry comes from the span's combination; a conversion that makes its
+    # coefficient a third of the right one leaves 2/3 of the row, at
+    # columns g_0 = x*y does not divide, in the residual
+    x, y, z = zring(3).gens()
+    gens = [x * y, x**2 + z**2]
+    query = x**2 * gens[1]
+    assert homogeneous_membership(query, gens).combination == [(1, Monomial((2, 0, 0)), 1)]
+    monkeypatch.setattr(jets, "Fraction", lambda num, den: Fraction(num, 3 * den))
+    with pytest.raises(InvariantViolationError, match="not divisible by the monomial generator"):
         homogeneous_membership(query, gens)
 
 

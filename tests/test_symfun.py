@@ -1,3 +1,5 @@
+from collections import defaultdict
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -574,3 +576,124 @@ def test_nf_powers_are_the_normal_forms_of_the_powers(ell):
             )
         assert normal_form_IS(power * p).is_zero()
         assert e == top  # degree top is reached, so no product of it is dropped
+
+
+# -- the normal-form row table ----------------------------------------------------
+
+
+@contextmanager
+def _empty_row_table():
+    """Run with an empty `_reduce_packed` row table, then put the old one back."""
+    saved = symfun._ROW_TABLE, symfun._row_terms
+    symfun._ROW_TABLE, symfun._row_terms = defaultdict(lambda: ({}, {})), 0
+    try:
+        yield symfun._ROW_TABLE
+    finally:
+        symfun._ROW_TABLE, symfun._row_terms = saved
+
+
+def _stored_terms(table) -> int:
+    """The table's count: each row's terms plus one for its key, and one
+    for each Monomial."""
+    count = 0
+    for rows, monomials in table.values():
+        count += sum(len(row) + 1 for row in rows.values()) + len(monomials)
+    return count
+
+
+@st.composite
+def packed_polys(draw):
+    """(ell, packed integer polynomial) for ell = 1..7: keys of degree at
+    most ell(ell-1)/2, zero coefficients among them."""
+    ell = draw(st.integers(1, 7))
+    top = ell * (ell - 1) // 2
+    pack = symfun._packing(ell).pack
+    exps = st.lists(st.integers(0, top), min_size=ell, max_size=ell).filter(lambda e: sum(e) <= top)
+    terms = draw(st.dictionaries(exps.map(pack), st.integers(-3, 3), max_size=8))
+    return ell, terms
+
+
+@given(packed_polys())
+def test_cached_rows_sum_to_the_heap_reduction(case):
+    # cold, then warm as the rows come in, one at a time or by the calls'
+    # found rows: each call equals one heap reduction of the same input,
+    # holds no zero and leaves its input alone
+    ell, pending = case
+    expected = symfun._heap_reduce(dict(pending), ell)
+    with _empty_row_table():
+        for key in [*pending, None]:
+            got = symfun._reduce_packed(dict(pending), ell)
+            assert got == expected
+            assert all(got.values())
+            if key is not None:
+                assert symfun._reduce_packed({key: 1}, ell) == symfun._heap_reduce({key: 1}, ell)
+        keep = dict(pending)
+        symfun._reduce_packed(pending, ell)
+        assert pending == keep
+
+
+def test_reduced_monomials_are_their_own_rows():
+    # a reduced key is its own normal form: it is never stored, nor counted
+    ell = 4
+    packing, bump, _ = symfun._packed_rules(ell)
+    pack = packing.pack
+    with _empty_row_table() as table:
+        reduced = {pack((0, 1, 2, 3)): 5, pack((0, 0, 1, 0)): -2}
+        assert symfun._reduce_packed(dict(reduced), ell) == reduced
+        assert symfun._reduce_packed({pack((0, 1, 2, 3)): 1}, ell) == {pack((0, 1, 2, 3)): 1}
+        assert not table[ell][0] and symfun._row_terms == 0
+        symfun._reduce_packed({pack((0, 3, 0, 0)): 1}, ell)
+        assert list(table[ell][0]) == [pack((0, 3, 0, 0))]
+        assert all((key + bump) & packing.guard for key in table[ell][0])
+
+
+def test_row_table_stops_at_its_term_bound():
+    # one-term calls at ell = 7, each a lone miss that makes its row, flood
+    # the table past ROW_TABLE_TERMS; the row that does not fit, and every
+    # miss after it, is used but not stored, no Monomial is stored past the
+    # bound, and each answer stays right
+    ell = 7
+    pack = symfun._packing(ell).pack
+    keys = [pack(e) for e in product(range(4), repeat=ell) if sum(e) == 10]
+    with _empty_row_table() as table:
+        rows, monomials = table[ell]
+        full = None
+        for i, key in enumerate(keys):
+            assert symfun._reduce_packed({key: 2}, ell) == symfun._heap_reduce({key: 2}, ell)
+            assert _stored_terms(table) <= symfun.ROW_TABLE_TERMS
+            if full is None and symfun._row_terms > symfun.ROW_TABLE_TERMS:
+                full = i
+            elif full is not None and i > full + 50:
+                break
+        assert full is not None
+        assert all(key not in rows for key in keys[full:i + 1])
+        assert _stored_terms(table) > symfun.ROW_TABLE_TERMS - 1000
+        # a call mixing stored rows and misses past the bound still sums right
+        mixed = {key: c for c, key in enumerate(keys[full - 20:full + 20], 1)}
+        assert symfun._reduce_packed(dict(mixed), ell) == symfun._heap_reduce(dict(mixed), ell)
+        assert not monomials
+        unpack = symfun._packing(ell).unpack
+        p = Poly(zring(ell), {unpack(key): Fraction(c) for key, c in mixed.items()})
+        assert normal_form_IS(p) == _division_nf(p, ell)
+        assert not monomials and _stored_terms(table) <= symfun.ROW_TABLE_TERMS
+
+
+def test_row_table_hands_out_no_cache():
+    ell = 4
+    ring = zring(ell)
+    p = ring.var(0) ** 3 + ring.var(1) ** 2 * ring.var(2)
+    expected = normal_form_IS(p)
+    pending = symfun._normal_form(p.terms.items(), ell)[0]
+    for _ in range(2):  # the second time from stored rows and Monomials
+        nf = normal_form_IS(p)
+        assert nf == expected
+        nf.terms.clear()
+        packed = symfun._reduce_packed(dict(pending), ell)
+        assert packed == pending
+        packed.clear()
+        assert normal_form_IS(p) == expected
+        key = symfun._packing(ell).pack((3, 0, 0, 0))
+        single = symfun._reduce_packed({key: 1}, ell)
+        single[key] = 5
+        single.update({k: v + 1 for k, v in single.items()})
+        assert symfun._reduce_packed({key: 1}, ell) == symfun._heap_reduce({key: 1}, ell)
