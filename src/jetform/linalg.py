@@ -1,14 +1,13 @@
-"""Exact sparse integer linear algebra for the membership oracle, the
-Schubert expansion and the grading systems.
+"""Exact sparse integer linear algebra for the membership oracle and the
+grading systems.
 
 Rows are dicts of nonzero ints keyed by comparable hashable keys: packed
-monomials in the oracle and the Schubert expansion, row indices in
-`integer_nullspace`; callers clear denominators first.  `ExactSpan` keeps
-an incremental triangular basis of the row span: every stored pivot row
-has a distinct leading key, so reducing a query row against the pivots
-decides span membership exactly.  Elimination is fraction-free throughout:
-insertion and reduction share one integer step, and a member comes back
-as an integer relation.
+monomials in the oracle, row indices in `integer_nullspace`; callers clear
+denominators first.  `ExactSpan` keeps an incremental triangular basis of
+the row span: every stored pivot row has a distinct leading key, so
+reducing a query row against the pivots decides span membership exactly.
+Elimination is fraction-free throughout: insertion and reduction share
+one integer step, and a member comes back as an integer relation.
 
 Each pivot carries a step history: its own row's coefficient and one
 coefficient per pivot it was reduced by, so that a certificate is not

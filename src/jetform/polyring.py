@@ -510,7 +510,9 @@ def parse_poly(ring: Ring, text: str) -> Poly:
         for name, e in factors:
             exps[ring.index(name)] += e
         mono = Monomial(exps)
-        coeff = terms.get(mono, 0) + Fraction(-num if m["sign"] == "-" else num, den)
+        coeff = Fraction(-num if m["sign"] == "-" else num, den)
+        if mono in terms:  # not 0 + coeff: that takes Fraction's reverse operator
+            coeff += terms[mono]
         if coeff:
             terms[mono] = coeff
         else:

@@ -3,19 +3,23 @@
 Schubert polynomials S_w, w in S_ell, come from the staircase
 z_1^(ell-1) z_2^(ell-2) ... z_{ell-1} = S_w0 by one divided-difference
 kernel on packed integer monomials.  Their classes modulo I_S form a basis
-of k[z]/I_S (Lascoux & Schuetzenberger, C. R. Acad. Sci. Paris 294, 1982),
-which the expansion solves against in reversed variables: on the reversed
-field order the kernel makes `_schubert_span`'s rows rho(S_w) directly.
+of k[z]/I_S (Lascoux & Schuetzenberger, C. R. Acad. Sci. Paris 294, 1982).
+The expansion works in reversed variables rho: z_i -> z_{ell+1-i}: on the
+reversed field order the kernel makes the rows rho(S_w) directly, already
+reduced, with distinct leads of coefficient 1.  That matrix is
+unitriangular with ell! leads, as many as reduced monomials, so every
+reduced key is a lead and `_schubert_inverse` inverts it once per ell, by
+back-substitution in integers.  An expansion is then a sum of that
+inverse's rows over the terms of one normal form, with no elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
 from .errors import DomainError, InvariantViolationError, _in_ring, _size
-from .linalg import ExactSpan
 from .polyring import Monomial, Packing, Poly, _parse_ints
 from .symfun import _normal_form, _packed_rules, normal_form_IS, zring
 
@@ -178,9 +182,9 @@ def _schubert_rows(ell: int, shifts, mask: int) -> dict[tuple, dict[int, int]]:
 
 
 def schubert_table(ell: int) -> dict[Permutation, Poly]:
-    """All Schubert polynomials of S_ell, keyed by permutation: the rows of
-    `_schubert_span` from the same generator, in unreversed field order,
-    made afresh on every call."""
+    """All Schubert polynomials of S_ell, keyed by permutation: the rows
+    that `_schubert_inverse` inverts, from the same generator, in unreversed
+    field order, made afresh on every call."""
     ring, packing = zring(_size(ell, "ell", 1)), Packing(ell, ell - 1)
     return {
         Permutation(w): Poly(ring, {packing.unpack(key): Fraction(c) for key, c in terms.items()})
@@ -209,49 +213,89 @@ def monk_expand(r: int, w: Permutation) -> list[Permutation]:
 
     All w * t_{jk} with j <= r < k whose length is exactly length(w) + 1;
     the product of the corresponding Schubert classes is their
-    multiplicity-free sum.
+    multiplicity-free sum.  A permutation of size below 2 has no s_r.
     """
+    _size(w.ell, "Monk permutation size", 2)
     r = _size(r, "Monk index", 1, w.ell - 1)
     swaps = (w.swap_positions(j, k) for j in range(1, r + 1) for k in range(r + 1, w.ell + 1))
     return sorted(v for v in swaps if v.length == w.length + 1)
 
 
 @lru_cache(maxsize=None)
-def _schubert_span(ell: int) -> ExactSpan:
-    """The rows rho(S_w), w in S_ell, rho: z_i -> z_{ell+1-i}, as
-    `_schubert_rows` makes them on the z ring's packing with the field order
-    reversed, integral by construction.  S_w lives on z^a with a_i <= ell-i
-    (Macdonald, Notes on Schubert Polynomials, LaCIM 1991), so rho(S_w) is
-    reduced and no normal form is taken; that is checked by `_heap_reduce`'s
-    test (key + bump) & guard == 0 on every key, and so is independence."""
+def _schubert_inverse(ell: int) -> tuple[tuple[Permutation, ...], dict[int, dict[int, int]]]:
+    """(perms, inverse): the permutations of S_ell in sorted one-line order,
+    and for every reduced packed key a the integer row inverse[a] = {i: c}
+    with z^a = sum of c * rho(S_perms[i]), rho: z_i -> z_{ell+1-i}.
+
+    The rows rho(S_w) are `_schubert_rows` on the z ring's packing with the
+    field order reversed, integral by construction.  S_w lives on z^a with
+    a_i <= ell-i (Macdonald, Notes on Schubert Polynomials, LaCIM 1991), so
+    rho(S_w) is reduced and no normal form is taken; that is checked by
+    `_heap_reduce`'s test (key + bump) & guard == 0 on every key.  Their
+    leads are checked distinct, each with coefficient 1, so the matrix is
+    unitriangular, and its ell! leads are all the reduced keys, as
+    k[z]/I_S has dimension ell!.  So back-substitution in ascending lead
+    order inverts it in integers: z^lead = rho(S_w) minus the other terms
+    c * z^k of rho(S_w), each k below the lead and already expanded.
+    """
     packing, bump, _ = _packed_rules(ell)
-    span = ExactSpan()
     rows = _schubert_rows(ell, packing.shifts[::-1], packing.mask)
-    for w, row in sorted(rows.items()):
+    perms = tuple(Permutation(w) for w in sorted(rows))
+    by_lead: dict[int, int] = {}
+    for i, w in enumerate(perms):
+        row = rows[w.oneline]
         if any((key + bump) & packing.guard for key in row):
-            raise InvariantViolationError("reversed S_w is not a normal form for w=%s" % Permutation(w))
-        if not span.insert(row, Permutation(w)):
-            raise InvariantViolationError("reversed S_w are linearly dependent at ell=%d" % ell)
-    return span
+            raise InvariantViolationError("reversed S_w is not a normal form for w=%s" % w)
+        lead = max(row)
+        if lead in by_lead:
+            raise InvariantViolationError(
+                "reversed S_w are linearly dependent or not triangular at ell=%d: "
+                "w=%s repeats the lead of %s" % (ell, w, perms[by_lead[lead]])
+            )
+        if row[lead] != 1:
+            raise InvariantViolationError(
+                "reversed S_w is not unitriangular: w=%s has lead coefficient %d" % (w, row[lead])
+            )
+        by_lead[lead] = i
+    if len(by_lead) != factorial(ell):
+        raise InvariantViolationError(
+            "%d reversed S_w at ell=%d, not %d" % (len(by_lead), ell, factorial(ell))
+        )
+    inverse: dict[int, dict[int, int]] = {}
+    for lead, i in sorted(by_lead.items()):
+        x = {i: 1}
+        for key, c in rows.pop(perms[i].oneline).items():  # freed once used: a lower peak
+            if key != lead:
+                for j, d in inverse[key].items():
+                    s = x.get(j, 0) - c * d
+                    if s:
+                        x[j] = s
+                    else:
+                        del x[j]
+        inverse[lead] = x
+    return perms, inverse
 
 
 def schubert_expansion(p: Poly, ell: int | None = None) -> dict[Permutation, Fraction]:
     """Coefficients c_w with p congruent to sum(c_w * Schubert_w) mod I_S.
 
     rho permutes the variables, so it fixes I_S: p is congruent to
-    sum(c_w * S_w) iff rho(p) is congruent to sum(c_w * rho(S_w)).  So the
-    span's relation scale * d*NF(rho(p)) = sum of c * rho(S_w) gives each
-    c_w once, as c / (scale * d).  Refuses ell beyond `MAX_ELL` because
-    the table grows with the factorial.
+    sum(c_w * S_w) iff rho(p) is congruent to sum(c_w * rho(S_w)).  Every
+    key of d*NF(rho(p)) is reduced, so `_schubert_inverse` has its row, and
+    the sum of c * inverse[a] over its terms c * z^a gives d * c_w in
+    integers, by permutation index; each c_w is one Fraction, made in
+    index order, which is sorted permutation order.  Refuses ell beyond
+    `MAX_ELL` because the table grows with the factorial.
     """
     ell = _size(p.ring.nvars if ell is None else ell, "ell", 1, MAX_ELL)
     _in_ring(p, zring(ell), "polynomial")
+    perms, inverse = _schubert_inverse(ell)
     terms, denom = _normal_form(((m[::-1], c) for m, c in p.terms.items()), ell)
-    relation = _schubert_span(ell).reduce(terms)
-    if relation is None:
-        raise InvariantViolationError("normal form escaped the Schubert span at ell=%d" % ell)
-    coeffs, scale = relation
-    return {w: Fraction(c, scale * denom) for w, c in sorted(coeffs.items())}
+    sums: dict[int, int] = {}
+    for key, c in terms.items():
+        for i, x in inverse[key].items():
+            sums[i] = sums.get(i, 0) + c * x
+    return {perms[i]: Fraction(sums[i], denom) for i in sorted(sums) if sums[i]}
 
 
 def catalan_number(k: int) -> int:

@@ -76,6 +76,15 @@ def test_schubert_and_monk(capsys):
     assert doc["payload"]["terms"] == [[3, 1, 2]]
 
 
+def test_monk_on_a_one_entry_permutation_names_its_size(capsys):
+    code, doc = run_json(capsys, ["monk", "1", "--r", "1"])
+    assert code == 1
+    assert doc["payload"] == {
+        "code": "domain-error",
+        "message": "Monk permutation size must be at least 2, got 1",
+    }
+
+
 def test_expand(capsys):
     code, doc = run_json(capsys, ["expand", "z1 + z2", "--ell", "3"])
     assert code == 0

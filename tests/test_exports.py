@@ -105,8 +105,10 @@ def test_schubert_span_is_keyed_by_packed_ints():
     from jetform import schubert
 
     schubert.schubert_expansion(jetform.zring(4).var(0))
-    pivots = schubert._schubert_span(4).pivots
-    assert len(pivots) == 24 and all(type(lead) is int for lead in pivots)
+    perms, inverse = schubert._schubert_inverse(4)
+    assert len(inverse) == 24 and all(type(key) is int for key in inverse)
+    assert all(type(i) is int and type(c) is int for row in inverse.values() for i, c in row.items())
+    assert all(type(w) is schubert.Permutation for w in perms)
 
 
 @pytest.mark.parametrize("name", ["jets", "alambda"])

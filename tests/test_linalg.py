@@ -16,7 +16,7 @@ from jetform import (
     jet_generators,
     jets,
 )
-from jetform import schubert
+from jetform import schubert, symfun
 from jetform.linalg import _OWN, _UNIT, Budget, integer_nullspace
 from jetform.polyring import _clear_denominators
 
@@ -252,9 +252,17 @@ def test_pivot_steps_name_only_larger_leads(monkeypatch):
         jets.min_degree_search(h)
     assert len(oracle_spans) == 37
     assert _steps_above_leads(oracle_spans) > 0
-    # the Schubert normal forms have distinct leads, so these spans store
-    # their pivots with no step at all
-    _steps_above_leads(schubert._schubert_span(ell) for ell in range(1, 6))
+    # the Schubert expansion needs no span: its rows rho(S_w) have distinct
+    # unit leads, so the row of z^a in their inverse, found by
+    # back-substitution, names only rows of lead at most a, with 1 at a's own
+    for ell in range(1, 7):
+        packing = symfun._packing(ell)
+        rows = schubert._schubert_rows(ell, packing.shifts[::-1], packing.mask)
+        perms, inverse = schubert._schubert_inverse(ell)
+        leads = [max(rows[w.oneline]) for w in perms]
+        for key, row in inverse.items():
+            assert all(leads[i] <= key for i in row), key
+            assert row[leads.index(key)] == 1
 
 
 class _EliminatingSpan(ExactSpan):

@@ -176,6 +176,8 @@ def test_schubert_word_independence():
 
 def test_monk_examples():
     assert monk_expand(1, Permutation.identity(2)) == [Permutation([2, 1])]
+    with pytest.raises(DomainError, match="Monk permutation size must be at least 2, got 1"):
+        monk_expand(1, Permutation([1]))
     assert monk_expand(1, Permutation([2, 1])) == []
     assert in_IS(zring(2).var(0) ** 2)
     assert monk_expand(1, Permutation([2, 1, 3])) == [Permutation([3, 1, 2])]
@@ -375,14 +377,71 @@ def test_schubert_table_matches_the_poly_reference():
 
 
 def test_schubert_span_pivots_match_the_reference_rows():
+    # the inverse's rows are the reference span's relations for z^a, on
+    # every reduced key a: its pivots' leads
     for ell in range(1, 7):
-        pivots, reference = schubert._schubert_span(ell).pivots, _reference_span(ell).pivots
-        assert list(pivots) == list(reference)
-        for lead, row in reference.items():
-            got = pivots[lead]
-            assert list(got.terms.items()) == list(row.terms.items())
-            assert list(got.hist.items()) == list(row.hist.items())
-            assert got.label == row.label
+        perms, inverse = schubert._schubert_inverse(ell)
+        reference = _reference_span(ell)
+        assert list(perms) == sorted(_reference_table(ell))
+        assert sorted(inverse) == sorted(reference.pivots)
+        for key, row in inverse.items():
+            combination, scale = reference.reduce({key: 1})
+            assert scale == 1
+            assert {perms[i]: c for i, c in row.items()} == combination
+            assert all(row.values())
+
+
+def test_schubert_inverse_inverts_the_rows():
+    # M * X = I and X * M = I exactly, M the rows rho(S_w) by permutation
+    # index over the reduced keys, X the inverse's rows by key
+    for ell in range(1, 7):
+        perms, inverse = schubert._schubert_inverse(ell)
+        pack = symfun._packing(ell).pack
+        rows = [
+            _clear_denominators({pack(m): c for m, c in _reversed(_reference_table(ell)[w]).terms.items()})
+            for w in perms
+        ]
+        assert all(d == 1 for _, d in rows)
+        rows = [row for row, _ in rows]
+        identity = {i: {i: 1} for i in range(len(perms))}
+        product = {}
+        for i, row in enumerate(rows):
+            out = {}
+            for key, c in row.items():
+                for j, x in inverse[key].items():
+                    out[j] = out.get(j, 0) + c * x
+            product[i] = {j: v for j, v in out.items() if v}
+        assert product == identity
+        product = {}
+        for key, x in inverse.items():
+            out = {}
+            for i, c in x.items():
+                for k, v in rows[i].items():
+                    out[k] = out.get(k, 0) + c * v
+            product[key] = {k: v for k, v in out.items() if v}
+        assert product == {key: {key: 1} for key in inverse}
+        assert len(inverse) == factorial(ell)
+
+
+def test_expansion_runs_no_elimination(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the Schubert expansion eliminated against an ExactSpan")
+
+    rng = make_rng(3701)
+    queries = []
+    for ell in range(1, 7):
+        ring = zring(ell)
+        for _ in range(3):
+            p = random_poly(ring, rng, max_deg=ell * (ell - 1) // 2, terms=4)
+            queries.append((p, _expansion_by_normal_forms(p, ell)))
+    monkeypatch.setattr(ExactSpan, "reduce", refuse)
+    monkeypatch.setattr(ExactSpan, "_eliminate", refuse)
+    schubert._schubert_inverse.cache_clear()
+    try:
+        for p, expected in queries:
+            assert schubert_expansion(p) == expected
+    finally:
+        schubert._schubert_inverse.cache_clear()
 
 
 def test_divided_difference_matches_the_poly_reference():
@@ -468,41 +527,62 @@ def _one_row_duplicated(rows, ell, shifts, mask):
     return out
 
 
+def _one_lead_doubled(rows, ell, shifts, mask):
+    """Reduced, independent integer rows, but the last one doubled."""
+    out = rows(ell, shifts, mask)
+    out[max(out)] = {key: 2 * c for key, c in out[max(out)].items()}
+    return out
+
+
+def _one_row_dropped(rows, ell, shifts, mask):
+    """Reduced integer rows with distinct unit leads, one short of ell!."""
+    out = rows(ell, shifts, mask)
+    del out[max(out)]
+    return out
+
+
 @pytest.mark.parametrize(
     "mutate, message",
-    [(_unreversed_rows, "not a normal form"), (_one_row_duplicated, "linearly dependent")],
-    ids=["unreduced", "dependent"],
+    [
+        (_unreversed_rows, "not a normal form"),
+        (_one_row_duplicated, "linearly dependent"),
+        (_one_lead_doubled, "lead coefficient 2"),
+        (_one_row_dropped, "not %d"),
+    ],
+    ids=["unreduced", "dependent", "non-unit-lead", "short"],
 )
 def test_a_span_of_unreduced_or_dependent_rows_is_refused(monkeypatch, mutate, message):
     rows = schubert._schubert_rows
     monkeypatch.setattr(schubert, "_schubert_rows", lambda *args: mutate(rows, *args))
     for ell in range(2, 7):
-        with pytest.raises(InvariantViolationError, match=message):
-            schubert._schubert_span.__wrapped__(ell)
+        with pytest.raises(InvariantViolationError, match=message.replace("%d", str(factorial(ell)))):
+            schubert._schubert_inverse.__wrapped__(ell)
 
 
 def test_the_schubert_span_builds_no_poly_or_fraction(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the Schubert span built a Poly or a Fraction")
+        raise AssertionError("the Schubert inverse built a Poly or a Fraction")
 
     symfun._packed_rules(6)  # the z ring's rules are made from Polys, once
     monkeypatch.setattr(Poly, "__init__", refuse)
     monkeypatch.setattr(Fraction, "__new__", refuse)
-    assert schubert._schubert_span.__wrapped__(6).rank == 720
+    perms, inverse = schubert._schubert_inverse.__wrapped__(6)
+    assert len(perms) == len(inverse) == 720
 
 
 def test_the_schubert_span_takes_no_normal_form(monkeypatch):
     def refuse(*args):
-        raise AssertionError("the Schubert span took a normal form")
+        raise AssertionError("the Schubert inverse took a normal form")
 
     monkeypatch.setattr(symfun, "_reduce_packed", refuse)
     monkeypatch.setattr(schubert, "_normal_form", refuse)
-    schubert._schubert_span.cache_clear()
+    schubert._schubert_inverse.cache_clear()
     try:
         for ell in range(1, 7):
-            assert schubert._schubert_span(ell).rank == factorial(ell)
+            perms, inverse = schubert._schubert_inverse(ell)
+            assert len(perms) == len(inverse) == factorial(ell)
     finally:
-        schubert._schubert_span.cache_clear()
+        schubert._schubert_inverse.cache_clear()
 
 
 def test_expansion_cap():
