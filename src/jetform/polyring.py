@@ -201,15 +201,43 @@ class Poly:
     """Immutable sparse polynomial: Monomial -> Fraction, no zeros stored.
 
     Terms iterate in construction order; `format_poly` prints them in
-    descending lex.  Only the constructor drops zero coefficients.
+    descending lex.  The public constructor drops zero coefficients;
+    `_from_ints` takes integer numerators that are already zero-free.
+
+    A Poly is immutable: nothing assigns to `terms` or mutates the dict
+    after construction.  That is what lets a Poly keep, in `_ints`, the
+    (integer numerators by Monomial, denominator) it was built from, which
+    `_integer_form` hands out in place of clearing the Fractions again;
+    changed terms would leave it stale.  Only `sym_lambda_average` keeps
+    one, for the normal form that reads it.
     """
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms", "_hash", "_ints")
 
     def __init__(self, ring: Ring, terms: Mapping[Monomial, Fraction]):
         self.ring = ring
         self.terms = {m: c for m, c in terms.items() if c}
         self._hash = None
+        self._ints = None
+
+    @classmethod
+    def _from_ints(
+        cls, ring: Ring, nums: dict[Monomial, int], denom: int, keep: bool = False
+    ) -> "Poly":
+        """The Poly with terms nums[m] / denom, for `nums` with no zero value
+        and denom > 0, kept as its integer form when `keep` is set.
+
+        No zero filter runs.  The values repeat, so one Fraction is made per
+        distinct numerator and shared by its terms, Fractions being
+        immutable.
+        """
+        p = cls.__new__(cls)
+        p.ring = ring
+        shared = {n: Fraction(n, denom) for n in set(nums.values())}
+        p.terms = {m: shared[n] for m, n in nums.items()}
+        p._hash = None
+        p._ints = (nums, denom) if keep else None
+        return p
 
     # -- basic queries ----------------------------------------------------
 
@@ -384,6 +412,13 @@ def _clear_denominators(terms: Mapping[Hashable, Fraction]) -> tuple[dict, int]:
     numerator and a denominator, so no Fraction is made."""
     denom = lcm(*(v.denominator for v in terms.values()))
     return {k: v.numerator * (denom // v.denominator) for k, v in terms.items() if v}, denom
+
+
+def _integer_form(p: Poly) -> tuple[dict[Monomial, int], int]:
+    """(nums, d) with p.terms[m] == nums[m] / d and no zero in nums: the
+    form p was built from if it kept one, else `_clear_denominators`, d
+    then the lcm of p's denominators.  Callers must not mutate nums."""
+    return p._ints or _clear_denominators(p.terms)
 
 
 # -- division --------------------------------------------------------------

@@ -290,7 +290,7 @@ def schubert_expansion(p: Poly, ell: int | None = None) -> dict[Permutation, Fra
     ell = _size(p.ring.nvars if ell is None else ell, "ell", 1, MAX_ELL)
     _in_ring(p, zring(ell), "polynomial")
     perms, inverse = _schubert_inverse(ell)
-    terms, denom = _normal_form(((m[::-1], c) for m, c in p.terms.items()), ell)
+    terms, denom = _normal_form(p, ell, reverse=True)
     sums: dict[int, int] = {}
     for key, c in terms.items():
         for i, x in inverse[key].items():

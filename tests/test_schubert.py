@@ -295,13 +295,13 @@ def _normal_form_span(ell):
     """The expansion's span before reversal: the normal forms of the S_w."""
     span = ExactSpan()
     for w, p in sorted(schubert_table(ell).items()):
-        assert span.insert(symfun._normal_form(p.terms.items(), ell)[0], w)
+        assert span.insert(symfun._normal_form(p, ell)[0], w)
     return span
 
 
 def _expansion_by_normal_forms(p, ell):
     """The reference expansion: NF(p) reduced against the NF(S_w)."""
-    terms, denom = symfun._normal_form(p.terms.items(), ell)
+    terms, denom = symfun._normal_form(p, ell)
     coeffs, scale = _normal_form_span(ell).reduce(terms)
     return {w: Fraction(c, scale * denom) for w, c in sorted(coeffs.items())}
 
