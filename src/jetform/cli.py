@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from collections.abc import Iterable
 from functools import lru_cache
 
 from . import alambda, jets, schubert, symfun
@@ -164,6 +165,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _commands(parser: argparse.ArgumentParser) -> dict:
+    """The subcommand parsers of `parser` by name: the choices of its one
+    add_subparsers action, so no command is defined twice."""
+    return next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
 def _budget_from(args) -> Budget | None:
     """--budget-mb, else env JETFORM_BUDGET_MB, else None: read by member and min-degree only."""
     mb = getattr(args, "budget_mb", None)  # SUPPRESS leaves it unset
@@ -249,8 +257,10 @@ def _cmd_expand(args):
             {"perm": list(w.oneline), "coeff": str(c)} for w, c in coeffs.items()
         ],
     }
-    lines = ["%s: %s" % (w, c) for w, c in coeffs.items()] or ["(zero class)"]
-    return payload, lines
+    if not coeffs:
+        return payload, ["(zero class)"]
+    # formatted only if printed: --json mode never reads them
+    return payload, ("%s: %s" % (w, c) for w, c in coeffs.items())
 
 
 def _cmd_catalan(args):
@@ -362,20 +372,37 @@ def _parse_args(argv) -> argparse.Namespace:
     option here is --name or -h.  A leading space makes such an argument a
     value to argparse; int() and float() skip it, and it is removed from
     string values after parsing.
+
+    An argv that starts with a subcommand name is parsed by that
+    subcommand's parser alone, into a namespace that already holds the
+    command; any other argv (global flags first, -h or --help, a missing or
+    unknown command) goes through the top-level parser.  The two routes
+    agree: on such an argv the top-level parser's first and only positional
+    is its subcommand action, which hands every later argument to the same
+    subparser and copies the namespace it returns.  Only the usage line of
+    an "unrecognized arguments" error differs, `jetform expand: error:`
+    rather than `jetform: error:`; the exit code is 2 on both routes.
     """
     shielded = [
         " " + a if a[:1] == "-" and a[1:2] not in ("", "-") and a != "-h" else a
         for a in argv
     ]
-    args = build_parser().parse_args(shielded)
+    parser = build_parser()
+    sub = _commands(parser).get(shielded[0]) if shielded else None
+    if sub is None:
+        args = parser.parse_args(shielded)
+    else:
+        args = sub.parse_args(shielded[1:], argparse.Namespace(command=shielded[0]))
     for key, value in vars(args).items():
         if isinstance(value, str) and value.startswith(" -"):
             setattr(args, key, value[1:])
     return args
 
 
-def run(argv) -> tuple[CommandResult, list[str]]:
-    """Execute one CLI invocation; returns the result and text lines."""
+def run(argv) -> tuple[CommandResult, Iterable[str]]:
+    """Execute one CLI invocation; returns the result and its text lines,
+    an iterable that may format each line only as it is read, so a caller
+    that prints nothing pays for no formatting."""
     args = _parse_args(argv)
     # global flags default to SUPPRESS so either parser may supply them
     json_mode = getattr(args, "json", False)

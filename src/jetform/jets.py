@@ -148,9 +148,13 @@ class JetRingDesc:
 
 
 def _derivative_tuple(h, n: int | None = None) -> tuple[int, ...]:
-    """h as a nonempty tuple of non-negative ints, of length n if given, read
-    as a Composition: a float is refused, not truncated, as a DomainError."""
-    h = Composition(h).parts
+    """h as a nonempty tuple of non-negative ints, of length n if given: a
+    float is refused, not truncated, and every refusal is a DomainError
+    that names the derivative tuple or order."""
+    try:
+        h = tuple(_size(hi, "derivative order") for hi in h)
+    except TypeError:
+        raise DomainError("derivative tuple must be a sequence: %r" % (h,)) from None
     _size(len(h), "derivative tuple length", n or 1, n)
     return h
 

@@ -6,13 +6,14 @@ import os
 import resource
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jetform
-from jetform import normal_form_IS, parse_poly, zring
+from jetform import cli, normal_form_IS, parse_poly, schubert, zring
 from jetform.cli import main, run
 
 
@@ -224,6 +225,9 @@ def test_negative_values_reach_the_domain_checks(capsys, argv):
     code, doc = run_json(capsys, argv)
     assert code == 1
     assert doc["payload"]["code"] == "domain-error"
+    if argv[0] in ("min-degree", "radical-witness"):
+        # a derivative tuple is not a composition, and its refusal says so
+        assert doc["payload"]["message"] == "derivative order must be at least 0, got -1"
 
 
 @pytest.mark.parametrize(
@@ -432,6 +436,20 @@ def test_text_output(capsys):
     assert capsys.readouterr().out.strip() == "3"
     assert main(["catalan", "--ell", "5"]) == 0
     assert "5" in capsys.readouterr().out
+    assert main(["expand", "z1", "--ell", "2"]) == 0
+    assert capsys.readouterr().out == "[2,1]: 1\n"
+    assert main(["expand", "0", "--ell", "3"]) == 0
+    assert capsys.readouterr().out == "(zero class)\n"
+
+
+def test_json_mode_formats_no_text_lines(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a text line was formatted")
+
+    monkeypatch.setattr(schubert.Permutation, "__str__", refuse)
+    result, _ = run(["expand", "z1 + z2", "--ell", "3", "--json"])
+    assert result.status == "ok"
+    assert result.payload["coefficients"] == [{"perm": [1, 3, 2], "coeff": "1"}]
 
 
 # -- fuzzing ------------------------------------------------------------------
@@ -503,3 +521,51 @@ def test_cli_fuzz_always_returns_an_exit_code(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in range(5), (argv, code)
+
+
+def _outcome(argv, commands):
+    """main's exit code and stdout, with `cli._commands` replaced by
+    `commands`: JSON without its timing, any other output verbatim."""
+    out = io.StringIO()
+    with mock.patch.object(cli, "_commands", commands):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    text = out.getvalue()
+    if text.startswith("{"):
+        doc = json.loads(text)
+        del doc["timing_ms"]
+        return code, doc
+    return code, text
+
+
+def _routes_agree(argv):
+    direct = _outcome(argv, cli._commands)
+    assert direct == _outcome(argv, lambda parser: {}), argv
+    return direct
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["nf", "-z1", "--ell", "2"], 0),
+        (["dim", "--lambda=-2,1"], 1),
+        (["nf", "--ell", "2", "--", "-z1"], 0),
+        (["--json", "expand", "z1", "--ell", "2"], 0),
+        (["expand", "z1", "--ell", "2", "-h"], 0),
+    ],
+)
+def test_direct_and_top_level_routes_agree_on_fixed_argv(argv, code):
+    assert _routes_agree(argv)[0] == code
+
+
+def test_unrecognized_arguments_after_a_leading_command_name_it(capsys):
+    assert main(["expand", "z1", "--ell", "2", "--bogus"]) == 2
+    assert "jetform expand: error: unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert main(["--json", "expand", "z1", "--ell", "2", "--bogus"]) == 2
+    assert "jetform: error: unrecognized arguments: --bogus" in capsys.readouterr().err
+
+
+@settings(max_examples=150)
+@given(argvs())
+def test_cli_fuzz_direct_and_top_level_routes_agree(argv):
+    _routes_agree(argv)
