@@ -5,12 +5,20 @@ output by default and machine-readable JSON behind --json.  Printed
 polynomials use the same grammar the parser accepts, so outputs are valid
 inputs.  Exit codes: 0 success, 1 domain error (e.g. search cap exceeded),
 2 parse/usage error, 3 resource budget exceeded, 4 internal invariant
-violation.
+violation.  A run whose reader has gone, such as `jetform primes --n 4
+--m 9 | head -1`, prints no traceback: the output still pending goes to
+os.devnull, and the exit code is the command's own.
+
+`COMMANDS` is the CLI's one definition: each command once, with its
+handler, help and argument spellings, and `ARGUMENTS` gives each spelling
+its add_argument keywords once.  `build_parser` builds the parser from
+them in one loop.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -58,118 +66,6 @@ class CommandResult:
 
 def _parse_lambda(text: str) -> Composition:
     return Composition(_parse_ints(text, "composition"))
-
-
-def _global_flags() -> argparse.ArgumentParser:
-    # shared by the top-level parser and every subcommand, so the flags are
-    # accepted on either side of the subcommand name; SUPPRESS keeps the
-    # subparser from clobbering a value parsed at the top level
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--json",
-        action="store_true",
-        default=argparse.SUPPRESS,
-        help="machine-readable output",
-    )
-    common.add_argument(
-        "--budget-mb",
-        type=float,
-        default=argparse.SUPPRESS,
-        help="memory budget for linear algebra, a finite number of MB >= 0 "
-        "(default: env %s or unlimited)" % BUDGET_ENV,
-    )
-    return common
-
-
-@lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing leaves it
-    unchanged, so every `run` shares it."""
-    common = _global_flags()
-    parser = argparse.ArgumentParser(
-        prog="jetform",
-        description="Exact computations in jet ideals and block-symmetric quotients.",
-        epilog="Values may start with a minus sign, as in `dim --lambda -2,1` "
-        "or `nf -z1 --ell 2`; `--lambda=-2,1` and `nf --ell 2 -- -z1` work too.",
-        parents=[common],
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, help_text, handler):
-        p = sub.add_parser(name, help=help_text, parents=[common])
-        p.set_defaults(handler=handler)
-        return p
-
-    p = command("nf", "normal form modulo the symmetric ideal", _cmd_nf)
-    p.add_argument("poly")
-    p.add_argument("--ell", type=int, required=True)
-
-    p = command("nu", "minimal degree in the normal form", _cmd_nu)
-    p.add_argument("poly")
-    p.add_argument("--ell", type=int, required=True)
-
-    p = command("dim", "dimension of the block-symmetric quotient", _cmd_dim)
-    p.add_argument("--lambda", dest="lam", required=True)
-
-    p = command("basis", "monomial basis of the block-symmetric quotient", _cmd_basis)
-    p.add_argument("--lambda", dest="lam", required=True)
-
-    p = command("nilpotency", "nilpotency order of a block-symmetric class", _cmd_nilpotency)
-    p.add_argument("poly")
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--block", type=int, required=True)
-
-    p = command("schubert", "Schubert polynomial of a permutation", _cmd_schubert)
-    p.add_argument("perm")
-
-    p = command("monk", "Monk product expansion", _cmd_monk)
-    p.add_argument("perm")
-    p.add_argument("--r", type=int, required=True)
-
-    p = command(
-        "expand", "expansion in the Schubert basis modulo the symmetric ideal", _cmd_expand
-    )
-    p.add_argument("poly")
-    p.add_argument("--ell", type=int, required=True)
-
-    p = command("catalan", "coefficient of the binomial-power congruence", _cmd_catalan)
-    p.add_argument("--ell", type=int, required=True)
-
-    p = command("jet-gens", "jet ideal generators", _cmd_jet_gens)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--gens", default=None, help="semicolon-separated base polynomials")
-
-    p = command("primes", "minimal primes of the jet ideal of x1...xn", _cmd_primes)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-
-    p = command("member", "certified membership in the jet ideal of x1...xn", _cmd_member)
-    p.add_argument("poly")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-
-    p = command("min-degree", "minimal member power of a derivative monomial", _cmd_min_degree)
-    p.add_argument("--h", required=True)
-    p.add_argument("--cap", type=int, default=None)
-
-    p = command(
-        "radical-witness", "non-membership witness in the radical", _cmd_radical_witness
-    )
-    p.add_argument("--h", required=True)
-
-    p = command("multiplicity", "multiplicities of the minimal primes", _cmd_multiplicity)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-
-    return parser
-
-
-@lru_cache(maxsize=None)
-def _commands(parser: argparse.ArgumentParser) -> dict:
-    """The subcommand parsers of `parser` by name: the choices of its one
-    add_subparsers action, so no command is defined twice."""
-    return next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
 
 
 def _budget_from(args) -> Budget | None:
@@ -364,6 +260,81 @@ def _cmd_multiplicity(args):
     return payload, lines
 
 
+# -- the command table ---------------------------------------------------------
+
+# Each argument spelling once, with its add_argument keywords.  The global
+# flags go on the top-level parser and on every subcommand, so they are
+# accepted on either side of the subcommand name; SUPPRESS keeps a
+# subparser from clobbering a value parsed at the top level.
+ARGUMENTS = {
+    "--json": {"action": "store_true", "default": argparse.SUPPRESS,
+               "help": "machine-readable output"},
+    "--budget-mb": {"type": float, "default": argparse.SUPPRESS,
+                    "help": "memory budget for linear algebra, a finite number of MB >= 0 "
+                    "(default: env %s or unlimited)" % BUDGET_ENV},
+    "poly": {},
+    "perm": {},
+    **dict.fromkeys(("--ell", "--block", "--r", "--n", "--m"), {"type": int, "required": True}),
+    "--lambda": {"dest": "lam", "required": True},
+    "--gens": {"default": None, "help": "semicolon-separated base polynomials"},
+    "--h": {"required": True},
+    "--cap": {"type": int, "default": None},
+}
+
+# Each command once, in the order the help lists them: name -> (handler,
+# help, argument spellings).
+COMMANDS = {
+    "nf": (_cmd_nf, "normal form modulo the symmetric ideal", ("poly", "--ell")),
+    "nu": (_cmd_nu, "minimal degree in the normal form", ("poly", "--ell")),
+    "dim": (_cmd_dim, "dimension of the block-symmetric quotient", ("--lambda",)),
+    "basis": (_cmd_basis, "monomial basis of the block-symmetric quotient", ("--lambda",)),
+    "nilpotency": (_cmd_nilpotency, "nilpotency order of a block-symmetric class",
+                   ("poly", "--lambda", "--block")),
+    "schubert": (_cmd_schubert, "Schubert polynomial of a permutation", ("perm",)),
+    "monk": (_cmd_monk, "Monk product expansion", ("perm", "--r")),
+    "expand": (_cmd_expand, "expansion in the Schubert basis modulo the symmetric ideal",
+               ("poly", "--ell")),
+    "catalan": (_cmd_catalan, "coefficient of the binomial-power congruence", ("--ell",)),
+    "jet-gens": (_cmd_jet_gens, "jet ideal generators", ("--n", "--m", "--gens")),
+    "primes": (_cmd_primes, "minimal primes of the jet ideal of x1...xn", ("--n", "--m")),
+    "member": (_cmd_member, "certified membership in the jet ideal of x1...xn",
+               ("poly", "--n", "--m")),
+    "min-degree": (_cmd_min_degree, "minimal member power of a derivative monomial",
+                   ("--h", "--cap")),
+    "radical-witness": (_cmd_radical_witness, "non-membership witness in the radical",
+                        ("--h",)),
+    "multiplicity": (_cmd_multiplicity, "multiplicities of the minimal primes", ("--n", "--m")),
+}
+
+# name -> subcommand parser: the choices of the add_subparsers action of
+# the one parser `build_parser` builds, filled by that build
+_COMMAND_PARSERS: dict[str, argparse.ArgumentParser] = {}
+
+
+@lru_cache(maxsize=None)
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of `COMMANDS`, built once per process; parsing
+    leaves it unchanged, so every `run` shares it."""
+    common = argparse.ArgumentParser(add_help=False)
+    for spelling in ("--json", "--budget-mb"):
+        common.add_argument(spelling, **ARGUMENTS[spelling])
+    parser = argparse.ArgumentParser(
+        prog="jetform",
+        description="Exact computations in jet ideals and block-symmetric quotients.",
+        epilog="Values may start with a minus sign, as in `dim --lambda -2,1` "
+        "or `nf -z1 --ell 2`; `--lambda=-2,1` and `nf --ell 2 -- -z1` work too.",
+        parents=[common],
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (handler, help_text, spellings) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, parents=[common])
+        p.set_defaults(handler=handler)
+        for spelling in spellings:
+            p.add_argument(spelling, **ARGUMENTS[spelling])
+    _COMMAND_PARSERS.update(sub.choices)
+    return parser
+
+
 def _parse_args(argv) -> argparse.Namespace:
     """Parse argv, taking every argument that starts with a single minus
     sign, other than -h, as a value.
@@ -388,7 +359,7 @@ def _parse_args(argv) -> argparse.Namespace:
         for a in argv
     ]
     parser = build_parser()
-    sub = _commands(parser).get(shielded[0]) if shielded else None
+    sub = _COMMAND_PARSERS.get(shielded[0]) if shielded else None
     if sub is None:
         args = parser.parse_args(shielded)
     else:
@@ -441,18 +412,30 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse reports its own usage errors on stderr with code 2
         code = exc.code
-        return code if isinstance(code, int) else (0 if code is None else 2)
-    if result.json_mode:
-        print(json.dumps(result.to_json(), indent=2, sort_keys=True))
-    elif result.status == "ok":
-        for line in lines:
-            print(line)
-    else:
-        print(
-            "error [%s]: %s" % (result.payload["code"], result.payload["message"]),
-            file=sys.stderr,
-        )
-    return result.exit_code
+        return _flushed(code if isinstance(code, int) else (0 if code is None else 2))
+    with contextlib.suppress(BrokenPipeError):  # `_flushed` deals with it
+        if result.json_mode:
+            print(json.dumps(result.to_json(), indent=2, sort_keys=True))
+        elif result.status == "ok":
+            for line in lines:
+                print(line)
+        else:
+            print(
+                "error [%s]: %s" % (result.payload["code"], result.payload["message"]),
+                file=sys.stderr,
+            )
+    return _flushed(result.exit_code)
+
+
+def _flushed(code: int) -> int:
+    """`code`, once stdout is flushed.  If its reader has gone, the output
+    still pending goes to os.devnull, so the flush at shutdown cannot raise
+    a second time."""
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -399,29 +399,50 @@ def _heap_reduce(pending: dict[int, int], ell: int) -> dict[int, int]:
     return reduced
 
 
+class _Rules(dict):
+    """The rewrite rules of `_heap_reduce` on one `Packing` of the z ring,
+    keyed by the bit length of the guard bit of z_i's field: each made on
+    its first lookup, so a reduction that only meets z_1 never builds the
+    2^ell - 1 terms of every rule.
+
+    The rule of z_i is z_i^i -> -(g_i - z_i^i) as ((packed offset,
+    coefficient), ...): g_i = h_i(z_i..z_ell) is monic with every
+    coefficient 1, so the rule takes every other degree-i monomial of
+    z_i..z_ell with coefficient -1, packed by adding its variables' field
+    units.  No Poly or Fraction is made.
+    """
+
+    __slots__ = ("packing",)
+
+    def __init__(self, packing: Packing):
+        super().__init__()
+        self.packing = packing
+
+    def __missing__(self, length: int):
+        shifts, width = self.packing.shifts, self.packing.width
+        j = len(shifts) - length // width  # the rule of z_{j+1}, of degree j + 1
+        units = [1 << s for s in shifts[j:]]  # z_{j+1}, ..., z_ell, packed
+        lead = (j + 1) * units[0]
+        self[length] = rule = tuple(
+            (sum(combo) - lead, -1)
+            for combo in itertools.combinations_with_replacement(units, j + 1)
+            if combo[-1] != units[0]
+        )
+        return rule
+
+
 @lru_cache(maxsize=None)
 def _packed_rules(ell: int):
     """(packing, bump, rules) of `_heap_reduce`: the `Packing` of the
-    ell-variable z ring for degree ell(ell-1)/2, made once per ell with its
-    rules.
+    ell-variable z ring for degree ell(ell-1)/2, made once per ell, with
+    its `_Rules`.
 
-    `rules` maps the bit length of the guard bit of z_i's field to the
-    rewrite z_i^i -> ... as ((packed offset, coefficient), ...).  `bump`
-    adds (guard bit) - i to the field of z_i; the guard bit's value exceeds
-    ell(ell-1)/2 >= ell - 1, so the bump is >= 0 and never carries an
-    exponent out of its field.
+    `bump` adds (guard bit) - i to the field of z_i; the guard bit's value
+    exceeds ell(ell-1)/2 >= ell - 1, so the bump is >= 0 and never carries
+    an exponent out of its field.
     """
     packing = Packing(ell, ell * (ell - 1) // 2)
-    pack = packing.pack
-    rules = {}
-    for g, s in zip(groebner_basis_IS(ell), packing.shifts):
-        lead, _ = g.leading()
-        # g_i is monic with every coefficient 1, so the rule stays integral;
-        # it is keyed by the bit length of z_i's field, its guard bit's
-        rules[s + packing.width] = tuple(
-            (pack(m) - pack(lead), -int(c)) for m, c in g.terms.items() if m != lead
-        )
-    return packing, packing.guard - pack(range(1, ell + 1)), rules
+    return packing, packing.guard - packing.pack(range(1, ell + 1)), _Rules(packing)
 
 
 def in_IS(p: Poly) -> bool:

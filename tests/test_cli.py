@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import itertools
@@ -6,6 +7,7 @@ import os
 import resource
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -523,11 +525,11 @@ def test_cli_fuzz_always_returns_an_exit_code(argv):
     assert code in range(5), (argv, code)
 
 
-def _outcome(argv, commands):
-    """main's exit code and stdout, with `cli._commands` replaced by
-    `commands`: JSON without its timing, any other output verbatim."""
+def _outcome(argv, command_parsers):
+    """main's exit code and stdout, with `cli._COMMAND_PARSERS` replaced by
+    `command_parsers`: JSON without its timing, any other output verbatim."""
     out = io.StringIO()
-    with mock.patch.object(cli, "_commands", commands):
+    with mock.patch.object(cli, "_COMMAND_PARSERS", command_parsers):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
     text = out.getvalue()
@@ -539,8 +541,8 @@ def _outcome(argv, commands):
 
 
 def _routes_agree(argv):
-    direct = _outcome(argv, cli._commands)
-    assert direct == _outcome(argv, lambda parser: {}), argv
+    direct = _outcome(argv, cli._COMMAND_PARSERS)
+    assert direct == _outcome(argv, {}), argv
     return direct
 
 
@@ -569,3 +571,68 @@ def test_unrecognized_arguments_after_a_leading_command_name_it(capsys):
 @given(argvs())
 def test_cli_fuzz_direct_and_top_level_routes_agree(argv):
     _routes_agree(argv)
+
+
+def test_cli_names_no_private_argparse_api():
+    # the direct route takes its subparsers from the choices of the one
+    # add_subparsers action, not from argparse's internals
+    tree = ast.parse(Path(cli.__file__).read_text())
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not named & {"_actions", "_SubParsersAction", "_name_parser_map"}
+
+
+def _expected_arguments(command):
+    """(spelling, dest, type, required) of each argument of `command`, in
+    order, read off its entry in SUBCOMMANDS."""
+    for spec in SUBCOMMANDS[command]:
+        if isinstance(spec, tuple):
+            option, values = spec
+            dest = "lam" if option == "--lambda" else option[2:]
+            kind = int if values is SIZES else None
+            yield option, dest, kind, option not in ("--cap", "--gens")
+        else:
+            name = "poly" if spec is POLYS else "perm"
+            yield name, name, None, True
+
+
+@pytest.mark.parametrize("command", sorted(set(SUBCOMMANDS) - {"not-a-command"}))
+def test_each_command_has_the_arguments_of_the_fuzz_table(command, capsys):
+    cli.build_parser()
+    parser = cli._COMMAND_PARSERS[command]
+    got = [
+        (action.option_strings[0] if action.option_strings else action.dest,
+         action.dest, action.type, action.required)
+        for action in parser._actions
+        if action.dest not in ("help", "json", "budget_mb")
+    ]
+    assert got == list(_expected_arguments(command))
+    assert main([command, "-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: jetform %s " % command)
+
+
+def test_the_commands_come_in_the_fuzz_tables_order():
+    cli.build_parser()
+    assert list(cli._COMMAND_PARSERS) == [name for name in SUBCOMMANDS if name != "not-a-command"]
+
+
+def test_a_reader_gone_at_once_leaves_no_traceback():
+    # stdout is a pipe whose read end is closed before the run starts: the
+    # command still exits with its own code and prints nothing to stderr
+    src = os.path.dirname(os.path.dirname(os.path.abspath(jetform.__file__)))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        for unbuffered in ("", "1"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+            proc = subprocess.run(
+                [sys.executable, "-m", "jetform.cli", "dim", "--lambda", "2,1"],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+                timeout=60,
+            )
+            assert (proc.returncode, proc.stderr) == (0, ""), unbuffered
+    finally:
+        os.close(write)

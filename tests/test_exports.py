@@ -1,6 +1,6 @@
-"""Guards on the package's public names: a name deleted from a module must
-leave its `__all__` and the package's re-exports with it.  Also guards on
-what passes between the kernels: `linalg` works on integer rows only,
+"""Guards on the package's public names: the union of the modules'
+`__all__`, re-exported by wildcard; every name in an `__all__` exists.
+Also guards on what passes between the kernels: `linalg` works on integer rows only,
 each z ring has one packing whose keys fit one CPython digit, and only
 `symfun` reduces packed z-ring polynomials.  And guards that every index
 is checked by `errors._size` alone and every ring by `errors._in_ring`
@@ -29,16 +29,35 @@ def test_every_name_in_a_modules_all_exists(name):
     assert not missing, missing
 
 
-def test_package_imports_only_names_its_modules_export():
+def _package_imports():
     tree = ast.parse(Path(jetform.__file__).read_text())
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    return [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def test_package_imports_every_name_by_a_relative_wildcard():
+    imports = _package_imports()
     assert imports
     for node in imports:
-        assert node.level == 1, ast.unparse(node)
-        module = importlib.import_module("jetform." + node.module)
-        exported = getattr(module, "__all__", ())
-        stray = [alias.name for alias in node.names if alias.name not in exported]
-        assert not stray, (node.module, stray)
+        assert isinstance(node, ast.ImportFrom) and node.level == 1, ast.unparse(node)
+        assert [alias.name for alias in node.names] == ["*"], ast.unparse(node)
+
+
+@pytest.mark.parametrize("node", _package_imports(), ids=ast.unparse)
+def test_each_module_the_package_imports_defines_all(node):
+    # a wildcard import from a module without `__all__` would leak its
+    # helpers and the stdlib names it imports
+    assert "__all__" in vars(importlib.import_module("jetform." + node.module))
+
+
+def test_package_names_are_the_union_of_its_modules_all():
+    exported = set()
+    for node in _package_imports():
+        exported.update(importlib.import_module("jetform." + node.module).__all__)
+    public = {
+        name for name, value in vars(jetform).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert public == exported
 
 
 def test_linalg_is_integer_only():

@@ -563,7 +563,6 @@ def test_the_schubert_span_builds_no_poly_or_fraction(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the Schubert inverse built a Poly or a Fraction")
 
-    symfun._packed_rules(6)  # the z ring's rules are made from Polys, once
     monkeypatch.setattr(Poly, "__init__", refuse)
     monkeypatch.setattr(Fraction, "__new__", refuse)
     perms, inverse = schubert._schubert_inverse.__wrapped__(6)

@@ -769,6 +769,27 @@ def test_cached_rows_sum_to_the_heap_reduction(case):
         assert pending == keep
 
 
+def test_rules_are_made_on_first_use():
+    # NF(z1) at ell = 12 needs only g_1's rule, z1 -> -(z2 + ... + z12);
+    # the other eleven rules, 4,072 terms, are never made
+    ring = zring(12)
+    symfun._packed_rules.cache_clear()
+    with _empty_row_table():
+        assert normal_form_IS(ring.var(0)) == -sum(ring.gens()[1:], ring.zero())
+    rules = symfun._packed_rules(12)[2]
+    assert [len(rule) for rule in rules.values()] == [11]
+
+
+def test_lazy_rules_are_the_groebner_basis_rules():
+    for ell in range(1, 8):
+        packing, _, rules = symfun._packed_rules(ell)
+        pack = packing.pack
+        for g, s in zip(groebner_basis_IS(ell), packing.shifts):
+            lead, _ = g.leading()
+            expected = {(pack(m) - pack(lead), -int(c)) for m, c in g.terms.items() if m != lead}
+            assert set(rules[s + packing.width]) == expected, (ell, lead)
+
+
 def test_reduced_monomials_are_their_own_rows():
     # a reduced key is its own normal form: it is never stored, nor counted
     ell = 4
