@@ -73,8 +73,8 @@ from .polyring import (
     Monomial, Packing, Poly, Ring, _clear_denominators, _series_coefficients, format_monomial,
     format_poly,
 )
-from .symfun import Composition, _block_sigmas, _image_in_IS, _nf_poly, _nf_powers, zring
-from .symfun import _packed_image, _packing
+from .symfun import Composition, _block_sigmas, _image_nf, _packed_image, _packed_powers, _packing
+from .symfun import _z_poly, zring
 
 __all__ = [
     "JetRingDesc",
@@ -740,13 +740,13 @@ def _certificate(p: Poly, gens, span, packing: Packing, cleared: dict, filtered,
     borrowed or overflowed unpacks to more than that, so this is also the
     sign check.  Each nonzero residual term r at the column of a unit row
     (k, M, v) gives that row's entry, coefficient r*d/(s*v), and every
-    other term of its row is divisible by g_0.  Every entry, the span's and
-    the units', is subtracted back through the full row M*row from its
-    triple's own coefficient, so a wrong coefficient is left in the
-    residual.  Then each nonzero residual term divided by g_0 = gens[filtered]
-    is an entry of g_0's cofactor, subtracted back through g_0's row; a
-    term g_0 does not divide raises.  What is left, all of the residual if
-    `filtered` is None, must be zero.
+    other term of its row is divisible by g_0.  Then each nonzero residual
+    term r at key, divided by g_0 = gens[filtered] = a*z^g0, is the entry
+    (key - g0, r*d/(s*a)) of g_0's cofactor; a term g_0 does not divide
+    raises.  Every entry, the span's, the units' and g_0's, goes through
+    `take`, which subtracts the full row M*row back from the triple's own
+    coefficient, so a wrong one is left in the residual.  What is left, all
+    of the residual if `filtered` is None, must be zero.
     """
     terms, denom = _clear_denominators(p.terms)
     terms = {packing.pack(m): v for m, v in terms.items()}
@@ -785,16 +785,14 @@ def _certificate(p: Poly, gens, span, packing: Packing, cleared: dict, filtered,
         # step*v cancels the term at key
         take(gi, mult, packing.unpack(mult), Fraction(residual[key] * cleared[gi][1], scale * v))
     if filtered is not None:
-        d = cleared[filtered][1]
         for key, v in residual.items():
             if not v:
                 continue
             if not packing.divides(g0, key):
                 raise InvariantViolationError("residual term not divisible by the monomial generator")
-            c = Fraction(v * d, scale * a)
-            triples.append((filtered, packing.unpack(key - g0), c))
-            # (v - (c/d)*a) * d * c.denominator: the term left once c*M*g_0 is subtracted
-            residual[key] = v * d * c.denominator - c.numerator * a * scale
+            # step*a cancels the term at key, the only one g_0's row touches
+            c = Fraction(v * cleared[filtered][1], scale * a)
+            take(filtered, key - g0, packing.unpack(key - g0), c)
     if any(residual.values()):
         raise InvariantViolationError("membership certificate failed re-expansion")
     triples.sort()
@@ -891,10 +889,11 @@ class PsiSpecialization:
     j = lambda_i and to 0 above.  Every jet generator lands in I_S.
 
     The one image table keeps each image as its keys on `symfun._packing(m+1)`,
-    all with coefficient 1.  A jet generator term takes one image per base
-    variable and the blocks are disjoint, so its image is squarefree and no
-    field overflows.  `apply` re-packs the table for the degree of p, which
-    bounds every exponent of psi(p) since every image is squarefree.
+    all with coefficient 1.  A jet generator term, as the derivative monomial,
+    takes one image per base variable and the blocks are disjoint, so its
+    image is squarefree, reduced there by `symfun._image_nf` for the search.
+    `apply`, off the search path, is the exact image of any p: it re-packs the
+    table for the degree of p, which bounds every exponent of psi(p).
     """
 
     __slots__ = ("desc", "lam", "target", "_table")
@@ -934,12 +933,10 @@ def psi_specialize(p: Poly, h, desc: JetRingDesc) -> Poly:
 def _check_psi_kernel(spec: PsiSpecialization, gens=None) -> None:
     """Raise InvariantViolationError unless psi sends every jet generator, of
     `gens` or else all m+1, into I_S, which makes its nonzero normal forms
-    refusals.  The cleared integer terms of each generator take squarefree
-    images from the packed table, so no field overflows.  A product above
-    degree ell(ell-1)/2 lies in I_S, as no reduced monomial is that high, and
-    is dropped."""
+    refusals: `symfun._image_nf` of each generator's cleared integer terms,
+    whose images are squarefree, must be empty."""
     for i, g in enumerate(jet_generators(None, spec.desc) if gens is None else gens):
-        if not _image_in_IS(spec._table, _clear_denominators(g.terms)[0].items(), spec.lam.ell):
+        if _image_nf(spec._table, _clear_denominators(g.terms)[0].items(), spec.lam.ell):
             raise InvariantViolationError("psi of %r misses I_S at generator %d" % (spec.lam, i))
 
 
@@ -1030,11 +1027,12 @@ def min_degree_search(
 
 
 def _psi_normal_forms(spec: PsiSpecialization, mono: Poly, gens):
-    """Yield NF_IS(psi(mono)^d) for d = 1, 2, ..., the packed powers of
-    `symfun._nf_powers` made Polys, after `_check_psi_kernel` on the jet
-    generators `gens`; zero once it has reached zero."""
+    """Yield NF_IS(psi(mono)^d) for d = 1, 2, ..., after `_check_psi_kernel`
+    on the jet generators `gens`; zero once it has reached zero.  They are
+    `symfun._packed_powers` of mono's packed image, by `symfun._image_nf`."""
     _check_psi_kernel(spec, gens)
     ell = spec.lam.ell
-    for terms, scale in _nf_powers(spec.apply(mono), ell):
-        yield _nf_poly(terms, scale, ell)
+    nums, denom = _clear_denominators(mono.terms)
+    for terms, scale in _packed_powers(_image_nf(spec._table, nums.items(), ell), denom, ell):
+        yield _z_poly(terms, scale, ell)
     yield from itertools.repeat(spec.target.zero())

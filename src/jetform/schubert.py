@@ -2,15 +2,17 @@
 
 Schubert polynomials S_w, w in S_ell, come from the staircase
 z_1^(ell-1) z_2^(ell-2) ... z_{ell-1} = S_w0 by one divided-difference
-kernel on packed integer monomials.  Their classes modulo I_S form a basis
-of k[z]/I_S (Lascoux & Schuetzenberger, C. R. Acad. Sci. Paris 294, 1982).
-The expansion works in reversed variables rho: z_i -> z_{ell+1-i}: on the
-reversed field order the kernel makes the rows rho(S_w) directly, already
-reduced, with distinct leads of coefficient 1.  That matrix is
-unitriangular with ell! leads, as many as reduced monomials, so every
-reduced key is a lead and `_schubert_inverse` inverts it once per ell, by
-back-substitution in integers.  An expansion is then a sum of that
-inverse's rows over the terms of one normal form, with no elimination.
+kernel on packed integer monomials, on the z ring's one packing and out by
+`symfun._z_poly`; only `divided_difference` packs its own.  Their classes
+modulo I_S form a basis of k[z]/I_S (Lascoux & Schuetzenberger, C. R.
+Acad. Sci. Paris 294, 1982).  The expansion works in reversed variables
+rho: z_i -> z_{ell+1-i}: on the reversed field order the kernel makes the
+rows rho(S_w) directly, already reduced, with distinct leads of
+coefficient 1.  That matrix is unitriangular with ell! leads, as many as
+reduced monomials, so every reduced key is a lead and `_schubert_inverse`
+inverts it once per ell, by back-substitution in integers.  An expansion
+is then a sum of that inverse's rows over the terms of one normal form,
+with no elimination.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from math import comb, factorial
 
 from .errors import DomainError, InvariantViolationError, _in_ring, _size
 from .polyring import Monomial, Packing, Poly, _parse_ints
-from .symfun import _normal_form, _packed_rules, normal_form_IS, zring
+from .symfun import _normal_form, _packed_rules, _packing, _z_poly, normal_form_IS, zring
 
 __all__ = [
     "Permutation",
@@ -185,11 +187,9 @@ def schubert_table(ell: int) -> dict[Permutation, Poly]:
     """All Schubert polynomials of S_ell, keyed by permutation: the rows
     that `_schubert_inverse` inverts, from the same generator, in unreversed
     field order, made afresh on every call."""
-    ring, packing = zring(_size(ell, "ell", 1)), Packing(ell, ell - 1)
-    return {
-        Permutation(w): Poly(ring, {packing.unpack(key): Fraction(c) for key, c in terms.items()})
-        for w, terms in _schubert_rows(ell, packing.shifts, packing.mask).items()
-    }
+    packing = _packing(_size(ell, "ell", 1))
+    rows = _schubert_rows(ell, packing.shifts, packing.mask)
+    return {Permutation(w): _z_poly(terms, 1, ell) for w, terms in rows.items()}
 
 
 def schubert_poly(w: Permutation) -> Poly:
@@ -201,11 +201,11 @@ def schubert_poly(w: Permutation) -> Poly:
             if oneline[i] < oneline[i + 1]:
                 oneline[i], oneline[i + 1] = oneline[i + 1], oneline[i]
                 steps.append(i)
-    packing = Packing(ell, ell - 1)
+    packing = _packing(ell)
     shifts, terms = packing.shifts, _staircase(packing.shifts)
     for i in reversed(steps):
         terms = _packed_divided_difference(terms, shifts[i], shifts[i + 1], packing.mask)
-    return Poly(zring(ell), {packing.unpack(key): Fraction(c) for key, c in terms.items()})
+    return _z_poly(terms, 1, ell)
 
 
 def monk_expand(r: int, w: Permutation) -> list[Permutation]:

@@ -15,22 +15,22 @@ rewriting of a block-symmetric polynomial in the elementary symmetric
 polynomials of its blocks.
 
 The arithmetic of the quotient runs on integers, and no other module
-multiplies or reduces packed z-ring polynomials.  `_normal_form` packs
-exponent vectors by the one `polyring.Packing` of each z ring and reduces
-them with `_reduce_packed`, for `normal_form_IS` and the Schubert
-expansion's queries.  k[z]/I_S has the finite basis of reduced monomials,
-so `_reduce_packed` sums cached rows NF(z^a) of the monomials that recur,
-each made once by `_heap_reduce`, the one reduction kernel, which reduces
-the other terms together; the table is bounded by `ROW_TABLE_TERMS`.
-`_nf_powers`, the one power loop, gives `alambda.nilpotency_order` and the
-psi refusals of `jets.min_degree_search` their powers; `_image_in_IS`
-checks psi's kernel.  The averaging projector keeps integer numerators
-over one common denominator, and its output Poly keeps them: `_normal_form`
-reads every input through `polyring._integer_form`, so the average of
-the quotient's `normal_form_IS(sym_lambda_average(p, lam))` goes in as
-the integers it was made of, never cleared again.  Fractions are made
-only for the Polys returned, one per distinct coefficient, by
-`Poly._from_ints`; a normal form keeps no integer form.
+multiplies or reduces packed z-ring polynomials.  One packed route serves
+normal forms, powers, psi images and Schubert rows: keys by the one
+`polyring.Packing` of each z ring, `_packing(ell)`; reduction by
+`_reduce_packed`, which sums cached rows NF(z^a) of the monomials that
+recur, each made once by `_heap_reduce`, the one reduction kernel, and
+bounded by `ROW_TABLE_TERMS`; the way out by `_z_poly`.  `_normal_form`
+packs the queries of `normal_form_IS` and the Schubert expansion,
+`_image_nf` psi's images, and `_packed_powers`, the one power loop, gives
+`alambda.nilpotency_order` and the psi refusals their powers.  The
+averaging projector keeps integer numerators over one common denominator,
+and its output Poly keeps them: `_normal_form` reads every input through
+`polyring._integer_form`, so the average of the quotient's
+`normal_form_IS(sym_lambda_average(p, lam))` goes in as the integers it
+was made of, never cleared again.  Fractions are made only for the Polys
+returned, one per distinct coefficient, by `Poly._from_ints`; a normal
+form keeps no integer form.
 """
 
 from __future__ import annotations
@@ -167,16 +167,17 @@ def normal_form_IS(p: Poly, ell: int | None = None) -> Poly:
     See `_normal_form` for why one packing per z ring suffices and which
     integers it reduces, `_reduce_packed` for the rows and `_heap_reduce`
     for the loop and its one-step rule dispatch.  The result keeps no
-    integer form (see `_nf_poly`).
+    integer form (see `_z_poly`).
     """
     ell = p.ring.nvars if ell is None else ell
     _in_ring(p, zring(ell), "polynomial")
-    return _nf_poly(*_normal_form(p, ell), ell)
+    return _z_poly(*_normal_form(p, ell), ell)
 
 
-def _nf_poly(terms: dict[int, int], denom: int, ell: int) -> Poly:
-    """The Poly of the packed normal form terms / denom in the z ring, its
-    Monomials read from the table of `_reduce_packed` or stored there.
+def _z_poly(terms: dict[int, int], denom: int, ell: int) -> Poly:
+    """The Poly of the packed terms / denom in the z ring, the one way out of
+    `_packing(ell)` for normal forms, psi refusals and Schubert polynomials;
+    its Monomials are read from the table of `_reduce_packed` or stored there.
 
     `terms` has no zero, as `_reduce_packed` returns it, so the Poly is
     built by `Poly._from_ints` without keeping its integer form: callers
@@ -221,18 +222,21 @@ def _normal_form(p: Poly, ell: int, reverse: bool = False) -> tuple[dict[int, in
 
 
 def _nf_powers(p: Poly, ell: int):
-    """Yield (d^e * NF(p^e), d^e) for e = 1, 2, ... while NF(p^e) != 0, the
-    terms packed by `_packing(ell)` and d the denominator `_normal_form`
-    reads off p's integer form: a common denominator of all of p's terms.
+    """`_packed_powers` from p's packed normal form, as `_normal_form` reads it."""
+    return _packed_powers(*_normal_form(p, ell), ell)
 
-    Each power is the previous one times d*NF(p), in integers, reduced by
+
+def _packed_powers(base: dict[int, int], denom: int, ell: int):
+    """Yield (d^e * NF(p^e), d^e) for e = 1, 2, ... while NF(p^e) != 0, for
+    `base` = d*NF(p), reduced and packed by `_packing(ell)`, and `denom` = d.
+
+    Each power is the previous one times `base`, in integers, reduced by
     `_reduce_packed`.  A product of two reduced monomials of degree above
     ell(ell-1)/2 lies in I_S and is dropped first; its degree is its key
     modulo the field mask, since 2^width = 1 modulo it, a field of the sum
     holds at most 2(ell-1) < 2^width and the degree at most
     ell(ell-1) < 2^width - 1.  So every kept key fits the one packing.
     """
-    base, denom = _normal_form(p, ell)
     top = ell * (ell - 1) // 2
     mask = _packing(ell).mask
     power, scale = base, denom
@@ -265,13 +269,13 @@ def _packed_image(images, terms) -> dict:
     return out
 
 
-def _image_in_IS(images, terms, ell: int) -> bool:
-    """True iff `_packed_image(images, terms)` lies in I_S, for images on
-    `_packing(ell)` whose every product is squarefree: a key's degree is its
-    bit count, and keys above ell(ell-1)/2 lie in I_S and are dropped."""
+def _image_nf(images, terms, ell: int) -> dict[int, int]:
+    """The packed NF of `_packed_image(images, terms)`, empty iff that is in
+    I_S, for images on `_packing(ell)` whose products are squarefree: a key's
+    degree is its bit count, and keys above ell(ell-1)/2 are in I_S, dropped."""
     top = ell * (ell - 1) // 2
     kept = {k: c for k, c in _packed_image(images, terms).items() if k.bit_count() <= top}
-    return not _reduce_packed(kept, ell)
+    return _reduce_packed(kept, ell)
 
 
 def _packing(ell: int) -> Packing:
@@ -281,7 +285,7 @@ def _packing(ell: int) -> Packing:
 
 # The normal-form table, per ell: the packed NF(z^key) of monomials not
 # reduced, as `_reduce_packed` makes them, and the Monomial of each key
-# `_nf_poly` has returned.  A row counts its terms plus one for its key,
+# `_z_poly` has returned.  A row counts its terms plus one for its key,
 # so that rows of monomials in I_S count too, and a Monomial counts one;
 # nothing more is stored once the count passes ROW_TABLE_TERMS over every
 # ell.  An 18-second bench run, seed 1, counts 6,748 on the quotient
@@ -388,14 +392,14 @@ def _heap_reduce(pending: dict[int, int], ell: int) -> dict[int, int]:
         if not hit:
             reduced[key] = c
             continue
-        for offset, rc in rules[hit.bit_length()]:
+        for offset in rules[hit.bit_length()]:
             child = key + offset
             old = pending.get(child)
             if old is None:
-                pending[child] = c * rc
+                pending[child] = -c
                 heappush(heap, -child)
             else:
-                pending[child] = old + c * rc
+                pending[child] = old - c
     return reduced
 
 
@@ -405,11 +409,11 @@ class _Rules(dict):
     its first lookup, so a reduction that only meets z_1 never builds the
     2^ell - 1 terms of every rule.
 
-    The rule of z_i is z_i^i -> -(g_i - z_i^i) as ((packed offset,
-    coefficient), ...): g_i = h_i(z_i..z_ell) is monic with every
-    coefficient 1, so the rule takes every other degree-i monomial of
-    z_i..z_ell with coefficient -1, packed by adding its variables' field
-    units.  No Poly or Fraction is made.
+    The rule of z_i is z_i^i -> -(g_i - z_i^i) as a tuple of packed
+    offsets: every coefficient of g_i = h_i(z_i..z_ell) is 1, so the rule
+    takes every other degree-i monomial of z_i..z_ell with coefficient -1,
+    which `_heap_reduce` subtracts, packed by adding its variables' field
+    units.  No coefficient, Poly or Fraction is stored.
     """
 
     __slots__ = ("packing",)
@@ -424,7 +428,7 @@ class _Rules(dict):
         units = [1 << s for s in shifts[j:]]  # z_{j+1}, ..., z_ell, packed
         lead = (j + 1) * units[0]
         self[length] = rule = tuple(
-            (sum(combo) - lead, -1)
+            sum(combo) - lead
             for combo in itertools.combinations_with_replacement(units, j + 1)
             if combo[-1] != units[0]
         )

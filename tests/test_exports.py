@@ -82,8 +82,9 @@ def test_z_ring_packing_keys_fit_one_cpython_digit(ell):
 
 
 def test_each_z_ring_has_one_packing():
-    # normal forms, nilpotency orders, psi refusals and expansions all take
-    # the one packing of their z ring: one cached entry per ell
+    # normal forms, nilpotency orders, psi refusals, expansions and Schubert
+    # polynomials all take the one packing of their z ring: one cached entry
+    # per ell
     from jetform import symfun
 
     symfun._packed_rules.cache_clear()
@@ -91,6 +92,7 @@ def test_each_z_ring_has_one_packing():
         ring = jetform.zring(ell)
         jetform.normal_form_IS(ring.var(0) ** ell)
         jetform.schubert_expansion(ring.var(ell - 1) ** 2)
+        jetform.schubert_table(ell)
         lam = jetform.Composition((1, ell - 1))
         jetform.nilpotency_order(jetform.block_sigma(lam, 1, 1), lam, 1)
     for h in [(1,), (1, 1), (2, 1), (2, 2)]:
@@ -144,13 +146,14 @@ def test_block_images_come_from_the_one_table(name):
 
 
 def test_psi_runs_on_packed_integers():
-    # psi's table, `apply` and the kernel check add packed integer keys:
-    # none of them, nor the symfun kernels they call, names `substitute` or
-    # `Fraction`, so the psi path cannot drift back onto Poly arithmetic
+    # psi's table, `apply`, the kernel check and the refusals' powers add
+    # packed integer keys: none of them, nor the symfun kernels they call,
+    # names `substitute` or `Fraction`, so the psi path cannot drift back
+    # onto Poly arithmetic
     from jetform import jets, symfun
 
-    for obj in (jets.PsiSpecialization, jets._check_psi_kernel, symfun._packed_image,
-                symfun._image_in_IS):
+    for obj in (jets.PsiSpecialization, jets._check_psi_kernel, jets._psi_normal_forms,
+                symfun._packed_image, symfun._image_nf, symfun._packed_powers):
         tree = ast.parse(inspect.getsource(obj))
         named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}

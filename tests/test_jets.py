@@ -1479,6 +1479,21 @@ def test_oracle_table_runs_one_elimination_per_search(monkeypatch):
     assert hashlib.sha256(canonical.encode()).hexdigest() == ORACLE_ANSWERS_SHA256
 
 
+def test_psi_refusals_take_one_packed_route(monkeypatch):
+    # the refusals reduce psi(mono) on the packed image table, as the kernel
+    # check does: neither `apply` nor `symfun._normal_form` is reached, and
+    # the answers are the pinned ones
+    def refuse(*args, **kwargs):
+        raise AssertionError("the psi refusals left the packed route")
+
+    monkeypatch.setattr(PsiSpecialization, "apply", refuse)
+    monkeypatch.setattr(symfun, "_normal_form", refuse)
+    answers = [_oracle_answer(h, min_degree_search(h)) for h in _oracle_tuples()]
+    assert len(answers) == 37
+    canonical = json.dumps(answers, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == ORACLE_ANSWERS_SHA256
+
+
 def _shuffle_multiplier_lists(monkeypatch, seed) -> list:
     """Make `jets._packed_multipliers` shuffle every list it returns by a
     `random.Random` seeded with `seed`.  Returns a list that gets one entry

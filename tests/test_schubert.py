@@ -460,6 +460,24 @@ def test_schubert_poly_is_one_chain_of_the_table():
             assert schubert_poly(w) == p
 
 
+def test_schubert_polynomials_use_the_z_rings_packing(monkeypatch):
+    # the table and single polynomials run on `symfun._packing(ell)` and
+    # leave it by `symfun._z_poly`: no Packing of their own
+    def refuse(*args):
+        raise AssertionError("a Schubert polynomial built a Packing of its own")
+
+    monkeypatch.setattr(schubert, "Packing", refuse)
+    for ell in range(1, 7):
+        table, reference = schubert_table(ell), _reference_table(ell)
+        assert list(table) == list(reference)
+        for w, p in reference.items():
+            assert list(table[w].terms.items()) == list(p.terms.items())
+    table = schubert_table(4)
+    assert len(table) == 24
+    for w, p in table.items():
+        assert schubert_poly(w) == p
+
+
 def test_schubert_poly_of_nine_builds_no_table(monkeypatch):
     def refuse(ell):
         raise AssertionError("schubert_poly built the whole table")

@@ -781,13 +781,18 @@ def test_rules_are_made_on_first_use():
 
 
 def test_lazy_rules_are_the_groebner_basis_rules():
+    # a rule stores packed offsets only, each taken with coefficient -1,
+    # which holds because every coefficient of every g_i is 1
     for ell in range(1, 8):
         packing, _, rules = symfun._packed_rules(ell)
         pack = packing.pack
         for g, s in zip(groebner_basis_IS(ell), packing.shifts):
+            assert set(g.terms.values()) == {1}
             lead, _ = g.leading()
-            expected = {(pack(m) - pack(lead), -int(c)) for m, c in g.terms.items() if m != lead}
-            assert set(rules[s + packing.width]) == expected, (ell, lead)
+            expected = [pack(m) - pack(lead) for m in g.terms if m != lead]
+            rule = rules[s + packing.width]
+            assert all(type(offset) is int for offset in rule)
+            assert sorted(rule) == sorted(expected), (ell, lead)
 
 
 def test_reduced_monomials_are_their_own_rows():
