@@ -209,7 +209,8 @@ def _cmd_member(args):
     p = parse_poly(desc.ring, args.poly)
     gens = jets.jet_generators(None, desc)
     result = jets.homogeneous_membership(p, gens, budget=budget)
-    payload = result.to_json(desc.ring)
+    # what was asked rides with the verdict, so the payload re-checks alone
+    payload = {"n": desc.n, "m": desc.m, "query": str(p), **result.to_json(desc.ring)}
     line = "member" if result.member else "not a member"
     return payload, [line]
 

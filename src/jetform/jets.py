@@ -930,12 +930,12 @@ def psi_specialize(p: Poly, h, desc: JetRingDesc) -> Poly:
     return PsiSpecialization(_witness_composition(_derivative_tuple(h, desc.n)), desc).apply(p)
 
 
-def _check_psi_kernel(spec: PsiSpecialization, gens=None) -> None:
-    """Raise InvariantViolationError unless psi sends every jet generator, of
-    `gens` or else all m+1, into I_S, which makes its nonzero normal forms
-    refusals: `symfun._image_nf` of each generator's cleared integer terms,
-    whose images are squarefree, must be empty."""
-    for i, g in enumerate(jet_generators(None, spec.desc) if gens is None else gens):
+def _check_psi_kernel(spec: PsiSpecialization, gens) -> None:
+    """Raise InvariantViolationError unless psi sends every jet generator of
+    `gens` into I_S, which makes its nonzero normal forms refusals:
+    `symfun._image_nf` of each generator's cleared integer terms, whose
+    images are squarefree, must be empty."""
+    for i, g in enumerate(gens):
         if _image_nf(spec._table, _clear_denominators(g.terms)[0].items(), spec.lam.ell):
             raise InvariantViolationError("psi of %r misses I_S at generator %d" % (spec.lam, i))
 

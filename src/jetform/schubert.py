@@ -23,7 +23,7 @@ from math import comb, factorial
 
 from .errors import DomainError, InvariantViolationError, _in_ring, _size
 from .polyring import Monomial, Packing, Poly, _parse_ints
-from .symfun import _normal_form, _packed_rules, _packing, _z_poly, normal_form_IS, zring
+from .symfun import _normal_form, _packing, _quotient, _z_poly, normal_form_IS, zring
 
 __all__ = [
     "Permutation",
@@ -238,7 +238,7 @@ def _schubert_inverse(ell: int) -> tuple[tuple[Permutation, ...], dict[int, dict
     order inverts it in integers: z^lead = rho(S_w) minus the other terms
     c * z^k of rho(S_w), each k below the lead and already expanded.
     """
-    packing, bump, _ = _packed_rules(ell)
+    packing, bump = _packing(ell), _quotient(ell).bump
     rows = _schubert_rows(ell, packing.shifts[::-1], packing.mask)
     perms = tuple(Permutation(w) for w in sorted(rows))
     by_lead: dict[int, int] = {}

@@ -16,11 +16,12 @@ polynomials of its blocks.
 
 The arithmetic of the quotient runs on integers, and no other module
 multiplies or reduces packed z-ring polynomials.  One packed route serves
-normal forms, powers, psi images and Schubert rows: keys by the one
-`polyring.Packing` of each z ring, `_packing(ell)`; reduction by
-`_reduce_packed`, which sums cached rows NF(z^a) of the monomials that
-recur, each made once by `_heap_reduce`, the one reduction kernel, and
-bounded by `ROW_TABLE_TERMS`; the way out by `_z_poly`.  `_normal_form`
+normal forms, powers, psi images and Schubert rows, on one record per z
+ring, `_quotient(ell)`: keys by its one `polyring.Packing`, `_packing(ell)`;
+reduction by `_reduce_packed`, which sums the record's rows NF(z^a) of the
+monomials that recur, each made once by `_heap_reduce`, the one reduction
+kernel, and bounded over all rings by `ROW_TABLE_TERMS`; the way out by
+`_z_poly`, through the record's interned Monomials.  `_normal_form`
 packs the queries of `normal_form_IS` and the Schubert expansion,
 `_image_nf` psi's images, and `_packed_powers`, the one power loop, gives
 `alambda.nilpotency_order` and the psi refusals their powers.  The
@@ -36,7 +37,6 @@ form keeps no integer form.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
@@ -163,7 +163,7 @@ def normal_form_IS(p: Poly, ell: int | None = None) -> Poly:
     Heap division on packed exponents (Monagan & Pearce, CASC 2007), with
     the rules z_i^i -> -(g_i - z_i^i) read off the Groebner basis: lex
     order is integer order and applying a rule is adding a fixed offset.
-    The normal form of a monomial met again is read from a table of rows.
+    The normal form of a monomial met again is read from its ring's rows.
     See `_normal_form` for why one packing per z ring suffices and which
     integers it reduces, `_reduce_packed` for the rows and `_heap_reduce`
     for the loop and its one-step rule dispatch.  The result keeps no
@@ -177,24 +177,16 @@ def normal_form_IS(p: Poly, ell: int | None = None) -> Poly:
 def _z_poly(terms: dict[int, int], denom: int, ell: int) -> Poly:
     """The Poly of the packed terms / denom in the z ring, the one way out of
     `_packing(ell)` for normal forms, psi refusals and Schubert polynomials;
-    its Monomials are read from the table of `_reduce_packed` or stored there.
+    its Monomials come from the record's interned `unpack`, so a monomial
+    that recurs across results is one object.
 
     `terms` has no zero, as `_reduce_packed` returns it, so the Poly is
     built by `Poly._from_ints` without keeping its integer form: callers
     keep normal forms, and a kept form on them read quotient `peak_rss_mb`
     33.1-33.2 MB against 31.5 MB without (+5.4%), and 3% slower."""
-    global _row_terms
-    monomials, unpack = _ROW_TABLE[ell][1], _packing(ell).unpack
-    out = {}
-    for key, c in terms.items():
-        mono = monomials.get(key)
-        if mono is None:
-            mono = unpack(key)
-            if _row_terms < ROW_TABLE_TERMS:
-                monomials[key] = mono
-                _row_terms += 1
-        out[mono] = c
-    return Poly._from_ints(zring(ell), out, denom)
+    quotient = _quotient(ell)
+    unpack = quotient.unpack
+    return Poly._from_ints(quotient.ring, {unpack(key): c for key, c in terms.items()}, denom)
 
 
 def _normal_form(p: Poly, ell: int, reverse: bool = False) -> tuple[dict[int, int], int]:
@@ -212,8 +204,8 @@ def _normal_form(p: Poly, ell: int, reverse: bool = False) -> tuple[dict[int, in
     exceeds the one packing's degree.
     """
     nums, denom = _integer_form(p)
-    top = ell * (ell - 1) // 2
-    pack = _packing(ell).pack
+    quotient = _quotient(ell)
+    top, pack = quotient.top, quotient.packing.pack
     terms = nums.items()
     if reverse:
         terms = ((m[::-1], c) for m, c in terms)
@@ -237,8 +229,8 @@ def _packed_powers(base: dict[int, int], denom: int, ell: int):
     holds at most 2(ell-1) < 2^width and the degree at most
     ell(ell-1) < 2^width - 1.  So every kept key fits the one packing.
     """
-    top = ell * (ell - 1) // 2
-    mask = _packing(ell).mask
+    quotient = _quotient(ell)
+    top, mask = quotient.top, quotient.packing.mask
     power, scale = base, denom
     while power:
         yield power, scale
@@ -273,30 +265,26 @@ def _image_nf(images, terms, ell: int) -> dict[int, int]:
     """The packed NF of `_packed_image(images, terms)`, empty iff that is in
     I_S, for images on `_packing(ell)` whose products are squarefree: a key's
     degree is its bit count, and keys above ell(ell-1)/2 are in I_S, dropped."""
-    top = ell * (ell - 1) // 2
+    top = _quotient(ell).top
     kept = {k: c for k, c in _packed_image(images, terms).items() if k.bit_count() <= top}
     return _reduce_packed(kept, ell)
 
 
 def _packing(ell: int) -> Packing:
     """The one packing of the ell-variable z ring, for degree ell(ell-1)/2."""
-    return _packed_rules(ell)[0]
+    return _quotient(ell).packing
 
 
-# The normal-form table, per ell: the packed NF(z^key) of monomials not
-# reduced, as `_reduce_packed` makes them, and the Monomial of each key
-# `_z_poly` has returned.  A row counts its terms plus one for its key,
-# so that rows of monomials in I_S count too, and a Monomial counts one;
-# nothing more is stored once the count passes ROW_TABLE_TERMS over every
-# ell.  An 18-second bench run, seed 1, counts 6,748 on the quotient
-# workload (ell <= 6: 682 rows of 5,896 terms and 170 Monomials, 319 kB
-# traced), 1,517 on expand (128 rows, 62 kB) and 144 on oracle (13 kB).
-# One row at ell >= 8 can hold thousands of terms; the first row past the
-# bound is used but not stored.
+# The normal-form rows bound, over every ell: a row, the packed NF(z^key)
+# of a monomial not reduced, as `_reduce_packed` makes it, counts its terms
+# plus one for its key, so that rows of monomials in I_S count too; no row
+# is stored once the count passes ROW_TABLE_TERMS.  An 18-second bench run,
+# seed 1, counts 6,578 on the quotient workload (ell <= 6: 682 rows of
+# 5,896 terms), 1,517 on expand (128 rows, 62 kB) and 144 on oracle
+# (13 kB).  One row at ell >= 8 can hold thousands of terms; the first row
+# past the bound is used but not stored.  Each ring's interned Monomials,
+# `_Quotient.unpack`, are bounded by the same number on their own.
 ROW_TABLE_TERMS = 16384
-_ROW_TABLE: defaultdict[int, tuple[dict[int, dict[int, int]], dict[int, Monomial]]] = (
-    defaultdict(lambda: ({}, {}))
-)
 _row_terms = 0
 
 
@@ -308,7 +296,8 @@ def _reduce_packed(pending: dict[int, int], ell: int) -> dict[int, int]:
     reduced monomials, so NF(z^key) is a fixed integer row, and the same
     monomials recur from call to call.  A reduced key, (key + bump) & guard
     = 0 as in `_heap_reduce`, is its own row; any other row is read from
-    the table above, or made by `_heap_reduce` from {key: 1} and stored.
+    the record's `rows`, or made by `_heap_reduce` from {key: 1} and stored
+    while the count above allows.
 
     A row made on its own shares no rewrite with the call's other misses,
     so a call makes at most as many rows as it found, or the row of its one
@@ -318,9 +307,8 @@ def _reduce_packed(pending: dict[int, int], ell: int) -> dict[int, int]:
     terms, takes 6 ms so and 354 ms with a row made for every miss.
     """
     global _row_terms
-    packing, bump, _ = _packed_rules(ell)
-    guard = packing.guard
-    rows = _ROW_TABLE[ell][0]
+    quotient = _quotient(ell)
+    bump, guard, rows = quotient.bump, quotient.packing.guard, quotient.rows
     out: dict[int, int] = {}
     get = out.get
     misses: dict[int, int] = {}
@@ -378,8 +366,8 @@ def _heap_reduce(pending: dict[int, int], ell: int) -> dict[int, int]:
     1), 6-7% fewer on expand (5,361 against 5,701) and as many on oracle
     (1,919).
     """
-    packing, bump, rules = _packed_rules(ell)
-    guard = packing.guard
+    quotient = _quotient(ell)
+    bump, guard, rules = quotient.bump, quotient.packing.guard, quotient.rules
     heap = [-key for key in pending]
     heapify(heap)
     reduced: dict[int, int] = {}
@@ -435,18 +423,30 @@ class _Rules(dict):
         return rule
 
 
-@lru_cache(maxsize=None)
-def _packed_rules(ell: int):
-    """(packing, bump, rules) of `_heap_reduce`: the `Packing` of the
-    ell-variable z ring for degree ell(ell-1)/2, made once per ell, with
-    its `_Rules`.
-
-    `bump` adds (guard bit) - i to the field of z_i; the guard bit's value
-    exceeds ell(ell-1)/2 >= ell - 1, so the bump is >= 0 and never carries
-    an exponent out of its field.
+class _Quotient:
+    """k[z_1..z_ell]/I_S as the packed routes read it, made once per ell by
+    `_quotient`: the z ring; top = ell(ell-1)/2, where the quotient stops;
+    the one `Packing`, for degree top; `bump`, which adds (guard bit) - i
+    to the field of z_i, and is >= 0 and carries nothing out of a field, as
+    the guard bit's value exceeds top >= ell - 1; the lazy `_Rules` of
+    `_heap_reduce`; the normal-form `rows` of `_reduce_packed`; and the
+    packing's `unpack`, interned for `_z_poly` by an LRU of ROW_TABLE_TERMS
+    keys, so that a recurring key gives one Monomial.
     """
-    packing = Packing(ell, ell * (ell - 1) // 2)
-    return packing, packing.guard - packing.pack(range(1, ell + 1)), _Rules(packing)
+
+    __slots__ = ("ring", "top", "packing", "bump", "rules", "rows", "unpack")
+
+    def __init__(self, ell: int):
+        self.ring = zring(ell)
+        self.top = ell * (ell - 1) // 2
+        self.packing = packing = Packing(ell, self.top)
+        self.bump = packing.guard - packing.pack(range(1, ell + 1))
+        self.rules = _Rules(packing)
+        self.rows: dict[int, dict[int, int]] = {}
+        self.unpack = lru_cache(maxsize=ROW_TABLE_TERMS)(packing.unpack)
+
+
+_quotient = lru_cache(maxsize=None)(_Quotient)
 
 
 def in_IS(p: Poly) -> bool:

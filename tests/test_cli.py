@@ -121,6 +121,21 @@ def test_member_certificate_schema(capsys):
     assert doc["payload"]["combination"] is None
 
 
+def test_member_payload_says_what_it_answered(capsys):
+    # n, m and the query ride along with the verdict; the query re-parses to
+    # the Poly that was decided, and the verdict's own keys are as before
+    for text, n, m in [("x1_0*x2_1 + x1_1*x2_0", 2, 1), ("1/2*x1_1^2 - x2_0*x1_2", 2, 2)]:
+        code, doc = run_json(capsys, ["member", text, "--n", str(n), "--m", str(m)])
+        assert code == 0
+        payload = doc["payload"]
+        assert (payload.pop("n"), payload.pop("m")) == (n, m)
+        desc = jetform.JetRingDesc(n, m)
+        query = parse_poly(desc.ring, payload.pop("query"))
+        assert query == parse_poly(desc.ring, text)
+        gens = jetform.jet_generators(None, desc)
+        assert payload == jetform.homogeneous_membership(query, gens).to_json(desc.ring)
+
+
 def test_min_degree(capsys):
     code, doc = run_json(capsys, ["min-degree", "--h", "1,1"])
     assert code == 0

@@ -83,11 +83,11 @@ def test_z_ring_packing_keys_fit_one_cpython_digit(ell):
 
 def test_each_z_ring_has_one_packing():
     # normal forms, nilpotency orders, psi refusals, expansions and Schubert
-    # polynomials all take the one packing of their z ring: one cached entry
-    # per ell
+    # polynomials all take the one packing of their z ring: one cached
+    # record per ell
     from jetform import symfun
 
-    symfun._packed_rules.cache_clear()
+    symfun._quotient.cache_clear()
     for ell in range(1, 7):
         ring = jetform.zring(ell)
         jetform.normal_form_IS(ring.var(0) ** ell)
@@ -97,14 +97,14 @@ def test_each_z_ring_has_one_packing():
         jetform.nilpotency_order(jetform.block_sigma(lam, 1, 1), lam, 1)
     for h in [(1,), (1, 1), (2, 1), (2, 2)]:
         jetform.min_degree_search(h)
-    assert symfun._packed_rules.cache_info().currsize == 6
+    assert symfun._quotient.cache_info().currsize == 6
 
 
 def test_only_symfun_reduces_packed_polynomials():
     # `_reduce_packed` and `_heap_reduce` are named in `symfun` alone, and
     # `alambda` takes its powers from `symfun._nf_powers`, not from the
     # packed kernels
-    privates = {"_heap_reduce", "_normal_form", "_packed_rules", "_packing", "_reduce_packed"}
+    privates = {"_heap_reduce", "_normal_form", "_packing", "_quotient", "_reduce_packed"}
     for name in MODULES:
         tree = ast.parse(Path(jetform.__file__).with_name(name + ".py").read_text())
         named = set()
@@ -120,6 +120,20 @@ def test_only_symfun_reduces_packed_polynomials():
         if name == "alambda":
             assert "_nf_powers" in named
             assert not named & privates, named & privates
+
+
+def test_only_the_row_count_is_a_mutated_global():
+    # the z rings' state lives in their `symfun._quotient` records; the one
+    # `global` statement in the package is `_reduce_packed`'s, for the row
+    # count that bounds every ring's rows together
+    statements, owners = [], []
+    for name in MODULES:
+        tree = ast.parse(Path(jetform.__file__).with_name(name + ".py").read_text())
+        statements += [node.names for node in ast.walk(tree) if isinstance(node, ast.Global)]
+        owners += [(name, func.name) for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+                   and any(isinstance(node, ast.Global) for node in func.body)]
+    assert statements == [["_row_terms"]]
+    assert owners == [("symfun", "_reduce_packed")]
 
 
 def test_schubert_span_is_keyed_by_packed_ints():

@@ -845,6 +845,33 @@ def test_wrong_coefficient_from_the_span_raises(monkeypatch, order, message):
         homogeneous_membership(query, gens)
 
 
+def test_certificate_refuses_a_multiplier_one_field_unit_off(monkeypatch):
+    # a span entry whose packed multiplier M is one unit of the last field
+    # off, as a borrowed or overflowed field leaves it, unpacks to a
+    # multiplier without its generator's multiplier degree; the certificate
+    # refuses it while it walks the span's combination, before every entry
+    # is taken, not only at the residual
+    x, y, z = zring(3).gens()
+    gens = [x**2 + y * z, y**2 + x * z]
+    query = x * gens[0] + (z * gens[1]).scale(2)
+    assert homogeneous_membership(query, gens).member
+    reduce = ExactSpan.reduce
+
+    def off_by_one(self, row):
+        comb, scale = reduce(self, row)
+        gi, mult = max(comb)
+        comb[gi, mult + 1] = comb.pop((gi, mult))
+        return comb, scale
+
+    monkeypatch.setattr(ExactSpan, "reduce", off_by_one)
+    message = "membership certificate failed re-expansion"
+    with pytest.raises(InvariantViolationError, match=message) as info:
+        homogeneous_membership(query, gens)
+    frame = info.traceback[-1]
+    assert frame.name == "_certificate"
+    assert len(frame.locals["triples"]) < len(frame.locals["comb"])
+
+
 def _g0_with_a_denominator():
     """g_0 = x*y/3 and g_1 = x^2 + z^2, and the member x^2*g_1 + 18*z^2*g_0:
     the span holds rows of two terms, such as x^2*g_1, and the unit rows
@@ -1303,7 +1330,7 @@ def test_psi_kernel_contains_jet_generators():
     for n, m in itertools.product(range(1, 5), range(5)):
         desc = JetRingDesc(n, m)
         for lam in compositions(m + 1, n):
-            jets._check_psi_kernel(PsiSpecialization(lam, desc))
+            jets._check_psi_kernel(PsiSpecialization(lam, desc), jet_generators(None, desc))
 
 
 def test_psi_witness_power_is_nonzero():
@@ -1399,7 +1426,7 @@ def test_min_degree_search_rejects_psi_that_misses_a_generator(monkeypatch):
     z1, z2, z3 = spec.target.gens()
     assert spec.apply(desc.var(1, 0)) == z1 * z2 + z3
     with pytest.raises(InvariantViolationError):
-        jets._check_psi_kernel(spec)
+        jets._check_psi_kernel(spec, jet_generators(None, desc))
     with pytest.raises(InvariantViolationError):
         min_degree_search((1, 1))
 
@@ -1549,7 +1576,7 @@ def test_every_psi_witness_rechecks_from_its_json_alone():
         for d, refusal in min_degree_search(h).refusals.items():
             witness = json.loads(json.dumps(refusal.to_json(desc.ring)))["witness"]
             spec = PsiSpecialization(witness["lambda"], desc)
-            jets._check_psi_kernel(spec)
+            jets._check_psi_kernel(spec, jet_generators(None, desc))
             nf = normal_form_IS(spec.apply(mono**d))
             assert not nf.is_zero()
             assert nf == parse_poly(spec.target, witness["normal_form"]), (h, d)
@@ -1557,7 +1584,7 @@ def test_every_psi_witness_rechecks_from_its_json_alone():
 
 def test_budget_estimate_tracks_traced_peak_memory():
     h = (2, 2)
-    min_degree_search(h)  # fill the lru caches, such as _jet_ring and _packed_rules, untraced
+    min_degree_search(h)  # fill the lru caches, such as _jet_ring and _quotient, untraced
     budget = Budget(None)
     tracemalloc.start()
     try:

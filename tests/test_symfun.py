@@ -1,7 +1,6 @@
-from collections import defaultdict
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 
 import pytest
 from hypothesis import given
@@ -720,22 +719,21 @@ def test_nf_powers_are_the_normal_forms_of_the_powers(ell):
 
 @contextmanager
 def _empty_row_table():
-    """Run with an empty `_reduce_packed` row table, then put the old one back."""
-    saved = symfun._ROW_TABLE, symfun._row_terms
-    symfun._ROW_TABLE, symfun._row_terms = defaultdict(lambda: ({}, {})), 0
+    """Run with fresh `_quotient` records, so no row stored and none
+    counted, then drop them and the count again: no row made inside is
+    seen outside."""
+    symfun._quotient.cache_clear()
+    symfun._row_terms = 0
     try:
-        yield symfun._ROW_TABLE
+        yield
     finally:
-        symfun._ROW_TABLE, symfun._row_terms = saved
+        symfun._quotient.cache_clear()
+        symfun._row_terms = 0
 
 
-def _stored_terms(table) -> int:
-    """The table's count: each row's terms plus one for its key, and one
-    for each Monomial."""
-    count = 0
-    for rows, monomials in table.values():
-        count += sum(len(row) + 1 for row in rows.values()) + len(monomials)
-    return count
+def _stored_terms(rows) -> int:
+    """The count of one record's rows: each row's terms plus one for its key."""
+    return sum(len(row) + 1 for row in rows.values())
 
 
 @st.composite
@@ -773,10 +771,9 @@ def test_rules_are_made_on_first_use():
     # NF(z1) at ell = 12 needs only g_1's rule, z1 -> -(z2 + ... + z12);
     # the other eleven rules, 4,072 terms, are never made
     ring = zring(12)
-    symfun._packed_rules.cache_clear()
     with _empty_row_table():
         assert normal_form_IS(ring.var(0)) == -sum(ring.gens()[1:], ring.zero())
-    rules = symfun._packed_rules(12)[2]
+        rules = symfun._quotient(12).rules
     assert [len(rule) for rule in rules.values()] == [11]
 
 
@@ -784,7 +781,7 @@ def test_lazy_rules_are_the_groebner_basis_rules():
     # a rule stores packed offsets only, each taken with coefficient -1,
     # which holds because every coefficient of every g_i is 1
     for ell in range(1, 8):
-        packing, _, rules = symfun._packed_rules(ell)
+        packing, rules = symfun._quotient(ell).packing, symfun._quotient(ell).rules
         pack = packing.pack
         for g, s in zip(groebner_basis_IS(ell), packing.shifts):
             assert set(g.terms.values()) == {1}
@@ -798,47 +795,75 @@ def test_lazy_rules_are_the_groebner_basis_rules():
 def test_reduced_monomials_are_their_own_rows():
     # a reduced key is its own normal form: it is never stored, nor counted
     ell = 4
-    packing, bump, _ = symfun._packed_rules(ell)
-    pack = packing.pack
-    with _empty_row_table() as table:
+    with _empty_row_table():
+        quotient = symfun._quotient(ell)
+        pack = quotient.packing.pack
         reduced = {pack((0, 1, 2, 3)): 5, pack((0, 0, 1, 0)): -2}
         assert symfun._reduce_packed(dict(reduced), ell) == reduced
         assert symfun._reduce_packed({pack((0, 1, 2, 3)): 1}, ell) == {pack((0, 1, 2, 3)): 1}
-        assert not table[ell][0] and symfun._row_terms == 0
+        assert not quotient.rows and symfun._row_terms == 0
         symfun._reduce_packed({pack((0, 3, 0, 0)): 1}, ell)
-        assert list(table[ell][0]) == [pack((0, 3, 0, 0))]
-        assert all((key + bump) & packing.guard for key in table[ell][0])
+        assert list(quotient.rows) == [pack((0, 3, 0, 0))]
+        assert all((key + quotient.bump) & quotient.packing.guard for key in quotient.rows)
 
 
 def test_row_table_stops_at_its_term_bound():
     # one-term calls at ell = 7, each a lone miss that makes its row, flood
     # the table past ROW_TABLE_TERMS; the row that does not fit, and every
-    # miss after it, is used but not stored, no Monomial is stored past the
-    # bound, and each answer stays right
+    # miss after it, is used but not stored, and each answer stays right
     ell = 7
     pack = symfun._packing(ell).pack
     keys = [pack(e) for e in product(range(4), repeat=ell) if sum(e) == 10]
-    with _empty_row_table() as table:
-        rows, monomials = table[ell]
+    with _empty_row_table():
+        rows = symfun._quotient(ell).rows
         full = None
         for i, key in enumerate(keys):
             assert symfun._reduce_packed({key: 2}, ell) == symfun._heap_reduce({key: 2}, ell)
-            assert _stored_terms(table) <= symfun.ROW_TABLE_TERMS
+            assert _stored_terms(rows) <= symfun.ROW_TABLE_TERMS
             if full is None and symfun._row_terms > symfun.ROW_TABLE_TERMS:
                 full = i
             elif full is not None and i > full + 50:
                 break
         assert full is not None
         assert all(key not in rows for key in keys[full:i + 1])
-        assert _stored_terms(table) > symfun.ROW_TABLE_TERMS - 1000
+        assert _stored_terms(rows) > symfun.ROW_TABLE_TERMS - 1000
         # a call mixing stored rows and misses past the bound still sums right
         mixed = {key: c for c, key in enumerate(keys[full - 20:full + 20], 1)}
         assert symfun._reduce_packed(dict(mixed), ell) == symfun._heap_reduce(dict(mixed), ell)
-        assert not monomials
         unpack = symfun._packing(ell).unpack
         p = Poly(zring(ell), {unpack(key): Fraction(c) for key, c in mixed.items()})
         assert normal_form_IS(p) == _division_nf(p, ell)
-        assert not monomials and _stored_terms(table) <= symfun.ROW_TABLE_TERMS
+        assert _stored_terms(rows) <= symfun.ROW_TABLE_TERMS
+
+
+def test_normal_forms_share_their_monomials():
+    # `_z_poly` interns: a monomial in two normal forms is one object, made
+    # by the record's `unpack`, not taken from the input
+    ring = zring(4)
+    z1, z2, _, z4 = ring.gens()
+    z2_mono = Monomial((0, 1, 0, 0))
+    with _empty_row_table():
+        first = normal_form_IS(z1)  # -(z2 + z3 + z4)
+        second = normal_form_IS(z2 + z4**2)
+        (m1,) = [m for m in first.terms if m == z2_mono]
+        (m2,) = [m for m in second.terms if m == z2_mono]
+        assert m1 is m2
+        assert m2 is not next(iter(z2.terms))
+
+
+def test_interned_monomials_stop_at_their_bound():
+    # more distinct keys than ROW_TABLE_TERMS through `_z_poly` at ell = 7:
+    # the interning keeps at most that many, and every Poly stays right
+    ell = 7
+    exps = list(islice(product(range(5), repeat=ell), symfun.ROW_TABLE_TERMS + 2000))
+    with _empty_row_table():
+        pack = symfun._packing(ell).pack
+        for start in range(0, len(exps), 1000):
+            chunk = {Monomial(e): i for i, e in enumerate(exps[start:start + 1000], start + 1)}
+            got = symfun._z_poly({pack(m): c for m, c in chunk.items()}, 3, ell)
+            assert got.terms == {m: Fraction(c, 3) for m, c in chunk.items()}
+            assert symfun._quotient(ell).unpack.cache_info().currsize <= symfun.ROW_TABLE_TERMS
+        assert symfun._quotient(ell).unpack.cache_info().currsize == symfun.ROW_TABLE_TERMS
 
 
 def test_row_table_hands_out_no_cache():
