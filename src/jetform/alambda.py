@@ -11,7 +11,6 @@ polynomials, and computes nilpotency orders of block-supported classes.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 
@@ -90,7 +89,7 @@ def basis_polys(lam: Composition) -> list[Poly]:
     ring = zring(lam.ell)
     order = prod(factorial(part) for part in lam.parts)
     return [
-        sym_lambda_average(Poly(ring, {Monomial(d): Fraction(1)}), lam).scale(order)
+        sym_lambda_average(Poly(ring, {Monomial(d): 1}), lam).scale(order)
         for d in exps
     ]
 
@@ -110,18 +109,18 @@ def nilpotency_order(p: Poly, lam: Composition, block: int) -> int:
     ell = lam.ell
     _in_ring(p, zring(ell), "polynomial")
     block_vars = set(lam.block(block))
-    for mono in p.terms:
+    for mono in p.nums:
         support = {i for i, e in enumerate(mono) if e}
         if not support <= block_vars:
             raise DomainError("polynomial is not supported on block %d" % block)
     # supported on the block, p is trivially symmetric in every other block
     if not is_lambda_symmetric(p, lam):
         raise DomainError("polynomial is not symmetric within block %d" % block)
-    if p.constant_term() != 0:
+    if p.ring.one_monomial() in p.nums:
         raise DomainError("polynomial must have zero constant term")
 
     lam_i = lam.parts[block - 1]
-    bound = (lam_i * (ell - lam_i)) // min(map(sum, p.terms), default=1) + 1
+    bound = (lam_i * (ell - lam_i)) // min(map(sum, p.nums), default=1) + 1
     nonzero = sum(1 for _ in itertools.islice(_nf_powers(p, ell), bound))
     if nonzero == bound:
         raise InvariantViolationError("no zero power by the certified bound %d" % bound)

@@ -70,8 +70,7 @@ from .errors import (
 )
 from .linalg import Budget, ExactSpan, integer_nullspace
 from .polyring import (
-    Monomial, Packing, Poly, Ring, _clear_denominators, _series_coefficients, format_monomial,
-    format_poly,
+    Monomial, Packing, Poly, Ring, _series_coefficients, format_monomial, format_poly,
 )
 from .symfun import Composition, _block_sigmas, _image_nf, _packed_image, _packed_powers, _packing
 from .symfun import _z_poly, zring
@@ -165,7 +164,7 @@ def derivative_monomial(h, desc: JetRingDesc) -> Poly:
     exps = [0] * desc.ring.nvars
     for i, hi in enumerate(h, start=1):
         exps[desc.slot(i, hi)] += 1
-    return Poly(desc.ring, {Monomial(tuple(exps)): Fraction(1)})
+    return Poly(desc.ring, {Monomial(exps): 1})
 
 
 def jet_generators(gens, desc: JetRingDesc) -> list[Poly]:
@@ -181,7 +180,7 @@ def jet_generators(gens, desc: JetRingDesc) -> list[Poly]:
     base = desc.base_ring
     if gens is None:
         mono = Monomial((1,) * desc.n)
-        gens = [Poly(base, {mono: Fraction(1)})]
+        gens = [Poly(base, {mono: 1})]
     ring = desc.ring
     m = desc.m
     series = [range(desc.slot(i, 0), desc.slot(i, m) + 1) for i in range(1, desc.n + 1)]
@@ -189,12 +188,12 @@ def jet_generators(gens, desc: JetRingDesc) -> list[Poly]:
     for g in gens:
         _in_ring(g, base, "generator")
         coeffs: list[dict] = [{} for _ in range(m + 1)]
-        for mono, c in g.terms.items():
+        for mono, c in g.nums.items():
             factors = [series[i] for i, e in enumerate(mono) for _ in range(e)]
             # distinct base terms have distinct block degrees, so their jet terms never meet
             for acc, terms in zip(coeffs, _series_coefficients(ring.nvars, factors, m)):
                 acc.update((Monomial(exps), c * v) for exps, v in terms.items())
-        out.extend(Poly(ring, terms) for terms in coeffs)
+        out.extend(Poly._from_ints(ring, terms, g.denom) for terms in coeffs)
     return out
 
 
@@ -320,11 +319,12 @@ class MembershipResult:
             _in_ring(g, p.ring, "generator %d" % i)
         if not self.member:
             return False
+        gen_terms = [g.terms for g in gens]
         terms: dict[Monomial, Fraction] = {}
         for gi, mono, coeff in self.combination:
             if not 0 <= gi < len(gens) or len(mono) != p.ring.nvars or min(mono, default=0) < 0:
                 return False
-            for m, c in gens[gi].terms.items():
+            for m, c in gen_terms[gi].items():
                 key = m * mono
                 terms[key] = terms.get(key, 0) + c * coeff
         return Poly(p.ring, terms) == p
@@ -354,7 +354,7 @@ def _common_gradings(polys: list[Poly], nvars: int) -> list[tuple[int, ...]]:
     """
     rows = []
     for p in polys:
-        monos = list(p.terms)
+        monos = list(p.nums)
         rows.extend([e - b for e, b in zip(mono, monos[0])] for mono in monos[1:])
     return integer_nullspace(rows, nvars)
 
@@ -469,7 +469,7 @@ def _packed_multipliers(degree: int, gradings, targets, shifts, budget=None) -> 
 
 
 def _weight_of(poly: Poly, weights) -> int:
-    mono = next(iter(poly.terms))
+    mono = next(iter(poly.nums))
     return sum(w * e for w, e in zip(weights, mono))
 
 
@@ -650,9 +650,9 @@ def _solve_membership(p, gens, usable, gradings, span, filtered) -> tuple:
 
     Monomials are packed by a `Packing` for deg p: every monomial of the
     component has total degree deg p, so no exponent exceeds it.  Returns
-    the packing, {generator index: (row, d)}, the row its generator times
-    the lcm d of its denominators, keyed by packed monomials, and the unit
-    table, keyed by negated packed monomials; the span holds M*row negated,
+    the packing, {generator index: (row, d)}, the row its generator's
+    numerators over its denominator d, keyed by packed monomials, and the
+    unit table, keyed by negated packed monomials; the span holds M*row negated,
     less the dropped columns, labelled (generator index, packed M).
     """
     degree = p.total_degree()
@@ -673,8 +673,10 @@ def _solve_membership(p, gens, usable, gradings, span, filtered) -> tuple:
             _packed_multipliers(mult_degree, gradings, wanted, packing.shifts, span.budget)
         )
     last_user = {t: gi for gi, t in targets.items()}
-    cleared = {gi: _clear_denominators(gens[gi].terms) for gi in usable}
-    cleared = {gi: ({packing.pack(m): v for m, v in t.items()}, d) for gi, (t, d) in cleared.items()}
+    cleared = {
+        gi: ({packing.pack(m): v for m, v in gens[gi].nums.items()}, gens[gi].denom)
+        for gi in usable
+    }
     # a lead divides a multiplier only if no grading without negative
     # entries weighs it more, nor does the total degree
     bounds = [
@@ -730,11 +732,11 @@ def _certificate(p: Poly, gens, span, packing: Packing, cleared: dict, filtered,
     """None for a p outside `span`, else p's certificate, re-expanded
     against p, as sorted (generator index, multiplier, coefficient) triples.
 
-    The half of the oracle that reads p: p is cleared and packed once, its
-    terms at g_0's columns and at the columns of `units`, the unit table of
+    The half of the oracle that reads p: p's numerators are packed once,
+    those at g_0's columns and at the columns of `units`, the unit table of
     `_solve_membership`, dropped and the rest, negated, reduced by `span`.
-    The residual s*p - sum of c*M*row, s = scale times the lcm of p's
-    denominators, is formed from the same packed terms.  Each entry is
+    The residual s*p - sum of c*M*row, s = scale times p's denominator, is
+    formed from the same packed terms.  Each entry is
     unpacked once, for its triple, with coefficient c*d/s, and its
     multiplier must have its generator's multiplier degree; a field that
     borrowed or overflowed unpacks to more than that, so this is also the
@@ -748,8 +750,7 @@ def _certificate(p: Poly, gens, span, packing: Packing, cleared: dict, filtered,
     coefficient, so a wrong one is left in the residual.  What is left, all
     of the residual if `filtered` is None, must be zero.
     """
-    terms, denom = _clear_denominators(p.terms)
-    terms = {packing.pack(m): v for m, v in terms.items()}
+    terms = {packing.pack(m): v for m, v in p.nums.items()}
     query = {-k: v for k, v in terms.items() if -k not in units}
     if filtered is not None:
         ((g0, a),) = cleared[filtered][0].items()
@@ -761,7 +762,7 @@ def _certificate(p: Poly, gens, span, packing: Packing, cleared: dict, filtered,
     degree = p.total_degree()
     mult_degree = {gi: degree - gens[gi].total_degree() for gi in cleared}
     residual = {k: v * scale for k, v in terms.items()}
-    scale *= denom
+    scale *= p.denom
     triples = []
 
     def take(gi, mult, mono, c):
@@ -840,7 +841,7 @@ def homogeneous_membership(
         return MembershipResult(True, None, [])
     degree = p.total_degree()
     usable = [i for i, g in enumerate(gens) if g.total_degree() <= degree]
-    filtered = usable[0] if usable and len(gens[usable[0]].terms) == 1 else None
+    filtered = usable[0] if usable and len(gens[usable[0]].nums) == 1 else None
     gradings = _common_gradings([gens[i] for i in usable] + [p], p.ring.nvars)
     span = ExactSpan(budget=budget)
     packing, cleared, units = _solve_membership(p, gens, usable, gradings, span, filtered)
@@ -906,15 +907,16 @@ class PsiSpecialization:
         self._table = [
             keys
             for sigmas in _block_sigmas(self.lam, self.target)
-            for keys in ([list(map(pack, s.terms)) for s in sigmas[::-1]] + [[0]] + [[]] * cut)[:cut]
+            for keys in ([list(map(pack, s.nums)) for s in sigmas[::-1]] + [[0]] + [[]] * cut)[:cut]
         ]
 
     def apply(self, p: Poly) -> Poly:
         degree = _in_ring(p, self.desc.ring, "polynomial").total_degree()
         narrow, wide = _packing(self.target.nvars), Packing(self.target.nvars, degree or 1)
         table = [[wide.pack(narrow.unpack(k)) for k in keys] for keys in self._table]
-        image = _packed_image(table, p.terms.items())
-        return Poly(self.target, {wide.unpack(k): c for k, c in image.items()})
+        image = _packed_image(table, p.nums.items())
+        nums = {wide.unpack(k): c for k, c in image.items() if c}
+        return Poly._from_ints(self.target, nums, p.denom)
 
 
 def _witness_composition(h) -> Composition:
@@ -933,10 +935,10 @@ def psi_specialize(p: Poly, h, desc: JetRingDesc) -> Poly:
 def _check_psi_kernel(spec: PsiSpecialization, gens) -> None:
     """Raise InvariantViolationError unless psi sends every jet generator of
     `gens` into I_S, which makes its nonzero normal forms refusals:
-    `symfun._image_nf` of each generator's cleared integer terms, whose
+    `symfun._image_nf` of each generator's integer numerators, whose
     images are squarefree, must be empty."""
     for i, g in enumerate(gens):
-        if _image_nf(spec._table, _clear_denominators(g.terms)[0].items(), spec.lam.ell):
+        if _image_nf(spec._table, g.nums.items(), spec.lam.ell):
             raise InvariantViolationError("psi of %r misses I_S at generator %d" % (spec.lam, i))
 
 
@@ -1032,7 +1034,7 @@ def _psi_normal_forms(spec: PsiSpecialization, mono: Poly, gens):
     `symfun._packed_powers` of mono's packed image, by `symfun._image_nf`."""
     _check_psi_kernel(spec, gens)
     ell = spec.lam.ell
-    nums, denom = _clear_denominators(mono.terms)
-    for terms, scale in _packed_powers(_image_nf(spec._table, nums.items(), ell), denom, ell):
+    image = _image_nf(spec._table, mono.nums.items(), ell)
+    for terms, scale in _packed_powers(image, mono.denom, ell):
         yield _z_poly(terms, scale, ell)
     yield from itertools.repeat(spec.target.zero())

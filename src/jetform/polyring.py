@@ -1,11 +1,12 @@
 """Sparse multivariate polynomials over exact rationals.
 
 A `Ring` is just an ordered tuple of variable names.  Polynomials are
-immutable sparse maps Monomial -> Fraction with no zero coefficients stored,
-in construction order; `format_poly` prints terms in descending lex.  Two
-polynomials are equal iff their term maps (and rings) are equal.  Whether
-a polynomial lies in the ring an operation needs, the operands of `+`,
-`-` and `*` included, is checked by `errors._in_ring` alone.  The
+immutable sparse maps Monomial -> nonzero int, in construction order, over
+one positive denominator; `.terms` reads them as Monomial -> Fraction and
+`format_poly` prints them in descending lex.  Two polynomials are equal iff
+their rings and term values are, whatever denominators they carry.
+Whether a polynomial lies in the ring an operation needs, the operands of
+`+`, `-` and `*` included, is checked by `errors._in_ring` alone.  The
 monomial order is lexicographic with the first ring variable most
 significant, which is the order every quotient computation here relies on.
 
@@ -98,7 +99,7 @@ class Ring:
         """The variable with 0-based index `i` as a polynomial."""
         exps = [0] * self.nvars
         exps[_size(i, "variable index", 0, self.nvars - 1)] = 1
-        return Poly(self, {Monomial(tuple(exps)): Fraction(1)})
+        return Poly(self, {Monomial(exps): 1})
 
     def gens(self) -> list[Poly]:
         return [self.var(i) for i in range(self.nvars)]
@@ -106,8 +107,7 @@ class Ring:
     def from_terms(self, terms: Mapping[tuple[int, ...] | "Monomial", object]) -> Poly:
         fixed = {}
         for mono, coeff in terms.items():
-            if not isinstance(mono, Monomial):
-                mono = self.monomial(mono)
+            mono = self.monomial(mono)
             fixed[mono] = fixed.get(mono, Fraction(0)) + Fraction(coeff)
         return Poly(self, fixed)
 
@@ -198,111 +198,104 @@ class Packing:
 
 
 class Poly:
-    """Immutable sparse polynomial: Monomial -> Fraction, no zeros stored.
+    """Immutable sparse polynomial: integer numerators `nums`, Monomial ->
+    nonzero int in construction order, over one denominator `denom` > 0.
 
-    Terms iterate in construction order; `format_poly` prints them in
-    descending lex.  The public constructor drops zero coefficients;
-    `_from_ints` takes integer numerators that are already zero-free.
-
-    A Poly is immutable: nothing assigns to `terms` or mutates the dict
-    after construction.  That is what lets a Poly keep, in `_ints`, the
-    (integer numerators by Monomial, denominator) it was built from, which
-    `_integer_form` hands out in place of clearing the Fractions again;
-    changed terms would leave it stale.  Only `sym_lambda_average` keeps
-    one, for the normal form that reads it.
+    The public constructor takes Monomial -> int or Fraction and clears it
+    once, over the lcm of its denominators; `_from_ints` takes numerators
+    that are already zero-free and keeps them, with no Fraction made.  Every
+    operation works on the integers.  Equal Polys may carry different
+    denominators, as d*p over d, so `==` cross-multiplies.  `terms`, the
+    Monomial -> Fraction view, is built afresh on each read; nothing
+    mutates `nums` after construction.
     """
 
-    __slots__ = ("ring", "terms", "_hash", "_ints")
+    __slots__ = ("ring", "nums", "denom", "_hash")
 
     def __init__(self, ring: Ring, terms: Mapping[Monomial, Fraction]):
         self.ring = ring
-        self.terms = {m: c for m, c in terms.items() if c}
+        try:
+            self.nums, self.denom = _clear_denominators(terms)
+        except AttributeError:  # a float or a str has no .denominator
+            kinds = {type(c).__name__ for c in terms.values() if not hasattr(c, "denominator")}
+            raise DomainError(
+                "coefficients must be ints or Fractions, not %s" % ", ".join(sorted(kinds))
+            ) from None
         self._hash = None
-        self._ints = None
 
     @classmethod
-    def _from_ints(
-        cls, ring: Ring, nums: dict[Monomial, int], denom: int, keep: bool = False
-    ) -> "Poly":
-        """The Poly with terms nums[m] / denom, for `nums` with no zero value
-        and denom > 0, kept as its integer form when `keep` is set.
-
-        No zero filter runs.  The values repeat, so one Fraction is made per
-        distinct numerator and shared by its terms, Fractions being
-        immutable.
-        """
+    def _from_ints(cls, ring: Ring, nums: dict[Monomial, int], denom: int) -> "Poly":
+        """The Poly nums[m] / denom, owning `nums`, which has no zero value,
+        for denom > 0; no zero filter runs and no Fraction is made."""
         p = cls.__new__(cls)
-        p.ring = ring
-        shared = {n: Fraction(n, denom) for n in set(nums.values())}
-        p.terms = {m: shared[n] for m, n in nums.items()}
-        p._hash = None
-        p._ints = (nums, denom) if keep else None
+        p.ring, p.nums, p.denom, p._hash = ring, nums, denom, None
         return p
+
+    @property
+    def terms(self) -> dict[Monomial, Fraction]:
+        """Monomial -> Fraction in construction order, a new dict per read."""
+        denom = self.denom
+        return {m: Fraction(n, denom) for m, n in self.nums.items()}
 
     # -- basic queries ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def total_degree(self) -> int | None:
         """Maximal term degree, or None for the zero polynomial."""
-        if not self.terms:
+        if not self.nums:
             return None
-        return max(m.deg for m in self.terms)
+        return max(m.deg for m in self.nums)
 
     def is_homogeneous(self) -> bool:
-        degs = {m.deg for m in self.terms}
+        degs = {m.deg for m in self.nums}
         return len(degs) <= 1
 
     def constant_term(self) -> Fraction:
-        one = self.ring.one_monomial()
-        return self.terms.get(one, Fraction(0))
+        return Fraction(self.nums.get(self.ring.one_monomial(), 0), self.denom)
 
     def leading(self) -> tuple[Monomial, Fraction]:
         """The lex-largest term, first ring variable most significant."""
-        if not self.terms:
+        if not self.nums:
             raise DomainError("zero polynomial has no leading term")
-        m = max(self.terms)
-        return m, self.terms[m]
+        m = max(self.nums)
+        return m, Fraction(self.nums[m], self.denom)
 
     def min_degree(self) -> int | None:
         """Minimal term degree, or None for the zero polynomial."""
-        if not self.terms:
+        if not self.nums:
             return None
-        return min(m.deg for m in self.terms)
+        return min(m.deg for m in self.nums)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
         _in_ring(other, self.ring, "operand")
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return Poly(self.ring, out)
+        return Poly._from_ints(self.ring, *_accumulate(dict(self.nums), self.denom, other, 1))
 
     def __sub__(self, other: "Poly") -> "Poly":
         _in_ring(other, self.ring, "operand")
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) - c
-        return Poly(self.ring, out)
+        return Poly._from_ints(self.ring, *_accumulate(dict(self.nums), self.denom, other, -1))
 
     def __neg__(self) -> "Poly":
-        return Poly(self.ring, {m: -c for m, c in self.terms.items()})
+        return Poly._from_ints(self.ring, {m: -n for m, n in self.nums.items()}, self.denom)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         _in_ring(other, self.ring, "operand")
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        out: dict[Monomial, int] = {}
+        right = other.nums.items()
+        for m1, c1 in self.nums.items():
+            for m2, c2 in right:
                 m = m1 * m2
                 out[m] = out.get(m, 0) + c1 * c2
-        return Poly(self.ring, out)
+        nums = {m: c for m, c in out.items() if c}
+        return Poly._from_ints(self.ring, nums, self.denom * other.denom)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -313,7 +306,9 @@ class Poly:
         c = Fraction(c)
         if c == 0:
             return self.ring.zero()
-        return Poly(self.ring, {m: c * v for m, v in self.terms.items()})
+        num = c.numerator
+        nums = {m: n * num for m, n in self.nums.items()}
+        return Poly._from_ints(self.ring, nums, self.denom * c.denominator)
 
     def __pow__(self, e: int) -> "Poly":
         """self**e by square-and-multiply."""
@@ -327,11 +322,13 @@ class Poly:
                 base = base * base
         return result
 
-    def mul_monomial(self, mono: Monomial, coeff=Fraction(1)) -> "Poly":
+    def mul_monomial(self, mono: Monomial, coeff=1) -> "Poly":
         coeff = Fraction(coeff)
         if coeff == 0:
             return self.ring.zero()
-        return Poly(self.ring, {m * mono: c * coeff for m, c in self.terms.items()})
+        num = coeff.numerator
+        nums = {m * mono: n * num for m, n in self.nums.items()}
+        return Poly._from_ints(self.ring, nums, self.denom * coeff.denominator)
 
     # -- structural operations ----------------------------------------------
 
@@ -342,14 +339,9 @@ class Poly:
         images = [_size(v, "variable image") for v in images]
         if sorted(images) != list(range(n)):
             raise DomainError("not a permutation of 0..%d: %r" % (n - 1, images))
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            exps = [0] * n
-            for i, e in enumerate(m):
-                exps[images[i]] = e
-            mono = Monomial(exps)
-            out[mono] = out.get(mono, 0) + c
-        return Poly(self.ring, out)
+        sources = sorted(range(n), key=images.__getitem__)  # new slot j reads old slot sources[j]
+        nums = {Monomial([m[i] for i in sources]): c for m, c in self.nums.items()}
+        return Poly._from_ints(self.ring, nums, self.denom)
 
     def swap_vars(self, i: int, j: int) -> "Poly":
         n = self.ring.nvars
@@ -367,32 +359,32 @@ class Poly:
             )
         for img in images:
             _in_ring(img, target, "image")
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
+        out: dict[Monomial, int] = {}
+        denom = 1
+        for m, c in self.nums.items():
             acc = target.const(c)
             for i, e in enumerate(m):
                 if e:
                     acc = acc * images[i] ** e
-            for mono, coeff in acc.terms.items():
-                coeff += out.get(mono, 0)
-                if coeff:
-                    out[mono] = coeff
-                else:
-                    del out[mono]
-        return Poly(target, out)
+            out, denom = _accumulate(out, denom, acc, 1)
+        return Poly._from_ints(target, out, denom * self.denom)
 
     def homogeneous_components(self) -> dict[int, "Poly"]:
-        buckets: dict[int, dict[Monomial, Fraction]] = {}
-        for m, c in self.terms.items():
+        buckets: dict[int, dict[Monomial, int]] = {}
+        for m, c in self.nums.items():
             buckets.setdefault(m.deg, {})[m] = c
-        return {d: Poly(self.ring, t) for d, t in sorted(buckets.items())}
+        return {d: Poly._from_ints(self.ring, t, self.denom) for d, t in sorted(buckets.items())}
 
     # -- equality / hashing / printing ---------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        mine, theirs = self.nums, other.nums
+        d1, d2 = self.denom, other.denom
+        if d1 == d2 or mine.keys() != theirs.keys():
+            return self.ring == other.ring and mine == theirs
+        return self.ring == other.ring and all(n * d2 == theirs[m] * d1 for m, n in mine.items())
 
     def __hash__(self):
         if self._hash is None:
@@ -414,11 +406,23 @@ def _clear_denominators(terms: Mapping[Hashable, Fraction]) -> tuple[dict, int]:
     return {k: v.numerator * (denom // v.denominator) for k, v in terms.items() if v}, denom
 
 
-def _integer_form(p: Poly) -> tuple[dict[Monomial, int], int]:
-    """(nums, d) with p.terms[m] == nums[m] / d and no zero in nums: the
-    form p was built from if it kept one, else `_clear_denominators`, d
-    then the lcm of p's denominators.  Callers must not mutate nums."""
-    return p._ints or _clear_denominators(p.terms)
+def _accumulate(out: dict[Monomial, int], denom: int, p: Poly, sign: int) -> tuple[dict, int]:
+    """(out, d) holding out/denom + sign*p over d = lcm(denom, p.denom): out
+    is rescaled in place, keeping its order, and a term that cancels is
+    dropped at once, so it keeps no place should it come back."""
+    common = lcm(denom, p.denom)
+    if common != denom:
+        factor = common // denom
+        for m in out:
+            out[m] *= factor
+    factor = sign * (common // p.denom)
+    for m, n in p.nums.items():
+        n = out.get(m, 0) + factor * n
+        if n:
+            out[m] = n
+        else:
+            del out[m]
+    return out, common
 
 
 # -- division --------------------------------------------------------------
@@ -441,9 +445,10 @@ def divide(
         if _in_ring(g, ring, "basis element").is_zero():
             raise DomainError("zero polynomial in division basis")
     leads = [g.leading() for g in basis]
+    tails = [[(m, c) for m, c in g.terms.items() if m != gm] for g, (gm, _) in zip(basis, leads)]
     quot: list[dict[Monomial, Fraction]] = [{} for _ in basis]
     rem: dict[Monomial, Fraction] = {}
-    work = dict(p.terms)
+    work = p.terms
     while work:
         lm = max(work)
         lc = work.pop(lm)
@@ -453,9 +458,7 @@ def divide(
                 coeff = lc / gc
                 q = quot[i]
                 q[factor] = q.get(factor, Fraction(0)) + coeff
-                for m, c in basis[i].terms.items():
-                    if m == gm:
-                        continue
+                for m, c in tails[i]:
                     mono = m * factor
                     s = work.get(mono, Fraction(0)) - coeff * c
                     if s:
@@ -582,12 +585,13 @@ def format_poly(p: Poly) -> str:
         return "0"
     chunks = []
     for i, (mono, coeff) in enumerate(sorted(p.terms.items(), reverse=True)):
-        neg = coeff < 0
-        mag = -coeff if neg else coeff
+        mag = str(coeff)
+        neg = mag[0] == "-"
+        mag = mag.lstrip("-")
         body = format_monomial(p.ring, mono)
         if body == "1":
-            text = str(mag)
-        elif mag == 1:
+            text = mag
+        elif mag == "1":
             text = body
         else:
             text = "%s*%s" % (mag, body)

@@ -154,13 +154,14 @@ def _staircase(shifts) -> dict[int, int]:
 
 def divided_difference(p: Poly, i: int) -> Poly:
     """(p - s_i p) / (z_i - z_{i+1}) for 1-based i; always a polynomial.
-    p is packed, `_packed_divided_difference` runs, and the result unpacked."""
+    p's numerators are packed, `_packed_divided_difference` runs, and the
+    result is unpacked over p's denominator."""
     i = _size(i, "divided difference index", 1, p.ring.nvars - 1)
-    packing = Packing(p.ring.nvars, max((max(m) for m in p.terms), default=0))
-    terms = {packing.pack(m): c for m, c in p.terms.items()}
+    packing = Packing(p.ring.nvars, max((max(m) for m in p.nums), default=0))
+    terms = {packing.pack(m): c for m, c in p.nums.items()}
     si, sj = packing.shifts[i - 1 : i + 1]
     terms = _packed_divided_difference(terms, si, sj, packing.mask)
-    return Poly(p.ring, {packing.unpack(key): c for key, c in terms.items()})
+    return Poly._from_ints(p.ring, {packing.unpack(key): c for key, c in terms.items()}, p.denom)
 
 
 def _schubert_rows(ell: int, shifts, mask: int) -> dict[tuple, dict[int, int]]:
@@ -314,7 +315,7 @@ def catalan_congruence_check(ell: int) -> Fraction:
     power = (ring.var(0) + ring.var(1)) ** (2 * (ell - 2))
     nf = normal_form_IS(power, ell)
     target = Monomial(tuple([0, 0] + [2] * (ell - 2)))
-    if set(nf.terms) != {target}:
+    if nf.nums.keys() != {target}:
         raise InvariantViolationError(
             "normal form of the binomial power is not proportional to the "
             "staircase square at ell=%d: %s" % (ell, nf)

@@ -24,14 +24,11 @@ kernel, and bounded over all rings by `ROW_TABLE_TERMS`; the way out by
 `_z_poly`, through the record's interned Monomials.  `_normal_form`
 packs the queries of `normal_form_IS` and the Schubert expansion,
 `_image_nf` psi's images, and `_packed_powers`, the one power loop, gives
-`alambda.nilpotency_order` and the psi refusals their powers.  The
-averaging projector keeps integer numerators over one common denominator,
-and its output Poly keeps them: `_normal_form` reads every input through
-`polyring._integer_form`, so the average of the quotient's
-`normal_form_IS(sym_lambda_average(p, lam))` goes in as the integers it
-was made of, never cleared again.  Fractions are made only for the Polys
-returned, one per distinct coefficient, by `Poly._from_ints`; a normal
-form keeps no integer form.
+`alambda.nilpotency_order` and the psi refusals their powers.  A Poly is
+itself integer numerators over one denominator, so every route reads
+`p.nums` and `p.denom` as they are and leaves by `Poly._from_ints`: the
+averaging projector and the normal form clear no denominator and make no
+Fraction.
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ from heapq import heapify, heappop, heappush
 from math import factorial
 
 from .errors import DomainError, InvariantViolationError, RingMismatchError, _in_ring, _size
-from .polyring import Monomial, Packing, Poly, Ring, _integer_form
+from .polyring import Monomial, Packing, Poly, Ring
 
 __all__ = [
     "Composition",
@@ -131,7 +128,7 @@ def complete_homogeneous(d: int, k: int, ell: int) -> Poly:
         exps = [0] * ell
         for i in combo:
             exps[i] += 1
-        terms[Monomial(tuple(exps))] = Fraction(1)
+        terms[Monomial(exps)] = 1
     return Poly(ring, terms)
 
 
@@ -146,7 +143,7 @@ def elementary_symmetric(ring: Ring, d: int, indices) -> Poly:
         exps = [0] * ring.nvars
         for i in combo:
             exps[i] = 1
-        terms[Monomial(tuple(exps))] = Fraction(1)
+        terms[Monomial(exps)] = 1
     return Poly(ring, terms)
 
 
@@ -166,8 +163,7 @@ def normal_form_IS(p: Poly, ell: int | None = None) -> Poly:
     The normal form of a monomial met again is read from its ring's rows.
     See `_normal_form` for why one packing per z ring suffices and which
     integers it reduces, `_reduce_packed` for the rows and `_heap_reduce`
-    for the loop and its one-step rule dispatch.  The result keeps no
-    integer form (see `_z_poly`).
+    for the loop and its one-step rule dispatch.
     """
     ell = p.ring.nvars if ell is None else ell
     _in_ring(p, zring(ell), "polynomial")
@@ -181,9 +177,8 @@ def _z_poly(terms: dict[int, int], denom: int, ell: int) -> Poly:
     that recurs across results is one object.
 
     `terms` has no zero, as `_reduce_packed` returns it, so the Poly is
-    built by `Poly._from_ints` without keeping its integer form: callers
-    keep normal forms, and a kept form on them read quotient `peak_rss_mb`
-    33.1-33.2 MB against 31.5 MB without (+5.4%), and 3% slower."""
+    `Poly._from_ints` of the unpacked terms over `denom`, with no Fraction
+    made."""
     quotient = _quotient(ell)
     unpack = quotient.unpack
     return Poly._from_ints(quotient.ring, {unpack(key): c for key, c in terms.items()}, denom)
@@ -192,25 +187,22 @@ def _z_poly(terms: dict[int, int], denom: int, ell: int) -> Poly:
 def _normal_form(p: Poly, ell: int, reverse: bool = False) -> tuple[dict[int, int], int]:
     """NF of p in the ell-variable z ring, each exponent vector reversed
     first if `reverse` is set, as (the terms of d*NF, packed by
-    `_packing(ell)`, d).  (nums, d) is `polyring._integer_form(p)`: the
-    integers p was built from if it kept them, as `sym_lambda_average`'s
-    output does, else p cleared over the lcm of its denominators.  So d is
-    a common denominator of all of p's terms, not only the kept ones; the
-    integers d*NF depend on it, the Fractions NF(p) do not.
+    `_packing(ell)`, d), for d = p.denom: p's numerators are packed as they
+    stand.  So d is a common denominator of all of p's terms, not only the
+    kept ones; the integers d*NF depend on it, the Fractions NF(p) do not.
 
     A reduced monomial has deg_{z_i} < i, so degree at most ell(ell-1)/2,
     where k[z]/I_S stops: a term above that lies in I_S and is dropped, and
     the g_i are homogeneous, so no exponent of the rest, rewritten or not,
     exceeds the one packing's degree.
     """
-    nums, denom = _integer_form(p)
     quotient = _quotient(ell)
     top, pack = quotient.top, quotient.packing.pack
-    terms = nums.items()
+    terms = p.nums.items()
     if reverse:
         terms = ((m[::-1], c) for m, c in terms)
     pending = {pack(m): c for m, c in terms if sum(m) <= top}
-    return _reduce_packed(pending, ell), denom
+    return _reduce_packed(pending, ell), p.denom
 
 
 def _nf_powers(p: Poly, ell: int):
@@ -485,23 +477,20 @@ def sym_lambda_average(p: Poly, lam: Composition) -> Poly:
 
     An idempotent linear projector onto the lambda-symmetric subspace.  The
     block averages commute, so it averages one block at a time through
-    monomial orbit sums, on integer numerators over one common denominator.
-    That starts as p's integer form (`polyring._integer_form`): the lcm of
-    p's denominators, or the denominator of the integers an average kept.
-    Averaging over a block of size b multiplies it by b!, and each of a
+    monomial orbit sums, on p's integer numerators over p.denom.  Averaging
+    over a block of size b multiplies the denominator by b!, and each of a
     monomial's orbit arrangements gets its numerator times b! / (orbit
     size); the orbit size divides b!, so every numerator stays integral.
     Zeros are dropped after each block, so that a cancelled monomial keeps
-    no place in the term order.  The output is built by `Poly._from_ints`
-    and keeps the numerators and their denominator d, the input's times
-    the product of the b!, as its integer form, which `normal_form_IS`
-    reduces as they are.
+    no place in the term order.  The output is `Poly._from_ints` of the
+    numerators over p.denom times the product of the b!, no Fraction made,
+    which `normal_form_IS` reduces as they are.
     """
     _check_arity(p, lam)
     blocks = [block for block in lam.blocks() if len(block) > 1]
     if not blocks:
         return p
-    terms, scale = _integer_form(p)
+    terms, scale = p.nums, p.denom
     for block in blocks:
         start, stop = block.start, block.stop
         size = factorial(stop - start)
@@ -515,7 +504,7 @@ def sym_lambda_average(p: Poly, lam: Composition) -> Poly:
                 key = Monomial(head + arr + tail)
                 out[key] = out.get(key, 0) + share
         terms = {m: c for m, c in out.items() if c}
-    return Poly._from_ints(p.ring, terms, scale, keep=True)
+    return Poly._from_ints(p.ring, terms, scale)
 
 
 @lru_cache(maxsize=4096)

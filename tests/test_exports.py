@@ -6,8 +6,9 @@ each z ring has one packing whose keys fit one CPython digit, and only
 is checked by `errors._size` alone and every ring by `errors._in_ring`
 alone, that psi and alpha take their images from the one block sigma
 table, and that psi runs on packed integers.  Guards that the membership
-oracle reads its query in one half only, and that every name the bench
-tracer wraps still exists."""
+oracle reads its query in one half only, that a Poly is integer
+numerators over one denominator, and that every name the bench tracer
+wraps still exists."""
 
 import ast
 import importlib
@@ -134,6 +135,38 @@ def test_only_the_row_count_is_a_mutated_global():
                    and any(isinstance(node, ast.Global) for node in func.body)]
     assert statements == [["_row_terms"]]
     assert owners == [("symfun", "_reduce_packed")]
+
+
+def test_a_poly_is_numerators_over_one_denominator():
+    # one representation: no integer copy beside the terms, denominators
+    # cleared by the constructor alone, and the Fraction view of a Poly's
+    # terms, built on each read, never read inside a loop; `linalg`'s own
+    # rows also have `.terms`, of ints, and are left out
+    from jetform import polyring
+
+    assert polyring.Poly.__slots__ == ("ring", "nums", "denom", "_hash")
+    assert not hasattr(polyring, "_integer_form")
+    callers, loop_reads = [], []
+    for name in MODULES:
+        tree = ast.parse(Path(jetform.__file__).with_name(name + ".py").read_text())
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                called = getattr(getattr(node, "func", None), "id", None)
+                if isinstance(node, ast.Call) and called == "_clear_denominators":
+                    callers.append((name, func.name))
+                if name != "linalg" and isinstance(node, (ast.For, ast.While)):
+                    # a for loop's iterable is read once, its body on every pass
+                    repeated = node.body + node.orelse + [getattr(node, "test", ast.Pass())]
+                    loop_reads += [
+                        (name, func.name, ast.unparse(inner))
+                        for stmt in repeated
+                        for inner in ast.walk(stmt)
+                        if isinstance(inner, ast.Attribute) and inner.attr == "terms"
+                    ]
+    assert callers == [("polyring", "__init__")]
+    assert not loop_reads, loop_reads
 
 
 def test_schubert_span_is_keyed_by_packed_ints():

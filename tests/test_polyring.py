@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetform import (
+    DomainError,
     JetRingDesc,
+    JetformError,
     ParseError,
     RingMismatchError,
     Ring,
@@ -59,6 +61,39 @@ def test_pow_cube(R3):
 def test_pow_of_monomial(R3):
     z1, z2, _ = R3.gens()
     assert (z1 * z2) ** 2 == z1**2 * z2**2
+
+
+def test_from_terms_checks_monomial_keys_as_it_checks_tuples():
+    # a Monomial key of the wrong length or with a negative exponent is
+    # refused as its tuple is, not stored as given
+    ring = zring(2)
+    for bad in ((1, 2, 3), (1, -1)):
+        for key in (bad, Monomial(bad)):
+            with pytest.raises(JetformError):
+                ring.from_terms({key: 1})
+    with pytest.raises(RingMismatchError):
+        ring.from_terms({Monomial((1, 2, 3)): 1})
+    z1, z2 = ring.gens()
+    expected = z1 * 2 + z2 * Fraction(1, 2)
+    assert ring.from_terms({Monomial((1, 0)): 2, (0, 1): Fraction(1, 2)}) == expected
+
+
+@pytest.mark.parametrize("coeff", [0.1, 1.0, "1", complex(1, 0)])
+def test_a_coefficient_that_is_not_rational_is_refused(coeff):
+    ring = zring(2)
+    with pytest.raises(DomainError, match="ints or Fractions"):
+        Poly(ring, {Monomial((1, 0)): coeff})
+    with pytest.raises(DomainError):
+        Poly(ring, {Monomial((0, 1)): Fraction(1, 3), Monomial((1, 0)): coeff})
+
+
+def test_ints_and_fractions_are_exact_coefficients():
+    ring = zring(2)
+    p = Poly(ring, {Monomial((1, 0)): 3, Monomial((0, 1)): Fraction(-2, 6), Monomial((0, 0)): 0})
+    assert p.nums == {Monomial((1, 0)): 9, Monomial((0, 1)): -1} and p.denom == 3
+    assert str(p * 3) == "9*z1 - z2"
+    # Ring.const, from_terms and scale convert through Fraction(c), floats exactly
+    assert ring.const(0.5) == ring.from_terms({(0, 0): 0.5}) == ring.one().scale(0.5)
 
 
 def test_ring_mismatch_raises():

@@ -531,18 +531,14 @@ def averaging_inputs(draw):
 
 @given(averaging_inputs())
 def test_normal_form_of_an_average_matches_its_plain_copy(case):
-    # the kept integer form is the terms; normal forms, Schubert expansions
-    # and nilpotency orders read through it equal those of a copy without it
+    # an average keeps its numerators over the input's denominator times the
+    # block factorials; normal forms, Schubert expansions and nilpotency
+    # orders read from them equal those of a copy cleared afresh
     ell, p = case
     for parts in positive_compositions(ell):
         lam = Composition(parts)
         avg = sym_lambda_average(p, lam)
         plain = Poly(p.ring, dict(avg.terms))
-        assert plain._ints is None
-        if avg is not p:
-            nums, denom = avg._ints
-            assert nums.keys() == avg.terms.keys()
-            assert all(n and Fraction(n, denom) == avg.terms[m] for m, n in nums.items())
         nf = normal_form_IS(avg)
         assert nf == normal_form_IS(plain) == _division_nf(plain, ell)
         assert schubert_expansion(avg) == schubert_expansion(plain)
@@ -577,54 +573,50 @@ def test_normal_form_of_an_average_clears_no_denominators(monkeypatch):
     assert normal_form_IS(avg) == expected != 0
 
 
-def test_average_makes_one_fraction_per_distinct_coefficient(monkeypatch):
-    from jetform import polyring
+def test_average_and_its_normal_form_make_no_fraction(monkeypatch):
+    # the packed routes run on the numerators alone: with Fraction refused
+    # in every module they pass through, they still give the right Polys
+    from jetform import polyring, schubert
 
-    made = []
+    ring = zring(4)
+    z = ring.gens()
+    p = z[0] ** 2 * z[1] * Fraction(3, 4) - z[2] * z[3] ** 2 * Fraction(1, 6)
+    p += z[0] * Fraction(2, 5)
+    lam = Composition((2, 2))
+    expected_avg = sym_lambda_average(p, lam)
+    expected_nf = normal_form_IS(expected_avg)
+    expected_table = schubert.schubert_table(4)
+    expected_dd = schubert.divided_difference(p, 2)
+    assert expected_nf and expected_dd
 
-    class Counting(Fraction):
-        def __new__(cls, *args):
-            made.append(args)
-            return super().__new__(cls, *args)
+    def refuse(*args):
+        raise AssertionError("a Fraction was made")
 
-    z = zring(4).gens()
-    p = z[0] ** 3 * z[1] ** 2 * z[2]
-    lam = Composition((4,))
-    expected = Poly(p.ring, {m: Fraction(1, 24) for m in map(Monomial, permutations((3, 2, 1, 0)))})
-    for module in (polyring, symfun):
-        monkeypatch.setattr(module, "Fraction", Counting)
+    for module in (polyring, symfun, schubert):
+        monkeypatch.setattr(module, "Fraction", refuse)
     avg = sym_lambda_average(p, lam)
-    assert avg == expected and len(avg.terms) == 24
-    assert len(made) == 1
+    nf = normal_form_IS(avg)
+    table = schubert.schubert_table(4)
+    dd = schubert.divided_difference(p, 2)
+    monkeypatch.undo()
+    assert avg == expected_avg and nf == expected_nf and dd == expected_dd
+    assert table == expected_table
+    assert avg.denom == p.denom * 2 * 2 == nf.denom
 
 
 def test_poly_from_ints_is_the_poly_of_its_fractions():
     ring = zring(3)
     nums = {Monomial((2, 0, 1)): 4, Monomial((0, 0, 0)): -6, Monomial((1, 1, 0)): 4,
             Monomial((0, 3, 0)): 9, Monomial((0, 1, 2)): -6}
-    for keep in (False, True):
-        for denom in (1, 6, 12):
-            built = Poly._from_ints(ring, nums, denom, keep)
-            plain = Poly(ring, {m: Fraction(n, denom) for m, n in nums.items()})
-            assert built == plain and plain == built
-            assert hash(built) == hash(plain)
-            assert str(built) == str(plain) and repr(built) == repr(plain)
-            assert list(built.terms.items()) == list(plain.terms.items())
-            assert built._ints == ((nums, denom) if keep else None)
+    for denom in (1, 6, 12):
+        built = Poly._from_ints(ring, nums, denom)
+        plain = Poly(ring, {m: Fraction(n, denom) for m, n in nums.items()})
+        assert built == plain and plain == built
+        assert hash(built) == hash(plain)
+        assert str(built) == str(plain) and repr(built) == repr(plain)
+        assert list(built.terms.items()) == list(plain.terms.items())
+        assert built.nums is nums and built.denom == denom
     assert Poly._from_ints(ring, {}, 5) == ring.zero()
-
-
-def test_normal_forms_keep_no_integer_form():
-    # callers keep normal forms: on the quotient bench workload, which keeps
-    # every output, a kept form on them read peak_rss_mb 33.1-33.2 MB
-    # against 31.5 MB without (+5.4%), and ran 3% slower
-    ring = zring(3)
-    z1, z2, z3 = ring.gens()
-    p = z1**2 * Fraction(1, 2) + z2 * z3 * Fraction(2, 3)
-    avg = sym_lambda_average(p, Composition((3,)))
-    assert avg._ints is not None
-    for q in (p, avg, normal_form_IS(avg)):
-        assert normal_form_IS(q)._ints is None
 
 
 # -- block elementary decomposition ---------------------------------------------
@@ -875,7 +867,7 @@ def test_row_table_hands_out_no_cache():
     for _ in range(2):  # the second time from stored rows and Monomials
         nf = normal_form_IS(p)
         assert nf == expected
-        nf.terms.clear()
+        nf.nums.clear()
         packed = symfun._reduce_packed(dict(pending), ell)
         assert packed == pending
         packed.clear()
