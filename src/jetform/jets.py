@@ -14,21 +14,22 @@ elimination which rows it may skip.
 
 The minimal-degree search certifies both ways.  A refused power is proved
 by the psi specialisation: psi sends every jet generator into I_S (checked
-once per search), so a nonzero normal form of psi(mono)^d modulo I_S shows
-that mono^d is not in the jet ideal.  Only a degree psi cannot refuse goes
-to exact elimination, which packs each monomial into one int by a
-`polyring.Packing` for the query's degree, so lex order is integer order,
-multiplying is adding and dividing is subtracting.  `_solve_membership`
-builds the span of the query's graded component, rows and query keyed by
-packed monomials negated only as they enter it, so elimination works from
-the lex-smallest one; `_certificate` reduces the query against it.  The
-multipliers of the inserted generators come from one table per query,
-filled by one variable-by-variable pass per multiplier degree: the jet
-generators share their block degrees and differ only in weight, so one
-pass serves them all.  Each state of the pass, a remaining degree and
-partial weights, cuts the exponent of its variable to one interval by two
-linear bounds per grading, so no exponent is tested on its own, and the
-table is charged to the memory budget as it grows.
+once per jet ring and composition, when the specialisation is made), so a
+nonzero normal form of psi(mono)^d modulo I_S shows that mono^d is not in
+the jet ideal.  Only a degree psi cannot refuse goes to exact elimination,
+which packs each monomial into one int by a `polyring.Packing` for the
+query's degree, so lex order is integer order, multiplying is adding and
+dividing is subtracting.  `_solve_membership` builds the span of the
+query's graded component, rows and query keyed by packed monomials negated
+only as they enter it, so elimination works from the lex-smallest one;
+`_certificate` reduces the query against it.  The multipliers of the
+inserted generators come from one table per query, filled by one
+variable-by-variable pass per multiplier degree: the jet generators share
+their block degrees and differ only in weight, so one pass serves them all.
+Each state of the pass, a remaining degree and partial weights, cuts the
+exponent of its variable to one interval by two linear bounds per grading,
+so no exponent is tested on its own, and the table is charged to the memory
+budget as it grows.
 
 Rows are inserted generator by generator, and a row M*g_k is skipped
 without elimination when M is divisible by the trailing (lex-smallest)
@@ -49,6 +50,17 @@ and from the query, and its cofactor comes from the query's residual in the
 one pass that re-expands the certificate.  So is each kept row with one
 term left once g_0's columns drop, a unit row: its column goes into a table,
 not the span, and its cofactor too is read off the residual.
+
+What a search reads of the jet ring itself is one record per (n, m),
+`_jet_ideal`: the generators, checked homogeneous once, their common
+gradings, each generator's total degree and weights, the per-variable
+bounds of the gradings that the multiplier pass cuts exponents by, and the
+psi specialisations, each made on first use and kept only once its kernel
+check has passed.  The record holds nothing that depends on a query's
+degree: the packing, the multiplier table, the trailing-term basis, the
+unit table and the span are built for each query and dropped with it.
+`member` reads the same generators, and after a refusal by elimination
+tries the record's psi specialisations for a witness.
 """
 
 from __future__ import annotations
@@ -73,7 +85,7 @@ from .polyring import (
     Monomial, Packing, Poly, Ring, _series_coefficients, format_monomial, format_poly,
 )
 from .symfun import Composition, _block_sigmas, _image_nf, _packed_image, _packed_powers, _packing
-from .symfun import _z_poly, zring
+from .symfun import _z_poly, normal_form_IS, zring
 
 __all__ = [
     "JetRingDesc",
@@ -275,9 +287,11 @@ def multiplicity_table(n: int, m: int) -> dict[Composition, int]:
 class PsiWitness:
     """Non-membership certificate from the psi specialisation.
 
-    `normal_form` is NF_IS(psi(mono^d)) for `PsiSpecialization(lam, desc)`,
-    `lam` in base-variable order: block i of z_1..z_{m+1} belongs to x_i.
-    A nonzero normal form proves that mono^d is not in the jet ideal.
+    `normal_form` is NF_IS(psi(p)) for `PsiSpecialization(lam, desc)` and the
+    refused polynomial p: mono^d for a refusal of the minimal-degree search,
+    the query itself for a `member` refusal.  `lam` is in base-variable
+    order: block i of z_1..z_{m+1} belongs to x_i.  psi sends the jet ideal
+    into I_S, so a nonzero normal form proves that p is not in the ideal.
     """
 
     __slots__ = ("lam", "normal_form")
@@ -301,7 +315,9 @@ class MembershipResult:
     triples whose expansion reproduces the query exactly; it is None for
     non-members.  Every verdict is exact: a refusal comes either from the
     psi specialisation, with its PsiWitness in `witness`, or from exact
-    elimination leaving a nonzero remainder, with `witness` None.
+    elimination leaving a nonzero remainder.  An elimination refusal has
+    `witness` None as the oracle returns it; `member` then attaches the
+    first psi_lambda witness that refuses the query too, if there is one.
     """
 
     __slots__ = ("member", "degree", "combination", "witness")
@@ -359,6 +375,34 @@ def _common_gradings(polys: list[Poly], nvars: int) -> list[tuple[int, ...]]:
     return integer_nullspace(rows, nvars)
 
 
+def _grading_steps(gradings) -> list:
+    """For each variable i but the last, each grading's (w[i], min w[i+1:],
+    max w[i+1:]): its weight on the variable and its bounds over the later
+    ones, the slopes by which `_exponent_range` cuts exponents."""
+    nvars = len(gradings[0]) if gradings else 0
+    return [
+        tuple((w[i], min(w[i + 1 :]), max(w[i + 1 :])) for w in gradings)
+        for i in range(nvars - 1)
+    ]
+
+
+class _Generators:
+    """Homogeneous generators as the oracle reads them: `polys`, common
+    `gradings` of them and of the queries, each generator's total degree and
+    its weights under the gradings, and their `_grading_steps`.  Built per
+    call by `homogeneous_membership`, and once per jet ring by `_jet_ideal`.
+    """
+
+    __slots__ = ("polys", "gradings", "degrees", "weights", "steps")
+
+    def __init__(self, polys: tuple, gradings):
+        self.polys = polys
+        self.gradings = gradings
+        self.degrees = [g.total_degree() for g in polys]
+        self.weights = [tuple(_weight_of(g, w) for w in gradings) for g in polys]
+        self.steps = _grading_steps(gradings)
+
+
 # bytes charged to a `Budget` per packed multiplier: by tracemalloc, building
 # the (1,1,1) table of 6,316 packed ints peaks at 66.4 bytes per int, and the
 # (2,1,1) table of 811,617 at 66.0; the finished table takes 49
@@ -400,10 +444,11 @@ def _exponent_range(remaining: int, partial, bounds) -> range:
     return range(last, first - 1, -1)
 
 
-def _packed_multipliers(degree: int, gradings, targets, shifts, budget=None) -> dict:
+def _packed_multipliers(degree: int, gradings, targets, shifts, budget=None, steps=None) -> dict:
     """Every exponent vector of the given total degree whose weights under
     `gradings` equal one of `targets`, packed with variable i shifted left
     by shifts[i]: {target: packed vectors, in no particular order}.
+    `steps` is `_grading_steps(gradings)`, computed here if not given.
 
     One variable-by-variable pass serves all targets.  Exponent prefixes
     with the same remaining degree and partial weights share one list of
@@ -425,11 +470,8 @@ def _packed_multipliers(degree: int, gradings, targets, shifts, budget=None) -> 
     hi = [max(t[c] for t in targets) for c in range(len(gradings))]
     states = {(degree, (0,) * len(gradings)): [0]}
     charged = 0
-    for i in range(nvars - 1):
-        bounds = [
-            (w[i], min(w[i + 1 :]), max(w[i + 1 :]), low, high)
-            for w, low, high in zip(gradings, lo, hi)
-        ]
+    for i, step in enumerate(_grading_steps(gradings) if steps is None else steps):
+        bounds = [(w, a, b, low, high) for (w, a, b), low, high in zip(step, lo, hi)]
         col = [w[i] for w in gradings]
         shift = shifts[i]
         nxt: dict = {}
@@ -582,15 +624,15 @@ def _trailing_term_leads(rows, packing: Packing, top, bounds, budget):
         yield [g[1] for g in basis]
 
 
-def _solve_membership(p, gens, usable, gradings, span, filtered) -> tuple:
+def _solve_membership(p, gens: _Generators, usable, span, filtered) -> tuple:
     """Insert into `span` the multiplier*generator rows of p's graded
     component, read from p's degree and weights alone, never its terms.
 
     The multipliers of all generators but `filtered` are enumerated up
     front, one pass per distinct multiplier degree, into a table keyed by
-    the weights a multiplier must have under `gradings`.  These weights fix
-    its total degree, since the total degree lies in the span of the
-    gradings.  Each generator's list is popped from the table when its last
+    the weights a multiplier must have under `gens.gradings`.  These
+    weights fix its total degree, since the total degree lies in the span
+    of the gradings.  Each generator's list is popped from the table when its last
     user has taken it, so the table shrinks while the span grows.  The table
     is charged to the span's budget while it is built, so a budget too
     small for it stops the query before any row is inserted.
@@ -602,8 +644,8 @@ def _solve_membership(p, gens, usable, gradings, span, filtered) -> tuple:
     before g_k.  The leads of a Groebner basis of I_<k for the
     lex-smallest-term order divide every such T (see `_trailing_term_leads`);
     the trailing monomials of the earlier generators are among the T, so
-    the Koszul criterion is a special case.  G is homogeneous under
-    `gradings`, as the generators are.  With c the coefficient of T in G,
+    the Koszul criterion is a special case.  G is homogeneous under the
+    gradings, as the generators are.  With c the coefficient of T in G,
 
         M*g_k = (M/T)*g_k*G / c - sum over the other monomials s of G
                 of (c_s / c) * (M/T)*s*g_k.
@@ -659,22 +701,25 @@ def _solve_membership(p, gens, usable, gradings, span, filtered) -> tuple:
     packing = Packing(p.ring.nvars, degree)
     guard = packing.guard
     inserted = usable[1:] if filtered is not None else usable
+    gradings = gens.gradings
     p_weights = [_weight_of(p, w) for w in gradings]
     targets = {
-        gi: tuple(pw - _weight_of(gens[gi], w) for w, pw in zip(gradings, p_weights))
-        for gi in inserted
+        gi: tuple(pw - gw for pw, gw in zip(p_weights, gens.weights[gi])) for gi in inserted
     }
     by_degree: dict = {}
     for gi in inserted:
-        by_degree.setdefault(degree - gens[gi].total_degree(), set()).add(targets[gi])
+        by_degree.setdefault(degree - gens.degrees[gi], set()).add(targets[gi])
     table = {}
     for mult_degree, wanted in by_degree.items():
         table.update(
-            _packed_multipliers(mult_degree, gradings, wanted, packing.shifts, span.budget)
+            _packed_multipliers(
+                mult_degree, gradings, wanted, packing.shifts, span.budget, gens.steps
+            )
         )
     last_user = {t: gi for gi, t in targets.items()}
+    polys = gens.polys
     cleared = {
-        gi: ({packing.pack(m): v for m, v in gens[gi].nums.items()}, gens[gi].denom)
+        gi: ({packing.pack(m): v for m, v in polys[gi].nums.items()}, polys[gi].denom)
         for gi in usable
     }
     # a lead divides a multiplier only if no grading without negative
@@ -728,7 +773,9 @@ def _solve_membership(p, gens, usable, gradings, span, filtered) -> tuple:
     return packing, cleared, units
 
 
-def _certificate(p: Poly, gens, span, packing: Packing, cleared: dict, filtered, units) -> list | None:
+def _certificate(
+    p: Poly, gens: _Generators, span, packing: Packing, cleared: dict, filtered, units
+) -> list | None:
     """None for a p outside `span`, else p's certificate, re-expanded
     against p, as sorted (generator index, multiplier, coefficient) triples.
 
@@ -760,7 +807,7 @@ def _certificate(p: Poly, gens, span, packing: Packing, cleared: dict, filtered,
         return None
     comb, scale = relation
     degree = p.total_degree()
-    mult_degree = {gi: degree - gens[gi].total_degree() for gi in cleared}
+    mult_degree = {gi: degree - gens.degrees[gi] for gi in cleared}
     residual = {k: v * scale for k, v in terms.items()}
     scale *= p.denom
     triples = []
@@ -828,23 +875,41 @@ def homogeneous_membership(
     certificate is the one a span offered g_0's rows, then the unit rows,
     then the other kept rows, would give, and every entry of it is
     re-expanded against p before it is returned.
+
+    This entry checks its input and takes common gradings of p and of the
+    generators of degree at most deg p; `_membership` decides.
     """
-    gens = list(gens)
     if not p.is_homogeneous():
         raise DomainError("membership query must be homogeneous")
-    for i, g in enumerate(gens):
-        if _in_ring(g, p.ring, "generator %d" % i).is_zero():
-            raise DomainError("generator %d is zero" % i)
-        if not g.is_homogeneous():
-            raise DomainError("generator %d is not homogeneous" % i)
+    gens = _homogeneous_generators(gens, p.ring)
     if p.is_zero():
         return MembershipResult(True, None, [])
     degree = p.total_degree()
-    usable = [i for i, g in enumerate(gens) if g.total_degree() <= degree]
-    filtered = usable[0] if usable and len(gens[usable[0]].nums) == 1 else None
-    gradings = _common_gradings([gens[i] for i in usable] + [p], p.ring.nvars)
+    usable = [g for g in gens if g.total_degree() <= degree]
+    return _membership(p, _Generators(gens, _common_gradings(usable + [p], p.ring.nvars)), budget)
+
+
+def _homogeneous_generators(gens, ring: Ring) -> tuple:
+    """gens as a tuple, or the error for the first one that is not a
+    nonzero homogeneous polynomial of `ring`."""
+    gens = tuple(gens)
+    for i, g in enumerate(gens):
+        if _in_ring(g, ring, "generator %d" % i).is_zero():
+            raise DomainError("generator %d is zero" % i)
+        if not g.is_homogeneous():
+            raise DomainError("generator %d is not homogeneous" % i)
+    return gens
+
+
+def _membership(p: Poly, gens: _Generators, budget: Budget | None) -> MembershipResult:
+    """The verdict of `homogeneous_membership` on a nonzero homogeneous p,
+    for generators checked as it checks them, whose gradings are common to p
+    and to every generator of degree at most deg p."""
+    degree = p.total_degree()
+    usable = [i for i, d in enumerate(gens.degrees) if d <= degree]
+    filtered = usable[0] if usable and len(gens.polys[usable[0]].nums) == 1 else None
     span = ExactSpan(budget=budget)
-    packing, cleared, units = _solve_membership(p, gens, usable, gradings, span, filtered)
+    packing, cleared, units = _solve_membership(p, gens, usable, span, filtered)
     certificate = _certificate(p, gens, span, packing, cleared, filtered, units)
     return MembershipResult(certificate is not None, degree, certificate)
 
@@ -873,8 +938,9 @@ def radical_witness(h) -> bool:
     h = _derivative_tuple(h)
     # the order -1 jet ideal, of sum(h) = 0, is undefined
     total = _size(sum(h), "sum of the derivative orders", 1)
-    desc = JetRingDesc(len(h), total)
-    gens = jet_generators(None, desc)[:total]
+    ideal = _jet_ideal(len(h), total)
+    desc = ideal.desc
+    gens = ideal.polys[:total]
     if any(phi_binary_eval(g, h, desc) != 0 for g in gens):
         return False
     return phi_binary_eval(derivative_monomial(h, desc), h, desc) == 1
@@ -942,6 +1008,61 @@ def _check_psi_kernel(spec: PsiSpecialization, gens) -> None:
             raise InvariantViolationError("psi of %r misses I_S at generator %d" % (spec.lam, i))
 
 
+class _Specs(dict):
+    """Composition -> PsiSpecialization of one jet ring, each made on its
+    first lookup and stored only once `_check_psi_kernel` has passed on the
+    ring's generators: every spec read from here is kernel-checked, and a
+    failed check stores nothing."""
+
+    __slots__ = ("desc", "gens")
+
+    def __init__(self, desc: JetRingDesc, gens):
+        super().__init__()
+        self.desc = desc
+        self.gens = gens
+
+    def __missing__(self, lam: Composition) -> PsiSpecialization:
+        spec = PsiSpecialization(lam, self.desc)
+        _check_psi_kernel(spec, self.gens)
+        self[lam] = spec
+        return spec
+
+
+class _JetIdeal(_Generators):
+    """The jet ideal of x_1...x_n of order m as the minimal-degree search,
+    `member` and `radical_witness` read it, made once per (n, m) by
+    `_jet_ideal`: `desc`; g_0..g_m as `polys`, checked homogeneous once,
+    with their common gradings and what `_Generators` derives from them;
+    and `specs`, the lazy kernel-checked psi_lambda.  No field depends on a
+    query's degree.
+    """
+
+    __slots__ = ("desc", "specs")
+
+    def __init__(self, n: int, m: int):
+        self.desc = desc = JetRingDesc(n, m)
+        polys = _homogeneous_generators(jet_generators(None, desc), desc.ring)
+        super().__init__(polys, _common_gradings(polys, desc.ring.nvars))
+        self.specs = _Specs(desc, polys)
+
+
+_jet_ideal = lru_cache(maxsize=None)(_JetIdeal)
+
+
+def _psi_witness(p: Poly, ideal: _JetIdeal) -> PsiWitness | None:
+    """A PsiWitness of the first psi_lambda, lambda in `compositions(m+1, n)`
+    order, with NF_IS(psi_lambda(p)) nonzero, or None if there is none.
+    Each psi_lambda is the record's, kernel-checked, so a witness proves
+    that p is not in the jet ideal."""
+    desc = ideal.desc
+    for lam in compositions(desc.m + 1, desc.n):
+        spec = ideal.specs[lam]
+        nf = normal_form_IS(spec.apply(p))
+        if not nf.is_zero():
+            return PsiWitness(spec.lam, nf)
+    return None
+
+
 # -- the minimal degree -------------------------------------------------------
 
 
@@ -978,11 +1099,13 @@ def min_degree_search(
 
     Each degree is first tried against psi of lambda = h + e_i, i the first
     index maximising (h_i+1)(H-h_i): a nonzero NF_IS(psi(mono)^d) refuses
-    it, recorded with a PsiWitness and without elimination.  psi's kernel is
-    checked to contain every jet generator once per search, so the refusals
-    never rest on the degree theorem.  A degree psi cannot refuse (in
-    practice only the formula's) goes to the membership oracle, whose exact
-    elimination runs on packed-int keys; `budget` applies there only.
+    it, recorded with a PsiWitness and without elimination.  psi is read
+    from the jet ring's record, `_jet_ideal(n, H)`, whose kernel check that
+    psi sends every jet generator into I_S runs once per (n, H, lambda),
+    when the spec is made, not once per search; so the refusals never rest
+    on the degree theorem.  A degree psi cannot refuse (in practice only
+    the formula's) goes to the membership oracle, whose exact elimination
+    runs on packed-int keys; `budget` applies there only.
     Every refusal is thus certified, by a PsiWitness or by a nonzero
     remainder of exact elimination.
 
@@ -997,12 +1120,11 @@ def min_degree_search(
     h = _derivative_tuple(h)
     formula = min_degree_formula(h)
     cap = _size(formula + 2 if cap is None else cap, "cap", 1)
-    desc = JetRingDesc(len(h), sum(h))
-    gens = jet_generators(None, desc)
-    mono = derivative_monomial(h, desc)
-    spec = PsiSpecialization(_witness_composition(h), desc)
+    ideal = _jet_ideal(len(h), sum(h))
+    mono = derivative_monomial(h, ideal.desc)
+    spec = ideal.specs[_witness_composition(h)]
     refusals: dict[int, MembershipResult] = {}
-    for d, nf in zip(range(1, cap + 1), _psi_normal_forms(spec, mono, gens)):
+    for d, nf in zip(range(1, cap + 1), _psi_normal_forms(spec, mono)):
         if not nf.is_zero():
             # `degree` is the query's total degree, as for elimination refusals
             refusals[d] = MembershipResult(
@@ -1010,7 +1132,10 @@ def min_degree_search(
             )
             continue
         try:
-            result = homogeneous_membership(mono**d, gens, budget=budget)
+            # mono^d, a monomial of degree d*n >= n, finds every generator
+            # usable and adds no constraint to their gradings: the record's
+            # are the ones `homogeneous_membership` would compute
+            result = _membership(mono**d, ideal, budget)
         except BudgetExceededError as exc:
             partial = {
                 "refused": sorted(refusals),
@@ -1028,11 +1153,12 @@ def min_degree_search(
     )
 
 
-def _psi_normal_forms(spec: PsiSpecialization, mono: Poly, gens):
-    """Yield NF_IS(psi(mono)^d) for d = 1, 2, ..., after `_check_psi_kernel`
-    on the jet generators `gens`; zero once it has reached zero.  They are
-    `symfun._packed_powers` of mono's packed image, by `symfun._image_nf`."""
-    _check_psi_kernel(spec, gens)
+def _psi_normal_forms(spec: PsiSpecialization, mono: Poly):
+    """Yield NF_IS(psi(mono)^d) for d = 1, 2, ..., zero once it has reached
+    zero.  They are `symfun._packed_powers` of mono's packed image, by
+    `symfun._image_nf`.  They refuse only if psi's kernel holds the jet
+    ideal: `spec` comes from a `_jet_ideal` record, which checked that when
+    it made the spec."""
     ell = spec.lam.ell
     image = _image_nf(spec._table, mono.nums.items(), ell)
     for terms, scale in _packed_powers(image, mono.denom, ell):

@@ -15,8 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jetform
-from jetform import cli, normal_form_IS, parse_poly, schubert, zring
+from jetform import cli, jets, normal_form_IS, parse_poly, schubert, zring
 from jetform.cli import main, run
+
+from conftest import exponent_vectors
 
 
 def run_json(capsys, argv):
@@ -123,8 +125,11 @@ def test_member_certificate_schema(capsys):
 
 def test_member_payload_says_what_it_answered(capsys):
     # n, m and the query ride along with the verdict; the query re-parses to
-    # the Poly that was decided, and the verdict's own keys are as before
-    for text, n, m in [("x1_0*x2_1 + x1_1*x2_0", 2, 1), ("1/2*x1_1^2 - x2_0*x1_2", 2, 2)]:
+    # the Poly that was decided, and the verdict's own keys are as before.
+    # A refusal may add a psi witness, checked on its own
+    cases = [("x1_0*x2_1 + x1_1*x2_0", 2, 1), ("1/2*x1_1^2 - x2_0*x1_2", 2, 2), ("x1_1*x2_1", 2, 2)]
+    witnesses = []
+    for text, n, m in cases:
         code, doc = run_json(capsys, ["member", text, "--n", str(n), "--m", str(m)])
         assert code == 0
         payload = doc["payload"]
@@ -132,8 +137,64 @@ def test_member_payload_says_what_it_answered(capsys):
         desc = jetform.JetRingDesc(n, m)
         query = parse_poly(desc.ring, payload.pop("query"))
         assert query == parse_poly(desc.ring, text)
+        witness = payload.pop("witness", None)
         gens = jetform.jet_generators(None, desc)
-        assert payload == jetform.homogeneous_membership(query, gens).to_json(desc.ring)
+        result = jetform.homogeneous_membership(query, gens)
+        assert payload == result.to_json(desc.ring)
+        if witness is not None:
+            assert not result.member
+            _check_psi_witness(witness, query, desc)
+        witnesses.append(witness)
+    assert witnesses == [
+        None,
+        {"kind": "psi", "lambda": [2, 1], "normal_form": "1/2*z3^2 - z3"},
+        {"kind": "psi", "lambda": [2, 1], "normal_form": "-z3"},
+    ]
+
+
+def _check_psi_witness(witness, query, desc):
+    """The witness JSON of a `member` refusal re-checks: its psi_lambda's
+    kernel holds the jet generators, NF_IS(psi_lambda(query)) is the normal
+    form it records and is nonzero, and every lambda before it in
+    `compositions(m+1, n)` order sends the query into I_S."""
+    assert witness["kind"] == "psi"
+    spec = jetform.PsiSpecialization(witness["lambda"], desc)
+    jets._check_psi_kernel(spec, jetform.jet_generators(None, desc))
+    nf = normal_form_IS(spec.apply(query))
+    assert not nf.is_zero()
+    assert nf == parse_poly(spec.target, witness["normal_form"])
+    for lam in jetform.compositions(desc.m + 1, desc.n):
+        if list(lam.parts) == witness["lambda"]:
+            break
+        assert normal_form_IS(jetform.PsiSpecialization(lam, desc).apply(query)).is_zero()
+
+
+def test_member_refusals_carry_the_first_psi_witness(capsys):
+    # every monomial of the degree through `member --json`: a refusal by
+    # elimination carries the first plain psi_lambda that refuses it, and
+    # one without a witness is refused by no psi_lambda
+    counts = {}
+    for n, m, degree in [(2, 2, 2), (2, 2, 3), (3, 2, 3)]:
+        desc = jetform.JetRingDesc(n, m)
+        refused = witnessed = 0
+        for exps in exponent_vectors(desc.ring.nvars, degree):
+            query = jetform.Poly(desc.ring, {jetform.Monomial(exps): 1})
+            code, doc = run_json(capsys, ["member", str(query), "--n", str(n), "--m", str(m)])
+            assert code == 0
+            payload = doc["payload"]
+            if payload["member"]:
+                assert "witness" not in payload
+                continue
+            refused += 1
+            if "witness" in payload:
+                witnessed += 1
+                _check_psi_witness(payload["witness"], query, desc)
+            else:
+                for lam in jetform.compositions(m + 1, n):
+                    spec = jetform.PsiSpecialization(lam, desc)
+                    assert normal_form_IS(spec.apply(query)).is_zero()
+        counts[n, m, degree] = (witnessed, refused)
+    assert counts == {(2, 2, 2): (19, 20), (2, 2, 3): (38, 48), (3, 2, 3): (130, 164)}
 
 
 def test_min_degree(capsys):

@@ -285,13 +285,14 @@ def test_trailing_term_basis_takes_the_cleared_rows_themselves(monkeypatch):
     query = jetform.derivative_monomial((1, 1), desc) ** 3
     usable = list(range(len(gens)))
     gradings = jets._common_gradings(gens + [query], desc.ring.nvars)
+    generators = jets._Generators(gens, gradings)
     span = jetform.ExactSpan()
-    packing, cleared, units = jets._solve_membership(query, gens, usable, gradings, span, 0)
+    packing, cleared, units = jets._solve_membership(query, generators, usable, span, 0)
     (rows,) = received
     assert len(rows) == len(cleared) == len(gens)
     assert all(got is row for got, (row, _) in zip(rows, cleared.values()))
     assert all(key > 0 for row in rows for key in row)
-    assert jets._certificate(query, gens, span, packing, cleared, 0, units)
+    assert jets._certificate(query, generators, span, packing, cleared, 0, units)
 
 
 def test_every_traced_name_resolves():

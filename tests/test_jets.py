@@ -350,8 +350,8 @@ def test_packed_multipliers_match_reference_on_oracle_calls(monkeypatch):
     calls = []
     enumerate_ = jets._packed_multipliers
 
-    def recording(degree, gradings, targets, shifts, budget=None):
-        got = enumerate_(degree, gradings, targets, shifts, budget)
+    def recording(degree, gradings, targets, shifts, budget=None, steps=None):
+        got = enumerate_(degree, gradings, targets, shifts, budget, steps)
         calls.append(((degree, gradings, targets, shifts), _sorted_table(got)))
         return got
 
@@ -527,8 +527,9 @@ def _skipped_rows_are_redundant(p, gens, multipliers) -> int:
     usable = [i for i, g in enumerate(gens) if g.total_degree() <= degree]
     filtered = usable[0] if len(gens[usable[0]].terms) == 1 else None
     gradings = jets._common_gradings([gens[i] for i in usable] + [p], nvars)
+    generators = jets._Generators(gens, gradings)
     kept = _RecordingSpan()
-    packing, cleared, units = jets._solve_membership(p, gens, usable, gradings, kept, filtered)
+    packing, cleared, units = jets._solve_membership(p, generators, usable, kept, filtered)
 
     def columns(terms):
         return {-packing.pack(mono): v for mono, v in terms.items()}
@@ -584,7 +585,7 @@ def _skipped_rows_are_redundant(p, gens, multipliers) -> int:
         plain.insert(*every[label])
     p_row, p_denom = _clear_denominators(p.terms)
     plain_relation = plain.reduce(columns(p_row))
-    certificate = jets._certificate(p, gens, kept, packing, cleared, filtered, units)
+    certificate = jets._certificate(p, generators, kept, packing, cleared, filtered, units)
     assert (certificate is None) == (plain_relation is None)
     if certificate is not None:
         comb, scale = plain_relation
@@ -686,8 +687,8 @@ def _record_spans(monkeypatch) -> list:
             super().__init__()
             spans.append(self)
 
-    def solve_keeping_units(p, gens, usable, gradings, span, filtered):
-        packing, cleared, span.units = solve(p, gens, usable, gradings, span, filtered)
+    def solve_keeping_units(p, gens, usable, span, filtered):
+        packing, cleared, span.units = solve(p, gens, usable, span, filtered)
         return packing, cleared, span.units
 
     monkeypatch.setattr(jets, "ExactSpan", RecordingSpan)
@@ -1031,15 +1032,16 @@ def test_filtered_certificates_match_a_span_offered_every_row(system):
         usable = [i for i, g in enumerate(gens) if g.total_degree() <= result.degree]
         filtered = usable[0] if len(gens[usable[0]].terms) == 1 else None
         gradings = jets._common_gradings([gens[i] for i in usable] + [query], query.ring.nvars)
+        generators = jets._Generators(gens, gradings)
         span = _BumpingSpan()
-        packing, cleared, units = jets._solve_membership(query, gens, usable, gradings, span, filtered)
-        cert = jets._certificate(query, gens, span, packing, cleared, filtered, units)
+        packing, cleared, units = jets._solve_membership(query, generators, usable, span, filtered)
+        cert = jets._certificate(query, generators, span, packing, cleared, filtered, units)
         assert cert == result.combination
         comb, _ = span.relation
         if comb:
             span.bump = max(comb)
             with pytest.raises(InvariantViolationError):
-                jets._certificate(query, gens, span, packing, cleared, filtered, units)
+                jets._certificate(query, generators, span, packing, cleared, filtered, units)
 
 
 @given(homogeneous_systems())
@@ -1054,16 +1056,17 @@ def test_certificate_refuses_each_wrong_coefficient_on_generic_systems(system):
     usable = [i for i, g in enumerate(gens) if g.total_degree() <= degree]
     filtered = usable[0] if usable and len(gens[usable[0]].terms) == 1 else None
     gradings = jets._common_gradings([gens[i] for i in usable] + [query], query.ring.nvars)
+    generators = jets._Generators(gens, gradings)
     span = _BumpingSpan()
-    packing, cleared, units = jets._solve_membership(query, gens, usable, gradings, span, filtered)
-    cert = jets._certificate(query, gens, span, packing, cleared, filtered, units)
+    packing, cleared, units = jets._solve_membership(query, generators, usable, span, filtered)
+    cert = jets._certificate(query, generators, span, packing, cleared, filtered, units)
     if cert is None:
         return
     assert cert == homogeneous_membership(query, gens).combination
     for key in span.relation[0]:
         span.bump = key
         with pytest.raises(InvariantViolationError):
-            jets._certificate(query, gens, span, packing, cleared, filtered, units)
+            jets._certificate(query, generators, span, packing, cleared, filtered, units)
 
 
 def test_oracle_offers_no_g0_row(monkeypatch):
@@ -1088,8 +1091,8 @@ def test_oracle_enumerates_no_g0_multiplier(monkeypatch):
     calls = []
     enumerate_ = jets._packed_multipliers
 
-    def recording(degree, gradings, targets, shifts, budget=None):
-        got = enumerate_(degree, gradings, targets, shifts, budget)
+    def recording(degree, gradings, targets, shifts, budget=None, steps=None):
+        got = enumerate_(degree, gradings, targets, shifts, budget, steps)
         calls.append((gradings, set(targets), {t for t, keys in got.items() if keys}))
         return got
 
@@ -1401,7 +1404,7 @@ def test_min_degree_search_without_psi_falls_back_to_elimination(monkeypatch):
     monkeypatch.setattr(
         jets,
         "_psi_normal_forms",
-        lambda spec, mono, gens: itertools.repeat(spec.target.zero()),
+        lambda spec, mono: itertools.repeat(spec.target.zero()),
     )
     for h in SEARCH_CASES:
         result = min_degree_search(h)
@@ -1411,9 +1414,10 @@ def test_min_degree_search_without_psi_falls_back_to_elimination(monkeypatch):
         assert result.certificate.combination == expected[h].certificate.combination
 
 
-def test_min_degree_search_rejects_psi_that_misses_a_generator(monkeypatch):
-    # corrupt the one image table: x_1^(0) takes z_ell on top of its sigma,
-    # and both the kernel check and `apply` read the fault
+def _corrupt_psi_tables(monkeypatch) -> None:
+    """Corrupt the one image table of every PsiSpecialization made from now
+    on: x_1^(0) takes z_ell on top of its sigma, and both the kernel check
+    and `apply` read the fault."""
     real_init = PsiSpecialization.__init__
 
     def init(self, lam, desc):
@@ -1421,14 +1425,39 @@ def test_min_degree_search_rejects_psi_that_misses_a_generator(monkeypatch):
         self._table[0] = self._table[0] + [symfun._packing(desc.m + 1).pack((0,) * desc.m + (1,))]
 
     monkeypatch.setattr(PsiSpecialization, "__init__", init)
+
+
+def test_min_degree_search_rejects_psi_that_misses_a_generator(monkeypatch):
+    _corrupt_psi_tables(monkeypatch)
     desc = JetRingDesc(2, 2)
     spec = PsiSpecialization((2, 1), desc)
     z1, z2, z3 = spec.target.gens()
     assert spec.apply(desc.var(1, 0)) == z1 * z2 + z3
     with pytest.raises(InvariantViolationError):
         jets._check_psi_kernel(spec, jet_generators(None, desc))
+    # a fresh record, so that the search makes the corrupted spec and checks it
+    jets._jet_ideal.cache_clear()
+    try:
+        with pytest.raises(InvariantViolationError):
+            min_degree_search((1, 1))
+    finally:
+        jets._jet_ideal.cache_clear()
+
+
+def test_failed_psi_kernel_check_caches_nothing(monkeypatch):
+    # the spec whose check failed is not stored in the record, so the next
+    # search on the same record, unpatched, makes a sound spec and answers
+    expected = _oracle_answer((1, 1), min_degree_search((1, 1)))
+    _corrupt_psi_tables(monkeypatch)
+    jets._jet_ideal.cache_clear()
     with pytest.raises(InvariantViolationError):
         min_degree_search((1, 1))
+    record = jets._jet_ideal(2, 2)
+    assert not record.specs
+    monkeypatch.undo()
+    assert _oracle_answer((1, 1), min_degree_search((1, 1))) == expected
+    assert jets._jet_ideal(2, 2) is record
+    assert list(record.specs) == [jets._witness_composition((1, 1))]
 
 
 def _monomial_key_certificate(h):
@@ -1504,6 +1533,44 @@ def test_oracle_table_runs_one_elimination_per_search(monkeypatch):
         answers.append(_oracle_answer(h, result))
     canonical = json.dumps(answers, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(canonical.encode()).hexdigest() == ORACLE_ANSWERS_SHA256
+
+
+def test_oracle_answers_do_not_depend_on_call_order_or_cache_state():
+    # the 37 searches, each time with every jet ring's record cleared first,
+    # in reverse and in shuffled order, give the pinned answers; each member
+    # combination is the one the public entry gives from fresh generators
+    tuples = _oracle_tuples()
+    shuffled = list(tuples)
+    make_rng(44).shuffle(shuffled)
+    assert shuffled != tuples
+    for order in (tuples[::-1], shuffled):
+        jets._jet_ideal.cache_clear()
+        results = {h: min_degree_search(h) for h in order}
+        answers = [_oracle_answer(h, results[h]) for h in tuples]
+        canonical = json.dumps(answers, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(canonical.encode()).hexdigest() == ORACLE_ANSWERS_SHA256
+    for h, result in results.items():
+        desc = JetRingDesc(len(h), sum(h))
+        query = derivative_monomial(h, desc) ** result.degree
+        public = homogeneous_membership(query, jet_generators(None, desc))
+        assert public.combination == result.certificate.combination, h
+
+
+def test_jet_ring_record_holds_nothing_per_degree():
+    # one record per (n, m): searches of any degree read it and leave its
+    # generator data as they found it, adding only the spec of their lambda
+    jets._jet_ideal.cache_clear()
+    record = jets._jet_ideal(2, 2)
+    fields = ("polys", "gradings", "degrees", "weights", "steps")
+    before = [getattr(record, name) for name in fields]
+    assert record.polys == tuple(jet_generators(None, record.desc))
+    assert record.steps == jets._grading_steps(record.gradings)
+    for h in [(1, 1), (2, 0), (0, 2)]:
+        min_degree_search(h)
+    assert jets._jet_ideal(2, 2) is record
+    assert [getattr(record, name) for name in fields] == before
+    assert set(record.specs) == {Composition((2, 1)), Composition((1, 2))}
+    assert set(jets._Generators.__slots__) | set(jets._JetIdeal.__slots__) == {*fields, "desc", "specs"}
 
 
 def test_psi_refusals_take_one_packed_route(monkeypatch):
@@ -1652,12 +1719,13 @@ def test_one_component_span_answers_every_query_of_the_component():
     queries = [x[0] ** 3, x[1] ** 3, x[2] * x[3] * x[4], x[0] ** 2 * x[5]]
     usable = list(range(len(gens)))
     gradings = jets._common_gradings(gens + [queries[0]], desc.ring.nvars)
+    generators = jets._Generators(gens, gradings)
     assert len({_weights(gradings, next(iter(q.terms))) for q in queries}) == 1
     span = ExactSpan()
-    packing, cleared, units = jets._solve_membership(queries[0], gens, usable, gradings, span, 0)
+    packing, cleared, units = jets._solve_membership(queries[0], generators, usable, span, 0)
     sizes = []
     for query in queries:
-        certificate = jets._certificate(query, gens, span, packing, cleared, 0, units)
+        certificate = jets._certificate(query, generators, span, packing, cleared, 0, units)
         result = homogeneous_membership(query, gens)
         assert certificate == result.combination
         if result.member:
