@@ -207,11 +207,11 @@ def _cmd_member(args):
     budget = _budget_from(args)
     desc = jets.JetRingDesc(args.n, args.m)
     p = parse_poly(desc.ring, args.poly)
-    ideal = jets._jet_ideal(desc.n, desc.m)
-    result = jets.homogeneous_membership(p, ideal.polys, budget=budget)
+    gens = jets.jet_generators(None, desc)
+    result = jets.homogeneous_membership(p, gens, budget=budget)
     if not result.member:
         # a refusal by elimination also carries a psi witness, if one refuses p
-        result.witness = jets._psi_witness(p, ideal)
+        result.witness = jets._psi_witness(p, gens, desc)
     # what was asked rides with the verdict, so the payload re-checks alone
     payload = {"n": desc.n, "m": desc.m, "query": str(p), **result.to_json(desc.ring)}
     line = "member" if result.member else "not a member"

@@ -53,14 +53,13 @@ not the span, and its cofactor too is read off the residual.
 
 What a search reads of the jet ring itself is one record per (n, m),
 `_jet_ideal`: the generators, checked homogeneous once, their common
-gradings, each generator's total degree and weights, the per-variable
-bounds of the gradings that the multiplier pass cuts exponents by, and the
-psi specialisations, each made on first use and kept only once its kernel
+gradings, each generator's total degree and weights, and the psi
+specialisations, each made on first use and kept only once its kernel
 check has passed.  The record holds nothing that depends on a query's
 degree: the packing, the multiplier table, the trailing-term basis, the
 unit table and the span are built for each query and dropped with it.
-`member` reads the same generators, and after a refusal by elimination
-tries the record's psi specialisations for a witness.
+After a refusal by elimination, `member` tries every plain psi_lambda for a
+witness and checks the kernel of the one that refuses.
 """
 
 from __future__ import annotations
@@ -375,32 +374,22 @@ def _common_gradings(polys: list[Poly], nvars: int) -> list[tuple[int, ...]]:
     return integer_nullspace(rows, nvars)
 
 
-def _grading_steps(gradings) -> list:
-    """For each variable i but the last, each grading's (w[i], min w[i+1:],
-    max w[i+1:]): its weight on the variable and its bounds over the later
-    ones, the slopes by which `_exponent_range` cuts exponents."""
-    nvars = len(gradings[0]) if gradings else 0
-    return [
-        tuple((w[i], min(w[i + 1 :]), max(w[i + 1 :])) for w in gradings)
-        for i in range(nvars - 1)
-    ]
-
-
 class _Generators:
-    """Homogeneous generators as the oracle reads them: `polys`, common
-    `gradings` of them and of the queries, each generator's total degree and
-    its weights under the gradings, and their `_grading_steps`.  Built per
-    call by `homogeneous_membership`, and once per jet ring by `_jet_ideal`.
+    """Homogeneous generators as the oracle reads them: `polys`, the indices
+    `usable` of those of degree at most the queries', common `gradings` of
+    the usable ones and of the queries, and each usable generator's total
+    degree and weights under the gradings, keyed by index.  Built per call
+    by `homogeneous_membership`, and once per jet ring by `_jet_ideal`.
     """
 
-    __slots__ = ("polys", "gradings", "degrees", "weights", "steps")
+    __slots__ = ("polys", "usable", "gradings", "degrees", "weights")
 
-    def __init__(self, polys: tuple, gradings):
+    def __init__(self, polys: tuple, usable: list, gradings):
         self.polys = polys
+        self.usable = usable
         self.gradings = gradings
-        self.degrees = [g.total_degree() for g in polys]
-        self.weights = [tuple(_weight_of(g, w) for w in gradings) for g in polys]
-        self.steps = _grading_steps(gradings)
+        self.degrees = {i: polys[i].total_degree() for i in usable}
+        self.weights = {i: tuple(_weight_of(polys[i], w) for w in gradings) for i in usable}
 
 
 # bytes charged to a `Budget` per packed multiplier: by tracemalloc, building
@@ -444,11 +433,10 @@ def _exponent_range(remaining: int, partial, bounds) -> range:
     return range(last, first - 1, -1)
 
 
-def _packed_multipliers(degree: int, gradings, targets, shifts, budget=None, steps=None) -> dict:
+def _packed_multipliers(degree: int, gradings, targets, shifts, budget=None) -> dict:
     """Every exponent vector of the given total degree whose weights under
     `gradings` equal one of `targets`, packed with variable i shifted left
     by shifts[i]: {target: packed vectors, in no particular order}.
-    `steps` is `_grading_steps(gradings)`, computed here if not given.
 
     One variable-by-variable pass serves all targets.  Exponent prefixes
     with the same remaining degree and partial weights share one list of
@@ -470,8 +458,11 @@ def _packed_multipliers(degree: int, gradings, targets, shifts, budget=None, ste
     hi = [max(t[c] for t in targets) for c in range(len(gradings))]
     states = {(degree, (0,) * len(gradings)): [0]}
     charged = 0
-    for i, step in enumerate(_grading_steps(gradings) if steps is None else steps):
-        bounds = [(w, a, b, low, high) for (w, a, b), low, high in zip(step, lo, hi)]
+    for i in range(nvars - 1):
+        bounds = [
+            (w[i], min(w[i + 1 :]), max(w[i + 1 :]), low, high)
+            for w, low, high in zip(gradings, lo, hi)
+        ]
         col = [w[i] for w in gradings]
         shift = shifts[i]
         nxt: dict = {}
@@ -624,7 +615,7 @@ def _trailing_term_leads(rows, packing: Packing, top, bounds, budget):
         yield [g[1] for g in basis]
 
 
-def _solve_membership(p, gens: _Generators, usable, span, filtered) -> tuple:
+def _solve_membership(p, gens: _Generators, span, filtered) -> tuple:
     """Insert into `span` the multiplier*generator rows of p's graded
     component, read from p's degree and weights alone, never its terms.
 
@@ -637,7 +628,7 @@ def _solve_membership(p, gens: _Generators, usable, span, filtered) -> tuple:
     is charged to the span's budget while it is built, so a budget too
     small for it stops the query before any row is inserted.
 
-    Rows are inserted generator by generator in `usable` order, each
+    Rows are inserted generator by generator in `gens.usable` order, each
     generator's multipliers in table order.  A row M*g_k is skipped (the F5
     criterion, Faugere, ISSAC 2002) when M is divisible by the trailing,
     lex-smallest monomial T of some G in the ideal I_<k of the generators
@@ -663,8 +654,8 @@ def _solve_membership(p, gens: _Generators, usable, span, filtered) -> tuple:
     with q_k the last nonzero one, then q_k lies in (I_<k : g_k) = I_<k and
     the basis would have skipped q_k's trailing monomial.
 
-    `filtered` is None or usable[0], the index of a monomial g_0. Its rows
-    M*g_0 are the unit vectors of the g_0-divisible columns, all of the
+    `filtered` is None or gens.usable[0], the index of a monomial g_0.  Its
+    rows M*g_0 are the unit vectors of the g_0-divisible columns, all of the
     component's, so those columns are dropped from every other row, and by
     `_certificate` from p, instead.  Dropping them is the linear projection
     that kills exactly the span of the g_0 rows, so skipped rows stay
@@ -700,6 +691,7 @@ def _solve_membership(p, gens: _Generators, usable, span, filtered) -> tuple:
     degree = p.total_degree()
     packing = Packing(p.ring.nvars, degree)
     guard = packing.guard
+    usable = gens.usable
     inserted = usable[1:] if filtered is not None else usable
     gradings = gens.gradings
     p_weights = [_weight_of(p, w) for w in gradings]
@@ -712,9 +704,7 @@ def _solve_membership(p, gens: _Generators, usable, span, filtered) -> tuple:
     table = {}
     for mult_degree, wanted in by_degree.items():
         table.update(
-            _packed_multipliers(
-                mult_degree, gradings, wanted, packing.shifts, span.budget, gens.steps
-            )
+            _packed_multipliers(mult_degree, gradings, wanted, packing.shifts, span.budget)
         )
     last_user = {t: gi for gi, t in targets.items()}
     polys = gens.polys
@@ -790,11 +780,11 @@ def _certificate(
     sign check.  Each nonzero residual term r at the column of a unit row
     (k, M, v) gives that row's entry, coefficient r*d/(s*v), and every
     other term of its row is divisible by g_0.  Then each nonzero residual
-    term r at key, divided by g_0 = gens[filtered] = a*z^g0, is the entry
-    (key - g0, r*d/(s*a)) of g_0's cofactor; a term g_0 does not divide
-    raises.  Every entry, the span's, the units' and g_0's, goes through
-    `take`, which subtracts the full row M*row back from the triple's own
-    coefficient, so a wrong one is left in the residual.  What is left, all
+    term r at key, divided by g_0 = gens.polys[filtered] = a*z^g0, is the
+    entry (key - g0, r*d/(s*a)) of g_0's cofactor; a term g_0 does not
+    divide raises.  Every entry, the span's, the units' and g_0's, goes
+    through `take`, which subtracts the full row M*row back from the
+    triple's own coefficient, so a wrong one is left in the residual.  What is left, all
     of the residual if `filtered` is None, must be zero.
     """
     terms = {packing.pack(m): v for m, v in p.nums.items()}
@@ -876,8 +866,8 @@ def homogeneous_membership(
     then the other kept rows, would give, and every entry of it is
     re-expanded against p before it is returned.
 
-    This entry checks its input and takes common gradings of p and of the
-    generators of degree at most deg p; `_membership` decides.
+    This entry checks its input, picks the generators of degree at most
+    deg p and takes common gradings of them and of p; `_membership` decides.
     """
     if not p.is_homogeneous():
         raise DomainError("membership query must be homogeneous")
@@ -885,8 +875,9 @@ def homogeneous_membership(
     if p.is_zero():
         return MembershipResult(True, None, [])
     degree = p.total_degree()
-    usable = [g for g in gens if g.total_degree() <= degree]
-    return _membership(p, _Generators(gens, _common_gradings(usable + [p], p.ring.nvars)), budget)
+    usable = [i for i, g in enumerate(gens) if g.total_degree() <= degree]
+    gradings = _common_gradings([gens[i] for i in usable] + [p], p.ring.nvars)
+    return _membership(p, _Generators(gens, usable, gradings), budget)
 
 
 def _homogeneous_generators(gens, ring: Ring) -> tuple:
@@ -903,15 +894,14 @@ def _homogeneous_generators(gens, ring: Ring) -> tuple:
 
 def _membership(p: Poly, gens: _Generators, budget: Budget | None) -> MembershipResult:
     """The verdict of `homogeneous_membership` on a nonzero homogeneous p,
-    for generators checked as it checks them, whose gradings are common to p
-    and to every generator of degree at most deg p."""
-    degree = p.total_degree()
-    usable = [i for i, d in enumerate(gens.degrees) if d <= degree]
+    for generators checked as it checks them, whose `usable` ones are those
+    of degree at most deg p, with gradings common to them and to p."""
+    usable = gens.usable
     filtered = usable[0] if usable and len(gens.polys[usable[0]].nums) == 1 else None
     span = ExactSpan(budget=budget)
-    packing, cleared, units = _solve_membership(p, gens, usable, span, filtered)
+    packing, cleared, units = _solve_membership(p, gens, span, filtered)
     certificate = _certificate(p, gens, span, packing, cleared, filtered, units)
-    return MembershipResult(certificate is not None, degree, certificate)
+    return MembershipResult(certificate is not None, p.total_degree(), certificate)
 
 
 # -- witness homomorphisms ----------------------------------------------------
@@ -938,9 +928,8 @@ def radical_witness(h) -> bool:
     h = _derivative_tuple(h)
     # the order -1 jet ideal, of sum(h) = 0, is undefined
     total = _size(sum(h), "sum of the derivative orders", 1)
-    ideal = _jet_ideal(len(h), total)
-    desc = ideal.desc
-    gens = ideal.polys[:total]
+    desc = JetRingDesc(len(h), total)
+    gens = jet_generators(None, desc)[:total]
     if any(phi_binary_eval(g, h, desc) != 0 for g in gens):
         return False
     return phi_binary_eval(derivative_monomial(h, desc), h, desc) == 1
@@ -1029,12 +1018,13 @@ class _Specs(dict):
 
 
 class _JetIdeal(_Generators):
-    """The jet ideal of x_1...x_n of order m as the minimal-degree search,
-    `member` and `radical_witness` read it, made once per (n, m) by
-    `_jet_ideal`: `desc`; g_0..g_m as `polys`, checked homogeneous once,
-    with their common gradings and what `_Generators` derives from them;
-    and `specs`, the lazy kernel-checked psi_lambda.  No field depends on a
-    query's degree.
+    """The jet ideal of x_1...x_n of order m as the minimal-degree search
+    reads it, made once per (n, m) by `_jet_ideal`: `desc`; g_0..g_m as
+    `polys`, checked homogeneous once, every one usable, as all have degree
+    n and every query of the search has degree a multiple of n, with their
+    common gradings and what `_Generators` derives from them; and `specs`,
+    the lazy kernel-checked psi_lambda.  No field depends on a query's
+    degree.
     """
 
     __slots__ = ("desc", "specs")
@@ -1042,23 +1032,25 @@ class _JetIdeal(_Generators):
     def __init__(self, n: int, m: int):
         self.desc = desc = JetRingDesc(n, m)
         polys = _homogeneous_generators(jet_generators(None, desc), desc.ring)
-        super().__init__(polys, _common_gradings(polys, desc.ring.nvars))
+        usable = list(range(len(polys)))
+        super().__init__(polys, usable, _common_gradings(polys, desc.ring.nvars))
         self.specs = _Specs(desc, polys)
 
 
 _jet_ideal = lru_cache(maxsize=None)(_JetIdeal)
 
 
-def _psi_witness(p: Poly, ideal: _JetIdeal) -> PsiWitness | None:
+def _psi_witness(p: Poly, gens, desc: JetRingDesc) -> PsiWitness | None:
     """A PsiWitness of the first psi_lambda, lambda in `compositions(m+1, n)`
     order, with NF_IS(psi_lambda(p)) nonzero, or None if there is none.
-    Each psi_lambda is the record's, kernel-checked, so a witness proves
-    that p is not in the jet ideal."""
-    desc = ideal.desc
+    Only that psi_lambda has its kernel checked against the jet generators
+    `gens`, the one check a witness needs to prove that p is not in the jet
+    ideal: one check per answer, none for a p that no psi_lambda refuses."""
     for lam in compositions(desc.m + 1, desc.n):
-        spec = ideal.specs[lam]
+        spec = PsiSpecialization(lam, desc)
         nf = normal_form_IS(spec.apply(p))
         if not nf.is_zero():
+            _check_psi_kernel(spec, gens)
             return PsiWitness(spec.lam, nf)
     return None
 

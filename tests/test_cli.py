@@ -197,6 +197,34 @@ def test_member_refusals_carry_the_first_psi_witness(capsys):
     assert counts == {(2, 2, 2): (19, 20), (2, 2, 3): (38, 48), (3, 2, 3): (130, 164)}
 
 
+def test_member_checks_one_psi_kernel_per_witness(capsys, monkeypatch):
+    # the witness search applies each psi_lambda unchecked and checks the
+    # kernel of the one that refuses the query only: one check for a refusal
+    # with a witness, none for a member or for a refusal that none of the
+    # 84 psi_lambda of (4, 5) makes
+    checked = []
+    check = jets._check_psi_kernel
+
+    def counting(spec, gens):
+        checked.append(list(spec.lam.parts))
+        check(spec, gens)
+
+    monkeypatch.setattr(jets, "_check_psi_kernel", counting)
+    cases = [
+        ("x1_0*x2_1 + x1_1*x2_0", 2, 1, False),
+        ("x1_1*x2_1", 2, 2, True),
+        ("x1_2*x2_2*x3_2*x4_2", 4, 5, False),
+    ]
+    for text, n, m, witnessed in cases:
+        del checked[:]
+        code, doc = run_json(capsys, ["member", text, "--n", str(n), "--m", str(m)])
+        assert code == 0
+        witness = doc["payload"].get("witness")
+        assert (witness is not None) == witnessed
+        assert checked == ([witness["lambda"]] if witnessed else []), text
+    assert doc["payload"]["member"] is False
+
+
 def test_min_degree(capsys):
     code, doc = run_json(capsys, ["min-degree", "--h", "1,1"])
     assert code == 0

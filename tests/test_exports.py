@@ -285,9 +285,9 @@ def test_trailing_term_basis_takes_the_cleared_rows_themselves(monkeypatch):
     query = jetform.derivative_monomial((1, 1), desc) ** 3
     usable = list(range(len(gens)))
     gradings = jets._common_gradings(gens + [query], desc.ring.nvars)
-    generators = jets._Generators(gens, gradings)
+    generators = jets._Generators(gens, usable, gradings)
     span = jetform.ExactSpan()
-    packing, cleared, units = jets._solve_membership(query, generators, usable, span, 0)
+    packing, cleared, units = jets._solve_membership(query, generators, span, 0)
     (rows,) = received
     assert len(rows) == len(cleared) == len(gens)
     assert all(got is row for got, (row, _) in zip(rows, cleared.values()))

@@ -350,8 +350,8 @@ def test_packed_multipliers_match_reference_on_oracle_calls(monkeypatch):
     calls = []
     enumerate_ = jets._packed_multipliers
 
-    def recording(degree, gradings, targets, shifts, budget=None, steps=None):
-        got = enumerate_(degree, gradings, targets, shifts, budget, steps)
+    def recording(degree, gradings, targets, shifts, budget=None):
+        got = enumerate_(degree, gradings, targets, shifts, budget)
         calls.append(((degree, gradings, targets, shifts), _sorted_table(got)))
         return got
 
@@ -527,9 +527,9 @@ def _skipped_rows_are_redundant(p, gens, multipliers) -> int:
     usable = [i for i, g in enumerate(gens) if g.total_degree() <= degree]
     filtered = usable[0] if len(gens[usable[0]].terms) == 1 else None
     gradings = jets._common_gradings([gens[i] for i in usable] + [p], nvars)
-    generators = jets._Generators(gens, gradings)
+    generators = jets._Generators(gens, usable, gradings)
     kept = _RecordingSpan()
-    packing, cleared, units = jets._solve_membership(p, generators, usable, kept, filtered)
+    packing, cleared, units = jets._solve_membership(p, generators, kept, filtered)
 
     def columns(terms):
         return {-packing.pack(mono): v for mono, v in terms.items()}
@@ -687,8 +687,8 @@ def _record_spans(monkeypatch) -> list:
             super().__init__()
             spans.append(self)
 
-    def solve_keeping_units(p, gens, usable, span, filtered):
-        packing, cleared, span.units = solve(p, gens, usable, span, filtered)
+    def solve_keeping_units(p, gens, span, filtered):
+        packing, cleared, span.units = solve(p, gens, span, filtered)
         return packing, cleared, span.units
 
     monkeypatch.setattr(jets, "ExactSpan", RecordingSpan)
@@ -1032,9 +1032,9 @@ def test_filtered_certificates_match_a_span_offered_every_row(system):
         usable = [i for i, g in enumerate(gens) if g.total_degree() <= result.degree]
         filtered = usable[0] if len(gens[usable[0]].terms) == 1 else None
         gradings = jets._common_gradings([gens[i] for i in usable] + [query], query.ring.nvars)
-        generators = jets._Generators(gens, gradings)
+        generators = jets._Generators(gens, usable, gradings)
         span = _BumpingSpan()
-        packing, cleared, units = jets._solve_membership(query, generators, usable, span, filtered)
+        packing, cleared, units = jets._solve_membership(query, generators, span, filtered)
         cert = jets._certificate(query, generators, span, packing, cleared, filtered, units)
         assert cert == result.combination
         comb, _ = span.relation
@@ -1056,9 +1056,9 @@ def test_certificate_refuses_each_wrong_coefficient_on_generic_systems(system):
     usable = [i for i, g in enumerate(gens) if g.total_degree() <= degree]
     filtered = usable[0] if usable and len(gens[usable[0]].terms) == 1 else None
     gradings = jets._common_gradings([gens[i] for i in usable] + [query], query.ring.nvars)
-    generators = jets._Generators(gens, gradings)
+    generators = jets._Generators(gens, usable, gradings)
     span = _BumpingSpan()
-    packing, cleared, units = jets._solve_membership(query, generators, usable, span, filtered)
+    packing, cleared, units = jets._solve_membership(query, generators, span, filtered)
     cert = jets._certificate(query, generators, span, packing, cleared, filtered, units)
     if cert is None:
         return
@@ -1091,8 +1091,8 @@ def test_oracle_enumerates_no_g0_multiplier(monkeypatch):
     calls = []
     enumerate_ = jets._packed_multipliers
 
-    def recording(degree, gradings, targets, shifts, budget=None, steps=None):
-        got = enumerate_(degree, gradings, targets, shifts, budget, steps)
+    def recording(degree, gradings, targets, shifts, budget=None):
+        got = enumerate_(degree, gradings, targets, shifts, budget)
         calls.append((gradings, set(targets), {t for t, keys in got.items() if keys}))
         return got
 
@@ -1561,14 +1561,13 @@ def test_jet_ring_record_holds_nothing_per_degree():
     # generator data as they found it, adding only the spec of their lambda
     jets._jet_ideal.cache_clear()
     record = jets._jet_ideal(2, 2)
-    fields = ("polys", "gradings", "degrees", "weights", "steps")
-    before = [getattr(record, name) for name in fields]
+    fields = ("polys", "usable", "gradings", "degrees", "weights")
     assert record.polys == tuple(jet_generators(None, record.desc))
-    assert record.steps == jets._grading_steps(record.gradings)
     for h in [(1, 1), (2, 0), (0, 2)]:
         min_degree_search(h)
     assert jets._jet_ideal(2, 2) is record
-    assert [getattr(record, name) for name in fields] == before
+    fresh = jets._JetIdeal(2, 2)
+    assert [getattr(record, name) for name in fields] == [getattr(fresh, name) for name in fields]
     assert set(record.specs) == {Composition((2, 1)), Composition((1, 2))}
     assert set(jets._Generators.__slots__) | set(jets._JetIdeal.__slots__) == {*fields, "desc", "specs"}
 
@@ -1719,10 +1718,10 @@ def test_one_component_span_answers_every_query_of_the_component():
     queries = [x[0] ** 3, x[1] ** 3, x[2] * x[3] * x[4], x[0] ** 2 * x[5]]
     usable = list(range(len(gens)))
     gradings = jets._common_gradings(gens + [queries[0]], desc.ring.nvars)
-    generators = jets._Generators(gens, gradings)
+    generators = jets._Generators(gens, usable, gradings)
     assert len({_weights(gradings, next(iter(q.terms))) for q in queries}) == 1
     span = ExactSpan()
-    packing, cleared, units = jets._solve_membership(queries[0], generators, usable, span, 0)
+    packing, cleared, units = jets._solve_membership(queries[0], generators, span, 0)
     sizes = []
     for query in queries:
         certificate = jets._certificate(query, generators, span, packing, cleared, 0, units)
