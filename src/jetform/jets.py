@@ -23,13 +23,12 @@ dividing is subtracting.  `_solve_membership` builds the span of the
 query's graded component, rows and query keyed by packed monomials negated
 only as they enter it, so elimination works from the lex-smallest one;
 `_certificate` reduces the query against it.  The multipliers of the
-inserted generators come from one table per query, filled by one
-variable-by-variable pass per multiplier degree: the jet generators share
-their block degrees and differ only in weight, so one pass serves them all.
-Each state of the pass, a remaining degree and partial weights, cuts the
-exponent of its variable to one interval by two linear bounds per grading,
-so no exponent is tested on its own, and the table is charged to the memory
-budget as it grows.
+inserted generators come from one table per query, charged to the memory
+budget as it grows, filled by one variable-by-variable pass per multiplier
+degree that cuts each exponent to an interval by linear bounds per grading.
+A jet generator has degree 1 in every block, so its multipliers are
+products of block monomials: one such pass lists a block's by weight, and
+the blocks are combined by weight as sums of packed ints.
 
 Rows are inserted generator by generator, and a row M*g_k is skipped
 without elimination when M is divisible by the trailing (lex-smallest)
@@ -40,9 +39,10 @@ ideal for the order whose leading term is the lex-smallest, grevlex with
 the variables reversed on homogeneous input, built per query by
 Buchberger's algorithm with the Gebauer-Moeller criteria M and F and the
 product criterion, and truncated to the monomials that can divide a
-multiplier.  The jet generators form a regular sequence, so the kept rows
-are independent and the certificate is unique.  The first jet generator
-g_0 = x_1^(0)...x_n^(0) is a monomial, so its rows are unit vectors.  A
+multiplier; for the jet generators, once per jet ring and in full.  The
+jet generators form a regular sequence, so the kept rows are independent
+and the certificate is unique.  The first jet generator g_0 =
+x_1^(0)...x_n^(0) is a monomial, so its rows are unit vectors.  A
 monomial first usable generator is therefore a column filter, not rows: its
 multipliers are never enumerated, its columns are dropped from the other
 rows, by one template per generator and M's exponents at g_0's variables,
@@ -53,11 +53,12 @@ not the span, and its cofactor too is read off the residual.
 
 What a search reads of the jet ring itself is one record per (n, m),
 `_jet_ideal`: the generators, checked homogeneous once, their common
-gradings, each generator's total degree and weights, and the psi
+gradings, each generator's total degree and weights, the psi
 specialisations, each made on first use and kept only once its kernel
-check has passed.  The record holds nothing that depends on a query's
-degree: the packing, the multiplier table, the trailing-term basis, the
-unit table and the span are built for each query and dropped with it.
+check has passed, and the leads of the full trailing-term basis.  The
+record holds nothing that depends on a query's degree: the packing, the
+multiplier table, the unit table and the span are built for each query
+and dropped with it.
 After a refusal by elimination, `member` tries every plain psi_lambda for a
 witness and checks the kernel of the one that refuses.
 """
@@ -379,7 +380,9 @@ class _Generators:
     `usable` of those of degree at most the queries', common `gradings` of
     the usable ones and of the queries, and each usable generator's total
     degree and weights under the gradings, keyed by index.  Built per call
-    by `homogeneous_membership`, and once per jet ring by `_jet_ideal`.
+    by `homogeneous_membership`, and once per jet ring by `_jet_ideal`,
+    whose `multiplier_table` and `trailing_leads` read the jet ring's
+    structure where these read only the fields.
     """
 
     __slots__ = ("polys", "usable", "gradings", "degrees", "weights")
@@ -391,11 +394,34 @@ class _Generators:
         self.degrees = {i: polys[i].total_degree() for i in usable}
         self.weights = {i: tuple(_weight_of(polys[i], w) for w in gradings) for i in usable}
 
+    def multiplier_table(self, p: Poly, targets: dict, packing: Packing, budget) -> dict:
+        """{target: packed multipliers} for `targets`, {generator index: the
+        weights under `gradings` its multipliers must have}, of p's
+        component: one `_packed_multipliers` pass per multiplier degree."""
+        degree = p.total_degree()
+        by_degree: dict = {}
+        for gi, t in targets.items():
+            by_degree.setdefault(degree - self.degrees[gi], set()).add(t)
+        table = {}
+        for mult_degree, wanted in by_degree.items():
+            table.update(
+                _packed_multipliers(mult_degree, self.gradings, wanted, packing.shifts, budget)
+            )
+        return table
+
+    def trailing_leads(self, rows, packing: Packing, top: int, bounds, budget):
+        """The packed trailing-term leads of each I_<k in the box (`top`,
+        `bounds`): a fresh `_trailing_term_leads` basis for every query."""
+        return _trailing_term_leads(rows, packing, top, bounds, budget)
+
 
 # bytes charged to a `Budget` per packed multiplier: by tracemalloc, building
 # the (1,1,1) table of 6,316 packed ints peaks at 66.4 bytes per int, and the
 # (2,1,1) table of 811,617 at 66.0; the finished table takes 49
 _PACKED_BYTES = 68
+# the same per block product built, partial sums included: by tracemalloc,
+# 1.09 times the traced peak of the (1,1,1) build and 1.01 times (2,1,1)'s
+_BLOCK_BYTES = 49
 
 
 def _exponent_range(remaining: int, partial, bounds) -> range:
@@ -438,14 +464,16 @@ def _packed_multipliers(degree: int, gradings, targets, shifts, budget=None) -> 
     `gradings` equal one of `targets`, packed with variable i shifted left
     by shifts[i]: {target: packed vectors, in no particular order}.
 
-    One variable-by-variable pass serves all targets.  Exponent prefixes
-    with the same remaining degree and partial weights share one list of
-    packed prefixes.  Such a state cuts the exponent of its variable once,
-    by `_exponent_range`, to the interval after which the bounding box of
-    all targets is still in reach, and takes those exponents with no test
-    of its own.  The last variable takes whatever degree is left, and only
-    the states that hit a target are kept.  Each level's states are
-    released as the next level is built.
+    This is the multiplier table of arbitrary generators, the block table
+    of `_JetIdeal.multiplier_table` and the reference its products are
+    tested against.  One variable-by-variable pass serves all targets.
+    Exponent prefixes with the same remaining degree and partial weights
+    share one list of packed prefixes.  Such a state cuts the exponent of
+    its variable once, by `_exponent_range`, to the interval after which
+    the bounding box of all targets is still in reach, and takes those
+    exponents with no test of its own.  The last variable takes whatever
+    degree is left, and only the states that hit a target are kept.  Each
+    level's states are released as the next level is built.
 
     `budget`, if given, is charged "multiplier table" as each level grows:
     _PACKED_BYTES per packed prefix of the largest level so far, in whole
@@ -506,7 +534,13 @@ def _weight_of(poly: Poly, weights) -> int:
     return sum(w * e for w, e in zip(weights, mono))
 
 
-def _trailing_term_leads(rows, packing: Packing, top, bounds, budget):
+def _in_box(exps, top: int, bounds) -> bool:
+    """Whether exponents `exps` have total degree at most `top` and weight
+    at most b under every (w, b) of `bounds`."""
+    return sum(exps) <= top and all(sum(map(mul, w, exps)) <= b for w, b in bounds)
+
+
+def _trailing_term_leads(rows, packing: Packing, top, bounds, budget, dropped=None):
     """Yield, for k = 0, 1, ..., len(rows)-1, the packed leading monomials
     of a Groebner basis of (g_0, ..., g_{k-1}), truncated as below, where a
     polynomial's leading term is its lex-smallest one.  The g_j are given
@@ -529,7 +563,10 @@ def _trailing_term_leads(rows, packing: Packing, top, bounds, budget):
     `member` query x1_6^8*x2_6^8, (n, m) = (2, 6), from 36-37 ms to
     0.5-0.9 ms (median of 15 calls; 2-core Xeon, Python 3.11.7).  The last
     row is never added, since no basis after it is used.  Each stored basis
-    row is charged to `budget`.
+    row is charged to `budget`.  `dropped`, if given, gets the exponents of
+    each element and of each pair's lcm that the box leaves out, pairs
+    counted only once the criteria have kept them: left empty, the yielded
+    leads are those of the full basis.
     """
     divides = packing.divides
     basis = []  # (row, packed lead, lead exponents) of the live elements
@@ -569,26 +606,27 @@ def _trailing_term_leads(rows, packing: Packing, top, bounds, budget):
                 return {k: v // c for k, v in f.items()}
         return None
 
-    def in_box(exps):
-        return sum(exps) <= top and all(sum(map(mul, w, exps)) <= b for w, b in bounds)
+    if dropped is None:
+        dropped = []
 
     def add(h):
         lead = min(h)
         new = (h, lead, packing.unpack(lead))
-        if not in_box(new[2]):
+        if not _in_box(new[2], top, bounds):
+            dropped.append(new[2])
             return
         if budget is not None:
             budget.charge(len(h), "trailing-term basis")
         fresh = []
         for g in basis:
             exps = tuple(map(max, new[2], g[2]))
-            if in_box(exps):
-                degree = sum(exps)
-                coprime = degree == sum(new[2]) + sum(g[2])
-                lcm_ = packing.pack(exps)
-                fresh.append((coprime, degree, lcm_, g))
+            degree = sum(exps)
+            coprime = degree == sum(new[2]) + sum(g[2])
+            fresh.append((coprime, degree, packing.pack(exps), g, exps))
         # criteria M and F: keep a pair only if no other new pair's lcm
-        # divides its lcm; of equal lcms one survives, a coprime one if any
+        # divides its lcm; of equal lcms one survives, a coprime one if any.
+        # No lcm outside the box divides one inside, so the box is applied
+        # after them, and only to what they keep
         kept = []
         while fresh:
             pair = fresh.pop()
@@ -596,8 +634,13 @@ def _trailing_term_leads(rows, packing: Packing, top, bounds, budget):
                 divides(q[2], pair[2]) for q in itertools.chain(fresh, kept)
             ):
                 kept.append(pair)
-        # Buchberger's product criterion
-        pairs.extend((d, l, new, g) for coprime, d, l, g in kept if not coprime)
+        for coprime, d, l, g, exps in kept:
+            if coprime:
+                continue  # Buchberger's product criterion
+            if _in_box(exps, top, bounds):
+                pairs.append((d, l, new, g))
+            else:
+                dropped.append(exps)
         basis[:] = [g for g in basis if not divides(lead, g[1])] + [new]
 
     for row in rows[:-1]:
@@ -620,20 +663,23 @@ def _solve_membership(p, gens: _Generators, span, filtered) -> tuple:
     component, read from p's degree and weights alone, never its terms.
 
     The multipliers of all generators but `filtered` are enumerated up
-    front, one pass per distinct multiplier degree, into a table keyed by
-    the weights a multiplier must have under `gens.gradings`.  These
-    weights fix its total degree, since the total degree lies in the span
-    of the gradings.  Each generator's list is popped from the table when its last
-    user has taken it, so the table shrinks while the span grows.  The table
-    is charged to the span's budget while it is built, so a budget too
-    small for it stops the query before any row is inserted.
+    front by `gens.multiplier_table`, into a table keyed by the weights a
+    multiplier must have under `gens.gradings`: one pass per distinct
+    multiplier degree for arbitrary generators, block products for the jet
+    generators.  These weights fix its total degree, since the total degree
+    lies in the span of the gradings.  Each generator's list is popped from
+    the table when its last user has taken it, so the table shrinks while
+    the span grows.  The table is charged to the span's budget while it is
+    built, so a budget too small for it stops the query before any row is
+    inserted.
 
     Rows are inserted generator by generator in `gens.usable` order, each
     generator's multipliers in table order.  A row M*g_k is skipped (the F5
     criterion, Faugere, ISSAC 2002) when M is divisible by the trailing,
     lex-smallest monomial T of some G in the ideal I_<k of the generators
     before g_k.  The leads of a Groebner basis of I_<k for the
-    lex-smallest-term order divide every such T (see `_trailing_term_leads`);
+    lex-smallest-term order divide every such T (see `_trailing_term_leads`),
+    and `gens.trailing_leads` gives those that can divide a multiplier;
     the trailing monomials of the earlier generators are among the T, so
     the Koszul criterion is a special case.  G is homogeneous under the
     gradings, as the generators are.  With c the coefficient of T in G,
@@ -698,14 +744,7 @@ def _solve_membership(p, gens: _Generators, span, filtered) -> tuple:
     targets = {
         gi: tuple(pw - gw for pw, gw in zip(p_weights, gens.weights[gi])) for gi in inserted
     }
-    by_degree: dict = {}
-    for gi in inserted:
-        by_degree.setdefault(degree - gens.degrees[gi], set()).add(targets[gi])
-    table = {}
-    for mult_degree, wanted in by_degree.items():
-        table.update(
-            _packed_multipliers(mult_degree, gradings, wanted, packing.shifts, span.budget)
-        )
+    table = gens.multiplier_table(p, targets, packing, span.budget)
     last_user = {t: gi for gi, t in targets.items()}
     polys = gens.polys
     cleared = {
@@ -719,9 +758,9 @@ def _solve_membership(p, gens: _Generators, span, filtered) -> tuple:
         for c, w in enumerate(gradings)
         if min(w) >= 0
     ]
-    leads = _trailing_term_leads(
-        [row for row, _ in cleared.values()], packing, max(by_degree, default=0), bounds, span.budget
-    )
+    top = max((degree - gens.degrees[gi] for gi in inserted), default=0)
+    rows = [row for row, _ in cleared.values()]
+    leads = iter(gens.trailing_leads(rows, packing, top, bounds, span.budget))
     g0, fields = guard, 0  # a guard bit exceeds every entry, so it divides no packed monomial
     if filtered is not None:
         g0 = next(iter(cleared[filtered][0]))  # the packed monomial g_0
@@ -1022,12 +1061,14 @@ class _JetIdeal(_Generators):
     reads it, made once per (n, m) by `_jet_ideal`: `desc`; g_0..g_m as
     `polys`, checked homogeneous once, every one usable, as all have degree
     n and every query of the search has degree a multiple of n, with their
-    common gradings and what `_Generators` derives from them; and `specs`,
-    the lazy kernel-checked psi_lambda.  No field depends on a query's
-    degree.
+    common gradings and what `_Generators` derives from them; `specs`, the
+    lazy kernel-checked psi_lambda; and `leads`, None until an elimination
+    has found the full trailing-term basis of every I_<k, then its minimal
+    leads as exponent tuples, one tuple of them per k.  No field depends on
+    a query's degree.
     """
 
-    __slots__ = ("desc", "specs")
+    __slots__ = ("desc", "specs", "leads")
 
     def __init__(self, n: int, m: int):
         self.desc = desc = JetRingDesc(n, m)
@@ -1035,6 +1076,75 @@ class _JetIdeal(_Generators):
         usable = list(range(len(polys)))
         super().__init__(polys, usable, _common_gradings(polys, desc.ring.nvars))
         self.specs = _Specs(desc, polys)
+        self.leads = None
+
+    def multiplier_table(self, p: Poly, targets: dict, packing: Packing, budget) -> dict:
+        """The table of `_Generators.multiplier_table` as block products.
+        g_k has degree 1 in every block and weight k, so for p of degree
+        d+1 in every block its multipliers have degree d in every block and
+        p's weight less k, which fix their target, as block degrees and
+        weight span the gradings for n >= 2.  One `_packed_multipliers`
+        pass lists the block monomials of degree d by weight under (1,...,1)
+        and (0,1,...,m); block i's are shifted to its fields, and the blocks
+        are combined by weight into sums of packed ints that can still reach
+        a target weight, each list charged "multiplier table" before it is
+        built.  Any other p, or n = 1 and m >= 2, takes the generic pass.
+        """
+        n, width = self.desc.n, self.desc.m + 1
+        mono = next(iter(p.nums))
+        degrees = {sum(mono[i : i + width]) - 1 for i in range(0, n * width, width)}
+        if len(degrees) > 1 or len(self.gradings) > n + 1:
+            return super().multiplier_table(p, targets, packing, budget)
+        (d,) = degrees
+        weight = sum(j * e for j, e in zip(itertools.cycle(range(width)), mono))
+        wanted = {t: weight - gi for gi, t in targets.items()}
+        gradings, top = [(1,) * width, tuple(range(width))], d * (width - 1)
+        table = _packed_multipliers(
+            d, gradings, [(d, w) for w in range(top + 1)], packing.shifts[:width], budget
+        )
+        sums = {0: [0]}
+        size = charged = 0
+        for i in range(n):
+            rest = (n - 1 - i) * top  # the most weight the blocks after block i add
+            shift = i * width * packing.width
+            block = {w: [k >> shift for k in keys] for (_, w), keys in table.items() if keys}
+            nxt: dict = {}
+            for s, keys in sums.items():
+                for w, ends in block.items():
+                    total = s + w
+                    if not any(total <= t <= total + rest for t in wanted.values()):
+                        continue
+                    if budget is not None:
+                        size += len(keys) * len(ends)
+                        entries = size * _BLOCK_BYTES // budget.BYTES_PER_ENTRY
+                        budget.charge(entries - charged, "multiplier table")
+                        charged = entries
+                    grown = [k + e for k in keys for e in ends]
+                    known = nxt.get(total)
+                    if known is None:
+                        nxt[total] = grown
+                    else:
+                        known += grown
+            sums = nxt
+        return {t: sums.get(w, []) for t, w in wanted.items()}
+
+    def trailing_leads(self, rows, packing: Packing, top: int, bounds, budget):
+        """The leads of `_Generators.trailing_leads`, packed from `leads`,
+        those of the full basis in the query's box being exactly those of a
+        basis truncated to it.  While `leads` is None, they are built,
+        uncharged, in the box of the query's degree, top + n, and kept only
+        if the box dropped no element and no pair."""
+        basis = self.leads
+        if basis is None:
+            dropped = []
+            box = top + self.desc.n
+            basis = tuple(
+                tuple(map(packing.unpack, leads))
+                for leads in _trailing_term_leads(rows, packing, box, [], None, dropped)
+            )
+            if not dropped:
+                self.leads = basis
+        return [[packing.pack(e) for e in exps if _in_box(e, top, bounds)] for exps in basis]
 
 
 _jet_ideal = lru_cache(maxsize=None)(_JetIdeal)

@@ -45,10 +45,13 @@ class Budget:
     - "trailing-term basis": the terms of each element the membership
       oracle stores in its trailing-term basis;
     - "multiplier table": 68 bytes per packed multiplier of the oracle's
-      multiplier table, at least the traced peak of its build, charged
-      while the table is built; a monomial generator g_0 that the oracle
-      filters as columns has no list in it;
+      multiplier table, 49 per one a jet ring's block products build,
+      about the traced peak of its build, charged while the table is
+      built; a monomial generator g_0 that the oracle filters as columns
+      has no list in it;
     - "row feed": one entry per kept row the oracle records, unit or not.
+    Not charged: what a jet ring's record, `jets._jet_ideal`, keeps across
+    searches, its psi kernel checks and its trailing-term lead basis.
     Each entry is costed at BYTES_PER_ENTRY, set from `tracemalloc` peaks
     of whole searches, which also hold the query and the psi normal forms:
     84 bytes per entry for min_degree_search((2, 2)), 86 for (1, 1, 2)

@@ -22,6 +22,7 @@ from jetform import (
     MinimalPrime,
     Monomial,
     Permutation,
+    Poly,
     PsiSpecialization,
     Ring,
     RingMismatchError,
@@ -361,6 +362,88 @@ def test_packed_multipliers_match_reference_on_oracle_calls(monkeypatch):
     assert len(calls) == 37
     for call, got in calls:
         assert got == list(_packed_multipliers_by_exponent(*call).items())
+
+
+def _check_record_enumerations(monkeypatch, tuples) -> list:
+    """Search every tuple of `tuples`, each jet ring's record cleared first,
+    and check each elimination's two enumerations by the record against
+    the per-query reference of `_Generators`: the multiplier table per
+    target as sets, and the packed trailing-term leads of each I_<k as
+    sets.  Returns, per elimination, whether the record's leads were kept
+    before it."""
+    table_, leads_ = jets._JetIdeal.multiplier_table, jets._JetIdeal.trailing_leads
+    reused = []
+
+    def table(record, p, targets, packing, budget):
+        got = table_(record, p, targets, packing, budget)
+        want = jets._Generators.multiplier_table(record, p, targets, packing, None)
+        assert got.keys() == want.keys() == set(targets.values())
+        for t, keys in got.items():
+            assert len(set(keys)) == len(keys) and set(keys) == set(want[t]), t
+        return got
+
+    def leads(record, rows, packing, top, bounds, budget):
+        reused.append(record.leads is not None)
+        got = leads_(record, rows, packing, top, bounds, budget)
+        want = list(jets._trailing_term_leads(rows, packing, top, bounds, None))
+        assert list(map(sorted, got)) == list(map(sorted, want))
+        return got
+
+    monkeypatch.setattr(jets._JetIdeal, "multiplier_table", table)
+    monkeypatch.setattr(jets._JetIdeal, "trailing_leads", leads)
+    jets._jet_ideal.cache_clear()
+    try:
+        for h in tuples:
+            min_degree_search(h)
+    finally:
+        jets._jet_ideal.cache_clear()
+    return reused
+
+
+def test_jet_ring_enumerations_match_the_reference_on_oracle_calls(monkeypatch):
+    # the 37 searches fall into 11 jet rings, each of whose records keeps
+    # its full basis from its first elimination
+    reused = _check_record_enumerations(monkeypatch, _oracle_tuples())
+    assert len(reused) == 37 and sum(reused) == 26
+
+
+@pytest.mark.stretch
+def test_jet_ring_enumerations_match_the_reference_on_stretch_calls(monkeypatch):
+    reused = _check_record_enumerations(monkeypatch, sorted(STRETCH_CERTIFICATE_SHA256))
+    assert reused == [False, True, True]
+
+
+@st.composite
+def jet_component_queries(draw):
+    """A jet ring with n <= 3, m <= 3 and a monomial query of one degree d
+    <= 4 in every block, any weight."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    m = draw(st.integers(min_value=0, max_value=3))
+    d = draw(st.integers(min_value=1, max_value=4))
+    exps = []
+    for _ in range(n):
+        block = [0] * (m + 1)
+        for _ in range(d):
+            block[draw(st.integers(min_value=0, max_value=m))] += 1
+        exps += block
+    return n, m, Monomial(exps)
+
+
+@given(jet_component_queries())
+def test_jet_ring_multiplier_table_matches_the_generic_pass(query):
+    n, m, mono = query
+    record = jets._jet_ideal(n, m)
+    p = Poly(record.desc.ring, {mono: 1})
+    packing = Packing(len(mono), p.total_degree())
+    weights = _weights(record.gradings, mono)
+    targets = {
+        gi: tuple(a - b for a, b in zip(weights, record.weights[gi])) for gi in record.usable
+    }
+    got = record.multiplier_table(p, targets, packing, None)
+    want = jets._Generators.multiplier_table(record, p, targets, packing, None)
+    assert got.keys() == want.keys()
+    for t, keys in got.items():
+        assert len(set(keys)) == len(keys) and set(keys) == set(want[t])
 
 
 def test_membership_certificates_reexpand():
@@ -1089,14 +1172,15 @@ def test_oracle_enumerates_no_g0_multiplier(monkeypatch):
     # never holds g_0's list, and each nonempty list it holds goes to a
     # generator whose rows are offered or taken as units
     calls = []
-    enumerate_ = jets._packed_multipliers
+    enumerate_ = jets._JetIdeal.multiplier_table
 
-    def recording(degree, gradings, targets, shifts, budget=None):
-        got = enumerate_(degree, gradings, targets, shifts, budget)
-        calls.append((gradings, set(targets), {t for t, keys in got.items() if keys}))
+    def recording(record, p, targets, packing, budget):
+        got = enumerate_(record, p, targets, packing, budget)
+        filled = {t for t, keys in got.items() if keys}
+        calls.append((record.gradings, dict(targets), filled))
         return got
 
-    monkeypatch.setattr(jets, "_packed_multipliers", recording)
+    monkeypatch.setattr(jets._JetIdeal, "multiplier_table", recording)
     spans = _record_spans(monkeypatch)
     for h in _oracle_tuples():
         del calls[:], spans[:]
@@ -1110,7 +1194,7 @@ def test_oracle_enumerates_no_g0_multiplier(monkeypatch):
             ends = (next(iter(query.terms)), next(iter(g.terms)))
             return tuple(a - b for a, b in zip(*(_weights(gradings, e) for e in ends)))
 
-        assert target(gens[0]) not in targets, h
+        assert 0 not in targets and target(gens[0]) not in targets.values(), h
         offered = {target(gens[gi]) for gi in _row_generators(span)}
         assert filled <= offered, h
 
@@ -1178,6 +1262,23 @@ def test_trailing_term_leads_in_weight_boxes_match_sympy_grevlex(n, H):
         list(zip(gradings, bs)) for bs in itertools.product(range(1, 4), repeat=len(gradings))
     ]
     _check_trailing_term_leads(gens, sorted({n + 1, 7}), boxes)
+
+
+@pytest.mark.parametrize(
+    "n, m", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 2), (5, 2)]
+)
+def test_jet_ring_keeps_the_full_trailing_term_basis(n, m):
+    # the full basis of each I_<k, k <= m, has (n^k - 1)/(n - 1) minimal
+    # leads, each of degree at most (n - 1)k + 1, conjectured for every
+    # (n, m); so a box of twice that degree keeps the whole basis
+    record = jets._JetIdeal(n, m)
+    degree = 2 * ((n - 1) * m + 1)
+    packing = Packing(record.desc.ring.nvars, degree)
+    rows = [{packing.pack(k): v for k, v in g.nums.items()} for g in record.polys]
+    record.trailing_leads(rows, packing, degree - n, [], None)
+    assert [len(leads) for leads in record.leads] == [(n**k - 1) // (n - 1) for k in range(m + 1)]
+    for k, leads in enumerate(record.leads):
+        assert max(map(sum, leads), default=0) <= (n - 1) * k + 1
 
 
 @st.composite
@@ -1559,17 +1660,23 @@ def test_oracle_answers_do_not_depend_on_call_order_or_cache_state():
 def test_jet_ring_record_holds_nothing_per_degree():
     # one record per (n, m): searches of any degree read it and leave its
     # generator data as they found it, adding only the spec of their lambda
+    # and, at the first elimination, the leads of the full basis, which a
+    # fresh record finds from one elimination of yet another degree
     jets._jet_ideal.cache_clear()
-    record = jets._jet_ideal(2, 2)
+    record = jets._jet_ideal(2, 3)
     fields = ("polys", "usable", "gradings", "degrees", "weights")
     assert record.polys == tuple(jet_generators(None, record.desc))
-    for h in [(1, 1), (2, 0), (0, 2)]:
-        min_degree_search(h)
-    assert jets._jet_ideal(2, 2) is record
-    fresh = jets._JetIdeal(2, 2)
+    assert record.leads is None
+    degrees = {h: min_degree_search(h).degree for h in [(1, 2), (3, 0), (0, 3), (2, 1)]}
+    assert sorted(set(degrees.values())) == [4, 5]
+    assert jets._jet_ideal(2, 3) is record
+    fresh = jets._JetIdeal(2, 3)
     assert [getattr(record, name) for name in fields] == [getattr(fresh, name) for name in fields]
-    assert set(record.specs) == {Composition((2, 1)), Composition((1, 2))}
-    assert set(jets._Generators.__slots__) | set(jets._JetIdeal.__slots__) == {*fields, "desc", "specs"}
+    assert set(record.specs) == {Composition((2, 2)), Composition((3, 1)), Composition((1, 3))}
+    assert jets._membership(derivative_monomial((1, 2), fresh.desc) ** 7, fresh, None).member
+    assert record.leads is not None and record.leads == fresh.leads
+    slots = set(jets._Generators.__slots__) | set(jets._JetIdeal.__slots__)
+    assert slots == {*fields, "desc", "specs", "leads"}
 
 
 def test_psi_refusals_take_one_packed_route(monkeypatch):
@@ -1588,11 +1695,12 @@ def test_psi_refusals_take_one_packed_route(monkeypatch):
 
 
 def _shuffle_multiplier_lists(monkeypatch, seed) -> list:
-    """Make `jets._packed_multipliers` shuffle every list it returns by a
-    `random.Random` seeded with `seed`.  Returns a list that gets one entry
-    for each list the shuffle left in another order."""
+    """Make the jet ring's `multiplier_table`, the one the search inserts
+    from, shuffle every list it returns by a `random.Random` seeded with
+    `seed`.  Returns a list that gets one entry for each list the shuffle
+    left in another order."""
     rng = make_rng(seed)
-    enumerate_ = jets._packed_multipliers
+    enumerate_ = jets._JetIdeal.multiplier_table
     moved = []
 
     def shuffled(*args):
@@ -1604,7 +1712,7 @@ def _shuffle_multiplier_lists(monkeypatch, seed) -> list:
                 moved.append(len(keys))
         return table
 
-    monkeypatch.setattr(jets, "_packed_multipliers", shuffled)
+    monkeypatch.setattr(jets._JetIdeal, "multiplier_table", shuffled)
     return moved
 
 
@@ -1680,6 +1788,28 @@ def test_multiplier_table_charge_covers_its_traced_build_peak():
     tracemalloc.start()
     try:
         table = jets._packed_multipliers(degree, gradings, targets, shifts, budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, table.values())) == 6316
+    assert peak <= budget.entries * Budget.BYTES_PER_ENTRY <= 1.1 * peak
+
+
+def test_block_product_charge_covers_its_traced_build_peak():
+    # the jet ring's table of the same query, built as block products,
+    # peaks lower per multiplier, at 49 bytes charged per int built
+    h = (1, 1, 1)
+    record = jets._JetIdeal(3, 3)
+    query = derivative_monomial(h, record.desc) ** min_degree_formula(h)
+    weights = _weights(record.gradings, next(iter(query.terms)))
+    targets = {
+        gi: tuple(a - b for a, b in zip(weights, record.weights[gi])) for gi in record.usable[1:]
+    }
+    packing = Packing(record.desc.ring.nvars, query.total_degree())
+    budget = Budget(None)
+    tracemalloc.start()
+    try:
+        table = record.multiplier_table(query, targets, packing, budget)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
