@@ -8,15 +8,65 @@ derivative monomials, all over exact rational arithmetic.
 
 The package's public names are the `__all__` of each of its modules,
 re-exported here; the command-line front end, `jetform.cli`, is not
-imported.
+imported.  `errors` and `polyring`, which every computation needs, load
+with the package.  `alambda`, `jets`, `linalg`, `schubert` and `symfun`
+load on first use: each is put in `sys.modules` and on the package by
+`importlib.util.LazyLoader`, and its body runs on the first attribute read,
+so the quotients never compile the jet oracle.  A lazy module is still an
+entry of `sys.modules`, so tools that wrap functions module by module find
+all seven.  `_LAZY` names each lazy module's `__all__`; a name is bound
+here on its first read.
 """
 
-from .alambda import *
 from .errors import *
-from .jets import *
-from .linalg import *
 from .polyring import *
-from .schubert import *
-from .symfun import *
 
 __version__ = "0.1.0"
+
+_LAZY = {
+    "alambda": ("dim_A_lambda", "basis_exponents", "basis_polys", "nilpotency_order",
+                "c_lambda_generators", "c_lambda_ring", "alpha_map"),
+    "jets": ("JetRingDesc", "MinimalPrime", "MembershipResult", "MinDegreeResult",
+             "PsiSpecialization", "PsiWitness", "jet_generators", "minimal_primes",
+             "compositions", "homogeneous_membership", "phi_binary_eval", "psi_specialize",
+             "min_degree_formula", "min_degree_search", "radical_witness",
+             "derivative_monomial", "multiplicity_table"),
+    "linalg": ("ExactSpan", "Budget", "integer_nullspace"),
+    "schubert": ("Permutation", "divided_difference", "schubert_poly", "schubert_table",
+                 "monk_expand", "schubert_expansion", "catalan_congruence_check",
+                 "catalan_number", "block_rotation"),
+    "symfun": ("Composition", "zring", "complete_homogeneous", "elementary_symmetric",
+               "groebner_basis_IS", "normal_form_IS", "in_IS", "nu", "is_lambda_symmetric",
+               "sym_lambda_average", "block_sigma", "decompose_block_elementary",
+               "expand_block_elementary", "block_elementary_ring"),
+}
+# public name -> the lazy module whose `__all__` holds it
+_OWNER = {name: module for module, names in _LAZY.items() for name in names}
+
+__all__ = [*errors.__all__, *polyring.__all__, *_OWNER]
+
+
+def _bind_lazy_modules():
+    import importlib.util
+    import sys
+
+    for module in _LAZY:
+        spec = importlib.util.find_spec(__name__ + "." + module)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        lazy = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = globals()[module] = lazy
+        spec.loader.exec_module(lazy)
+
+
+_bind_lazy_modules()
+
+
+def __getattr__(name):
+    if name not in _OWNER:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = globals()[name] = getattr(globals()[_OWNER[name]], name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_OWNER})

@@ -13,6 +13,9 @@ os.devnull, and the exit code is the command's own.
 handler, help and argument spellings, and `ARGUMENTS` gives each spelling
 its add_argument keywords once.  `build_parser` builds the parser from
 them in one loop.
+
+The layer modules are bound here without being run: each handler loads
+only the layers it calls, so `expand` never loads `jets` or `linalg`.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import time
 from collections.abc import Iterable
 from functools import lru_cache
 
-from . import alambda, jets, schubert, symfun
+from . import alambda, jets, linalg, schubert, symfun
 from .errors import (
     BudgetExceededError,
     CapExceededError,
@@ -34,10 +37,7 @@ from .errors import (
     InvariantViolationError,
     ParseError,
 )
-from .linalg import Budget
 from .polyring import _parse_ints, parse_poly
-from .schubert import Permutation
-from .symfun import Composition
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -64,11 +64,11 @@ class CommandResult:
         return {"status": self.status, "payload": self.payload, "timing_ms": self.timing_ms}
 
 
-def _parse_lambda(text: str) -> Composition:
-    return Composition(_parse_ints(text, "composition"))
+def _parse_lambda(text: str) -> symfun.Composition:
+    return symfun.Composition(_parse_ints(text, "composition"))
 
 
-def _budget_from(args) -> Budget | None:
+def _budget_from(args) -> linalg.Budget | None:
     """--budget-mb, else env JETFORM_BUDGET_MB, else None: read by member and min-degree only."""
     mb = getattr(args, "budget_mb", None)  # SUPPRESS leaves it unset
     if mb is None:
@@ -78,7 +78,7 @@ def _budget_from(args) -> Budget | None:
                 mb = float(env)
             except ValueError:
                 raise ParseError("bad %s value %r" % (BUDGET_ENV, env)) from None
-    return Budget(mb) if mb is not None else None
+    return linalg.Budget(mb) if mb is not None else None
 
 
 # -- handlers -----------------------------------------------------------------
@@ -129,13 +129,13 @@ def _cmd_nilpotency(args):
 
 
 def _cmd_schubert(args):
-    w = Permutation.parse(args.perm)
+    w = schubert.Permutation.parse(args.perm)
     poly = schubert.schubert_poly(w)
     return {"perm": list(w.oneline), "poly": str(poly)}, [str(poly)]
 
 
 def _cmd_monk(args):
-    w = Permutation.parse(args.perm)
+    w = schubert.Permutation.parse(args.perm)
     terms = schubert.monk_expand(args.r, w)
     return (
         {"r": args.r, "perm": list(w.oneline), "terms": [list(v.oneline) for v in terms]},

@@ -1,5 +1,7 @@
 """Guards on the package's public names: the union of the modules'
-`__all__`, re-exported by wildcard; every name in an `__all__` exists.
+`__all__`, re-exported by wildcard or on first use; every name in an
+`__all__` exists.  Guards that each workload loads only the layers it runs,
+and that the bench tracer finds every lazy module.
 Also guards on what passes between the kernels: `linalg` works on integer rows only,
 each z ring has one packing whose keys fit one CPython digit, and only
 `symfun` reduces packed z-ring polynomials.  And guards that every index
@@ -13,7 +15,11 @@ wraps still exists."""
 import ast
 import importlib
 import inspect
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,11 +42,17 @@ def _package_imports():
 
 
 def test_package_imports_every_name_by_a_relative_wildcard():
+    # the modules loaded with the package give their names by relative
+    # wildcard; the others load on first use, from `_LAZY`, and between them
+    # they are every module but the CLI
     imports = _package_imports()
     assert imports
     for node in imports:
         assert isinstance(node, ast.ImportFrom) and node.level == 1, ast.unparse(node)
         assert [alias.name for alias in node.names] == ["*"], ast.unparse(node)
+    eager = [node.module for node in imports]
+    assert not set(eager) & set(jetform._LAZY)
+    assert sorted(eager + list(jetform._LAZY)) == [name for name in MODULES if name != "cli"]
 
 
 @pytest.mark.parametrize("node", _package_imports(), ids=ast.unparse)
@@ -50,15 +62,70 @@ def test_each_module_the_package_imports_defines_all(node):
     assert "__all__" in vars(importlib.import_module("jetform." + node.module))
 
 
+@pytest.mark.parametrize("name", sorted(jetform._LAZY))
+def test_each_module_the_package_loads_lazily_defines_all(name):
+    # `_LAZY` copies each lazy module's `__all__`, which stays the one list
+    assert "__all__" in vars(importlib.import_module("jetform." + name))
+
+
 def test_package_names_are_the_union_of_its_modules_all():
-    exported = set()
-    for node in _package_imports():
-        exported.update(importlib.import_module("jetform." + node.module).__all__)
+    # one owner per public name; the lazy table is exactly the lazy
+    # modules' names, and every name is its module's own object
+    owners = {}
+    for name in [node.module for node in _package_imports()] + list(jetform._LAZY):
+        for export in importlib.import_module("jetform." + name).__all__:
+            owners.setdefault(export, []).append(name)
+    assert not {name: mods for name, mods in owners.items() if len(mods) > 1}
+    assert jetform._OWNER == {name: mod for name, (mod,) in owners.items() if mod in jetform._LAZY}
+    assert sorted(jetform.__all__) == sorted(owners)
+    for name, (mod,) in owners.items():
+        assert getattr(jetform, name) is getattr(importlib.import_module("jetform." + mod), name)
     public = {
-        name for name, value in vars(jetform).items()
-        if not name.startswith("_") and not inspect.ismodule(value)
+        name for name in dir(jetform)
+        if not name.startswith("_") and not inspect.ismodule(getattr(jetform, name))
     }
-    assert public == exported
+    assert public == set(owners)
+
+
+# Runs in a fresh interpreter: prints, after each step, the lazy modules
+# whose bodies have run.  `type` reads no attribute, so it loads nothing.
+_IMPORT_STEPS = """
+import json, sys, types
+
+def ran():
+    return sorted(name for name in ("alambda", "jets", "linalg", "schubert", "symfun")
+                  if type(sys.modules["jetform." + name]) is types.ModuleType)
+
+import jetform, jetform.cli
+steps = [ran()]
+for ell in range(1, 7):
+    jetform.symfun.normal_form_IS(jetform.zring(ell).var(0), ell)
+steps.append(ran())
+result, _ = jetform.cli.run(["expand", "z1", "--ell", "6", "--json"])
+assert result.status == "ok", result.payload
+steps.append(ran())
+jetform.min_degree_search((1, 1))
+steps.append(ran())
+print(json.dumps(steps))
+"""
+
+
+def _fresh_python(code: str) -> str:
+    src = str(Path(jetform.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_each_workload_loads_only_the_layers_it_runs():
+    imported, quotient, expand, oracle = json.loads(_fresh_python(_IMPORT_STEPS))
+    assert imported == []
+    assert not {"jets", "linalg", "schubert"} & set(quotient)
+    assert not {"alambda", "jets", "linalg"} & set(expand)
+    assert "jets" in oracle
 
 
 def test_linalg_is_integer_only():
@@ -311,3 +378,20 @@ def test_every_traced_name_resolves():
         if cls is not None:
             owner = getattr(owner, cls, None)
         assert callable(getattr(owner, attr, None)), (module, cls, attr)
+
+
+def test_tracer_installs_over_the_lazy_modules():
+    # as `bench/run.py` does: the package and its CLI, then the tracer, which
+    # reads every module from `sys.modules`; a name-only lazy package that
+    # left a module out of `sys.modules` fails the install
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    out = _fresh_python(
+        "import sys; sys.path.insert(0, %r)\n"
+        "import jetform, jetform.cli\n"
+        "from tracer import Tracer\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "jetform.symfun.normal_form_IS(jetform.zring(3).var(0), 3)\n"
+        "print(tracer.calls['symfun.normal_form_IS'])\n" % str(bench)
+    )
+    assert out.split() == ["1"]
