@@ -28,7 +28,8 @@ budget as it grows, filled by one variable-by-variable pass per multiplier
 degree that cuts each exponent to an interval by linear bounds per grading.
 A jet generator has degree 1 in every block, so its multipliers are
 products of block monomials: one such pass lists a block's by weight, and
-the blocks are combined by weight as sums of packed ints.
+the blocks are combined by weight as sums of packed ints, each product
+built only if the F5 test below keeps it.
 
 Rows are inserted generator by generator, and a row M*g_k is skipped
 without elimination when M is divisible by the trailing (lex-smallest)
@@ -71,7 +72,7 @@ from functools import lru_cache
 from math import gcd
 from operator import mul
 
-from .alambda import dim_A_lambda
+from . import alambda
 from .errors import (
     BudgetExceededError,
     CapExceededError,
@@ -278,7 +279,7 @@ def multiplicity_table(n: int, m: int) -> dict[Composition, int]:
     (m+1)!/prod(lambda_i!); the values always sum to n^(m+1).  Rejects
     n < 1 and m < 0, as minimal_primes does."""
     JetRingDesc(n, m)
-    return {lam: dim_A_lambda(lam) for lam in compositions(m + 1, n)}
+    return {lam: alambda.dim_A_lambda(lam) for lam in compositions(m + 1, n)}
 
 
 # -- membership oracle --------------------------------------------------------
@@ -394,10 +395,16 @@ class _Generators:
         self.degrees = {i: polys[i].total_degree() for i in usable}
         self.weights = {i: tuple(_weight_of(polys[i], w) for w in gradings) for i in usable}
 
-    def multiplier_table(self, p: Poly, targets: dict, packing: Packing, budget) -> dict:
-        """{target: packed multipliers} for `targets`, {generator index: the
-        weights under `gradings` its multipliers must have}, of p's
-        component: one `_packed_multipliers` pass per multiplier degree."""
+    def multiplier_table(
+        self, p: Poly, targets: dict, packing: Packing, budget, leads: dict
+    ) -> dict:
+        """{generator index: the packed multipliers the F5 test keeps} for
+        `targets`, {generator index: the weights under `gradings` its
+        multipliers must have}, of p's component: one `_packed_multipliers`
+        pass per multiplier degree lists every multiplier, and each is then
+        kept unless one of the generator's packed trailing `leads` divides
+        it.  Generators with the same target share its list, popped once its
+        last one has been tested."""
         degree = p.total_degree()
         by_degree: dict = {}
         for gi, t in targets.items():
@@ -407,11 +414,27 @@ class _Generators:
             table.update(
                 _packed_multipliers(mult_degree, self.gradings, wanted, packing.shifts, budget)
             )
-        return table
+        last_user = {t: gi for gi, t in targets.items()}
+        guard = packing.guard
+        kept = {}
+        for gi, t in targets.items():
+            mults = table.pop(t) if last_user[t] == gi else table[t]
+            trailing = leads[gi]
+            out = kept[gi] = []
+            for mult in mults:
+                # the F5 test, `Packing.divides` inlined: skip mult if a trailing lead divides it
+                mg = mult | guard
+                for lead in trailing:
+                    if (mg - lead) & guard == guard:
+                        break
+                else:
+                    out.append(mult)
+        return kept
 
     def trailing_leads(self, rows, packing: Packing, top: int, bounds, budget):
         """The packed trailing-term leads of each I_<k in the box (`top`,
-        `bounds`): a fresh `_trailing_term_leads` basis for every query."""
+        `bounds`), k = 0, 1, ...: a fresh `_trailing_term_leads` basis for
+        every query."""
         return _trailing_term_leads(rows, packing, top, bounds, budget)
 
 
@@ -419,9 +442,10 @@ class _Generators:
 # the (1,1,1) table of 6,316 packed ints peaks at 66.4 bytes per int, and the
 # (2,1,1) table of 811,617 at 66.0; the finished table takes 49
 _PACKED_BYTES = 68
-# the same per block product built, partial sums included: by tracemalloc,
-# 1.09 times the traced peak of the (1,1,1) build and 1.01 times (2,1,1)'s
-_BLOCK_BYTES = 49
+# the same per block product a jet ring's table keeps, partial sums and their
+# lead masks included: by tracemalloc, the (1,1,1) build's charge is 1.04
+# times its traced peak and (2,1,1)'s 1.03 times
+_BLOCK_BYTES = 55
 
 
 def _exponent_range(remaining: int, partial, bounds) -> range:
@@ -662,17 +686,6 @@ def _solve_membership(p, gens: _Generators, span, filtered) -> tuple:
     """Insert into `span` the multiplier*generator rows of p's graded
     component, read from p's degree and weights alone, never its terms.
 
-    The multipliers of all generators but `filtered` are enumerated up
-    front by `gens.multiplier_table`, into a table keyed by the weights a
-    multiplier must have under `gens.gradings`: one pass per distinct
-    multiplier degree for arbitrary generators, block products for the jet
-    generators.  These weights fix its total degree, since the total degree
-    lies in the span of the gradings.  Each generator's list is popped from
-    the table when its last user has taken it, so the table shrinks while
-    the span grows.  The table is charged to the span's budget while it is
-    built, so a budget too small for it stops the query before any row is
-    inserted.
-
     Rows are inserted generator by generator in `gens.usable` order, each
     generator's multipliers in table order.  A row M*g_k is skipped (the F5
     criterion, Faugere, ISSAC 2002) when M is divisible by the trailing,
@@ -700,6 +713,22 @@ def _solve_membership(p, gens: _Generators, span, filtered) -> tuple:
     with q_k the last nonzero one, then q_k lies in (I_<k : g_k) = I_<k and
     the basis would have skipped q_k's trailing monomial.
 
+    The leads come first, and the F5 test runs where the multipliers are
+    made: `gens.multiplier_table`, given the leads, returns {generator
+    index: the multipliers the test keeps} for all generators but
+    `filtered`, those with the weights a row of p's component needs under
+    `gens.gradings`.  These weights fix a multiplier's total degree, since
+    the total degree lies in the span of the gradings.  For arbitrary
+    generators one pass per distinct multiplier degree lists them all, and
+    each is tested lead by lead; the jet generators' are block products,
+    and a product is built only if a mask of the leads that divide it, the
+    AND of its block factors' masks, which is exact because the blocks are
+    disjoint sets of variables, misses g_k's leads.  So the table of a
+    regular sequence holds exactly one multiplier per pivot or unit row.
+    Each generator's list is popped as its rows are recorded.  The table
+    is charged to the span's budget while it is built, so a budget too
+    small for it stops the query before any row is inserted.
+
     `filtered` is None or gens.usable[0], the index of a monomial g_0.  Its
     rows M*g_0 are the unit vectors of the g_0-divisible columns, all of the
     component's, so those columns are dropped from every other row, and by
@@ -708,7 +737,7 @@ def _solve_membership(p, gens: _Generators, span, filtered) -> tuple:
     redundant, the same rows become pivots as after the g_0 rows, stored
     projected, and the combination over them, unique, is the same.
 
-    So each multiplier M the F5 criterion keeps gives one row: the packed
+    So each multiplier M of the table gives one row: the packed
     terms of M*g_k, negated, less those that g_0 divides by the guard-bit
     test of `Packing`, the test `_certificate` applies to p.  It reads M
     only at g_0's variables, `mult & fields`, so it runs once per generator
@@ -744,8 +773,6 @@ def _solve_membership(p, gens: _Generators, span, filtered) -> tuple:
     targets = {
         gi: tuple(pw - gw for pw, gw in zip(p_weights, gens.weights[gi])) for gi in inserted
     }
-    table = gens.multiplier_table(p, targets, packing, span.budget)
-    last_user = {t: gi for gi, t in targets.items()}
     polys = gens.polys
     cleared = {
         gi: ({packing.pack(m): v for m, v in polys[gi].nums.items()}, polys[gi].denom)
@@ -760,37 +787,29 @@ def _solve_membership(p, gens: _Generators, span, filtered) -> tuple:
     ]
     top = max((degree - gens.degrees[gi] for gi in inserted), default=0)
     rows = [row for row, _ in cleared.values()]
-    leads = iter(gens.trailing_leads(rows, packing, top, bounds, span.budget))
+    leads = dict(zip(usable, gens.trailing_leads(rows, packing, top, bounds, span.budget)))
+    table = gens.multiplier_table(p, targets, packing, span.budget, leads)
     g0, fields = guard, 0  # a guard bit exceeds every entry, so it divides no packed monomial
     if filtered is not None:
         g0 = next(iter(cleared[filtered][0]))  # the packed monomial g_0
-        next(leads)  # the empty basis before g_0
         fields = sum(packing.mask << s for s, e in zip(packing.shifts, packing.unpack(g0)) if e)
     units = {}  # unit column: (generator index, packed M, coefficient)
     rows = []  # (generator index, packed M, template) of every other kept row
-    for gi, trailing in zip(inserted, leads):
+    for gi in inserted:
         row = cleared[gi][0]
-        t = targets[gi]
-        mults = table.pop(t) if last_user[t] == gi else table[t]
         templates = {}
         recorded = len(rows) + len(units)
-        for mult in mults:
-            # the F5 test, `Packing.divides` inlined: skip mult if a trailing lead divides it
-            mg = mult | guard
-            for lead in trailing:
-                if (mg - lead) & guard == guard:
-                    break
-            else:
-                template = templates.get(mult & fields)
-                if template is None:
-                    template = templates[mult & fields] = [
-                        (-k, v) for k, v in row.items() if (((mult + k) | guard) - g0) & guard != guard
-                    ]
-                if len(template) > 1:
-                    rows.append((gi, mult, template))
-                elif template:
-                    ((k, v),) = template
-                    units.setdefault(k - mult, (gi, mult, v))  # a second unit there is dependent
+        for mult in table.pop(gi):
+            template = templates.get(mult & fields)
+            if template is None:
+                template = templates[mult & fields] = [
+                    (-k, v) for k, v in row.items() if (((mult + k) | guard) - g0) & guard != guard
+                ]
+            if len(template) > 1:
+                rows.append((gi, mult, template))
+            elif template:
+                ((k, v),) = template
+                units.setdefault(k - mult, (gi, mult, v))  # a second unit there is dependent
         if span.budget is not None:
             span.budget.charge(len(rows) + len(units) - recorded, "row feed")
     for gi, mult, template in rows:
@@ -1078,69 +1097,133 @@ class _JetIdeal(_Generators):
         self.specs = _Specs(desc, polys)
         self.leads = None
 
-    def multiplier_table(self, p: Poly, targets: dict, packing: Packing, budget) -> dict:
-        """The table of `_Generators.multiplier_table` as block products.
-        g_k has degree 1 in every block and weight k, so for p of degree
-        d+1 in every block its multipliers have degree d in every block and
-        p's weight less k, which fix their target, as block degrees and
-        weight span the gradings for n >= 2.  One `_packed_multipliers`
-        pass lists the block monomials of degree d by weight under (1,...,1)
-        and (0,1,...,m); block i's are shifted to its fields, and the blocks
-        are combined by weight into sums of packed ints that can still reach
-        a target weight, each list charged "multiplier table" before it is
-        built.  Any other p, or n = 1 and m >= 2, takes the generic pass.
+    def multiplier_table(
+        self, p: Poly, targets: dict, packing: Packing, budget, leads: dict
+    ) -> dict:
+        """The table of `_Generators.multiplier_table` as block products,
+        with the F5 test run where the products are made, so that no
+        multiplier it rejects is built.  g_k has degree 1 in every block
+        and weight k, so for p of degree d+1 in every block its multipliers
+        have degree d in every block and p's weight less k, which fix their
+        target, as block degrees and weight span the gradings for n >= 2.
+        One `_packed_multipliers` pass lists the block monomials of degree d
+        by weight under (1,...,1) and (0,1,...,m); block i's are shifted to
+        its fields.
+
+        Each distinct lead of `leads` is one bit, and g_k's leads are one
+        mask of them.  Block i's monomial b gets the mask of the leads whose
+        block-i part divides b; a lead with no part in block i divides every
+        b.  The blocks are disjoint sets of variables, so a lead divides a
+        product of block monomials exactly when each of its block parts
+        divides that block's factor: the AND of the factors' masks is
+        exactly the set of leads that divide the product, and the test is
+        the per-lead test of the generic table.  Block 0's lists start the
+        sums, and the blocks but the last are combined by weight into sums
+        of packed ints that can still reach a target weight, masks ANDed
+        alongside, each list charged "multiplier table" before it is built.
+        A last-block factor e completes a sum k to g_k's weight, and k + e
+        is kept only if the masks of k, of e and of g_k share no bit: one AND
+        per product in place of one test per lead.  Each list of the last
+        block is charged for every candidate product before it is built and
+        credited the rejected ones after, so the charge never falls behind
+        what is built.  Any other p, or n = 1, takes the generic pass.
         """
         n, width = self.desc.n, self.desc.m + 1
         mono = next(iter(p.nums))
         degrees = {sum(mono[i : i + width]) - 1 for i in range(0, n * width, width)}
-        if len(degrees) > 1 or len(self.gradings) > n + 1:
-            return super().multiplier_table(p, targets, packing, budget)
+        if len(degrees) > 1 or n == 1:
+            return super().multiplier_table(p, targets, packing, budget, leads)
         (d,) = degrees
         weight = sum(j * e for j, e in zip(itertools.cycle(range(width)), mono))
-        wanted = {t: weight - gi for gi, t in targets.items()}
+        wanted = {gi: weight - gi for gi in targets}
         gradings, top = [(1,) * width, tuple(range(width))], d * (width - 1)
         table = _packed_multipliers(
             d, gradings, [(d, w) for w in range(top + 1)], packing.shifts[:width], budget
         )
-        sums = {0: [0]}
+        distinct = dict.fromkeys(itertools.chain.from_iterable(leads[gi] for gi in targets))
+        bits = {lead: 1 << b for b, lead in enumerate(distinct)}
+        guard, span = packing.guard, width * packing.width
         size = charged = 0
-        for i in range(n):
+
+        def charge(products):
+            nonlocal size, charged
+            if budget is not None:
+                size += products
+                entries = size * _BLOCK_BYTES // budget.BYTES_PER_ENTRY
+                budget.charge(entries - charged, "multiplier table")
+                charged = entries
+
+        def block(i):
+            # {weight: (block i's monomials, their masks)}
+            shift = i * span
+            field = (1 << span) - 1 << (n - 1 - i) * span
+            parts: dict = {}  # block-i part: the bits of the leads that have it
+            for lead, bit in bits.items():
+                parts[lead & field] = parts.get(lead & field, 0) | bit
+            always = parts.pop(0, 0)
+            parts = list(parts.items())
+            out = {}
+            for (_, w), keys in table.items():
+                if keys:
+                    ends = [k >> shift for k in keys]
+                    out[w] = ends, [
+                        always | sum([b for t, b in parts if ((e | guard) - t) & guard == guard])
+                        for e in ends
+                    ]
+            return out
+
+        sums = block(0)
+        for i in range(1, n - 1):
             rest = (n - 1 - i) * top  # the most weight the blocks after block i add
-            shift = i * width * packing.width
-            block = {w: [k >> shift for k in keys] for (_, w), keys in table.items() if keys}
             nxt: dict = {}
-            for s, keys in sums.items():
-                for w, ends in block.items():
+            blk = block(i)
+            for s, (keys, masks) in sums.items():
+                for w, (ends, end_masks) in blk.items():
                     total = s + w
                     if not any(total <= t <= total + rest for t in wanted.values()):
                         continue
-                    if budget is not None:
-                        size += len(keys) * len(ends)
-                        entries = size * _BLOCK_BYTES // budget.BYTES_PER_ENTRY
-                        budget.charge(entries - charged, "multiplier table")
-                        charged = entries
+                    charge(len(keys) * len(ends))
                     grown = [k + e for k in keys for e in ends]
+                    grown_masks = [a & b for a in masks for b in end_masks]
                     known = nxt.get(total)
                     if known is None:
-                        nxt[total] = grown
+                        nxt[total] = grown, grown_masks
                     else:
-                        known += grown
+                        known[0].extend(grown)
+                        known[1].extend(grown_masks)
             sums = nxt
-        return {t: sums.get(w, []) for t, w in wanted.items()}
+        last = block(n - 1)
+        kept = {}
+        for gi, t in wanted.items():
+            own = sum(bits[lead] for lead in set(leads[gi]))
+            out = kept[gi] = []
+            for s, (keys, masks) in sums.items():
+                ends = last.get(t - s)
+                if ends is None:
+                    continue
+                ends = [(e, b & own) for e, b in zip(*ends)]
+                built, candidates = len(out), len(keys) * len(ends)
+                charge(candidates)
+                out += [k + e for k, a in zip(keys, masks) for e, b in ends if not a & b]
+                charge(len(out) - built - candidates)
+        return kept
 
     def trailing_leads(self, rows, packing: Packing, top: int, bounds, budget):
         """The leads of `_Generators.trailing_leads`, packed from `leads`,
         those of the full basis in the query's box being exactly those of a
-        basis truncated to it.  While `leads` is None, they are built,
-        uncharged, in the box of the query's degree, top + n, and kept only
-        if the box dropped no element and no pair."""
+        basis truncated to it.  While `leads` is None, they are built in the
+        box of the query's degree, top + n, charged "trailing-term basis" to
+        `budget` if given, and kept only if the box dropped no element and
+        no pair.  A search builds them before its multiplier table, so an
+        uncharged build could outrun any budget, as for h = (3,3,3), whose
+        first elimination is at degree 25."""
         basis = self.leads
         if basis is None:
             dropped = []
             box = top + self.desc.n
             basis = tuple(
                 tuple(map(packing.unpack, leads))
-                for leads in _trailing_term_leads(rows, packing, box, [], None, dropped)
+                for leads in _trailing_term_leads(rows, packing, box, [], budget, dropped)
             )
             if not dropped:
                 self.leads = basis

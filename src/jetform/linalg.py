@@ -43,19 +43,24 @@ class Budget:
       history, its own coefficient and one per elimination step (see
       `ExactSpan`), so one for a pivot sharing `_UNIT`;
     - "trailing-term basis": the terms of each element the membership
-      oracle stores in its trailing-term basis;
+      oracle stores in its trailing-term basis, a jet ring's included when
+      its record, `jets._jet_ideal`, builds it under a budget;
     - "multiplier table": 68 bytes per packed multiplier of the oracle's
-      multiplier table, 49 per one a jet ring's block products build,
-      about the traced peak of its build, charged while the table is
-      built; a monomial generator g_0 that the oracle filters as columns
-      has no list in it;
+      multiplier table, 55 per block product that a jet ring's table keeps
+      or combines further, about the traced peak of its build, charged
+      while the table is built, each last-block list for every candidate
+      product before the F5 test and credited the rejected ones after; a
+      monomial generator g_0 that the oracle filters as columns has no
+      list in it;
     - "row feed": one entry per kept row the oracle records, unit or not.
-    Not charged: what a jet ring's record, `jets._jet_ideal`, keeps across
-    searches, its psi kernel checks and its trailing-term lead basis.
+    Not charged: what a jet ring's record keeps across searches once built,
+    its psi kernel checks, and a lead basis it built with no budget given.
     Each entry is costed at BYTES_PER_ENTRY, set from `tracemalloc` peaks
-    of whole searches, which also hold the query and the psi normal forms:
-    84 bytes per entry for min_degree_search((2, 2)), 86 for (1, 1, 2)
-    and 91 for (0, 4), so the charge is 1.10-1.19 times the traced peak.
+    of whole searches, which also hold the query and the psi normal forms.
+    Since the jet ring's table builds only the multipliers the F5 test
+    keeps, those peaks are 109 bytes per entry for min_degree_search((2,
+    2)), 122 for (1, 1, 2) and 97 for (0, 4), so the charge is 0.82-1.03
+    times the traced peak.
     Exceeding the configured limit raises BudgetExceededError instead of
     thrashing.  The limit is None, for no limit, or a finite number of MB,
     at least 0; anything else raises DomainError.

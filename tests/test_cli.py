@@ -474,7 +474,8 @@ def _cap_address_space():
 
 def test_budget_stops_a_large_multiplier_table_end_to_end():
     # (3,3,3) reaches elimination at degree 25, whose multiplier table would
-    # outgrow several GB; a 1 MB budget must stop it while it is built
+    # outgrow several GB; the trailing-term basis of its jet ring is built
+    # first, charged, so a 1 MB budget stops the run while that is built
     src = os.path.dirname(os.path.dirname(os.path.abspath(jetform.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     argv = ["min-degree", "--h", "3,3,3", "--budget-mb", "1", "--json"]
@@ -489,7 +490,7 @@ def test_budget_stops_a_large_multiplier_table_end_to_end():
     assert proc.returncode == 3, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["payload"]["code"] == "budget-exceeded"
-    assert "multiplier table" in doc["payload"]["message"]
+    assert "trailing-term basis" in doc["payload"]["message"]
 
 
 def test_unknown_global_flags_are_usage_errors(capsys):

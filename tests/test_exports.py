@@ -106,6 +106,8 @@ assert result.status == "ok", result.payload
 steps.append(ran())
 jetform.min_degree_search((1, 1))
 steps.append(ran())
+jetform.multiplicity_table(2, 2)
+steps.append(ran())
 print(json.dumps(steps))
 """
 
@@ -121,11 +123,13 @@ def _fresh_python(code: str) -> str:
 
 
 def test_each_workload_loads_only_the_layers_it_runs():
-    imported, quotient, expand, oracle = json.loads(_fresh_python(_IMPORT_STEPS))
+    imported, quotient, expand, oracle, multiplicities = json.loads(_fresh_python(_IMPORT_STEPS))
     assert imported == []
     assert not {"jets", "linalg", "schubert"} & set(quotient)
     assert not {"alambda", "jets", "linalg"} & set(expand)
-    assert "jets" in oracle
+    # the oracle never reads dim A_lambda; only the multiplicity table does
+    assert "jets" in oracle and "alambda" not in oracle
+    assert "alambda" in multiplicities
 
 
 def test_linalg_is_integer_only():

@@ -364,22 +364,30 @@ def test_packed_multipliers_match_reference_on_oracle_calls(monkeypatch):
         assert got == list(_packed_multipliers_by_exponent(*call).items())
 
 
+def _check_kept_multipliers(record, p, targets, packing, leads, got):
+    """Check a jet ring's table `got` against the reference of
+    `_Generators.multiplier_table`, the generic pass followed by the
+    per-multiplier F5 test against each generator's `leads`: for each
+    generator, the same multipliers, none listed twice."""
+    want = jets._Generators.multiplier_table(record, p, targets, packing, None, leads)
+    assert got.keys() == want.keys() == targets.keys()
+    for gi, keys in got.items():
+        assert len(set(keys)) == len(keys) and set(keys) == set(want[gi]), gi
+
+
 def _check_record_enumerations(monkeypatch, tuples) -> list:
     """Search every tuple of `tuples`, each jet ring's record cleared first,
     and check each elimination's two enumerations by the record against
-    the per-query reference of `_Generators`: the multiplier table per
-    target as sets, and the packed trailing-term leads of each I_<k as
-    sets.  Returns, per elimination, whether the record's leads were kept
-    before it."""
+    the per-query reference of `_Generators`: the multipliers the F5 test
+    keeps per generator as sets, and the packed trailing-term leads of each
+    I_<k as sets.  Returns, per elimination, whether the record's leads
+    were kept before it."""
     table_, leads_ = jets._JetIdeal.multiplier_table, jets._JetIdeal.trailing_leads
     reused = []
 
-    def table(record, p, targets, packing, budget):
-        got = table_(record, p, targets, packing, budget)
-        want = jets._Generators.multiplier_table(record, p, targets, packing, None)
-        assert got.keys() == want.keys() == set(targets.values())
-        for t, keys in got.items():
-            assert len(set(keys)) == len(keys) and set(keys) == set(want[t]), t
+    def table(record, p, targets, packing, budget, leads):
+        got = table_(record, p, targets, packing, budget, leads)
+        _check_kept_multipliers(record, p, targets, packing, leads, got)
         return got
 
     def leads(record, rows, packing, top, bounds, budget):
@@ -429,21 +437,31 @@ def jet_component_queries(draw):
     return n, m, Monomial(exps)
 
 
-@given(jet_component_queries())
-def test_jet_ring_multiplier_table_matches_the_generic_pass(query):
+@given(jet_component_queries(), st.data())
+def test_jet_ring_multiplier_table_matches_the_generic_pass(query, data):
+    # each generator's leads are those of the truncated trailing-term basis
+    # of the query's box plus up to three drawn monomials, so leads of any
+    # shape, with parts in any set of blocks, meet the block masks
     n, m, mono = query
     record = jets._jet_ideal(n, m)
     p = Poly(record.desc.ring, {mono: 1})
-    packing = Packing(len(mono), p.total_degree())
+    nvars = len(mono)
+    packing = Packing(nvars, p.total_degree())
     weights = _weights(record.gradings, mono)
     targets = {
         gi: tuple(a - b for a, b in zip(weights, record.weights[gi])) for gi in record.usable
     }
-    got = record.multiplier_table(p, targets, packing, None)
-    want = jets._Generators.multiplier_table(record, p, targets, packing, None)
-    assert got.keys() == want.keys()
-    for t, keys in got.items():
-        assert len(set(keys)) == len(keys) and set(keys) == set(want[t])
+    rows = [{packing.pack(k): v for k, v in g.nums.items()} for g in record.polys]
+    top = p.total_degree() - n
+    basis = jets._trailing_term_leads(rows, packing, top, [], None)
+    exponent = st.integers(min_value=0, max_value=min(2, p.total_degree()))
+    drawn = st.lists(st.tuples(*[exponent] * nvars), max_size=3)
+    leads = {
+        gi: list(dict.fromkeys(trailing + [packing.pack(e) for e in data.draw(drawn) if any(e)]))
+        for gi, trailing in zip(record.usable, basis)
+    }
+    got = record.multiplier_table(p, targets, packing, None, leads)
+    _check_kept_multipliers(record, p, targets, packing, leads, got)
 
 
 def test_membership_certificates_reexpand():
@@ -1169,34 +1187,26 @@ def test_oracle_offers_no_g0_row(monkeypatch):
 
 def test_oracle_enumerates_no_g0_multiplier(monkeypatch):
     # g_0's rows are replaced by a column filter, so the multiplier table
-    # never holds g_0's list, and each nonempty list it holds goes to a
-    # generator whose rows are offered or taken as units
+    # never holds g_0's list; it holds only what the F5 test keeps, so its
+    # nonempty lists are exactly those of the generators whose rows are
+    # offered or taken as units
     calls = []
     enumerate_ = jets._JetIdeal.multiplier_table
 
-    def recording(record, p, targets, packing, budget):
-        got = enumerate_(record, p, targets, packing, budget)
-        filled = {t for t, keys in got.items() if keys}
-        calls.append((record.gradings, dict(targets), filled))
+    def recording(record, p, targets, packing, budget, leads):
+        got = enumerate_(record, p, targets, packing, budget, leads)
+        calls.append((set(targets), set(got), {gi for gi, keys in got.items() if keys}))
         return got
 
     monkeypatch.setattr(jets._JetIdeal, "multiplier_table", recording)
     spans = _record_spans(monkeypatch)
     for h in _oracle_tuples():
         del calls[:], spans[:]
-        desc = JetRingDesc(len(h), sum(h))
-        gens = jet_generators(None, desc)
-        query = derivative_monomial(h, desc) ** min_degree_search(h).degree
-        ((gradings, targets, filled),) = calls
+        min_degree_search(h)
+        ((targets, listed, filled),) = calls
         (span,) = spans
-
-        def target(g):
-            ends = (next(iter(query.terms)), next(iter(g.terms)))
-            return tuple(a - b for a, b in zip(*(_weights(gradings, e) for e in ends)))
-
-        assert 0 not in targets and target(gens[0]) not in targets.values(), h
-        offered = {target(gens[gi]) for gi in _row_generators(span)}
-        assert filled <= offered, h
+        assert 0 not in targets and listed == targets, h
+        assert filled == _row_generators(span), h
 
 
 def _check_trailing_term_leads(gens, tops, boxes=([],)):
@@ -1696,9 +1706,9 @@ def test_psi_refusals_take_one_packed_route(monkeypatch):
 
 def _shuffle_multiplier_lists(monkeypatch, seed) -> list:
     """Make the jet ring's `multiplier_table`, the one the search inserts
-    from, shuffle every list it returns by a `random.Random` seeded with
-    `seed`.  Returns a list that gets one entry for each list the shuffle
-    left in another order."""
+    from, shuffle each generator's list of kept multipliers by a
+    `random.Random` seeded with `seed`.  Returns a list that gets one entry
+    for each list the shuffle left in another order."""
     rng = make_rng(seed)
     enumerate_ = jets._JetIdeal.multiplier_table
     moved = []
@@ -1796,8 +1806,9 @@ def test_multiplier_table_charge_covers_its_traced_build_peak():
 
 
 def test_block_product_charge_covers_its_traced_build_peak():
-    # the jet ring's table of the same query, built as block products,
-    # peaks lower per multiplier, at 49 bytes charged per int built
+    # the jet ring's table of the same query, built as block products with
+    # the F5 test run as they are made, keeps 2,527 multipliers and peaks
+    # lower, at 55 bytes charged per product kept or combined further
     h = (1, 1, 1)
     record = jets._JetIdeal(3, 3)
     query = derivative_monomial(h, record.desc) ** min_degree_formula(h)
@@ -1806,14 +1817,17 @@ def test_block_product_charge_covers_its_traced_build_peak():
         gi: tuple(a - b for a, b in zip(weights, record.weights[gi])) for gi in record.usable[1:]
     }
     packing = Packing(record.desc.ring.nvars, query.total_degree())
+    rows = [{packing.pack(k): v for k, v in g.nums.items()} for g in record.polys]
+    top = query.total_degree() - 3
+    leads = dict(zip(record.usable, record.trailing_leads(rows, packing, top, [], None)))
     budget = Budget(None)
     tracemalloc.start()
     try:
-        table = record.multiplier_table(query, targets, packing, budget)
+        table = record.multiplier_table(query, targets, packing, budget, leads)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(map(len, table.values())) == 6316
+    assert sum(map(len, table.values())) == 2527
     assert peak <= budget.entries * Budget.BYTES_PER_ENTRY <= 1.1 * peak
 
 
@@ -1861,6 +1875,41 @@ def test_one_component_span_answers_every_query_of_the_component():
             assert result.verify(query, gens)
         sizes.append(None if certificate is None else len(certificate))
     assert sizes == [21, 21, 1, None]
+
+
+def _kept_and_span_counts(monkeypatch, h) -> tuple:
+    """Search h and return, for its one elimination, the number of
+    multipliers the jet ring's table keeps, the span's rank and the number
+    of unit rows."""
+    counts = []
+    enumerate_ = jets._JetIdeal.multiplier_table
+
+    def counting(*args):
+        table = enumerate_(*args)
+        counts.append(sum(map(len, table.values())))
+        return table
+
+    monkeypatch.setattr(jets._JetIdeal, "multiplier_table", counting)
+    spans = _record_spans(monkeypatch)
+    min_degree_search(h)
+    ((kept,), (span,)) = counts, spans
+    return kept, span.rank, len(span.units)
+
+
+@pytest.mark.parametrize(
+    "h, kept, rank, units",
+    [
+        ((2, 2), 3478, 2102, 1376),
+        ((1, 1, 1), 2527, 1156, 1371),
+        # of the 811,617 multipliers of the (2,1,1) component
+        pytest.param((2, 1, 1), 218886, 98175, 120711, marks=pytest.mark.stretch),
+    ],
+)
+def test_multiplier_table_holds_exactly_the_rows_the_span_uses(monkeypatch, h, kept, rank, units):
+    # the jet generators are a regular sequence, so every multiplier the F5
+    # test keeps becomes one pivot or one unit row, and no other is built
+    assert _kept_and_span_counts(monkeypatch, h) == (kept, rank, units)
+    assert kept == rank + units
 
 
 def test_min_degree_budget_reports_partial_result():
