@@ -9,13 +9,14 @@ derivative monomials, all over exact rational arithmetic.
 The package's public names are the `__all__` of each of its modules,
 re-exported here; the command-line front end, `jetform.cli`, is not
 imported.  `errors` and `polyring`, which every computation needs, load
-with the package.  `alambda`, `jets`, `linalg`, `schubert` and `symfun`
-load on first use: each is put in `sys.modules` and on the package by
-`importlib.util.LazyLoader`, and its body runs on the first attribute read,
-so the quotients never compile the jet oracle.  A lazy module is still an
-entry of `sys.modules`, so tools that wrap functions module by module find
-all seven.  `_LAZY` names each lazy module's `__all__`; a name is bound
-here on its first read.
+with the package.  `alambda`, `jetring`, `jets`, `linalg`, `schubert` and
+`symfun` load on first use: each is put in `sys.modules` and on the
+package by `importlib.util.LazyLoader`, and its body runs on the first
+attribute read.  So the quotients never load the jet modules, the jet
+ring's names load `jetring` and `symfun`, and only the oracle's names load
+`jets` and `linalg`.  A lazy module is still an entry of `sys.modules`,
+so tools that wrap functions module by module find all eight.  `_LAZY`
+names each lazy module's `__all__`; a name is bound here on its first read.
 """
 
 from .errors import *
@@ -26,11 +27,11 @@ __version__ = "0.1.0"
 _LAZY = {
     "alambda": ("dim_A_lambda", "basis_exponents", "basis_polys", "nilpotency_order",
                 "c_lambda_generators", "c_lambda_ring", "alpha_map"),
-    "jets": ("JetRingDesc", "MinimalPrime", "MembershipResult", "MinDegreeResult",
-             "PsiSpecialization", "PsiWitness", "jet_generators", "minimal_primes",
-             "compositions", "homogeneous_membership", "phi_binary_eval", "psi_specialize",
-             "min_degree_formula", "min_degree_search", "radical_witness",
-             "derivative_monomial", "multiplicity_table"),
+    "jetring": ("JetRingDesc", "MinimalPrime", "PsiSpecialization", "PsiWitness",
+                "jet_generators", "minimal_primes", "compositions", "phi_binary_eval",
+                "radical_witness", "derivative_monomial", "multiplicity_table"),
+    "jets": ("MembershipResult", "MinDegreeResult", "homogeneous_membership", "psi_specialize",
+             "min_degree_formula", "min_degree_search"),
     "linalg": ("ExactSpan", "Budget", "integer_nullspace"),
     "schubert": ("Permutation", "divided_difference", "schubert_poly", "schubert_table",
                  "monk_expand", "schubert_expansion", "catalan_congruence_check",

@@ -15,7 +15,11 @@ its add_argument keywords once.  `build_parser` builds the parser from
 them in one loop.
 
 The layer modules are bound here without being run: each handler loads
-only the layers it calls, so `expand` never loads `jets` or `linalg`.
+only the layers it calls, and all load `symfun`.  `dim`, `basis`,
+`nilpotency` and `multiplicity` also load `alambda`; `schubert`, `monk`,
+`expand` and `catalan` load `schubert`; `jet-gens`, `primes`,
+`radical-witness`, `multiplicity`, `member` and `min-degree` load
+`jetring`, and only the last two load `jets` and `linalg`.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import time
 from collections.abc import Iterable
 from functools import lru_cache
 
-from . import alambda, jets, linalg, schubert, symfun
+from . import alambda, jetring, jets, linalg, schubert, symfun
 from .errors import (
     BudgetExceededError,
     CapExceededError,
@@ -174,14 +178,14 @@ def _cmd_catalan(args):
 
 
 def _cmd_jet_gens(args):
-    desc = jets.JetRingDesc(args.n, args.m)
+    desc = jetring.JetRingDesc(args.n, args.m)
     gens = None
     if args.gens is not None:
         base = desc.base_ring
         gens = [parse_poly(base, chunk) for chunk in args.gens.split(";") if chunk.strip()]
         if not gens:
             raise ParseError("no generators given")
-    out = jets.jet_generators(gens, desc)
+    out = jetring.jet_generators(gens, desc)
     return (
         {"n": args.n, "m": args.m, "generators": [str(g) for g in out]},
         [str(g) for g in out],
@@ -189,7 +193,7 @@ def _cmd_jet_gens(args):
 
 
 def _cmd_primes(args):
-    primes = jets.minimal_primes(args.n, args.m)
+    primes = jetring.minimal_primes(args.n, args.m)
     payload = {
         "n": args.n,
         "m": args.m,
@@ -205,13 +209,13 @@ def _cmd_primes(args):
 
 def _cmd_member(args):
     budget = _budget_from(args)
-    desc = jets.JetRingDesc(args.n, args.m)
+    desc = jetring.JetRingDesc(args.n, args.m)
     p = parse_poly(desc.ring, args.poly)
-    gens = jets.jet_generators(None, desc)
+    gens = jetring.jet_generators(None, desc)
     result = jets.homogeneous_membership(p, gens, budget=budget)
     if not result.member:
         # a refusal by elimination also carries a psi witness, if one refuses p
-        result.witness = jets._psi_witness(p, gens, desc)
+        result.witness = jetring._psi_witness(p, gens, desc)
     # what was asked rides with the verdict, so the payload re-checks alone
     payload = {"n": desc.n, "m": desc.m, "query": str(p), **result.to_json(desc.ring)}
     line = "member" if result.member else "not a member"
@@ -223,7 +227,7 @@ def _cmd_min_degree(args):
     h = _parse_ints(args.h, "derivative tuple")
     formula = jets.min_degree_formula(h)
     result = jets.min_degree_search(h, cap=args.cap, budget=budget)
-    desc = jets.JetRingDesc(len(h), sum(h))
+    desc = jetring.JetRingDesc(len(h), sum(h))
     psi = sum(1 for r in result.refusals.values() if r.witness is not None)
     payload = {
         "h": list(h),
@@ -243,12 +247,12 @@ def _cmd_min_degree(args):
 
 def _cmd_radical_witness(args):
     h = _parse_ints(args.h, "derivative tuple")
-    value = jets.radical_witness(h)
+    value = jetring.radical_witness(h)
     return {"h": list(h), "witness": value}, [str(value).lower()]
 
 
 def _cmd_multiplicity(args):
-    table = jets.multiplicity_table(args.n, args.m)
+    table = jetring.multiplicity_table(args.n, args.m)
     total = sum(table.values())
     payload = {
         "n": args.n,

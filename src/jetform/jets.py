@@ -1,16 +1,12 @@
-"""Jet rings, jet ideals of x_1...x_n, and the certified membership oracle.
+"""The certified membership oracle and the minimal-degree search.
 
-The order-m jet ring replaces each base variable x_i by a truncated series
-x_i^(0) + x_i^(1) t + ... + x_i^(m) t^m; the jet ideal of a polynomial ideal
-is generated by the t-coefficients of its generators evaluated on those
-series.  For the principal ideal of x_1...x_n this module provides the
-minimal primes, the multiplicity table, two witness homomorphisms (a 0/1
-evaluation and a specialisation into block elementary symmetrics), and a
-homogeneous ideal-membership oracle based on exact linear algebra that
-returns re-checkable certificates.  Every ideal handled here is
-homogeneous, so degree-by-degree span testing is complete; the only
-Groebner basis computed is a small degree-truncated one that tells the
-elimination which rows it may skip.
+The jet ring of x_1...x_n, with its generators, primes, multiplicities and
+psi witnesses, is `jetring`.  This module adds a homogeneous
+ideal-membership oracle based on exact linear algebra that returns
+re-checkable certificates, and it is the only one of the two that imports
+`linalg`.  Every ideal handled here is homogeneous, so degree-by-degree
+span testing is complete; the only Groebner basis computed is a small
+degree-truncated one that tells the elimination which rows it may skip.
 
 The minimal-degree search certifies both ways.  A refused power is proved
 by the psi specialisation: psi sends every jet generator into I_S (checked
@@ -60,8 +56,6 @@ check has passed, and the leads of the full trailing-term basis.  The
 record holds nothing that depends on a query's degree: the packing, the
 multiplier table, the unit table and the span are built for each query
 and dropped with it.
-After a refusal by elimination, `member` tries every plain psi_lambda for a
-witness and checks the kernel of the one that refuses.
 """
 
 from __future__ import annotations
@@ -72,241 +66,28 @@ from functools import lru_cache
 from math import gcd
 from operator import mul
 
-from . import alambda
 from .errors import (
-    BudgetExceededError,
-    CapExceededError,
-    DomainError,
-    InvariantViolationError,
-    _in_ring,
-    _size,
+    BudgetExceededError, CapExceededError, DomainError, InvariantViolationError, _in_ring, _size,
+)
+from .jetring import (
+    JetRingDesc, PsiSpecialization, PsiWitness, _derivative_tuple, _psi_normal_forms, _Specs,
+    derivative_monomial, jet_generators,
 )
 from .linalg import Budget, ExactSpan, integer_nullspace
-from .polyring import (
-    Monomial, Packing, Poly, Ring, _series_coefficients, format_monomial, format_poly,
-)
-from .symfun import Composition, _block_sigmas, _image_nf, _packed_image, _packed_powers, _packing
-from .symfun import _z_poly, normal_form_IS, zring
+from .polyring import Monomial, Packing, Poly, Ring, format_monomial
+from .symfun import Composition
 
 __all__ = [
-    "JetRingDesc",
-    "MinimalPrime",
     "MembershipResult",
     "MinDegreeResult",
-    "PsiSpecialization",
-    "PsiWitness",
-    "jet_generators",
-    "minimal_primes",
-    "compositions",
     "homogeneous_membership",
-    "phi_binary_eval",
     "psi_specialize",
     "min_degree_formula",
     "min_degree_search",
-    "radical_witness",
-    "derivative_monomial",
-    "multiplicity_table",
 ]
 
 
-@lru_cache(maxsize=None)
-def _jet_ring(n: int, m: int) -> Ring:
-    return Ring(tuple("x%d_%d" % (i, j) for i in range(1, n + 1) for j in range(m + 1)))
-
-
-@lru_cache(maxsize=None)
-def _base_ring(n: int) -> Ring:
-    return Ring(tuple("x%d" % i for i in range(1, n + 1)))
-
-
-class JetRingDesc:
-    """Shape of a jet ring: n base variables, derivatives of order 0..m."""
-
-    __slots__ = ("n", "m")
-
-    def __init__(self, n: int, m: int):
-        self.n = _size(n, "base variable count", 1)
-        self.m = _size(m, "jet order")
-
-    @property
-    def ring(self) -> Ring:
-        return _jet_ring(self.n, self.m)
-
-    @property
-    def base_ring(self) -> Ring:
-        return _base_ring(self.n)
-
-    def slot(self, i: int, j: int) -> int:
-        """Flat variable index of x_i^(j); i is 1-based, 0 <= j <= m."""
-        i = _size(i, "base variable index", 1, self.n)
-        j = _size(j, "derivative order", 0, self.m)
-        return (i - 1) * (self.m + 1) + j
-
-    def pair(self, slot: int) -> tuple[int, int]:
-        slot = _size(slot, "flat index", 0, self.n * (self.m + 1) - 1)
-        return slot // (self.m + 1) + 1, slot % (self.m + 1)
-
-    def var(self, i: int, j: int) -> Poly:
-        return self.ring.var(self.slot(i, j))
-
-    def __eq__(self, other):
-        return isinstance(other, JetRingDesc) and (self.n, self.m) == (other.n, other.m)
-
-    def __hash__(self):
-        return hash((self.n, self.m))
-
-    def __repr__(self):
-        return "JetRingDesc(n=%d, m=%d)" % (self.n, self.m)
-
-
-def _derivative_tuple(h, n: int | None = None) -> tuple[int, ...]:
-    """h as a nonempty tuple of non-negative ints, of length n if given: a
-    float is refused, not truncated, and every refusal is a DomainError
-    that names the derivative tuple or order."""
-    try:
-        h = tuple(_size(hi, "derivative order") for hi in h)
-    except TypeError:
-        raise DomainError("derivative tuple must be a sequence: %r" % (h,)) from None
-    _size(len(h), "derivative tuple length", n or 1, n)
-    return h
-
-
-def derivative_monomial(h, desc: JetRingDesc) -> Poly:
-    """The product of x_i^(h_i) over all base variables, as a jet polynomial."""
-    h = _derivative_tuple(h, desc.n)
-    exps = [0] * desc.ring.nvars
-    for i, hi in enumerate(h, start=1):
-        exps[desc.slot(i, hi)] += 1
-    return Poly(desc.ring, {Monomial(exps): 1})
-
-
-def jet_generators(gens, desc: JetRingDesc) -> list[Poly]:
-    """t-coefficients of the given base polynomials evaluated on jet series.
-
-    `gens` defaults to the single product x_1...x_n.  Each generator
-    contributes m+1 output polynomials, the coefficients of t^0 .. t^m.  In
-    that of t^k, a term c*x^a contributes c times the sum, over the ways to
-    pick one x_i^(j) per factor x_i of x^a with the j summing to k, of their
-    product; x_1...x_n gives g_k = sum of x_1^(j_1)...x_n^(j_n) over
-    j_1 + ... + j_n = k.
-    """
-    base = desc.base_ring
-    if gens is None:
-        mono = Monomial((1,) * desc.n)
-        gens = [Poly(base, {mono: 1})]
-    ring = desc.ring
-    m = desc.m
-    series = [range(desc.slot(i, 0), desc.slot(i, m) + 1) for i in range(1, desc.n + 1)]
-    out: list[Poly] = []
-    for g in gens:
-        _in_ring(g, base, "generator")
-        coeffs: list[dict] = [{} for _ in range(m + 1)]
-        for mono, c in g.nums.items():
-            factors = [series[i] for i, e in enumerate(mono) for _ in range(e)]
-            # distinct base terms have distinct block degrees, so their jet terms never meet
-            for acc, terms in zip(coeffs, _series_coefficients(ring.nvars, factors, m)):
-                acc.update((Monomial(exps), c * v) for exps, v in terms.items())
-        out.extend(Poly._from_ints(ring, terms, g.denom) for terms in coeffs)
-    return out
-
-
-def compositions(total: int, parts: int) -> list[Composition]:
-    """All compositions of `total` into `parts` non-negative parts,
-    enumerated in descending lexicographic order."""
-    parts, total = _size(parts, "part count", 1), _size(total, "total")
-    out: list[Composition] = []
-
-    def rec(prefix, remaining, left):
-        if left == 1:
-            out.append(Composition(prefix + (remaining,)))
-            return
-        for first in range(remaining, -1, -1):
-            rec(prefix + (first,), remaining - first, left - 1)
-
-    rec((), total, parts)
-    return out
-
-
-def _jet_composition(lam, desc: JetRingDesc) -> Composition:
-    """lam as a Composition of m+1 into n parts, or a DomainError."""
-    lam = Composition(lam)
-    if lam.ell != desc.m + 1 or lam.n != desc.n:
-        raise DomainError("%r is not a composition of m+1 into n parts" % (lam.parts,))
-    return lam
-
-
-class MinimalPrime:
-    """Coordinate-subspace prime of the jet ideal of x_1...x_n.
-
-    For a composition lambda of m+1, generated by the variables x_i^(j)
-    with j < lambda_i; there are always exactly m+1 generators.
-    """
-
-    __slots__ = ("lam", "desc")
-
-    def __init__(self, lam: Composition, desc: JetRingDesc):
-        self.lam = _jet_composition(lam, desc)
-        self.desc = desc
-
-    @property
-    def variable_pairs(self) -> list[tuple[int, int]]:
-        return [
-            (i, j)
-            for i in range(1, self.desc.n + 1)
-            for j in range(self.lam.parts[i - 1])
-        ]
-
-    @property
-    def generators(self) -> list[Poly]:
-        return [self.desc.var(i, j) for i, j in self.variable_pairs]
-
-    @property
-    def variable_names(self) -> list[str]:
-        ring = self.desc.ring
-        return [ring.names[self.desc.slot(i, j)] for i, j in self.variable_pairs]
-
-    def __repr__(self):
-        return "MinimalPrime(lam=%r)" % (self.lam.parts,)
-
-
-def minimal_primes(n: int, m: int) -> list[MinimalPrime]:
-    desc = JetRingDesc(n, m)
-    return [MinimalPrime(lam, desc) for lam in compositions(m + 1, n)]
-
-
-def multiplicity_table(n: int, m: int) -> dict[Composition, int]:
-    """Multiplicity of each minimal prime P_lambda: dim A_lambda, which is
-    (m+1)!/prod(lambda_i!); the values always sum to n^(m+1).  Rejects
-    n < 1 and m < 0, as minimal_primes does."""
-    JetRingDesc(n, m)
-    return {lam: alambda.dim_A_lambda(lam) for lam in compositions(m + 1, n)}
-
-
 # -- membership oracle --------------------------------------------------------
-
-
-class PsiWitness:
-    """Non-membership certificate from the psi specialisation.
-
-    `normal_form` is NF_IS(psi(p)) for `PsiSpecialization(lam, desc)` and the
-    refused polynomial p: mono^d for a refusal of the minimal-degree search,
-    the query itself for a `member` refusal.  `lam` is in base-variable
-    order: block i of z_1..z_{m+1} belongs to x_i.  psi sends the jet ideal
-    into I_S, so a nonzero normal form proves that p is not in the ideal.
-    """
-
-    __slots__ = ("lam", "normal_form")
-
-    def __init__(self, lam: Composition, normal_form: Poly):
-        self.lam = lam
-        self.normal_form = normal_form
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "psi",
-            "lambda": list(self.lam.parts),
-            "normal_form": format_poly(self.normal_form),
-        }
 
 
 class MembershipResult:
@@ -962,76 +743,6 @@ def _membership(p: Poly, gens: _Generators, budget: Budget | None) -> Membership
     return MembershipResult(certificate is not None, p.total_degree(), certificate)
 
 
-# -- witness homomorphisms ----------------------------------------------------
-
-
-def phi_binary_eval(p: Poly, h, desc: JetRingDesc) -> Fraction:
-    """Evaluate p at x_i^(j) = 0 when j < h_i and 1 otherwise: one
-    substitution into the ring of no variables, whose constant is the value."""
-    h = _derivative_tuple(h, desc.n)
-    _in_ring(p, desc.ring, "polynomial")
-    point = Ring(())
-    images = [point.const(int(j >= hi)) for hi in h for j in range(desc.m + 1)]
-    return p.substitute(point, images).constant_term()
-
-
-def radical_witness(h) -> bool:
-    """Certify that the derivative monomial avoids the radical of the
-    order-(H-1) jet ideal of x_1...x_n.
-
-    The 0/1 evaluation kills every generator of that ideal while sending
-    the monomial to 1; a ring homomorphism cannot do both for an element of
-    the radical.
-    """
-    h = _derivative_tuple(h)
-    # the order -1 jet ideal, of sum(h) = 0, is undefined
-    total = _size(sum(h), "sum of the derivative orders", 1)
-    desc = JetRingDesc(len(h), total)
-    gens = jet_generators(None, desc)[:total]
-    if any(phi_binary_eval(g, h, desc) != 0 for g in gens):
-        return False
-    return phi_binary_eval(derivative_monomial(h, desc), h, desc) == 1
-
-
-class PsiSpecialization:
-    """psi_lambda: substitution of jet variables by block elementary symmetrics.
-
-    `lam` is a composition of m+1 into n parts, zero parts allowed, in
-    base-variable order: x_i takes block i of z_1..z_{m+1}, its
-    `symfun._block_sigmas` list reversed, then 1, then zeros, cut to m+1
-    entries, so x_i^(j) goes to sigma_(lambda_i-j) for j < lambda_i, to 1 at
-    j = lambda_i and to 0 above.  Every jet generator lands in I_S.
-
-    The one image table keeps each image as its keys on `symfun._packing(m+1)`,
-    all with coefficient 1.  A jet generator term, as the derivative monomial,
-    takes one image per base variable and the blocks are disjoint, so its
-    image is squarefree, reduced there by `symfun._image_nf` for the search.
-    `apply`, off the search path, is the exact image of any p: it re-packs the
-    table for the degree of p, which bounds every exponent of psi(p).
-    """
-
-    __slots__ = ("desc", "lam", "target", "_table")
-
-    def __init__(self, lam, desc: JetRingDesc):
-        self.lam = _jet_composition(lam, desc)
-        self.desc = desc
-        self.target = zring(desc.m + 1)
-        pack, cut = _packing(desc.m + 1).pack, desc.m + 1
-        self._table = [
-            keys
-            for sigmas in _block_sigmas(self.lam, self.target)
-            for keys in ([list(map(pack, s.nums)) for s in sigmas[::-1]] + [[0]] + [[]] * cut)[:cut]
-        ]
-
-    def apply(self, p: Poly) -> Poly:
-        degree = _in_ring(p, self.desc.ring, "polynomial").total_degree()
-        narrow, wide = _packing(self.target.nvars), Packing(self.target.nvars, degree or 1)
-        table = [[wide.pack(narrow.unpack(k)) for k in keys] for keys in self._table]
-        image = _packed_image(table, p.nums.items())
-        nums = {wide.unpack(k): c for k, c in image.items() if c}
-        return Poly._from_ints(self.target, nums, p.denom)
-
-
 def _witness_composition(h) -> Composition:
     """h + e_i for the first i that maximises the witness power (h_i+1)(H-h_i):
     its psi sends x_i^(h_i) to sigma_1 of block i and every other x_k^(h_k) to 1."""
@@ -1043,36 +754,6 @@ def _witness_composition(h) -> Composition:
 def psi_specialize(p: Poly, h, desc: JetRingDesc) -> Poly:
     """psi of the composition h + e_i that `min_degree_search` refuses with."""
     return PsiSpecialization(_witness_composition(_derivative_tuple(h, desc.n)), desc).apply(p)
-
-
-def _check_psi_kernel(spec: PsiSpecialization, gens) -> None:
-    """Raise InvariantViolationError unless psi sends every jet generator of
-    `gens` into I_S, which makes its nonzero normal forms refusals:
-    `symfun._image_nf` of each generator's integer numerators, whose
-    images are squarefree, must be empty."""
-    for i, g in enumerate(gens):
-        if _image_nf(spec._table, g.nums.items(), spec.lam.ell):
-            raise InvariantViolationError("psi of %r misses I_S at generator %d" % (spec.lam, i))
-
-
-class _Specs(dict):
-    """Composition -> PsiSpecialization of one jet ring, each made on its
-    first lookup and stored only once `_check_psi_kernel` has passed on the
-    ring's generators: every spec read from here is kernel-checked, and a
-    failed check stores nothing."""
-
-    __slots__ = ("desc", "gens")
-
-    def __init__(self, desc: JetRingDesc, gens):
-        super().__init__()
-        self.desc = desc
-        self.gens = gens
-
-    def __missing__(self, lam: Composition) -> PsiSpecialization:
-        spec = PsiSpecialization(lam, self.desc)
-        _check_psi_kernel(spec, self.gens)
-        self[lam] = spec
-        return spec
 
 
 class _JetIdeal(_Generators):
@@ -1126,14 +807,13 @@ class _JetIdeal(_Generators):
         per product in place of one test per lead.  Each list of the last
         block is charged for every candidate product before it is built and
         credited the rejected ones after, so the charge never falls behind
-        what is built.  Any other p, or n = 1, takes the generic pass.
+        what is built.  n = 1 takes the generic pass.
         """
         n, width = self.desc.n, self.desc.m + 1
-        mono = next(iter(p.nums))
-        degrees = {sum(mono[i : i + width]) - 1 for i in range(0, n * width, width)}
-        if len(degrees) > 1 or n == 1:
+        if n == 1:
             return super().multiplier_table(p, targets, packing, budget, leads)
-        (d,) = degrees
+        mono = next(iter(p.nums))
+        d = sum(mono[:width]) - 1
         weight = sum(j * e for j, e in zip(itertools.cycle(range(width)), mono))
         wanted = {gi: weight - gi for gi in targets}
         gradings, top = [(1,) * width, tuple(range(width))], d * (width - 1)
@@ -1233,21 +913,6 @@ class _JetIdeal(_Generators):
 _jet_ideal = lru_cache(maxsize=None)(_JetIdeal)
 
 
-def _psi_witness(p: Poly, gens, desc: JetRingDesc) -> PsiWitness | None:
-    """A PsiWitness of the first psi_lambda, lambda in `compositions(m+1, n)`
-    order, with NF_IS(psi_lambda(p)) nonzero, or None if there is none.
-    Only that psi_lambda has its kernel checked against the jet generators
-    `gens`, the one check a witness needs to prove that p is not in the jet
-    ideal: one check per answer, none for a p that no psi_lambda refuses."""
-    for lam in compositions(desc.m + 1, desc.n):
-        spec = PsiSpecialization(lam, desc)
-        nf = normal_form_IS(spec.apply(p))
-        if not nf.is_zero():
-            _check_psi_kernel(spec, gens)
-            return PsiWitness(spec.lam, nf)
-    return None
-
-
 # -- the minimal degree -------------------------------------------------------
 
 
@@ -1336,16 +1001,3 @@ def min_degree_search(
     raise CapExceededError(
         "no member power of %r found up to degree %d" % (h, cap), lower_bound=cap + 1
     )
-
-
-def _psi_normal_forms(spec: PsiSpecialization, mono: Poly):
-    """Yield NF_IS(psi(mono)^d) for d = 1, 2, ..., zero once it has reached
-    zero.  They are `symfun._packed_powers` of mono's packed image, by
-    `symfun._image_nf`.  They refuse only if psi's kernel holds the jet
-    ideal: `spec` comes from a `_jet_ideal` record, which checked that when
-    it made the spec."""
-    ell = spec.lam.ell
-    image = _image_nf(spec._table, mono.nums.items(), ell)
-    for terms, scale in _packed_powers(image, mono.denom, ell):
-        yield _z_poly(terms, scale, ell)
-    yield from itertools.repeat(spec.target.zero())

@@ -47,11 +47,12 @@ class Budget:
       its record, `jets._jet_ideal`, builds it under a budget;
     - "multiplier table": 68 bytes per packed multiplier of the oracle's
       multiplier table, 55 per block product that a jet ring's table keeps
-      or combines further, about the traced peak of its build, charged
-      while the table is built, each last-block list for every candidate
-      product before the F5 test and credited the rejected ones after; a
-      monomial generator g_0 that the oracle filters as columns has no
-      list in it;
+      or combines further, charged while the table is built, each
+      last-block list for every candidate product before the F5 test and
+      credited the rejected ones after; a monomial generator g_0 that the
+      oracle filters as columns has no list in it.  That is about the
+      traced peak of a table of thousands of products; a small jet table's
+      block masks and lead bits, tens of KB, are not charged;
     - "row feed": one entry per kept row the oracle records, unit or not.
     Not charged: what a jet ring's record keeps across searches once built,
     its psi kernel checks, and a lead basis it built with no budget given.

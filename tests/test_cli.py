@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jetform
-from jetform import cli, jets, normal_form_IS, parse_poly, schubert, zring
+from jetform import cli, jetring, normal_form_IS, parse_poly, schubert, zring
 from jetform.cli import main, run
 
 from conftest import exponent_vectors
@@ -159,7 +159,7 @@ def _check_psi_witness(witness, query, desc):
     `compositions(m+1, n)` order sends the query into I_S."""
     assert witness["kind"] == "psi"
     spec = jetform.PsiSpecialization(witness["lambda"], desc)
-    jets._check_psi_kernel(spec, jetform.jet_generators(None, desc))
+    jetring._check_psi_kernel(spec, jetform.jet_generators(None, desc))
     nf = normal_form_IS(spec.apply(query))
     assert not nf.is_zero()
     assert nf == parse_poly(spec.target, witness["normal_form"])
@@ -203,13 +203,13 @@ def test_member_checks_one_psi_kernel_per_witness(capsys, monkeypatch):
     # with a witness, none for a member or for a refusal that none of the
     # 84 psi_lambda of (4, 5) makes
     checked = []
-    check = jets._check_psi_kernel
+    check = jetring._check_psi_kernel
 
     def counting(spec, gens):
         checked.append(list(spec.lam.parts))
         check(spec, gens)
 
-    monkeypatch.setattr(jets, "_check_psi_kernel", counting)
+    monkeypatch.setattr(jetring, "_check_psi_kernel", counting)
     cases = [
         ("x1_0*x2_1 + x1_1*x2_0", 2, 1, False),
         ("x1_1*x2_1", 2, 2, True),

@@ -1,7 +1,8 @@
 """Guards on the package's public names: the union of the modules'
 `__all__`, re-exported by wildcard or on first use; every name in an
 `__all__` exists.  Guards that each workload loads only the layers it runs,
-and that the bench tracer finds every lazy module.
+that the jet ring imports no oracle, and that the bench tracer finds every
+lazy module.
 Also guards on what passes between the kernels: `linalg` works on integer rows only,
 each z ring has one packing whose keys fit one CPython digit, and only
 `symfun` reduces packed z-ring polynomials.  And guards that every index
@@ -93,7 +94,7 @@ _IMPORT_STEPS = """
 import json, sys, types
 
 def ran():
-    return sorted(name for name in ("alambda", "jets", "linalg", "schubert", "symfun")
+    return sorted(name for name in ("alambda", "jetring", "jets", "linalg", "schubert", "symfun")
                   if type(sys.modules["jetform." + name]) is types.ModuleType)
 
 import jetform, jetform.cli
@@ -103,6 +104,11 @@ for ell in range(1, 7):
 steps.append(ran())
 result, _ = jetform.cli.run(["expand", "z1", "--ell", "6", "--json"])
 assert result.status == "ok", result.payload
+steps.append(ran())
+for argv in (["primes", "--n", "3", "--m", "3"], ["jet-gens", "--n", "2", "--m", "2"],
+             ["radical-witness", "--h", "1,2"]):
+    result, _ = jetform.cli.run(argv + ["--json"])
+    assert result.status == "ok", result.payload
 steps.append(ran())
 jetform.min_degree_search((1, 1))
 steps.append(ran())
@@ -123,12 +129,15 @@ def _fresh_python(code: str) -> str:
 
 
 def test_each_workload_loads_only_the_layers_it_runs():
-    imported, quotient, expand, oracle, multiplicities = json.loads(_fresh_python(_IMPORT_STEPS))
+    steps = json.loads(_fresh_python(_IMPORT_STEPS))
+    imported, quotient, expand, jet_ring, oracle, multiplicities = steps
     assert imported == []
-    assert not {"jets", "linalg", "schubert"} & set(quotient)
-    assert not {"alambda", "jets", "linalg"} & set(expand)
+    assert not {"jetring", "jets", "linalg", "schubert"} & set(quotient)
+    assert not {"alambda", "jetring", "jets", "linalg"} & set(expand)
+    # the jet ring's commands run no oracle, and so no linear algebra
+    assert "jetring" in jet_ring and not {"jets", "linalg"} & set(jet_ring)
     # the oracle never reads dim A_lambda; only the multiplicity table does
-    assert "jets" in oracle and "alambda" not in oracle
+    assert {"jetring", "jets"} <= set(oracle) and "alambda" not in oracle
     assert "alambda" in multiplicities
 
 
@@ -250,17 +259,40 @@ def test_schubert_span_is_keyed_by_packed_ints():
     assert all(type(w) is schubert.Permutation for w in perms)
 
 
-@pytest.mark.parametrize("name", ["jets", "alambda"])
-def test_block_images_come_from_the_one_table(name):
-    # psi and alpha read their images from `symfun._block_sigmas`, not from
-    # sigmas of their own
+def _imported_names(name: str) -> set:
     tree = ast.parse(Path(jetform.__file__).with_name(name + ".py").read_text())
-    imported = {
+    return {
         alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
+
+
+@pytest.mark.parametrize("name", ["jetring", "alambda"])
+def test_block_images_come_from_the_one_table(name):
+    # psi and alpha read their images from `symfun._block_sigmas`, not from
+    # sigmas of their own; the oracle reads psi from `jetring`, and none of
+    # the packed psi helpers
+    imported = _imported_names(name)
     assert "_block_sigmas" in imported
     assert not imported & {"block_sigma", "elementary_symmetric"}
+    psi_helpers = {"_block_sigmas", "_image_nf", "_packed_image", "_packed_powers", "_packing",
+                   "_z_poly"}
+    assert not _imported_names("jets") & psi_helpers
+
+
+def test_jet_ring_imports_no_oracle():
+    # `jetring` can re-check its objects without the oracle: it imports
+    # neither `jets` nor `linalg`, and not the CLI
+    tree = ast.parse(Path(jetform.__file__).with_name("jetring.py").read_text())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            modules.add(node.module)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):  # `from . import x` names x
+            modules.update(alias.name for alias in node.names)
+    assert modules
+    names = {module.rpartition(".")[2] for module in modules}
+    assert not names & {"cli", "jets", "linalg"}, modules
 
 
 def test_psi_runs_on_packed_integers():
@@ -268,9 +300,9 @@ def test_psi_runs_on_packed_integers():
     # packed integer keys: none of them, nor the symfun kernels they call,
     # names `substitute` or `Fraction`, so the psi path cannot drift back
     # onto Poly arithmetic
-    from jetform import jets, symfun
+    from jetform import jetring, symfun
 
-    for obj in (jets.PsiSpecialization, jets._check_psi_kernel, jets._psi_normal_forms,
+    for obj in (jetring.PsiSpecialization, jetring._check_psi_kernel, jetring._psi_normal_forms,
                 symfun._packed_image, symfun._image_nf, symfun._packed_powers):
         tree = ast.parse(inspect.getsource(obj))
         named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetform import jets, symfun
+from jetform import jetring, jets, symfun
 from jetform import (
     BudgetExceededError,
     Budget,
@@ -1444,7 +1444,7 @@ def test_psi_kernel_contains_jet_generators():
     for n, m in itertools.product(range(1, 5), range(5)):
         desc = JetRingDesc(n, m)
         for lam in compositions(m + 1, n):
-            jets._check_psi_kernel(PsiSpecialization(lam, desc), jet_generators(None, desc))
+            jetring._check_psi_kernel(PsiSpecialization(lam, desc), jet_generators(None, desc))
 
 
 def test_psi_witness_power_is_nonzero():
@@ -1545,7 +1545,7 @@ def test_min_degree_search_rejects_psi_that_misses_a_generator(monkeypatch):
     z1, z2, z3 = spec.target.gens()
     assert spec.apply(desc.var(1, 0)) == z1 * z2 + z3
     with pytest.raises(InvariantViolationError):
-        jets._check_psi_kernel(spec, jet_generators(None, desc))
+        jetring._check_psi_kernel(spec, jet_generators(None, desc))
     # a fresh record, so that the search makes the corrupted spec and checks it
     jets._jet_ideal.cache_clear()
     try:
@@ -1760,7 +1760,7 @@ def test_every_psi_witness_rechecks_from_its_json_alone():
         for d, refusal in min_degree_search(h).refusals.items():
             witness = json.loads(json.dumps(refusal.to_json(desc.ring)))["witness"]
             spec = PsiSpecialization(witness["lambda"], desc)
-            jets._check_psi_kernel(spec, jet_generators(None, desc))
+            jetring._check_psi_kernel(spec, jet_generators(None, desc))
             nf = normal_form_IS(spec.apply(mono**d))
             assert not nf.is_zero()
             assert nf == parse_poly(spec.target, witness["normal_form"]), (h, d)
