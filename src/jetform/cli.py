@@ -3,11 +3,14 @@
 Every computation of the library is exposed as a subcommand with plain-text
 output by default and machine-readable JSON behind --json.  Printed
 polynomials use the same grammar the parser accepts, so outputs are valid
-inputs.  Exit codes: 0 success, 1 domain error (e.g. search cap exceeded),
-2 parse/usage error, 3 resource budget exceeded, 4 internal invariant
-violation.  A run whose reader has gone, such as `jetform primes --n 4
---m 9 | head -1`, prints no traceback: the output still pending goes to
-os.devnull, and the exit code is the command's own.
+inputs.  Coefficients cross the text boundary as integers: `parse_poly`
+and `format_poly` make no Fraction, and `expand` prints the integer sums of
+`schubert._schubert_sums` over their denominator by `_ratio_text`.  Exit
+codes: 0 success, 1 domain error (e.g. search cap exceeded), 2 parse/usage
+error, 3 resource budget exceeded, 4 internal invariant violation.  A run
+whose reader has gone, such as `jetform primes --n 4 --m 9 | head -1`,
+prints no traceback: the output still pending goes to os.devnull, and the
+exit code is the command's own.
 
 `COMMANDS` is the CLI's one definition: each command once, with its
 handler, help and argument spellings, and `ARGUMENTS` gives each spelling
@@ -41,7 +44,7 @@ from .errors import (
     InvariantViolationError,
     ParseError,
 )
-from .polyring import _parse_ints, parse_poly
+from .polyring import _parse_ints, _ratio_text, parse_poly
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -91,8 +94,8 @@ def _budget_from(args) -> linalg.Budget | None:
 def _cmd_nf(args):
     ring = symfun.zring(args.ell)
     p = parse_poly(ring, args.poly)
-    nf = symfun.normal_form_IS(p, args.ell)
-    return {"ell": args.ell, "input": str(p), "normal_form": str(nf)}, [str(nf)]
+    nf = str(symfun.normal_form_IS(p, args.ell))
+    return {"ell": args.ell, "input": str(p), "normal_form": nf}, [nf]
 
 
 def _cmd_nu(args):
@@ -134,8 +137,8 @@ def _cmd_nilpotency(args):
 
 def _cmd_schubert(args):
     w = schubert.Permutation.parse(args.perm)
-    poly = schubert.schubert_poly(w)
-    return {"perm": list(w.oneline), "poly": str(poly)}, [str(poly)]
+    poly = str(schubert.schubert_poly(w))
+    return {"perm": list(w.oneline), "poly": poly}, [poly]
 
 
 def _cmd_monk(args):
@@ -150,17 +153,16 @@ def _cmd_monk(args):
 def _cmd_expand(args):
     ring = symfun.zring(args.ell)
     p = parse_poly(ring, args.poly)
-    coeffs = schubert.schubert_expansion(p, args.ell)
+    perms, sums, denom = schubert._schubert_sums(p, args.ell)
+    coeffs = [(perms[i], _ratio_text(c, denom)) for i, c in sums.items()]
     payload = {
         "ell": args.ell,
-        "coefficients": [
-            {"perm": list(w.oneline), "coeff": str(c)} for w, c in coeffs.items()
-        ],
+        "coefficients": [{"perm": list(w.oneline), "coeff": c} for w, c in coeffs],
     }
     if not coeffs:
         return payload, ["(zero class)"]
     # formatted only if printed: --json mode never reads them
-    return payload, ("%s: %s" % (w, c) for w, c in coeffs.items())
+    return payload, ("%s: %s" % (w, c) for w, c in coeffs)
 
 
 def _cmd_catalan(args):
@@ -185,11 +187,8 @@ def _cmd_jet_gens(args):
         gens = [parse_poly(base, chunk) for chunk in args.gens.split(";") if chunk.strip()]
         if not gens:
             raise ParseError("no generators given")
-    out = jetring.jet_generators(gens, desc)
-    return (
-        {"n": args.n, "m": args.m, "generators": [str(g) for g in out]},
-        [str(g) for g in out],
-    )
+    out = [str(g) for g in jetring.jet_generators(gens, desc)]
+    return {"n": args.n, "m": args.m, "generators": out}, out
 
 
 def _cmd_primes(args):

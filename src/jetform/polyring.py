@@ -2,9 +2,9 @@
 
 A `Ring` is just an ordered tuple of variable names.  Polynomials are
 immutable sparse maps Monomial -> nonzero int, in construction order, over
-one positive denominator; `.terms` reads them as Monomial -> Fraction and
-`format_poly` prints them in descending lex.  Two polynomials are equal iff
-their rings and term values are, whatever denominators they carry.
+one positive denominator; `.terms` reads them as Monomial -> Fraction, and
+`format_poly` prints the integers in descending lex.  Two polynomials are
+equal iff their rings and term values are, whatever denominators they carry.
 Whether a polynomial lies in the ring an operation needs, the operands of
 `+`, `-` and `*` included, is checked by `errors._in_ring` alone.  The
 monomial order is lexicographic with the first ring variable most
@@ -25,14 +25,15 @@ and the text grammar used by the CLI:
 permutations, the last optionally in brackets.  Whitespace is ignored.
 Unknown variable names are rejected, never guessed.  The grammar has no
 nesting, so `parse_poly` matches one signed term at a time, in linear
-time; a syntax error gives its position.
+time; a syntax error gives its position.  No Fraction is made either way:
+terms are summed as pairs of ints, and `_ratio_text` prints a coefficient.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add, sub
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -524,12 +525,15 @@ _TERM_RE = re.compile(
 
 
 def parse_poly(ring: Ring, text: str) -> Poly:
-    """Parse the textual polynomial grammar in the given ring.  A coefficient
-    that cancels is dropped at once, so terms keep the order of a running sum."""
+    """Parse the textual polynomial grammar in the given ring, with no
+    Fraction made.  Each monomial keeps a running sum, a pair of ints, and a
+    sum that cancels is dropped at once.  The sums are then put over the lcm
+    of their reduced denominators, taken once, as the public constructor
+    would put them."""
     end = len(text.rstrip())
     if not end:
         raise ParseError("empty polynomial text")
-    terms: dict[Monomial, Fraction] = {}
+    sums: dict[Monomial, tuple[int, int]] = {}
     pos = 0
     while pos < end:
         m = _TERM_RE.match(text, pos)
@@ -547,16 +551,17 @@ def parse_poly(ring: Ring, text: str) -> Poly:
         exps = [0] * ring.nvars
         for name, e in factors:
             exps[ring.index(name)] += e
-        mono = Monomial(exps)
-        coeff = Fraction(-num if m["sign"] == "-" else num, den)
-        if mono in terms:  # not 0 + coeff: that takes Fraction's reverse operator
-            coeff += terms[mono]
-        if coeff:
-            terms[mono] = coeff
-        else:
-            terms.pop(mono, None)
+        mono, num = Monomial(exps), -num if m["sign"] == "-" else num
+        if mono in sums:
+            n, d = sums[mono]
+            common = gcd(d, den)
+            num, den = n * (den // common) + num * (d // common), d // common * den
+        sums[mono] = num, den
+        if not num:
+            del sums[mono]
         pos = m.end()
-    return Poly(ring, terms)
+    denom = lcm(*[d // gcd(n, d) for n, d in sums.values()])
+    return Poly._from_ints(ring, {mono: n * denom // d for mono, (n, d) in sums.items()}, denom)
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
@@ -580,23 +585,20 @@ def format_monomial(ring: Ring, mono: Monomial) -> str:
     return "*".join(parts) if parts else "1"
 
 
+def _ratio_text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den >= 1, with no Fraction made."""
+    common = gcd(num, den)
+    return "%d" % (num // den) if common == den else "%d/%d" % (num // common, den // common)
+
+
 def format_poly(p: Poly) -> str:
-    if p.is_zero():
+    """p in the grammar `parse_poly` reads, in descending lex, from p.nums."""
+    if not p.nums:
         return "0"
     chunks = []
-    for i, (mono, coeff) in enumerate(sorted(p.terms.items(), reverse=True)):
-        mag = str(coeff)
-        neg = mag[0] == "-"
-        mag = mag.lstrip("-")
-        body = format_monomial(p.ring, mono)
-        if body == "1":
-            text = mag
-        elif mag == "1":
-            text = body
-        else:
-            text = "%s*%s" % (mag, body)
-        if i == 0:
-            chunks.append("-" + text if neg else text)
-        else:
-            chunks.append((" - " if neg else " + ") + text)
+    for mono, n in sorted(p.nums.items(), reverse=True):
+        mag, body = _ratio_text(abs(n), p.denom), format_monomial(p.ring, mono)
+        text = mag if body == "1" else body if mag == "1" else "%s*%s" % (mag, body)
+        sign = (" - " if n < 0 else " + ") if chunks else ("-" if n < 0 else "")
+        chunks.append(sign + text)
     return "".join(chunks)

@@ -278,15 +278,26 @@ def _schubert_inverse(ell: int) -> tuple[tuple[Permutation, ...], dict[int, dict
 
 
 def schubert_expansion(p: Poly, ell: int | None = None) -> dict[Permutation, Fraction]:
-    """Coefficients c_w with p congruent to sum(c_w * Schubert_w) mod I_S.
+    """Coefficients c_w with p congruent to sum(c_w * Schubert_w) mod I_S,
+    in sorted permutation order: `_schubert_sums` over its denominator,
+    one Fraction per nonzero c_w.  Refuses ell beyond `MAX_ELL` because the
+    table grows with the factorial."""
+    perms, sums, denom = _schubert_sums(p, ell)
+    return {perms[i]: Fraction(c, denom) for i, c in sums.items()}
+
+
+def _schubert_sums(
+    p: Poly, ell: int | None = None
+) -> tuple[tuple[Permutation, ...], dict[int, int], int]:
+    """(perms, sums, d) with c_{perms[i]} = sums[i] / d, sums holding the
+    nonzero integers in ascending index, which is sorted permutation order;
+    the CLI prints them as they stand, with no Fraction made.
 
     rho permutes the variables, so it fixes I_S: p is congruent to
     sum(c_w * S_w) iff rho(p) is congruent to sum(c_w * rho(S_w)).  Every
     key of d*NF(rho(p)) is reduced, so `_schubert_inverse` has its row, and
     the sum of c * inverse[a] over its terms c * z^a gives d * c_w in
-    integers, by permutation index; each c_w is one Fraction, made in
-    index order, which is sorted permutation order.  Refuses ell beyond
-    `MAX_ELL` because the table grows with the factorial.
+    integers, by permutation index.
     """
     ell = _size(p.ring.nvars if ell is None else ell, "ell", 1, MAX_ELL)
     _in_ring(p, zring(ell), "polynomial")
@@ -296,7 +307,7 @@ def schubert_expansion(p: Poly, ell: int | None = None) -> dict[Permutation, Fra
     for key, c in terms.items():
         for i, x in inverse[key].items():
             sums[i] = sums.get(i, 0) + c * x
-    return {perms[i]: Fraction(sums[i], denom) for i in sorted(sums) if sums[i]}
+    return perms, {i: sums[i] for i in sorted(sums) if sums[i]}, denom
 
 
 def catalan_number(k: int) -> int:

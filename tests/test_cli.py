@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import fractions
 import io
 import itertools
 import json
@@ -557,6 +558,35 @@ def test_json_mode_formats_no_text_lines(monkeypatch):
     result, _ = run(["expand", "z1 + z2", "--ell", "3", "--json"])
     assert result.status == "ok"
     assert result.payload["coefficients"] == [{"perm": [1, 3, 2], "coeff": "1"}]
+
+
+def test_expand_and_nf_build_no_fraction(monkeypatch):
+    # text in and text out in integers: parsing, the expansion core and the
+    # printed coefficients
+    query = "-3/4*z1^2*z2 + 2/6*z2 - 5*z1"
+    expand = ["expand", query, "--ell", "3", "--json"]
+    nf = ["nf", query, "--ell", "3", "--json"]
+    for argv in (expand, nf):
+        run(argv)  # builds the ring's tables before the patch
+
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", refuse)
+    result, _ = run(expand)
+    assert result.status == "ok"
+    assert result.payload["coefficients"] == [
+        {"perm": [1, 3, 2], "coeff": "1/3"},
+        {"perm": [2, 1, 3], "coeff": "-16/3"},
+        {"perm": [3, 2, 1], "coeff": "-3/4"},
+    ]
+    result, _ = run(nf)
+    assert result.status == "ok"
+    assert result.payload == {
+        "ell": 3,
+        "input": "-3/4*z1^2*z2 - 5*z1 + 1/3*z2",
+        "normal_form": "3/4*z2*z3^2 + 16/3*z2 + 5*z3",
+    }
 
 
 # -- fuzzing ------------------------------------------------------------------

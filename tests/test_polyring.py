@@ -1,8 +1,9 @@
 import re
 from fractions import Fraction
+from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jetform import (
@@ -20,7 +21,7 @@ from jetform import (
     parse_poly,
     zring,
 )
-from jetform.polyring import Monomial, Packing, Poly, format_poly
+from jetform.polyring import Monomial, Packing, Poly, _ratio_text, format_monomial, format_poly
 
 from conftest import make_rng, random_poly
 
@@ -493,12 +494,92 @@ def poly_texts(draw):
 def test_parse_matches_reference_parser(text):
     ring = Ring(("z1", "z2", "z"))
     try:
-        expected = list(reference_parse(ring, text).terms.items())
+        reference = reference_parse(ring, text)
     except ParseError:
         with pytest.raises(ParseError):
             parse_poly(ring, text)
     else:
-        assert list(parse_poly(ring, text).terms.items()) == expected
+        _assert_parsed_as(parse_poly(ring, text), reference)
+
+
+def _assert_parsed_as(p: Poly, reference: Poly):
+    """p has the reference's terms in its order, and the integer form the
+    public constructor gives them: the same nums, in order, and denom."""
+    assert list(p.terms.items()) == list(reference.terms.items())
+    canonical = Poly(reference.ring, reference.terms)
+    assert list(p.nums.items()) == list(canonical.nums.items())
+    assert p.denom == canonical.denom
+
+
+def test_parse_sums_many_distinct_denominators():
+    # 300 terms over the first 150 primes, each prime twice: the second half
+    # of the text cancels every third term of the first half, dropping it at
+    # once, and adds the rest onto other monomials
+    primes = [q for q in range(2, 1000) if all(q % d for d in range(2, int(q**0.5) + 1))][:150]
+    monos = ["z1^%d*z2^%d*z3^%d" % (k // 25, k // 5 % 5, k % 5) for k in range(150)]
+    first = ["%d/%d*%s" % (k + 1, q, monos[k]) for k, q in enumerate(primes)]
+    second = [
+        "- %d/%d*%s" % (k + 1, q, monos[k]) if k % 3 == 0 else "+ 1/%d*%s" % (q, monos[7 * k % 150])
+        for k, q in enumerate(primes)
+    ]
+    text = " + ".join(first) + " " + " ".join(second)
+    ring = zring(3)
+    p = parse_poly(ring, text)
+    _assert_parsed_as(p, reference_parse(ring, text))
+    assert len(p.nums) == 100
+    assert p.denom == prod(primes[k] for k in range(150) if k % 3)
+
+
+@settings(max_examples=1000)
+@given(st.integers() | st.integers(-(2**200), 2**200), st.integers(1) | st.integers(1, 2**100))
+@example(0, 7)
+@example(-6, 4)
+@example(2**70, 3)
+@example(-(2**65) * 9, 3 * 2**64)
+def test_ratio_text_is_fraction_text(num, den):
+    assert _ratio_text(num, den) == str(Fraction(num, den))
+
+
+def reference_format(p: Poly) -> str:
+    """`format_poly` as it was: str(Fraction) of each term of `.terms`, its
+    sign split off."""
+    if p.is_zero():
+        return "0"
+    chunks = []
+    for i, (mono, coeff) in enumerate(sorted(p.terms.items(), reverse=True)):
+        mag = str(coeff)
+        neg = mag[0] == "-"
+        mag = mag.lstrip("-")
+        body = format_monomial(p.ring, mono)
+        if body == "1":
+            text = mag
+        elif mag == "1":
+            text = body
+        else:
+            text = "%s*%s" % (mag, body)
+        if i == 0:
+            chunks.append("-" + text if neg else text)
+        else:
+            chunks.append((" - " if neg else " + ") + text)
+    return "".join(chunks)
+
+
+_FORMAT_COEFFS = st.sampled_from([Fraction(1), Fraction(-1)]) | st.fractions(max_denominator=60)
+
+
+@settings(max_examples=500)
+@given(
+    st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3).map(Monomial), _FORMAT_COEFFS, max_size=6),
+    st.integers(1, 12),
+)
+def test_format_matches_reference_formatter(terms, spread):
+    # the canonical integer form, and the same values over a denominator
+    # `spread` times too large, as arithmetic may leave it
+    ring = zring(3)
+    p = Poly(ring, terms)
+    wide = Poly._from_ints(ring, {m: n * spread for m, n in p.nums.items()}, p.denom * spread)
+    for q in (p, wide):
+        assert format_poly(q) == reference_format(q)
 
 
 def reference_substitute(p: Poly, target: Ring, images) -> Poly:
