@@ -6,11 +6,11 @@ polynomials use the same grammar the parser accepts, so outputs are valid
 inputs.  Coefficients cross the text boundary as integers: `parse_poly`
 and `format_poly` make no Fraction, and `expand` prints the integer sums of
 `schubert._schubert_sums` over their denominator by `_ratio_text`.  Exit
-codes: 0 success, 1 domain error (e.g. search cap exceeded), 2 parse/usage
-error, 3 resource budget exceeded, 4 internal invariant violation.  A run
-whose reader has gone, such as `jetform primes --n 4 --m 9 | head -1`,
-prints no traceback: the output still pending goes to os.devnull, and the
-exit code is the command's own.
+codes: 0 on success, 2 on a usage error that argparse reports, and for an
+error a command raises, the one the table `ERRORS` gives its class, with
+its payload code.  A run whose reader has gone, such as `jetform primes
+--n 4 --m 9 | head -1`, prints no traceback: the output still pending goes
+to os.devnull, and the exit code is the command's own.
 
 `COMMANDS` is the CLI's one definition: each command once, with its
 handler, help and argument spellings, and `ARGUMENTS` gives each spelling
@@ -51,6 +51,16 @@ EXIT_ERROR = 1
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_INVARIANT = 4
+
+# Each error class a command may raise -> (payload code, exit code); `run`
+# reads it along the exception's MRO, and lets any other exception through.
+ERRORS = {
+    ParseError: ("parse-error", EXIT_PARSE),
+    DomainError: ("domain-error", EXIT_ERROR),
+    CapExceededError: ("cap-exceeded", EXIT_ERROR),
+    BudgetExceededError: ("budget-exceeded", EXIT_BUDGET),
+    InvariantViolationError: ("invariant-violation", EXIT_INVARIANT),
+}
 
 BUDGET_ENV = "JETFORM_BUDGET_MB"
 
@@ -387,29 +397,17 @@ def run(argv) -> tuple[CommandResult, Iterable[str]]:
     start = time.perf_counter()
     try:
         payload, lines = args.handler(args)
-    except ParseError as exc:
-        return _error("parse-error", str(exc), start, EXIT_PARSE, json_mode), []
-    except BudgetExceededError as exc:
-        result = _error("budget-exceeded", str(exc), start, EXIT_BUDGET, json_mode)
-        result.payload["partial"] = exc.partial
-        return result, []
-    except InvariantViolationError as exc:
-        return _error("invariant-violation", str(exc), start, EXIT_INVARIANT, json_mode), []
-    except CapExceededError as exc:
-        result = _error("cap-exceeded", str(exc), start, EXIT_ERROR, json_mode)
-        result.payload["lower_bound"] = exc.lower_bound
-        return result, []
-    except DomainError as exc:
-        return _error("domain-error", str(exc), start, EXIT_ERROR, json_mode), []
+        status, exit_code = "ok", EXIT_OK
+    except tuple(ERRORS) as exc:
+        # the nearest class on the MRO: a RingMismatchError is a DomainError
+        code, exit_code = next(ERRORS[c] for c in type(exc).__mro__ if c in ERRORS)
+        payload = {"code": code, "message": str(exc)}
+        for key in ("partial", "lower_bound"):
+            if hasattr(exc, key):
+                payload[key] = getattr(exc, key)
+        status, lines = "error", []
     timing = (time.perf_counter() - start) * 1000.0
-    return CommandResult("ok", payload, timing, json_mode=json_mode), lines
-
-
-def _error(code, message, start, exit_code, json_mode=False) -> CommandResult:
-    timing = (time.perf_counter() - start) * 1000.0
-    return CommandResult(
-        "error", {"code": code, "message": message}, timing, exit_code, json_mode
-    )
+    return CommandResult(status, payload, timing, exit_code, json_mode), lines
 
 
 def main(argv=None) -> int:

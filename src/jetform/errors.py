@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the two checks that
 raise them for every module: `_size` for sizes and indices, and `_in_ring`
-for ring identity.  No other code compares a polynomial's ring."""
+for polynomial arguments and ring identity.  No other code compares a
+polynomial's ring."""
 
 from operator import index
 
@@ -71,8 +72,14 @@ def _size(value, what: str, least: int = 0, most: int | None = None) -> int:
 
 
 def _in_ring(poly, ring, what: str):
-    """`poly` if it lies in `ring`, else a RingMismatchError naming `what`,
-    the ring wanted and the ring given: the one check of ring identity."""
-    if poly.ring is not ring and poly.ring != ring:  # mostly the same Ring
-        raise RingMismatchError("%s must be in %r, not in %r" % (what, ring, poly.ring))
+    """`poly` if it lies in `ring`, or in any ring if `ring` is None: the one
+    check of ring identity.  A value with no ring is a DomainError naming
+    `what`; a polynomial of another ring, a RingMismatchError naming `what`,
+    the ring wanted and the ring given."""
+    try:
+        given = poly.ring
+    except AttributeError:
+        raise DomainError("%s must be a Poly, not %s" % (what, type(poly).__name__)) from None
+    if given is not ring and ring is not None and given != ring:  # mostly the same Ring
+        raise RingMismatchError("%s must be in %r, not in %r" % (what, ring, given))
     return poly

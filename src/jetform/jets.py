@@ -708,7 +708,7 @@ def homogeneous_membership(
     This entry checks its input, picks the generators of degree at most
     deg p and takes common gradings of them and of p; `_membership` decides.
     """
-    if not p.is_homogeneous():
+    if not _in_ring(p, None, "membership query").is_homogeneous():
         raise DomainError("membership query must be homogeneous")
     gens = _homogeneous_generators(gens, p.ring)
     if p.is_zero():

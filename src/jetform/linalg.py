@@ -117,14 +117,15 @@ class ExactSpan:
         pivot_L = hist[_OWN] * (the row inserted as `label`)
                   + sum over j of hist[j] * (the pivot with lead j),
 
-    integral, over pivots of leads j > L only: `_eliminate`'s lead falls at
-    every step and stops at L.  A pivot whose row needed no step has the
-    history {_OWN: +-1}; with a positive lead it is {_OWN: 1}, and all of
-    those share the one read-only `_UNIT`, so they cost no dict each.  No
-    pivot history changes once stored.  The labels of the inserted rows
-    that became pivots are linearly independent rows, so the combination
-    `reduce` returns for a member is the only one over them.  `budget`, if
-    given, is charged for every stored entry.
+    integral, over pivots of leads j > L only: `_eliminate`, which every
+    inserted row goes through, lowers the lead at every step and stops at
+    L.  A pivot whose row needed no step has the history {_OWN: +-1}; with
+    a positive lead it is {_OWN: 1}, and `_store` gives all of those the
+    one read-only `_UNIT`, so they cost no dict each.  No pivot history
+    changes once stored.  The labels of the inserted rows that became
+    pivots are linearly independent rows, so the combination `reduce`
+    returns for a member is the only one over them.  `budget`, if given,
+    is charged for every stored entry.
     """
 
     def __init__(self, budget: Budget | None = None):
@@ -205,20 +206,15 @@ class ExactSpan:
 
         The span takes ownership of `row`, a dict of nonzero ints that the
         caller must not use again: it is eliminated in place and may become
-        the stored pivot.  A row whose lead has no pivot is stored
-        unchanged, with `_UNIT`, or negated if its lead is negative.  Any
-        other row is eliminated, and what is left of it, if anything, is
-        stored, with a positive lead, as the pivot of the lead it stopped
-        at, with its step history.
+        the stored pivot.  Every row goes through `_eliminate`, which
+        returns at once, with no step taken, for an empty row or one whose
+        lead has no pivot.  What is left of the row, if anything, is
+        stored by `_store` as the pivot of the lead it stopped at.
         """
-        if not row:
+        hist = {_OWN: 1}
+        lead = self._eliminate(row, hist)
+        if lead is None:
             return False
-        lead, hist = max(row), _UNIT
-        if lead in self.pivots:
-            hist = {_OWN: 1}
-            lead = self._eliminate(row, hist)
-            if lead is None:
-                return False
         self._store(row, hist, lead, label)
         return True
 

@@ -202,8 +202,9 @@ class Poly:
     """Immutable sparse polynomial: integer numerators `nums`, Monomial ->
     nonzero int in construction order, over one denominator `denom` > 0.
 
-    The public constructor takes Monomial -> int or Fraction and clears it
-    once, over the lcm of its denominators; `_from_ints` takes numerators
+    The public constructor takes Monomial -> int or Fraction, checks each
+    key as `Ring.monomial` checks an exponent vector, and clears the values
+    once, over the lcm of their denominators; `_from_ints` takes numerators
     that are already zero-free and keeps them, with no Fraction made.  Every
     operation works on the integers.  Equal Polys may carry different
     denominators, as d*p over d, so `==` cross-multiplies.  `terms`, the
@@ -214,6 +215,12 @@ class Poly:
     __slots__ = ("ring", "nums", "denom", "_hash")
 
     def __init__(self, ring: Ring, terms: Mapping[Monomial, Fraction]):
+        nvars = ring.nvars
+        for m in terms:
+            if not isinstance(m, Monomial):
+                raise DomainError("term keys must be Monomials, not %s" % type(m).__name__)
+            if len(m) != nvars or not all(type(e) is int and e >= 0 for e in m):
+                ring.monomial(m)  # refuses a wrong length or exponent as it does a tuple
         self.ring = ring
         try:
             self.nums, self.denom = _clear_denominators(terms)

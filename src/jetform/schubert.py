@@ -299,7 +299,8 @@ def _schubert_sums(
     the sum of c * inverse[a] over its terms c * z^a gives d * c_w in
     integers, by permutation index.
     """
-    ell = _size(p.ring.nvars if ell is None else ell, "ell", 1, MAX_ELL)
+    ell = _in_ring(p, None, "polynomial").ring.nvars if ell is None else ell
+    ell = _size(ell, "ell", 1, MAX_ELL)
     _in_ring(p, zring(ell), "polynomial")
     perms, inverse = _schubert_inverse(ell)
     terms, denom = _normal_form(p, ell, reverse=True)

@@ -165,7 +165,7 @@ def normal_form_IS(p: Poly, ell: int | None = None) -> Poly:
     integers it reduces, `_reduce_packed` for the rows and `_heap_reduce`
     for the loop and its one-step rule dispatch.
     """
-    ell = p.ring.nvars if ell is None else ell
+    ell = _in_ring(p, None, "polynomial").ring.nvars if ell is None else ell
     _in_ring(p, zring(ell), "polynomial")
     return _z_poly(*_normal_form(p, ell), ell)
 
@@ -455,10 +455,10 @@ def nu(p: Poly, ell: int | None = None) -> int | None:
 
 
 def _check_arity(p: Poly, lam: Composition):
-    if p.ring.nvars != lam.ell:
+    nvars = _in_ring(p, None, "polynomial").ring.nvars
+    if nvars != lam.ell:
         raise RingMismatchError(
-            "polynomial has %d variables but the composition needs %d"
-            % (p.ring.nvars, lam.ell)
+            "polynomial has %d variables but the composition needs %d" % (nvars, lam.ell)
         )
 
 

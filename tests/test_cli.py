@@ -18,6 +18,15 @@ from hypothesis import strategies as st
 import jetform
 from jetform import cli, jetring, normal_form_IS, parse_poly, schubert, zring
 from jetform.cli import main, run
+from jetform.errors import (
+    BudgetExceededError,
+    CapExceededError,
+    DomainError,
+    InvariantViolationError,
+    JetformError,
+    ParseError,
+    RingMismatchError,
+)
 
 from conftest import exponent_vectors
 
@@ -396,6 +405,50 @@ def test_usage_error_exit_code(capsys):
         run(["not-a-command"])
     assert main(["not-a-command"]) == 2
     capsys.readouterr()
+
+
+# one case per row of `cli.ERRORS`, and a subclass that must find its base's
+# row: the exception, its exit code and its payload
+ERROR_CASES = [
+    (ParseError("bad text"), 2, {"code": "parse-error", "message": "bad text"}),
+    (DomainError("bad value"), 1, {"code": "domain-error", "message": "bad value"}),
+    (RingMismatchError("bad ring"), 1, {"code": "domain-error", "message": "bad ring"}),
+    (CapExceededError("cap", lower_bound=5), 1,
+     {"code": "cap-exceeded", "message": "cap", "lower_bound": 5}),
+    (BudgetExceededError("budget", partial={"refused": [1]}), 3,
+     {"code": "budget-exceeded", "message": "budget", "partial": {"refused": [1]}}),
+    (InvariantViolationError("fault"), 4, {"code": "invariant-violation", "message": "fault"}),
+]
+
+
+def _raise(exc):
+    def handler(*args):
+        raise exc
+
+    return handler
+
+
+def test_the_error_cases_cover_the_table():
+    assert {type(case[0]) for case in ERROR_CASES} >= set(cli.ERRORS)
+
+
+@pytest.mark.parametrize(
+    "exc, exit_code, payload", ERROR_CASES, ids=[type(case[0]).__name__ for case in ERROR_CASES]
+)
+def test_each_error_class_gives_its_code_and_exit_code(monkeypatch, exc, exit_code, payload):
+    # `partial` and `lower_bound` ride along with the error that carries them
+    monkeypatch.setattr(jetform.alambda, "dim_A_lambda", _raise(exc))
+    result, lines = run(["dim", "--lambda", "2,1", "--json"])
+    assert (result.status, result.payload, result.exit_code) == ("error", payload, exit_code)
+    assert result.json_mode and list(lines) == []
+
+
+@pytest.mark.parametrize("exc", [JetformError("bare"), ValueError("plain")])
+def test_an_error_outside_the_table_propagates(monkeypatch, exc):
+    monkeypatch.setattr(jetform.alambda, "dim_A_lambda", _raise(exc))
+    with pytest.raises(type(exc)) as info:
+        run(["dim", "--lambda", "2,1"])
+    assert info.value is exc
 
 
 def test_budget_exit_code(capsys):

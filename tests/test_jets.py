@@ -1404,6 +1404,28 @@ def test_radical_witness_values():
         radical_witness((0, 0))
 
 
+def test_radical_witness_is_false_if_a_generator_is_not_killed(monkeypatch):
+    # the evaluation must kill g_0 .. g_(H-1); if the last of them survives,
+    # it certifies nothing
+    h = (2, 1)
+    survivor = jet_generators(None, JetRingDesc(2, 3))[sum(h) - 1]
+    evaluate = jetring.phi_binary_eval
+    monkeypatch.setattr(
+        jetring, "phi_binary_eval", lambda p, h, desc: 1 if p == survivor else evaluate(p, h, desc)
+    )
+    assert radical_witness(h) is False
+
+
+def test_jet_ring_descriptions_and_primes_print_and_compare_by_value():
+    desc = JetRingDesc(2, 3)
+    assert desc == JetRingDesc(2, 3) and hash(desc) == hash(JetRingDesc(2, 3))
+    assert desc != JetRingDesc(3, 2) and desc != (2, 3)
+    assert repr(desc) == "JetRingDesc(n=2, m=3)"
+    assert [repr(p) for p in minimal_primes(2, 1)] == [
+        "MinimalPrime(lam=(2, 0))", "MinimalPrime(lam=(1, 1))", "MinimalPrime(lam=(0, 2))",
+    ]
+
+
 def test_psi_block_assignment_and_monomial_image():
     # lambda is in base-variable order: block i of z1..z3 belongs to x_i
     desc = JetRingDesc(2, 2)

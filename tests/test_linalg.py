@@ -265,33 +265,15 @@ def test_pivot_steps_name_only_larger_leads(monkeypatch):
             assert row[leads.index(key)] == 1
 
 
-class _EliminatingSpan(ExactSpan):
-    """An ExactSpan that runs `_eliminate` on every row it is offered."""
-
-    def insert(self, row, label):
-        hist = {_OWN: 1}
-        lead = self._eliminate(row, hist)
-        if lead is None:
-            return False
-        self._store(row, hist, lead, label)
-        return True
-
-
 def test_insert_of_an_empty_row_stores_nothing():
     span = ExactSpan(budget=Budget(None))
     assert span.insert({}, "empty") is False
     assert span.pivots == {} and span.budget.entries == 0
 
 
-def test_row_whose_lead_has_no_pivot_is_stored_without_elimination(monkeypatch):
-    calls = []
-    eliminate = ExactSpan._eliminate
-
-    def counting(self, row, hist):
-        calls.append(dict(row))
-        return eliminate(self, row, hist)
-
-    monkeypatch.setattr(ExactSpan, "_eliminate", counting)
+def test_row_that_needs_no_step_is_stored_as_it_is():
+    # `_eliminate` returns a lead with no pivot at once, and `_store` keeps
+    # the row's own dict, sharing `_UNIT` or negating a negative lead
     span = ExactSpan()
     row = {5: 3, 2: 1}
     assert span.insert(row, "a")
@@ -299,42 +281,9 @@ def test_row_whose_lead_has_no_pivot_is_stored_without_elimination(monkeypatch):
     assert span.insert({4: -2, 1: 6}, "b")
     assert span.pivots[4].terms == {4: 2, 1: -6}
     assert dict(span.pivots[4].hist) == {_OWN: -1}
-    assert calls == []
-    # a lead with a pivot is eliminated as before
+    # a lead with a pivot is eliminated
     assert span.insert({5: 1, 0: 1}, "c")
-    assert calls == [{5: 1, 0: 1}]
     assert span.pivots[2].terms == {2: 1, 0: -3} and span.pivots[2].hist == {_OWN: -3, 5: 1}
-
-
-def _spans_agree(rows, spans):
-    for label, row in enumerate(rows):
-        assert len({span.insert(dict(row), label) for span in spans}) == 1
-    pivots = [
-        [(lead, list(p.terms.items()), list(p.hist.items()), p.label) for lead, p in span.pivots.items()]
-        for span in spans
-    ]
-    assert pivots[0] == pivots[1]
-    assert spans[0].budget.entries == spans[1].budget.entries
-
-
-def test_no_step_insertion_keeps_the_pivots_and_charges_of_full_elimination(monkeypatch):
-    rng = make_rng(910)
-    for _ in range(300):
-        rows = []
-        for _ in range(rng.randint(0, 8)):
-            keys = rng.sample(range(8), rng.randint(0, 4))
-            rows.append({k: rng.choice((-3, -2, -1, 1, 2, 3, 4)) for k in keys})
-        _spans_agree(rows, [ExactSpan(Budget(None)), _EliminatingSpan(Budget(None))])
-
-    # the oracle's spans, and so every charge of its searches
-    for h in _oracle_tuples():
-        entries = []
-        for span_class in (ExactSpan, _EliminatingSpan):
-            monkeypatch.setattr(jets, "ExactSpan", span_class)
-            budget = Budget(None)
-            jets.min_degree_search(h, budget=budget)
-            entries.append(budget.entries)
-        assert entries[0] == entries[1], h
 
 
 def _sympy_nullspace(rows, ncols):

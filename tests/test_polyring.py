@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jetform import (
+    Composition,
     DomainError,
     JetRingDesc,
     JetformError,
@@ -17,8 +18,13 @@ from jetform import (
     c_lambda_ring,
     compositions,
     divide,
+    homogeneous_membership,
     jet_generators,
+    normal_form_IS,
+    nu,
     parse_poly,
+    schubert_expansion,
+    sym_lambda_average,
     zring,
 )
 from jetform.polyring import Monomial, Packing, Poly, _ratio_text, format_monomial, format_poly
@@ -77,6 +83,15 @@ def test_from_terms_checks_monomial_keys_as_it_checks_tuples():
     z1, z2 = ring.gens()
     expected = z1 * 2 + z2 * Fraction(1, 2)
     assert ring.from_terms({Monomial((1, 0)): 2, (0, 1): Fraction(1, 2)}) == expected
+    # the constructor checks its keys the same way: none of these reaches
+    # a normal form or a degree
+    with pytest.raises(RingMismatchError):
+        normal_form_IS(Poly(ring, {Monomial((1, 0, 0)): 1}))
+    for key in (Monomial((-1, 0)), (1, 0)):
+        with pytest.raises(DomainError) as info:
+            Poly(ring, {key: 1}).total_degree()
+        assert not isinstance(info.value, RingMismatchError)
+    assert Poly(ring, {Monomial((1, 0)): 2, Monomial((0, 1)): Fraction(1, 2)}) == expected
 
 
 @pytest.mark.parametrize("coeff", [0.1, 1.0, "1", complex(1, 0)])
@@ -104,6 +119,38 @@ def test_ring_mismatch_raises():
         a * b
     with pytest.raises(RingMismatchError):
         a + b
+
+
+_Z = zring(2)
+_P = _Z.var(0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: normal_form_IS(5),
+        lambda: nu("x", 2),
+        lambda: schubert_expansion(3, 2),
+        lambda: schubert_expansion(3),
+        lambda: sym_lambda_average(1, Composition((2,))),
+        lambda: divide(_P, [1]),
+        lambda: _P.substitute(_Z, [1, 2]),
+        lambda: jet_generators([1], JetRingDesc(2, 1)),
+        lambda: homogeneous_membership(_P, [1]),
+        lambda: homogeneous_membership(1, [_P]),
+        lambda: _P + 1,
+        lambda: _P * 0.5,
+    ],
+    ids=[
+        "normal_form_IS", "nu", "schubert_expansion", "schubert_expansion_of_its_ring",
+        "sym_lambda_average", "divide", "substitute", "jet_generators",
+        "membership_generator", "membership_query", "add", "mul",
+    ],
+)
+def test_a_value_that_is_not_a_polynomial_is_a_domain_error(call):
+    # `errors._in_ring` refuses a value with no ring, naming what it wanted
+    with pytest.raises(DomainError, match="must be a Poly, not "):
+        call()
 
 
 def test_ring_axioms_random():
@@ -180,6 +227,12 @@ def test_divide_ties_go_to_lowest_index():
     assert quots[0] == z1
     assert quots[1].is_zero()
     assert rem.is_zero()
+
+
+def test_divide_by_an_empty_basis_leaves_p_as_the_remainder():
+    ring = zring(2)
+    p = ring.var(0) + ring.one()
+    assert divide(p, []) == ([], p)
 
 
 def test_divide_rejects_zero_basis_element():

@@ -46,6 +46,7 @@ def test_permutation_validation_and_parse():
     w = Permutation.parse("[2,3,1]")
     assert w == Permutation([2, 3, 1])
     assert Permutation.parse(str(w)) == w
+    assert repr(w) == "Permutation([2,3,1])"
     with pytest.raises(DomainError):
         Permutation.parse("[2,3]")
     with pytest.raises(ParseError):
