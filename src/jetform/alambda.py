@@ -14,14 +14,14 @@ import itertools
 from functools import lru_cache
 from math import factorial, prod
 
-from .errors import DomainError, InvariantViolationError, _in_ring, _size
+from .errors import DomainError, InvariantViolationError, _in_ring, _instance, _size
 from .polyring import Monomial, Poly, Ring, _series_coefficients
 from .symfun import (
     Composition,
     _block_sigmas,
     _nf_powers,
+    _symmetric_in,
     _y_ring,
-    is_lambda_symmetric,
     sym_lambda_average,
     zring,
 )
@@ -39,7 +39,7 @@ __all__ = [
 
 def dim_A_lambda(lam: Composition) -> int:
     """ell! / prod(lambda_i!)."""
-    _size(lam.ell, "composition total", 1)
+    _size(_instance(lam, Composition, "composition").ell, "composition total", 1)
     d = factorial(lam.ell)
     for part in lam.parts:
         d //= factorial(part)
@@ -73,7 +73,7 @@ def basis_exponents(lam: Composition) -> list[tuple[int, ...]]:
     most the number of variables in earlier blocks; the count always equals
     dim_A_lambda(lam), and like it a composition of total 0 is refused.
     """
-    _size(lam.ell, "composition total", 1)
+    _size(_instance(lam, Composition, "composition").ell, "composition total", 1)
     return list(_basis_exponents_cached(lam.parts))
 
 
@@ -98,29 +98,39 @@ def nilpotency_order(p: Poly, lam: Composition, block: int) -> int:
     """Minimal e >= 1 with p^e congruent to zero modulo I_S.
 
     `p` must be a symmetric polynomial in the variables of the given block
-    (1-based) with zero constant term.  The powers are counted as
-    `symfun._nf_powers` makes them, packed in integers, each the previous
-    one times NF(p).  One is zero by the certified bound
-    floor(lambda_i * (ell - lambda_i) / m) + 1, m the least degree of p's
-    terms, which nu(p) is at least; if none is, that is an internal error,
-    raised as InvariantViolationError.
+    (1-based) with zero constant term.  Its variables are first relabelled
+    by the permutation sigma that moves the block to the last lambda_i
+    slots, keeping the order of the others; for the last block sigma is
+    the identity.  I_S is generated by symmetric polynomials, so sigma maps
+    it onto itself: p^e is in I_S exactly when sigma(p)^e is, and the order
+    is the same.  The rule of z_j, h_j(z_j..z_ell), involves z_j..z_ell
+    only, so the normal form of a polynomial in the last lambda_i variables
+    never leaves them and has at most ell!/(ell - lambda_i)! reduced
+    monomials, where a block further up spreads into every variable after
+    it.
+
+    The powers of sigma(p) are counted as `symfun._nf_powers` makes them,
+    packed in integers, each the previous one times NF(sigma(p)).  One is
+    zero by the certified bound floor(lambda_i * (ell - lambda_i) / m) + 1,
+    m the least degree of p's terms, which nu(p) is at least; if none is,
+    that is an internal error, raised as InvariantViolationError.
     """
-    block = _size(block, "block index", 1, lam.n)
+    block = _size(block, "block index", 1, _instance(lam, Composition, "composition").n)
     ell = lam.ell
     _in_ring(p, zring(ell), "polynomial")
-    block_vars = set(lam.block(block))
-    for mono in p.nums:
-        support = {i for i, e in enumerate(mono) if e}
-        if not support <= block_vars:
-            raise DomainError("polynomial is not supported on block %d" % block)
+    block_vars = lam.block(block)
+    start, stop = block_vars.start, block_vars.stop
+    if any(any(mono[:start]) or any(mono[stop:]) for mono in p.nums):
+        raise DomainError("polynomial is not supported on block %d" % block)
     # supported on the block, p is trivially symmetric in every other block
-    if not is_lambda_symmetric(p, lam):
+    if not _symmetric_in(p, block_vars):
         raise DomainError("polynomial is not symmetric within block %d" % block)
     if p.ring.one_monomial() in p.nums:
         raise DomainError("polynomial must have zero constant term")
 
-    lam_i = lam.parts[block - 1]
+    lam_i = stop - start
     bound = (lam_i * (ell - lam_i)) // min(map(sum, p.nums), default=1) + 1
+    p = p.permute_vars([*range(start), *range(ell - lam_i, ell), *range(start, ell - lam_i)])
     nonzero = sum(1 for _ in itertools.islice(_nf_powers(p, ell), bound))
     if nonzero == bound:
         raise InvariantViolationError("no zero power by the certified bound %d" % bound)
@@ -142,8 +152,8 @@ def c_lambda_generators(lam: Composition) -> tuple[Poly, ...]:
     j_i < lambda_i and 1 for j_i = lambda_i.  There are exactly ell of them
     (k = 0..ell-1), the non-leading coefficients.
     """
-    _size(lam.ell, "composition total", 1)
     ring = c_lambda_ring(lam)
+    _size(lam.ell, "composition total", 1)
     ell = lam.ell
     blocks = [[*lam.block(i), None] for i in range(1, lam.n + 1)]
     coeffs = _series_coefficients(ring.nvars, blocks, ell)

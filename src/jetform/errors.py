@@ -1,7 +1,7 @@
-"""Exception types shared across the package, and the two checks that
-raise them for every module: `_size` for sizes and indices, and `_in_ring`
-for polynomial arguments and ring identity.  No other code compares a
-polynomial's ring."""
+"""Exception types shared across the package, and the three checks that
+raise them for every module: `_size` for sizes and indices, `_in_ring`
+for polynomial arguments and ring identity, and `_instance` for the
+package's value types.  No other code compares a polynomial's ring."""
 
 from operator import index
 
@@ -83,3 +83,13 @@ def _in_ring(poly, ring, what: str):
     if given is not ring and ring is not None and given != ring:  # mostly the same Ring
         raise RingMismatchError("%s must be in %r, not in %r" % (what, ring, given))
     return poly
+
+
+def _instance(value, cls: type, what: str):
+    """`value` if it is a `cls`: the one check of a Composition, JetRingDesc
+    or Permutation argument.  Anything else, a tuple that spells one
+    included, is a DomainError naming `what`, the type wanted and the type
+    given, where reading the value's attributes would raise AttributeError."""
+    if not isinstance(value, cls):
+        raise DomainError("%s must be a %s, not %s" % (what, cls.__name__, type(value).__name__))
+    return value

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import alambda
-from .errors import DomainError, InvariantViolationError, _in_ring, _size
+from .errors import DomainError, InvariantViolationError, _in_ring, _instance, _size
 from .polyring import Monomial, Packing, Poly, Ring, _series_coefficients, format_poly
 from .symfun import Composition, _block_sigmas, _image_nf, _packed_image, _packed_powers, _packing
 from .symfun import _z_poly, normal_form_IS, zring
@@ -106,7 +106,7 @@ def _derivative_tuple(h, n: int | None = None) -> tuple[int, ...]:
 
 def derivative_monomial(h, desc: JetRingDesc) -> Poly:
     """The product of x_i^(h_i) over all base variables, as a jet polynomial."""
-    h = _derivative_tuple(h, desc.n)
+    h = _derivative_tuple(h, _instance(desc, JetRingDesc, "jet ring").n)
     exps = [0] * desc.ring.nvars
     for i, hi in enumerate(h, start=1):
         exps[desc.slot(i, hi)] += 1
@@ -123,7 +123,7 @@ def jet_generators(gens, desc: JetRingDesc) -> list[Poly]:
     product; x_1...x_n gives g_k = sum of x_1^(j_1)...x_n^(j_n) over
     j_1 + ... + j_n = k.
     """
-    base = desc.base_ring
+    base = _instance(desc, JetRingDesc, "jet ring").base_ring
     if gens is None:
         mono = Monomial((1,) * desc.n)
         gens = [Poly(base, {mono: 1})]
@@ -163,7 +163,7 @@ def compositions(total: int, parts: int) -> list[Composition]:
 def _jet_composition(lam, desc: JetRingDesc) -> Composition:
     """lam as a Composition of m+1 into n parts, or a DomainError."""
     lam = Composition(lam)
-    if lam.ell != desc.m + 1 or lam.n != desc.n:
+    if lam.ell != _instance(desc, JetRingDesc, "jet ring").m + 1 or lam.n != desc.n:
         raise DomainError("%r is not a composition of m+1 into n parts" % (lam.parts,))
     return lam
 
@@ -245,7 +245,7 @@ class PsiWitness:
 def phi_binary_eval(p: Poly, h, desc: JetRingDesc) -> Fraction:
     """Evaluate p at x_i^(j) = 0 when j < h_i and 1 otherwise: one
     substitution into the ring of no variables, whose constant is the value."""
-    h = _derivative_tuple(h, desc.n)
+    h = _derivative_tuple(h, _instance(desc, JetRingDesc, "jet ring").n)
     _in_ring(p, desc.ring, "polynomial")
     point = Ring(())
     images = [point.const(int(j >= hi)) for hi in h for j in range(desc.m + 1)]

@@ -67,7 +67,8 @@ from math import gcd
 from operator import mul
 
 from .errors import (
-    BudgetExceededError, CapExceededError, DomainError, InvariantViolationError, _in_ring, _size,
+    BudgetExceededError, CapExceededError, DomainError, InvariantViolationError, _in_ring,
+    _instance, _size,
 )
 from .jetring import (
     JetRingDesc, PsiSpecialization, PsiWitness, _derivative_tuple, _psi_normal_forms, _Specs,
@@ -112,7 +113,8 @@ class MembershipResult:
 
     def verify(self, p: Poly, gens) -> bool:
         """Re-expand the combination term by term and compare it with p; an
-        entry naming no generator or no exponent vector of p's ring fails."""
+        entry naming no generator or no exponent vector of p's ring fails,
+        as does one whose index or exponents are not ints."""
         for i, g in enumerate(gens):
             _in_ring(g, p.ring, "generator %d" % i)
         if not self.member:
@@ -120,7 +122,9 @@ class MembershipResult:
         gen_terms = [g.terms for g in gens]
         terms: dict[Monomial, Fraction] = {}
         for gi, mono, coeff in self.combination:
-            if not 0 <= gi < len(gens) or len(mono) != p.ring.nvars or min(mono, default=0) < 0:
+            if type(gi) is not int or not 0 <= gi < len(gens) or len(mono) != p.ring.nvars:
+                return False
+            if not all(type(e) is int and e >= 0 for e in mono):
                 return False
             for m, c in gen_terms[gi].items():
                 key = m * mono
@@ -753,7 +757,8 @@ def _witness_composition(h) -> Composition:
 
 def psi_specialize(p: Poly, h, desc: JetRingDesc) -> Poly:
     """psi of the composition h + e_i that `min_degree_search` refuses with."""
-    return PsiSpecialization(_witness_composition(_derivative_tuple(h, desc.n)), desc).apply(p)
+    h = _derivative_tuple(h, _instance(desc, JetRingDesc, "jet ring").n)
+    return PsiSpecialization(_witness_composition(h), desc).apply(p)
 
 
 class _JetIdeal(_Generators):

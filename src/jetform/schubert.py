@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .errors import DomainError, InvariantViolationError, _in_ring, _size
+from .errors import DomainError, InvariantViolationError, _in_ring, _instance, _size
 from .polyring import Monomial, Packing, Poly, _parse_ints
 from .symfun import _normal_form, _packing, _quotient, _z_poly, normal_form_IS, zring
 
@@ -103,7 +103,7 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition as functions: (self * other)(i) = self(other(i))."""
-        if self.ell != other.ell:
+        if self.ell != _instance(other, Permutation, "factor").ell:
             raise DomainError("permutations of different sizes")
         return Permutation(self.oneline[v - 1] for v in other.oneline)
 
@@ -196,6 +196,7 @@ def schubert_table(ell: int) -> dict[Permutation, Poly]:
 def schubert_poly(w: Permutation) -> Poly:
     """S_w from one chain, with no table: bubble-sort w into w0 by swapping
     ascents, w s_i1 ... s_ik = w0, so S_w = d_i1 ... d_ik S_w0."""
+    w = _instance(w, Permutation, "permutation")
     ell, oneline, steps = _size(w.ell, "ell", 1), list(w.oneline), []
     for _ in range(ell):
         for i in range(ell - 1):
@@ -216,7 +217,7 @@ def monk_expand(r: int, w: Permutation) -> list[Permutation]:
     the product of the corresponding Schubert classes is their
     multiplicity-free sum.  A permutation of size below 2 has no s_r.
     """
-    _size(w.ell, "Monk permutation size", 2)
+    _size(_instance(w, Permutation, "permutation").ell, "Monk permutation size", 2)
     r = _size(r, "Monk index", 1, w.ell - 1)
     swaps = (w.swap_positions(j, k) for j in range(1, r + 1) for k in range(r + 1, w.ell + 1))
     return sorted(v for v in swaps if v.length == w.length + 1)

@@ -39,7 +39,9 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import factorial
 
-from .errors import DomainError, InvariantViolationError, RingMismatchError, _in_ring, _size
+from .errors import (
+    DomainError, InvariantViolationError, RingMismatchError, _in_ring, _instance, _size,
+)
 from .polyring import Monomial, Packing, Poly, Ring
 
 __all__ = [
@@ -271,8 +273,8 @@ def _packing(ell: int) -> Packing:
 # of a monomial not reduced, as `_reduce_packed` makes it, counts its terms
 # plus one for its key, so that rows of monomials in I_S count too; no row
 # is stored once the count passes ROW_TABLE_TERMS.  An 18-second bench run,
-# seed 1, counts 6,578 on the quotient workload (ell <= 6: 682 rows of
-# 5,896 terms), 1,517 on expand (128 rows, 62 kB) and 144 on oracle
+# seed 1, counts 3,162 on the quotient workload (ell <= 6: 352 rows of
+# 2,810 terms), 1,517 on expand (128 rows, 62 kB) and 144 on oracle
 # (13 kB).  One row at ell >= 8 can hold thousands of terms; the first row
 # past the bound is used but not stored.  Each ring's interned Monomials,
 # `_Quotient.unpack`, are bounded by the same number on their own.
@@ -353,8 +355,8 @@ def _heap_reduce(pending: dict[int, int], ell: int) -> dict[int, int]:
     z_i >= i, so hit = (key + bump) & guard is 0 on reduced monomials and
     otherwise has as its highest set bit the guard bit of the smallest such
     i, z_1's field being the most significant.  On the misses of one
-    18-second bench run, seeds 1 and 2, the lowest i pops 2% fewer
-    monomials than the highest on quotient (24,221 against 24,705 at seed
+    18-second bench run, seeds 1 and 2, the lowest i pops 4% fewer
+    monomials than the highest on quotient (12,503 against 12,987 at seed
     1), 6-7% fewer on expand (5,361 against 5,701) and as many on oracle
     (1,919).
     """
@@ -456,7 +458,7 @@ def nu(p: Poly, ell: int | None = None) -> int | None:
 
 def _check_arity(p: Poly, lam: Composition):
     nvars = _in_ring(p, None, "polynomial").ring.nvars
-    if nvars != lam.ell:
+    if nvars != _instance(lam, Composition, "composition").ell:
         raise RingMismatchError(
             "polynomial has %d variables but the composition needs %d" % (nvars, lam.ell)
         )
@@ -465,11 +467,13 @@ def _check_arity(p: Poly, lam: Composition):
 def is_lambda_symmetric(p: Poly, lam: Composition) -> bool:
     """True iff p is invariant within every block of the composition."""
     _check_arity(p, lam)
-    for block in lam.blocks():
-        for j in range(block.start, block.stop - 1):
-            if p.swap_vars(j, j + 1) != p:
-                return False
-    return True
+    return all(_symmetric_in(p, block) for block in lam.blocks())
+
+
+def _symmetric_in(p: Poly, block: range) -> bool:
+    """True iff p is invariant under every permutation of the variables in
+    `block`, 0-based indices of p's ring: under each adjacent swap."""
+    return all(p.swap_vars(j, j + 1) == p for j in range(block.start, block.stop - 1))
 
 
 def sym_lambda_average(p: Poly, lam: Composition) -> Poly:
@@ -532,6 +536,7 @@ def _distinct_arrangements(values: tuple[int, ...]) -> tuple[tuple[int, ...], ..
 
 def block_sigma(lam: Composition, i: int, j: int, ring: Ring | None = None) -> Poly:
     """Elementary symmetric polynomial of degree j in the variables of block i."""
+    lam = _instance(lam, Composition, "composition")
     ring = ring if ring is not None else zring(lam.ell)
     return elementary_symmetric(ring, j, lam.block(i))
 
@@ -546,8 +551,9 @@ def _block_sigmas(lam: Composition, ring: Ring) -> list[list[Poly]]:
 
 def _y_ring(lam: Composition, first: int) -> Ring:
     """Ring of y{i}_{j} for first <= j < lambda_i + first, block by block."""
+    parts = _instance(lam, Composition, "composition").parts
     return Ring(
-        "y%d_%d" % (i, j) for i, part in enumerate(lam.parts, 1) for j in range(first, part + first)
+        "y%d_%d" % (i, j) for i, part in enumerate(parts, 1) for j in range(first, part + first)
     )
 
 

@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from jetform import alambda
+from jetform import alambda, symfun
 from jetform import (
     Composition,
     DomainError,
@@ -239,6 +239,65 @@ def test_nilpotency_matches_poly_power_loop():
                     assert nilpotency_order(q, lam, i) == _nilpotency_order_by_poly_powers(
                         q, lam, i
                     ), (parts, i, q)
+
+
+def _block_elements(lam, i, rng):
+    """sigma_1 of block i, and c_1 sigma_1 + c_2 sigma_2 with denominators as
+    the benchmark draws them, the second term only on a block of two or more."""
+
+    def coeff():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((1, 2, 3, 7, 12)))
+
+    sigma1 = block_sigma(lam, i, 1)
+    p = sigma1.scale(coeff())
+    if lam.parts[i - 1] >= 2:
+        p = p + block_sigma(lam, i, 2).scale(coeff())
+    return sigma1, p
+
+
+def test_nilpotency_powers_stay_in_the_last_block_slots(monkeypatch):
+    # with block i moved to the last lambda_i slots, every packed power the
+    # loop yields has zero exponents in the first ell - lambda_i fields
+    seen = []
+
+    def recording(p, ell):
+        for power, scale in symfun._nf_powers(p, ell):
+            seen.append(power)
+            yield power, scale
+
+    monkeypatch.setattr(alambda, "_nf_powers", recording)
+    rng = make_rng(5)
+    keys = 0
+    for ell in range(1, 7):
+        unpack = symfun._packing(ell).unpack
+        for parts in positive_compositions(ell):
+            lam = Composition(parts)
+            for i, part in enumerate(parts, start=1):
+                seen.clear()
+                for q in _block_elements(lam, i, rng):
+                    nilpotency_order(q, lam, i)
+                for power in seen:
+                    for key in power:
+                        assert not any(unpack(key)[: ell - part]), (parts, i, unpack(key))
+                        keys += 1
+    assert keys > 1000
+
+
+def test_nilpotency_of_a_middle_block_matches_the_unpermuted_power_loop():
+    # at ell = 6, every block that is neither first nor last, where the
+    # relabelling moves variables: the order of sigma_1 and of a random
+    # block element equals that of the Poly power loop on p as it is given
+    rng = make_rng(6)
+    cases = 0
+    for parts in positive_compositions(6):
+        lam = Composition(parts)
+        for i in range(2, len(parts)):
+            for q in _block_elements(lam, i, rng):
+                assert nilpotency_order(q, lam, i) == _nilpotency_order_by_poly_powers(
+                    q, lam, i
+                ), (parts, i, q)
+                cases += 1
+    assert cases == 98
 
 
 def test_nilpotency_bound_random():

@@ -34,6 +34,7 @@ from jetform import (
     complete_homogeneous,
     compositions,
     derivative_monomial,
+    dim_A_lambda,
     divide,
     divided_difference,
     elementary_symmetric,
@@ -53,6 +54,8 @@ from jetform import (
     psi_specialize,
     radical_witness,
     schubert_expansion,
+    schubert_poly,
+    sym_lambda_average,
     zring,
 )
 from jetform.polyring import Packing, _clear_denominators
@@ -504,6 +507,21 @@ def test_verify_rejects_entries_outside_the_generators_and_the_ring():
     # would be dropped by the product with g_1's terms
     for gi, mono in [(-1, one), (2, one), (1, Monomial((0, 0, 0))), (1, Monomial((0, 0, 0, 0, 7)))]:
         assert not jets.MembershipResult(True, 2, [(gi, mono, 1)]).verify(gens[1], gens)
+
+
+def test_verify_fails_an_exponent_or_index_that_is_not_an_int():
+    # x1_0 * g_0 in the (2, 1) jet ring, re-verified with the multiplier's
+    # exponents, then the generator index, turned into floats: each entry
+    # names nothing of p's ring, so verify answers False and raises nothing
+    desc = JetRingDesc(2, 1)
+    gens = jet_generators(None, desc)
+    query = desc.var(1, 0) * gens[0]
+    result = homogeneous_membership(query, gens)
+    assert result.member and result.verify(query, gens)
+    floats = [(gi, Monomial(map(float, mono)), c) for gi, mono, c in result.combination]
+    assert not jets.MembershipResult(True, result.degree, floats).verify(query, gens)
+    index = [(float(gi), mono, c) for gi, mono, c in result.combination]
+    assert not jets.MembershipResult(True, result.degree, index).verify(query, gens)
 
 
 def test_budget_abort():
@@ -2145,6 +2163,34 @@ def test_compositions_are_refused_alike(entry, lam):
         call((1, 3))
     with pytest.raises(DomainError):
         call(lam)
+
+
+# each entry point that takes a Composition, JetRingDesc or Permutation, as
+# the type it wants and a call that hands it the tuple or list spelling one
+_VALUE_TYPE_ENTRY_POINTS = {
+    "dim_A_lambda": ("Composition", lambda: dim_A_lambda((2, 1))),
+    "nilpotency_order": (
+        "Composition", lambda: nilpotency_order(zring(3).var(0) + zring(3).var(1), (2, 1), 1)
+    ),
+    "sym_lambda_average": ("Composition", lambda: sym_lambda_average(zring(3).var(0), (2, 1))),
+    "block_sigma": ("Composition", lambda: block_sigma((2, 1), 1, 1)),
+    "c_lambda_ring": ("Composition", lambda: c_lambda_ring((2, 1))),
+    "derivative_monomial": ("JetRingDesc", lambda: derivative_monomial((1, 1), (2, 2))),
+    "jet_generators": ("JetRingDesc", lambda: jet_generators(None, (2, 2))),
+    "phi_binary_eval": ("JetRingDesc", lambda: phi_binary_eval(_DESC.ring.one(), (1, 2), (2, 3))),
+    "psi_specialize": ("JetRingDesc", lambda: psi_specialize(_DESC.ring.one(), (1, 2), (2, 3))),
+    "MinimalPrime": ("JetRingDesc", lambda: MinimalPrime((1, 3), (2, 3))),
+    "schubert_poly": ("Permutation", lambda: schubert_poly([2, 1])),
+    "monk_expand": ("Permutation", lambda: monk_expand(1, [2, 1])),
+    "Permutation.__mul__": ("Permutation", lambda: Permutation([2, 1]) * (2, 1)),
+}
+
+
+@pytest.mark.parametrize("entry", _VALUE_TYPE_ENTRY_POINTS)
+def test_value_types_given_as_sequences_are_refused_as_domain_errors(entry):
+    wanted, call = _VALUE_TYPE_ENTRY_POINTS[entry]
+    with pytest.raises(DomainError, match="must be a %s, not (tuple|list)$" % wanted):
+        call()
 
 
 _Z3, _LAM = zring(3), Composition((1, 2))
