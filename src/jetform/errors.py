@@ -1,7 +1,8 @@
-"""Exception types shared across the package, and the three checks that
+"""Exception types shared across the package, and the four checks that
 raise them for every module: `_size` for sizes and indices, `_in_ring`
-for polynomial arguments and ring identity, and `_instance` for the
-package's value types.  No other code compares a polynomial's ring."""
+for polynomial arguments and ring identity, `_instance` for the
+package's value types and `_sequence` for sequence arguments.  No other
+code compares a polynomial's ring."""
 
 from operator import index
 
@@ -83,6 +84,16 @@ def _in_ring(poly, ring, what: str):
     if given is not ring and ring is not None and given != ring:  # mostly the same Ring
         raise RingMismatchError("%s must be in %r, not in %r" % (what, ring, given))
     return poly
+
+
+def _sequence(value, what: str) -> tuple:
+    """`value` as a tuple: the one check of a sequence argument.  A value
+    that cannot be iterated, such as a number, None or a polynomial, is a
+    DomainError naming `what`."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise DomainError("%s must be a sequence: %r" % (what, value)) from None
 
 
 def _instance(value, cls: type, what: str):

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import alambda
-from .errors import DomainError, InvariantViolationError, _in_ring, _instance, _size
+from .errors import DomainError, InvariantViolationError, _in_ring, _instance, _sequence, _size
 from .polyring import Monomial, Packing, Poly, Ring, _series_coefficients, format_poly
 from .symfun import Composition, _block_sigmas, _image_nf, _packed_image, _packed_powers, _packing
 from .symfun import _z_poly, normal_form_IS, zring
@@ -96,10 +96,7 @@ def _derivative_tuple(h, n: int | None = None) -> tuple[int, ...]:
     """h as a nonempty tuple of non-negative ints, of length n if given: a
     float is refused, not truncated, and every refusal is a DomainError
     that names the derivative tuple or order."""
-    try:
-        h = tuple(_size(hi, "derivative order") for hi in h)
-    except TypeError:
-        raise DomainError("derivative tuple must be a sequence: %r" % (h,)) from None
+    h = tuple(_size(hi, "derivative order") for hi in _sequence(h, "derivative tuple"))
     _size(len(h), "derivative tuple length", n or 1, n)
     return h
 
@@ -131,7 +128,7 @@ def jet_generators(gens, desc: JetRingDesc) -> list[Poly]:
     m = desc.m
     series = [range(desc.slot(i, 0), desc.slot(i, m) + 1) for i in range(1, desc.n + 1)]
     out: list[Poly] = []
-    for g in gens:
+    for g in _sequence(gens, "generators"):
         _in_ring(g, base, "generator")
         coeffs: list[dict] = [{} for _ in range(m + 1)]
         for mono, c in g.nums.items():

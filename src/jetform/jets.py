@@ -12,41 +12,20 @@ The minimal-degree search certifies both ways.  A refused power is proved
 by the psi specialisation: psi sends every jet generator into I_S (checked
 once per jet ring and composition, when the specialisation is made), so a
 nonzero normal form of psi(mono)^d modulo I_S shows that mono^d is not in
-the jet ideal.  Only a degree psi cannot refuse goes to exact elimination,
-which packs each monomial into one int by a `polyring.Packing` for the
+the jet ideal.  Only a degree psi cannot refuse goes to exact elimination:
+one `_Component`, the query's graded component, builds its span and
+certifies the query against it, and its docstring is the oracle's account.
+Each monomial is packed into one int by a `polyring.Packing` for the
 query's degree, so lex order is integer order, multiplying is adding and
-dividing is subtracting.  `_solve_membership` builds the span of the
-query's graded component, rows and query keyed by packed monomials negated
-only as they enter it, so elimination works from the lex-smallest one;
-`_certificate` reduces the query against it.  The multipliers of the
-inserted generators come from one table per query, charged to the memory
-budget as it grows, filled by one variable-by-variable pass per multiplier
-degree that cuts each exponent to an interval by linear bounds per grading.
-A jet generator has degree 1 in every block, so its multipliers are
-products of block monomials: one such pass lists a block's by weight, and
-the blocks are combined by weight as sums of packed ints, each product
-built only if the F5 test below keeps it.
-
-Rows are inserted generator by generator, and a row M*g_k is skipped
-without elimination when M is divisible by the trailing (lex-smallest)
-monomial of some element of the ideal of the earlier generators (the F5
-criterion): that row lies in the span of the kept rows, in whatever order
-they are inserted.  The divisors are the leads of a Groebner basis of that
-ideal for the order whose leading term is the lex-smallest, grevlex with
-the variables reversed on homogeneous input, built per query by
-Buchberger's algorithm with the Gebauer-Moeller criteria M and F and the
-product criterion, and truncated to the monomials that can divide a
-multiplier; for the jet generators, once per jet ring and in full.  The
-jet generators form a regular sequence, so the kept rows are independent
-and the certificate is unique.  The first jet generator g_0 =
-x_1^(0)...x_n^(0) is a monomial, so its rows are unit vectors.  A
-monomial first usable generator is therefore a column filter, not rows: its
-multipliers are never enumerated, its columns are dropped from the other
-rows, by one template per generator and M's exponents at g_0's variables,
-and from the query, and its cofactor comes from the query's residual in the
-one pass that re-expands the certificate.  So is each kept row with one
-term left once g_0's columns drop, a unit row: its column goes into a table,
-not the span, and its cofactor too is read off the residual.
+dividing is subtracting.  The multipliers of the inserted generators come
+from one table per query, charged to the memory budget as it grows, filled
+by one variable-by-variable pass per multiplier degree that cuts each
+exponent to an interval by linear bounds per grading.  A jet generator has
+degree 1 in every block, so its multipliers are products of block
+monomials: one such pass lists a block's by weight, and the blocks are
+combined by weight as sums of packed ints, each product built only if the
+F5 test keeps it.  The F5 test's divisors, for the jet generators, are the
+leads of a trailing-term Groebner basis built once per jet ring and in full.
 
 What a search reads of the jet ring itself is one record per (n, m),
 `_jet_ideal`: the generators, checked homogeneous once, their common
@@ -68,7 +47,7 @@ from operator import mul
 
 from .errors import (
     BudgetExceededError, CapExceededError, DomainError, InvariantViolationError, _in_ring,
-    _instance, _size,
+    _instance, _sequence, _size,
 )
 from .jetring import (
     JetRingDesc, PsiSpecialization, PsiWitness, _derivative_tuple, _psi_normal_forms, _Specs,
@@ -115,6 +94,7 @@ class MembershipResult:
         """Re-expand the combination term by term and compare it with p; an
         entry naming no generator or no exponent vector of p's ring fails,
         as does one whose index or exponents are not ints."""
+        gens = _sequence(gens, "generators")
         for i, g in enumerate(gens):
             _in_ring(g, p.ring, "generator %d" % i)
         if not self.member:
@@ -467,9 +447,15 @@ def _trailing_term_leads(rows, packing: Packing, top, bounds, budget, dropped=No
         yield [g[1] for g in basis]
 
 
-def _solve_membership(p, gens: _Generators, span, filtered) -> tuple:
-    """Insert into `span` the multiplier*generator rows of p's graded
-    component, read from p's degree and weights alone, never its terms.
+class _Component:
+    """The graded component of a query p for `gens`, read as
+    `homogeneous_membership` reads them, and the certificate of every query
+    of that component: of p's degree and of p's weights under the gradings.
+
+    The constructor builds `span`, an `ExactSpan` charged to `budget` if
+    given, from the multiplier*generator rows of the component, read from
+    p's degree and weights alone, never its terms; `certify(q)` packs q's
+    terms once, reduces them against the span and re-expands the result.
 
     Rows are inserted generator by generator in `gens.usable` order, each
     generator's multipliers in table order.  A row M*g_k is skipped (the F5
@@ -511,23 +497,23 @@ def _solve_membership(p, gens: _Generators, span, filtered) -> tuple:
     disjoint sets of variables, misses g_k's leads.  So the table of a
     regular sequence holds exactly one multiplier per pivot or unit row.
     Each generator's list is popped as its rows are recorded.  The table
-    is charged to the span's budget while it is built, so a budget too
-    small for it stops the query before any row is inserted.
+    is charged to the budget while it is built, so a budget too small for
+    it stops the query before any row is inserted.
 
-    `filtered` is None or gens.usable[0], the index of a monomial g_0.  Its
-    rows M*g_0 are the unit vectors of the g_0-divisible columns, all of the
-    component's, so those columns are dropped from every other row, and by
-    `_certificate` from p, instead.  Dropping them is the linear projection
+    `filtered` is gens.usable[0] if that is a monomial g_0, else None.  The
+    rows M*g_0 are the unit vectors of the g_0-divisible columns, all of
+    the component's, so those columns are dropped from every other row, and
+    by `certify` from q, instead.  Dropping them is the linear projection
     that kills exactly the span of the g_0 rows, so skipped rows stay
     redundant, the same rows become pivots as after the g_0 rows, stored
     projected, and the combination over them, unique, is the same.
 
-    So each multiplier M of the table gives one row: the packed
-    terms of M*g_k, negated, less those that g_0 divides by the guard-bit
-    test of `Packing`, the test `_certificate` applies to p.  It reads M
-    only at g_0's variables, `mult & fields`, so it runs once per generator
-    and key: the terms it keeps, negated, in g_k's term order, are a
-    template that M shifts, exact for any monomial g_0.  With no g_0, `fields` is 0 and the
+    So each multiplier M of the table gives one row: the packed terms of
+    M*g_k, negated, less those that g_0 divides by the guard-bit test of
+    `Packing`, the test `certify` applies to q.  It reads M only at g_0's
+    variables, `mult & fields`, so it runs once per generator and key: the
+    terms it keeps, negated, in g_k's term order, are a template that M
+    shifts, exact for any monomial g_0.  With no g_0, `fields` is 0 and the
     test runs against a guard bit, which divides nothing.  A row left empty
     is skipped.
 
@@ -541,143 +527,152 @@ def _solve_membership(p, gens: _Generators, span, filtered) -> tuple:
     same, and so is the combination over independent kept rows; off a
     regular sequence it may be another valid one.
 
-    Monomials are packed by a `Packing` for deg p: every monomial of the
-    component has total degree deg p, so no exponent exceeds it.  Returns
-    the packing, {generator index: (row, d)}, the row its generator's
-    numerators over its denominator d, keyed by packed monomials, and the
-    unit table, keyed by negated packed monomials; the span holds M*row negated,
-    less the dropped columns, labelled (generator index, packed M).
+    Monomials are packed by `packing`, a `Packing` for deg p: every
+    monomial of the component has total degree deg p, so no exponent
+    exceeds it.  `cleared` is {generator index: (row, d)}, the row its
+    generator's numerators over its denominator d, keyed by packed
+    monomials; `units` is keyed by negated packed monomials; the span holds
+    M*row negated, less the dropped columns, labelled (generator index,
+    packed M).
+
+    `certify` drops q's packed numerators at g_0's columns and at those of
+    `units`, and reduces the rest, negated, by the span.  The residual
+    s*q - sum of c*M*row, s = scale times q's denominator, is formed from
+    the same packed terms.  Each span entry is unpacked once, for its triple,
+    with coefficient c*d/s, and its multiplier must have its generator's
+    multiplier degree; a field that borrowed or overflowed unpacks to more
+    than that, so this is also the sign check.  Each nonzero residual term
+    r at the column of a unit row (k, M, v) gives that row's entry,
+    coefficient r*d/(s*v), and every other term of its row is divisible by
+    g_0.  Then each nonzero residual term r at key, divided by g_0 = a*z^g0,
+    is the entry (key - g0, r*d/(s*a)) of g_0's cofactor; a term g_0 does
+    not divide raises.  Every entry goes through `take`, which subtracts
+    the full row M*row back from the triple's own coefficient, so a wrong
+    one is left in the residual.  What is left, all of the residual if
+    `filtered` is None, must be zero.  So the certificate is the one a span
+    offered g_0's rows, then the unit rows, then the other kept rows, would
+    give, re-expanded against q before it is returned.
     """
-    degree = p.total_degree()
-    packing = Packing(p.ring.nvars, degree)
-    guard = packing.guard
-    usable = gens.usable
-    inserted = usable[1:] if filtered is not None else usable
-    gradings = gens.gradings
-    p_weights = [_weight_of(p, w) for w in gradings]
-    targets = {
-        gi: tuple(pw - gw for pw, gw in zip(p_weights, gens.weights[gi])) for gi in inserted
-    }
-    polys = gens.polys
-    cleared = {
-        gi: ({packing.pack(m): v for m, v in polys[gi].nums.items()}, polys[gi].denom)
-        for gi in usable
-    }
-    # a lead divides a multiplier only if no grading without negative
-    # entries weighs it more, nor does the total degree
-    bounds = [
-        (w, max((t[c] for t in targets.values()), default=0))
-        for c, w in enumerate(gradings)
-        if min(w) >= 0
-    ]
-    top = max((degree - gens.degrees[gi] for gi in inserted), default=0)
-    rows = [row for row, _ in cleared.values()]
-    leads = dict(zip(usable, gens.trailing_leads(rows, packing, top, bounds, span.budget)))
-    table = gens.multiplier_table(p, targets, packing, span.budget, leads)
-    g0, fields = guard, 0  # a guard bit exceeds every entry, so it divides no packed monomial
-    if filtered is not None:
-        g0 = next(iter(cleared[filtered][0]))  # the packed monomial g_0
-        fields = sum(packing.mask << s for s, e in zip(packing.shifts, packing.unpack(g0)) if e)
-    units = {}  # unit column: (generator index, packed M, coefficient)
-    rows = []  # (generator index, packed M, template) of every other kept row
-    for gi in inserted:
-        row = cleared[gi][0]
-        templates = {}
-        recorded = len(rows) + len(units)
-        for mult in table.pop(gi):
-            template = templates.get(mult & fields)
-            if template is None:
-                template = templates[mult & fields] = [
-                    (-k, v) for k, v in row.items() if (((mult + k) | guard) - g0) & guard != guard
-                ]
-            if len(template) > 1:
-                rows.append((gi, mult, template))
-            elif template:
-                ((k, v),) = template
-                units.setdefault(k - mult, (gi, mult, v))  # a second unit there is dependent
-        if span.budget is not None:
-            span.budget.charge(len(rows) + len(units) - recorded, "row feed")
-    for gi, mult, template in rows:
-        # ExactSpan eliminates from its largest key; negated, it works from the
-        # lex-smallest, the order that stores far fewer step-history entries
-        row = {c: v for k, v in template if (c := k - mult) not in units}
-        if row:
-            span.insert(row, (gi, mult))
-    return packing, cleared, units
 
+    __slots__ = ("gens", "degree", "packing", "cleared", "filtered", "units", "span")
 
-def _certificate(
-    p: Poly, gens: _Generators, span, packing: Packing, cleared: dict, filtered, units
-) -> list | None:
-    """None for a p outside `span`, else p's certificate, re-expanded
-    against p, as sorted (generator index, multiplier, coefficient) triples.
+    def __init__(self, p: Poly, gens: _Generators, budget: Budget | None):
+        self.gens = gens
+        self.degree = degree = p.total_degree()
+        self.packing = packing = Packing(p.ring.nvars, degree)
+        self.span = span = ExactSpan(budget=budget)
+        guard = packing.guard
+        usable = gens.usable
+        polys = gens.polys
+        filtered = usable[0] if usable and len(polys[usable[0]].nums) == 1 else None
+        self.filtered = filtered
+        inserted = usable[1:] if filtered is not None else usable
+        gradings = gens.gradings
+        p_weights = [_weight_of(p, w) for w in gradings]
+        targets = {
+            gi: tuple(pw - gw for pw, gw in zip(p_weights, gens.weights[gi])) for gi in inserted
+        }
+        self.cleared = cleared = {
+            gi: ({packing.pack(m): v for m, v in polys[gi].nums.items()}, polys[gi].denom)
+            for gi in usable
+        }
+        # a lead divides a multiplier only if no grading without negative
+        # entries weighs it more, nor does the total degree
+        bounds = [
+            (w, max((t[c] for t in targets.values()), default=0))
+            for c, w in enumerate(gradings)
+            if min(w) >= 0
+        ]
+        top = max((degree - gens.degrees[gi] for gi in inserted), default=0)
+        rows = [row for row, _ in cleared.values()]
+        leads = dict(zip(usable, gens.trailing_leads(rows, packing, top, bounds, budget)))
+        table = gens.multiplier_table(p, targets, packing, budget, leads)
+        g0, fields = guard, 0  # a guard bit exceeds every entry, so it divides no packed monomial
+        if filtered is not None:
+            g0 = next(iter(cleared[filtered][0]))  # the packed monomial g_0
+            fields = sum(packing.mask << s for s, e in zip(packing.shifts, packing.unpack(g0)) if e)
+        self.units = units = {}  # unit column: (generator index, packed M, coefficient)
+        rows = []  # (generator index, packed M, template) of every other kept row
+        for gi in inserted:
+            row = cleared[gi][0]
+            templates = {}
+            recorded = len(rows) + len(units)
+            for mult in table.pop(gi):
+                template = templates.get(mult & fields)
+                if template is None:
+                    template = templates[mult & fields] = [
+                        (-k, v) for k, v in row.items()
+                        if (((mult + k) | guard) - g0) & guard != guard
+                    ]
+                if len(template) > 1:
+                    rows.append((gi, mult, template))
+                elif template:
+                    ((k, v),) = template
+                    units.setdefault(k - mult, (gi, mult, v))  # a second unit there is dependent
+            if budget is not None:
+                budget.charge(len(rows) + len(units) - recorded, "row feed")
+        for gi, mult, template in rows:
+            # ExactSpan eliminates from its largest key; negated, it works from the
+            # lex-smallest, the order that stores far fewer step-history entries
+            row = {c: v for k, v in template if (c := k - mult) not in units}
+            if row:
+                span.insert(row, (gi, mult))
 
-    The half of the oracle that reads p: p's numerators are packed once,
-    those at g_0's columns and at the columns of `units`, the unit table of
-    `_solve_membership`, dropped and the rest, negated, reduced by `span`.
-    The residual s*p - sum of c*M*row, s = scale times p's denominator, is
-    formed from the same packed terms.  Each entry is
-    unpacked once, for its triple, with coefficient c*d/s, and its
-    multiplier must have its generator's multiplier degree; a field that
-    borrowed or overflowed unpacks to more than that, so this is also the
-    sign check.  Each nonzero residual term r at the column of a unit row
-    (k, M, v) gives that row's entry, coefficient r*d/(s*v), and every
-    other term of its row is divisible by g_0.  Then each nonzero residual
-    term r at key, divided by g_0 = gens.polys[filtered] = a*z^g0, is the
-    entry (key - g0, r*d/(s*a)) of g_0's cofactor; a term g_0 does not
-    divide raises.  Every entry, the span's, the units' and g_0's, goes
-    through `take`, which subtracts the full row M*row back from the
-    triple's own coefficient, so a wrong one is left in the residual.  What is left, all
-    of the residual if `filtered` is None, must be zero.
-    """
-    terms = {packing.pack(m): v for m, v in p.nums.items()}
-    query = {-k: v for k, v in terms.items() if -k not in units}
-    if filtered is not None:
-        ((g0, a),) = cleared[filtered][0].items()
-        query = {c: v for c, v in query.items() if not packing.divides(g0, -c)}
-    relation = span.reduce(query)
-    if relation is None:
-        return None
-    comb, scale = relation
-    degree = p.total_degree()
-    mult_degree = {gi: degree - gens.degrees[gi] for gi in cleared}
-    residual = {k: v * scale for k, v in terms.items()}
-    scale *= p.denom
-    triples = []
+    def certify(self, q: Poly) -> MembershipResult:
+        """The verdict on q, a nonzero query of the component, with its
+        certificate as sorted (generator index, multiplier, coefficient)
+        triples; the span is read, never changed."""
+        packing, cleared, filtered, units = self.packing, self.cleared, self.filtered, self.units
+        terms = {packing.pack(m): v for m, v in q.nums.items()}
+        query = {-k: v for k, v in terms.items() if -k not in units}
+        if filtered is not None:
+            ((g0, a),) = cleared[filtered][0].items()
+            query = {c: v for c, v in query.items() if not packing.divides(g0, -c)}
+        relation = self.span.reduce(query)
+        if relation is None:
+            return MembershipResult(False, self.degree, None)
+        comb, scale = relation
+        mult_degree = {gi: self.degree - self.gens.degrees[gi] for gi in cleared}
+        residual = {k: v * scale for k, v in terms.items()}
+        scale *= q.denom
+        triples = []
 
-    def take(gi, mult, mono, c):
-        # the entry c*M*g_k, subtracted through its own coefficient: c*M*g_k
-        # is step*M*row, in ints when c*s/d is whole
-        row, d = cleared[gi]
-        triples.append((gi, mono, c))
-        step, rest = divmod(c.numerator * scale, c.denominator * d)
-        if rest:
-            step = Fraction(c.numerator * scale, c.denominator * d)
-        for k, w in row.items():
-            residual[mult + k] = residual.get(mult + k, 0) - step * w
+        def take(gi, mult, mono, c):
+            # the entry c*M*g_k, subtracted through its own coefficient: c*M*g_k
+            # is step*M*row, in ints when c*s/d is whole
+            row, d = cleared[gi]
+            triples.append((gi, mono, c))
+            step, rest = divmod(c.numerator * scale, c.denominator * d)
+            if rest:
+                step = Fraction(c.numerator * scale, c.denominator * d)
+            for k, w in row.items():
+                residual[mult + k] = residual.get(mult + k, 0) - step * w
 
-    for (gi, mult), c in comb.items():
-        mono = packing.unpack(mult)
-        if sum(mono) != mult_degree[gi]:
+        for (gi, mult), c in comb.items():
+            mono = packing.unpack(mult)
+            if sum(mono) != mult_degree[gi]:
+                raise InvariantViolationError("membership certificate failed re-expansion")
+            take(gi, mult, mono, Fraction(c * cleared[gi][1], scale))
+        for key in [k for k, v in residual.items() if v and -k in units]:
+            gi, mult, v = units[-key]
+            # step*v cancels the term at key
+            c = Fraction(residual[key] * cleared[gi][1], scale * v)
+            take(gi, mult, packing.unpack(mult), c)
+        if filtered is not None:
+            for key, v in residual.items():
+                if not v:
+                    continue
+                if not packing.divides(g0, key):
+                    raise InvariantViolationError(
+                        "residual term not divisible by the monomial generator"
+                    )
+                # step*a cancels the term at key, the only one g_0's row touches
+                c = Fraction(v * cleared[filtered][1], scale * a)
+                take(filtered, key - g0, packing.unpack(key - g0), c)
+        if any(residual.values()):
             raise InvariantViolationError("membership certificate failed re-expansion")
-        take(gi, mult, mono, Fraction(c * cleared[gi][1], scale))
-    for key in [k for k, v in residual.items() if v and -k in units]:
-        gi, mult, v = units[-key]
-        # step*v cancels the term at key
-        take(gi, mult, packing.unpack(mult), Fraction(residual[key] * cleared[gi][1], scale * v))
-    if filtered is not None:
-        for key, v in residual.items():
-            if not v:
-                continue
-            if not packing.divides(g0, key):
-                raise InvariantViolationError("residual term not divisible by the monomial generator")
-            # step*a cancels the term at key, the only one g_0's row touches
-            c = Fraction(v * cleared[filtered][1], scale * a)
-            take(filtered, key - g0, packing.unpack(key - g0), c)
-    if any(residual.values()):
-        raise InvariantViolationError("membership certificate failed re-expansion")
-    triples.sort()
-    return triples
+        triples.sort()
+        return MembershipResult(True, self.degree, triples)
 
 
 def homogeneous_membership(
@@ -690,27 +685,11 @@ def homogeneous_membership(
     Requires p and every generator homogeneous.  For homogeneous ideals this
     span equals the degree-deg(p) component of the ideal, so the verdict is
     ideal membership.  The verdict comes from one exact elimination over the
-    rationals, charged to `budget` if given, together with the trailing-term
-    basis that decides which rows to skip.  The elimination skips a row
-    M*g_k whenever the trailing monomial of an element of the ideal of the
-    generators before g_k divides M (the F5 criterion, see
-    `_solve_membership`): the test holds for any homogeneous generators,
-    and each skipped row lies in the span of the kept rows, in any order.
-
-    `_solve_membership` builds the span of p's component without reading p's
-    terms; `_certificate` packs them once, reduces and re-expands.  The
-    first usable generator, if it is a monomial g_0, is a column filter
-    instead of rows, decided here once for both halves: `_solve_membership`
-    neither enumerates nor inserts its rows and drops its columns, and
-    `_certificate` recovers its cofactor from the residual of p; so it does
-    for each unit row, whose column is in the table `_solve_membership`
-    returns.  Pivots and span charges are those of the projected rows; the
-    certificate is the one a span offered g_0's rows, then the unit rows,
-    then the other kept rows, would give, and every entry of it is
-    re-expanded against p before it is returned.
+    rationals in p's graded component, `_Component`, charged to `budget` if
+    given, and a member's certificate is re-expanded against p.
 
     This entry checks its input, picks the generators of degree at most
-    deg p and takes common gradings of them and of p; `_membership` decides.
+    deg p and takes common gradings of them and of p.
     """
     if not _in_ring(p, None, "membership query").is_homogeneous():
         raise DomainError("membership query must be homogeneous")
@@ -720,31 +699,19 @@ def homogeneous_membership(
     degree = p.total_degree()
     usable = [i for i, g in enumerate(gens) if g.total_degree() <= degree]
     gradings = _common_gradings([gens[i] for i in usable] + [p], p.ring.nvars)
-    return _membership(p, _Generators(gens, usable, gradings), budget)
+    return _Component(p, _Generators(gens, usable, gradings), budget).certify(p)
 
 
 def _homogeneous_generators(gens, ring: Ring) -> tuple:
-    """gens as a tuple, or the error for the first one that is not a
-    nonzero homogeneous polynomial of `ring`."""
-    gens = tuple(gens)
+    """gens as a tuple, or the error for gens that are not a sequence or for
+    the first one that is not a nonzero homogeneous polynomial of `ring`."""
+    gens = _sequence(gens, "generators")
     for i, g in enumerate(gens):
         if _in_ring(g, ring, "generator %d" % i).is_zero():
             raise DomainError("generator %d is zero" % i)
         if not g.is_homogeneous():
             raise DomainError("generator %d is not homogeneous" % i)
     return gens
-
-
-def _membership(p: Poly, gens: _Generators, budget: Budget | None) -> MembershipResult:
-    """The verdict of `homogeneous_membership` on a nonzero homogeneous p,
-    for generators checked as it checks them, whose `usable` ones are those
-    of degree at most deg p, with gradings common to them and to p."""
-    usable = gens.usable
-    filtered = usable[0] if usable and len(gens.polys[usable[0]].nums) == 1 else None
-    span = ExactSpan(budget=budget)
-    packing, cleared, units = _solve_membership(p, gens, span, filtered)
-    certificate = _certificate(p, gens, span, packing, cleared, filtered, units)
-    return MembershipResult(certificate is not None, p.total_degree(), certificate)
 
 
 def _witness_composition(h) -> Composition:
@@ -990,7 +957,8 @@ def min_degree_search(
             # mono^d, a monomial of degree d*n >= n, finds every generator
             # usable and adds no constraint to their gradings: the record's
             # are the ones `homogeneous_membership` would compute
-            result = _membership(mono**d, ideal, budget)
+            query = mono**d
+            result = _Component(query, ideal, budget).certify(query)
         except BudgetExceededError as exc:
             partial = {
                 "refused": sorted(refusals),

@@ -37,7 +37,7 @@ from math import gcd, lcm
 from operator import add, sub
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .errors import DomainError, ParseError, RingMismatchError, _in_ring, _size
+from .errors import DomainError, ParseError, RingMismatchError, _in_ring, _sequence, _size
 
 __all__ = [
     "Ring",
@@ -55,7 +55,7 @@ class Ring:
     __slots__ = ("names", "_index", "_hash")
 
     def __init__(self, names: Iterable[str]):
-        names = tuple(names)
+        names = _sequence(names, "variable names")
         if len(set(names)) != len(names):
             raise DomainError("duplicate variable names: %r" % (names,))
         self.names = names
@@ -73,7 +73,7 @@ class Ring:
             raise ParseError("unknown variable %r in ring %s" % (name, self)) from None
 
     def monomial(self, exps: Iterable[int]) -> Monomial:
-        exps = tuple(_size(e, "exponent") for e in exps)
+        exps = tuple(_size(e, "exponent") for e in _sequence(exps, "exponent vector"))
         if len(exps) != self.nvars:
             raise RingMismatchError(
                 "exponent vector of length %d in a ring with %d variables"
@@ -91,7 +91,7 @@ class Ring:
         return self.const(1)
 
     def const(self, c) -> Poly:
-        c = Fraction(c)
+        c = Fraction(_coefficient(c))
         if c == 0:
             return Poly(self, {})
         return Poly(self, {self.one_monomial(): c})
@@ -109,7 +109,7 @@ class Ring:
         fixed = {}
         for mono, coeff in terms.items():
             mono = self.monomial(mono)
-            fixed[mono] = fixed.get(mono, Fraction(0)) + Fraction(coeff)
+            fixed[mono] = fixed.get(mono, Fraction(0)) + Fraction(_coefficient(coeff))
         return Poly(self, fixed)
 
     def __eq__(self, other):
@@ -225,10 +225,9 @@ class Poly:
         try:
             self.nums, self.denom = _clear_denominators(terms)
         except AttributeError:  # a float or a str has no .denominator
-            kinds = {type(c).__name__ for c in terms.values() if not hasattr(c, "denominator")}
-            raise DomainError(
-                "coefficients must be ints or Fractions, not %s" % ", ".join(sorted(kinds))
-            ) from None
+            for c in terms.values():
+                _coefficient(c)
+            raise
         self._hash = None
 
     @classmethod
@@ -311,7 +310,7 @@ class Poly:
         return NotImplemented
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
+        c = Fraction(_coefficient(c))
         if c == 0:
             return self.ring.zero()
         num = c.numerator
@@ -331,7 +330,7 @@ class Poly:
         return result
 
     def mul_monomial(self, mono: Monomial, coeff=1) -> "Poly":
-        coeff = Fraction(coeff)
+        coeff = Fraction(_coefficient(coeff))
         if coeff == 0:
             return self.ring.zero()
         num = coeff.numerator
@@ -344,7 +343,7 @@ class Poly:
         """Relabel variables: old slot i becomes new slot images[i]; the
         images must be a permutation of 0..nvars-1."""
         n = self.ring.nvars
-        images = [_size(v, "variable image") for v in images]
+        images = [_size(v, "variable image") for v in _sequence(images, "variable images")]
         if sorted(images) != list(range(n)):
             raise DomainError("not a permutation of 0..%d: %r" % (n - 1, images))
         sources = sorted(range(n), key=images.__getitem__)  # new slot j reads old slot sources[j]
@@ -361,6 +360,7 @@ class Poly:
     def substitute(self, target: Ring, images: Sequence["Poly"]) -> "Poly":
         """Evaluate at `images`, one target-ring polynomial per variable; a
         cancelled coefficient is dropped at once, as in a running sum."""
+        images = _sequence(images, "substitution images")
         if len(images) != self.ring.nvars:
             raise RingMismatchError(
                 "need %d images, got %d" % (self.ring.nvars, len(images))
@@ -406,6 +406,16 @@ class Poly:
         return "Poly(%s)" % format_poly(self)
 
 
+def _coefficient(c):
+    """`c` if it is an int or a Fraction: the one check of a coefficient,
+    for `Poly`, `Ring.const`, `Ring.from_terms`, `Poly.scale` and
+    `Poly.mul_monomial`.  Anything else, such as a float or a string that
+    Fraction would round or parse, is a DomainError naming its type."""
+    if not hasattr(c, "denominator"):
+        raise DomainError("coefficients must be ints or Fractions, not %s" % type(c).__name__)
+    return c
+
+
 def _clear_denominators(terms: Mapping[Hashable, Fraction]) -> tuple[dict, int]:
     """(d * terms without zeros, d) for d the lcm of the denominators: the
     integer row spanning the same line.  Ints and Fractions both carry a
@@ -446,6 +456,7 @@ def divide(
     current leading term go to the lowest index, so the result is
     deterministic.
     """
+    basis = _sequence(basis, "division basis")
     if not basis:
         return [], p
     ring = p.ring
@@ -481,6 +492,7 @@ def divide(
 
 def spoly(f: Poly, g: Poly) -> Poly:
     """S-polynomial of f and g under lex."""
+    _in_ring(g, _in_ring(f, None, "S-polynomial operand").ring, "S-polynomial operand")
     fm, fc = f.leading()
     gm, gc = g.leading()
     l = fm.lcm(gm)
@@ -537,6 +549,8 @@ def parse_poly(ring: Ring, text: str) -> Poly:
     sum that cancels is dropped at once.  The sums are then put over the lcm
     of their reduced denominators, taken once, as the public constructor
     would put them."""
+    if not isinstance(text, str):
+        raise DomainError("polynomial text must be a str, not %s" % type(text).__name__)
     end = len(text.rstrip())
     if not end:
         raise ParseError("empty polynomial text")

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .errors import DomainError, InvariantViolationError, _in_ring, _instance, _size
+from .errors import DomainError, InvariantViolationError, _in_ring, _instance, _sequence, _size
 from .polyring import Monomial, Packing, Poly, _parse_ints
 from .symfun import _normal_form, _packing, _quotient, _z_poly, normal_form_IS, zring
 
@@ -47,7 +47,7 @@ class Permutation:
     __slots__ = ("oneline", "length", "_hash")
 
     def __init__(self, oneline):
-        oneline = tuple(_size(v, "permutation entry", 1) for v in oneline)
+        oneline = tuple(_size(v, "permutation entry", 1) for v in _sequence(oneline, "permutation"))
         n = len(oneline)
         if sorted(oneline) != list(range(1, n + 1)):
             raise DomainError("not a permutation of 1..%d: %r" % (n, oneline))

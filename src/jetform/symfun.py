@@ -40,7 +40,7 @@ from heapq import heapify, heappop, heappush
 from math import factorial
 
 from .errors import (
-    DomainError, InvariantViolationError, RingMismatchError, _in_ring, _instance, _size,
+    DomainError, InvariantViolationError, RingMismatchError, _in_ring, _instance, _sequence, _size,
 )
 from .polyring import Monomial, Packing, Poly, Ring
 
@@ -72,10 +72,7 @@ class Composition:
     __slots__ = ("parts", "_prefix")
 
     def __init__(self, parts):
-        try:
-            parts = tuple(_size(p, "composition part") for p in parts)
-        except TypeError:
-            raise DomainError("composition parts must be a sequence: %r" % (parts,)) from None
+        parts = tuple(_size(p, "composition part") for p in _sequence(parts, "composition parts"))
         self.parts = parts
         acc = [0]
         for p in parts:
@@ -136,6 +133,7 @@ def complete_homogeneous(d: int, k: int, ell: int) -> Poly:
 
 def elementary_symmetric(ring: Ring, d: int, indices) -> Poly:
     """Sum of all squarefree degree-d monomials in the given variables."""
+    indices = _sequence(indices, "variable indices")
     indices = [_size(i, "variable index", 0, ring.nvars - 1) for i in indices]
     if len(set(indices)) != len(indices):
         raise DomainError("repeated variable index in %r" % (indices,))

@@ -21,6 +21,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -344,7 +345,7 @@ def test_only_errors_compares_a_polynomials_ring():
 
 
 def test_oracle_packs_the_query_in_one_place():
-    # `_certificate` clears, packs and projects the query; no second helper
+    # `_Component.certify` packs and projects the query; no second helper
     # keys a query or a row for the span
     from jetform import jets
 
@@ -352,17 +353,17 @@ def test_oracle_packs_the_query_in_one_place():
 
 
 def test_span_half_of_the_oracle_reads_no_query_terms():
-    # `_solve_membership` builds the span of the query's graded component
+    # `_Component.__init__` builds the span of the query's graded component
     # from the query's degree and weights only
     from jetform import jets
 
-    (func,) = ast.parse(inspect.getsource(jets._solve_membership)).body
-    query = func.args.args[0].arg
+    (func,) = ast.parse(textwrap.dedent(inspect.getsource(jets._Component.__init__))).body
+    query = func.args.args[1].arg  # after self
     reads = [
         ast.unparse(node)
         for node in ast.walk(func)
         if isinstance(node, ast.Attribute)
-        and node.attr == "terms"
+        and node.attr in ("terms", "nums")
         and isinstance(node.value, ast.Name)
         and node.value.id == query
     ]
@@ -371,7 +372,7 @@ def test_span_half_of_the_oracle_reads_no_query_terms():
 
 def test_trailing_term_basis_takes_the_cleared_rows_themselves(monkeypatch):
     # no negated or un-negated copy of a row is made for the F5 basis: the
-    # rows it receives are the objects `_solve_membership` returns, keyed
+    # rows it receives are the objects `_Component` keeps as `cleared`, keyed
     # by positive packed monomials
     from jetform import jets
 
@@ -389,13 +390,12 @@ def test_trailing_term_basis_takes_the_cleared_rows_themselves(monkeypatch):
     usable = list(range(len(gens)))
     gradings = jets._common_gradings(gens + [query], desc.ring.nvars)
     generators = jets._Generators(gens, usable, gradings)
-    span = jetform.ExactSpan()
-    packing, cleared, units = jets._solve_membership(query, generators, span, 0)
+    component = jets._Component(query, generators, None)
     (rows,) = received
-    assert len(rows) == len(cleared) == len(gens)
-    assert all(got is row for got, (row, _) in zip(rows, cleared.values()))
+    assert len(rows) == len(component.cleared) == len(gens)
+    assert all(got is row for got, (row, _) in zip(rows, component.cleared.values()))
     assert all(key > 0 for row in rows for key in row)
-    assert jets._certificate(query, generators, span, packing, cleared, 0, units)
+    assert component.certify(query).combination
 
 
 def test_every_traced_name_resolves():

@@ -590,8 +590,8 @@ def test_membership_matches_sympy_groebner_at_width_boundaries():
 class _RecordingSpan(ExactSpan):
     """An ExactSpan that records the label of every row it is offered."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, budget=None):
+        super().__init__(budget)
         self.labels = []
 
     def insert(self, row, label):
@@ -614,6 +614,17 @@ class _BumpingSpan(ExactSpan):
         return {**comb, self.bump: comb[self.bump] + 1}, scale
 
 
+def _component(p, gens, span=ExactSpan):
+    """The oracle's `_Component` of p, its generators read as
+    `homogeneous_membership` reads them, with a `span` for its span."""
+    degree = p.total_degree()
+    usable = [i for i, g in enumerate(gens) if g.total_degree() <= degree]
+    gradings = jets._common_gradings([gens[i] for i in usable] + [p], p.ring.nvars)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(jets, "ExactSpan", span)
+        return jets._Component(p, jets._Generators(gens, usable, gradings), None)
+
+
 def _pivot_rows(span):
     return [
         (lead, list(piv.terms.items()), list(piv.hist.items()))
@@ -630,25 +641,21 @@ def _skipped_rows_are_redundant(p, gens, multipliers) -> int:
     monomials as the oracle inserts them.  When the first usable generator
     g_0 is a monomial, the oracle sees no row M*g_0 and no g_0-divisible
     column, and rows left empty are not offered; so neither does this
-    reference.  Nor does it see the unit columns `_solve_membership`
-    returns: check that each unit is a row the oracle did not insert, one
-    term once g_0's columns drop, that term at its column, and drop those
+    reference.  Nor does it see the unit columns of the `_Component`:
+    check that each unit is a row the oracle did not insert, one term
+    once g_0's columns drop, that term at its column, and drop those
     columns from the reference rows too.  Check that the oracle inserted
     each offered row at most once, that both spans end with the same
     pivots and histories, in dict order, and that no skipped row changes
-    the span.  Check also that the oracle's certificate, as `_certificate`
+    the span.  Check also that the oracle's certificate, as `certify`
     reduces p against the oracle's span and completes and re-expands it,
     is the one a third span gives, with no column dropped, offered g_0's
     rows first, then the unit rows, then the rows the oracle inserted in
     its order, then the rest.  Returns the number of skipped rows."""
     degree = p.total_degree()
-    nvars = p.ring.nvars
-    usable = [i for i, g in enumerate(gens) if g.total_degree() <= degree]
-    filtered = usable[0] if len(gens[usable[0]].terms) == 1 else None
-    gradings = jets._common_gradings([gens[i] for i in usable] + [p], nvars)
-    generators = jets._Generators(gens, usable, gradings)
-    kept = _RecordingSpan()
-    packing, cleared, units = jets._solve_membership(p, generators, kept, filtered)
+    component = _component(p, gens, _RecordingSpan)
+    kept, packing, units = component.span, component.packing, component.units
+    usable, gradings, filtered = component.gens.usable, component.gens.gradings, component.filtered
 
     def columns(terms):
         return {-packing.pack(mono): v for mono, v in terms.items()}
@@ -704,7 +711,7 @@ def _skipped_rows_are_redundant(p, gens, multipliers) -> int:
         plain.insert(*every[label])
     p_row, p_denom = _clear_denominators(p.terms)
     plain_relation = plain.reduce(columns(p_row))
-    certificate = jets._certificate(p, generators, kept, packing, cleared, filtered, units)
+    certificate = component.certify(p).combination
     assert (certificate is None) == (plain_relation is None)
     if certificate is not None:
         comb, scale = plain_relation
@@ -796,22 +803,22 @@ def test_no_offered_row_reduces_to_zero_on_oracle_tuples(monkeypatch):
 
 def _record_spans(monkeypatch) -> list:
     """Make the oracle build `_RecordingSpan`s, each given as `units` the
-    unit table `_solve_membership` returns with it; returns the list of
+    unit table of the `_Component` that builds it; returns the list of
     them."""
     spans = []
-    solve = jets._solve_membership
+    init = jets._Component.__init__
 
     class RecordingSpan(_RecordingSpan):
         def __init__(self, *args, **kwargs):
             super().__init__()
             spans.append(self)
 
-    def solve_keeping_units(p, gens, span, filtered):
-        packing, cleared, span.units = solve(p, gens, span, filtered)
-        return packing, cleared, span.units
+    def init_keeping_units(component, *args):
+        init(component, *args)
+        component.span.units = component.units
 
     monkeypatch.setattr(jets, "ExactSpan", RecordingSpan)
-    monkeypatch.setattr(jets, "_solve_membership", solve_keeping_units)
+    monkeypatch.setattr(jets._Component, "__init__", init_keeping_units)
     return spans
 
 
@@ -988,7 +995,7 @@ def test_certificate_refuses_a_multiplier_one_field_unit_off(monkeypatch):
     with pytest.raises(InvariantViolationError, match=message) as info:
         homogeneous_membership(query, gens)
     frame = info.traceback[-1]
-    assert frame.name == "_certificate"
+    assert frame.name == "certify"
     assert len(frame.locals["triples"]) < len(frame.locals["comb"])
 
 
@@ -1069,13 +1076,14 @@ def test_wrong_unit_coefficient_raises(monkeypatch, order, message):
     # the residual at the unit's column
     gens, query = _unit_with_a_denominator(order)
     assert homogeneous_membership(query, gens).verify(query, gens)
-    solve = jets._solve_membership
+    init = jets._Component.__init__
 
-    def doubling(*args):
-        packing, cleared, units = solve(*args)
-        return packing, cleared, {c: (gi, mult, 2 * v) for c, (gi, mult, v) in units.items()}
+    def doubling(component, *args):
+        init(component, *args)
+        units = component.units
+        component.units = {c: (gi, mult, 2 * v) for c, (gi, mult, v) in units.items()}
 
-    monkeypatch.setattr(jets, "_solve_membership", doubling)
+    monkeypatch.setattr(jets._Component, "__init__", doubling)
     with pytest.raises(InvariantViolationError, match=message):
         homogeneous_membership(query, gens)
 
@@ -1148,19 +1156,15 @@ def test_filtered_certificates_match_a_span_offered_every_row(system):
         gi, mono, c = result.combination[-1]
         wrong = result.combination[:-1] + [(gi, mono, c + 1)]
         assert not jets.MembershipResult(True, result.degree, wrong).verify(query, gens)
-        usable = [i for i, g in enumerate(gens) if g.total_degree() <= result.degree]
-        filtered = usable[0] if len(gens[usable[0]].terms) == 1 else None
-        gradings = jets._common_gradings([gens[i] for i in usable] + [query], query.ring.nvars)
-        generators = jets._Generators(gens, usable, gradings)
-        span = _BumpingSpan()
-        packing, cleared, units = jets._solve_membership(query, generators, span, filtered)
-        cert = jets._certificate(query, generators, span, packing, cleared, filtered, units)
+        component = _component(query, gens, _BumpingSpan)
+        span = component.span
+        cert = component.certify(query).combination
         assert cert == result.combination
         comb, _ = span.relation
         if comb:
             span.bump = max(comb)
             with pytest.raises(InvariantViolationError):
-                jets._certificate(query, generators, span, packing, cleared, filtered, units)
+                component.certify(query)
 
 
 @given(homogeneous_systems())
@@ -1171,21 +1175,16 @@ def test_certificate_refuses_each_wrong_coefficient_on_generic_systems(system):
     # row with a term at a column neither g_0 nor a unit row owns, so
     # s*(p - sum c*M*g) stays nonzero there
     query, gens = system
-    degree = query.total_degree()
-    usable = [i for i, g in enumerate(gens) if g.total_degree() <= degree]
-    filtered = usable[0] if usable and len(gens[usable[0]].terms) == 1 else None
-    gradings = jets._common_gradings([gens[i] for i in usable] + [query], query.ring.nvars)
-    generators = jets._Generators(gens, usable, gradings)
-    span = _BumpingSpan()
-    packing, cleared, units = jets._solve_membership(query, generators, span, filtered)
-    cert = jets._certificate(query, generators, span, packing, cleared, filtered, units)
+    component = _component(query, gens, _BumpingSpan)
+    span = component.span
+    cert = component.certify(query).combination
     if cert is None:
         return
     assert cert == homogeneous_membership(query, gens).combination
     for key in span.relation[0]:
         span.bump = key
         with pytest.raises(InvariantViolationError):
-            jets._certificate(query, generators, span, packing, cleared, filtered, units)
+            component.certify(query)
 
 
 def test_oracle_offers_no_g0_row(monkeypatch):
@@ -1394,7 +1393,7 @@ def test_guard_bit_divisibility_matches_componentwise_comparison(case):
     def pack(exps):
         return sum(e << s for e, s in zip(exps, packing.shifts))
 
-    # the F5 test of `jets._solve_membership` is this guard-bit test, inlined
+    # the F5 test of the oracle's multiplier tables is this guard-bit test, inlined
     for t in ts:
         assert packing.divides(pack(t), pack(m)) == all(a >= b for a, b in zip(m, t))
 
@@ -1723,7 +1722,8 @@ def test_jet_ring_record_holds_nothing_per_degree():
     fresh = jets._JetIdeal(2, 3)
     assert [getattr(record, name) for name in fields] == [getattr(fresh, name) for name in fields]
     assert set(record.specs) == {Composition((2, 2)), Composition((3, 1)), Composition((1, 3))}
-    assert jets._membership(derivative_monomial((1, 2), fresh.desc) ** 7, fresh, None).member
+    query = derivative_monomial((1, 2), fresh.desc) ** 7
+    assert jets._Component(query, fresh, None).certify(query).member
     assert record.leads is not None and record.leads == fresh.leads
     slots = set(jets._Generators.__slots__) | set(jets._JetIdeal.__slots__)
     assert slots == {*fields, "desc", "specs", "leads"}
@@ -1888,11 +1888,9 @@ def test_budget_bounds_the_multiplier_pass_from_its_start():
     assert peak < 2**20
 
 
-def test_one_component_span_answers_every_query_of_the_component():
-    # all four queries lie in the component of (x^(0,1,1))^3 for n = 3,
-    # H = 2; one span built from its degree and weights certifies the first
-    # three and refuses x^(0,1,1)^2*x^(1,0,1), each as the oracle answers
-    # the query alone
+def _one_component_queries() -> tuple:
+    """The jet generators for n = 3, H = 2, four queries of the component
+    of (x^(0,1,1))^3, and the `_Component` built from the first."""
     desc = JetRingDesc(3, 2)
     gens = jet_generators(None, desc)
     x = [
@@ -1904,17 +1902,38 @@ def test_one_component_span_answers_every_query_of_the_component():
     gradings = jets._common_gradings(gens + [queries[0]], desc.ring.nvars)
     generators = jets._Generators(gens, usable, gradings)
     assert len({_weights(gradings, next(iter(q.terms))) for q in queries}) == 1
-    span = ExactSpan()
-    packing, cleared, units = jets._solve_membership(queries[0], generators, span, 0)
+    return gens, queries, jets._Component(queries[0], generators, None)
+
+
+def test_one_component_span_answers_every_query_of_the_component():
+    # one span built from the component's degree and weights certifies the
+    # first three queries and refuses x^(0,1,1)^2*x^(1,0,1), each as the
+    # oracle answers the query alone
+    gens, queries, component = _one_component_queries()
     sizes = []
     for query in queries:
-        certificate = jets._certificate(query, generators, span, packing, cleared, 0, units)
+        certificate = component.certify(query).combination
         result = homogeneous_membership(query, gens)
         assert certificate == result.combination
         if result.member:
             assert result.verify(query, gens)
         sizes.append(None if certificate is None else len(certificate))
     assert sizes == [21, 21, 1, None]
+
+
+def test_certify_leaves_the_component_as_it_found_it():
+    # certifying reads the span and the unit table and changes neither, so
+    # each query of the component certifies the same way a second time
+    _, queries, component = _one_component_queries()
+    span = component.span
+    before = span.rank, _pivot_rows(span), dict(component.units)
+    first = [component.certify(query) for query in queries]
+    second = [component.certify(query) for query in queries]
+    assert (span.rank, _pivot_rows(span), component.units) == before
+    assert [(r.member, r.degree, r.combination) for r in second] == [
+        (r.member, r.degree, r.combination) for r in first
+    ]
+    assert [r.member for r in first] == [True, True, True, False]
 
 
 def _kept_and_span_counts(monkeypatch, h) -> tuple:

@@ -12,12 +12,14 @@ from jetform import (
     JetRingDesc,
     JetformError,
     ParseError,
+    Permutation,
     RingMismatchError,
     Ring,
     c_lambda_generators,
     c_lambda_ring,
     compositions,
     divide,
+    elementary_symmetric,
     homogeneous_membership,
     jet_generators,
     normal_form_IS,
@@ -27,7 +29,9 @@ from jetform import (
     sym_lambda_average,
     zring,
 )
-from jetform.polyring import Monomial, Packing, Poly, _ratio_text, format_monomial, format_poly
+from jetform.polyring import (
+    Monomial, Packing, Poly, _ratio_text, format_monomial, format_poly, spoly,
+)
 
 from conftest import make_rng, random_poly
 
@@ -94,11 +98,22 @@ def test_from_terms_checks_monomial_keys_as_it_checks_tuples():
     assert Poly(ring, {Monomial((1, 0)): 2, Monomial((0, 1)): Fraction(1, 2)}) == expected
 
 
-@pytest.mark.parametrize("coeff", [0.1, 1.0, "1", complex(1, 0)])
+@pytest.mark.parametrize("coeff", [0.1, 0.5, 1.0, "1", "1/3", "abc", complex(1, 0)])
 def test_a_coefficient_that_is_not_rational_is_refused(coeff):
+    # the constructor and every entry point that takes a coefficient refuse
+    # it alike, naming its type, where Fraction would round or parse it
     ring = zring(2)
-    with pytest.raises(DomainError, match="ints or Fractions"):
-        Poly(ring, {Monomial((1, 0)): coeff})
+    z1 = ring.var(0)
+    message = "coefficients must be ints or Fractions, not %s$" % type(coeff).__name__
+    for call in [
+        lambda: Poly(ring, {Monomial((1, 0)): coeff}),
+        lambda: z1.scale(coeff),
+        lambda: z1.mul_monomial(Monomial((1, 0)), coeff),
+        lambda: ring.const(coeff),
+        lambda: ring.from_terms({(1, 0): coeff}),
+    ]:
+        with pytest.raises(DomainError, match=message):
+            call()
     with pytest.raises(DomainError):
         Poly(ring, {Monomial((0, 1)): Fraction(1, 3), Monomial((1, 0)): coeff})
 
@@ -108,8 +123,10 @@ def test_ints_and_fractions_are_exact_coefficients():
     p = Poly(ring, {Monomial((1, 0)): 3, Monomial((0, 1)): Fraction(-2, 6), Monomial((0, 0)): 0})
     assert p.nums == {Monomial((1, 0)): 9, Monomial((0, 1)): -1} and p.denom == 3
     assert str(p * 3) == "9*z1 - z2"
-    # Ring.const, from_terms and scale convert through Fraction(c), floats exactly
-    assert ring.const(0.5) == ring.from_terms({(0, 0): 0.5}) == ring.one().scale(0.5)
+    # Ring.const, from_terms, scale and mul_monomial take them as the constructor does
+    half = Fraction(1, 2)
+    assert ring.const(half) == ring.from_terms({(0, 0): half}) == ring.one().scale(half)
+    assert ring.one().mul_monomial(Monomial((0, 0)), half) == ring.const(half)
 
 
 def test_ring_mismatch_raises():
@@ -140,16 +157,55 @@ _P = _Z.var(0)
         lambda: homogeneous_membership(1, [_P]),
         lambda: _P + 1,
         lambda: _P * 0.5,
+        lambda: spoly(_P, 3),
+        lambda: spoly(3, _P),
     ],
     ids=[
         "normal_form_IS", "nu", "schubert_expansion", "schubert_expansion_of_its_ring",
         "sym_lambda_average", "divide", "substitute", "jet_generators",
-        "membership_generator", "membership_query", "add", "mul",
+        "membership_generator", "membership_query", "add", "mul", "spoly", "spoly_first",
     ],
 )
 def test_a_value_that_is_not_a_polynomial_is_a_domain_error(call):
     # `errors._in_ring` refuses a value with no ring, naming what it wanted
     with pytest.raises(DomainError, match="must be a Poly, not "):
+        call()
+
+
+_DESC21 = JetRingDesc(2, 1)
+_X1X2 = _DESC21.base_ring.var(0) * _DESC21.base_ring.var(1)
+_Q = _DESC21.ring.var(0) * _DESC21.ring.var(2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: jet_generators(_X1X2, _DESC21), "generators must be a sequence"),
+        (lambda: homogeneous_membership(_Q, _Q), "generators must be a sequence"),
+        (lambda: homogeneous_membership(_Q, None), "generators must be a sequence"),
+        (
+            lambda: homogeneous_membership(_Q, jet_generators(None, _DESC21)).verify(_Q, None),
+            "generators must be a sequence",
+        ),
+        (lambda: divide(_P, _P), "division basis must be a sequence"),
+        (lambda: _P.substitute(zring(3), 5), "substitution images must be a sequence"),
+        (lambda: elementary_symmetric(zring(3), 1, 5), "variable indices must be a sequence"),
+        (lambda: Permutation(3), "permutation must be a sequence"),
+        (lambda: Composition(5), "composition parts must be a sequence"),
+        (lambda: parse_poly(zring(3), 5), "polynomial text must be a str, not int"),
+        (lambda: Ring(5), "variable names must be a sequence"),
+        (lambda: _Z.monomial(5), "exponent vector must be a sequence"),
+        (lambda: _P.permute_vars(5), "variable images must be a sequence"),
+    ],
+    ids=[
+        "jet_generators", "membership_generators", "membership_no_generators", "verify",
+        "divide", "substitute", "elementary_symmetric", "Permutation", "Composition",
+        "parse_poly", "Ring", "Ring.monomial", "permute_vars",
+    ],
+)
+def test_a_value_that_is_not_a_sequence_or_text_is_a_domain_error(call, message):
+    # `errors._sequence` refuses a value it cannot iterate, naming the argument
+    with pytest.raises(DomainError, match=message):
         call()
 
 
