@@ -97,10 +97,10 @@ def _sequence(value, what: str) -> tuple:
 
 
 def _instance(value, cls: type, what: str):
-    """`value` if it is a `cls`: the one check of a Composition, JetRingDesc
-    or Permutation argument.  Anything else, a tuple that spells one
-    included, is a DomainError naming `what`, the type wanted and the type
-    given, where reading the value's attributes would raise AttributeError."""
+    """`value` if it is a `cls`: the one check of a Composition, JetRingDesc,
+    Permutation, Ring, Budget or mapping argument.  Anything else, a tuple
+    that spells one included, is a DomainError naming `what`, the type wanted
+    and the type given, where reading its attributes would raise AttributeError."""
     if not isinstance(value, cls):
         raise DomainError("%s must be a %s, not %s" % (what, cls.__name__, type(value).__name__))
     return value

@@ -28,13 +28,13 @@ F5 test keeps it.  The F5 test's divisors, for the jet generators, are the
 leads of a trailing-term Groebner basis built once per jet ring and in full.
 
 What a search reads of the jet ring itself is one record per (n, m),
-`_jet_ideal`: the generators, checked homogeneous once, their common
-gradings, each generator's total degree and weights, the psi
-specialisations, each made on first use and kept only once its kernel
-check has passed, and the leads of the full trailing-term basis.  The
-record holds nothing that depends on a query's degree: the packing, the
-multiplier table, the unit table and the span are built for each query
-and dropped with it.
+`_jet_ideal`: the generators, checked homogeneous once, the degree in
+each block and the weight as their gradings, each generator's total
+degree and weights, the psi specialisations, each made on first use and
+kept only once its kernel check has passed, and the leads of the full
+trailing-term basis.  The record holds nothing that depends on a query's
+degree: the packing, the multiplier table, the unit table and the span
+are built for each query and dropped with it.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import mul
+from operator import mul, sub
 
 from .errors import (
     BudgetExceededError, CapExceededError, DomainError, InvariantViolationError, _in_ring,
@@ -95,23 +95,25 @@ class MembershipResult:
         entry naming no generator or no exponent vector of p's ring fails,
         as does one whose index or exponents are not ints."""
         gens = _sequence(gens, "generators")
+        ring = _in_ring(p, None, "membership query").ring
         for i, g in enumerate(gens):
-            _in_ring(g, p.ring, "generator %d" % i)
+            _in_ring(g, ring, "generator %d" % i)
         if not self.member:
             return False
         gen_terms = [g.terms for g in gens]
         terms: dict[Monomial, Fraction] = {}
         for gi, mono, coeff in self.combination:
-            if type(gi) is not int or not 0 <= gi < len(gens) or len(mono) != p.ring.nvars:
+            if type(gi) is not int or not 0 <= gi < len(gens) or len(mono) != ring.nvars:
                 return False
             if not all(type(e) is int and e >= 0 for e in mono):
                 return False
             for m, c in gen_terms[gi].items():
                 key = m * mono
                 terms[key] = terms.get(key, 0) + c * coeff
-        return Poly(p.ring, terms) == p
+        return Poly(ring, terms) == p
 
     def to_json(self, ring: Ring) -> dict:
+        _instance(ring, Ring, "ring")
         payload = {"member": self.member, "degree": self.degree}
         if self.member:
             payload["combination"] = [
@@ -143,12 +145,13 @@ def _common_gradings(polys: list[Poly], nvars: int) -> list[tuple[int, ...]]:
 
 class _Generators:
     """Homogeneous generators as the oracle reads them: `polys`, the indices
-    `usable` of those of degree at most the queries', common `gradings` of
-    the usable ones and of the queries, and each usable generator's total
-    degree and weights under the gradings, keyed by index.  Built per call
-    by `homogeneous_membership`, and once per jet ring by `_jet_ideal`,
-    whose `multiplier_table` and `trailing_leads` read the jet ring's
-    structure where these read only the fields.
+    `usable` of those of degree at most the queries', `gradings` under
+    which the usable ones and the queries are homogeneous, with the total
+    degree in their span, and each usable generator's total degree and
+    weights under the gradings, keyed by index.  Built per call by
+    `homogeneous_membership`, and once per jet ring by `_jet_ideal`, whose
+    `multiplier_table` and `trailing_leads` read the jet ring's structure
+    where these read only the fields.
     """
 
     __slots__ = ("polys", "usable", "gradings", "degrees", "weights")
@@ -158,27 +161,24 @@ class _Generators:
         self.usable = usable
         self.gradings = gradings
         self.degrees = {i: polys[i].total_degree() for i in usable}
-        self.weights = {i: tuple(_weight_of(polys[i], w) for w in gradings) for i in usable}
+        self.weights = {i: _weight_of(polys[i], gradings).pop() for i in usable}
 
     def multiplier_table(
-        self, p: Poly, targets: dict, packing: Packing, budget, leads: dict
+        self, mult_degrees: dict, targets: dict, packing: Packing, budget, leads: dict
     ) -> dict:
         """{generator index: the packed multipliers the F5 test keeps} for
-        `targets`, {generator index: the weights under `gradings` its
-        multipliers must have}, of p's component: one `_packed_multipliers`
-        pass per multiplier degree lists every multiplier, and each is then
-        kept unless one of the generator's packed trailing `leads` divides
-        it.  Generators with the same target share its list, popped once its
-        last one has been tested."""
-        degree = p.total_degree()
+        `targets` and `mult_degrees`, {generator index: the weights under
+        `gradings` and the total degree its multipliers must have}: one
+        `_packed_multipliers` pass per multiplier degree lists every
+        multiplier, and each is then kept unless one of the generator's
+        packed trailing `leads` divides it.  Generators with the same target
+        share its list, popped once its last one has been tested."""
         by_degree: dict = {}
         for gi, t in targets.items():
-            by_degree.setdefault(degree - self.degrees[gi], set()).add(t)
+            by_degree.setdefault(mult_degrees[gi], set()).add(t)
         table = {}
-        for mult_degree, wanted in by_degree.items():
-            table.update(
-                _packed_multipliers(mult_degree, self.gradings, wanted, packing.shifts, budget)
-            )
+        for degree, wanted in by_degree.items():
+            table.update(_packed_multipliers(degree, self.gradings, wanted, packing.shifts, budget))
         last_user = {t: gi for gi, t in targets.items()}
         guard = packing.guard
         kept = {}
@@ -318,9 +318,9 @@ def _packed_multipliers(degree: int, gradings, targets, shifts, budget=None) -> 
     return out
 
 
-def _weight_of(poly: Poly, weights) -> int:
-    mono = next(iter(poly.nums))
-    return sum(w * e for w, e in zip(weights, mono))
+def _weight_of(poly: Poly, gradings) -> set:
+    """The distinct weights, as tuples, of poly's terms under `gradings`."""
+    return {tuple([sum(map(mul, w, mono)) for w in gradings]) for mono in poly.nums}
 
 
 def _in_box(exps, top: int, bounds) -> bool:
@@ -452,10 +452,12 @@ class _Component:
     `homogeneous_membership` reads them, and the certificate of every query
     of that component: of p's degree and of p's weights under the gradings.
 
-    The constructor builds `span`, an `ExactSpan` charged to `budget` if
-    given, from the multiplier*generator rows of the component, read from
-    p's degree and weights alone, never its terms; `certify(q)` packs q's
-    terms once, reduces them against the span and re-expands the result.
+    The constructor keeps p's `degree` and `weights`, and the total degree
+    `mult_degrees` and weights `targets` of each inserted generator's
+    multipliers.  From them alone, never p's terms, it builds `span`, an
+    `ExactSpan` charged to `budget` if given, from the multiplier*generator
+    rows of the component; `certify(q)` refuses a q outside the component,
+    and packs q's terms, reduces them by the span and re-expands the result.
 
     Rows are inserted generator by generator in `gens.usable` order, each
     generator's multipliers in table order.  A row M*g_k is skipped (the F5
@@ -554,39 +556,34 @@ class _Component:
     give, re-expanded against q before it is returned.
     """
 
-    __slots__ = ("gens", "degree", "packing", "cleared", "filtered", "units", "span")
+    __slots__ = ("gens", "degree", "weights", "mult_degrees", "targets", "packing", "cleared",
+                 "filtered", "units", "span")
 
     def __init__(self, p: Poly, gens: _Generators, budget: Budget | None):
         self.gens = gens
         self.degree = degree = p.total_degree()
+        self.weights = weights = _weight_of(p, gens.gradings).pop()
         self.packing = packing = Packing(p.ring.nvars, degree)
         self.span = span = ExactSpan(budget=budget)
         guard = packing.guard
         usable = gens.usable
         polys = gens.polys
-        filtered = usable[0] if usable and len(polys[usable[0]].nums) == 1 else None
-        self.filtered = filtered
+        self.filtered = filtered = usable[0] if usable and len(polys[usable[0]].nums) == 1 else None
         inserted = usable[1:] if filtered is not None else usable
-        gradings = gens.gradings
-        p_weights = [_weight_of(p, w) for w in gradings]
-        targets = {
-            gi: tuple(pw - gw for pw, gw in zip(p_weights, gens.weights[gi])) for gi in inserted
-        }
+        self.mult_degrees = mult_degrees = {gi: degree - gens.degrees[gi] for gi in inserted}
+        self.targets = targets = {gi: tuple(map(sub, weights, gens.weights[gi])) for gi in inserted}
         self.cleared = cleared = {
             gi: ({packing.pack(m): v for m, v in polys[gi].nums.items()}, polys[gi].denom)
             for gi in usable
         }
         # a lead divides a multiplier only if no grading without negative
         # entries weighs it more, nor does the total degree
-        bounds = [
-            (w, max((t[c] for t in targets.values()), default=0))
-            for c, w in enumerate(gradings)
-            if min(w) >= 0
-        ]
-        top = max((degree - gens.degrees[gi] for gi in inserted), default=0)
+        highs = map(max, zip(*targets.values()))
+        bounds = [(w, high) for w, high in zip(gens.gradings, highs) if min(w) >= 0]
+        top = max(mult_degrees.values(), default=0)
         rows = [row for row, _ in cleared.values()]
         leads = dict(zip(usable, gens.trailing_leads(rows, packing, top, bounds, budget)))
-        table = gens.multiplier_table(p, targets, packing, budget, leads)
+        table = gens.multiplier_table(mult_degrees, targets, packing, budget, leads)
         g0, fields = guard, 0  # a guard bit exceeds every entry, so it divides no packed monomial
         if filtered is not None:
             g0 = next(iter(cleared[filtered][0]))  # the packed monomial g_0
@@ -621,7 +618,10 @@ class _Component:
     def certify(self, q: Poly) -> MembershipResult:
         """The verdict on q, a nonzero query of the component, with its
         certificate as sorted (generator index, multiplier, coefficient)
-        triples; the span is read, never changed."""
+        triples; the span is read, never changed.  A term of q of other
+        weights, and so any of another degree, raises DomainError."""
+        if not _weight_of(q, self.gens.gradings) <= {self.weights}:
+            raise DomainError("query is not in the component")
         packing, cleared, filtered, units = self.packing, self.cleared, self.filtered, self.units
         terms = {packing.pack(m): v for m, v in q.nums.items()}
         query = {-k: v for k, v in terms.items() if -k not in units}
@@ -632,7 +632,6 @@ class _Component:
         if relation is None:
             return MembershipResult(False, self.degree, None)
         comb, scale = relation
-        mult_degree = {gi: self.degree - self.gens.degrees[gi] for gi in cleared}
         residual = {k: v * scale for k, v in terms.items()}
         scale *= q.denom
         triples = []
@@ -650,7 +649,7 @@ class _Component:
 
         for (gi, mult), c in comb.items():
             mono = packing.unpack(mult)
-            if sum(mono) != mult_degree[gi]:
+            if sum(mono) != self.mult_degrees[gi]:
                 raise InvariantViolationError("membership certificate failed re-expansion")
             take(gi, mult, mono, Fraction(c * cleared[gi][1], scale))
         for key in [k for k, v in residual.items() if v and -k in units]:
@@ -691,6 +690,8 @@ def homogeneous_membership(
     This entry checks its input, picks the generators of degree at most
     deg p and takes common gradings of them and of p.
     """
+    if budget is not None:
+        _instance(budget, Budget, "memory budget")
     if not _in_ring(p, None, "membership query").is_homogeneous():
         raise DomainError("membership query must be homogeneous")
     gens = _homogeneous_generators(gens, p.ring)
@@ -732,8 +733,9 @@ class _JetIdeal(_Generators):
     """The jet ideal of x_1...x_n of order m as the minimal-degree search
     reads it, made once per (n, m) by `_jet_ideal`: `desc`; g_0..g_m as
     `polys`, checked homogeneous once, every one usable, as all have degree
-    n and every query of the search has degree a multiple of n, with their
-    common gradings and what `_Generators` derives from them; `specs`, the
+    n and every query of the search has degree a multiple of n; as their
+    gradings, stated, the degree in each block, then the weight, the sum of
+    the orders, and what `_Generators` derives from them; `specs`, the
     lazy kernel-checked psi_lambda; and `leads`, None until an elimination
     has found the full trailing-term basis of every I_<k, then its minimal
     leads as exponent tuples, one tuple of them per k.  No field depends on
@@ -745,23 +747,22 @@ class _JetIdeal(_Generators):
     def __init__(self, n: int, m: int):
         self.desc = desc = JetRingDesc(n, m)
         polys = _homogeneous_generators(jet_generators(None, desc), desc.ring)
-        usable = list(range(len(polys)))
-        super().__init__(polys, usable, _common_gradings(polys, desc.ring.nvars))
+        blocks, orders = zip(*map(desc.pair, range(desc.ring.nvars)))
+        gradings = [tuple(int(i == b) for i in blocks) for b in range(1, n + 1)] + [orders]
+        super().__init__(polys, list(range(len(polys))), gradings)
         self.specs = _Specs(desc, polys)
         self.leads = None
 
     def multiplier_table(
-        self, p: Poly, targets: dict, packing: Packing, budget, leads: dict
+        self, mult_degrees: dict, targets: dict, packing: Packing, budget, leads: dict
     ) -> dict:
         """The table of `_Generators.multiplier_table` as block products,
         with the F5 test run where the products are made, so that no
-        multiplier it rejects is built.  g_k has degree 1 in every block
-        and weight k, so for p of degree d+1 in every block its multipliers
-        have degree d in every block and p's weight less k, which fix their
-        target, as block degrees and weight span the gradings for n >= 2.
-        One `_packed_multipliers` pass lists the block monomials of degree d
-        by weight under (1,...,1) and (0,1,...,m); block i's are shifted to
-        its fields.
+        multiplier it rejects is built.  A search's query has degree d+1 in
+        every block, so g_k's target is degree d in every block and a
+        weight, its last entry.  One `_packed_multipliers` pass lists the
+        block monomials of degree d by weight under (1,...,1) and
+        (0,1,...,m); block i's are shifted to its fields.
 
         Each distinct lead of `leads` is one bit, and g_k's leads are one
         mask of them.  Block i's monomial b gets the mask of the leads whose
@@ -779,15 +780,13 @@ class _JetIdeal(_Generators):
         per product in place of one test per lead.  Each list of the last
         block is charged for every candidate product before it is built and
         credited the rejected ones after, so the charge never falls behind
-        what is built.  n = 1 takes the generic pass.
+        what is built.  n = 1, or no target, takes the generic pass.
         """
         n, width = self.desc.n, self.desc.m + 1
-        if n == 1:
-            return super().multiplier_table(p, targets, packing, budget, leads)
-        mono = next(iter(p.nums))
-        d = sum(mono[:width]) - 1
-        weight = sum(j * e for j, e in zip(itertools.cycle(range(width)), mono))
-        wanted = {gi: weight - gi for gi in targets}
+        if n == 1 or not targets:
+            return super().multiplier_table(mult_degrees, targets, packing, budget, leads)
+        d = next(iter(targets.values()))[0]
+        wanted = {gi: t[-1] for gi, t in targets.items()}
         gradings, top = [(1,) * width, tuple(range(width))], d * (width - 1)
         table = _packed_multipliers(
             d, gradings, [(d, w) for w in range(top + 1)], packing.shifts[:width], budget
@@ -942,6 +941,8 @@ def min_degree_search(
     h = _derivative_tuple(h)
     formula = min_degree_formula(h)
     cap = _size(formula + 2 if cap is None else cap, "cap", 1)
+    if budget is not None:
+        _instance(budget, Budget, "memory budget")
     ideal = _jet_ideal(len(h), sum(h))
     mono = derivative_monomial(h, ideal.desc)
     spec = ideal.specs[_witness_composition(h)]
@@ -954,9 +955,8 @@ def min_degree_search(
             )
             continue
         try:
-            # mono^d, a monomial of degree d*n >= n, finds every generator
-            # usable and adds no constraint to their gradings: the record's
-            # are the ones `homogeneous_membership` would compute
+            # mono^d, of degree d*n >= n, finds every generator usable; the record's gradings
+            # span those `homogeneous_membership` solves for, or for n = 1 a part of them
             query = mono**d
             result = _Component(query, ideal, budget).certify(query)
         except BudgetExceededError as exc:

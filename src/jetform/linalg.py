@@ -27,7 +27,7 @@ from numbers import Real
 from types import MappingProxyType
 from typing import Hashable, Mapping
 
-from .errors import BudgetExceededError, DomainError
+from .errors import BudgetExceededError, DomainError, _instance
 
 __all__ = ["ExactSpan", "Budget", "integer_nullspace"]
 
@@ -129,7 +129,7 @@ class ExactSpan:
     """
 
     def __init__(self, budget: Budget | None = None):
-        self.budget = budget
+        self.budget = budget if budget is None else _instance(budget, Budget, "memory budget")
         self.pivots: dict[Hashable, _Row] = {}
 
     @property

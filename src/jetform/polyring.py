@@ -32,12 +32,14 @@ terms are summed as pairs of ints, and `_ratio_text` prints a coefficient.
 from __future__ import annotations
 
 import re
+from collections.abc import Hashable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, sub
-from typing import Hashable, Iterable, Mapping, Sequence
 
-from .errors import DomainError, ParseError, RingMismatchError, _in_ring, _sequence, _size
+from .errors import (
+    DomainError, ParseError, RingMismatchError, _in_ring, _instance, _sequence, _size,
+)
 
 __all__ = [
     "Ring",
@@ -107,7 +109,7 @@ class Ring:
 
     def from_terms(self, terms: Mapping[tuple[int, ...] | "Monomial", object]) -> Poly:
         fixed = {}
-        for mono, coeff in terms.items():
+        for mono, coeff in _instance(terms, Mapping, "polynomial terms").items():
             mono = self.monomial(mono)
             fixed[mono] = fixed.get(mono, Fraction(0)) + Fraction(_coefficient(coeff))
         return Poly(self, fixed)
@@ -614,7 +616,7 @@ def _ratio_text(num: int, den: int) -> str:
 
 def format_poly(p: Poly) -> str:
     """p in the grammar `parse_poly` reads, in descending lex, from p.nums."""
-    if not p.nums:
+    if not _in_ring(p, None, "polynomial").nums:
         return "0"
     chunks = []
     for mono, n in sorted(p.nums.items(), reverse=True):

@@ -367,12 +367,12 @@ def test_packed_multipliers_match_reference_on_oracle_calls(monkeypatch):
         assert got == list(_packed_multipliers_by_exponent(*call).items())
 
 
-def _check_kept_multipliers(record, p, targets, packing, leads, got):
+def _check_kept_multipliers(record, mult_degrees, targets, packing, leads, got):
     """Check a jet ring's table `got` against the reference of
     `_Generators.multiplier_table`, the generic pass followed by the
     per-multiplier F5 test against each generator's `leads`: for each
     generator, the same multipliers, none listed twice."""
-    want = jets._Generators.multiplier_table(record, p, targets, packing, None, leads)
+    want = jets._Generators.multiplier_table(record, mult_degrees, targets, packing, None, leads)
     assert got.keys() == want.keys() == targets.keys()
     for gi, keys in got.items():
         assert len(set(keys)) == len(keys) and set(keys) == set(want[gi]), gi
@@ -388,9 +388,9 @@ def _check_record_enumerations(monkeypatch, tuples) -> list:
     table_, leads_ = jets._JetIdeal.multiplier_table, jets._JetIdeal.trailing_leads
     reused = []
 
-    def table(record, p, targets, packing, budget, leads):
-        got = table_(record, p, targets, packing, budget, leads)
-        _check_kept_multipliers(record, p, targets, packing, leads, got)
+    def table(record, mult_degrees, targets, packing, budget, leads):
+        got = table_(record, mult_degrees, targets, packing, budget, leads)
+        _check_kept_multipliers(record, mult_degrees, targets, packing, leads, got)
         return got
 
     def leads(record, rows, packing, top, bounds, budget):
@@ -454,6 +454,7 @@ def test_jet_ring_multiplier_table_matches_the_generic_pass(query, data):
     targets = {
         gi: tuple(a - b for a, b in zip(weights, record.weights[gi])) for gi in record.usable
     }
+    mult_degrees = {gi: p.total_degree() - record.degrees[gi] for gi in record.usable}
     rows = [{packing.pack(k): v for k, v in g.nums.items()} for g in record.polys]
     top = p.total_degree() - n
     basis = jets._trailing_term_leads(rows, packing, top, [], None)
@@ -463,8 +464,8 @@ def test_jet_ring_multiplier_table_matches_the_generic_pass(query, data):
         gi: list(dict.fromkeys(trailing + [packing.pack(e) for e in data.draw(drawn) if any(e)]))
         for gi, trailing in zip(record.usable, basis)
     }
-    got = record.multiplier_table(p, targets, packing, None, leads)
-    _check_kept_multipliers(record, p, targets, packing, leads, got)
+    got = record.multiplier_table(mult_degrees, targets, packing, None, leads)
+    _check_kept_multipliers(record, mult_degrees, targets, packing, leads, got)
 
 
 def test_membership_certificates_reexpand():
@@ -1210,8 +1211,8 @@ def test_oracle_enumerates_no_g0_multiplier(monkeypatch):
     calls = []
     enumerate_ = jets._JetIdeal.multiplier_table
 
-    def recording(record, p, targets, packing, budget, leads):
-        got = enumerate_(record, p, targets, packing, budget, leads)
+    def recording(record, mult_degrees, targets, packing, budget, leads):
+        got = enumerate_(record, mult_degrees, targets, packing, budget, leads)
         calls.append((set(targets), set(got), {gi for gi, keys in got.items() if keys}))
         return got
 
@@ -1856,6 +1857,7 @@ def test_block_product_charge_covers_its_traced_build_peak():
     targets = {
         gi: tuple(a - b for a, b in zip(weights, record.weights[gi])) for gi in record.usable[1:]
     }
+    mult_degrees = {gi: query.total_degree() - record.degrees[gi] for gi in targets}
     packing = Packing(record.desc.ring.nvars, query.total_degree())
     rows = [{packing.pack(k): v for k, v in g.nums.items()} for g in record.polys]
     top = query.total_degree() - 3
@@ -1863,7 +1865,7 @@ def test_block_product_charge_covers_its_traced_build_peak():
     budget = Budget(None)
     tracemalloc.start()
     try:
-        table = record.multiplier_table(query, targets, packing, budget, leads)
+        table = record.multiplier_table(mult_degrees, targets, packing, budget, leads)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1934,6 +1936,47 @@ def test_certify_leaves_the_component_as_it_found_it():
         (r.member, r.degree, r.combination) for r in first
     ]
     assert [r.member for r in first] == [True, True, True, False]
+
+
+def test_certify_refuses_a_query_of_another_component():
+    # the component of x1_0*x2_2 in the (2, 2) jet ring has weight 2; g_1,
+    # a member of weight 1, or a query with one term of weight 1, is not
+    # one of its queries, and is refused as such, not certified a non-member
+    desc = JetRingDesc(2, 2)
+    gens = jet_generators(None, desc)
+    x = desc.var
+    component = _component(x(1, 0) * x(2, 2), gens)
+    for query in [gens[1], x(1, 0) * x(2, 2) + x(1, 0) * x(2, 1)]:
+        with pytest.raises(DomainError, match="query is not in the component$"):
+            component.certify(query)
+    assert homogeneous_membership(gens[1], gens).member
+    # the component's own queries certify as the oracle answers each alone
+    for query in [x(1, 0) * x(2, 2), x(1, 1) * x(2, 1), gens[2], gens[2] * 3 - x(1, 2) * x(2, 0)]:
+        certificate = component.certify(query)
+        result = homogeneous_membership(query, gens)
+        assert (certificate.member, certificate.combination) == (result.member, result.combination)
+    assert component.certify(gens[2]).combination == [(2, Monomial((0,) * 6), 1)]
+
+
+def test_jet_ring_states_gradings_that_span_the_solved_ones():
+    # the record's gradings are the degree in each block, then the weight;
+    # every generator is homogeneous under each, and for n >= 2 they span
+    # the gradings `_common_gradings` solves for, for n = 1 a part of them
+    import sympy
+
+    for n, m in itertools.product(range(1, 5), range(5)):
+        record = jets._JetIdeal(n, m)
+        nvars = record.desc.ring.nvars
+        assert record.gradings == [
+            tuple(int(v // (m + 1) == i) for v in range(nvars)) for i in range(n)
+        ] + [tuple(v % (m + 1) for v in range(nvars))]
+        for g in record.polys:
+            for w in record.gradings:
+                assert len({_weights([w], mono) for mono in g.nums}) == 1, (n, m, w)
+        solved = jets._common_gradings(list(record.polys), nvars)
+        rank = sympy.Matrix(record.gradings).rank()
+        assert sympy.Matrix(record.gradings + solved).rank() == len(solved), (n, m)
+        assert rank == (len(solved) if n >= 2 else min(m + 1, 2)), (n, m)
 
 
 def _kept_and_span_counts(monkeypatch, h) -> tuple:
@@ -2184,8 +2227,9 @@ def test_compositions_are_refused_alike(entry, lam):
         call(lam)
 
 
-# each entry point that takes a Composition, JetRingDesc or Permutation, as
-# the type it wants and a call that hands it the tuple or list spelling one
+# each entry point that takes a Composition, JetRingDesc, Permutation or
+# mapping, as the type it wants and a call that hands it the tuple or list
+# spelling one
 _VALUE_TYPE_ENTRY_POINTS = {
     "dim_A_lambda": ("Composition", lambda: dim_A_lambda((2, 1))),
     "nilpotency_order": (
@@ -2202,6 +2246,7 @@ _VALUE_TYPE_ENTRY_POINTS = {
     "schubert_poly": ("Permutation", lambda: schubert_poly([2, 1])),
     "monk_expand": ("Permutation", lambda: monk_expand(1, [2, 1])),
     "Permutation.__mul__": ("Permutation", lambda: Permutation([2, 1]) * (2, 1)),
+    "Ring.from_terms": ("Mapping", lambda: zring(3).from_terms([((1, 0, 0), 1)])),
 }
 
 

@@ -7,8 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jetform import (
+    Budget,
     Composition,
     DomainError,
+    ExactSpan,
     JetRingDesc,
     JetformError,
     ParseError,
@@ -22,6 +24,7 @@ from jetform import (
     elementary_symmetric,
     homogeneous_membership,
     jet_generators,
+    min_degree_search,
     normal_form_IS,
     nu,
     parse_poly,
@@ -159,11 +162,14 @@ _P = _Z.var(0)
         lambda: _P * 0.5,
         lambda: spoly(_P, 3),
         lambda: spoly(3, _P),
+        lambda: homogeneous_membership(_P, [_P]).verify(None, [_P]),
+        lambda: format_poly(5),
     ],
     ids=[
         "normal_form_IS", "nu", "schubert_expansion", "schubert_expansion_of_its_ring",
         "sym_lambda_average", "divide", "substitute", "jet_generators",
         "membership_generator", "membership_query", "add", "mul", "spoly", "spoly_first",
+        "verify_query", "format_poly",
     ],
 )
 def test_a_value_that_is_not_a_polynomial_is_a_domain_error(call):
@@ -196,15 +202,28 @@ _Q = _DESC21.ring.var(0) * _DESC21.ring.var(2)
         (lambda: Ring(5), "variable names must be a sequence"),
         (lambda: _Z.monomial(5), "exponent vector must be a sequence"),
         (lambda: _P.permute_vars(5), "variable images must be a sequence"),
+        (
+            lambda: homogeneous_membership(_Q, jet_generators(None, _DESC21)).to_json(None),
+            "ring must be a Ring, not NoneType$",
+        ),
+        (lambda: _Z.from_terms(5), "polynomial terms must be a Mapping, not int$"),
+        (lambda: min_degree_search((1, 1), budget=5), "memory budget must be a Budget, not int$"),
+        (lambda: ExactSpan(budget=5).insert({1: 1}, 0), "memory budget must be a Budget, not int$"),
+        (
+            lambda: homogeneous_membership(_Q, [_Q], budget=5),
+            "memory budget must be a Budget, not int$",
+        ),
     ],
     ids=[
         "jet_generators", "membership_generators", "membership_no_generators", "verify",
         "divide", "substitute", "elementary_symmetric", "Permutation", "Composition",
-        "parse_poly", "Ring", "Ring.monomial", "permute_vars",
+        "parse_poly", "Ring", "Ring.monomial", "permute_vars", "to_json", "Ring.from_terms",
+        "min_degree_search_budget", "ExactSpan_budget", "membership_budget",
     ],
 )
 def test_a_value_that_is_not_a_sequence_or_text_is_a_domain_error(call, message):
-    # `errors._sequence` refuses a value it cannot iterate, naming the argument
+    # `errors._sequence` refuses a value it cannot iterate, and `errors._instance`
+    # a value of another type, naming the argument
     with pytest.raises(DomainError, match=message):
         call()
 
