@@ -72,15 +72,22 @@ def _size(value, what: str, least: int = 0, most: int | None = None) -> int:
     return value
 
 
+class _Polynomial:
+    """The base of `polyring.Poly`, which imports this module: what lets
+    `_in_ring` tell a polynomial from another value with a `ring`."""
+
+    __slots__ = ()
+
+
 def _in_ring(poly, ring, what: str):
-    """`poly` if it lies in `ring`, or in any ring if `ring` is None: the one
-    check of ring identity.  A value with no ring is a DomainError naming
-    `what`; a polynomial of another ring, a RingMismatchError naming `what`,
-    the ring wanted and the ring given."""
-    try:
-        given = poly.ring
-    except AttributeError:
-        raise DomainError("%s must be a Poly, not %s" % (what, type(poly).__name__)) from None
+    """`poly` if it is a Poly of `ring`, or of any ring if `ring` is None:
+    the one check of a polynomial argument and of ring identity.  Anything
+    but a Poly, a value with a `ring` of its own included, is a DomainError
+    naming `what`; a Poly of another ring, a RingMismatchError naming
+    `what`, the ring wanted and the ring given."""
+    if not isinstance(poly, _Polynomial):
+        raise DomainError("%s must be a Poly, not %s" % (what, type(poly).__name__))
+    given = poly.ring
     if given is not ring and ring is not None and given != ring:  # mostly the same Ring
         raise RingMismatchError("%s must be in %r, not in %r" % (what, ring, given))
     return poly

@@ -172,7 +172,9 @@ class _Generators:
         `_packed_multipliers` pass per multiplier degree lists every
         multiplier, and each is then kept unless one of the generator's
         packed trailing `leads` divides it.  Generators with the same target
-        share its list, popped once its last one has been tested."""
+        share its list, popped once its last one has been tested.  No jet
+        search calls it: `_JetIdeal.multiplier_table` builds the same lists as
+        block products, and is tested against this one."""
         by_degree: dict = {}
         for gi, t in targets.items():
             by_degree.setdefault(mult_degrees[gi], set()).add(t)
@@ -771,7 +773,8 @@ class _JetIdeal(_Generators):
         product of block monomials exactly when each of its block parts
         divides that block's factor: the AND of the factors' masks is
         exactly the set of leads that divide the product, and the test is
-        the per-lead test of the generic table.  Block 0's lists start the
+        the per-lead test of the generic table.  The empty product, key 0
+        with mask -1, every lead's bit, the identity of the AND, starts the
         sums, and the blocks but the last are combined by weight into sums
         of packed ints that can still reach a target weight, masks ANDed
         alongside, each list charged "multiplier table" before it is built.
@@ -780,11 +783,11 @@ class _JetIdeal(_Generators):
         per product in place of one test per lead.  Each list of the last
         block is charged for every candidate product before it is built and
         credited the rejected ones after, so the charge never falls behind
-        what is built.  n = 1, or no target, takes the generic pass.
+        what is built.  With no target, as for m = 0, the table is empty.
         """
+        if not targets:
+            return {}
         n, width = self.desc.n, self.desc.m + 1
-        if n == 1 or not targets:
-            return super().multiplier_table(mult_degrees, targets, packing, budget, leads)
         d = next(iter(targets.values()))[0]
         wanted = {gi: t[-1] for gi, t in targets.items()}
         gradings, top = [(1,) * width, tuple(range(width))], d * (width - 1)
@@ -823,8 +826,8 @@ class _JetIdeal(_Generators):
                     ]
             return out
 
-        sums = block(0)
-        for i in range(1, n - 1):
+        sums = {0: ([0], [-1])}
+        for i in range(n - 1):
             rest = (n - 1 - i) * top  # the most weight the blocks after block i add
             nxt: dict = {}
             blk = block(i)

@@ -27,7 +27,7 @@ from numbers import Real
 from types import MappingProxyType
 from typing import Hashable, Mapping
 
-from .errors import BudgetExceededError, DomainError, _instance
+from .errors import BudgetExceededError, DomainError, _instance, _sequence
 
 __all__ = ["ExactSpan", "Budget", "integer_nullspace"]
 
@@ -259,6 +259,7 @@ def integer_nullspace(rows: list[list[int]], ncols: int) -> list[tuple[int, ...]
     pivot's lead is.  That is the reduced-echelon basis in column order,
     each vector primitive and positive at j.
     """
+    rows = _sequence(rows, "nullspace rows")
     span = ExactSpan()
     basis = []
     for j in range(ncols):

@@ -38,7 +38,7 @@ from math import gcd, lcm
 from operator import add, sub
 
 from .errors import (
-    DomainError, ParseError, RingMismatchError, _in_ring, _instance, _sequence, _size,
+    DomainError, ParseError, RingMismatchError, _in_ring, _instance, _Polynomial, _sequence, _size,
 )
 
 __all__ = [
@@ -200,7 +200,7 @@ class Packing:
         return ((m | guard) - t) & guard == guard
 
 
-class Poly:
+class Poly(_Polynomial):
     """Immutable sparse polynomial: integer numerators `nums`, Monomial ->
     nonzero int in construction order, over one denominator `denom` > 0.
 
@@ -332,6 +332,7 @@ class Poly:
         return result
 
     def mul_monomial(self, mono: Monomial, coeff=1) -> "Poly":
+        mono = self.ring.monomial(mono)
         coeff = Fraction(_coefficient(coeff))
         if coeff == 0:
             return self.ring.zero()
@@ -362,6 +363,7 @@ class Poly:
     def substitute(self, target: Ring, images: Sequence["Poly"]) -> "Poly":
         """Evaluate at `images`, one target-ring polynomial per variable; a
         cancelled coefficient is dropped at once, as in a running sum."""
+        _instance(target, Ring, "substitution target")
         images = _sequence(images, "substitution images")
         if len(images) != self.ring.nvars:
             raise RingMismatchError(
@@ -551,9 +553,8 @@ def parse_poly(ring: Ring, text: str) -> Poly:
     sum that cancels is dropped at once.  The sums are then put over the lcm
     of their reduced denominators, taken once, as the public constructor
     would put them."""
-    if not isinstance(text, str):
-        raise DomainError("polynomial text must be a str, not %s" % type(text).__name__)
-    end = len(text.rstrip())
+    _instance(ring, Ring, "ring")
+    end = len(_instance(text, str, "polynomial text").rstrip())
     if not end:
         raise ParseError("empty polynomial text")
     sums: dict[Monomial, tuple[int, int]] = {}

@@ -89,7 +89,7 @@ class Permutation:
         Text that is not a list of integers is a ParseError; integers that
         are not a permutation are the constructor's DomainError.
         """
-        stripped = text.strip()
+        stripped = _instance(text, str, "permutation text").strip()
         if stripped.startswith("[") and stripped.endswith("]"):
             stripped = stripped[1:-1]
         return cls(_parse_ints(stripped, "permutation text"))
@@ -156,7 +156,7 @@ def divided_difference(p: Poly, i: int) -> Poly:
     """(p - s_i p) / (z_i - z_{i+1}) for 1-based i; always a polynomial.
     p's numerators are packed, `_packed_divided_difference` runs, and the
     result is unpacked over p's denominator."""
-    i = _size(i, "divided difference index", 1, p.ring.nvars - 1)
+    i = _size(i, "divided difference index", 1, _in_ring(p, None, "polynomial").ring.nvars - 1)
     packing = Packing(p.ring.nvars, max((max(m) for m in p.nums), default=0))
     terms = {packing.pack(m): c for m, c in p.nums.items()}
     si, sj = packing.shifts[i - 1 : i + 1]

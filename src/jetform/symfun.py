@@ -112,9 +112,15 @@ class Composition:
         return "Composition%r" % (self.parts,)
 
 
-@lru_cache(maxsize=None)
 def zring(ell: int) -> Ring:
-    return Ring(tuple("z%d" % (i + 1) for i in range(_size(ell, "variable count", 1))))
+    """The ring of z1..z_ell, one object per ell: the size is checked before
+    the cache, which would fail on an unhashable one with a bare TypeError."""
+    return _zring(_size(ell, "variable count", 1))
+
+
+@lru_cache(maxsize=None)
+def _zring(ell: int) -> Ring:
+    return Ring(tuple("z%d" % (i + 1) for i in range(ell)))
 
 
 def complete_homogeneous(d: int, k: int, ell: int) -> Poly:
@@ -147,10 +153,14 @@ def elementary_symmetric(ring: Ring, d: int, indices) -> Poly:
     return Poly(ring, terms)
 
 
-@lru_cache(maxsize=None)
 def groebner_basis_IS(ell: int) -> tuple[Poly, ...]:
-    """The basis (h_1(z_1..z_ell), h_2(z_2..z_ell), ..., h_ell(z_ell))."""
-    ell = _size(ell, "variable count", 1)
+    """The basis (h_1(z_1..z_ell), h_2(z_2..z_ell), ..., h_ell(z_ell)),
+    made once per ell, the size checked before the cache as by `zring`."""
+    return _groebner_basis_IS(_size(ell, "variable count", 1))
+
+
+@lru_cache(maxsize=None)
+def _groebner_basis_IS(ell: int) -> tuple[Poly, ...]:
     return tuple(complete_homogeneous(i, i, ell) for i in range(1, ell + 1))
 
 

@@ -468,6 +468,23 @@ def test_jet_ring_multiplier_table_matches_the_generic_pass(query, data):
     _check_kept_multipliers(record, mult_degrees, targets, packing, leads, got)
 
 
+def test_no_jet_search_takes_the_generic_multiplier_table(monkeypatch):
+    # every jet ring, n = 1 and the m = 0 ring with no inserted generator
+    # included, builds its table as block products; the generic pass is
+    # left to `homogeneous_membership` and to the reference above
+    calls = []
+    generic = jets._Generators.multiplier_table
+
+    def counting(*args):
+        calls.append(args)
+        return generic(*args)
+
+    monkeypatch.setattr(jets._Generators, "multiplier_table", counting)
+    for h in [(0,), (3,), (1, 0), (2, 1), (1, 1, 1)]:
+        min_degree_search(h)
+    assert not calls
+
+
 def test_membership_certificates_reexpand():
     rng = make_rng(17)
     ring = zring(3)

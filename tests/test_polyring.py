@@ -13,16 +13,21 @@ from jetform import (
     ExactSpan,
     JetRingDesc,
     JetformError,
+    MembershipResult,
     ParseError,
     Permutation,
+    PsiSpecialization,
     RingMismatchError,
     Ring,
     c_lambda_generators,
     c_lambda_ring,
     compositions,
     divide,
+    divided_difference,
     elementary_symmetric,
+    groebner_basis_IS,
     homogeneous_membership,
+    integer_nullspace,
     jet_generators,
     min_degree_search,
     normal_form_IS,
@@ -143,6 +148,9 @@ def test_ring_mismatch_raises():
 
 _Z = zring(2)
 _P = _Z.var(0)
+# a jet ring description has a `ring`, but it is no polynomial of it
+_DESC22 = JetRingDesc(2, 2)
+_GENS22 = jet_generators(None, _DESC22)
 
 
 @pytest.mark.parametrize(
@@ -164,16 +172,24 @@ _P = _Z.var(0)
         lambda: spoly(3, _P),
         lambda: homogeneous_membership(_P, [_P]).verify(None, [_P]),
         lambda: format_poly(5),
+        lambda: divided_difference(None, 1),
+        lambda: homogeneous_membership(_DESC22, _GENS22),
+        lambda: format_poly(_DESC22),
+        lambda: PsiSpecialization((2, 1), _DESC22).apply(_DESC22),
+        lambda: MembershipResult(True, 1, []).verify(_DESC22, _GENS22),
+        lambda: normal_form_IS(_DESC22),
     ],
     ids=[
         "normal_form_IS", "nu", "schubert_expansion", "schubert_expansion_of_its_ring",
         "sym_lambda_average", "divide", "substitute", "jet_generators",
         "membership_generator", "membership_query", "add", "mul", "spoly", "spoly_first",
-        "verify_query", "format_poly",
+        "verify_query", "format_poly", "divided_difference", "membership_query_desc",
+        "format_poly_desc", "psi_apply_desc", "verify_query_desc", "normal_form_IS_desc",
     ],
 )
 def test_a_value_that_is_not_a_polynomial_is_a_domain_error(call):
-    # `errors._in_ring` refuses a value with no ring, naming what it wanted
+    # `errors._in_ring` refuses anything but a Poly, a value with a ring of
+    # its own included, naming what it wanted
     with pytest.raises(DomainError, match="must be a Poly, not "):
         call()
 
@@ -213,17 +229,34 @@ _Q = _DESC21.ring.var(0) * _DESC21.ring.var(2)
             lambda: homogeneous_membership(_Q, [_Q], budget=5),
             "memory budget must be a Budget, not int$",
         ),
+        (lambda: Permutation.parse(None), "permutation text must be a str, not NoneType$"),
+        (lambda: parse_poly(None, "z1"), "ring must be a Ring, not NoneType$"),
+        (
+            lambda: _P.substitute(None, [_P, _P]),
+            "substitution target must be a Ring, not NoneType$",
+        ),
+        (lambda: _P.mul_monomial(None), "exponent vector must be a sequence"),
+        (lambda: integer_nullspace(None, 2), "nullspace rows must be a sequence"),
+        # a size that cannot be hashed is refused before it reaches a cache
+        (lambda: zring([2]), "variable count must be an integer"),
+        (lambda: groebner_basis_IS([2]), "variable count must be an integer"),
+        (lambda: normal_form_IS(zring(3).var(0), [3]), "variable count must be an integer"),
+        (lambda: nu(zring(3).var(0), [3]), "variable count must be an integer"),
     ],
     ids=[
         "jet_generators", "membership_generators", "membership_no_generators", "verify",
         "divide", "substitute", "elementary_symmetric", "Permutation", "Composition",
         "parse_poly", "Ring", "Ring.monomial", "permute_vars", "to_json", "Ring.from_terms",
         "min_degree_search_budget", "ExactSpan_budget", "membership_budget",
+        "Permutation.parse", "parse_poly_ring", "substitute_target", "mul_monomial",
+        "integer_nullspace", "zring_size", "groebner_basis_IS_size", "normal_form_IS_size",
+        "nu_size",
     ],
 )
 def test_a_value_that_is_not_a_sequence_or_text_is_a_domain_error(call, message):
-    # `errors._sequence` refuses a value it cannot iterate, and `errors._instance`
-    # a value of another type, naming the argument
+    # `errors._sequence` refuses a value it cannot iterate, `errors._instance`
+    # a value of another type and `errors._size` a size that is not an int,
+    # each naming the argument
     with pytest.raises(DomainError, match=message):
         call()
 
