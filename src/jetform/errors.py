@@ -57,15 +57,18 @@ class InvariantViolationError(JetformError, AssertionError):
     """An internal consistency check failed; indicates a bug, not bad input."""
 
 
-def _size(value, what: str, least: int = 0, most: int | None = None) -> int:
+def _size(value, what: str, least: int | None = 0, most: int | None = None) -> int:
     """`value` as an int in least..most, or of at least `least` if `most` is
-    None: the one check of every size and index argument in the package.
+    None: the one check of every size and index argument in the package,
+    and of an integer entry, which passes `least` and `most` both None.
     A float or a string is refused by `operator.index`, not truncated, and
     every refusal, of the type or of either bound, is a DomainError."""
     try:
         value = index(value)
     except TypeError:
         raise DomainError("%s must be an integer: %r" % (what, value)) from None
+    if least is None:
+        return value
     if value < least or most is not None and value > most:
         bounds = "at least %d" % least if most is None else "in %d..%d" % (least, most)
         raise DomainError("%s must be %s, got %d" % (what, bounds, value))

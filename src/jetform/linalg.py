@@ -27,7 +27,7 @@ from numbers import Real
 from types import MappingProxyType
 from typing import Hashable, Mapping
 
-from .errors import BudgetExceededError, DomainError, _instance, _sequence
+from .errors import BudgetExceededError, DomainError, _instance, _sequence, _size
 
 __all__ = ["ExactSpan", "Budget", "integer_nullspace"]
 
@@ -259,7 +259,13 @@ def integer_nullspace(rows: list[list[int]], ncols: int) -> list[tuple[int, ...]
     pivot's lead is.  That is the reduced-echelon basis in column order,
     each vector primitive and positive at j.
     """
-    rows = _sequence(rows, "nullspace rows")
+    ncols = _size(ncols, "nullspace column count")
+    rows = [_sequence(r, "nullspace row") for r in _sequence(rows, "nullspace rows")]
+    for r in rows:
+        if len(r) != ncols:
+            raise DomainError("nullspace row must have %d entries, not %d: %r" % (ncols, len(r), r))
+        for e in r:
+            _size(e, "nullspace entry", None)
     span = ExactSpan()
     basis = []
     for j in range(ncols):

@@ -23,10 +23,13 @@ and the text grammar used by the CLI:
 
 `ints`, read by `_parse_ints`, spells derivative tuples, compositions and
 permutations, the last optionally in brackets.  Whitespace is ignored.
-Unknown variable names are rejected, never guessed.  The grammar has no
-nesting, so `parse_poly` matches one signed term at a time, in linear
-time; a syntax error gives its position.  No Fraction is made either way:
-terms are summed as pairs of ints, and `_ratio_text` prints a coefficient.
+Unknown variable names are rejected, never guessed, and a `Ring` takes no
+name that is not an identifier.  The grammar has no nesting, so
+`parse_poly` reads text with string methods, split at its signs and its
+'*'s, in linear time; text it does not take is matched against the
+grammar one signed term at a time, and a syntax error gives its position.
+No Fraction is made either way: terms are summed as pairs of ints, and
+`_ratio_text` prints a coefficient.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ from math import gcd, lcm
 from operator import add, sub
 
 from .errors import (
-    DomainError, ParseError, RingMismatchError, _in_ring, _instance, _Polynomial, _sequence, _size,
+    DomainError, InvariantViolationError, ParseError, RingMismatchError, _in_ring, _instance,
+    _Polynomial, _sequence, _size,
 )
 
 __all__ = [
@@ -51,13 +55,21 @@ __all__ = [
 ]
 
 
+_NAME = r"[A-Za-z][A-Za-z0-9_]*"  # var := identifier, for `Ring` and the grammar alike
+_NAME_RE = re.compile(_NAME)
+
+
 class Ring:
-    """An ordered list of variable names; the context every Poly carries."""
+    """An ordered list of variable names, each an identifier of the text
+    grammar; the context every Poly carries."""
 
     __slots__ = ("names", "_index", "_hash")
 
     def __init__(self, names: Iterable[str]):
         names = _sequence(names, "variable names")
+        for name in names:
+            if not _NAME_RE.fullmatch(_instance(name, str, "variable name")):
+                raise DomainError("variable name must be an identifier: %r" % (name,))
         if len(set(names)) != len(names):
             raise DomainError("duplicate variable names: %r" % (names,))
         self.names = names
@@ -69,10 +81,10 @@ class Ring:
         return len(self.names)
 
     def index(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise ParseError("unknown variable %r in ring %s" % (name, self)) from None
+        i = self._index.get(name) if isinstance(name, str) else None
+        if i is None:
+            raise ParseError("unknown variable %r in ring %s" % (name, self))
+        return i
 
     def monomial(self, exps: Iterable[int]) -> Monomial:
         exps = tuple(_size(e, "exponent") for e in _sequence(exps, "exponent vector"))
@@ -532,9 +544,10 @@ def _series_coefficients(nvars: int, factors, top: int) -> list[dict[tuple[int, 
 
 # -- text format -------------------------------------------------------------
 
-# One pattern matches a whole signed term; the factor pattern then reads the
+# The grammar as regular expressions, which only `_diagnose` runs: one
+# pattern matches a whole signed term, the factor pattern then reads the
 # factors inside it.
-_FACTOR = r"([A-Za-z][A-Za-z0-9_]*) (?: \s* \^ \s* (\d+) )?"  # factor := var ['^' uint]
+_FACTOR = rf"({_NAME}) (?: \s* \^ \s* (\d+) )?"  # factor := var ['^' uint]
 _FACTOR_RE = re.compile(_FACTOR, re.VERBOSE)
 _TERM_RE = re.compile(
     rf"""
@@ -545,47 +558,106 @@ _TERM_RE = re.compile(
     """,
     re.VERBOSE,
 )
+_SIGN_RE = re.compile(r"([-+])")
 
 
 def parse_poly(ring: Ring, text: str) -> Poly:
     """Parse the textual polynomial grammar in the given ring, with no
-    Fraction made.  Each monomial keeps a running sum, a pair of ints, and a
-    sum that cancels is dropped at once.  The sums are then put over the lcm
-    of their reduced denominators, taken once, as the public constructor
-    would put them."""
+    Fraction made.
+
+    The reader splits the text at its signs and each term at its '*', then
+    reads every piece with `str` methods: a coefficient or an exponent is
+    stripped decimal digits, and a name is looked up in the ring as it
+    stands, which works because every ring name is a grammar identifier.
+    Each monomial keeps a running sum, a pair of ints, and a sum that
+    cancels is dropped at once.  The sums are then put over the lcm of their
+    reduced denominators, taken once, as the public constructor would put
+    them.  Text the reader does not take goes to `_diagnose`, which matches
+    the grammar term by term and raises the first error it meets."""
     _instance(ring, Ring, "ring")
-    end = len(_instance(text, str, "polynomial text").rstrip())
-    if not end:
+    if not _instance(text, str, "polynomial text").strip():
         raise ParseError("empty polynomial text")
+    sums = _read_terms(ring._index, ring.nvars, text)
+    if sums is None:
+        _diagnose(ring, text)
+    denom = lcm(*[d // gcd(n, d) for n, d in sums.values()])
+    return Poly._from_ints(ring, {mono: n * denom // d for mono, (n, d) in sums.items()}, denom)
+
+
+def _read_terms(index: dict[str, int], nvars: int, text: str) -> dict | None:
+    """{Monomial: (num, den)}, the running sums of the terms of `text`, or
+    None for text that breaks the grammar.  `str.strip` and `isdecimal`
+    take exactly the whitespace and the digits of the grammar's patterns."""
+    pieces = _SIGN_RE.split(text)  # lead, sign, term, sign, term, ...
+    if pieces[0].strip():
+        pieces.insert(0, "+")  # the first term may go unsigned
+    else:
+        del pieces[0]
     sums: dict[Monomial, tuple[int, int]] = {}
-    pos = 0
+    try:
+        for sign, term in zip(pieces[::2], pieces[1::2]):
+            factors = term.split("*")
+            num, slash, den = factors[0].partition("/")
+            num = num.strip()
+            if num.isdecimal():
+                den = den.strip() if slash else "1"
+                if not den.isdecimal():
+                    return None
+                num, den = int(num), int(den)
+                if not den:
+                    return None
+                del factors[0]
+            elif slash:
+                return None
+            else:
+                num = den = 1
+            exps = [0] * nvars
+            for factor in factors:
+                if "^" in factor:
+                    name, _, e = factor.partition("^")
+                    e = e.strip()
+                    if not e.isdecimal():
+                        return None
+                    exps[index[name.strip()]] += int(e)
+                else:
+                    exps[index[factor.strip()]] += 1
+            mono, num = Monomial(exps), -num if sign == "-" else num
+            if mono in sums:
+                n, d = sums[mono]
+                common = gcd(d, den)
+                num, den = n * (den // common) + num * (d // common), d // common * den
+            sums[mono] = num, den
+            if not num:
+                del sums[mono]
+    except (KeyError, ValueError):  # an unknown name; a number past int()'s digit limit
+        return None
+    return sums
+
+
+def _diagnose(ring: Ring, text: str):
+    """Raise the ParseError of the first term of `text` that breaks the
+    grammar: its syntax, with the position of the stray token, then a
+    number too long, a zero denominator or an unknown name."""
+    end, pos = len(text.rstrip()), 0
     while pos < end:
         m = _TERM_RE.match(text, pos)
         if m is None or (pos and not m["sign"]):
             at = len(text) - len(text[pos:].lstrip())
             raise ParseError("unexpected %r at position %d" % (text[at : at + 20].split()[0], at))
+        factors = _FACTOR_RE.findall(m["factors"] or "")
         try:
-            num, den = int(m["num"] or 1), int(m["den"] or 1)
-            factors = [(name, int(e or 1)) for name, e in _FACTOR_RE.findall(m["factors"] or "")]
+            den = int(m["den"] or 1)
+            for digits in (m["num"], *(e for _, e in factors)):
+                int(digits or 0)
         except ValueError:  # past int()'s digit limit; point at the longest number
             at = max(re.finditer(r"(?<!\w)\d+", m[0]), key=lambda d: len(d[0])).start()
             raise ParseError("number too long at position %d" % (m.start() + at)) from None
         if not den:
             raise ParseError("zero denominator")
-        exps = [0] * ring.nvars
-        for name, e in factors:
-            exps[ring.index(name)] += e
-        mono, num = Monomial(exps), -num if m["sign"] == "-" else num
-        if mono in sums:
-            n, d = sums[mono]
-            common = gcd(d, den)
-            num, den = n * (den // common) + num * (d // common), d // common * den
-        sums[mono] = num, den
-        if not num:
-            del sums[mono]
+        for name, _ in factors:
+            ring.index(name)
         pos = m.end()
-    denom = lcm(*[d // gcd(n, d) for n, d in sums.values()])
-    return Poly._from_ints(ring, {mono: n * denom // d for mono, (n, d) in sums.items()}, denom)
+    raise InvariantViolationError("parse_poly refused %r, which the grammar accepts" % (text,))
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
@@ -600,8 +672,13 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
 
 
 def format_monomial(ring: Ring, mono: Monomial) -> str:
+    names = _instance(ring, Ring, "ring").names
+    if len(mono) != len(names):
+        raise RingMismatchError(
+            "monomial of length %d in a ring with %d variables" % (len(mono), len(names))
+        )
     parts = []
-    for name, e in zip(ring.names, mono):
+    for name, e in zip(names, mono):
         if e == 1:
             parts.append(name)
         elif e > 1:

@@ -139,6 +139,7 @@ def complete_homogeneous(d: int, k: int, ell: int) -> Poly:
 
 def elementary_symmetric(ring: Ring, d: int, indices) -> Poly:
     """Sum of all squarefree degree-d monomials in the given variables."""
+    _instance(ring, Ring, "ring")
     indices = _sequence(indices, "variable indices")
     indices = [_size(i, "variable index", 0, ring.nvars - 1) for i in indices]
     if len(set(indices)) != len(indices):

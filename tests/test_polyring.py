@@ -1,6 +1,7 @@
 import re
 from fractions import Fraction
-from math import prod
+from math import gcd, lcm, prod
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +20,7 @@ from jetform import (
     PsiSpecialization,
     RingMismatchError,
     Ring,
+    block_sigma,
     c_lambda_generators,
     c_lambda_ring,
     compositions,
@@ -34,9 +36,11 @@ from jetform import (
     nu,
     parse_poly,
     schubert_expansion,
+    schubert_poly,
     sym_lambda_average,
     zring,
 )
+from jetform import polyring
 from jetform.polyring import (
     Monomial, Packing, Poly, _ratio_text, format_monomial, format_poly, spoly,
 )
@@ -242,6 +246,30 @@ _Q = _DESC21.ring.var(0) * _DESC21.ring.var(2)
         (lambda: groebner_basis_IS([2]), "variable count must be an integer"),
         (lambda: normal_form_IS(zring(3).var(0), [3]), "variable count must be an integer"),
         (lambda: nu(zring(3).var(0), [3]), "variable count must be an integer"),
+        # a ring's names are identifiers of the text grammar
+        (lambda: Ring([1, 2]), "variable name must be a str, not int$"),
+        (lambda: Ring(["x y", "z"]), "variable name must be an identifier: 'x y'$"),
+        (lambda: Ring(["2x"]), "variable name must be an identifier: '2x'$"),
+        # a monomial is printed in its own ring only
+        (
+            lambda: format_monomial(zring(2), Monomial((1, 0, 3))),
+            "monomial of length 3 in a ring with 2 variables$",
+        ),
+        (
+            lambda: min_degree_search((1, 1)).certificate.to_json(JetRingDesc(2, 2).base_ring),
+            "monomial of length 6 in a ring with 2 variables$",
+        ),
+        (lambda: format_monomial(None, Monomial(())), "ring must be a Ring, not NoneType$"),
+        (lambda: integer_nullspace([[1, 2]], 2.5), "nullspace column count must be an integer"),
+        (lambda: integer_nullspace([None], 2), "nullspace row must be a sequence"),
+        (lambda: integer_nullspace(["x"], 2), "nullspace row must have 2 entries, not 1"),
+        (lambda: integer_nullspace([[1.5, 1]], 2), "nullspace entry must be an integer: 1.5$"),
+        (lambda: integer_nullspace([[1]], 2), "nullspace row must have 2 entries, not 1"),
+        (lambda: elementary_symmetric(None, 1, [0]), "ring must be a Ring, not NoneType$"),
+        (
+            lambda: block_sigma(Composition((2, 1)), 1, 1, 1.5),
+            "ring must be a Ring, not float$",
+        ),
     ],
     ids=[
         "jet_generators", "membership_generators", "membership_no_generators", "verify",
@@ -250,7 +278,11 @@ _Q = _DESC21.ring.var(0) * _DESC21.ring.var(2)
         "min_degree_search_budget", "ExactSpan_budget", "membership_budget",
         "Permutation.parse", "parse_poly_ring", "substitute_target", "mul_monomial",
         "integer_nullspace", "zring_size", "groebner_basis_IS_size", "normal_form_IS_size",
-        "nu_size",
+        "nu_size", "Ring_name_int", "Ring_name_space", "Ring_name_digit",
+        "format_monomial_length", "to_json_ring", "format_monomial_ring",
+        "integer_nullspace_ncols", "integer_nullspace_row", "integer_nullspace_str_row",
+        "integer_nullspace_entry", "integer_nullspace_short_row", "elementary_symmetric_ring",
+        "block_sigma_ring",
     ],
 )
 def test_a_value_that_is_not_a_sequence_or_text_is_a_domain_error(call, message):
@@ -460,6 +492,9 @@ def test_parse_rejects_unknown_variable():
         parse_poly(ring, "z7")
     with pytest.raises(ParseError):
         parse_poly(ring, "z1 + w2")
+    # a name that is no str is unknown too, not a TypeError of the lookup
+    with pytest.raises(ParseError, match=r"^unknown variable \[1\] in ring "):
+        ring.index([1])
 
 
 def test_parse_rejects_garbage():
@@ -661,6 +696,101 @@ def test_parse_matches_reference_parser(text):
             parse_poly(ring, text)
     else:
         _assert_parsed_as(parse_poly(ring, text), reference)
+
+
+# -- the grammar loop ----------------------------------------------------------
+# The regular-expression loop that read every text before the string reader,
+# copied verbatim with its patterns: the oracle for the reader's sums and for
+# the messages `parse_poly` raises on text the reader refuses.
+
+_G_FACTOR = r"([A-Za-z][A-Za-z0-9_]*) (?: \s* \^ \s* (\d+) )?"
+_G_FACTOR_RE = re.compile(_G_FACTOR, re.VERBOSE)
+_G_TERM_RE = re.compile(
+    rf"""
+    \s* (?: (?P<sign> [-+] ) \s* )? (?= \d | [A-Za-z] )
+    (?: (?P<num> \d+ ) (?: \s* / \s* (?P<den> \d+ ) )? )?
+    (?P<factors> (?(num) \s*\*\s* ) {_G_FACTOR} (?: \s*\*\s* {_G_FACTOR} )* )?
+    """,
+    re.VERBOSE,
+)
+
+
+def grammar_parse(ring: Ring, text: str) -> Poly:
+    end = len(text.rstrip())
+    if not end:
+        raise ParseError("empty polynomial text")
+    sums = {}
+    pos = 0
+    while pos < end:
+        m = _G_TERM_RE.match(text, pos)
+        if m is None or (pos and not m["sign"]):
+            at = len(text) - len(text[pos:].lstrip())
+            raise ParseError("unexpected %r at position %d" % (text[at : at + 20].split()[0], at))
+        try:
+            num, den = int(m["num"] or 1), int(m["den"] or 1)
+            factors = [(name, int(e or 1)) for name, e in _G_FACTOR_RE.findall(m["factors"] or "")]
+        except ValueError:
+            at = max(re.finditer(r"(?<!\w)\d+", m[0]), key=lambda d: len(d[0])).start()
+            raise ParseError("number too long at position %d" % (m.start() + at)) from None
+        if not den:
+            raise ParseError("zero denominator")
+        exps = [0] * ring.nvars
+        for name, e in factors:
+            exps[ring.index(name)] += e
+        mono, num = Monomial(exps), -num if m["sign"] == "-" else num
+        if mono in sums:
+            n, d = sums[mono]
+            common = gcd(d, den)
+            num, den = n * (den // common) + num * (d // common), d // common * den
+        sums[mono] = num, den
+        if not num:
+            del sums[mono]
+        pos = m.end()
+    denom = lcm(*[d // gcd(n, d) for n, d in sums.values()])
+    return Poly._from_ints(ring, {mono: n * denom // d for mono, (n, d) in sums.items()}, denom)
+
+
+_LONG = "1" * 5000
+
+
+@settings(max_examples=2000)
+@given(poly_texts())
+@example("z1^" + _LONG)
+@example("z2 + 1/" + _LONG)
+@example("3/0 + w")
+@example("w + 3/0")
+@example("z1 + 2/0 - " + _LONG)
+@example("z1 - z1")
+def test_reader_takes_what_the_grammar_accepts_and_the_loop_words_the_rest(text):
+    # a text the grammar accepts never reaches `_diagnose`, and gives the
+    # grammar loop's nums, in order, and denom; any other text raises the
+    # grammar loop's message
+    ring = Ring(("z1", "z2", "z"))
+    try:
+        expected = grammar_parse(ring, text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as raised:
+            parse_poly(ring, text)
+        assert str(raised.value) == str(exc)
+    else:
+        with mock.patch.object(polyring, "_diagnose", side_effect=AssertionError(text)):
+            p = parse_poly(ring, text)
+        assert list(p.nums.items()) == list(expected.nums.items())
+        assert p.denom == expected.denom
+
+
+def test_monk_products_and_unicode_text_round_trip():
+    # S_{s_r} * S_w at ell = 6, printed and read back
+    ring = zring(6)
+    for r, oneline in ((1, (1, 2, 3, 4, 5, 6)), (2, (2, 1, 3, 4, 5, 6)), (3, (3, 1, 4, 2, 6, 5)),
+                       (5, (6, 5, 4, 3, 2, 1)), (4, (1, 4, 2, 6, 3, 5))):
+        p = schubert_poly(Permutation.simple(r, 6)) * schubert_poly(Permutation(oneline))
+        assert parse_poly(ring, format_poly(p)) == p
+    # non-ASCII whitespace around every token, and an Arabic-Indic three
+    z1, z2 = ring.var(0), ring.var(1)
+    text = "\xa0z1\x1c*\xa0z2 ^\x1c\u0663 -\xa0\u0663 /\x1c2\xa0"
+    assert parse_poly(ring, text) == z1 * z2**3 - ring.const(Fraction(3, 2))
+    assert parse_poly(ring, format_poly(parse_poly(ring, text))) == parse_poly(ring, text)
 
 
 def _assert_parsed_as(p: Poly, reference: Poly):
